@@ -11,13 +11,10 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
-from .cache import Cache
 from .distributions import DistVector, act_lie, canonical_basis_vec
 from .gtformulas import phi_general
-from .skewring import RingElement
 from .suites import SUITES
 from .tableau import (
     Point,
@@ -51,7 +48,10 @@ def parse_shift_spec(spec: str) -> Shift:
             raise UsageError(f"bad shift atom {piece!r}")
         k, i, off = int(m.group(1)), int(m.group(2)), int(m.group(3))
         comps[(k, i)] = comps.get((k, i), 0) + off
-    return Shift(comps)
+    try:
+        return Shift(comps)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def shift_spec(sigma: Shift) -> str:
@@ -98,10 +98,6 @@ class RunConfig:
     singular: tuple[int, int, int] | None = None
     point: Point | None = None
     fmt: str = "text"
-    cache_dir: Path | None = field(default=None)
-
-    def cache(self) -> Cache:
-        return Cache(self.cache_dir)
 
     def resolve_point(self) -> Point:
         if self.point is not None:
@@ -129,7 +125,7 @@ def _load_point(path: str) -> Point:
 
 
 def _config(args) -> RunConfig:
-    cfg = RunConfig(fmt=args.format, cache_dir=args.cache)
+    cfg = RunConfig(fmt=args.format)
     if getattr(args, "n", None) is not None:
         cfg.n = args.n
     if getattr(args, "point", None):
@@ -138,10 +134,6 @@ def _config(args) -> RunConfig:
     if getattr(args, "singular", None):
         cfg.singular = parse_singular(args.singular)
     return cfg
-
-
-def ring_element_text(a: RingElement) -> str:
-    return repr(a)
 
 
 def dist_vector_text(d: DistVector) -> str:
@@ -165,18 +157,11 @@ def _emit(payload_json, payload_text: str, fmt: str) -> None:
 def cmd_phi(args) -> int:
     cfg = _config(args)
     r, s = parse_gen(args.gen)
-    key = {"op": "phi", "n": cfg.n, "gen": [r, s]}
-    cache = cfg.cache()
-    cached = cache.get("phi", key)
-    if cached is not None:
-        element = RingElement.from_json(cached)
-    else:
-        try:
-            element = phi_general(cfg.n, r, s)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        cache.put("phi", key, element.to_json())
-    _emit(element.to_json(), ring_element_text(element), cfg.fmt)
+    try:
+        element = phi_general(cfg.n, r, s)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    _emit(element.to_json(), repr(element), cfg.fmt)
     return 0
 
 
@@ -190,24 +175,10 @@ def cmd_act(args) -> int:
         bv, sign = canonical_basis_vec(ctx, kind, sigma)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    key = {
-        "op": "act",
-        "n": cfg.n,
-        "point": ctx.v.to_json(),
-        "singular": [ctx.k, ctx.i, ctx.j],
-        "gen": [r, s],
-        "basis": {"kind": bv.kind, "shift": bv.sigma.to_json(), "sign": sign},
-    }
-    cache = cfg.cache()
-    cached = cache.get("act", key)
-    if cached is not None:
-        result = DistVector.from_json(ctx, cached)
-    else:
-        try:
-            result = act_lie(ctx, (r, s), DistVector.basis(bv)).scale(sign)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        cache.put("act", key, result.to_json())
+    try:
+        result = act_lie(ctx, (r, s), DistVector.basis(bv)).scale(sign)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     _emit(result.to_json(), dist_vector_text(result), cfg.fmt)
     return 0
 
@@ -258,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, with_point=True):
         p.add_argument("--n", type=int, default=None, help="tableau order")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--cache", default=None, help="cache directory")
         if with_point:
             p.add_argument("--point", default=None, help="point JSON file")
             p.add_argument("--singular", default=None, help="singular pair k,i,j")

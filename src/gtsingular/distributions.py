@@ -153,18 +153,6 @@ class DistVector:
             for bv, c in self.sorted_items()
         ]
 
-    @classmethod
-    def from_json(cls, ctx: SingularContext, data: Iterable[Mapping]) -> "DistVector":
-        from .textform import parse_frac
-
-        return cls.from_terms(
-            ctx,
-            [
-                (e["kind"], Shift.from_json(e["shift"]), parse_frac(e["coeff"]))
-                for e in data
-            ],
-        )
-
     def __repr__(self) -> str:
         if not self.coeffs:
             return "0"

@@ -263,7 +263,7 @@ class Polynomial:
         live = {v: Fraction(c) for v, c in offsets.items() if c}
         if not live:
             return self
-        cache: dict[tuple[Var, int], dict[Monomial, Fraction]] = {}
+        binomials: dict[tuple[Var, int], dict[Monomial, Fraction]] = {}
         out: dict[Monomial, Fraction] = {}
         for m, coeff in self.terms.items():
             static: list[tuple[Var, int]] = []
@@ -273,13 +273,13 @@ class Polynomial:
                 if c is None:
                     static.append((v, e))
                     continue
-                f = cache.get((v, e))
+                f = binomials.get((v, e))
                 if f is None:
                     f = {
                         (((v, j),) if j else ()): Fraction(comb(e, j)) * c ** (e - j)
                         for j in range(e + 1)
                     }
-                    cache[(v, e)] = f
+                    binomials[(v, e)] = f
                 factors.append(f)
             expanded: dict[Monomial, Fraction] = {tuple(static): coeff}
             for f in factors:
@@ -415,15 +415,6 @@ def _coeff_map(d: IntTerms, var: Var) -> dict[int, IntTerms]:
     return out
 
 
-def _from_coeff_map(cm: dict[int, IntTerms], var: Var) -> IntTerms:
-    out: IntTerms = {}
-    for e, coeff in cm.items():
-        for m, c in coeff.items():
-            mm = mono_mul(m, (((var, e),) if e else ())) if e else m
-            out[mm] = c
-    return out
-
-
 def _attach_power(d: IntTerms, var: Var, e: int) -> IntTerms:
     if e == 0:
         return d
@@ -552,9 +543,10 @@ def _heu_gcd(f: IntTerms, g: IntTerms, depth: int = 0) -> IntTerms:
     exact division.  Raises when the lift keeps failing."""
     if depth > 12:
         raise _HeuristicFailed
+    ci = _igcd(_int_content(f), _int_content(g))
     common = _common_vars(f, g)
     if not common:
-        return {(): _igcd(_int_content(f), _int_content(g))}
+        return {(): ci}
     var = min(common, key=lambda v: min(_int_deg(f, v), _int_deg(g, v)))
     xi = 2 * min(_max_norm(f), _max_norm(g)) + 29
     for _ in range(6):
@@ -589,7 +581,9 @@ def _heu_gcd(f: IntTerms, g: IntTerms, depth: int = 0) -> IntTerms:
                 if h:
                     h = _positive_primitive(h)
                     if _int_divexact(f, h) is not None and _int_divexact(g, h) is not None:
-                        return h
+                        # Below the top level, integer content can be the
+                        # image of a factor in an evaluated variable.
+                        return {m: c * ci for m, c in h.items()}
         xi = xi * 73794 // 27011 + 17
     raise _HeuristicFailed
 

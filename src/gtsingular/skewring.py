@@ -135,14 +135,6 @@ class RingElement:
             for s in self.support()
         ]
 
-    @classmethod
-    def from_json(cls, data: Iterable[Mapping]) -> "RingElement":
-        from .textform import parse_rf
-
-        return cls(
-            [(Shift.from_json(entry["shift"]), parse_rf(entry["coeff"])) for entry in data]
-        )
-
 
 def ring_mul_circ(a: RingElement, b: RingElement) -> RingElement:
     out: dict[Shift, RationalFunction] = {}

@@ -121,32 +121,27 @@ def test_criterion_9_generic_degeneration():
 
 def test_criterion_10_cli_determinism(tmp_path, capsys, monkeypatch):
     with budget("criterion 10: CLI determinism and exit codes", 10):
-        cache = str(tmp_path / "cache")
         commands = [
-            ["phi", "--n", "2", "--gen", "1,2", "--cache", cache],
-            ["phi", "--n", "3", "--gen", "1,3", "--cache", cache, "--format", "json"],
-            ["act", "--gen", "1,1", "--basis", "D1:id", "--cache", cache],
-            ["act", "--gen", "2,2", "--basis", "D2:(2,1)+1", "--cache", cache, "--format", "json"],
-            ["classify", "--cache", cache],
-            ["verify", "--n", "2", "homomorphism", "--cache", cache],
+            ["phi", "--n", "2", "--gen", "1,2"],
+            ["phi", "--n", "3", "--gen", "1,3", "--format", "json"],
+            ["act", "--gen", "1,1", "--basis", "D1:id"],
+            ["act", "--gen", "2,2", "--basis", "D2:(2,1)+1", "--format", "json"],
+            ["classify"],
+            ["verify", "--n", "2", "homomorphism"],
         ]
-        cold = []
-        for argv in commands:
-            code = main(argv)
-            out = capsys.readouterr().out
-            assert code == 0, argv
-            cold.append(out)
-        warm = []
-        for argv in commands:
-            code = main(argv)
-            out = capsys.readouterr().out
-            assert code == 0, argv
-            warm.append(out)
-        assert cold == warm
+        runs = []
+        for _ in range(2):
+            outs = []
+            for argv in commands:
+                code = main(argv)
+                outs.append(capsys.readouterr().out)
+                assert code == 0, argv
+            runs.append(outs)
+        assert runs[0] == runs[1]
         # usage errors exit 2
-        assert main(["act", "--gen", "1,1", "--basis", "junk", "--cache", cache]) == 2
+        assert main(["act", "--gen", "1,1", "--basis", "junk"]) == 2
         capsys.readouterr()
-        assert main(["verify", "nonsense", "--cache", cache]) == 2
+        assert main(["verify", "nonsense"]) == 2
         capsys.readouterr()
         # a failing suite exits 1
         monkeypatch.setitem(
@@ -163,5 +158,5 @@ def test_criterion_10_cli_determinism(tmp_path, capsys, monkeypatch):
         import gtsingular.cli as cli_mod
 
         monkeypatch.setattr(cli_mod, "SUITES", suites.SUITES)
-        assert main(["verify", "--n", "2", "homomorphism", "--cache", cache]) == 1
+        assert main(["verify", "--n", "2", "homomorphism"]) == 1
         capsys.readouterr()

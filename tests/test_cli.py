@@ -25,59 +25,63 @@ def test_shift_spec_grammar():
         parse_basis_spec("D5:id")
 
 
-def test_phi_text(tmp_path, capsys):
-    code, out, _ = run(capsys, "phi", "--n", "2", "--gen", "1,2", "--cache", str(tmp_path))
+def test_phi_text(capsys):
+    code, out, _ = run(capsys, "phi", "--n", "2", "--gen", "1,2")
     assert code == 0
     assert (
         out.strip()
         == "(-x[1][1]^2 + x[1][1]*x[2][1] + x[1][1]*x[2][2] - x[2][1]*x[2][2]) σ[1,1]^-1"
     )
-    code, out, _ = run(capsys, "phi", "--n", "3", "--gen", "1,1", "--cache", str(tmp_path))
+    code, out, _ = run(capsys, "phi", "--n", "3", "--gen", "1,1")
     assert code == 0 and out.strip() == "(x[1][1]) id"
 
 
-def test_phi_cold_warm_identical(tmp_path, capsys):
-    args = ("phi", "--n", "3", "--gen", "1,3", "--cache", str(tmp_path), "--format", "json")
+def test_phi_cold_warm_identical(capsys):
+    args = ("phi", "--n", "3", "--gen", "1,3", "--format", "json")
     code1, out1, _ = run(capsys, *args)
     code2, out2, _ = run(capsys, *args)
     assert code1 == code2 == 0
     assert out1 == out2
-    # the cache directory now holds exactly one entry for this op
-    files = list((tmp_path / "phi").glob("*.json"))
-    assert len(files) == 1
 
 
-def test_act_examples(tmp_path, capsys):
-    code, out, _ = run(capsys, "act", "--gen", "1,1", "--basis", "D1:id", "--cache", str(tmp_path))
+def test_act_examples(capsys):
+    code, out, _ = run(capsys, "act", "--gen", "1,1", "--basis", "D1:id")
     assert code == 0 and out.strip() == "D1:id = 1/5"
-    code, out, _ = run(
-        capsys, "act", "--gen", "2,2", "--basis", "D2:(2,1)+1", "--cache", str(tmp_path)
-    )
+    code, out, _ = run(capsys, "act", "--gen", "2,2", "--basis", "D2:(2,1)+1")
     assert code == 0
     labels = {line.split(" = ")[0] for line in out.strip().splitlines()}
     assert labels <= {"D2:(2,2)+1", "D1:(2,2)+1"}
 
 
-def test_act_cold_warm_identical(tmp_path, capsys):
-    args = ("act", "--gen", "2,3", "--basis", "D2:(2,2)+1", "--cache", str(tmp_path), "--format", "json")
+def test_act_cold_warm_identical(capsys):
+    args = ("act", "--gen", "2,3", "--basis", "D2:(2,2)+1", "--format", "json")
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
 
 
-def test_act_usage_errors(tmp_path, capsys):
-    code, _, err = run(capsys, "act", "--gen", "1,1", "--basis", "nope", "--cache", str(tmp_path))
+def test_act_usage_errors(capsys):
+    code, _, err = run(capsys, "act", "--gen", "1,1", "--basis", "nope")
     assert code == 2 and "basis" in err
-    code, _, err = run(
-        capsys, "act", "--gen", "1,1", "--basis", "D2:(2,1)+1,(2,2)+1", "--cache", str(tmp_path)
-    )
+    code, _, err = run(capsys, "act", "--gen", "1,1", "--basis", "D2:(2,1)+1,(2,2)+1")
     assert code == 2 and "transposition-fixed" in err
-    code, _, err = run(capsys, "act", "--gen", "9,9", "--basis", "D1:id", "--cache", str(tmp_path))
+    code, _, err = run(capsys, "act", "--gen", "9,9", "--basis", "D1:id")
     assert code == 2
+    for basis in ("D1:(0,1)+1", "D1:(2,3)+1"):
+        code, _, err = run(capsys, "act", "--gen", "1,1", "--basis", basis)
+        assert code == 2 and len(err.splitlines()) == 1 and "position" in err
+
+
+def test_cli_writes_nothing_to_disk(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    assert run(capsys, "phi", "--n", "3", "--gen", "1,3")[0] == 0
+    assert run(capsys, "act", "--gen", "2,2", "--basis", "D2:(2,1)+1")[0] == 0
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_classify_default_and_file(tmp_path, capsys):
-    code, out, _ = run(capsys, "classify", "--cache", str(tmp_path))
+    code, out, _ = run(capsys, "classify")
     assert code == 0 and out.strip() == "OneSingular(2,1,2)"
     pt = tmp_path / "generic.json"
     pt.write_text(
@@ -85,46 +89,35 @@ def test_classify_default_and_file(tmp_path, capsys):
             {"n": 3, "rows": [["1/5"], ["1/3", "1/7"], ["1/11", "2/13", "3/17"]]}
         )
     )
-    code, out, _ = run(capsys, "classify", "--point", str(pt), "--cache", str(tmp_path))
+    code, out, _ = run(capsys, "classify", "--point", str(pt))
     assert code == 0 and out.strip() == "Generic"
     doubly = tmp_path / "other.json"
     doubly.write_text(
         json.dumps({"n": 3, "rows": [["1/5"], ["1/4", "5/4"], ["1/7", "8/7", "3/13"]]})
     )
-    code, out, _ = run(capsys, "classify", "--point", str(doubly), "--cache", str(tmp_path))
+    code, out, _ = run(capsys, "classify", "--point", str(doubly))
     assert code == 0 and out.strip() == "Other"
 
 
 def test_classify_malformed_point(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    code, _, err = run(capsys, "classify", "--point", str(bad), "--cache", str(tmp_path))
+    code, _, err = run(capsys, "classify", "--point", str(bad))
     assert code == 2 and "cannot read point" in err
 
 
-def test_verify_exit_codes(tmp_path, capsys):
-    code, out, _ = run(
-        capsys, "verify", "--n", "2", "homomorphism", "--cache", str(tmp_path)
-    )
+def test_verify_exit_codes(capsys):
+    code, out, _ = run(capsys, "verify", "--n", "2", "homomorphism")
     assert code == 0 and "16/16 passed" in out
-    code, _, err = run(capsys, "verify", "nonsense", "--cache", str(tmp_path))
+    code, _, err = run(capsys, "verify", "nonsense")
     assert code == 2 and "unknown suite" in err
-    code, _, err = run(capsys, "verify", "--cache", str(tmp_path))
+    code, _, err = run(capsys, "verify")
     assert code == 2 and "pick a suite" in err
 
 
-def test_verify_suite_flag_form(tmp_path, capsys):
+def test_verify_suite_flag_form(capsys):
     code, out, _ = run(
-        capsys,
-        "verify",
-        "--n",
-        "2",
-        "--suite",
-        "homomorphism",
-        "--format",
-        "json",
-        "--cache",
-        str(tmp_path),
+        capsys, "verify", "--n", "2", "--suite", "homomorphism", "--format", "json"
     )
     assert code == 0
     report = json.loads(out)
@@ -134,7 +127,7 @@ def test_verify_suite_flag_form(tmp_path, capsys):
 def test_point_json_matches_canonical(tmp_path, capsys):
     pt = tmp_path / "canonical.json"
     pt.write_text(json.dumps(canonical_test_point(3).to_json()))
-    code, out, _ = run(capsys, "classify", "--point", str(pt), "--cache", str(tmp_path))
+    code, out, _ = run(capsys, "classify", "--point", str(pt))
     assert code == 0 and out.strip() == "OneSingular(2,1,2)"
 
 

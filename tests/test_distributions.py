@@ -306,13 +306,6 @@ def test_appendix_intertwines(gen):
 # --- serialization ---------------------------------------------------------------
 
 
-def test_dist_vector_json_roundtrip():
-    rng = random.Random(23)
-    for _ in range(5):
-        d = random_dist_vector(rng, CTX)
-        assert DistVector.from_json(CTX, d.to_json()) == d
-
-
 def test_dist_vector_json_shape():
     d = DistVector.from_terms(CTX, [("D2", S21, Fraction(-3, 2))])
     assert d.to_json() == [

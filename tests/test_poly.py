@@ -5,7 +5,9 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from gtsingular import poly
 from gtsingular.poly import Polynomial, divexact, mono_key, poly_gcd
+from gtsingular.textform import parse_poly
 
 X11 = Polynomial.variable(1, 1)
 X21 = Polynomial.variable(2, 1)
@@ -30,15 +32,12 @@ def random_poly(rng, max_terms=4, max_deg=3, zero_ok=True):
             return p
 
 
-_SYMS = {v: sympy.Symbol(f"x_{v[0]}_{v[1]}") for v in VARS}
-
-
 def to_sympy(p):
     expr = sympy.Integer(0)
     for m, c in p.terms.items():
         t = sympy.Rational(c.numerator, c.denominator)
         for v, e in m:
-            t *= _SYMS[v] ** e
+            t *= sympy.Symbol(f"x_{v[0]}_{v[1]}") ** e
         expr += t
     return sympy.expand(expr)
 
@@ -117,13 +116,38 @@ def test_arith_matches_sympy(seed):
     assert sympy.simplify(mine - theirs) == 0
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_gcd_matches_sympy(seed):
-    rng = random.Random(100 + seed)
-    f = random_poly(rng, max_terms=3, max_deg=2, zero_ok=False)
-    g = random_poly(rng, max_terms=3, max_deg=2, zero_ok=False)
-    h = random_poly(rng, max_terms=2, max_deg=2, zero_ok=False)
-    a, b = f * h, g * h
+# The heuristic gcd once lost the integer content of its images below the
+# top level, so this pair came back coprime although both share x[2][2] - 1.
+GCD_CONTENT_PAIR = (
+    "2*x[2][1]*x[2][2] + 1/2*x[2][2]*x[3][3] - 2*x[2][1] - 1/2*x[3][3]",
+    "x[2][2]*x[3][3] - x[3][3]",
+)
+
+
+def _no_heuristic(f, g, depth=0):
+    raise poly._HeuristicFailed
+
+
+@pytest.mark.parametrize(
+    "case, prs",
+    [
+        pytest.param(case, prs, id=f"prs-{case}" if prs else str(case))
+        for prs in (False, True)
+        for case in [*range(12), "content"]
+    ],
+)
+def test_gcd_matches_sympy(case, prs, monkeypatch):
+    """Both gcd branches against sympy; prs forces the PRS fallback."""
+    if prs:
+        monkeypatch.setattr(poly, "_heu_gcd", _no_heuristic)
+    if case == "content":
+        a, b = (parse_poly(text) for text in GCD_CONTENT_PAIR)
+    else:
+        rng = random.Random(100 + case)
+        f = random_poly(rng, max_terms=3, max_deg=2, zero_ok=False)
+        g = random_poly(rng, max_terms=3, max_deg=2, zero_ok=False)
+        h = random_poly(rng, max_terms=2, max_deg=2, zero_ok=False)
+        a, b = f * h, g * h
     mine = to_sympy(poly_gcd(a, b))
     theirs = sympy.gcd(to_sympy(a), to_sympy(b))
     # both are defined up to a rational unit

@@ -150,9 +150,3 @@ def test_product_closure_anchor():
     # the cube keeps a simple pole at the base point as well
     cube = ring_mul_circ(prod, a)
     assert is_at_most_one_singular(CTX, cube)
-
-
-def test_json_roundtrip():
-    rng = random.Random(19)
-    a = random_ring_element(rng)
-    assert RingElement.from_json(a.to_json()) == a
