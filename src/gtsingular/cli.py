@@ -127,6 +127,8 @@ def _load_point(path: str) -> Point:
 def _config(args) -> RunConfig:
     cfg = RunConfig(fmt=args.format)
     if getattr(args, "n", None) is not None:
+        if args.n < 1:
+            raise UsageError(f"order must be at least 1, got {args.n}")
         cfg.n = args.n
     if getattr(args, "point", None):
         cfg.point = _load_point(args.point)

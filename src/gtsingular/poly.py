@@ -6,12 +6,19 @@ The monomial order is graded lexicographic, with variables ordered by
 (row, col) and earlier positions ranked higher.  Canonical form (no zero
 coefficients, sorted monomial tuples) makes structural equality coincide
 with mathematical equality.
+
+Multiplication clears denominators once, accumulates integer products and
+builds one Fraction per output term.  There is one exact-division routine,
+for Fraction and integer coefficients alike: it takes the remainder's
+leading term from a heap instead of rescanning the remainder.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import comb, gcd as _igcd
+from operator import truediv
 from typing import Mapping
 
 Var = tuple[int, int]
@@ -62,6 +69,13 @@ def mono_degree(m: Monomial) -> int:
 def mono_key(m: Monomial):
     """Sort key realizing the graded-lex order (larger key = larger monomial)."""
     return (mono_degree(m), tuple(((-v[0], -v[1]), e) for v, e in m))
+
+
+def _heap_key(m: Monomial):
+    """The exact reverse of mono_key: the larger monomial has the smaller key.
+    At equal degree no monomial's pairs are a prefix of another's, so
+    negating the exponents reverses the tie-break on the first difference."""
+    return (-mono_degree(m), tuple((v, -e) for v, e in m))
 
 
 class Polynomial:
@@ -167,20 +181,13 @@ class Polynomial:
             return NotImplemented
         if not self.terms or not other.terms:
             return Polynomial.zero()
-        big, small = self.terms, other.terms
+        big, big_den = _to_int_terms(self)
+        small, small_den = _to_int_terms(other)
         if len(big) < len(small):
             big, small = small, big
-        out: dict[Monomial, Fraction] = {}
-        get = out.get
-        for m2, c2 in small.items():
-            for m1, c1 in big.items():
-                m = mono_mul(m1, m2)
-                s = get(m, _ZERO) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-        return Polynomial._raw(out)
+        den = big_den * small_den
+        # one Fraction per output term; the integer sums are exact
+        return Polynomial._raw({m: Fraction(c, den) for m, c in _int_mul(small, big).items()})
 
     def __pow__(self, e: int) -> "Polynomial":
         if e < 0:
@@ -317,47 +324,84 @@ class Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# Exact division and gcd.  The gcd core works on integer-coefficient term
-# maps (denominators cleared first); it is a primitive polynomial remainder
-# sequence, recursing on the coefficient polynomials for contents.
+# Exact division and gcd.  One division loop serves both coefficient kinds:
+# the remainder is a dict whose monomials also sit in a min-heap under
+# _heap_key, so the leading term is a heap pop instead of a rescan (Johnson
+# 1974; Monagan & Pearce 2011).  Cancelled monomials leave stale heap
+# entries that are skipped when popped.  Multiplication clears denominators
+# and accumulates integer products.  The gcd core works on integer-
+# coefficient term maps; it is a primitive polynomial remainder sequence,
+# recursing on the coefficient polynomials for contents.
 # ---------------------------------------------------------------------------
-
-
-def divexact(f: Polynomial, g: Polynomial) -> Polynomial | None:
-    """Quotient f/g when the division is exact, else None."""
-    if g.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    if f.is_zero():
-        return Polynomial.zero()
-    g_lm = g.leading_monomial()
-    g_lc = g.terms[g_lm]
-    rem = dict(f.terms)
-    out: dict[Monomial, Fraction] = {}
-    while rem:
-        lm = max(rem, key=mono_key)
-        q_mono = mono_div(lm, g_lm)
-        if q_mono is None:
-            return None
-        q_c = rem[lm] / g_lc
-        out[q_mono] = q_c
-        for m, c in g.terms.items():
-            mm = mono_mul(m, q_mono)
-            s = rem.get(mm, _ZERO) - c * q_c
-            if s:
-                rem[mm] = s
-            else:
-                rem.pop(mm, None)
-    return Polynomial._raw(out)
 
 
 IntTerms = dict  # Monomial -> int
 
 
-def _to_int_terms(p: Polynomial) -> IntTerms:
+def _divexact_terms(f: dict, g: dict, coeff_div) -> dict | None:
+    """Term map of f/g when the division is exact, else None.
+
+    coeff_div(c, lc) divides a leading remainder coefficient by the leading
+    coefficient of g, returning None when that leaves a remainder."""
+    if not g:
+        raise ZeroDivisionError("polynomial division by zero")
+    g_lm = max(g, key=mono_key)
+    g_lc = g[g_lm]
+    g_items = list(g.items())
+    rem = dict(f)
+    heap = [(_heap_key(m), m) for m in rem]
+    heapify(heap)
+    # A monomial popped from the heap never re-enters the remainder (every
+    # later product term is smaller), so one heap entry per monomial is
+    # enough even when it cancels and reappears before its turn.
+    queued = set(rem)
+    out: dict = {}
+    while rem:
+        lm = heappop(heap)[1]
+        lc = rem.get(lm)
+        if lc is None:
+            continue
+        q_mono = mono_div(lm, g_lm)
+        if q_mono is None:
+            return None
+        q_c = coeff_div(lc, g_lc)
+        if q_c is None:
+            return None
+        out[q_mono] = q_c
+        for m, c in g_items:
+            mm = mono_mul(m, q_mono)
+            s = rem.get(mm, 0) - c * q_c
+            if s:
+                rem[mm] = s
+                if mm not in queued:
+                    queued.add(mm)
+                    heappush(heap, (_heap_key(mm), mm))
+            else:
+                rem.pop(mm, None)
+    return out
+
+
+def divexact(f: Polynomial, g: Polynomial) -> Polynomial | None:
+    """Quotient f/g when the division is exact, else None."""
+    q = _divexact_terms(f.terms, g.terms, truediv)
+    return None if q is None else Polynomial._raw(q)
+
+
+def _int_quo(a: int, b: int) -> int | None:
+    q, r = divmod(a, b)
+    return None if r else q
+
+
+def _int_divexact(f: IntTerms, g: IntTerms) -> IntTerms | None:
+    return _divexact_terms(f, g, _int_quo)
+
+
+def _to_int_terms(p: Polynomial) -> tuple[IntTerms, int]:
+    """(d, den) with p = d / den; den is the lcm of the denominators."""
     den = 1
     for c in p.terms.values():
         den = den * c.denominator // _igcd(den, c.denominator)
-    return {m: int(c * den) for m, c in p.terms.items()}
+    return {m: c.numerator * (den // c.denominator) for m, c in p.terms.items()}, den
 
 
 def _int_content(d: IntTerms) -> int:
@@ -376,6 +420,7 @@ def _int_scale_div(d: IntTerms, k: int) -> IntTerms:
 
 
 def _int_mul(a: IntTerms, b: IntTerms) -> IntTerms:
+    """Product of integer term maps; also the kernel of Polynomial.__mul__."""
     out: IntTerms = {}
     for m1, c1 in a.items():
         for m2, c2 in b.items():
@@ -420,34 +465,6 @@ def _attach_power(d: IntTerms, var: Var, e: int) -> IntTerms:
         return d
     pw: Monomial = ((var, e),)
     return {mono_mul(m, pw): c for m, c in d.items()}
-
-
-def _int_divexact(f: IntTerms, g: IntTerms) -> IntTerms | None:
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    if not f:
-        return {}
-    g_lm = max(g, key=mono_key)
-    g_lc = g[g_lm]
-    rem = dict(f)
-    out: IntTerms = {}
-    while rem:
-        lm = max(rem, key=mono_key)
-        q_mono = mono_div(lm, g_lm)
-        if q_mono is None:
-            return None
-        q_c, r = divmod(rem[lm], g_lc)
-        if r:
-            return None
-        out[q_mono] = q_c
-        for m, c in g.items():
-            mm = mono_mul(m, q_mono)
-            s = rem.get(mm, 0) - c * q_c
-            if s:
-                rem[mm] = s
-            else:
-                rem.pop(mm, None)
-    return out
 
 
 def _common_vars(f: IntTerms, g: IntTerms) -> list[Var]:
@@ -651,5 +668,5 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     """Greatest common divisor, returned primitive over Z with positive lead."""
     if f.is_zero() and g.is_zero():
         return Polynomial.zero()
-    d = _int_gcd(_to_int_terms(f), _to_int_terms(g))
+    d = _int_gcd(_to_int_terms(f)[0], _to_int_terms(g)[0])
     return Polynomial._raw({m: Fraction(c) for m, c in d.items()})

@@ -113,6 +113,10 @@ def test_verify_exit_codes(capsys):
     assert code == 2 and "unknown suite" in err
     code, _, err = run(capsys, "verify")
     assert code == 2 and "pick a suite" in err
+    # a degenerate order is a usage error, never a traceback or a vacuous pass
+    for n, suite in (("0", "ring"), ("-1", "ring"), ("0", "homomorphism"), ("-3", "homomorphism")):
+        code, out, err = run(capsys, "verify", "--n", n, suite)
+        assert code == 2 and out == "" and len(err.splitlines()) == 1 and "order" in err
 
 
 def test_verify_suite_flag_form(capsys):

@@ -229,6 +229,15 @@ def test_homomorphism_n3():
     assert report["ok"] and report["total"] == 81
 
 
+@pytest.mark.parametrize("x, y", [((1, 3), (2, 4)), ((1, 3), (1, 4))])
+def test_homomorphism_order4_corner_brackets(x, y):
+    """Two order-4 corner pairs of non-adjacent images, whose products run
+    through large gcds and exact divisions; minutes each with a rescanning
+    division."""
+    lhs = bracket(convention(), phi_general(4, *x), phi_general(4, *y))
+    assert lhs == phi_combination(4, gl_bracket(x, y))
+
+
 def test_commutator_antisymmetry_of_reports():
     conv = convention()
     a, b = phi_general(3, 1, 2), phi_general(3, 2, 2)

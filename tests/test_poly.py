@@ -1,4 +1,6 @@
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -71,11 +73,30 @@ def test_grlex_leading():
     assert q.leading_monomial() == (((1, 1), 2),)
 
 
+POSITIONS = [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)]
+
+
 def test_mono_key_total_order():
-    monos = [(), (((1, 1), 1),), (((2, 1), 2),), (((1, 1), 1), ((2, 2), 1))]
-    ordered = sorted(monos, key=mono_key)
-    assert ordered[0] == ()
-    assert ordered[-1][0][0] in ((1, 1),)
+    """The division heap's key is the exact reverse of mono_key on every
+    pair of monomials up to degree 4 over six positions, () included."""
+    monos = [
+        tuple(sorted(Counter(combo).items()))
+        for deg in range(5)
+        for combo in itertools.combinations_with_replacement(POSITIONS, deg)
+    ]
+    assert len(set(monos)) == len(monos) == 210
+    keys = [(mono_key(m), poly._heap_key(m)) for m in monos]
+    for mk_a, hk_a in keys:
+        for mk_b, hk_b in keys:
+            assert (hk_a < hk_b) == (mk_a > mk_b)
+            assert (hk_a == hk_b) == (mk_a == mk_b)
+    rng = random.Random(11)
+    for _ in range(40):
+        sample = rng.sample(monos, rng.randint(1, 12))
+        p = Polynomial({m: Fraction(1) for m in sample})
+        by_heap = sorted(sample, key=poly._heap_key)
+        assert [m for m, _ in p.sorted_terms()] == by_heap
+        assert p.leading_monomial() == by_heap[0]
 
 
 def test_evaluate():
@@ -165,6 +186,86 @@ def test_divexact_roundtrip(seed):
 
 def test_divexact_rejects_inexact():
     assert divexact(X11 * X21 + Polynomial.one(), X21) is None
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_divexact_matches_sympy_div(seed):
+    """A quotient exactly when sympy leaves no remainder, and then the same one."""
+    rng = random.Random(200 + seed)
+    f = random_poly(rng, zero_ok=False)
+    g = random_poly(rng, zero_ok=False)
+    gens = [sympy.Symbol(f"x_{k}_{i}") for k, i in VARS]
+    for a, b in ((f * g, g), (f, g), (g, f), (f * g + f, g)):
+        q, r = sympy.div(to_sympy(a), to_sympy(b), *gens, domain=sympy.QQ)
+        mine = divexact(a, b)
+        if r == 0:
+            assert mine is not None and sympy.expand(to_sympy(mine) - q) == 0
+        else:
+            assert mine is None
+
+
+def random_int_terms(rng, max_terms=4, max_deg=3):
+    d = {}
+    while not d:
+        for _ in range(rng.randint(1, max_terms)):
+            mono = {}
+            for _ in range(rng.randint(0, max_deg)):
+                v = rng.choice(VARS)
+                mono[v] = mono.get(v, 0) + 1
+            c = rng.randint(-5, 5)
+            if c:
+                d[tuple(sorted(mono.items()))] = c
+    return d
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_int_divexact_roundtrip(seed):
+    rng = random.Random(300 + seed)
+    f = random_int_terms(rng)
+    g = random_int_terms(rng)
+    assert poly._int_divexact(poly._int_mul(f, g), g) == f
+
+
+def test_int_divexact_coefficient_remainder():
+    x = (((1, 1), 1),)
+    assert poly._int_divexact({x: 1}, {x: 2}) is None
+    assert poly._int_divexact({x: 4}, {x: 2}) == {(): 2}
+    # over Q the same division is exact
+    assert divexact(X11, X11.scale(2)) == Polynomial.constant(Fraction(1, 2))
+
+
+def test_divexact_nonunit_fraction_lead():
+    g = (X21 * X22).scale(Fraction(2, 3)) - X11.scale(Fraction(5, 7)) + Polynomial.constant(3)
+    assert g.leading_coeff() == Fraction(2, 3)
+    rng = random.Random(7)
+    for _ in range(8):
+        f = random_poly(rng, zero_ok=False)
+        assert divexact(f * g, g) == f
+        assert divexact(f * g + Polynomial.one(), g) is None
+
+
+def test_divexact_cancelled_monomial_reappears(monkeypatch):
+    """Dividing q*g by g cancels x11*x21 and x11*x21^2 from the remainder in
+    the first step; the second brings x11*x21 back, while x11*x21^2 leaves a
+    stale heap entry that must be skipped."""
+    q = X11 * X21 - X11 - Polynomial.one()
+    g = X11 * X21 - X21 + Polynomial.one()
+    popped = []
+    heappop = poly.heappop
+
+    def recording_heappop(heap):
+        entry = heappop(heap)
+        popped.append(entry[1])
+        return entry
+
+    monkeypatch.setattr(poly, "heappop", recording_heappop)
+    assert divexact(q * g, g) == q
+    stale = (((1, 1), 1), ((2, 1), 2))
+    assert popped.count(stale) == 1 and len(popped) == len(q.terms) + 1
+    popped.clear()
+    f_int, g_int = poly._to_int_terms(q * g)[0], poly._to_int_terms(g)[0]
+    assert poly._int_divexact(f_int, g_int) == poly._to_int_terms(q)[0]
+    assert stale in popped
 
 
 def test_gcd_of_coprime_is_constant():
