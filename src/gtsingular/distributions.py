@@ -16,9 +16,8 @@ serves as an independent oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .gtformulas import GeneratorId, convention, multiply, phi_general
 from .poly import Polynomial, divexact
@@ -28,6 +27,7 @@ from .skewring import (
     is_at_most_one_singular,
     is_tau_invariant,
 )
+from .sparse import BasisVec, QVector, add_term
 from .tableau import (
     Point,
     Shift,
@@ -49,18 +49,6 @@ class InvariantViolation(RuntimeError):
     """A structurally guaranteed cancellation failed; indicates a bug."""
 
 
-@dataclass(frozen=True)
-class BasisVec:
-    kind: str  # "D1" | "D2"
-    sigma: Shift
-
-    def sort_key(self):
-        return (self.sigma.sort_key(), self.kind)
-
-    def __repr__(self) -> str:
-        return f"{self.kind}[{self.sigma!r}]"
-
-
 def canonical_basis_vec(
     ctx: SingularContext, kind: str, sigma: Shift
 ) -> tuple[BasisVec, int]:
@@ -74,13 +62,10 @@ def canonical_basis_vec(
     return BasisVec(kind, rep), sign
 
 
-class DistVector:
+class DistVector(QVector):
     """Finite rational combination of canonical basis distributions."""
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Mapping[BasisVec, Fraction] | None = None):
-        self.coeffs = {bv: Fraction(c) for bv, c in (coeffs or {}).items() if c}
+    __slots__ = ()
 
     @classmethod
     def from_terms(
@@ -98,49 +83,12 @@ class DistVector:
                     f"nonzero D2 coefficient {c} on transposition-fixed shift {sigma!r}"
                 )
             bv, sign = canonical_basis_vec(ctx, kind, sigma)
-            acc[bv] = acc.get(bv, Fraction(0)) + sign * c
-        return cls({bv: c for bv, c in acc.items() if c})
-
-    @classmethod
-    def zero(cls) -> "DistVector":
-        return cls({})
+            add_term(acc, bv, sign * c)
+        return cls._raw(acc)
 
     @classmethod
     def basis(cls, bv: BasisVec) -> "DistVector":
-        return cls({bv: Fraction(1)})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, DistVector) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.coeffs.items()))
-
-    def __add__(self, other: "DistVector") -> "DistVector":
-        out = dict(self.coeffs)
-        for bv, c in other.coeffs.items():
-            s = out.get(bv, Fraction(0)) + c
-            if s:
-                out[bv] = s
-            else:
-                out.pop(bv, None)
-        d = DistVector.__new__(DistVector)
-        d.coeffs = out
-        return d
-
-    def __sub__(self, other: "DistVector") -> "DistVector":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "DistVector":
-        c = Fraction(c)
-        d = DistVector.__new__(DistVector)
-        d.coeffs = {bv: q * c for bv, q in self.coeffs.items()} if c else {}
-        return d
-
-    def sorted_items(self) -> list[tuple[BasisVec, Fraction]]:
-        return sorted(self.coeffs.items(), key=lambda t: t[0].sort_key())
+        return cls._raw({bv: Fraction(1)})
 
     def support(self) -> list[BasisVec]:
         return [bv for bv, _ in self.sorted_items()]
@@ -152,11 +100,6 @@ class DistVector:
             {"kind": bv.kind, "shift": bv.sigma.to_json(), "coeff": frac_text(c)}
             for bv, c in self.sorted_items()
         ]
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        return " + ".join(f"{c}*{bv!r}" for bv, c in self.sorted_items())
 
 
 # --- evaluation of ring elements into the basis ------------------------------
@@ -271,15 +214,7 @@ def generic_act_element(x: Point, a: RingElement, y: Shift) -> dict[Shift, Fract
     p = apply_shift(y, x)
     out: dict[Shift, Fraction] = {}
     for rho, h in a.terms.items():
-        c = h.evaluate(p.coords)
-        if not c:
-            continue
-        label = y * rho.inverse()
-        s = out.get(label, Fraction(0)) + c
-        if s:
-            out[label] = s
-        else:
-            out.pop(label, None)
+        add_term(out, y * rho.inverse(), h.evaluate(p.coords))
     return out
 
 
@@ -292,13 +227,10 @@ def generic_act(x: Point, gen: GeneratorId, y: Shift) -> dict[Shift, Fraction]:
 # --- derivative-tableau realization ------------------------------------------
 
 
-class DerivTabVec:
+class DerivTabVec(QVector):
     """Combination of tableau symbols T (tau-even) and DT (tau-odd)."""
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Mapping[tuple[str, Shift], Fraction] | None = None):
-        self.coeffs = {key: Fraction(c) for key, c in (coeffs or {}).items() if c}
+    __slots__ = ()
 
     @classmethod
     def from_terms(
@@ -306,7 +238,7 @@ class DerivTabVec:
         ctx: SingularContext,
         terms: Iterable[tuple[str, Shift, Fraction]],
     ) -> "DerivTabVec":
-        acc: dict[tuple[str, Shift], Fraction] = {}
+        acc: dict[BasisVec, Fraction] = {}
         for sym, sigma, c in terms:
             c = Fraction(c)
             if not c:
@@ -321,43 +253,8 @@ class DerivTabVec:
                     continue
                 if flipped:
                     c = -c
-            key = (sym, rep)
-            acc[key] = acc.get(key, Fraction(0)) + c
-        return cls({key: c for key, c in acc.items() if c})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, DerivTabVec) and self.coeffs == other.coeffs
-
-    def __add__(self, other: "DerivTabVec") -> "DerivTabVec":
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            s = out.get(key, Fraction(0)) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        v = DerivTabVec.__new__(DerivTabVec)
-        v.coeffs = out
-        return v
-
-    def scale(self, c) -> "DerivTabVec":
-        c = Fraction(c)
-        v = DerivTabVec.__new__(DerivTabVec)
-        v.coeffs = {key: q * c for key, q in self.coeffs.items()} if c else {}
-        return v
-
-    def sorted_items(self):
-        return sorted(self.coeffs.items(), key=lambda t: (t[0][1].sort_key(), t[0][0]))
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        return " + ".join(
-            f"{c}*{sym}[{sigma!r}]" for (sym, sigma), c in self.sorted_items()
-        )
+            add_term(acc, BasisVec(sym, rep), c)
+        return cls._raw(acc)
 
 
 def appendix_act(

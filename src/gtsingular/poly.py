@@ -217,19 +217,6 @@ class Polynomial:
                 vs.add(v)
         return sorted(vs)
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(mono_degree(m) for m in self.terms)
-
-    def degree_in(self, var: Var) -> int:
-        d = 0
-        for m in self.terms:
-            for v, e in m:
-                if v == var and e > d:
-                    d = e
-        return d
-
     def leading_monomial(self) -> Monomial:
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")

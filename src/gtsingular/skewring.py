@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .ratfun import RationalFunction, multiply_by_linear
+from .sparse import add_term
 from .tableau import Shift, SingularContext, shift_subst
 
 
@@ -30,16 +31,7 @@ class RingElement:
         items = terms.items() if isinstance(terms, Mapping) else terms
         clean: dict[Shift, RationalFunction] = {}
         for sigma, f in items:
-            if f.is_zero():
-                continue
-            if sigma in clean:
-                s = clean[sigma] + f
-                if s.is_zero():
-                    del clean[sigma]
-                else:
-                    clean[sigma] = s
-            else:
-                clean[sigma] = f
+            add_term(clean, sigma, f)
         self.terms = clean
         self._hash = None
 
@@ -63,10 +55,6 @@ class RingElement:
         if coeff.is_zero():
             return cls.zero()
         return cls._raw({sigma: coeff})
-
-    @classmethod
-    def from_function(cls, f: RationalFunction) -> "RingElement":
-        return cls.term(f, Shift.identity())
 
     def support(self) -> list[Shift]:
         return sorted(self.terms, key=Shift.sort_key)
@@ -97,14 +85,7 @@ class RingElement:
             return NotImplemented
         out = dict(self.terms)
         for s, f in other.terms.items():
-            if s in out:
-                v = out[s] + f
-                if v.is_zero():
-                    del out[s]
-                else:
-                    out[s] = v
-            else:
-                out[s] = f
+            add_term(out, s, f)
         return RingElement._raw(out)
 
     def __sub__(self, other: "RingElement") -> "RingElement":
@@ -140,18 +121,7 @@ def ring_mul_circ(a: RingElement, b: RingElement) -> RingElement:
     out: dict[Shift, RationalFunction] = {}
     for sa, fa in a.terms.items():
         for sb, fb in b.terms.items():
-            s = sa * sb
-            f = fa * shift_subst(fb, sa)
-            if f.is_zero():
-                continue
-            if s in out:
-                v = out[s] + f
-                if v.is_zero():
-                    del out[s]
-                else:
-                    out[s] = v
-            else:
-                out[s] = f
+            add_term(out, sa * sb, fa * shift_subst(fb, sa))
     return RingElement._raw(out)
 
 
@@ -173,16 +143,7 @@ def group_act_on_ring(ctx: SingularContext, a: RingElement) -> RingElement:
     shift components at the pair swapped.  An involutive ring automorphism."""
     out: dict[Shift, RationalFunction] = {}
     for s, f in a.terms.items():
-        ts = ctx.tau_of_shift(s)
-        tf = ctx.transpose(f)
-        if ts in out:
-            v = out[ts] + tf
-            if v.is_zero():
-                del out[ts]
-            else:
-                out[ts] = v
-        else:
-            out[ts] = tf
+        add_term(out, ctx.tau_of_shift(s), ctx.transpose(f))
     return RingElement._raw(out)
 
 

@@ -30,6 +30,7 @@ from .skewring import (
     is_tau_invariant,
     ring_mul_circ,
 )
+from .sparse import add_term
 from .tableau import Point, Shift, SingularContext, canonical_context
 
 DEFAULT_SEED = 318
@@ -335,11 +336,7 @@ def generic_suite(
         a = phi_general(x.n, *gen)
         for label, c in combo.items():
             for lab2, c2 in generic_act_element(x, a, label).items():
-                s = out.get(lab2, Fraction(0)) + c * c2
-                if s:
-                    out[lab2] = s
-                else:
-                    out.pop(lab2, None)
+                add_term(out, lab2, c * c2)
         return out
 
     failures = []
@@ -350,15 +347,9 @@ def generic_suite(
             for y in labels:
                 total += 1
                 start = {y: Fraction(1)}
-                lhs: dict = {}
-                for lab, c in act_on_combo(xg, act_on_combo(yg, start)).items():
-                    lhs[lab] = lhs.get(lab, Fraction(0)) + c
+                lhs = act_on_combo(xg, act_on_combo(yg, start))
                 for lab, c in act_on_combo(yg, act_on_combo(xg, start)).items():
-                    s = lhs.get(lab, Fraction(0)) - c
-                    if s:
-                        lhs[lab] = s
-                    else:
-                        lhs.pop(lab, None)
+                    add_term(lhs, lab, -c)
                 rhs = generic_act_element(x, rhs_elem, y)
                 if lhs != rhs:
                     failures.append(

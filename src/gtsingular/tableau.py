@@ -308,9 +308,6 @@ class SingularContext:
         """Directional derivative along z1 = X(k,i) - X(k,j)."""
         return (f.derivative(self.pos_i) - f.derivative(self.pos_j)).scale(Fraction(1, 2))
 
-    def partial_z1_poly(self, p: Polynomial) -> Polynomial:
-        return (p.derivative(self.pos_i) - p.derivative(self.pos_j)).scale(Fraction(1, 2))
-
     def divide_by_z1(self, f: RationalFunction) -> tuple[RationalFunction, int]:
         """(f / z1, z1-adic valuation of f along z1 = 0)."""
         val_num, _ = linear_valuation(f.num, self.z1_poly)

@@ -167,6 +167,8 @@ def parse_poly(text: str) -> Polynomial:
 
 
 def parse_frac(text: str) -> Fraction:
+    if not isinstance(text, str):
+        raise ExpressionError(f"rational literal must be a string, got {text!r}")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

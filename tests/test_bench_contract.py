@@ -1,0 +1,68 @@
+"""The benchmark in perfbench/ finds the library's functions by name.
+
+A rename or a deletion in the package would otherwise zero a traced layer
+without a sound, or crash a workload only when the benchmark runs.  The
+tracer is read here, never installed.
+"""
+
+import ast
+import importlib
+import importlib.util
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+# The disk cache was deleted; the tracer still lists its two methods.
+KNOWN_ABSENT = {"cache.Cache.get", "cache.Cache.put"}
+
+# The names worker.py binds to package modules.
+WORKER_ALIASES = {
+    "g": "gtformulas",
+    "self.g": "gtformulas",
+    "gtformulas": "gtformulas",
+    "s": "suites",
+    "self.suites": "suites",
+    "suites": "suites",
+    "tableau": "tableau",
+}
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", PERFBENCH / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def module(name):
+    return importlib.import_module(f"gtsingular.{name}")
+
+
+def test_traced_layers_resolve():
+    tracer = load_tracer()
+    absent = {
+        f"{mod}.{path}"
+        for _, mod, path, _ in tracer.LIBRARY_TARGETS
+        if tracer._resolve(mod, path) is None
+    }
+    assert absent == KNOWN_ABSENT
+
+
+def test_worker_names_exist():
+    tree = ast.parse((PERFBENCH / "worker.py").read_text(encoding="utf-8"))
+    probes = []
+    used = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Probe":
+            owner = ast.unparse(node.args[0])
+            names = ast.literal_eval(node.args[1])
+            probes += [(owner, n) for n in ([names] if isinstance(names, str) else names)]
+        elif isinstance(node, ast.Attribute) and ast.unparse(node.value) in WORKER_ALIASES:
+            used.append((ast.unparse(node.value), node.attr))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("gtsingular."):
+            mod = node.module.split(".", 1)[1]
+            used += [(mod, alias.name) for alias in node.names]
+    assert len(probes) >= 8
+    for owner, name in probes + used:
+        mod = WORKER_ALIASES.get(owner, owner)
+        assert hasattr(module(mod), name), f"worker.py uses gtsingular.{mod}.{name}"

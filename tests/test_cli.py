@@ -101,9 +101,16 @@ def test_classify_default_and_file(tmp_path, capsys):
 
 def test_classify_malformed_point(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    code, _, err = run(capsys, "classify", "--point", str(bad))
-    assert code == 2 and "cannot read point" in err
+    for text in (
+        "{not json",
+        # JSON numbers where rational strings belong: an int and a float entry
+        '{"n":3,"rows":[[1],[2,3],[4,5,6]]}',
+        '{"n":3,"rows":[["1"],["2","3"],["4",5.5,"6"]]}',
+    ):
+        bad.write_text(text)
+        code, out, err = run(capsys, "classify", "--point", str(bad))
+        assert code == 2 and out == "", text
+        assert len(err.splitlines()) == 1 and "cannot read point" in err, text
 
 
 def test_verify_exit_codes(capsys):
