@@ -35,7 +35,6 @@ from .tableau import (
     apply_shift,
     classify_point,
     shift_subst,
-    shift_subst_poly,
 )
 
 _HALF = Fraction(1, 2)
@@ -165,7 +164,7 @@ def act_lie(
 
 
 def check_invariant_function(ctx: SingularContext, f: Polynomial) -> Polynomial:
-    if ctx.transpose_poly(f) != f:
+    if ctx.transpose(f) != f:
         raise ValueError("test function must be invariant under the transposition")
     return f
 
@@ -179,15 +178,13 @@ def dist_functional(
     v = ctx.v.coords
     tau_sigma = ctx.tau_of_shift(sigma)
     if kind == "D1":
-        total = shift_subst_poly(f, sigma).evaluate(v) + shift_subst_poly(
-            f, tau_sigma
-        ).evaluate(v)
+        total = shift_subst(f, sigma).evaluate(v) + shift_subst(f, tau_sigma).evaluate(v)
         return total * _HALF
     if kind != "D2":
         raise ValueError(f"unknown distribution kind {kind!r}")
     if sigma == tau_sigma:
         raise ValueError("D2 is undefined on a transposition-fixed shift")
-    diff = shift_subst_poly(f, sigma) - shift_subst_poly(f, tau_sigma)
+    diff = shift_subst(f, sigma) - shift_subst(f, tau_sigma)
     quot = divexact(diff, ctx.z1_poly)
     if quot is None:
         raise InvariantViolation(

@@ -104,7 +104,8 @@ def bracket(convention: str, a: RingElement, b: RingElement) -> RingElement:
     return multiply(convention, a, b) - multiply(convention, b, a)
 
 
-def _adjacent_generators(n: int) -> list[GeneratorId]:
+def adjacent_generators(n: int) -> list[GeneratorId]:
+    """E(k,k+1), E(k+1,k) for k = 1..n-1, then E(k,k) for k = 1..n."""
     gens: list[GeneratorId] = []
     for k in range(1, n):
         gens.append((k, k + 1))
@@ -112,6 +113,11 @@ def _adjacent_generators(n: int) -> list[GeneratorId]:
     for k in range(1, n + 1):
         gens.append((k, k))
     return gens
+
+
+def all_generators(n: int) -> list[GeneratorId]:
+    """Every E(r,s) of gl_n, row by row."""
+    return [(r, s) for r in range(1, n + 1) for s in range(1, n + 1)]
 
 
 def _phi_basic(n: int, r: int, s: int) -> RingElement:
@@ -134,7 +140,7 @@ def calibrate_convention(n: int = 2) -> str:
     """
     if n < 2:
         raise ValueError("order must be at least 2")
-    gens = _adjacent_generators(n)
+    gens = adjacent_generators(n)
     gen_set = set(gens)
     pairs = []
     for x in gens:
@@ -189,7 +195,7 @@ def verify_homomorphism(n: int) -> dict:
     """Check the commutator identity on all ordered pairs of elementary
     matrices; returns a machine-readable report."""
     conv = convention()
-    gens = [(r, s) for r in range(1, n + 1) for s in range(1, n + 1)]
+    gens = all_generators(n)
     checks = []
     failures = []
     for x in gens:

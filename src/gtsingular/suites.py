@@ -1,7 +1,9 @@
 """Named verification sweeps over the algebra, seeded and deterministic.
 
 Each suite returns a JSON-ready report dict with an "ok" flag, counts, and
-failure details; the CLI maps suite names onto these functions.
+failure details; the CLI maps suite names onto these functions.  A suite
+reads its order from its inputs (an order, a singular context or a point),
+so every default generator list and sample follows that order.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .distributions import (
     evaluate_at_v,
     generic_act_element,
 )
-from .gtformulas import gl_bracket, phi_combination, verify_homomorphism
+from .gtformulas import adjacent_generators, all_generators, gl_bracket, phi_combination
 from .poly import Polynomial
 from .ratfun import RationalFunction
 from .skewring import (
@@ -31,36 +33,36 @@ from .skewring import (
     ring_mul_circ,
 )
 from .sparse import add_term
-from .tableau import Point, Shift, SingularContext, canonical_context
+from .tableau import Point, Shift, SingularContext, canonical_context, positions
 
 DEFAULT_SEED = 318
 
-ADJACENT_GENERATORS_3 = [(1, 2), (2, 1), (2, 3), (3, 2), (1, 1), (2, 2), (3, 3)]
-ALL_GENERATORS_3 = [(r, s) for r in range(1, 4) for s in range(1, 4)]
 
-# The documented sample vectors for the order-3 module sweeps (canonical
-# representatives; radius 2 around the identity shift).
-SAMPLE_BASIS_3 = [
-    ("D1", Shift.identity()),
-    ("D1", Shift({(2, 1): 1, (2, 2): 1})),
-    ("D2", Shift({(2, 2): 1})),
-    ("D2", Shift({(2, 2): 2})),
-]
-EXTRA_BASIS_3 = [
-    ("D1", Shift({(1, 1): 1})),
-    ("D2", Shift({(1, 1): 1, (2, 2): 1})),
-]
+def sample_basis(ctx: SingularContext) -> list[tuple[str, Shift]]:
+    """The documented sample vectors for the module sweeps: ordered
+    representatives within radius 2 of the identity at the singular pair."""
+    pos_i, pos_j = ctx.pos_i, ctx.pos_j
+    return [
+        ("D1", Shift.identity()),
+        ("D1", Shift({pos_i: 1, pos_j: 1})),
+        ("D2", Shift({pos_j: 1})),
+        ("D2", Shift({pos_j: 2})),
+    ]
+
+
+def appendix_sample(ctx: SingularContext) -> list[tuple[str, Shift]]:
+    """The module sample plus two vectors that also move position (1,1)."""
+    return sample_basis(ctx) + [
+        ("D1", Shift({(1, 1): 1})),
+        ("D2", Shift({(1, 1): 1, ctx.pos_j: 1})),
+    ]
 
 
 # --- samplers -----------------------------------------------------------------
 
 
-def shift_positions(n: int) -> list[tuple[int, int]]:
-    return [(k, i) for k in range(1, n) for i in range(1, k + 1)]
-
-
 def random_shift(rng: random.Random, n: int, radius: int = 1) -> Shift:
-    return Shift({v: rng.randint(-radius, radius) for v in shift_positions(n)})
+    return Shift({v: rng.randint(-radius, radius) for v in positions(n - 1)})
 
 
 def random_polynomial(
@@ -70,7 +72,7 @@ def random_polynomial(
     max_deg: int = 3,
     zero_ok: bool = True,
 ) -> Polynomial:
-    variables = [(k, i) for k in range(1, n + 1) for i in range(1, k + 1)]
+    variables = list(positions(n))
     while True:
         p = Polynomial.zero()
         for _ in range(rng.randint(0 if zero_ok else 1, max_terms)):
@@ -119,7 +121,7 @@ def random_invariant_polynomial(
     rng: random.Random, ctx: SingularContext, max_deg: int = 4
 ) -> Polynomial:
     g = random_polynomial(rng, ctx.n, max_terms=3, max_deg=max_deg)
-    return g + ctx.transpose_poly(g)
+    return g + ctx.transpose(g)
 
 
 def random_dist_vector(rng: random.Random, ctx: SingularContext) -> DistVector:
@@ -173,10 +175,6 @@ def ring_suite(n: int = 3, count: int = 200, seed: int = DEFAULT_SEED) -> dict:
     return _report("ring", failures, count, n=n, seed=seed)
 
 
-def homomorphism_suite(n: int) -> dict:
-    return verify_homomorphism(n)
-
-
 def _anchor_check(ctx: SingularContext) -> bool:
     """The closed-form square of (1/z1)(sigma' - tau sigma'), whose middle
     coefficient's z1-pole cancels exactly."""
@@ -226,8 +224,8 @@ def module_suite(
     """Commutator identity on the distribution module for every ordered
     generator pair and every sample basis vector."""
     ctx = ctx or canonical_context()
-    generators = generators or ADJACENT_GENERATORS_3
-    basis_sample = basis_sample or SAMPLE_BASIS_3
+    generators = generators or adjacent_generators(ctx.n)
+    basis_sample = basis_sample or sample_basis(ctx)
     vectors = [
         DistVector.from_terms(ctx, [(kind, sigma, Fraction(1))])
         for kind, sigma in basis_sample
@@ -263,8 +261,8 @@ def appendix_suite(
     """The derivative-tableau realization intertwines the basis action
     through the explicit correspondence."""
     ctx = ctx or canonical_context()
-    generators = generators or ALL_GENERATORS_3
-    basis_sample = basis_sample or (SAMPLE_BASIS_3 + EXTRA_BASIS_3)
+    generators = generators or all_generators(ctx.n)
+    basis_sample = basis_sample or appendix_sample(ctx)
     failures = []
     total = 0
     for gen in generators:
@@ -324,12 +322,13 @@ GENERIC_LABELS_3 = [
 def generic_suite(
     x: Point | None = None, labels: list | None = None, generators: list | None = None
 ) -> dict:
-    """gl_3 commutator identities for the orbit action at a generic point."""
+    """gl_n commutator identities for the orbit action at a generic point
+    (order 3 by default)."""
     from .gtformulas import phi_general
 
     x = x or GENERIC_POINT_3
     labels = labels or GENERIC_LABELS_3
-    generators = generators or ALL_GENERATORS_3
+    generators = generators or all_generators(x.n)
 
     def act_on_combo(gen, combo: dict) -> dict:
         out: dict = {}
@@ -356,12 +355,3 @@ def generic_suite(
                         {"pair": [list(xg), list(yg)], "label": y.to_json()}
                     )
     return _report("generic", failures, total, n=x.n)
-
-
-SUITES = {
-    "ring": lambda ctx=None, n=3: ring_suite(n=n),
-    "homomorphism": lambda ctx=None, n=2: homomorphism_suite(n),
-    "singularity": lambda ctx=None, n=3: singularity_suite(ctx),
-    "module": lambda ctx=None, n=3: module_suite(ctx),
-    "appendix": lambda ctx=None, n=3: appendix_suite(ctx),
-}

@@ -12,10 +12,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, TypeVar
 
 from .poly import Polynomial, Var, check_var
 from .ratfun import RationalFunction, divide_by_linear, linear_valuation
+
+RF = TypeVar("RF", Polynomial, RationalFunction)
 
 
 def positions(n: int) -> Iterator[Var]:
@@ -112,17 +114,12 @@ class Shift:
         )
 
 
-def shift_subst(f: RationalFunction, sigma: Shift) -> RationalFunction:
-    """Image of f under sigma: substitute X(k,i) -> X(k,i) - m(k,i)."""
+def shift_subst(f: RF, sigma: Shift) -> RF:
+    """Image of f (a polynomial or a rational function) under sigma:
+    substitute X(k,i) -> X(k,i) - m(k,i)."""
     if sigma.is_identity():
         return f
     return f.subs_offsets(sigma.offsets(-1))
-
-
-def shift_subst_poly(p: Polynomial, sigma: Shift) -> Polynomial:
-    if sigma.is_identity():
-        return p
-    return p.subs_offsets(sigma.offsets(-1))
 
 
 def transpose_subst(f: RationalFunction, a: Var, b: Var) -> RationalFunction:
@@ -296,11 +293,9 @@ class SingularContext:
             return sigma, False
         return self.tau_of_shift(sigma), True
 
-    def transpose(self, f: RationalFunction) -> RationalFunction:
+    def transpose(self, f: RF) -> RF:
+        """Swap the two singular columns in a polynomial or rational function."""
         return f.swap_vars(self.pos_i, self.pos_j)
-
-    def transpose_poly(self, p: Polynomial) -> Polynomial:
-        return p.swap_vars(self.pos_i, self.pos_j)
 
     # -- z1 calculus -----------------------------------------------------------
 

@@ -5,17 +5,16 @@ with its runtime against the stated budget.  All equalities are exact
 
 import random
 import time
-from gtsingular import suites
 from gtsingular.cli import main
 from gtsingular.distributions import DistVector, dist_functional
+from gtsingular.gtformulas import verify_homomorphism
 from gtsingular.suites import (
-    SAMPLE_BASIS_3,
     module_suite,
     appendix_suite,
     functional_suite,
     generic_suite,
-    homomorphism_suite,
     ring_suite,
+    sample_basis,
     singularity_suite,
     random_dist_vector,
 )
@@ -51,13 +50,13 @@ def test_criterion_1_ring_axioms():
 
 def test_criterion_2_homomorphism_n2():
     with budget("criterion 2: commutator identities, order 2, 16 pairs", 5):
-        report = homomorphism_suite(2)
+        report = verify_homomorphism(2)
     assert report["ok"] and report["total"] == 16 and report["passed"] == 16
 
 
 def test_criterion_3_homomorphism_n3():
     with budget("criterion 3: commutator identities, order 3, 81 pairs", 300):
-        report = homomorphism_suite(3)
+        report = verify_homomorphism(3)
     assert report["ok"] and report["total"] == 81 and report["passed"] == 81
 
 
@@ -78,7 +77,7 @@ def test_criterion_6_module_relations():
     with budget("criterion 6: module commutators, 49 pairs x 4 vectors", 600):
         report = module_suite(CTX)
     assert report["ok"], report["failures"][:2]
-    assert report["total"] == 49 * len(SAMPLE_BASIS_3)
+    assert report["total"] == 49 * len(sample_basis(CTX)) == 196
 
 
 def test_criterion_7_relations_and_independence():
@@ -144,10 +143,13 @@ def test_criterion_10_cli_determinism(tmp_path, capsys, monkeypatch):
         assert main(["verify", "nonsense"]) == 2
         capsys.readouterr()
         # a failing suite exits 1
-        monkeypatch.setitem(
-            suites.SUITES,
-            "homomorphism",
-            lambda ctx=None, n=2: {
+        import gtsingular.cli as cli_mod
+
+        assert cli_mod.SUITES["homomorphism"] == ("order", "verify_homomorphism")
+        monkeypatch.setattr(
+            cli_mod,
+            "verify_homomorphism",
+            lambda n: {
                 "suite": "homomorphism",
                 "total": 1,
                 "passed": 0,
@@ -155,8 +157,5 @@ def test_criterion_10_cli_determinism(tmp_path, capsys, monkeypatch):
                 "failures": [{"pair": "stub"}],
             },
         )
-        import gtsingular.cli as cli_mod
-
-        monkeypatch.setattr(cli_mod, "SUITES", suites.SUITES)
         assert main(["verify", "--n", "2", "homomorphism"]) == 1
         capsys.readouterr()

@@ -8,6 +8,7 @@ tracer is read here, never installed.
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -66,3 +67,44 @@ def test_worker_names_exist():
     for owner, name in probes + used:
         mod = WORKER_ALIASES.get(owner, owner)
         assert hasattr(module(mod), name), f"worker.py uses gtsingular.{mod}.{name}"
+
+
+def worker_calls(tree):
+    """(module, name, call) for each call worker.py makes on a package-module
+    alias or on a name it imports from the package."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("gtsingular."):
+            mod = node.module.split(".", 1)[1]
+            imported.update({alias.asname or alias.name: (mod, alias.name) for alias in node.names})
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and ast.unparse(func.value) in WORKER_ALIASES:
+            yield WORKER_ALIASES[ast.unparse(func.value)], func.attr, node
+        elif isinstance(func, ast.Name) and func.id in imported:
+            yield (*imported[func.id], node)
+
+
+def test_worker_calls_bind():
+    """Each call binds to the callee's signature (positional count and keyword
+    names), so a signature edit fails here rather than in a benchmark run."""
+    tree = ast.parse((PERFBENCH / "worker.py").read_text(encoding="utf-8"))
+    bound = set()
+    for mod, name, call in worker_calls(tree):
+        if any(isinstance(arg, ast.Starred) for arg in call.args) or any(
+            kw.arg is None for kw in call.keywords
+        ):
+            continue  # the argument count is not known from the source
+        sig = inspect.signature(getattr(module(mod), name))
+        try:
+            sig.bind(*call.args, **{kw.arg: kw.value for kw in call.keywords})
+        except TypeError as exc:
+            raise AssertionError(
+                f"worker.py:{call.lineno} {ast.unparse(call)} does not fit "
+                f"gtsingular.{mod}.{name}{sig}: {exc}"
+            ) from None
+        bound.add(name)
+    assert {"module_suite", "ring_suite", "singularity_suite", "functional_suite",
+            "appendix_suite", "generic_suite", "verify_homomorphism"} <= bound

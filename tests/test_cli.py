@@ -16,6 +16,8 @@ def test_shift_spec_grammar():
     assert parse_shift_spec("id") == Shift.identity()
     assert parse_shift_spec("(2,1)+1") == Shift({(2, 1): 1})
     assert parse_shift_spec("(1,1)-2,(2,2)+3") == Shift({(1, 1): -2, (2, 2): 3})
+    assert parse_shift_spec("(2,1)+1, (2,1)+1") == Shift({(2, 1): 2})
+    assert parse_shift_spec(" (2,1)+1,(2,1)-1 ") == Shift.identity()
     s = Shift({(1, 1): -2, (2, 2): 3})
     assert parse_shift_spec(shift_spec(s)) == s
     assert shift_spec(Shift.identity()) == "id"
@@ -124,6 +126,17 @@ def test_verify_exit_codes(capsys):
     for n, suite in (("0", "ring"), ("-1", "ring"), ("0", "homomorphism"), ("-3", "homomorphism")):
         code, out, err = run(capsys, "verify", "--n", n, suite)
         assert code == 2 and out == "" and len(err.splitlines()) == 1 and "order" in err
+
+
+def test_verify_context_suites_at_order_4(tmp_path, capsys):
+    pt = tmp_path / "order4.json"
+    rows = [["1/5"], ["1/3", "1/3"], ["1/7", "2/11", "3/13"], ["1/17", "2/19", "3/23", "4/29"]]
+    pt.write_text(json.dumps({"n": 4, "rows": rows}))
+    code, out, _ = run(capsys, "verify", "--n", "4", "--point", str(pt), "singularity")
+    assert code == 0 and out.strip() == "suite singularity: 101/101 passed"
+    # the shipped point is order 3 only, so order 4 still needs --point
+    code, out, err = run(capsys, "verify", "--n", "4", "module")
+    assert code == 2 and out == "" and "no default point for order 4" in err
 
 
 def test_verify_suite_flag_form(capsys):
