@@ -212,6 +212,8 @@ def cmd_verify(args) -> int:
     if suite not in SUITES:
         raise UsageError(f"unknown suite {suite!r}; choose from " + ", ".join(sorted(SUITES)))
     takes, name = SUITES[suite]
+    if takes == "order" and (args.point or args.singular):
+        raise UsageError(f"suite {suite} runs on --n only; it takes no --point or --singular")
     report = globals()[name](cfg.resolve_context() if takes == "context" else cfg.n)
     lines = [f"suite {suite}: {report['passed']}/{report['total']} passed"]
     for failure in report.get("failures", []):

@@ -89,9 +89,6 @@ class DistVector(QVector):
     def basis(cls, bv: BasisVec) -> "DistVector":
         return cls._raw({bv: Fraction(1)})
 
-    def support(self) -> list[BasisVec]:
-        return [bv for bv, _ in self.sorted_items()]
-
     def to_json(self) -> list[dict]:
         from .textform import frac_text
 
@@ -104,15 +101,12 @@ class DistVector(QVector):
 # --- evaluation of ring elements into the basis ------------------------------
 
 
-def evaluate_at_v(
-    ctx: SingularContext, a: RingElement, *, check_membership: bool = True
-) -> DistVector:
+def evaluate_at_v(ctx: SingularContext, a: RingElement) -> DistVector:
     """Expand ev_v o A in the distribution basis, term by term."""
-    if check_membership:
-        if not is_tau_invariant(ctx, a):
-            raise MembershipError("ring element is not invariant under the transposition")
-        if not is_at_most_one_singular(ctx, a):
-            raise MembershipError("ring element has a higher-order pole at the base point")
+    if not is_tau_invariant(ctx, a):
+        raise MembershipError("ring element is not invariant under the transposition")
+    if not is_at_most_one_singular(ctx, a):
+        raise MembershipError("ring element has a higher-order pole at the base point")
     v = ctx.v.coords
     terms: list[tuple[str, Shift, Fraction]] = []
     for sigma, h in a.terms.items():
@@ -148,7 +142,7 @@ def act(
         d = DistVector.basis(d)
     conv = convention()
     out = DistVector.zero()
-    for bv, c in d.coeffs.items():
+    for bv, c in d.terms.items():
         composed = multiply(conv, a, materialize(ctx, bv))
         out = out + evaluate_at_v(ctx, composed).scale(c)
     return out
@@ -196,7 +190,7 @@ def dist_functional(
 def apply_dist(ctx: SingularContext, d: DistVector, f: Polynomial) -> Fraction:
     check_invariant_function(ctx, f)
     total = Fraction(0)
-    for bv, c in d.coeffs.items():
+    for bv, c in d.terms.items():
         total += c * dist_functional(ctx, bv.kind, bv.sigma, f)
     return total
 
@@ -262,7 +256,7 @@ def appendix_act(
     a = phi_general(ctx.n, *gen)
     v = ctx.v.coords
     terms: list[tuple[str, Shift, Fraction]] = []
-    for (sym, sigma), c in e.coeffs.items():
+    for (sym, sigma), c in e.terms.items():
         for rho, h in a.terms.items():
             cfn = shift_subst(h, sigma)
             target = sigma * rho
@@ -280,7 +274,7 @@ def basis_correspondence(ctx: SingularContext, d: DistVector) -> DerivTabVec:
     """D1 pairs with the even symbol T, D2 with the odd symbol DT; on
     ordered representatives the map is label-preserving."""
     terms = []
-    for bv, c in d.coeffs.items():
+    for bv, c in d.terms.items():
         tau_sigma = ctx.tau_of_shift(bv.sigma)
         if bv.kind == "D1":
             terms.append(("T", bv.sigma, c * _HALF))
@@ -293,6 +287,6 @@ def basis_correspondence(ctx: SingularContext, d: DistVector) -> DerivTabVec:
 
 def basis_correspondence_inverse(ctx: SingularContext, e: DerivTabVec) -> DistVector:
     terms = []
-    for (sym, sigma), c in e.coeffs.items():
+    for (sym, sigma), c in e.terms.items():
         terms.append(("D1" if sym == "T" else "D2", sigma, c))
     return DistVector.from_terms(ctx, terms)

@@ -42,7 +42,6 @@ def _xvar(k: int, i: int) -> Polynomial:
     return Polynomial.variable(k, i)
 
 
-@lru_cache(maxsize=None)
 def phi_raising(n: int, k: int) -> RingElement:
     """Image of E(k, k+1): shifts sigma(k,i)^-1 with the classical coefficients."""
     if not (1 <= k <= n - 1):
@@ -61,7 +60,6 @@ def phi_raising(n: int, k: int) -> RingElement:
     return RingElement(terms)
 
 
-@lru_cache(maxsize=None)
 def phi_lowering(n: int, k: int) -> RingElement:
     """Image of E(k+1, k): shifts sigma(k,i) with the classical coefficients."""
     if not (1 <= k <= n - 1):
@@ -79,7 +77,6 @@ def phi_lowering(n: int, k: int) -> RingElement:
     return RingElement(terms)
 
 
-@lru_cache(maxsize=None)
 def phi_diagonal(n: int, k: int) -> RingElement:
     """Image of E(k, k): a shift-free row-sum coefficient."""
     if not (1 <= k <= n):
@@ -152,10 +149,8 @@ def calibrate_convention(n: int = 2) -> str:
     for convention in ("circ", "star"):
         ok = True
         for x, y, br in pairs:
-            lhs = bracket(convention, _phi_basic(n, *x), _phi_basic(n, *y))
-            rhs = RingElement.zero()
-            for sign, g in br:
-                rhs = rhs + _phi_basic(n, *g).scale(sign)
+            lhs = bracket(convention, phi_general(n, *x), phi_general(n, *y))
+            rhs = phi_combination(n, br)
             if lhs != rhs:
                 ok = False
                 break

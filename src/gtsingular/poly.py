@@ -21,6 +21,8 @@ from math import comb, gcd as _igcd
 from operator import truediv
 from typing import Mapping
 
+from .sparse import SparseSum, add_term
+
 Var = tuple[int, int]
 Monomial = tuple[tuple[Var, int], ...]
 
@@ -78,38 +80,16 @@ def _heap_key(m: Monomial):
     return (-mono_degree(m), tuple((v, -e) for v, e in m))
 
 
-class Polynomial:
+class Polynomial(SparseSum):
     """Immutable sparse polynomial; term map monomial -> nonzero Fraction."""
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ()
 
     def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
-        clean: dict[Monomial, Fraction] = {}
-        if terms:
-            for m, c in terms.items():
-                c = Fraction(c)
-                if not c:
-                    continue
-                m = tuple(sorted((v, e) for v, e in m if e))
-                s = clean.get(m, _ZERO) + c
-                if s:
-                    clean[m] = s
-                else:
-                    clean.pop(m, None)
-        self.terms = clean
-        self._hash = None
-
-    @classmethod
-    def _raw(cls, terms: dict[Monomial, Fraction]) -> "Polynomial":
-        # internal: caller guarantees canonical content
-        p = cls.__new__(cls)
-        p.terms = terms
-        p._hash = None
-        return p
-
-    @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls._raw({})
+        super().__init__(
+            (tuple(sorted((v, e) for v, e in m if e)), Fraction(c))
+            for m, c in (terms or {}).items()
+        )
 
     @classmethod
     def one(cls) -> "Polynomial":
@@ -129,12 +109,6 @@ class Polynomial:
     def term(cls, mono: Monomial, coeff) -> "Polynomial":
         return cls({mono: Fraction(coeff)})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
     def is_constant(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and () in self.terms)
 
@@ -142,39 +116,6 @@ class Polynomial:
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
         return self.terms.get((), _ZERO)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Polynomial) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = self._hash = hash(frozenset(self.terms.items()))
-        return h
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial._raw({m: -c for m, c in self.terms.items()})
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        if not self.terms:
-            return other
-        if not other.terms:
-            return self
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, _ZERO) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return Polynomial._raw(out)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -201,14 +142,6 @@ class Polynomial:
             if e:
                 base = base * base
         return result
-
-    def scale(self, c) -> "Polynomial":
-        c = Fraction(c)
-        if not c:
-            return Polynomial.zero()
-        if c == 1:
-            return self
-        return Polynomial._raw({m: q * c for m, q in self.terms.items()})
 
     def variables(self) -> list[Var]:
         vs: set[Var] = set()
@@ -243,12 +176,9 @@ class Polynomial:
         for m, c in self.terms.items():
             for idx, (v, e) in enumerate(m):
                 if v == var:
+                    # dividing by var is injective, so no two terms meet
                     rest = m[:idx] + ((v, e - 1),) + m[idx + 1:] if e > 1 else m[:idx] + m[idx + 1:]
-                    s = out.get(rest, _ZERO) + c * e
-                    if s:
-                        out[rest] = s
-                    else:
-                        out.pop(rest, None)
+                    out[rest] = c * e
                     break
         return Polynomial._raw(out)
 
@@ -280,19 +210,10 @@ class Polynomial:
                 nxt: dict[Monomial, Fraction] = {}
                 for m1, c1 in expanded.items():
                     for m2, c2 in f.items():
-                        mm = mono_mul(m1, m2)
-                        s = nxt.get(mm, _ZERO) + c1 * c2
-                        if s:
-                            nxt[mm] = s
-                        else:
-                            nxt.pop(mm, None)
+                        add_term(nxt, mono_mul(m1, m2), c1 * c2)
                 expanded = nxt
             for mm, cc in expanded.items():
-                s = out.get(mm, _ZERO) + cc
-                if s:
-                    out[mm] = s
-                else:
-                    out.pop(mm, None)
+                add_term(out, mm, cc)
         return Polynomial._raw(out)
 
     def swap_vars(self, a: Var, b: Var) -> "Polynomial":

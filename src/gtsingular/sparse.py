@@ -1,16 +1,18 @@
-"""Finite sums keyed by labels, with exact coefficients.
+"""Finite formal sums keyed by labels: the one storage-and-arithmetic base.
 
-Every sparse sum in the package keeps one rule: adding to a key drops the
-key when its coefficient sums to zero, so equal sums have equal dicts.
-`add_term` is that rule.  `QVector` is the rational combination of
-(kind, shift) labels on which the distribution vectors and the
-derivative-tableau vectors are built.
+Polynomials (monomials -> Fraction), ring elements (shifts -> rational
+function) and the module vectors ((kind, shift) labels -> Fraction) are all
+`SparseSum`s.  Every sum keeps one rule: adding to a key drops the key when
+its coefficient sums to zero, so equal sums have equal dicts.  `add_term`
+is that rule; `SparseSum.__add__` inlines it because polynomial addition
+is hot.  Subclasses add their constructors and products; storage, equality,
+hashing, negation, addition and scaling live here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 if TYPE_CHECKING:
     from .tableau import Shift
@@ -31,6 +33,91 @@ def add_term(acc: dict, key, value) -> None:
         acc[key] = value
 
 
+class SparseSum:
+    """Immutable finite sum: `terms` maps each key to a nonzero coefficient.
+
+    Sums of different subclasses never compare equal and never add."""
+
+    __slots__ = ("terms", "_hash")
+
+    def __init__(self, terms: Mapping | Iterable[tuple] = ()):
+        acc: dict = {}
+        for key, c in terms.items() if isinstance(terms, Mapping) else terms:
+            add_term(acc, key, c)
+        self.terms = acc
+        self._hash = None
+
+    @classmethod
+    def _raw(cls, terms: dict):
+        # internal: caller guarantees canonical content
+        s = cls.__new__(cls)
+        s.terms = terms
+        s._hash = None
+        return s
+
+    @classmethod
+    def zero(cls):
+        return cls._raw({})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.terms == other.terms
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(frozenset(self.terms.items()))
+        return h
+
+    def __neg__(self):
+        return self._raw({key: -c for key, c in self.terms.items()})
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        if not self.terms:
+            return other
+        if not other.terms:
+            return self
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            s = out.get(key)
+            if s is None:
+                out[key] = c
+            else:
+                s = s + c
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
+        return self._raw(out)
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self + (-other)
+
+    def scale(self, c):
+        c = Fraction(c)
+        if not c:
+            return self.zero()
+        if c == 1:
+            return self
+        return self._raw({key: q * c for key, q in self.terms.items()})
+
+    def support(self) -> list:
+        """Keys in `sort_key()` order."""
+        return sorted(self.terms, key=lambda key: key.sort_key())
+
+    def sorted_items(self) -> list[tuple]:
+        return sorted(self.terms.items(), key=lambda t: t[0].sort_key())
+
+
 class BasisVec(NamedTuple):
     """A label: D1/D2 for distributions, T/DT for tableau symbols."""
 
@@ -44,55 +131,16 @@ class BasisVec(NamedTuple):
         return f"{self.kind}[{self.sigma!r}]"
 
 
-class QVector:
+class QVector(SparseSum):
     """Finite rational combination of labels.  Subclasses differ only in how
     from_terms reduces a label to its canonical representative."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
-    def __init__(self, coeffs: Mapping[tuple[str, Shift], Fraction] | None = None):
-        self.coeffs = {
-            BasisVec(*key): Fraction(c) for key, c in (coeffs or {}).items() if c
-        }
-
-    @classmethod
-    def _raw(cls, coeffs: dict[BasisVec, Fraction]):
-        v = cls.__new__(cls)
-        v.coeffs = coeffs
-        return v
-
-    @classmethod
-    def zero(cls):
-        return cls._raw({})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other) -> bool:
-        return type(other) is type(self) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.coeffs.items()))
-
-    def __add__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            add_term(out, key, c)
-        return self._raw(out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        c = Fraction(c)
-        return self._raw({key: q * c for key, q in self.coeffs.items()} if c else {})
-
-    def sorted_items(self) -> list[tuple[BasisVec, Fraction]]:
-        return sorted(self.coeffs.items(), key=lambda t: t[0].sort_key())
+    def __init__(self, terms: Mapping[tuple[str, Shift], Fraction] | None = None):
+        super().__init__((BasisVec(*key), Fraction(c)) for key, c in (terms or {}).items())
 
     def __repr__(self) -> str:
-        if not self.coeffs:
+        if not self.terms:
             return "0"
         return " + ".join(f"{c}*{key!r}" for key, c in self.sorted_items())

@@ -94,17 +94,6 @@ class Shift:
     def to_json(self) -> dict[str, int]:
         return {f"({k},{i})": m for (k, i), m in self.items}
 
-    @classmethod
-    def from_json(cls, data: Mapping[str, int]) -> "Shift":
-        comps: dict[Var, int] = {}
-        for key, m in data.items():
-            body = key.strip()
-            if not (body.startswith("(") and body.endswith(")")):
-                raise ValueError(f"bad shift key {key!r}")
-            k, i = (int(part) for part in body[1:-1].split(","))
-            comps[(k, i)] = int(m)
-        return cls(comps)
-
     def __repr__(self) -> str:
         if not self.items:
             return "id"

@@ -86,7 +86,7 @@ def test_criterion_7_relations_and_independence():
         for _ in range(25):
             d = random_dist_vector(rng, CTX)
             again = DistVector.from_terms(
-                CTX, [(bv.kind, bv.sigma, c) for bv, c in d.coeffs.items()]
+                CTX, [(bv.kind, bv.sigma, c) for bv, c in d.terms.items()]
             )
             assert again == d
         one = CTX.z1_poly ** 0

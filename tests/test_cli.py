@@ -115,9 +115,20 @@ def test_classify_malformed_point(tmp_path, capsys):
         assert len(err.splitlines()) == 1 and "cannot read point" in err, text
 
 
-def test_verify_exit_codes(capsys):
+def test_verify_exit_codes(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", "--n", "2", "homomorphism")
     assert code == 0 and "16/16 passed" in out
+    # the order suites take no point or pair: passing one is a usage error
+    p3 = tmp_path / "p3.json"
+    p3.write_text(json.dumps(canonical_test_point(3).to_json()))
+    for argv in (
+        ("--singular", "9,9,9", "--n", "2", "homomorphism"),
+        ("--point", str(p3), "--n", "2", "homomorphism"),
+        ("--point", str(p3), "ring"),
+    ):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and out == "" and len(err.splitlines()) == 1
+        assert err.startswith("error:")
     code, _, err = run(capsys, "verify", "nonsense")
     assert code == 2 and "unknown suite" in err
     code, _, err = run(capsys, "verify")

@@ -77,7 +77,7 @@ def test_canonicalization_idempotent():
     for _ in range(10):
         d = random_dist_vector(rng, CTX)
         again = DistVector.from_terms(
-            CTX, [(bv.kind, bv.sigma, c) for bv, c in d.coeffs.items()]
+            CTX, [(bv.kind, bv.sigma, c) for bv, c in d.terms.items()]
         )
         assert again == d
 

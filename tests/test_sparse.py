@@ -1,13 +1,14 @@
-"""The shared cancel-on-zero rule and the vector base built on it."""
+"""The shared cancel-on-zero rule and the finite-sum base built on it."""
 
 from fractions import Fraction
 
 import pytest
 
 from gtsingular.distributions import BasisVec, DerivTabVec, DistVector
+from gtsingular.poly import Polynomial
 from gtsingular.ratfun import RationalFunction
 from gtsingular.skewring import RingElement
-from gtsingular.sparse import add_term
+from gtsingular.sparse import QVector, SparseSum, add_term
 from gtsingular.tableau import Shift
 
 ID = Shift.identity()
@@ -39,21 +40,54 @@ def test_ring_element_cancels_repeated_shift():
     assert (a - a).is_zero() and (a - a).terms == {}
 
 
-@pytest.mark.parametrize("cls, kinds", [(DistVector, ("D1", "D2")), (DerivTabVec, ("T", "DT"))])
-def test_vector_cancel_scale_hash(cls, kinds):
-    d = cls({(kinds[0], ID): Fraction(2), (kinds[1], S22): Fraction(-1, 3)})
-    assert (d - d).is_zero() and (d - d) == cls.zero()
-    assert d.scale(0).is_zero() and d.scale(0).coeffs == {}
-    again = cls({(kinds[1], S22): Fraction(-1, 3)}) + cls({(kinds[0], ID): Fraction(2)})
+F = RationalFunction.variable(2, 1) / RationalFunction.variable(1, 1)
+
+# two distinct keys and a coefficient maker for each finite-sum type
+SUMS = {
+    DistVector: ((("D1", ID), ("D2", S22)), Fraction),
+    DerivTabVec: ((("T", ID), ("DT", S22)), Fraction),
+    Polynomial: (((), (((2, 1), 1),)), Fraction),
+    RingElement: ((ID, S22), F.scale),
+}
+
+
+def two_terms(cls, c0, c1):
+    """The cls-sum c0*key0 + c1*key1 (either coefficient may be zero)."""
+    (k0, k1), coeff = SUMS[cls]
+    return cls({k0: coeff(c0), k1: coeff(c1)})
+
+
+@pytest.mark.parametrize("cls", list(SUMS), ids=lambda cls: cls.__name__)
+def test_vector_cancel_scale_hash(cls):
+    d = two_terms(cls, 2, Fraction(-1, 3))
+    zero = cls.zero()
+    assert isinstance(d, SparseSum) and len(d.terms) == 2
+    assert (d - d).is_zero() and (d - d) == zero and (d - d).terms == {}
+    assert zero + d == d and d + zero == d
+    assert d.scale(0).is_zero() and d.scale(0).terms == {}
+    assert d.scale(1) == d
+    again = two_terms(cls, 0, Fraction(-1, 3)) + two_terms(cls, 2, 0)
     assert again == d and hash(again) == hash(d)
     assert d.scale(3) == d + d + d
-    assert all(isinstance(key, BasisVec) for key in d.coeffs)
+    assert not zero and bool(d)
+    if issubclass(cls, QVector):
+        assert all(isinstance(key, BasisVec) for key in d.terms)
+
+
+def test_polynomial_and_ring_element_never_mix():
+    p = Polynomial.constant(1)
+    a = RingElement.term(RationalFunction.constant(1), ID)
+    assert p != a and a != p
+    with pytest.raises(TypeError):
+        p + a
+    with pytest.raises(TypeError):
+        a + p
 
 
 def test_vector_types_never_equal():
     coeffs = {("D1", ID): Fraction(1)}
     d, e = DistVector(coeffs), DerivTabVec(coeffs)
-    assert d.coeffs == e.coeffs
+    assert d.terms == e.terms
     assert d != e and e != d
     with pytest.raises(TypeError):
         d + e
