@@ -10,9 +10,10 @@ once by an exact order-2 computation and then frozen.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import prod
 
 from .poly import Polynomial
-from .ratfun import RationalFunction
+from .ratfun import RationalFunction, divide_by_linear
 from .skewring import RingElement, ring_mul_circ, ring_mul_star
 from .tableau import Shift
 
@@ -42,21 +43,24 @@ def _xvar(k: int, i: int) -> Polynomial:
     return Polynomial.variable(k, i)
 
 
+def _ratio(num: list[Polynomial], den: list[Polynomial]) -> RationalFunction:
+    """prod(num) / prod(den) for linear factors, the denominator kept
+    factored."""
+    out = RationalFunction.from_poly(prod(num, start=Polynomial.one()))
+    for lin in den:
+        out = divide_by_linear(out, lin)
+    return out
+
+
 def phi_raising(n: int, k: int) -> RingElement:
     """Image of E(k, k+1): shifts sigma(k,i)^-1 with the classical coefficients."""
     if not (1 <= k <= n - 1):
         raise ValueError(f"raising index {k} out of range for gl_{n}")
     terms = []
     for i in range(1, k + 1):
-        num = Polynomial.one()
-        for j in range(1, k + 2):
-            num = num * (_xvar(k, i) - _xvar(k + 1, j))
-        den = Polynomial.one()
-        for j in range(1, k + 1):
-            if j != i:
-                den = den * (_xvar(k, i) - _xvar(k, j))
-        coeff = RationalFunction(-num, den)
-        terms.append((Shift.generator(k, i, -1), coeff))
+        num = [_xvar(k, i) - _xvar(k + 1, j) for j in range(1, k + 2)]
+        den = [_xvar(k, i) - _xvar(k, j) for j in range(1, k + 1) if j != i]
+        terms.append((Shift.generator(k, i, -1), -_ratio(num, den)))
     return RingElement(terms)
 
 
@@ -66,14 +70,9 @@ def phi_lowering(n: int, k: int) -> RingElement:
         raise ValueError(f"lowering index {k} out of range for gl_{n}")
     terms = []
     for i in range(1, k + 1):
-        num = Polynomial.one()
-        for j in range(1, k):
-            num = num * (_xvar(k, i) - _xvar(k - 1, j))
-        den = Polynomial.one()
-        for j in range(1, k + 1):
-            if j != i:
-                den = den * (_xvar(k, i) - _xvar(k, j))
-        terms.append((Shift.generator(k, i), RationalFunction(num, den)))
+        num = [_xvar(k, i) - _xvar(k - 1, j) for j in range(1, k)]
+        den = [_xvar(k, i) - _xvar(k, j) for j in range(1, k + 1) if j != i]
+        terms.append((Shift.generator(k, i), _ratio(num, den)))
     return RingElement(terms)
 
 

@@ -85,6 +85,10 @@ class Polynomial(SparseSum):
 
     __slots__ = ()
 
+    # support() and sorted_items() list monomials in descending graded-lex
+    # order, the canonical print order
+    _sort_key = staticmethod(_heap_key)
+
     def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
         super().__init__(
             (tuple(sorted((v, e) for v, e in m if e)), Fraction(c))
@@ -157,10 +161,6 @@ class Polynomial(SparseSum):
 
     def leading_coeff(self) -> Fraction:
         return self.terms[self.leading_monomial()]
-
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
-        """Terms in descending graded-lex order (the canonical print order)."""
-        return sorted(self.terms.items(), key=lambda t: mono_key(t[0]), reverse=True)
 
     def evaluate(self, coords: Mapping[Var, Fraction]) -> Fraction:
         total = _ZERO
@@ -505,7 +505,10 @@ def _heu_gcd(f: IntTerms, g: IntTerms, depth: int = 0) -> IntTerms:
                     e += 1
                 if h:
                     h = _positive_primitive(h)
-                    if _int_divexact(f, h) is not None and _int_divexact(g, h) is not None:
+                    # division by the constant 1 needs no certificate
+                    if h == {(): 1} or (
+                        _int_divexact(f, h) is not None and _int_divexact(g, h) is not None
+                    ):
                         # Below the top level, integer content can be the
                         # image of a factor in an evaluated variable.
                         return {m: c * ci for m, c in h.items()}

@@ -3,6 +3,23 @@
 Canonical form: gcd(num, den) = 1, denominator monic under the graded-lex
 order, and num = 0 stored as 0/1.  Structural equality then coincides with
 equality of rational functions.
+
+The denominators the Gelfand-Tsetlin formulas produce are products of
+linear forms x[k][i] - x[k][j] + m.  A denominator known to factor that way
+is kept as `forms`: a sorted tuple of (monic linear form, multiplicity)
+pairs.  Its expanded product is the same monic `den` as above, built on
+first use.  Linear forms are irreducible, so "reduced" means that no listed
+form divides `num`, and each form is tested on its own: `num` is evaluated
+modulo a prime on the form's zero set at a fixed integer point, and a
+nonzero residue proves the form does not divide.  Only a zero residue (or
+a coefficient denominator the prime divides) runs the exact `divexact`, so
+no probabilistic answer reaches a canonical form.
+
+A denominator of unknown factorization (`forms` is None) is kept expanded
+and reduced with `poly_gcd`.  It arises only from the reciprocal of a
+non-linear numerator, or from RationalFunction(num, den) with a non-linear
+den; any operation with such an operand takes the same gcd path.  A result
+whose reduced denominator has degree at most 1 returns to the forms path.
 """
 
 from __future__ import annotations
@@ -14,64 +31,195 @@ from .poly import Polynomial, Var, divexact, poly_gcd
 
 _ONE = Fraction(1)
 
+Forms = tuple[tuple[Polynomial, int], ...]
+
+# The residue test works modulo this prime, at a fixed integer point.
+_P = (1 << 61) - 1
+
+
+class _Coords(dict):
+    """The fixed point of the residue test: position -> integer mod _P."""
+
+    def __missing__(self, v: Var) -> int:
+        k, i = v
+        x = self[v] = pow(3, 1000 * k + i, _P)
+        return x
+
+
+_COORDS = _Coords()
+
 
 class PoleError(ArithmeticError):
     """Evaluation hit a zero of the denominator."""
 
 
+def _is_linear(p: Polynomial) -> bool:
+    """Degree exactly 1."""
+    return not p.is_constant() and all(
+        len(m) <= 1 and (not m or m[0][1] == 1) for m in p.terms
+    )
+
+
+def _form_key(item: tuple[Polynomial, int]):
+    return sorted(item[0].terms.items())
+
+
+def _sorted_forms(acc: dict[Polynomial, int]) -> Forms:
+    return tuple(sorted(acc.items(), key=_form_key))
+
+
+def _expand(forms) -> Polynomial:
+    out = Polynomial.one()
+    for form, e in forms:
+        out = out * (form if e == 1 else form**e)
+    return out
+
+
+def _residue(p: Polynomial, form: Polynomial) -> int | None:
+    """p mod _P at the point of form = 0 whose other coordinates are _COORDS;
+    None when _P divides a coefficient denominator."""
+    # the form is monic in its leading variable u, the least position
+    u = min(m[0][0] for m in form.terms if m)
+    s = 0
+    for m, c in form.terms.items():
+        if m and m[0][0] == u:
+            continue
+        if c.denominator % _P == 0:
+            return None
+        t = c.numerator * (_COORDS[m[0][0]] if m else 1)
+        s += t if c.denominator == 1 else t * pow(c.denominator, -1, _P)
+    xu = -s % _P
+    by_den: dict[int, int] = {}
+    for m, c in p.terms.items():
+        t = c.numerator
+        for v, e in m:
+            x = xu if v == u else _COORDS[v]
+            t = t * (x if e == 1 else pow(x, e, _P)) % _P
+        d = c.denominator
+        by_den[d] = by_den.get(d, 0) + t
+    r = 0
+    for d, t in by_den.items():
+        if d % _P == 0:
+            return None
+        r += t if d == 1 else t * pow(d, -1, _P)
+    return r % _P
+
+
+def _quotient(p: Polynomial, form: Polynomial) -> Polynomial | None:
+    """p / form when the monic linear form divides p, else None.  A monic
+    divisor leaves the quotient's coefficients prime to _P when p's are, so
+    p then vanishes mod _P on form = 0: a nonzero residue settles it."""
+    if _residue(p, form):
+        return None
+    return divexact(p, form)
+
+
+def _cancel(num: Polynomial, forms) -> tuple[Polynomial, Forms]:
+    """Divide num by the listed forms as often as they divide it."""
+    kept = []
+    for form, e in forms:
+        while e:
+            q = _quotient(num, form)
+            if q is None:
+                break
+            num = q
+            e -= 1
+        if e:
+            kept.append((form, e))
+    return num, tuple(kept)
+
+
+def _monic_form(p: Polynomial) -> tuple[Fraction, Polynomial]:
+    """(lc, p / lc) for a linear polynomial p."""
+    lc = p.leading_coeff()
+    return lc, (p if lc == 1 else p.scale(_ONE / lc))
+
+
 class RationalFunction:
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "forms", "_den", "_hash")
 
     def __init__(self, num: Polynomial, den: Polynomial | None = None):
         if den is None:
             den = Polynomial.one()
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
+        self._hash = None
         if num.is_zero():
-            self.num = Polynomial.zero()
-            self.den = Polynomial.one()
+            self.num, self.forms, self._den = Polynomial.zero(), (), None
+        elif den.is_constant():
+            self.num, self.forms, self._den = num.scale(_ONE / den.constant_value()), (), None
+        elif _is_linear(den):
+            lc, form = _monic_form(den)
+            self.num, self.forms = _cancel(num.scale(_ONE / lc), ((form, 1),))
+            self._den = None
         else:
             g = poly_gcd(num, den)
             if not g.is_constant():
                 num = divexact(num, g)
                 den = divexact(den, g)
-            lc = den.leading_coeff()
-            if lc != 1:
-                inv = _ONE / lc
-                num = num.scale(inv)
-                den = den.scale(inv)
-            self.num = num
-            self.den = den
-        self._hash = None
+            f = RationalFunction._monic(num, den)
+            self.num, self.forms, self._den = f.num, f.forms, f._den
 
     @classmethod
-    def _raw(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
-        # internal: caller guarantees the pair is already canonical
+    def _make(cls, num: Polynomial, forms: Forms) -> "RationalFunction":
+        # internal: no form divides num, or num is zero and forms is ()
         f = cls.__new__(cls)
         f.num = num
-        f.den = den
+        f.forms = forms
+        f._den = None
         f._hash = None
         return f
 
     @classmethod
+    def _expanded(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
+        # internal: num and den coprime, den monic
+        if _is_linear(den):
+            return cls._make(num, ((den, 1),))
+        if den.is_constant():
+            return cls._make(num, ())
+        f = cls._make(num, None)
+        f._den = den
+        return f
+
+    @classmethod
+    def _monic(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
+        # internal: num and den coprime
+        if num.is_zero():
+            return cls.zero()
+        lc = den.leading_coeff()
+        if lc != 1:
+            inv = _ONE / lc
+            num = num.scale(inv)
+            den = den.scale(inv)
+        return cls._expanded(num, den)
+
+    @classmethod
     def from_poly(cls, p: Polynomial) -> "RationalFunction":
-        return cls._raw(p, Polynomial.one())
+        return cls._make(p, ())
 
     @classmethod
     def constant(cls, c) -> "RationalFunction":
-        return cls._raw(Polynomial.constant(c), Polynomial.one())
+        return cls._make(Polynomial.constant(c), ())
 
     @classmethod
     def zero(cls) -> "RationalFunction":
-        return cls._raw(Polynomial.zero(), Polynomial.one())
+        return cls._make(Polynomial.zero(), ())
 
     @classmethod
     def one(cls) -> "RationalFunction":
-        return cls._raw(Polynomial.one(), Polynomial.one())
+        return cls._make(Polynomial.one(), ())
 
     @classmethod
     def variable(cls, k: int, i: int) -> "RationalFunction":
-        return cls._raw(Polynomial.variable(k, i), Polynomial.one())
+        return cls._make(Polynomial.variable(k, i), ())
+
+    @property
+    def den(self) -> Polynomial:
+        """The expanded monic denominator."""
+        d = self._den
+        if d is None:
+            d = self._den = _expand(self.forms)
+        return d
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -80,10 +228,11 @@ class RationalFunction:
         return bool(self.num)
 
     def is_polynomial(self) -> bool:
-        return self.den == Polynomial.one()
+        # the expanded path only holds denominators of degree 2 or more
+        return self.forms == ()
 
     def is_constant(self) -> bool:
-        return self.num.is_constant() and self.den == Polynomial.one()
+        return self.num.is_constant() and self.is_polynomial()
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
@@ -91,11 +240,11 @@ class RationalFunction:
         return self.num.constant_value()
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RationalFunction)
-            and self.num == other.num
-            and self.den == other.den
-        )
+        if not isinstance(other, RationalFunction) or self.num != other.num:
+            return False
+        if self.forms is not None and other.forms is not None:
+            return self.forms == other.forms
+        return self.den == other.den
 
     def __hash__(self) -> int:
         h = self._hash
@@ -104,7 +253,13 @@ class RationalFunction:
         return h
 
     def __neg__(self) -> "RationalFunction":
-        return RationalFunction._raw(-self.num, self.den)
+        return self._with_num(-self.num)
+
+    def _with_num(self, num: Polynomial) -> "RationalFunction":
+        # same denominator; num a nonzero scalar multiple of self.num
+        f = RationalFunction._make(num, self.forms)
+        f._den = self._den
+        return f
 
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
         if not isinstance(other, RationalFunction):
@@ -113,6 +268,35 @@ class RationalFunction:
             return other
         if other.is_zero():
             return self
+        f1, f2 = self.forms, other.forms
+        if f1 is None or f2 is None:
+            return self._add_expanded(other)
+        if f1 == f2:
+            num = self.num + other.num
+            if num.is_zero():
+                return RationalFunction.zero()
+            return RationalFunction._make(*_cancel(num, f1))
+        # Over the lcm of the two multisets, a form whose multiplicities
+        # differ still divides exactly one cofactor, so only forms shared
+        # with equal multiplicity can cancel.  The sum is not zero: opposite
+        # values would have equal forms.
+        d1, d2 = dict(f1), dict(f2)
+        lcm = dict(d1)
+        for form, e in f2:
+            if e > lcm.get(form, 0):
+                lcm[form] = e
+        a = _expand((form, e - d1.get(form, 0)) for form, e in lcm.items() if e > d1.get(form, 0))
+        b = _expand((form, e - d2.get(form, 0)) for form, e in lcm.items() if e > d2.get(form, 0))
+        num = self.num * a + other.num * b
+        shared = [(form, e) for form, e in f1 if d2.get(form) == e]
+        if shared:
+            num, kept = _cancel(num, shared)
+            for form, _ in shared:
+                del lcm[form]
+            lcm.update(kept)
+        return RationalFunction._make(num, _sorted_forms(lcm))
+
+    def _add_expanded(self, other: "RationalFunction") -> "RationalFunction":
         d1, d2 = self.den, other.den
         if d1 == d2:
             num = self.num + other.num
@@ -136,17 +320,6 @@ class RationalFunction:
             common = divexact(common, g2)
         return RationalFunction._monic(num, common * a * b)
 
-    @classmethod
-    def _monic(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
-        if num.is_zero():
-            return cls.zero()
-        lc = den.leading_coeff()
-        if lc != 1:
-            inv = _ONE / lc
-            num = num.scale(inv)
-            den = den.scale(inv)
-        return cls._raw(num, den)
-
     def __sub__(self, other: "RationalFunction") -> "RationalFunction":
         if not isinstance(other, RationalFunction):
             return NotImplemented
@@ -157,6 +330,22 @@ class RationalFunction:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return RationalFunction.zero()
+        f1, f2 = self.forms, other.forms
+        if f1 is None or f2 is None:
+            return self._mul_expanded(other)
+        # each side is reduced, so n1 can only cancel against f2, n2 against f1
+        n1, f2 = _cancel(self.num, f2)
+        n2, f1 = _cancel(other.num, f1)
+        if not f1 or not f2:
+            forms = f1 or f2
+        else:
+            acc = dict(f1)
+            for form, e in f2:
+                acc[form] = acc.get(form, 0) + e
+            forms = _sorted_forms(acc)
+        return RationalFunction._make(n1 * n2, forms)
+
+    def _mul_expanded(self, other: "RationalFunction") -> "RationalFunction":
         n1, d1 = self.num, self.den
         n2, d2 = other.num, other.den
         g1 = poly_gcd(n1, d2)
@@ -172,7 +361,14 @@ class RationalFunction:
     def reciprocal(self) -> "RationalFunction":
         if self.is_zero():
             raise ZeroDivisionError("division by the zero function")
-        return RationalFunction._monic(self.den, self.num)
+        num = self.num
+        if num.is_constant():
+            return RationalFunction._make(self.den.scale(_ONE / num.constant_value()), ())
+        if _is_linear(num):
+            # num is coprime to den, so the new form does not divide it
+            lc, form = _monic_form(num)
+            return RationalFunction._make(self.den.scale(_ONE / lc), ((form, 1),))
+        return RationalFunction._monic(self.den, num)
 
     def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
         if not isinstance(other, RationalFunction):
@@ -183,16 +379,29 @@ class RationalFunction:
         if e < 0:
             return self.reciprocal() ** (-e)
         # num and den stay coprime under powers
-        return RationalFunction._monic(self.num**e, self.den**e)
+        if self.forms is None:
+            return RationalFunction._monic(self.num**e, self.den**e)
+        if e == 0:
+            return RationalFunction.one()
+        return RationalFunction._make(self.num**e, tuple((form, m * e) for form, m in self.forms))
 
     def scale(self, c) -> "RationalFunction":
         c = Fraction(c)
         if not c:
             return RationalFunction.zero()
-        return RationalFunction._raw(self.num.scale(c), self.den)
+        return self._with_num(self.num.scale(c))
+
+    def den_value(self, coords: Mapping[Var, Fraction]) -> Fraction:
+        """The denominator's value at a point."""
+        if self.forms is None:
+            return self.den.evaluate(coords)
+        out = _ONE
+        for form, e in self.forms:
+            out *= form.evaluate(coords) ** e
+        return out
 
     def evaluate(self, coords: Mapping[Var, Fraction]) -> Fraction:
-        dv = self.den.evaluate(coords)
+        dv = self.den_value(coords)
         if dv == 0:
             raise PoleError("denominator vanishes at the given point")
         return self.num.evaluate(coords) / dv
@@ -200,21 +409,56 @@ class RationalFunction:
     def derivative(self, var: Var) -> "RationalFunction":
         if self.is_polynomial():
             return RationalFunction.from_poly(self.num.derivative(var))
-        n, d = self.num, self.den
-        return RationalFunction(n.derivative(var) * d - n * d.derivative(var), d * d)
+        n, forms = self.num, self.forms
+        if forms is None:
+            d = self.den
+            return RationalFunction(n.derivative(var) * d - n * d.derivative(var), d * d)
+        # With L the product of the forms l that contain var, each with
+        # coefficient c and multiplicity e:
+        #   (n/d)' = (n'L - n * sum e*c*L/l) / (d*L).
+        # The new numerator is prime to every form of L, so only the forms
+        # free of var can cancel.
+        key = ((var, 1),)
+        moving = [(form, e, form.terms[key]) for form, e in forms if key in form.terms]
+        num = n.derivative(var)
+        if moving:
+            big = _expand((form, 1) for form, _, _ in moving)
+            s = Polynomial.zero()
+            for i, (_, e, c) in enumerate(moving):
+                s = s + _expand(
+                    (form, 1) for j, (form, _, _) in enumerate(moving) if j != i
+                ).scale(e * c)
+            num = num * big - n * s
+        if num.is_zero():
+            return RationalFunction.zero()
+        grown = {form for form, _, _ in moving}
+        num, kept = _cancel(num, [(form, e) for form, e in forms if form not in grown])
+        acc = dict(kept)
+        acc.update((form, e + 1) for form, e, _ in moving)
+        return RationalFunction._make(num, _sorted_forms(acc))
 
     def subs_offsets(self, offsets: Mapping[Var, Fraction]) -> "RationalFunction":
         # affine substitution is a ring automorphism fixing leading terms,
         # so reducedness and the monic denominator survive untouched
-        return RationalFunction._raw(
-            self.num.subs_offsets(offsets), self.den.subs_offsets(offsets)
+        num = self.num.subs_offsets(offsets)
+        if self.forms is None:
+            return RationalFunction._expanded(num, self.den.subs_offsets(offsets))
+        return RationalFunction._make(
+            num, _sorted_forms({form.subs_offsets(offsets): e for form, e in self.forms})
         )
 
     def swap_vars(self, a: Var, b: Var) -> "RationalFunction":
         # an automorphism again, but the leading term may move
-        return RationalFunction._monic(
-            self.num.swap_vars(a, b), self.den.swap_vars(a, b)
-        )
+        num = self.num.swap_vars(a, b)
+        if self.forms is None:
+            return RationalFunction._monic(num, self.den.swap_vars(a, b))
+        acc = {}
+        unit = _ONE
+        for form, e in self.forms:
+            lc, form = _monic_form(form.swap_vars(a, b))
+            acc[form] = e
+            unit *= lc**e
+        return RationalFunction._make(num.scale(_ONE / unit), _sorted_forms(acc))
 
     def variables(self) -> list[Var]:
         return sorted(set(self.num.variables()) | set(self.den.variables()))
@@ -243,20 +487,31 @@ def linear_valuation(p: Polynomial, lin: Polynomial) -> tuple[int, Polynomial]:
 
 
 def divide_by_linear(f: RationalFunction, lin: Polynomial) -> RationalFunction:
-    """f / lin for a monic linear (hence irreducible) polynomial lin."""
+    """f / lin for a linear polynomial lin."""
     if f.is_zero():
         return f
-    q = divexact(f.num, lin)
+    if f.forms is None:
+        return f * RationalFunction(Polynomial.one(), lin)
+    lc, form = _monic_form(lin)
+    num = f.num.scale(_ONE / lc)
+    q = _quotient(num, form)
     if q is not None:
-        return RationalFunction._raw(q, f.den)
-    return RationalFunction._raw(f.num, f.den * lin)
+        return RationalFunction._make(q, f.forms)
+    acc = dict(f.forms)
+    acc[form] = acc.get(form, 0) + 1
+    return RationalFunction._make(num, _sorted_forms(acc))
 
 
 def multiply_by_linear(f: RationalFunction, lin: Polynomial) -> RationalFunction:
-    """f * lin for a monic linear polynomial lin."""
+    """f * lin for a linear polynomial lin."""
     if f.is_zero():
         return f
-    q = divexact(f.den, lin)
-    if q is not None:
-        return RationalFunction._raw(f.num, q)
-    return RationalFunction._raw(f.num * lin, f.den)
+    if f.forms is None:
+        return f * RationalFunction.from_poly(lin)
+    lc, form = _monic_form(lin)
+    forms = f.forms
+    for idx, (listed, e) in enumerate(forms):
+        if listed == form:
+            left = ((form, e - 1),) if e > 1 else ()
+            return RationalFunction._make(f.num.scale(lc), forms[:idx] + left + forms[idx + 1:])
+    return RationalFunction._make(f.num * lin, forms)

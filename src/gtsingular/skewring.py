@@ -110,6 +110,6 @@ def is_at_most_one_singular(
     for h in a.terms.values():
         g = multiply_by_linear(h, ctx.z1_poly)
         for coords in check_points:
-            if g.den.evaluate(coords) == 0:
+            if g.den_value(coords) == 0:
                 return False
     return True

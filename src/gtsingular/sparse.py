@@ -110,12 +110,18 @@ class SparseSum:
             return self
         return self._raw({key: q * c for key, q in self.terms.items()})
 
+    @staticmethod
+    def _sort_key(key):
+        """The order of support() and sorted_items(); labels sort by their
+        `sort_key()`."""
+        return key.sort_key()
+
     def support(self) -> list:
-        """Keys in `sort_key()` order."""
-        return sorted(self.terms, key=lambda key: key.sort_key())
+        return sorted(self.terms, key=self._sort_key)
 
     def sorted_items(self) -> list[tuple]:
-        return sorted(self.terms.items(), key=lambda t: t[0].sort_key())
+        order = self._sort_key
+        return sorted(self.terms.items(), key=lambda t: order(t[0]))
 
 
 class BasisVec(NamedTuple):

@@ -32,7 +32,7 @@ def poly_text(p: Polynomial) -> str:
     if p.is_zero():
         return "0"
     chunks: list[str] = []
-    for m, c in p.sorted_terms():
+    for m, c in p.sorted_items():
         if not m:
             body = frac_text(abs(c))
         elif abs(c) == 1:

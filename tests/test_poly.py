@@ -95,7 +95,8 @@ def test_mono_key_total_order():
         sample = rng.sample(monos, rng.randint(1, 12))
         p = Polynomial({m: Fraction(1) for m in sample})
         by_heap = sorted(sample, key=poly._heap_key)
-        assert [m for m, _ in p.sorted_terms()] == by_heap
+        assert [m for m, _ in p.sorted_items()] == by_heap
+        assert p.support() == by_heap
         assert p.leading_monomial() == by_heap[0]
 
 
@@ -266,6 +267,31 @@ def test_divexact_cancelled_monomial_reappears(monkeypatch):
     f_int, g_int = poly._to_int_terms(q * g)[0], poly._to_int_terms(g)[0]
     assert poly._int_divexact(f_int, g_int) == poly._to_int_terms(q)[0]
     assert stale in popped
+
+
+def test_support_uses_print_order():
+    """Polynomials list their monomials the way poly_text prints them."""
+    p = X21 + Polynomial.one()
+    assert p.support() == [(((2, 1), 1),), ()]
+    assert p.sorted_items() == [((((2, 1), 1),), Fraction(1)), ((), Fraction(1))]
+    assert repr(p) == "x[2][1] + 1"
+
+
+def test_heu_gcd_skips_certifying_a_constant(monkeypatch):
+    """A coprime pair lifts to the candidate 1, which divides everything:
+    no certifying division runs."""
+    calls = []
+    divide = poly._int_divexact
+
+    def counting(f, g):
+        calls.append(g)
+        return divide(f, g)
+
+    monkeypatch.setattr(poly, "_int_divexact", counting)
+    f = X11 * X21 + X22 + Polynomial.one()
+    g = X11 * X22 - X21 * X21 + Polynomial.constant(3)
+    assert poly_gcd(f, g) == Polynomial.one()
+    assert calls == []
 
 
 def test_gcd_of_coprime_is_constant():
