@@ -205,6 +205,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.suite and args.suite_flag:
+        raise UsageError("give the suite once, positionally or by --suite")
     cfg = _config(args)
     suite = args.suite or args.suite_flag
     if not suite:

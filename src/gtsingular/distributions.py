@@ -21,12 +21,8 @@ from typing import Iterable
 
 from .gtformulas import GeneratorId, convention, multiply, phi_general
 from .poly import Polynomial, divexact
-from .ratfun import RationalFunction, multiply_by_linear
-from .skewring import (
-    RingElement,
-    is_at_most_one_singular,
-    is_tau_invariant,
-)
+from .ratfun import PoleError, RationalFunction, multiply_by_linear
+from .skewring import RingElement, is_tau_invariant
 from .sparse import BasisVec, QVector, add_term
 from .tableau import (
     Point,
@@ -105,13 +101,17 @@ def evaluate_at_v(ctx: SingularContext, a: RingElement) -> DistVector:
     """Expand ev_v o A in the distribution basis, term by term."""
     if not is_tau_invariant(ctx, a):
         raise MembershipError("ring element is not invariant under the transposition")
-    if not is_at_most_one_singular(ctx, a):
-        raise MembershipError("ring element has a higher-order pole at the base point")
     v = ctx.v.coords
     terms: list[tuple[str, Shift, Fraction]] = []
     for sigma, h in a.terms.items():
         g = multiply_by_linear(h, ctx.z1_poly)
-        d2 = g.evaluate(v)
+        try:
+            d2 = g.evaluate(v)
+        except PoleError as exc:
+            # z1*h has a pole at v: h is more than simply singular there
+            raise MembershipError(
+                "ring element has a higher-order pole at the base point"
+            ) from exc
         d1 = ctx.partial_z1(g).evaluate(v)
         if d2:
             terms.append(("D2", sigma, d2))

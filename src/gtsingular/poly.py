@@ -434,114 +434,16 @@ def _content_in_var(d: IntTerms, var: Var) -> IntTerms:
 
 
 def _positive_primitive(d: IntTerms) -> IntTerms:
-    if not d:
-        return d
     c = _int_content(d)
     if d[max(d, key=mono_key)] < 0:
         c = -c
     return _int_scale_div(d, c)
 
 
-class _HeuristicFailed(Exception):
-    pass
-
-
-def _max_norm(d: IntTerms) -> int:
-    return max(abs(c) for c in d.values())
-
-
-def _int_eval_var(d: IntTerms, var: Var, xi: int) -> IntTerms:
-    out: IntTerms = {}
-    for m, c in d.items():
-        e, rest = _mono_strip(m, var)
-        s = out.get(rest, 0) + c * xi**e
-        if s:
-            out[rest] = s
-        else:
-            out.pop(rest, None)
-    return out
-
-
-def _heu_gcd(f: IntTerms, g: IntTerms, depth: int = 0) -> IntTerms:
-    """Heuristic gcd: evaluate one variable at a huge integer, take the gcd
-    one level down, lift it back from the xi-adic digits, and certify by
-    exact division.  Raises when the lift keeps failing."""
-    if depth > 12:
-        raise _HeuristicFailed
-    ci = _igcd(_int_content(f), _int_content(g))
-    common = _common_vars(f, g)
-    if not common:
-        return {(): ci}
-    var = min(common, key=lambda v: min(_int_deg(f, v), _int_deg(g, v)))
-    xi = 2 * min(_max_norm(f), _max_norm(g)) + 29
-    for _ in range(6):
-        fe = _int_eval_var(f, var, xi)
-        ge = _int_eval_var(g, var, xi)
-        if fe and ge:
-            try:
-                h_val = _heu_gcd(fe, ge, depth + 1)
-            except _HeuristicFailed:
-                h_val = None
-            if h_val is not None:
-                # xi-adic lift with balanced digits
-                h: IntTerms = {}
-                u = h_val
-                e = 0
-                while u:
-                    digit: IntTerms = {}
-                    nxt: IntTerms = {}
-                    for m, c in u.items():
-                        r = c % xi
-                        if r > xi // 2:
-                            r -= xi
-                        if r:
-                            digit[m] = r
-                        q = (c - r) // xi
-                        if q:
-                            nxt[m] = q
-                    for m, c in digit.items():
-                        h[mono_mul(m, ((var, e),) if e else ())] = c
-                    u = nxt
-                    e += 1
-                if h:
-                    h = _positive_primitive(h)
-                    # division by the constant 1 needs no certificate
-                    if h == {(): 1} or (
-                        _int_divexact(f, h) is not None and _int_divexact(g, h) is not None
-                    ):
-                        # Below the top level, integer content can be the
-                        # image of a factor in an evaluated variable.
-                        return {m: c * ci for m, c in h.items()}
-        xi = xi * 73794 // 27011 + 17
-    raise _HeuristicFailed
-
-
-def _prs_gcd(f: IntTerms, g: IntTerms) -> IntTerms:
-    """Primitive polynomial remainder sequence; the certified fallback."""
-    common = _common_vars(f, g)
-    if not common or len(f) == 1 or len(g) == 1:
-        return {(): _igcd(_int_content(f), _int_content(g))}
-    var = min(common, key=lambda v: min(_int_deg(f, v), _int_deg(g, v)))
-    cont_f = _content_in_var(f, var)
-    cont_g = _content_in_var(g, var)
-    cont = _int_gcd(cont_f, cont_g)
-    F = _int_divexact_strict(f, cont_f)
-    G = _int_divexact_strict(g, cont_g)
-    if _int_deg(F, var) < _int_deg(G, var):
-        F, G = G, F
-    while True:
-        r = _prem(F, G, var)
-        if not r:
-            pp = _positive_primitive(G)
-            break
-        if _int_deg(r, var) == 0:
-            pp = {(): 1}
-            break
-        F, G = G, _positive_primitive(_int_divexact_strict(r, _content_in_var(r, var)))
-    return _int_mul(pp, cont)
-
-
 def _int_gcd(f: IntTerms, g: IntTerms) -> IntTerms:
+    """gcd of integer term maps with positive lead, by a primitive
+    polynomial remainder sequence (Brown 1971) in the shared variable of
+    least degree; contents in that variable recurse through _int_gcd."""
     if not f:
         return _positive_primitive(dict(g))
     if not g:
@@ -559,10 +461,24 @@ def _int_gcd(f: IntTerms, g: IntTerms) -> IntTerms:
     common = _common_vars(f, g)
     if not common or len(f) == 1 or len(g) == 1:
         return {mono: ci}
-    try:
-        out = _heu_gcd(f, g)
-    except _HeuristicFailed:
-        out = _prs_gcd(f, g)
+    var = min(common, key=lambda v: min(_int_deg(f, v), _int_deg(g, v)))
+    cont_f = _content_in_var(f, var)
+    cont_g = _content_in_var(g, var)
+    cont = _int_gcd(cont_f, cont_g)
+    F = _int_divexact_strict(f, cont_f)
+    G = _int_divexact_strict(g, cont_g)
+    if _int_deg(F, var) < _int_deg(G, var):
+        F, G = G, F
+    while True:
+        r = _prem(F, G, var)
+        if not r:
+            pp = _positive_primitive(G)
+            break
+        if _int_deg(r, var) == 0:
+            pp = {(): 1}
+            break
+        F, G = G, _positive_primitive(_int_divexact_strict(r, _content_in_var(r, var)))
+    out = _int_mul(pp, cont)
     if mono:
         out = {mono_mul(m, mono): c for m, c in out.items()}
     return {m: c * ci for m, c in out.items()}

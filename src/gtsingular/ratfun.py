@@ -15,10 +15,12 @@ nonzero residue proves the form does not divide.  Only a zero residue (or
 a coefficient denominator the prime divides) runs the exact `divexact`, so
 no probabilistic answer reaches a canonical form.
 
-A denominator of unknown factorization (`forms` is None) is kept expanded
-and reduced with `poly_gcd`.  It arises only from the reciprocal of a
-non-linear numerator, or from RationalFunction(num, den) with a non-linear
-den; any operation with such an operand takes the same gcd path.  A result
+A denominator of unknown factorization (`forms` is None) is kept expanded.
+It arises only from the reciprocal of a non-linear numerator, or from
+RationalFunction(num, den) with a non-linear den.  The constructor reduces
+it with `poly_gcd`, a primitive polynomial remainder sequence, and is the
+one place a gcd runs: a sum or product with such an operand is built
+unreduced (n1*d2 + n2*d1 or n1*n2 over d1*d2) and handed to it.  A result
 whose reduced denominator has degree at most 1 returns to the forms path.
 """
 
@@ -270,7 +272,8 @@ class RationalFunction:
             return self
         f1, f2 = self.forms, other.forms
         if f1 is None or f2 is None:
-            return self._add_expanded(other)
+            d1, d2 = self.den, other.den
+            return RationalFunction(self.num * d2 + other.num * d1, d1 * d2)
         if f1 == f2:
             num = self.num + other.num
             if num.is_zero():
@@ -296,30 +299,6 @@ class RationalFunction:
             lcm.update(kept)
         return RationalFunction._make(num, _sorted_forms(lcm))
 
-    def _add_expanded(self, other: "RationalFunction") -> "RationalFunction":
-        d1, d2 = self.den, other.den
-        if d1 == d2:
-            num = self.num + other.num
-            common = d1
-            a = b = Polynomial.one()
-        else:
-            g = poly_gcd(d1, d2)
-            if g.is_constant():
-                num = self.num * d2 + other.num * d1
-                return RationalFunction._monic(num, d1 * d2)
-            a = divexact(d1, g)
-            b = divexact(d2, g)
-            num = self.num * b + other.num * a
-            common = g
-        if num.is_zero():
-            return RationalFunction.zero()
-        # num is coprime to a and b; only the shared factor can cancel
-        g2 = poly_gcd(num, common)
-        if not g2.is_constant():
-            num = divexact(num, g2)
-            common = divexact(common, g2)
-        return RationalFunction._monic(num, common * a * b)
-
     def __sub__(self, other: "RationalFunction") -> "RationalFunction":
         if not isinstance(other, RationalFunction):
             return NotImplemented
@@ -332,7 +311,7 @@ class RationalFunction:
             return RationalFunction.zero()
         f1, f2 = self.forms, other.forms
         if f1 is None or f2 is None:
-            return self._mul_expanded(other)
+            return RationalFunction(self.num * other.num, self.den * other.den)
         # each side is reduced, so n1 can only cancel against f2, n2 against f1
         n1, f2 = _cancel(self.num, f2)
         n2, f1 = _cancel(other.num, f1)
@@ -344,19 +323,6 @@ class RationalFunction:
                 acc[form] = acc.get(form, 0) + e
             forms = _sorted_forms(acc)
         return RationalFunction._make(n1 * n2, forms)
-
-    def _mul_expanded(self, other: "RationalFunction") -> "RationalFunction":
-        n1, d1 = self.num, self.den
-        n2, d2 = other.num, other.den
-        g1 = poly_gcd(n1, d2)
-        if not g1.is_constant():
-            n1 = divexact(n1, g1)
-            d2 = divexact(d2, g1)
-        g2 = poly_gcd(n2, d1)
-        if not g2.is_constant():
-            n2 = divexact(n2, g2)
-            d1 = divexact(d1, g2)
-        return RationalFunction._monic(n1 * n2, d1 * d2)
 
     def reciprocal(self) -> "RationalFunction":
         if self.is_zero():

@@ -125,6 +125,9 @@ def test_verify_exit_codes(tmp_path, capsys):
         ("--singular", "9,9,9", "--n", "2", "homomorphism"),
         ("--point", str(p3), "--n", "2", "homomorphism"),
         ("--point", str(p3), "ring"),
+        # a suite named twice is ambiguous, never silently one of the two
+        ("--n", "2", "homomorphism", "--suite", "ring"),
+        ("--n", "2", "ring", "--suite", "ring"),
     ):
         code, out, err = run(capsys, "verify", *argv)
         assert code == 2 and out == "" and len(err.splitlines()) == 1
