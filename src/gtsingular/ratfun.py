@@ -15,13 +15,18 @@ nonzero residue proves the form does not divide.  Only a zero residue (or
 a coefficient denominator the prime divides) runs the exact `divexact`, so
 no probabilistic answer reaches a canonical form.
 
-A denominator of unknown factorization (`forms` is None) is kept expanded.
-It arises only from the reciprocal of a non-linear numerator, or from
-RationalFunction(num, den) with a non-linear den.  The constructor reduces
-it with `poly_gcd`, a primitive polynomial remainder sequence, and is the
-one place a gcd runs: a sum or product with such an operand is built
-unreduced (n1*d2 + n2*d1 or n1*n2 over d1*d2) and handed to it.  A result
-whose reduced denominator has degree at most 1 returns to the forms path.
+The constructor RationalFunction(num, den) is the one normaliser: every
+pair not already known to be reduced goes through it.  A constant or linear
+den goes to the forms path.  Any other den has unknown factorization; the
+constructor reduces it with `poly_gcd`, a primitive polynomial remainder
+sequence, and this is the one place a gcd runs.  If the reduced den has
+degree at most 1 it returns to the forms path; otherwise it is stored
+monic and expanded (`forms` is None).  Such a denominator arises only from
+the reciprocal of a non-linear numerator, or from a non-linear den given
+explicitly.  Every operation on such an operand builds its result
+unreduced and hands it to the constructor: sums (n1*d2 + n2*d1 over d1*d2),
+products, reciprocals (den over num), powers, affine substitutions and
+transpositions.  Results on the forms path are built directly.
 """
 
 from __future__ import annotations
@@ -140,27 +145,25 @@ def _monic_form(p: Polynomial) -> tuple[Fraction, Polynomial]:
 class RationalFunction:
     __slots__ = ("num", "forms", "_den", "_hash")
 
-    def __init__(self, num: Polynomial, den: Polynomial | None = None):
-        if den is None:
-            den = Polynomial.one()
+    def __init__(self, num: Polynomial, den: Polynomial):
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        self._hash = None
+        self._hash = self._den = None
         if num.is_zero():
-            self.num, self.forms, self._den = Polynomial.zero(), (), None
-        elif den.is_constant():
-            self.num, self.forms, self._den = num.scale(_ONE / den.constant_value()), (), None
+            self.num, self.forms = Polynomial.zero(), ()
+            return
+        if not (den.is_constant() or _is_linear(den)):
+            g = poly_gcd(num, den)
+            if not g.is_constant():
+                num, den = divexact(num, g), divexact(den, g)
+        if den.is_constant():
+            self.num, self.forms = num.scale(_ONE / den.constant_value()), ()
         elif _is_linear(den):
             lc, form = _monic_form(den)
             self.num, self.forms = _cancel(num.scale(_ONE / lc), ((form, 1),))
-            self._den = None
         else:
-            g = poly_gcd(num, den)
-            if not g.is_constant():
-                num = divexact(num, g)
-                den = divexact(den, g)
-            f = RationalFunction._monic(num, den)
-            self.num, self.forms, self._den = f.num, f.forms, f._den
+            inv = _ONE / den.leading_coeff()
+            self.num, self.forms, self._den = num.scale(inv), None, den.scale(inv)
 
     @classmethod
     def _make(cls, num: Polynomial, forms: Forms) -> "RationalFunction":
@@ -171,29 +174,6 @@ class RationalFunction:
         f._den = None
         f._hash = None
         return f
-
-    @classmethod
-    def _expanded(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
-        # internal: num and den coprime, den monic
-        if _is_linear(den):
-            return cls._make(num, ((den, 1),))
-        if den.is_constant():
-            return cls._make(num, ())
-        f = cls._make(num, None)
-        f._den = den
-        return f
-
-    @classmethod
-    def _monic(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
-        # internal: num and den coprime
-        if num.is_zero():
-            return cls.zero()
-        lc = den.leading_coeff()
-        if lc != 1:
-            inv = _ONE / lc
-            num = num.scale(inv)
-            den = den.scale(inv)
-        return cls._expanded(num, den)
 
     @classmethod
     def from_poly(cls, p: Polynomial) -> "RationalFunction":
@@ -327,14 +307,7 @@ class RationalFunction:
     def reciprocal(self) -> "RationalFunction":
         if self.is_zero():
             raise ZeroDivisionError("division by the zero function")
-        num = self.num
-        if num.is_constant():
-            return RationalFunction._make(self.den.scale(_ONE / num.constant_value()), ())
-        if _is_linear(num):
-            # num is coprime to den, so the new form does not divide it
-            lc, form = _monic_form(num)
-            return RationalFunction._make(self.den.scale(_ONE / lc), ((form, 1),))
-        return RationalFunction._monic(self.den, num)
+        return RationalFunction(self.den, self.num)
 
     def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
         if not isinstance(other, RationalFunction):
@@ -344,11 +317,11 @@ class RationalFunction:
     def __pow__(self, e: int) -> "RationalFunction":
         if e < 0:
             return self.reciprocal() ** (-e)
-        # num and den stay coprime under powers
         if self.forms is None:
-            return RationalFunction._monic(self.num**e, self.den**e)
+            return RationalFunction(self.num**e, self.den**e)
         if e == 0:
             return RationalFunction.one()
+        # num and the forms stay coprime under powers
         return RationalFunction._make(self.num**e, tuple((form, m * e) for form, m in self.forms))
 
     def scale(self, c) -> "RationalFunction":
@@ -404,20 +377,20 @@ class RationalFunction:
         return RationalFunction._make(num, _sorted_forms(acc))
 
     def subs_offsets(self, offsets: Mapping[Var, Fraction]) -> "RationalFunction":
-        # affine substitution is a ring automorphism fixing leading terms,
-        # so reducedness and the monic denominator survive untouched
         num = self.num.subs_offsets(offsets)
         if self.forms is None:
-            return RationalFunction._expanded(num, self.den.subs_offsets(offsets))
+            return RationalFunction(num, self.den.subs_offsets(offsets))
+        # affine substitution is a ring automorphism fixing leading terms,
+        # so reducedness and the monic forms survive untouched
         return RationalFunction._make(
             num, _sorted_forms({form.subs_offsets(offsets): e for form, e in self.forms})
         )
 
     def swap_vars(self, a: Var, b: Var) -> "RationalFunction":
-        # an automorphism again, but the leading term may move
         num = self.num.swap_vars(a, b)
         if self.forms is None:
-            return RationalFunction._monic(num, self.den.swap_vars(a, b))
+            return RationalFunction(num, self.den.swap_vars(a, b))
+        # an automorphism again, but the leading term of a form may move
         acc = {}
         unit = _ONE
         for form, e in self.forms:
@@ -433,23 +406,6 @@ class RationalFunction:
         from .textform import rf_text
 
         return rf_text(self)
-
-
-def linear_valuation(p: Polynomial, lin: Polynomial) -> tuple[int, Polynomial]:
-    """Multiplicity of the linear factor lin in p, plus the cofactor.
-
-    Returns (0, p) when lin does not divide p; valuation of the zero
-    polynomial is reported as 0 with cofactor 0.
-    """
-    if p.is_zero():
-        return 0, p
-    val = 0
-    while True:
-        q = divexact(p, lin)
-        if q is None:
-            return val, p
-        val += 1
-        p = q
 
 
 def divide_by_linear(f: RationalFunction, lin: Polynomial) -> RationalFunction:

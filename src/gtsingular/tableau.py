@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, TypeVar
 
 from .poly import Polynomial, Var, check_var
-from .ratfun import RationalFunction, divide_by_linear, linear_valuation
+from .ratfun import RationalFunction
 
 RF = TypeVar("RF", Polynomial, RationalFunction)
 
@@ -291,12 +291,6 @@ class SingularContext:
     def partial_z1(self, f: RationalFunction) -> RationalFunction:
         """Directional derivative along z1 = X(k,i) - X(k,j)."""
         return (f.derivative(self.pos_i) - f.derivative(self.pos_j)).scale(Fraction(1, 2))
-
-    def divide_by_z1(self, f: RationalFunction) -> tuple[RationalFunction, int]:
-        """(f / z1, z1-adic valuation of f along z1 = 0)."""
-        val_num, _ = linear_valuation(f.num, self.z1_poly)
-        val_den, _ = linear_valuation(f.den, self.z1_poly)
-        return divide_by_linear(f, self.z1_poly), val_num - val_den
 
     def orbit_point(self, sigma: Shift) -> Point:
         return apply_shift(sigma, self.v)

@@ -72,6 +72,18 @@ def test_act_usage_errors(capsys):
     for basis in ("D1:(0,1)+1", "D1:(2,3)+1"):
         code, _, err = run(capsys, "act", "--gen", "1,1", "--basis", basis)
         assert code == 2 and len(err.splitlines()) == 1 and "position" in err
+    # a malformed pair, and a bottom-row pair the context rejects
+    for singular in ("2,1", "a,b,c", "3,1,2"):
+        code, out, err = run(capsys, "act", "--singular", singular, "--gen", "1,1", "--basis", "D1:id")
+        assert code == 2 and out == "" and len(err.splitlines()) == 1, singular
+        assert err.startswith("error:"), singular
+
+
+def test_phi_usage_errors(capsys):
+    for argv in (("--n", "3", "--gen", "1,7"), ("--gen", "1"), ("--gen", "a,b")):
+        code, out, err = run(capsys, "phi", *argv)
+        assert code == 2 and out == "" and len(err.splitlines()) == 1, argv
+        assert err.startswith("error:"), argv
 
 
 def test_cli_writes_nothing_to_disk(tmp_path, capsys, monkeypatch):
@@ -128,6 +140,8 @@ def test_verify_exit_codes(tmp_path, capsys):
         # a suite named twice is ambiguous, never silently one of the two
         ("--n", "2", "homomorphism", "--suite", "ring"),
         ("--n", "2", "ring", "--suite", "ring"),
+        # an order-3 point where order 4 is asked for
+        ("--n", "4", "--point", str(p3), "singularity"),
     ):
         code, out, err = run(capsys, "verify", *argv)
         assert code == 2 and out == "" and len(err.splitlines()) == 1

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from gtsingular import gtformulas
 from gtsingular.gtformulas import (
     bracket,
     calibrate_convention,
@@ -222,6 +223,19 @@ def test_diagonal_pair_commutes_both_ways():
 def test_homomorphism_n2():
     report = verify_homomorphism(2)
     assert report["ok"] and report["total"] == 16 and report["passed"] == 16
+
+
+def test_homomorphism_oracle_fails_on_the_other_product(monkeypatch):
+    """With the circ product the oracle reports every failing pair, each
+    with a counterexample, and does not pass."""
+    monkeypatch.setattr(gtformulas, "convention", lambda: "circ")
+    report = verify_homomorphism(2)
+    assert not report["ok"] and report["convention"] == "circ"
+    assert report["total"] == 16 and report["passed"] == 6
+    assert len(report["failures"]) == 10
+    for failure in report["failures"]:
+        assert failure in report["checks"] and failure["equal"] is False
+        assert set(failure["counterexample"]) == {"shift", "coeff"}
 
 
 def test_homomorphism_n3():

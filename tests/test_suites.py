@@ -3,7 +3,9 @@ and samples are derived, and they run at order 4 as they do at order 3."""
 
 from fractions import Fraction
 
-from gtsingular.gtformulas import adjacent_generators, all_generators
+from gtsingular import suites
+from gtsingular.distributions import DistVector, act, act_lie
+from gtsingular.gtformulas import adjacent_generators, all_generators, gl_bracket, phi_combination
 from gtsingular.suites import (
     appendix_sample,
     appendix_suite,
@@ -66,3 +68,25 @@ def test_suites_run_at_order_4():
     # two generators and the default sample: 2 x 2 pairs x 4 vectors
     report = module_suite(ctx, [(2, 3), (3, 2)])
     assert report["ok"] and report["total"] == 16 and report["n"] == 4, report["failures"][:3]
+
+
+def test_module_suite_failure_entries(monkeypatch):
+    """A wrong right-hand side is reported per (pair, basis vector), with
+    both sides in their JSON form."""
+    monkeypatch.setattr(suites, "act", lambda ctx, a, d: act(ctx, a, d).scale(2))
+    ctx = canonical_context()
+    generators = [(1, 2), (2, 1)]
+    report = module_suite(ctx, generators)
+    assert not report["ok"] and report["total"] == 16
+    assert report["failures"] and report["passed"] == 16 - len(report["failures"])
+    vectors = [
+        ([kind, sigma.to_json()], DistVector.from_terms(ctx, [(kind, sigma, Fraction(1))]))
+        for kind, sigma in sample_basis(ctx)
+    ]
+    for failure in report["failures"]:
+        assert set(failure) == {"pair", "basis", "lhs", "rhs"}
+        x, y = (tuple(g) for g in failure["pair"])
+        (d,) = [d for basis, d in vectors if basis == failure["basis"]]
+        lhs = act_lie(ctx, x, act_lie(ctx, y, d)) - act_lie(ctx, y, act_lie(ctx, x, d))
+        rhs = act(ctx, phi_combination(ctx.n, gl_bracket(x, y)), d).scale(2)
+        assert failure["lhs"] == lhs.to_json() and failure["rhs"] == rhs.to_json()

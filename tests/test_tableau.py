@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from gtsingular.poly import Polynomial
-from gtsingular.ratfun import RationalFunction
+from gtsingular.ratfun import RationalFunction, divide_by_linear
 from gtsingular.tableau import (
     Point,
     Shift,
@@ -210,16 +210,11 @@ def test_partial_z1_leibniz_and_tau():
 def test_divide_by_z1():
     ctx = canonical_context()
     z1 = X21 - X22
-    q, val = ctx.divide_by_z1(z1 * z1)
-    assert q == z1 and val == 2
-    q, val = ctx.divide_by_z1(RationalFunction.one())
-    assert q == RationalFunction.one() / z1 and val == 0
-    f = z1 / (z1 - RationalFunction.one())
-    q, val = ctx.divide_by_z1(f)
-    assert q == RationalFunction.one() / (z1 - RationalFunction.one()) and val == 1
-    zz = (z1 - RationalFunction.one()) / z1
-    _, val = ctx.divide_by_z1(zz)
-    assert val == -1
+    one = RationalFunction.one()
+    assert divide_by_linear(z1 * z1, ctx.z1_poly) == z1
+    assert divide_by_linear(one, ctx.z1_poly) == one / z1
+    f = z1 / (z1 - one)
+    assert divide_by_linear(f, ctx.z1_poly) == one / (z1 - one)
 
 
 def test_canonical_point_classifies():
