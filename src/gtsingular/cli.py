@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .distributions import DistVector, act_lie, canonical_basis_vec
 from .gtformulas import phi_general, verify_homomorphism
+from .poly import MAX_ORDER
 from .suites import appendix_suite, module_suite, ring_suite, singularity_suite
 from .tableau import (
     Point,
@@ -137,9 +138,13 @@ def _config(args) -> RunConfig:
     if getattr(args, "n", None) is not None:
         if args.n < 1:
             raise UsageError(f"order must be at least 1, got {args.n}")
+        if args.n > MAX_ORDER:
+            raise UsageError(f"order must be at most {MAX_ORDER}, got {args.n}")
         cfg.n = args.n
     if getattr(args, "point", None):
         cfg.point = _load_point(args.point)
+        if cfg.point.n > MAX_ORDER:
+            raise UsageError(f"point has order {cfg.point.n}; the order must be at most {MAX_ORDER}")
         cfg.n = cfg.point.n if getattr(args, "n", None) is None else cfg.n
     if getattr(args, "singular", None):
         cfg.singular = parse_singular(args.singular)

@@ -1,33 +1,60 @@
 """Sparse multivariate polynomials over exact rationals.
 
-Variables are tableau positions (row, col) with 1 <= col <= row; a monomial
-is a sorted tuple of ((row, col), exponent) pairs with positive exponents.
-The monomial order is graded lexicographic, with variables ordered by
-(row, col) and earlier positions ranked higher.  Canonical form (no zero
-coefficients, sorted monomial tuples) makes structural equality coincide
-with mathematical equality.
+Variables are tableau positions (row, col) with 1 <= col <= row <= MAX_ORDER.
+A monomial is one packed integer: a 16-bit exponent field per position,
+(1,1) in the most significant field, then (2,1), (2,2), (3,1) and so on,
+and the total degree in an unbounded field above them all (packed exponent
+vectors: Monagan & Pearce, CASC 2007).  The monomial order is graded
+lexicographic with earlier positions ranked higher, and with this layout it
+is exactly integer comparison.  A product of monomials is one integer
+addition.  Every monomial has total degree below 2^15, so the top bit of
+each field is a free guard bit: b divides a exactly when (a | G) - b keeps
+every guard bit of G set, and one subtraction tests and divides at once.
+A product that would reach degree 2^15 raises ValueError instead of
+wrapping into the next field.  `Polynomial(mapping)` and `Polynomial.term`
+take monomials as ((row, col), exponent) pairs and pack them; `mono_pairs`
+unpacks one.  Canonical form (no zero coefficients) makes structural
+equality coincide with mathematical equality.
 
 Multiplication clears denominators once, accumulates integer products and
 builds one Fraction per output term.  There is one exact-division routine,
 for Fraction and integer coefficients alike: it takes the remainder's
-leading term from a heap instead of rescanning the remainder.
+leading term from a heap instead of rescanning the remainder.  There is
+one evaluation kernel, `_int_eval`: integer numerators over one common
+denominator, each term homogenized to the top degree, one Fraction at the
+end; the residue test of `ratfun` runs the same kernel at integer
+coordinates and reduces modulo a prime.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import comb, gcd as _igcd
-from operator import truediv
-from typing import Mapping
+from math import comb, gcd as _igcd, lcm as _ilcm
+from operator import neg, truediv
+from typing import Iterable, Mapping
 
 from .sparse import SparseSum, add_term
 
 Var = tuple[int, int]
-Monomial = tuple[tuple[Var, int], ...]
+Monomial = int
+
+MAX_ORDER = 12
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+_POSITIONS = [(k, i) for k in range(1, MAX_ORDER + 1) for i in range(1, k + 1)]
+_FIELD_BITS = 16
+_FIELD = (1 << _FIELD_BITS) - 1
+# position -> bit offset of its exponent field; (1,1) sits highest
+_SHIFT = {v: _FIELD_BITS * (len(_POSITIONS) - 1 - idx) for idx, v in enumerate(_POSITIONS)}
+_VAR_AT = {s: v for v, s in _SHIFT.items()}
+_DEG_SHIFT = _FIELD_BITS * len(_POSITIONS)
+_DEG_ONE = 1 << _DEG_SHIFT
+_EXP_MASK = _DEG_ONE - 1
+_DEG_LIMIT = 1 << (_FIELD_BITS - 1)
+_GUARD = sum(_DEG_LIMIT << s for s in _SHIFT.values())
 
 
 def check_var(v: Var, n: int | None = None) -> Var:
@@ -39,87 +66,112 @@ def check_var(v: Var, n: int | None = None) -> Var:
     return v
 
 
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
-    out = dict(a)
-    for v, e in b:
-        out[v] = out.get(v, 0) + e
-    return tuple(sorted(out.items()))
+# position -> the monomial x_v: one exponent and one degree
+_VAR_MONO = {v: (1 << s) | _DEG_ONE for v, s in _SHIFT.items()}
 
 
-def mono_div(a: Monomial, b: Monomial) -> Monomial | None:
-    """a / b, or None when some exponent would go negative."""
-    out = dict(a)
-    for v, e in b:
-        r = out.get(v, 0) - e
-        if r < 0:
-            return None
-        if r == 0:
-            out.pop(v, None)
-        else:
-            out[v] = r
-    return tuple(sorted(out.items()))
+def _var_mono(v: Var) -> Monomial:
+    m = _VAR_MONO.get(v)
+    if m is None:
+        check_var(v, MAX_ORDER)  # raises: every valid position is listed
+    return m
+
+
+def mono_pack(pairs: Iterable[tuple[Var, int]]) -> Monomial:
+    """The packed monomial of ((row, col), exponent) pairs."""
+    m = 0
+    for v, e in pairs:
+        if e < 0:
+            raise ValueError(f"negative exponent {e} of {v!r}")
+        m += e * _var_mono(v)
+    if m >> _DEG_SHIFT >= _DEG_LIMIT:
+        raise ValueError(f"monomial degree {m >> _DEG_SHIFT} exceeds {_DEG_LIMIT - 1}")
+    return m
+
+
+def _fields(m: Monomial) -> list[tuple[int, int]]:
+    """(bit offset, exponent) of the nonzero exponent fields of m, lowest
+    field (latest position) first."""
+    out = []
+    m &= _EXP_MASK
+    while m:
+        s = ((m & -m).bit_length() - 1) & ~(_FIELD_BITS - 1)
+        e = (m >> s) & _FIELD
+        out.append((s, e))
+        m ^= e << s
+    return out
+
+
+def mono_pairs(m: Monomial) -> tuple[tuple[Var, int], ...]:
+    """The ((row, col), exponent) pairs of m, positions ascending."""
+    return tuple((_VAR_AT[s], e) for s, e in reversed(_fields(m)))
 
 
 def mono_degree(m: Monomial) -> int:
-    return sum(e for _, e in m)
+    return m >> _DEG_SHIFT
 
 
-def mono_key(m: Monomial):
-    """Sort key realizing the graded-lex order (larger key = larger monomial)."""
-    return (mono_degree(m), tuple(((-v[0], -v[1]), e) for v, e in m))
+def _lead_field(m: Monomial) -> int:
+    """Bit offset of the field of m's earliest variable."""
+    return ((m & _EXP_MASK).bit_length() - 1) & -_FIELD_BITS
 
 
-def _heap_key(m: Monomial):
-    """The exact reverse of mono_key: the larger monomial has the smaller key.
-    At equal degree no monomial's pairs are a prefix of another's, so
-    negating the exponents reverses the tie-break on the first difference."""
-    return (-mono_degree(m), tuple((v, -e) for v, e in m))
+def mono_div(a: Monomial, b: Monomial) -> Monomial | None:
+    """a / b, or None when some exponent would go negative.  Each field of
+    a | G is at least 2^15 > b's exponent, so no borrow crosses a field and
+    a field's guard bit survives exactly when a's exponent is at least b's."""
+    t = (a | _GUARD) - b
+    return t ^ _GUARD if t & _GUARD == _GUARD else None
+
+
+def _vars_of(d: Iterable[Monomial]) -> list[Var]:
+    """Positions whose exponent is nonzero in some monomial, ascending."""
+    acc = 0
+    for m in d:
+        acc |= m
+    # an OR of fields is nonzero exactly where some exponent is
+    return [_VAR_AT[s] for s, _ in reversed(_fields(acc))]
 
 
 class Polynomial(SparseSum):
-    """Immutable sparse polynomial; term map monomial -> nonzero Fraction."""
+    """Immutable sparse polynomial; term map packed monomial -> nonzero
+    Fraction."""
 
     __slots__ = ()
 
     # support() and sorted_items() list monomials in descending graded-lex
     # order, the canonical print order
-    _sort_key = staticmethod(_heap_key)
+    _sort_key = staticmethod(neg)
 
-    def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
-        super().__init__(
-            (tuple(sorted((v, e) for v, e in m if e)), Fraction(c))
-            for m, c in (terms or {}).items()
-        )
+    def __init__(self, terms: Mapping[tuple[tuple[Var, int], ...], Fraction] | None = None):
+        super().__init__((mono_pack(m), Fraction(c)) for m, c in (terms or {}).items())
 
     @classmethod
     def one(cls) -> "Polynomial":
-        return cls._raw({(): _ONE})
+        return cls._raw({0: _ONE})
 
     @classmethod
     def constant(cls, c) -> "Polynomial":
         c = Fraction(c)
-        return cls._raw({(): c} if c else {})
+        return cls._raw({0: c} if c else {})
 
     @classmethod
     def variable(cls, k: int, i: int) -> "Polynomial":
-        check_var((k, i))
-        return cls._raw({(((k, i), 1),): _ONE})
+        return cls._raw({_var_mono((k, i)): _ONE})
 
     @classmethod
-    def term(cls, mono: Monomial, coeff) -> "Polynomial":
-        return cls({mono: Fraction(coeff)})
+    def term(cls, mono: tuple[tuple[Var, int], ...], coeff) -> "Polynomial":
+        c = Fraction(coeff)
+        m = mono_pack(mono)
+        return cls._raw({m: c} if c else {})
 
     def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and () in self.terms)
+        return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return self.terms.get((), _ZERO)
+        return self.terms.get(0, _ZERO)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -132,7 +184,7 @@ class Polynomial(SparseSum):
             big, small = small, big
         den = big_den * small_den
         # one Fraction per output term; the integer sums are exact
-        return Polynomial._raw({m: Fraction(c, den) for m, c in _int_mul(small, big).items()})
+        return _from_int_terms(_int_mul(small, big), den)
 
     def __pow__(self, e: int) -> "Polynomial":
         if e < 0:
@@ -148,81 +200,79 @@ class Polynomial(SparseSum):
         return result
 
     def variables(self) -> list[Var]:
-        vs: set[Var] = set()
-        for m in self.terms:
-            for v, _ in m:
-                vs.add(v)
-        return sorted(vs)
+        return _vars_of(self.terms)
 
     def leading_monomial(self) -> Monomial:
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=mono_key)
+        return max(self.terms)
 
     def leading_coeff(self) -> Fraction:
         return self.terms[self.leading_monomial()]
 
     def evaluate(self, coords: Mapping[Var, Fraction]) -> Fraction:
-        total = _ZERO
-        for m, c in self.terms.items():
-            val = c
-            for v, e in m:
-                val *= Fraction(coords[v]) ** e
-            total += val
-        return total
+        if not self.terms:
+            return _ZERO
+        d, den = _to_int_terms(self)
+        xs = {_SHIFT[v]: Fraction(coords[v]) for v in _vars_of(d)}
+        # the coordinates over one common denominator q
+        q = _ilcm(*(x.denominator for x in xs.values()))
+        top = mono_degree(max(d))
+        total = _int_eval(d, {s: x.numerator * (q // x.denominator) for s, x in xs.items()}, q)
+        return Fraction(total, den * q**top)
 
     def derivative(self, var: Var) -> "Polynomial":
+        s = _SHIFT[var]
+        unit = (1 << s) | _DEG_ONE
         out: dict[Monomial, Fraction] = {}
         for m, c in self.terms.items():
-            for idx, (v, e) in enumerate(m):
-                if v == var:
-                    # dividing by var is injective, so no two terms meet
-                    rest = m[:idx] + ((v, e - 1),) + m[idx + 1:] if e > 1 else m[:idx] + m[idx + 1:]
-                    out[rest] = c * e
-                    break
+            e = (m >> s) & _FIELD
+            if e:
+                # dividing by var is injective, so no two terms meet
+                out[m - unit] = c * e
         return Polynomial._raw(out)
 
     def subs_offsets(self, offsets: Mapping[Var, Fraction]) -> "Polynomial":
         """Substitute X_v -> X_v + offsets[v] for every listed variable."""
-        live = {v: Fraction(c) for v, c in offsets.items() if c}
+        live = [(_SHIFT[v], Fraction(c)) for v, c in sorted(offsets.items()) if c]
         if not live:
             return self
-        binomials: dict[tuple[Var, int], dict[Monomial, Fraction]] = {}
-        out: dict[Monomial, Fraction] = {}
-        for m, coeff in self.terms.items():
-            static: list[tuple[Var, int]] = []
-            factors: list[dict[Monomial, Fraction]] = []
-            for v, e in m:
-                c = live.get(v)
-                if c is None:
-                    static.append((v, e))
+        # integer offsets (every shift's) keep the expansion in integers
+        live = [(s, c.numerator if c.denominator == 1 else c) for s, c in live]
+        d, den = _to_int_terms(self)
+        # (s, e) -> the terms of (x + c)^e as (monomial change, coefficient)
+        binomials: dict[tuple[int, int], list[tuple[int, int | Fraction]]] = {}
+        out: dict[Monomial, int | Fraction] = {}
+        for m, coeff in d.items():
+            expanded = {m: coeff}
+            for s, c in live:
+                e = (m >> s) & _FIELD
+                if not e:
                     continue
-                f = binomials.get((v, e))
+                f = binomials.get((s, e))
                 if f is None:
-                    f = {
-                        (((v, j),) if j else ()): Fraction(comb(e, j)) * c ** (e - j)
-                        for j in range(e + 1)
-                    }
-                    binomials[(v, e)] = f
-                factors.append(f)
-            expanded: dict[Monomial, Fraction] = {tuple(static): coeff}
-            for f in factors:
-                nxt: dict[Monomial, Fraction] = {}
+                    unit = (1 << s) | _DEG_ONE
+                    f = binomials[(s, e)] = [
+                        ((j - e) * unit, comb(e, j) * c ** (e - j)) for j in range(e + 1)
+                    ]
+                nxt: dict[Monomial, int | Fraction] = {}
                 for m1, c1 in expanded.items():
-                    for m2, c2 in f.items():
-                        add_term(nxt, mono_mul(m1, m2), c1 * c2)
+                    for dm, c2 in f:
+                        add_term(nxt, m1 + dm, c1 * c2)
                 expanded = nxt
             for mm, cc in expanded.items():
                 add_term(out, mm, cc)
-        return Polynomial._raw(out)
+        return _from_int_terms(out, den)
 
     def swap_vars(self, a: Var, b: Var) -> "Polynomial":
         if a == b:
             return self
+        sa, sb = _SHIFT[a], _SHIFT[b]
         out: dict[Monomial, Fraction] = {}
         for m, c in self.terms.items():
-            mm = tuple(sorted((b if v == a else a if v == b else v, e) for v, e in m))
-            out[mm] = c
+            # move the exponent difference from one field to the other
+            d = ((m >> sb) & _FIELD) - ((m >> sa) & _FIELD)
+            out[m + (d << sa) - (d << sb)] = c
         return Polynomial._raw(out)
 
     def __repr__(self) -> str:
@@ -232,14 +282,14 @@ class Polynomial(SparseSum):
 
 
 # ---------------------------------------------------------------------------
-# Exact division and gcd.  One division loop serves both coefficient kinds:
-# the remainder is a dict whose monomials also sit in a min-heap under
-# _heap_key, so the leading term is a heap pop instead of a rescan (Johnson
-# 1974; Monagan & Pearce 2011).  Cancelled monomials leave stale heap
-# entries that are skipped when popped.  Multiplication clears denominators
-# and accumulates integer products.  The gcd core works on integer-
-# coefficient term maps; it is a primitive polynomial remainder sequence,
-# recursing on the coefficient polynomials for contents.
+# Exact division, evaluation and gcd.  One division loop serves both
+# coefficient kinds: the remainder is a dict whose monomials also sit
+# negated in a min-heap, so the leading term is a heap pop instead of a
+# rescan (Johnson 1974; Monagan & Pearce 2011).  Cancelled monomials leave
+# stale heap entries that are skipped when popped.  Multiplication clears
+# denominators and accumulates integer products.  The gcd core works on
+# integer-coefficient term maps; it is a primitive polynomial remainder
+# sequence, recursing on the coefficient polynomials for contents.
 # ---------------------------------------------------------------------------
 
 
@@ -253,11 +303,11 @@ def _divexact_terms(f: dict, g: dict, coeff_div) -> dict | None:
     coefficient of g, returning None when that leaves a remainder."""
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
-    g_lm = max(g, key=mono_key)
+    g_lm = max(g)
     g_lc = g[g_lm]
     g_items = list(g.items())
     rem = dict(f)
-    heap = [(_heap_key(m), m) for m in rem]
+    heap = [-m for m in rem]
     heapify(heap)
     # A monomial popped from the heap never re-enters the remainder (every
     # later product term is smaller), so one heap entry per monomial is
@@ -265,7 +315,7 @@ def _divexact_terms(f: dict, g: dict, coeff_div) -> dict | None:
     queued = set(rem)
     out: dict = {}
     while rem:
-        lm = heappop(heap)[1]
+        lm = -heappop(heap)
         lc = rem.get(lm)
         if lc is None:
             continue
@@ -277,13 +327,13 @@ def _divexact_terms(f: dict, g: dict, coeff_div) -> dict | None:
             return None
         out[q_mono] = q_c
         for m, c in g_items:
-            mm = mono_mul(m, q_mono)
+            mm = m + q_mono
             s = rem.get(mm, 0) - c * q_c
             if s:
                 rem[mm] = s
                 if mm not in queued:
                     queued.add(mm)
-                    heappush(heap, (_heap_key(mm), mm))
+                    heappush(heap, -mm)
             else:
                 rem.pop(mm, None)
     return out
@@ -308,8 +358,42 @@ def _to_int_terms(p: Polynomial) -> tuple[IntTerms, int]:
     """(d, den) with p = d / den; den is the lcm of the denominators."""
     den = 1
     for c in p.terms.values():
-        den = den * c.denominator // _igcd(den, c.denominator)
+        if den % c.denominator:
+            den = _ilcm(den, c.denominator)
+    if den == 1:
+        return {m: c.numerator for m, c in p.terms.items()}, 1
     return {m: c.numerator * (den // c.denominator) for m, c in p.terms.items()}, den
+
+
+def _from_int_terms(d: IntTerms, den: int) -> Polynomial:
+    """The polynomial d / den, one Fraction per term."""
+    if den == 1:
+        return Polynomial._raw({m: Fraction(c) for m, c in d.items()})
+    return Polynomial._raw({m: Fraction(c, den) for m, c in d.items()})
+
+
+def _int_eval(d: IntTerms, xs: Mapping[int, int], q: int = 1) -> int:
+    """The one evaluation kernel: the sum over the terms c*m of d of
+    c * q^(D - deg m) * prod xs[s]^e, with D the top degree of d and xs
+    mapping each field's bit offset to an integer coordinate.  With
+    coordinates a_v / q this is q^D times the value of d, an exact
+    integer."""
+    top = mono_degree(max(d)) if q != 1 else 0
+    qpow = [q**j for j in range(top + 1)] if top else None
+    total = 0
+    for m, c in d.items():
+        if top:
+            c *= qpow[top - (m >> _DEG_SHIFT)]
+        m &= _EXP_MASK
+        # walk the nonzero fields from the top: the highest set bit names
+        # the field, and shifting down to it leaves just the exponent
+        while m:
+            s = (m.bit_length() - 1) & -_FIELD_BITS
+            e = m >> s
+            m ^= e << s
+            c *= xs[s] if e == 1 else xs[s] ** e
+        total += c
+    return total
 
 
 def _int_content(d: IntTerms) -> int:
@@ -329,10 +413,12 @@ def _int_scale_div(d: IntTerms, k: int) -> IntTerms:
 
 def _int_mul(a: IntTerms, b: IntTerms) -> IntTerms:
     """Product of integer term maps; also the kernel of Polynomial.__mul__."""
+    if mono_degree(max(a) + max(b)) >= _DEG_LIMIT:
+        raise ValueError(f"product degree exceeds {_DEG_LIMIT - 1}")
     out: IntTerms = {}
     for m1, c1 in a.items():
         for m2, c2 in b.items():
-            m = mono_mul(m1, m2)
+            m = m1 + m2
             s = out.get(m, 0) + c1 * c2
             if s:
                 out[m] = s
@@ -352,59 +438,47 @@ def _int_sub(a: IntTerms, b: IntTerms) -> IntTerms:
     return out
 
 
-def _mono_strip(m: Monomial, var: Var) -> tuple[int, Monomial]:
-    for idx, (v, e) in enumerate(m):
-        if v == var:
-            return e, m[:idx] + m[idx + 1:]
-    return 0, m
-
-
 def _coeff_map(d: IntTerms, var: Var) -> dict[int, IntTerms]:
     """View as univariate in var: degree -> coefficient term map."""
+    s = _SHIFT[var]
+    unit = (1 << s) | _DEG_ONE
     out: dict[int, IntTerms] = {}
     for m, c in d.items():
-        e, rest = _mono_strip(m, var)
-        out.setdefault(e, {})[rest] = c
+        e = (m >> s) & _FIELD
+        out.setdefault(e, {})[m - e * unit] = c
     return out
 
 
 def _attach_power(d: IntTerms, var: Var, e: int) -> IntTerms:
     if e == 0:
         return d
-    pw: Monomial = ((var, e),)
-    return {mono_mul(m, pw): c for m, c in d.items()}
+    pw = e * _var_mono(var)
+    return {m + pw: c for m, c in d.items()}
 
 
 def _common_vars(f: IntTerms, g: IntTerms) -> list[Var]:
-    vf = {v for m in f for v, _ in m}
-    vg = {v for m in g for v, _ in m}
-    return sorted(vf & vg)
+    return sorted(set(_vars_of(f)) & set(_vars_of(g)))
 
 
-def _mono_content(d: IntTerms) -> Monomial:
-    """Largest monomial dividing every term."""
-    it = iter(d)
-    common = dict(next(it))
+def _mono_content(monos: Iterable[Monomial]) -> Monomial:
+    """Largest monomial dividing every listed one."""
+    it = iter(monos)
+    common = dict(_fields(next(it)))
     for m in it:
         if not common:
             break
-        md = dict(m)
-        for v in list(common):
-            e = md.get(v, 0)
+        for s in list(common):
+            e = (m >> s) & _FIELD
             if e == 0:
-                del common[v]
-            elif e < common[v]:
-                common[v] = e
-    return tuple(sorted(common.items()))
+                del common[s]
+            elif e < common[s]:
+                common[s] = e
+    return sum(e << s for s, e in common.items()) + sum(common.values()) * _DEG_ONE
 
 
 def _int_deg(d: IntTerms, var: Var) -> int:
-    deg = 0
-    for m in d:
-        for v, e in m:
-            if v == var and e > deg:
-                deg = e
-    return deg
+    s = _SHIFT[var]
+    return max(((m >> s) & _FIELD for m in d), default=0)
 
 
 def _prem(f: IntTerms, g: IntTerms, var: Var) -> IntTerms:
@@ -428,14 +502,14 @@ def _content_in_var(d: IntTerms, var: Var) -> IntTerms:
     cont: IntTerms = {}
     for coeff in cm.values():
         cont = _int_gcd(cont, coeff)
-        if len(cont) == 1 and () in cont and abs(cont[()]) == 1:
+        if len(cont) == 1 and 0 in cont and abs(cont[0]) == 1:
             break
     return cont
 
 
 def _positive_primitive(d: IntTerms) -> IntTerms:
     c = _int_content(d)
-    if d[max(d, key=mono_key)] < 0:
+    if d[max(d)] < 0:
         c = -c
     return _int_scale_div(d, c)
 
@@ -453,11 +527,10 @@ def _int_gcd(f: IntTerms, g: IntTerms) -> IntTerms:
     g = _positive_primitive(g)
     if f == g:
         return {m: c * ci for m, c in f.items()}
-    mf, mg = dict(_mono_content(f)), dict(_mono_content(g))
-    mono: Monomial = tuple(sorted((v, min(e, mg[v])) for v, e in mf.items() if v in mg))
+    mono = _mono_content(f.keys() | g.keys())
     if mono:
-        f = {mono_div(m, mono): c for m, c in f.items()}
-        g = {mono_div(m, mono): c for m, c in g.items()}
+        f = {m - mono: c for m, c in f.items()}
+        g = {m - mono: c for m, c in g.items()}
     common = _common_vars(f, g)
     if not common or len(f) == 1 or len(g) == 1:
         return {mono: ci}
@@ -475,13 +548,11 @@ def _int_gcd(f: IntTerms, g: IntTerms) -> IntTerms:
             pp = _positive_primitive(G)
             break
         if _int_deg(r, var) == 0:
-            pp = {(): 1}
+            pp = {0: 1}
             break
         F, G = G, _positive_primitive(_int_divexact_strict(r, _content_in_var(r, var)))
     out = _int_mul(pp, cont)
-    if mono:
-        out = {mono_mul(m, mono): c for m, c in out.items()}
-    return {m: c * ci for m, c in out.items()}
+    return {m + mono: c * ci for m, c in out.items()}
 
 
 def _int_divexact_strict(f: IntTerms, g: IntTerms) -> IntTerms:

@@ -11,9 +11,11 @@ pairs.  Its expanded product is the same monic `den` as above, built on
 first use.  Linear forms are irreducible, so "reduced" means that no listed
 form divides `num`, and each form is tested on its own: `num` is evaluated
 modulo a prime on the form's zero set at a fixed integer point, and a
-nonzero residue proves the form does not divide.  Only a zero residue (or
-a coefficient denominator the prime divides) runs the exact `divexact`, so
-no probabilistic answer reaches a canonical form.
+nonzero residue proves the form does not divide.  The one integer
+evaluation kernel of `poly` computes the residue, and first solves the
+form for its leading variable.  Only a zero residue (or a coefficient
+denominator the prime divides) runs the exact `divexact`, so no
+probabilistic answer reaches a canonical form.
 
 The constructor RationalFunction(num, den) is the one normaliser: every
 pair not already known to be reduced goes through it.  A constant or linear
@@ -34,7 +36,18 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .poly import Polynomial, Var, divexact, poly_gcd
+from .poly import (
+    _SHIFT,
+    Polynomial,
+    Var,
+    _int_eval,
+    _lead_field,
+    _to_int_terms,
+    divexact,
+    mono_degree,
+    mono_pack,
+    poly_gcd,
+)
 
 _ONE = Fraction(1)
 
@@ -44,16 +57,10 @@ Forms = tuple[tuple[Polynomial, int], ...]
 _P = (1 << 61) - 1
 
 
-class _Coords(dict):
-    """The fixed point of the residue test: position -> integer mod _P."""
-
-    def __missing__(self, v: Var) -> int:
-        k, i = v
-        x = self[v] = pow(3, 1000 * k + i, _P)
-        return x
-
-
-_COORDS = _Coords()
+# The fixed point of the residue test: position (k, i) -> 3^(1000k + i) mod
+# _P, and the same point keyed like the evaluation kernel's coordinates.
+_COORDS = {(k, i): pow(3, 1000 * k + i, _P) for k, i in _SHIFT}
+_FIELD_COORDS = {_SHIFT[v]: x for v, x in _COORDS.items()}
 
 
 class PoleError(ArithmeticError):
@@ -62,9 +69,7 @@ class PoleError(ArithmeticError):
 
 def _is_linear(p: Polynomial) -> bool:
     """Degree exactly 1."""
-    return not p.is_constant() and all(
-        len(m) <= 1 and (not m or m[0][1] == 1) for m in p.terms
-    )
+    return not p.is_constant() and mono_degree(max(p.terms)) == 1
 
 
 def _form_key(item: tuple[Polynomial, int]):
@@ -85,31 +90,16 @@ def _expand(forms) -> Polynomial:
 def _residue(p: Polynomial, form: Polynomial) -> int | None:
     """p mod _P at the point of form = 0 whose other coordinates are _COORDS;
     None when _P divides a coefficient denominator."""
-    # the form is monic in its leading variable u, the least position
-    u = min(m[0][0] for m in form.terms if m)
-    s = 0
-    for m, c in form.terms.items():
-        if m and m[0][0] == u:
-            continue
-        if c.denominator % _P == 0:
-            return None
-        t = c.numerator * (_COORDS[m[0][0]] if m else 1)
-        s += t if c.denominator == 1 else t * pow(c.denominator, -1, _P)
-    xu = -s % _P
-    by_den: dict[int, int] = {}
-    for m, c in p.terms.items():
-        t = c.numerator
-        for v, e in m:
-            x = xu if v == u else _COORDS[v]
-            t = t * (x if e == 1 else pow(x, e, _P)) % _P
-        d = c.denominator
-        by_den[d] = by_den.get(d, 0) + t
-    r = 0
-    for d, t in by_den.items():
-        if d % _P == 0:
-            return None
-        r += t if d == 1 else t * pow(d, -1, _P)
-    return r % _P
+    f, f_den = _to_int_terms(form)
+    d, d_den = _to_int_terms(p)
+    if f_den % _P == 0 or d_den % _P == 0:
+        return None
+    # the form is monic in its leading variable u: u = -(form at u = 0)
+    u = _lead_field(max(f))
+    xs = dict(_FIELD_COORDS)
+    xs[u] = 0
+    xs[u] = -_int_eval(f, xs) * pow(f_den, -1, _P) % _P
+    return _int_eval(d, xs) * pow(d_den, -1, _P) % _P
 
 
 def _quotient(p: Polynomial, form: Polynomial) -> Polynomial | None:
@@ -357,7 +347,7 @@ class RationalFunction:
         #   (n/d)' = (n'L - n * sum e*c*L/l) / (d*L).
         # The new numerator is prime to every form of L, so only the forms
         # free of var can cancel.
-        key = ((var, 1),)
+        key = mono_pack(((var, 1),))
         moving = [(form, e, form.terms[key]) for form, e in forms if key in form.terms]
         num = n.derivative(var)
         if moving:

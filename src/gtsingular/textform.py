@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .poly import Monomial, Polynomial
+from .poly import Monomial, Polynomial, mono_pairs
 from .ratfun import RationalFunction
 
 
@@ -22,7 +22,7 @@ def frac_text(q: Fraction) -> str:
 
 def mono_text(m: Monomial) -> str:
     parts = []
-    for (k, i), e in m:
+    for (k, i), e in mono_pairs(m):
         v = f"x[{k}][{i}]"
         parts.append(v if e == 1 else f"{v}^{e}")
     return "*".join(parts)

@@ -80,10 +80,19 @@ def test_act_usage_errors(capsys):
 
 
 def test_phi_usage_errors(capsys):
-    for argv in (("--n", "3", "--gen", "1,7"), ("--gen", "1"), ("--gen", "a,b")):
+    for argv in (
+        ("--n", "3", "--gen", "1,7"),
+        ("--gen", "1"),
+        ("--gen", "a,b"),
+        # orders above MAX_ORDER = 12 have no packed monomials
+        ("--n", "20", "--gen", "3,3"),
+        ("--n", "13", "--gen", "1,1"),
+    ):
         code, out, err = run(capsys, "phi", *argv)
         assert code == 2 and out == "" and len(err.splitlines()) == 1, argv
         assert err.startswith("error:"), argv
+        if argv[0] == "--n" and int(argv[1]) > 12:
+            assert "at most 12" in err, argv
 
 
 def test_cli_writes_nothing_to_disk(tmp_path, capsys, monkeypatch):
@@ -133,6 +142,9 @@ def test_verify_exit_codes(tmp_path, capsys):
     # the order suites take no point or pair: passing one is a usage error
     p3 = tmp_path / "p3.json"
     p3.write_text(json.dumps(canonical_test_point(3).to_json()))
+    p13 = tmp_path / "p13.json"
+    rows = [[f"{i}/{100 + k}" for i in range(1, k + 1)] for k in range(1, 14)]
+    p13.write_text(json.dumps({"n": 13, "rows": rows}))
     for argv in (
         ("--singular", "9,9,9", "--n", "2", "homomorphism"),
         ("--point", str(p3), "--n", "2", "homomorphism"),
@@ -142,10 +154,17 @@ def test_verify_exit_codes(tmp_path, capsys):
         ("--n", "2", "ring", "--suite", "ring"),
         # an order-3 point where order 4 is asked for
         ("--n", "4", "--point", str(p3), "singularity"),
+        # orders above MAX_ORDER = 12, by --n or by the point's own order
+        ("--n", "13", "homomorphism"),
+        ("--n", "13", "ring"),
+        ("--point", str(p13), "module"),
+        ("--point", str(p13), "singularity"),
     ):
         code, out, err = run(capsys, "verify", *argv)
         assert code == 2 and out == "" and len(err.splitlines()) == 1
         assert err.startswith("error:")
+        if "13" in argv or str(p13) in argv:
+            assert "at most 12" in err, argv
     code, _, err = run(capsys, "verify", "nonsense")
     assert code == 2 and "unknown suite" in err
     code, _, err = run(capsys, "verify")

@@ -278,3 +278,30 @@ def test_phi_invalid_indices():
         phi_raising(3, 3)
     with pytest.raises(ValueError):
         phi_diagonal(3, 4)
+
+
+def test_input_guards():
+    a = phi_general(2, 1, 2)
+    with pytest.raises(ValueError, match="unknown multiplication convention"):
+        gtformulas.multiply("nope", a, a)
+    with pytest.raises(ValueError, match="lowering index 3"):
+        phi_lowering(3, 3)
+    with pytest.raises(ValueError, match="not adjacent or diagonal"):
+        gtformulas._phi_basic(3, 1, 3)
+    with pytest.raises(ValueError, match="order must be at least 2"):
+        calibrate_convention(1)
+
+
+def test_calibration_needs_exactly_one_winner(monkeypatch):
+    """Calibration refuses when both products pass or when neither does;
+    the uncached function runs, so the frozen convention is untouched."""
+    right = convention()
+    multiply = gtformulas.multiply
+    monkeypatch.setattr(gtformulas, "multiply", lambda conv, a, b: multiply(right, a, b))
+    with pytest.raises(RuntimeError, match=r"at n=2: \['circ', 'star'\]"):
+        calibrate_convention.__wrapped__(2)
+    monkeypatch.setattr(gtformulas, "bracket", lambda conv, a, b: RingElement.zero())
+    with pytest.raises(RuntimeError, match=r"at n=2: \[\]"):
+        calibrate_convention.__wrapped__(2)
+    monkeypatch.undo()
+    assert convention() == right == calibrate_convention(2)

@@ -8,7 +8,8 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from gtsingular import poly
-from gtsingular.poly import Polynomial, divexact, mono_key, poly_gcd
+from gtsingular.poly import Polynomial, divexact, mono_div, mono_pack, mono_pairs, poly_gcd
+from gtsingular.tableau import canonical_test_point
 from gtsingular.textform import parse_poly
 
 X11 = Polynomial.variable(1, 1)
@@ -34,11 +35,16 @@ def random_poly(rng, max_terms=4, max_deg=3, zero_ok=True):
             return p
 
 
+def pair_terms(d):
+    """A term map with its packed monomials spelled as pair tuples."""
+    return {mono_pairs(m): c for m, c in d.items()}
+
+
 def to_sympy(p):
     expr = sympy.Integer(0)
     for m, c in p.terms.items():
         t = sympy.Rational(c.numerator, c.denominator)
-        for v, e in m:
+        for v, e in mono_pairs(m):
             t *= sympy.Symbol(f"x_{v[0]}_{v[1]}") ** e
         expr += t
     return sympy.expand(expr)
@@ -49,7 +55,7 @@ def to_sympy(p):
 
 def test_construction_drops_zeros():
     p = Polynomial({(): Fraction(0), (((1, 1), 1),): Fraction(2)})
-    assert p.terms == {(((1, 1), 1),): Fraction(2)}
+    assert pair_terms(p.terms) == {(((1, 1), 1),): Fraction(2)}
 
 
 def test_add_sub_cancel():
@@ -68,41 +74,154 @@ def test_pow():
 
 def test_grlex_leading():
     p = X11 * X11 + X21 * X22 * X31 + X22
-    assert p.leading_monomial() == (((2, 1), 1), ((2, 2), 1), ((3, 1), 1))
+    assert mono_pairs(p.leading_monomial()) == (((2, 1), 1), ((2, 2), 1), ((3, 1), 1))
     q = X11 * X11 + X21 * X22
-    assert q.leading_monomial() == (((1, 1), 2),)
+    assert mono_pairs(q.leading_monomial()) == (((1, 1), 2),)
 
 
-POSITIONS = [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)]
+ORDER4 = [(k, i) for k in range(1, 5) for i in range(1, k + 1)]
+ALL_POSITIONS = [(k, i) for k in range(1, poly.MAX_ORDER + 1) for i in range(1, k + 1)]
+TOP = 2**15 - 1
 
 
-def test_mono_key_total_order():
-    """The division heap's key is the exact reverse of mono_key on every
-    pair of monomials up to degree 4 over six positions, () included."""
+def grlex_key(pairs):
+    """Graded lex on pair tuples, written out: total degree first, then the
+    exponent vector with earlier positions more significant."""
+    exps = dict(pairs)
+    return (sum(exps.values()), tuple(exps.get(v, 0) for v in ALL_POSITIONS))
+
+
+def pair_div(a, b):
+    """a / b on pair tuples, or None when some exponent would go negative."""
+    out = dict(a)
+    for v, e in b:
+        r = out.get(v, 0) - e
+        if r < 0:
+            return None
+        out[v] = r
+    return tuple(sorted((v, e) for v, e in out.items() if e))
+
+
+def small_monomials():
+    """All 1,001 monomials of degree <= 4 over the ten order-4 positions."""
     monos = [
         tuple(sorted(Counter(combo).items()))
         for deg in range(5)
-        for combo in itertools.combinations_with_replacement(POSITIONS, deg)
+        for combo in itertools.combinations_with_replacement(ORDER4, deg)
     ]
-    assert len(set(monos)) == len(monos) == 210
-    keys = [(mono_key(m), poly._heap_key(m)) for m in monos]
-    for mk_a, hk_a in keys:
-        for mk_b, hk_b in keys:
-            assert (hk_a < hk_b) == (mk_a > mk_b)
-            assert (hk_a == hk_b) == (mk_a == mk_b)
+    assert len(set(monos)) == len(monos) == 1001
+    return monos
+
+
+# the last position and the largest exponent, alone and combined
+BOUNDARY = [
+    (((12, 12), 1),),
+    (((12, 11), 1), ((12, 12), 2)),
+    (((12, 12), TOP),),
+    (((1, 1), TOP),),
+    (((1, 1), 1), ((12, 12), TOP - 1)),
+    (((4, 4), TOP - 4),),
+]
+
+
+def test_mono_key_total_order():
+    """Packed integer order is graded lex, and the guard-bit division is
+    exact division, on every pair of small monomials and on the boundary
+    monomials against all of them."""
+    monos = small_monomials() + BOUNDARY
+    packed = {m: mono_pack(m) for m in monos}
+    assert len(set(packed.values())) == len(monos)
+    assert all(mono_pairs(packed[m]) == m for m in monos)
+    assert all(poly.mono_degree(packed[m]) == grlex_key(m)[0] for m in monos)
+    # two total orders on one set agree when they sort it alike
+    assert sorted(monos, key=grlex_key) == sorted(monos, key=packed.get)
+    pairs = [(a, b) for a in monos[:1001] for b in monos[:1001]]
+    pairs += [(a, b) for a in BOUNDARY for b in monos] + [(b, a) for a in BOUNDARY for b in monos]
+    for a, b in pairs:
+        q = mono_div(packed[a], packed[b])
+        expect = pair_div(a, b)
+        assert (None if q is None else mono_pairs(q)) == expect, (a, b)
     rng = random.Random(11)
     for _ in range(40):
         sample = rng.sample(monos, rng.randint(1, 12))
         p = Polynomial({m: Fraction(1) for m in sample})
-        by_heap = sorted(sample, key=poly._heap_key)
-        assert [m for m, _ in p.sorted_items()] == by_heap
-        assert p.support() == by_heap
-        assert p.leading_monomial() == by_heap[0]
+        by_key = sorted(sample, key=grlex_key, reverse=True)
+        assert [mono_pairs(m) for m, _ in p.sorted_items()] == by_key
+        assert [mono_pairs(m) for m in p.support()] == by_key
+        assert mono_pairs(p.leading_monomial()) == by_key[0]
+
+
+def test_exponent_overflow_raises():
+    """A degree past 2^15 - 1 raises instead of carrying into the next
+    field."""
+    with pytest.raises(ValueError, match="degree"):
+        X11**40000
+    top = X11**TOP
+    assert pair_terms(top.terms) == {(((1, 1), TOP),): 1}
+    with pytest.raises(ValueError, match="degree"):
+        top * X21
+    with pytest.raises(ValueError, match="degree"):
+        Polynomial.term((((12, 12), TOP), ((1, 1), 1)), 1)
+    with pytest.raises(ValueError, match="negative exponent"):
+        Polynomial.term((((1, 1), -1),), 1)
+    # the largest exponent still differentiates and divides exactly
+    assert top.derivative((1, 1)) == (X11 ** (TOP - 1)).scale(TOP)
+    assert divexact(top, X11 ** (TOP - 1)) == X11
 
 
 def test_evaluate():
     p = X21 - X22
     assert p.evaluate({(2, 1): Fraction(1, 2), (2, 2): Fraction(1, 3)}) == Fraction(1, 6)
+
+
+def fraction_eval(p, coords):
+    """The value of p at coords, one Fraction product per term."""
+    total = Fraction(0)
+    for m, c in p.terms.items():
+        t = c
+        for v, e in mono_pairs(m):
+            t *= Fraction(coords[v]) ** e
+        total += t
+    return total
+
+
+SHIPPED = canonical_test_point(3).coords
+EVAL_POINTS = {
+    "shipped": SHIPPED,
+    "integer": {(k, i): 3 * k - 2 * i for k, i in SHIPPED},
+    "zero": {**SHIPPED, (2, 1): Fraction(0), (3, 2): Fraction(-5, 7)},
+}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_evaluate_matches_fraction_loop(seed):
+    """The integer kernel behind evaluate against a Fraction loop."""
+    rng = random.Random(400 + seed)
+    for _ in range(12):
+        p = random_poly(rng, max_terms=6, max_deg=4)
+        for name, point in EVAL_POINTS.items():
+            assert p.evaluate(point) == fraction_eval(p, point), name
+
+
+def test_input_guards():
+    with pytest.raises(ValueError, match="out of range for order 12"):
+        Polynomial.variable(13, 1)
+    with pytest.raises(ValueError, match="invalid tableau position"):
+        Polynomial.variable(2, 3)
+    with pytest.raises(ValueError, match="not constant"):
+        X11.constant_value()
+    assert X11.__mul__(2) is NotImplemented
+    with pytest.raises(TypeError):
+        X11 * 2
+    with pytest.raises(ValueError, match="negative power"):
+        X11**-1
+    with pytest.raises(ValueError, match="no leading monomial"):
+        Polynomial.zero().leading_monomial()
+    p = X11 * X21 + X22
+    assert p.subs_offsets({(1, 1): 0, (2, 1): Fraction(0)}) is p
+    assert p.swap_vars((2, 1), (2, 1)) is p
+    with pytest.raises(ZeroDivisionError):
+        divexact(p, Polynomial.zero())
 
 
 def test_derivative():
@@ -217,7 +336,7 @@ def random_int_terms(rng, max_terms=4, max_deg=3):
                 mono[v] = mono.get(v, 0) + 1
             c = rng.randint(-5, 5)
             if c:
-                d[tuple(sorted(mono.items()))] = c
+                d[mono_pack(mono.items())] = c
     return d
 
 
@@ -230,9 +349,9 @@ def test_int_divexact_roundtrip(seed):
 
 
 def test_int_divexact_coefficient_remainder():
-    x = (((1, 1), 1),)
+    x = mono_pack((((1, 1), 1),))
     assert poly._int_divexact({x: 1}, {x: 2}) is None
-    assert poly._int_divexact({x: 4}, {x: 2}) == {(): 2}
+    assert pair_terms(poly._int_divexact({x: 4}, {x: 2})) == {(): 2}
     # over Q the same division is exact
     assert divexact(X11, X11.scale(2)) == Polynomial.constant(Fraction(1, 2))
 
@@ -258,7 +377,7 @@ def test_divexact_cancelled_monomial_reappears(monkeypatch):
 
     def recording_heappop(heap):
         entry = heappop(heap)
-        popped.append(entry[1])
+        popped.append(mono_pairs(-entry))
         return entry
 
     monkeypatch.setattr(poly, "heappop", recording_heappop)
@@ -274,8 +393,11 @@ def test_divexact_cancelled_monomial_reappears(monkeypatch):
 def test_support_uses_print_order():
     """Polynomials list their monomials the way poly_text prints them."""
     p = X21 + Polynomial.one()
-    assert p.support() == [(((2, 1), 1),), ()]
-    assert p.sorted_items() == [((((2, 1), 1),), Fraction(1)), ((), Fraction(1))]
+    assert [mono_pairs(m) for m in p.support()] == [(((2, 1), 1),), ()]
+    assert [(mono_pairs(m), c) for m, c in p.sorted_items()] == [
+        ((((2, 1), 1),), Fraction(1)),
+        ((), Fraction(1)),
+    ]
     assert repr(p) == "x[2][1] + 1"
 
 

@@ -242,3 +242,15 @@ def test_forms_path_runs_no_gcd(monkeypatch):
     for gen in [(1, 3), (3, 1), (2, 3), (3, 2), (2, 2)]:
         act_lie(ctx, gen, BasisVec("D2", Shift.generator(2, 1)))
         act_lie(ctx, gen, BasisVec("D1", Shift.identity()))
+
+
+def test_zero_and_constant_guards():
+    zero = RationalFunction.zero()
+    z1 = (X21 - X22).num
+    assert divide_by_linear(zero, z1) is zero
+    assert multiply_by_linear(zero, z1) is zero
+    assert RationalFunction.constant(Fraction(3, 4)).constant_value() == Fraction(3, 4)
+    with pytest.raises(ValueError, match="not constant"):
+        (ONE / (X21 - X22)).constant_value()
+    with pytest.raises(ValueError, match="not constant"):
+        X11.constant_value()

@@ -4,13 +4,27 @@ and samples are derived, and they run at order 4 as they do at order 3."""
 from fractions import Fraction
 
 from gtsingular import suites
-from gtsingular.distributions import DistVector, act, act_lie
+from gtsingular.distributions import (
+    DistVector,
+    act,
+    act_lie,
+    appendix_act,
+    apply_dist,
+    basis_correspondence,
+    generic_act_element,
+)
 from gtsingular.gtformulas import adjacent_generators, all_generators, gl_bracket, phi_combination
+from gtsingular.skewring import RingElement, ring_mul_circ
+from gtsingular.sparse import BasisVec
 from gtsingular.suites import (
+    GENERIC_LABELS_3,
+    GENERIC_POINT_3,
     appendix_sample,
     appendix_suite,
     functional_suite,
+    generic_suite,
     module_suite,
+    ring_suite,
     sample_basis,
     singularity_suite,
 )
@@ -90,3 +104,88 @@ def test_module_suite_failure_entries(monkeypatch):
         lhs = act_lie(ctx, x, act_lie(ctx, y, d)) - act_lie(ctx, y, act_lie(ctx, x, d))
         rhs = act(ctx, phi_combination(ctx.n, gl_bracket(x, y)), d).scale(2)
         assert failure["lhs"] == lhs.to_json() and failure["rhs"] == rhs.to_json()
+
+
+def test_ring_suite_failure_entries(monkeypatch):
+    """A product off by a factor 2 breaks only the unit law; one off by the
+    unit breaks all four laws, each reported per triple by name."""
+    monkeypatch.setattr(suites, "ring_mul_circ", lambda a, b: ring_mul_circ(a, b).scale(2))
+    # seed 3 draws a nonzero first element in each of the first three triples
+    report = ring_suite(3, count=3, seed=3)
+    assert not report["ok"] and report["total"] == 3 and report["passed"] == 0
+    assert report["failures"] == [{"triple": idx, "check": "unit"} for idx in range(3)]
+    monkeypatch.setattr(
+        suites, "ring_mul_circ", lambda a, b: ring_mul_circ(a, b) + RingElement.one()
+    )
+    report = ring_suite(3, count=2, seed=3)
+    names = ["assoc", "left-dist", "right-dist", "unit"]
+    assert report["failures"] == [{"triple": idx, "check": c} for idx in range(2) for c in names]
+
+
+def test_singularity_suite_failure_entries(monkeypatch):
+    """The anchor, and each product's two predicates, fail by name."""
+    ctx = canonical_context()
+    monkeypatch.setattr(suites, "_anchor_check", lambda ctx: False)
+    report = singularity_suite(ctx, count=3, seed=5)
+    assert not report["ok"] and report["total"] == 4 and report["passed"] == 3
+    assert report["failures"] == [{"check": "closed-form-anchor"}]
+    monkeypatch.undo()
+    for name, check in (
+        ("is_tau_invariant", "tau-invariance"),
+        ("is_at_most_one_singular", "at-most-one-singular"),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(suites, name, lambda ctx, a: False)
+            report = singularity_suite(ctx, count=3, seed=5)
+        assert report["passed"] == 1
+        assert report["failures"] == [{"product": idx, "check": check} for idx in range(3)]
+
+
+def test_appendix_suite_failure_entries(monkeypatch):
+    """A doubled tableau-side action fails exactly where it is nonzero."""
+    monkeypatch.setattr(
+        suites, "appendix_act", lambda ctx, gen, e: appendix_act(ctx, gen, e).scale(2)
+    )
+    ctx = canonical_context()
+    generators = [(1, 2), (2, 2)]
+    sample = appendix_sample(ctx)[:3]
+    report = appendix_suite(ctx, generators, sample)
+    expected = [
+        {"generator": list(gen), "basis": [kind, sigma.to_json()]}
+        for gen in generators
+        for kind, sigma in sample
+        if not appendix_act(
+            ctx, gen, basis_correspondence(ctx, DistVector.basis(BasisVec(kind, sigma)))
+        ).is_zero()
+    ]
+    assert expected and report["failures"] == expected
+    assert report["total"] == 6 and report["passed"] == 6 - len(expected)
+
+
+def test_functional_suite_failure_entries(monkeypatch):
+    monkeypatch.setattr(suites, "apply_dist", lambda ctx, d, f: apply_dist(ctx, d, f) + 1)
+    report = functional_suite(canonical_context(), count=4, seed=5)
+    assert not report["ok"] and report["total"] == 4 and report["passed"] == 0
+    assert report["failures"] == [{"pair": idx} for idx in range(4)]
+
+
+def test_generic_suite_failure_entries(monkeypatch):
+    """Doubling every orbit action doubles the right side and quadruples the
+    left: each pair and label with a nonzero right side fails."""
+    monkeypatch.setattr(
+        suites,
+        "generic_act_element",
+        lambda x, a, y: {lab: 2 * c for lab, c in generic_act_element(x, a, y).items()},
+    )
+    generators = [(1, 2), (2, 1)]
+    labels = GENERIC_LABELS_3[:2]
+    report = generic_suite(GENERIC_POINT_3, labels, generators)
+    expected = [
+        {"pair": [list(x), list(y)], "label": label.to_json()}
+        for x in generators
+        for y in generators
+        for label in labels
+        if generic_act_element(GENERIC_POINT_3, phi_combination(3, gl_bracket(x, y)), label)
+    ]
+    assert expected and report["failures"] == expected
+    assert report["total"] == 8 and report["passed"] == 8 - len(expected)
