@@ -1,29 +1,26 @@
-"""Sparse multivariate polynomials over exact rationals.
+"""Sparse multivariate polynomials over the rationals, stored as integer
+numerators over one common denominator.
 
 Variables are tableau positions (row, col) with 1 <= col <= row <= MAX_ORDER.
 A monomial is one packed integer: a 16-bit exponent field per position,
 (1,1) in the most significant field, then (2,1), (2,2), (3,1) and so on,
 and the total degree in an unbounded field above them all (packed exponent
-vectors: Monagan & Pearce, CASC 2007).  The monomial order is graded
-lexicographic with earlier positions ranked higher, and with this layout it
-is exactly integer comparison.  A product of monomials is one integer
-addition.  Every monomial has total degree below 2^15, so the top bit of
-each field is a free guard bit: b divides a exactly when (a | G) - b keeps
-every guard bit of G set, and one subtraction tests and divides at once.
-A product that would reach degree 2^15 raises ValueError instead of
-wrapping into the next field.  `Polynomial(mapping)` and `Polynomial.term`
-take monomials as ((row, col), exponent) pairs and pack them; `mono_pairs`
-unpacks one.  Canonical form (no zero coefficients) makes structural
-equality coincide with mathematical equality.
+vectors: Monagan & Pearce, CASC 2007).  Graded lex order, earlier positions
+ranked higher, is then integer comparison, and a product of monomials is one
+addition.  Every degree stays below 2^15 (a larger product raises
+ValueError), so the top bit of each field is a free guard bit: b divides a
+exactly when (a | G) - b keeps every guard bit of G set.
 
-Multiplication clears denominators once, accumulates integer products and
-builds one Fraction per output term.  There is one exact-division routine,
-for Fraction and integer coefficients alike: it takes the remainder's
-leading term from a heap instead of rescanning the remainder.  There is
-one evaluation kernel, `_int_eval`: integer numerators over one common
-denominator, each term homogenized to the top degree, one Fraction at the
-end; the residue test of `ratfun` runs the same kernel at integer
-coordinates and reduces modulo a prime.
+A polynomial is `terms` / `den`: `terms` maps monomials to nonzero ints and
+`den` is a positive int prime to their content, zero is ({}, 1).  This
+content/primitive form is canonical (Geddes, Czapor & Labahn, *Algorithms
+for Computer Algebra*, 1992, ch. 2), so structural equality is equality.
+Arithmetic, exact division, evaluation and gcd run on integers only, and
+`_normal` divides out gcd(den, content) after each operation.  Fractions
+appear only at the boundary: the `Polynomial(mapping)`, `term` and
+`constant` constructors take them, `constant_value`, `leading_coeff` and
+`evaluate` return them.  `_int_eval` is the one evaluation kernel; the
+residue test of `ratfun` runs it at integer coordinates modulo a prime.
 """
 
 from __future__ import annotations
@@ -31,18 +28,16 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import comb, gcd as _igcd, lcm as _ilcm
-from operator import neg, truediv
+from operator import neg
 from typing import Iterable, Mapping
 
 from .sparse import SparseSum, add_term
 
 Var = tuple[int, int]
 Monomial = int
+IntTerms = dict  # Monomial -> int
 
 MAX_ORDER = 12
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 _POSITIONS = [(k, i) for k in range(1, MAX_ORDER + 1) for i in range(1, k + 1)]
 _FIELD_BITS = 16
@@ -134,36 +129,60 @@ def _vars_of(d: Iterable[Monomial]) -> list[Var]:
 
 
 class Polynomial(SparseSum):
-    """Immutable sparse polynomial; term map packed monomial -> nonzero
-    Fraction."""
+    """Immutable sparse polynomial terms/den: `terms` maps packed monomials
+    to nonzero ints, and `den` is a positive int prime to their content."""
 
-    __slots__ = ()
+    __slots__ = ("den",)
 
     # support() and sorted_items() list monomials in descending graded-lex
     # order, the canonical print order
     _sort_key = staticmethod(neg)
 
     def __init__(self, terms: Mapping[tuple[tuple[Var, int], ...], Fraction] | None = None):
-        super().__init__((mono_pack(m), Fraction(c)) for m, c in (terms or {}).items())
+        acc: dict[Monomial, Fraction] = {}
+        for m, c in (terms or {}).items():
+            add_term(acc, mono_pack(m), Fraction(c))
+        # over the lcm of the reduced denominators the content is prime to den
+        den = _ilcm(*(c.denominator for c in acc.values()))
+        self.terms = {m: c.numerator * (den // c.denominator) for m, c in acc.items()}
+        self.den = den
+        self._hash = None
+
+    @classmethod
+    def _raw(cls, terms: dict, den: int = 1) -> "Polynomial":
+        # internal: (terms, den) is already canonical
+        p = cls.__new__(cls)
+        p.terms = terms
+        p.den = den
+        p._hash = None
+        return p
 
     @classmethod
     def one(cls) -> "Polynomial":
-        return cls._raw({0: _ONE})
+        return cls._raw({0: 1})
 
     @classmethod
     def constant(cls, c) -> "Polynomial":
-        c = Fraction(c)
-        return cls._raw({0: c} if c else {})
+        return cls.term((), c)
 
     @classmethod
     def variable(cls, k: int, i: int) -> "Polynomial":
-        return cls._raw({_var_mono((k, i)): _ONE})
+        return cls._raw({_var_mono((k, i)): 1})
 
     @classmethod
     def term(cls, mono: tuple[tuple[Var, int], ...], coeff) -> "Polynomial":
         c = Fraction(coeff)
         m = mono_pack(mono)
-        return cls._raw({m: c} if c else {})
+        return cls._raw({m: c.numerator}, c.denominator) if c else cls._raw({})
+
+    def __eq__(self, other) -> bool:
+        return type(other) is Polynomial and self.den == other.den and self.terms == other.terms
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((frozenset(self.terms.items()), self.den))
+        return h
 
     def is_constant(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
@@ -171,26 +190,41 @@ class Polynomial(SparseSum):
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return self.terms.get(0, _ZERO)
+        return Fraction(self.terms.get(0, 0), self.den)
+
+    def __neg__(self) -> "Polynomial":
+        return Polynomial._raw({m: -c for m, c in self.terms.items()}, self.den)
+
+    def __add__(self, other: "Polynomial") -> "Polynomial":
+        return _merge(self, other, 1) if type(other) is Polynomial else NotImplemented
+
+    def __sub__(self, other: "Polynomial") -> "Polynomial":
+        return _merge(self, other, -1) if type(other) is Polynomial else NotImplemented
+
+    def scale(self, c) -> "Polynomial":
+        if type(c) is not int:
+            c = Fraction(c)
+        if not c:
+            return Polynomial.zero()
+        a, b = c.numerator, c.denominator
+        if a == b:
+            return self
+        return _normal({m: v * a for m, v in self.terms.items()}, self.den * b)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
         if not self.terms or not other.terms:
             return Polynomial.zero()
-        big, big_den = _to_int_terms(self)
-        small, small_den = _to_int_terms(other)
+        big, small = self.terms, other.terms
         if len(big) < len(small):
             big, small = small, big
-        den = big_den * small_den
-        # one Fraction per output term; the integer sums are exact
-        return _from_int_terms(_int_mul(small, big), den)
+        return _normal(_int_mul(small, big), self.den * other.den)
 
     def __pow__(self, e: int) -> "Polynomial":
         if e < 0:
             raise ValueError("negative power of a polynomial")
-        result = Polynomial.one()
-        base = self
+        result, base = Polynomial.one(), self
         while e:
             if e & 1:
                 result = result * base
@@ -208,72 +242,65 @@ class Polynomial(SparseSum):
         return max(self.terms)
 
     def leading_coeff(self) -> Fraction:
-        return self.terms[self.leading_monomial()]
+        return Fraction(self.terms[self.leading_monomial()], self.den)
 
     def evaluate(self, coords: Mapping[Var, Fraction]) -> Fraction:
-        if not self.terms:
-            return _ZERO
-        d, den = _to_int_terms(self)
-        xs = {_SHIFT[v]: Fraction(coords[v]) for v in _vars_of(d)}
+        d = self.terms
+        if not d:
+            return Fraction(0)
+        xs = {_SHIFT[v]: coords[v] for v in _vars_of(d)}
         # the coordinates over one common denominator q
         q = _ilcm(*(x.denominator for x in xs.values()))
         top = mono_degree(max(d))
         total = _int_eval(d, {s: x.numerator * (q // x.denominator) for s, x in xs.items()}, q)
-        return Fraction(total, den * q**top)
+        return Fraction(total, self.den * q**top)
 
     def derivative(self, var: Var) -> "Polynomial":
         s = _SHIFT[var]
         unit = (1 << s) | _DEG_ONE
-        out: dict[Monomial, Fraction] = {}
+        out: IntTerms = {}
         for m, c in self.terms.items():
             e = (m >> s) & _FIELD
             if e:
                 # dividing by var is injective, so no two terms meet
                 out[m - unit] = c * e
-        return Polynomial._raw(out)
+        return _normal(out, self.den)
 
     def subs_offsets(self, offsets: Mapping[Var, Fraction]) -> "Polynomial":
-        """Substitute X_v -> X_v + offsets[v] for every listed variable."""
-        live = [(_SHIFT[v], Fraction(c)) for v, c in sorted(offsets.items()) if c]
-        if not live:
+        """Substitute X_v -> X_v + offsets[v] for every listed variable, one
+        variable at a time.  With offset a/b and top exponent E of X_v,
+        b^E (X_v + a/b)^e is the integer sum of C(e,j) a^(e-j) b^(E-e+j) X_v^j."""
+        live = [(_SHIFT[v], c) for v, c in sorted(offsets.items()) if c]
+        if not live or not self.terms:
             return self
-        # integer offsets (every shift's) keep the expansion in integers
-        live = [(s, c.numerator if c.denominator == 1 else c) for s, c in live]
-        d, den = _to_int_terms(self)
-        # (s, e) -> the terms of (x + c)^e as (monomial change, coefficient)
-        binomials: dict[tuple[int, int], list[tuple[int, int | Fraction]]] = {}
-        out: dict[Monomial, int | Fraction] = {}
-        for m, coeff in d.items():
-            expanded = {m: coeff}
-            for s, c in live:
-                e = (m >> s) & _FIELD
-                if not e:
-                    continue
-                f = binomials.get((s, e))
-                if f is None:
-                    unit = (1 << s) | _DEG_ONE
-                    f = binomials[(s, e)] = [
-                        ((j - e) * unit, comb(e, j) * c ** (e - j)) for j in range(e + 1)
-                    ]
-                nxt: dict[Monomial, int | Fraction] = {}
-                for m1, c1 in expanded.items():
-                    for dm, c2 in f:
-                        add_term(nxt, m1 + dm, c1 * c2)
-                expanded = nxt
-            for mm, cc in expanded.items():
-                add_term(out, mm, cc)
-        return _from_int_terms(out, den)
+        out, den = self.terms, self.den
+        for s, c in live:
+            top = max((m >> s) & _FIELD for m in out)
+            if not top:
+                continue
+            a, b = c.numerator, c.denominator
+            den *= b**top
+            unit = (1 << s) | _DEG_ONE
+            # exponent e -> the terms of b^(E-e) (b*X_v + a)^e as (monomial change, coefficient)
+            rows = [[((j - e) * unit, comb(e, j) * a ** (e - j) * b ** (top - e + j))
+                     for j in range(e + 1)] for e in range(top + 1)]
+            nxt: IntTerms = {}
+            for m, coeff in out.items():
+                for dm, c2 in rows[(m >> s) & _FIELD]:
+                    add_term(nxt, m + dm, coeff * c2)
+            out = nxt
+        return _normal(out, den)
 
     def swap_vars(self, a: Var, b: Var) -> "Polynomial":
         if a == b:
             return self
         sa, sb = _SHIFT[a], _SHIFT[b]
-        out: dict[Monomial, Fraction] = {}
+        out: IntTerms = {}
         for m, c in self.terms.items():
             # move the exponent difference from one field to the other
             d = ((m >> sb) & _FIELD) - ((m >> sa) & _FIELD)
             out[m + (d << sa) - (d << sb)] = c
-        return Polynomial._raw(out)
+        return Polynomial._raw(out, self.den)
 
     def __repr__(self) -> str:
         from .textform import poly_text
@@ -281,26 +308,51 @@ class Polynomial(SparseSum):
         return poly_text(self)
 
 
+def _normal(terms: IntTerms, den: int) -> Polynomial:
+    """The polynomial terms/den for den > 0, with gcd(den, content) divided
+    out of both; nothing to divide when den is 1."""
+    if not terms:
+        return Polynomial._raw({})
+    g = _int_content(terms, den) if den != 1 else 1
+    return Polynomial._raw(_int_scale_div(terms, g), den // g)
+
+
+def _merge(a: Polynomial, b: Polynomial, sign: int) -> Polynomial:
+    """a + sign*b in one pass over the lcm of the two denominators."""
+    if not b.terms:
+        return a
+    if not a.terms:
+        return b if sign == 1 else -b
+    g = _igcd(a.den, b.den)
+    ka, kb = b.den // g, a.den // g
+    return _normal(_int_combine(a.terms, ka, b.terms, kb * sign), a.den * ka)
+
+
+def _int_combine(a: IntTerms, ka: int, b: IntTerms, kb: int) -> IntTerms:
+    """ka*a + kb*b in one pass, without a scaled copy of b."""
+    out = dict(a) if ka == 1 else {m: c * ka for m, c in a.items()}
+    for m, c in b.items():
+        s = out.get(m, 0) + c * kb
+        if s:
+            out[m] = s
+        else:
+            out.pop(m, None)
+    return out
+
+
 # ---------------------------------------------------------------------------
-# Exact division, evaluation and gcd.  One division loop serves both
-# coefficient kinds: the remainder is a dict whose monomials also sit
-# negated in a min-heap, so the leading term is a heap pop instead of a
-# rescan (Johnson 1974; Monagan & Pearce 2011).  Cancelled monomials leave
-# stale heap entries that are skipped when popped.  Multiplication clears
-# denominators and accumulates integer products.  The gcd core works on
-# integer-coefficient term maps; it is a primitive polynomial remainder
-# sequence, recursing on the coefficient polynomials for contents.
+# Exact division, evaluation and gcd, all on integer term maps.  The gcd is
+# a primitive polynomial remainder sequence, recursing on the coefficient
+# polynomials for contents.
 # ---------------------------------------------------------------------------
 
 
-IntTerms = dict  # Monomial -> int
-
-
-def _divexact_terms(f: dict, g: dict, coeff_div) -> dict | None:
-    """Term map of f/g when the division is exact, else None.
-
-    coeff_div(c, lc) divides a leading remainder coefficient by the leading
-    coefficient of g, returning None when that leaves a remainder."""
+def _int_divexact(f: IntTerms, g: IntTerms) -> IntTerms | None:
+    """Term map of f/g when the division is exact over Z, else None.  The
+    remainder is a dict whose monomials also sit negated in a min-heap, so
+    the leading term is a heap pop instead of a rescan (Johnson 1974;
+    Monagan & Pearce 2011); cancelled monomials leave stale heap entries
+    that are skipped when popped."""
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
     g_lm = max(g)
@@ -313,7 +365,7 @@ def _divexact_terms(f: dict, g: dict, coeff_div) -> dict | None:
     # later product term is smaller), so one heap entry per monomial is
     # enough even when it cancels and reappears before its turn.
     queued = set(rem)
-    out: dict = {}
+    out: IntTerms = {}
     while rem:
         lm = -heappop(heap)
         lc = rem.get(lm)
@@ -322,8 +374,8 @@ def _divexact_terms(f: dict, g: dict, coeff_div) -> dict | None:
         q_mono = mono_div(lm, g_lm)
         if q_mono is None:
             return None
-        q_c = coeff_div(lc, g_lc)
-        if q_c is None:
+        q_c, r = divmod(lc, g_lc)
+        if r:
             return None
         out[q_mono] = q_c
         for m, c in g_items:
@@ -340,36 +392,16 @@ def _divexact_terms(f: dict, g: dict, coeff_div) -> dict | None:
 
 
 def divexact(f: Polynomial, g: Polynomial) -> Polynomial | None:
-    """Quotient f/g when the division is exact, else None."""
-    q = _divexact_terms(f.terms, g.terms, truediv)
-    return None if q is None else Polynomial._raw(q)
-
-
-def _int_quo(a: int, b: int) -> int | None:
-    q, r = divmod(a, b)
-    return None if r else q
-
-
-def _int_divexact(f: IntTerms, g: IntTerms) -> IntTerms | None:
-    return _divexact_terms(f, g, _int_quo)
-
-
-def _to_int_terms(p: Polynomial) -> tuple[IntTerms, int]:
-    """(d, den) with p = d / den; den is the lcm of the denominators."""
-    den = 1
-    for c in p.terms.values():
-        if den % c.denominator:
-            den = _ilcm(den, c.denominator)
-    if den == 1:
-        return {m: c.numerator for m, c in p.terms.items()}, 1
-    return {m: c.numerator * (den // c.denominator) for m, c in p.terms.items()}, den
-
-
-def _from_int_terms(d: IntTerms, den: int) -> Polynomial:
-    """The polynomial d / den, one Fraction per term."""
-    if den == 1:
-        return Polynomial._raw({m: Fraction(c) for m, c in d.items()})
-    return Polynomial._raw({m: Fraction(c, den) for m, c in d.items()})
+    """Quotient f/g when the division is exact, else None.  With g = c*P/den
+    for P primitive, f is exactly divisible by g over Q only if f.terms is
+    by P over Z (Gauss's lemma), so the loop runs on integers."""
+    c = _int_content(g.terms)
+    q = _int_divexact(f.terms, _int_scale_div(g.terms, c))
+    if q is None:
+        return None
+    if g.den != 1:
+        q = {m: v * g.den for m, v in q.items()}
+    return _normal(q, f.den * c)
 
 
 def _int_eval(d: IntTerms, xs: Mapping[int, int], q: int = 1) -> int:
@@ -396,8 +428,8 @@ def _int_eval(d: IntTerms, xs: Mapping[int, int], q: int = 1) -> int:
     return total
 
 
-def _int_content(d: IntTerms) -> int:
-    g = 0
+def _int_content(d: IntTerms, g: int = 0) -> int:
+    """gcd of g and the coefficients of d; the scan stops at the first 1."""
     for c in d.values():
         g = _igcd(g, c)
         if g == 1:
@@ -427,17 +459,6 @@ def _int_mul(a: IntTerms, b: IntTerms) -> IntTerms:
     return out
 
 
-def _int_sub(a: IntTerms, b: IntTerms) -> IntTerms:
-    out = dict(a)
-    for m, c in b.items():
-        s = out.get(m, 0) - c
-        if s:
-            out[m] = s
-        else:
-            out.pop(m, None)
-    return out
-
-
 def _coeff_map(d: IntTerms, var: Var) -> dict[int, IntTerms]:
     """View as univariate in var: degree -> coefficient term map."""
     s = _SHIFT[var]
@@ -447,17 +468,6 @@ def _coeff_map(d: IntTerms, var: Var) -> dict[int, IntTerms]:
         e = (m >> s) & _FIELD
         out.setdefault(e, {})[m - e * unit] = c
     return out
-
-
-def _attach_power(d: IntTerms, var: Var, e: int) -> IntTerms:
-    if e == 0:
-        return d
-    pw = e * _var_mono(var)
-    return {m + pw: c for m, c in d.items()}
-
-
-def _common_vars(f: IntTerms, g: IntTerms) -> list[Var]:
-    return sorted(set(_vars_of(f)) & set(_vars_of(g)))
 
 
 def _mono_content(monos: Iterable[Monomial]) -> Monomial:
@@ -484,23 +494,19 @@ def _int_deg(d: IntTerms, var: Var) -> int:
 def _prem(f: IntTerms, g: IntTerms, var: Var) -> IntTerms:
     """Pseudo-remainder of f by g with respect to var."""
     dg = _int_deg(g, var)
-    cg = _coeff_map(g, var)
-    lcg = cg[dg]
-    f = dict(f)
+    lcg = _coeff_map(g, var)[dg]
     df = _int_deg(f, var)
     while f and df >= dg:
-        cf = _coeff_map(f, var)
-        lcf = cf[df]
-        shifted = _attach_power(_int_mul(lcf, g), var, df - dg)
-        f = _int_sub(_int_mul(lcg, f), shifted)
+        pw = (df - dg) * _var_mono(var)
+        shifted = {m + pw: c for m, c in _int_mul(_coeff_map(f, var)[df], g).items()}
+        f = _int_combine(_int_mul(lcg, f), 1, shifted, -1)
         df = _int_deg(f, var)
     return f
 
 
 def _content_in_var(d: IntTerms, var: Var) -> IntTerms:
-    cm = _coeff_map(d, var)
     cont: IntTerms = {}
-    for coeff in cm.values():
+    for coeff in _coeff_map(d, var).values():
         cont = _int_gcd(cont, coeff)
         if len(cont) == 1 and 0 in cont and abs(cont[0]) == 1:
             break
@@ -518,10 +524,8 @@ def _int_gcd(f: IntTerms, g: IntTerms) -> IntTerms:
     """gcd of integer term maps with positive lead, by a primitive
     polynomial remainder sequence (Brown 1971) in the shared variable of
     least degree; contents in that variable recurse through _int_gcd."""
-    if not f:
-        return _positive_primitive(dict(g))
-    if not g:
-        return _positive_primitive(dict(f))
+    if not f or not g:
+        return _positive_primitive(f or g)
     ci = _igcd(_int_content(f), _int_content(g))
     f = _positive_primitive(f)
     g = _positive_primitive(g)
@@ -531,7 +535,7 @@ def _int_gcd(f: IntTerms, g: IntTerms) -> IntTerms:
     if mono:
         f = {m - mono: c for m, c in f.items()}
         g = {m - mono: c for m, c in g.items()}
-    common = _common_vars(f, g)
+    common = sorted(set(_vars_of(f)) & set(_vars_of(g)))
     if not common or len(f) == 1 or len(g) == 1:
         return {mono: ci}
     var = min(common, key=lambda v: min(_int_deg(f, v), _int_deg(g, v)))
@@ -542,16 +546,12 @@ def _int_gcd(f: IntTerms, g: IntTerms) -> IntTerms:
     G = _int_divexact_strict(g, cont_g)
     if _int_deg(F, var) < _int_deg(G, var):
         F, G = G, F
-    while True:
-        r = _prem(F, G, var)
-        if not r:
-            pp = _positive_primitive(G)
-            break
-        if _int_deg(r, var) == 0:
-            pp = {0: 1}
-            break
+    r = _prem(F, G, var)
+    while r and _int_deg(r, var):
         F, G = G, _positive_primitive(_int_divexact_strict(r, _content_in_var(r, var)))
-    out = _int_mul(pp, cont)
+        r = _prem(F, G, var)
+    # a remainder free of var leaves no common factor of positive degree
+    out = _int_mul({0: 1} if r else _positive_primitive(G), cont)
     return {m + mono: c * ci for m, c in out.items()}
 
 
@@ -566,5 +566,4 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     """Greatest common divisor, returned primitive over Z with positive lead."""
     if f.is_zero() and g.is_zero():
         return Polynomial.zero()
-    d = _int_gcd(_to_int_terms(f)[0], _to_int_terms(g)[0])
-    return Polynomial._raw({m: Fraction(c) for m, c in d.items()})
+    return Polynomial._raw(_int_gcd(f.terms, g.terms))

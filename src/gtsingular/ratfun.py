@@ -12,8 +12,9 @@ first use.  Linear forms are irreducible, so "reduced" means that no listed
 form divides `num`, and each form is tested on its own: `num` is evaluated
 modulo a prime on the form's zero set at a fixed integer point, and a
 nonzero residue proves the form does not divide.  The one integer
-evaluation kernel of `poly` computes the residue, and first solves the
-form for its leading variable.  Only a zero residue (or a coefficient
+evaluation kernel of `poly` computes the residue from the integer terms
+and denominators of `num` and the form (no Fraction is built), after
+solving the form for its leading variable.  Only a zero residue (or a
 denominator the prime divides) runs the exact `divexact`, so no
 probabilistic answer reaches a canonical form.
 
@@ -42,7 +43,6 @@ from .poly import (
     Var,
     _int_eval,
     _lead_field,
-    _to_int_terms,
     divexact,
     mono_degree,
     mono_pack,
@@ -90,16 +90,14 @@ def _expand(forms) -> Polynomial:
 def _residue(p: Polynomial, form: Polynomial) -> int | None:
     """p mod _P at the point of form = 0 whose other coordinates are _COORDS;
     None when _P divides a coefficient denominator."""
-    f, f_den = _to_int_terms(form)
-    d, d_den = _to_int_terms(p)
-    if f_den % _P == 0 or d_den % _P == 0:
+    if form.den % _P == 0 or p.den % _P == 0:
         return None
     # the form is monic in its leading variable u: u = -(form at u = 0)
-    u = _lead_field(max(f))
+    u = _lead_field(max(form.terms))
     xs = dict(_FIELD_COORDS)
     xs[u] = 0
-    xs[u] = -_int_eval(f, xs) * pow(f_den, -1, _P) % _P
-    return _int_eval(d, xs) * pow(d_den, -1, _P) % _P
+    xs[u] = -_int_eval(form.terms, xs) * pow(form.den, -1, _P) % _P
+    return _int_eval(p.terms, xs) * pow(p.den, -1, _P) % _P
 
 
 def _quotient(p: Polynomial, form: Polynomial) -> Polynomial | None:
@@ -348,7 +346,9 @@ class RationalFunction:
         # The new numerator is prime to every form of L, so only the forms
         # free of var can cancel.
         key = mono_pack(((var, 1),))
-        moving = [(form, e, form.terms[key]) for form, e in forms if key in form.terms]
+        moving = [
+            (form, e, Fraction(form.terms[key], form.den)) for form, e in forms if key in form.terms
+        ]
         num = n.derivative(var)
         if moving:
             big = _expand((form, 1) for form, _, _ in moving)

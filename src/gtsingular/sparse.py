@@ -1,12 +1,12 @@
 """Finite formal sums keyed by labels: the one storage-and-arithmetic base.
 
-Polynomials (monomials -> Fraction), ring elements (shifts -> rational
-function) and the module vectors ((kind, shift) labels -> Fraction) are all
-`SparseSum`s.  Every sum keeps one rule: adding to a key drops the key when
-its coefficient sums to zero, so equal sums have equal dicts.  `add_term`
-is that rule; `SparseSum.__add__` inlines it because polynomial addition
-is hot.  Subclasses add their constructors and products; storage, equality,
-hashing, negation, addition and scaling live here.
+Polynomials (monomials -> int, over one denominator), ring elements (shifts
+-> rational function) and the module vectors ((kind, shift) labels ->
+Fraction) are all `SparseSum`s.  Every sum keeps one rule: adding to a key
+drops the key when its coefficient sums to zero, so equal sums have equal
+dicts.  `add_term` is that rule.  Subclasses add their constructors and
+products; storage, equality, hashing, negation, addition and scaling live
+here, and `Polynomial` replaces the arithmetic with its integer kernels.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ if TYPE_CHECKING:
 
 def add_term(acc: dict, key, value) -> None:
     """acc[key] += value, dropping key when the sum is zero.  Values are
-    Fraction or RationalFunction; both are falsy exactly at zero."""
+    int, Fraction or RationalFunction; each is falsy exactly at zero."""
     if not value:
         return
     if key in acc:
@@ -82,19 +82,9 @@ class SparseSum:
             return NotImplemented
         if not self.terms:
             return other
-        if not other.terms:
-            return self
         out = dict(self.terms)
         for key, c in other.terms.items():
-            s = out.get(key)
-            if s is None:
-                out[key] = c
-            else:
-                s = s + c
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
+            add_term(out, key, c)
         return self._raw(out)
 
     def __sub__(self, other):

@@ -33,6 +33,7 @@ def poly_text(p: Polynomial) -> str:
         return "0"
     chunks: list[str] = []
     for m, c in p.sorted_items():
+        c = Fraction(c, p.den)
         if not m:
             body = frac_text(abs(c))
         elif abs(c) == 1:

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from gtsingular import cli
 from gtsingular.cli import main, parse_basis_spec, parse_shift_spec, shift_spec
+from gtsingular.distributions import DistVector
 from gtsingular.tableau import Shift, canonical_test_point
 
 
@@ -210,3 +212,17 @@ def test_shipped_fixture_is_canonical():
     fixture = Path(__file__).resolve().parents[1] / "fixtures" / "canonical_point_n3.json"
     with open(fixture, "r", encoding="utf-8") as fh:
         assert Point.from_json(json.load(fh)) == canonical_test_point(3)
+
+
+def test_zero_vector_text_and_entry_point(capsys, monkeypatch):
+    """The zero vector prints as 0; the console-script entry exits with the
+    code main returns."""
+    assert cli.dist_vector_text(DistVector.zero()) == "0"
+    monkeypatch.setattr("sys.argv", ["gtsingular", "phi", "--n", "3", "--gen", "1,1"])
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == 0 and capsys.readouterr().out.strip() == "(x[1][1]) id"
+    monkeypatch.setattr("sys.argv", ["gtsingular", "phi", "--n", "3", "--gen", "1,7"])
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == 2

@@ -1,0 +1,91 @@
+"""Output pins: digests of printed canonical forms, recorded once and
+compared byte for byte.  A change to the coefficient representation must
+leave every one of them as it is."""
+
+import hashlib
+import json
+import random
+from fractions import Fraction
+from pathlib import Path
+
+from gtsingular.cli import main
+from gtsingular.gtformulas import phi_general
+from gtsingular.poly import Polynomial
+from gtsingular.ratfun import RationalFunction
+from gtsingular.textform import rf_text
+
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+VARS = [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)]
+
+
+def sha16(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+def rational_poly(rng, max_terms, max_deg):
+    """A nonzero polynomial with coefficients p/q, |p| <= 5, q <= 4."""
+    p = Polynomial.zero()
+    while p.is_zero():
+        for _ in range(rng.randint(1, max_terms)):
+            mono = {}
+            for _ in range(rng.randint(0, max_deg)):
+                v = rng.choice(VARS)
+                mono[v] = mono.get(v, 0) + 1
+            c = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            p = p + Polynomial.term(tuple(sorted(mono.items())), c)
+    return p
+
+
+def rational_linear(rng):
+    """c * (x_a - x_b + m) with rational c and m: a non-monic linear form."""
+    a, b = rng.sample(VARS, 2)
+    form = Polynomial.variable(*a) - Polynomial.variable(*b)
+    form = form + Polynomial.constant(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+    return form.scale(Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 3)))
+
+
+def random_rf(rng):
+    """Half the time a den of linear forms, else a non-linear den."""
+    num = rational_poly(rng, 4, 2)
+    if rng.random() < 0.5:
+        den = Polynomial.one()
+        for _ in range(rng.randint(1, 3)):
+            den = den * rational_linear(rng)
+    else:
+        den = rational_poly(rng, 3, 2)
+    return RationalFunction(num, den)
+
+
+def rf_texts(seed: int, count: int) -> list[str]:
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        f, g = random_rf(rng), random_rf(rng)
+        v, w = rng.sample(VARS, 2)
+        results = [f, g, f + g, f - g, f * g, f**2, f.derivative(v), f.swap_vars(v, w),
+                   f.subs_offsets({v: Fraction(1, 2), w: Fraction(-1)})]
+        if not g.is_zero():
+            results.append(f / g)
+        out += [rf_text(h) for h in results]
+    return out
+
+
+def test_rf_text_digest_pinned():
+    texts = rf_texts(seed=2024, count=30)
+    assert any("/(" in t for t in texts)
+    assert sha16("\n".join(texts)) == "e660550018574524"
+
+
+def test_order4_images_match_reference():
+    images = json.loads(REFERENCE.read_text(encoding="utf-8"))["homomorphism"]["images_n4"]
+    assert len(images) == 16
+    for r in range(1, 5):
+        for s in range(1, 5):
+            text = json.dumps(phi_general(4, r, s).to_json(), sort_keys=True, separators=(",", ":"))
+            assert sha16(text) == images[f"{r},{s}"], (r, s)
+
+
+def test_phi_n4_json_stdout_pinned(capsys):
+    cli = json.loads(REFERENCE.read_text(encoding="utf-8"))["cli"]
+    assert main(["phi", "--n", "4", "--gen", "1,4", "--format", "json"]) == 0
+    assert sha16(capsys.readouterr().out) == cli["phi-n4-14-json"]["stdout"]

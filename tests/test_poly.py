@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -43,7 +44,7 @@ def pair_terms(d):
 def to_sympy(p):
     expr = sympy.Integer(0)
     for m, c in p.terms.items():
-        t = sympy.Rational(c.numerator, c.denominator)
+        t = sympy.Rational(c, p.den)
         for v, e in mono_pairs(m):
             t *= sympy.Symbol(f"x_{v[0]}_{v[1]}") ** e
         expr += t
@@ -178,7 +179,7 @@ def fraction_eval(p, coords):
     """The value of p at coords, one Fraction product per term."""
     total = Fraction(0)
     for m, c in p.terms.items():
-        t = c
+        t = Fraction(c, p.den)
         for v, e in mono_pairs(m):
             t *= Fraction(coords[v]) ** e
         total += t
@@ -287,7 +288,7 @@ def test_gcd_matches_sympy(case, prs):
         h = random_poly(rng, max_terms=2, max_deg=2, zero_ok=False)
         a, b = f * h, g * h
     if prs:
-        a, b = (p * Polynomial.constant(6 * poly._to_int_terms(p)[1]) for p in (a, b))
+        a, b = (p * Polynomial.constant(6 * p.den) for p in (a, b))
     mine = to_sympy(poly_gcd(a, b))
     theirs = sympy.gcd(to_sympy(a), to_sympy(b))
     quot = sympy.simplify(mine / theirs)
@@ -385,8 +386,7 @@ def test_divexact_cancelled_monomial_reappears(monkeypatch):
     stale = (((1, 1), 1), ((2, 1), 2))
     assert popped.count(stale) == 1 and len(popped) == len(q.terms) + 1
     popped.clear()
-    f_int, g_int = poly._to_int_terms(q * g)[0], poly._to_int_terms(g)[0]
-    assert poly._int_divexact(f_int, g_int) == poly._to_int_terms(q)[0]
+    assert poly._int_divexact((q * g).terms, g.terms) == q.terms
     assert stale in popped
 
 
@@ -419,6 +419,109 @@ def test_gcd_with_zero():
     f = X11 * X21
     assert divexact(poly_gcd(f, Polynomial.zero()), f) is not None
     assert poly_gcd(Polynomial.zero(), Polynomial.zero()).is_zero()
+
+
+# --- the integer form terms/den ----------------------------------------------
+
+
+def assert_int_form(p):
+    """den is a positive int prime to the content of the nonzero int terms;
+    zero is ({}, 1)."""
+    assert type(p.den) is int and p.den > 0
+    assert all(type(c) is int and c for c in p.terms.values())
+    assert math.gcd(p.den, *p.terms.values()) == 1
+
+
+SYM = {v: sympy.Symbol(f"x_{v[0]}_{v[1]}") for v in VARS}
+
+
+def check(p, expr):
+    assert_int_form(p)
+    assert sympy.expand(to_sympy(p) - expr) == 0
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_int_form_matches_sympy(seed):
+    """Every operation against sympy on rational-coefficient inputs, with
+    the integer form checked on every result."""
+    rng = random.Random(500 + seed)
+    f, g, h = (random_poly(rng, zero_ok=False) for _ in range(3))
+    F, G = to_sympy(f), to_sympy(g)
+    for p in (f, g, h):
+        assert_int_form(p)
+    check(f + g, F + G)
+    check(f - g, F - G)
+    check(f - f, 0)
+    check(-f, -F)
+    check(f * g, F * G)
+    check(f**3, F**3)
+    check(f.scale(Fraction(-3, 4)), F * sympy.Rational(-3, 4))
+    check(f.scale(6), F * 6)
+    check(f.derivative((2, 1)), sympy.diff(F, SYM[(2, 1)]))
+    swap = {SYM[(2, 1)]: SYM[(3, 2)], SYM[(3, 2)]: SYM[(2, 1)]}
+    check(f.swap_vars((2, 1), (3, 2)), F.subs(swap, simultaneous=True))
+    offsets = {(2, 1): Fraction(1, 2), (1, 1): Fraction(-2), (3, 2): Fraction(-5, 3)}
+    moved = {SYM[v]: SYM[v] + sympy.Rational(c.numerator, c.denominator) for v, c in offsets.items()}
+    check(f.subs_offsets(offsets), F.subs(moved, simultaneous=True))
+    point = {v: Fraction(2 * i - 3, 7 + i) for i, v in enumerate(VARS)}
+    value = F.subs({SYM[v]: sympy.Rational(c.numerator, c.denominator) for v, c in point.items()})
+    assert f.evaluate(point) == Fraction(int(sympy.numer(value)), int(sympy.denom(value)))
+    # exact division, also by a divisor with fractional content
+    for divisor in (g, g.scale(Fraction(6, 5))):
+        q = divexact(f * divisor, divisor)
+        assert q == f
+        assert_int_form(q)
+    q, r = sympy.div(F * G + 1, G, *SYM.values(), domain=sympy.QQ)
+    inexact = divexact(f * g + Polynomial.one(), g)
+    if r == 0:
+        check(inexact, q)
+    else:
+        assert inexact is None
+    d = poly_gcd(f * h, g * h)
+    assert_int_form(d)
+    assert d.den == 1
+    assert sympy.simplify(to_sympy(d) / sympy.gcd(to_sympy(f * h), to_sympy(g * h))).is_rational
+
+
+def test_normaliser_paths():
+    """An integer product skips the gcd scan, a product over a denominator
+    reduces, and a sum meets over the lcm of its denominators."""
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    p = X11 * X21
+    assert p.den == 1 and pair_terms(p.terms) == {(((1, 1), 1), ((2, 1), 1)): 1}
+    p = X11.scale(half) * X21.scale(2)
+    assert p.den == 1 and p == X11 * X21
+    p = X11.scale(half) + X21.scale(third)
+    assert p.den == 6 and pair_terms(p.terms) == {(((1, 1), 1),): 3, (((2, 1), 1),): 2}
+    p = X11.scale(Fraction(1, 6)) + X11.scale(third)
+    assert p.den == 2 and p == X11.scale(half)
+    p = X11.scale(half) - X21.scale(half)
+    assert p.den == 2 and pair_terms(p.terms) == {(((1, 1), 1),): 1, (((2, 1), 1),): -1}
+    assert (p - p).den == 1 and (p - p).is_zero()
+    for q in (X11.scale(half), p, p * p, -p):
+        assert_int_form(q)
+
+
+def test_equal_terms_unequal_den():
+    """(terms, den) is the whole value: the same integer terms over another
+    denominator are another polynomial, and hashing agrees with equality."""
+    a = X11 + X21
+    b = a.scale(Fraction(1, 3))
+    assert a.terms == b.terms and a.den == 1 and b.den == 3
+    assert a != b and b != a
+    c = Polynomial({(((1, 1), 1),): Fraction(1, 3), (((2, 1), 1),): Fraction(1, 3)})
+    assert b == c and hash(b) == hash(c)
+    assert len({a, b, c}) == 2
+    assert Polynomial.constant(Fraction(2, 3)).constant_value() == Fraction(2, 3)
+    assert b.leading_coeff() == Fraction(1, 3)
+
+
+def test_int_divexact_strict_raises_on_a_remainder():
+    """The gcd's exact divisions go through a checked wrapper; a division
+    that leaves a remainder there is an internal error."""
+    assert poly._int_divexact_strict((X11 * X21).terms, X21.terms) == X11.terms
+    with pytest.raises(ArithmeticError, match="internal gcd error"):
+        poly._int_divexact_strict(X11.terms, X21.terms)
 
 
 # --- hypothesis properties --------------------------------------------------

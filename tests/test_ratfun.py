@@ -244,6 +244,19 @@ def test_forms_path_runs_no_gcd(monkeypatch):
         act_lie(ctx, gen, BasisVec("D1", Shift.identity()))
 
 
+def test_arithmetic_with_other_types_is_not_implemented():
+    """Each binary operator declines a non-RationalFunction operand, so
+    Python raises TypeError instead of mixing types."""
+    f = X11 / (X21 - X22)
+    for op in ("__add__", "__sub__", "__mul__", "__truediv__"):
+        assert getattr(f, op)(2) is NotImplemented
+        assert getattr(f, op)(X11.num) is NotImplemented
+    with pytest.raises(TypeError):
+        f + 1
+    with pytest.raises(TypeError):
+        f / X11.num
+
+
 def test_zero_and_constant_guards():
     zero = RationalFunction.zero()
     z1 = (X21 - X22).num

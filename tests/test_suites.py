@@ -120,6 +120,8 @@ def test_ring_suite_failure_entries(monkeypatch):
     report = ring_suite(3, count=2, seed=3)
     names = ["assoc", "left-dist", "right-dist", "unit"]
     assert report["failures"] == [{"triple": idx, "check": c} for idx in range(2) for c in names]
+    # eight failures on two triples: no triple passed
+    assert report["total"] == 2 and report["passed"] == 0
 
 
 def test_singularity_suite_failure_entries(monkeypatch):
@@ -139,6 +141,11 @@ def test_singularity_suite_failure_entries(monkeypatch):
             report = singularity_suite(ctx, count=3, seed=5)
         assert report["passed"] == 1
         assert report["failures"] == [{"product": idx, "check": check} for idx in range(3)]
+    # both predicates fail on every product: three failed products, not six
+    monkeypatch.setattr(suites, "is_tau_invariant", lambda ctx, a: False)
+    monkeypatch.setattr(suites, "is_at_most_one_singular", lambda ctx, a: False)
+    report = singularity_suite(ctx, count=3, seed=5)
+    assert len(report["failures"]) == 6 and report["total"] == 4 and report["passed"] == 1
 
 
 def test_appendix_suite_failure_entries(monkeypatch):

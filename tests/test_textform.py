@@ -61,6 +61,16 @@ def test_parse_errors():
             parse_rf(bad)
 
 
+def test_parse_trailing_input_and_whitespace():
+    """A complete expression followed by more tokens is an error; trailing
+    whitespace alone ends the token stream."""
+    with pytest.raises(ExpressionError, match="trailing input"):
+        parse_rf("x[1][1] )")
+    with pytest.raises(ExpressionError, match="trailing input"):
+        parse_rf("x[1][1] x[2][1]")
+    assert parse_rf("x[1][1] + 1  \n") == parse_rf("x[1][1] + 1")
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_roundtrip_poly(seed):
     rng = random.Random(3000 + seed)
