@@ -26,10 +26,8 @@ from .skewring import (
     is_at_most_one_singular,
     is_tau_invariant,
     ring_mul_circ,
-    ring_mul_star,
 )
 from .gtformulas import (
-    calibrate_convention,
     convention,
     gl_bracket,
     phi_diagonal,
@@ -80,8 +78,6 @@ __all__ = [
     "is_at_most_one_singular",
     "is_tau_invariant",
     "ring_mul_circ",
-    "ring_mul_star",
-    "calibrate_convention",
     "convention",
     "gl_bracket",
     "phi_diagonal",

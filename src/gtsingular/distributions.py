@@ -137,7 +137,7 @@ def act(
     ctx: SingularContext, a: RingElement, d: "BasisVec | DistVector"
 ) -> DistVector:
     """Module action: D = ev_v o B goes to ev_v o (B composed with A),
-    with the composition side fixed by the calibrated convention."""
+    with the composition side fixed by `convention()`."""
     if isinstance(d, BasisVec):
         d = DistVector.basis(d)
     conv = convention()

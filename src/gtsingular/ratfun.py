@@ -398,22 +398,6 @@ class RationalFunction:
         return rf_text(self)
 
 
-def divide_by_linear(f: RationalFunction, lin: Polynomial) -> RationalFunction:
-    """f / lin for a linear polynomial lin."""
-    if f.is_zero():
-        return f
-    if f.forms is None:
-        return f * RationalFunction(Polynomial.one(), lin)
-    lc, form = _monic_form(lin)
-    num = f.num.scale(_ONE / lc)
-    q = _quotient(num, form)
-    if q is not None:
-        return RationalFunction._make(q, f.forms)
-    acc = dict(f.forms)
-    acc[form] = acc.get(form, 0) + 1
-    return RationalFunction._make(num, _sorted_forms(acc))
-
-
 def multiply_by_linear(f: RationalFunction, lin: Polynomial) -> RationalFunction:
     """f * lin for a linear polynomial lin."""
     if f.is_zero():

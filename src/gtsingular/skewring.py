@@ -5,8 +5,8 @@ through the shift action on functions:
 
     (f sigma) o (g rho) = f * sigma(g) (sigma o rho)
 
-extended bilinearly.  The opposite multiplication A * B := B o A is carried
-alongside; the transposition of a singular pair acts as a ring automorphism.
+extended bilinearly.  The transposition of a singular pair acts as a ring
+automorphism.
 """
 
 from __future__ import annotations
@@ -65,11 +65,6 @@ def ring_mul_circ(a: RingElement, b: RingElement) -> RingElement:
         for sb, fb in b.terms.items():
             add_term(out, sa * sb, fa * shift_subst(fb, sa))
     return RingElement._raw(out)
-
-
-def ring_mul_star(a: RingElement, b: RingElement) -> RingElement:
-    """The opposite multiplication A * B := B o A."""
-    return ring_mul_circ(b, a)
 
 
 def apply_to_function(a: RingElement, f: RationalFunction) -> RationalFunction:

@@ -88,8 +88,8 @@ class Shift:
                 raise ValueError(f"shift touches row {k}, beyond rows 1..{n - 1}")
         return self
 
-    def offsets(self, sign: int = 1) -> dict[Var, Fraction]:
-        return {v: Fraction(sign * m) for v, m in self.items}
+    def offsets(self, sign: int = 1) -> dict[Var, int]:
+        return {v: sign * m for v, m in self.items}
 
     def to_json(self) -> dict[str, int]:
         return {f"({k},{i})": m for (k, i), m in self.items}

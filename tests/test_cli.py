@@ -1,4 +1,5 @@
 import json
+import runpy
 
 import pytest
 
@@ -226,3 +227,13 @@ def test_zero_vector_text_and_entry_point(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         cli.entry()
     assert exc.value.code == 2
+
+
+def test_module_main_guard(capsys, monkeypatch):
+    """`python -m gtsingular.cli` runs the console entry."""
+    monkeypatch.setattr("sys.argv", ["gtsingular", "phi", "--n", "2", "--gen", "2,2"])
+    with pytest.warns(RuntimeWarning, match="found in sys.modules"):
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("gtsingular.cli", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.strip() == "(-x[1][1] + x[2][1] + x[2][2] + 1) id"

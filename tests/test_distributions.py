@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from gtsingular import distributions
 from gtsingular.distributions import (
     BasisVec,
     DerivTabVec,
@@ -70,6 +71,29 @@ def test_from_terms_applies_relations():
 def test_from_terms_rejects_fixed_d2():
     with pytest.raises(InvariantViolation):
         DistVector.from_terms(CTX, [("D2", S21 * S22, Fraction(1))])
+
+
+def test_d2_undefined_on_fixed_shift():
+    fixed = S21 * S22
+    with pytest.raises(ValueError, match="D2 is undefined"):
+        materialize(CTX, BasisVec("D2", fixed))
+    with pytest.raises(ValueError, match="D2 is undefined"):
+        dist_functional(CTX, "D2", fixed, Polynomial.one())
+    with pytest.raises(ValueError, match="unknown distribution kind 'D3'"):
+        dist_functional(CTX, "D3", S21, Polynomial.one())
+
+
+def test_functional_reports_a_failed_division(monkeypatch):
+    """The antisymmetrized test function is always divisible by z1; a
+    division that fails anyway is an internal error, not a value."""
+    monkeypatch.setattr(distributions, "divexact", lambda p, q: None)
+    with pytest.raises(InvariantViolation, match="not divisible by z1"):
+        dist_functional(CTX, "D2", S22, Polynomial.variable(1, 1))
+
+
+def test_deriv_tab_vec_rejects_unknown_symbol():
+    with pytest.raises(ValueError, match="unknown tableau symbol 'D1'"):
+        DerivTabVec.from_terms(CTX, [("D1", S22, Fraction(1))])
 
 
 def test_canonicalization_idempotent():

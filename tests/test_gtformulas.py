@@ -6,7 +6,6 @@ import pytest
 from gtsingular import gtformulas
 from gtsingular.gtformulas import (
     bracket,
-    calibrate_convention,
     convention,
     gl_bracket,
     phi_combination,
@@ -197,14 +196,13 @@ def test_tau_invariance_of_lowering_row2():
     assert group_act_on_ring(CTX, a) == a
 
 
-# --- calibration and homomorphism -------------------------------------------
+# --- the product and the homomorphism --------------------------------------
 
 
-def test_calibration_star():
-    assert calibrate_convention(2) == "star"
+def test_convention_is_star():
+    """The fixed product; the tests below prove it: the homomorphism holds
+    with "star" and fails with "circ" at orders 2 and 3."""
     assert convention() == "star"
-    # the opposite-order commutator is what matches the bracket at order 3 too
-    assert calibrate_convention(3) == "star"
 
 
 def test_circ_commutator_has_wrong_sign():
@@ -240,7 +238,23 @@ def test_homomorphism_oracle_fails_on_the_other_product(monkeypatch):
 
 def test_homomorphism_n3():
     report = verify_homomorphism(3)
-    assert report["ok"] and report["total"] == 81
+    assert report["ok"] and report["convention"] == "star"
+    assert report["total"] == report["passed"] == 81
+
+
+def test_homomorphism_oracle_fails_on_the_other_product_n3(monkeypatch):
+    """At order 3 the non-adjacent images are brackets, so the circ product
+    also builds them; the image cache is cleared on both sides of the run
+    so that no circ-built image reaches another test."""
+    monkeypatch.setattr(gtformulas, "convention", lambda: "circ")
+    phi_general.cache_clear()
+    try:
+        report = verify_homomorphism(3)
+    finally:
+        phi_general.cache_clear()
+    assert not report["ok"] and report["convention"] == "circ"
+    assert report["total"] == 81 and report["passed"] == 51
+    assert len(report["failures"]) == 30
 
 
 @pytest.mark.parametrize("x, y", [((1, 3), (2, 4)), ((1, 3), (1, 4))])
@@ -286,22 +300,3 @@ def test_input_guards():
         gtformulas.multiply("nope", a, a)
     with pytest.raises(ValueError, match="lowering index 3"):
         phi_lowering(3, 3)
-    with pytest.raises(ValueError, match="not adjacent or diagonal"):
-        gtformulas._phi_basic(3, 1, 3)
-    with pytest.raises(ValueError, match="order must be at least 2"):
-        calibrate_convention(1)
-
-
-def test_calibration_needs_exactly_one_winner(monkeypatch):
-    """Calibration refuses when both products pass or when neither does;
-    the uncached function runs, so the frozen convention is untouched."""
-    right = convention()
-    multiply = gtformulas.multiply
-    monkeypatch.setattr(gtformulas, "multiply", lambda conv, a, b: multiply(right, a, b))
-    with pytest.raises(RuntimeError, match=r"at n=2: \['circ', 'star'\]"):
-        calibrate_convention.__wrapped__(2)
-    monkeypatch.setattr(gtformulas, "bracket", lambda conv, a, b: RingElement.zero())
-    with pytest.raises(RuntimeError, match=r"at n=2: \[\]"):
-        calibrate_convention.__wrapped__(2)
-    monkeypatch.undo()
-    assert convention() == right == calibrate_convention(2)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from gtsingular.gtformulas import multiply
 from gtsingular.ratfun import RationalFunction
 from gtsingular.skewring import (
     RingElement,
@@ -10,7 +11,6 @@ from gtsingular.skewring import (
     is_at_most_one_singular,
     is_tau_invariant,
     ring_mul_circ,
-    ring_mul_star,
 )
 from gtsingular.tableau import Shift, canonical_context, shift_subst
 from tests_helpers import random_rf
@@ -58,8 +58,8 @@ def test_circ_unit():
     a = random_ring_element(rng)
     assert ring_mul_circ(a, RingElement.one()) == a
     assert ring_mul_circ(RingElement.one(), a) == a
-    assert ring_mul_star(a, RingElement.one()) == a
-    assert ring_mul_star(RingElement.one(), a) == a
+    assert multiply("star", a, RingElement.one()) == a
+    assert multiply("star", RingElement.one(), a) == a
 
 
 def test_circ_singular_coefficient():
@@ -72,7 +72,7 @@ def test_circ_singular_coefficient():
 def test_star_unfolds():
     f, g = X11, X21 * X22
     rho = Shift({(2, 2): -1})
-    lhs = ring_mul_star(RingElement.term(f, S11), RingElement.term(g, rho))
+    lhs = multiply("star", RingElement.term(f, S11), RingElement.term(g, rho))
     rhs = RingElement.term(g * shift_subst(f, rho), rho * S11)
     assert lhs == rhs
 
@@ -81,7 +81,7 @@ def test_star_unfolds():
 def test_star_associative_via_circ(seed):
     rng = random.Random(600 + seed)
     a, b, c = (random_ring_element(rng, 2) for _ in range(3))
-    assert ring_mul_star(a, ring_mul_star(b, c)) == ring_mul_star(ring_mul_star(a, b), c)
+    assert multiply("star", a, multiply("star", b, c)) == multiply("star", multiply("star", a, b), c)
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -84,6 +84,17 @@ def test_polynomial_and_ring_element_never_mix():
         a + p
 
 
+def test_zero_sums_and_mixed_subtraction():
+    zero_coeff = RingElement.term(RationalFunction.zero(), S11)
+    assert zero_coeff.is_zero() and zero_coeff == RingElement.zero()
+    assert repr(RingElement.zero()) == "0"
+    assert repr(DistVector.zero()) == repr(QVector()) == "0"
+    a = RingElement.term(RationalFunction.constant(1), ID)
+    assert a.__sub__(Polynomial.constant(1)) is NotImplemented
+    with pytest.raises(TypeError):
+        a - Polynomial.constant(1)
+
+
 def test_vector_types_never_equal():
     coeffs = {("D1", ID): Fraction(1)}
     d, e = DistVector(coeffs), DerivTabVec(coeffs)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from gtsingular.poly import Polynomial
-from gtsingular.ratfun import RationalFunction, divide_by_linear
+from gtsingular.ratfun import RationalFunction
 from gtsingular.tableau import (
     Point,
     Shift,
@@ -100,6 +100,27 @@ def test_point_validation():
         Point.from_rows([["1/2"], ["1/3"]])
 
 
+def test_point_input_guards():
+    full = canonical_test_point().coords
+    with pytest.raises(ValueError, match="order must be at least 2"):
+        Point(1, {(1, 1): Fraction(1)})
+    with pytest.raises(ValueError, match=r"missing coordinate for position \(3, 3\)"):
+        Point(3, {v: c for v, c in full.items() if v != (3, 3)})
+    with pytest.raises(ValueError, match=r"unexpected positions \[\(4, 1\)\]"):
+        Point(3, {**full, (4, 1): Fraction(1)})
+    with pytest.raises(ValueError, match="expected 3 rows, got 2"):
+        Point.from_json({"n": 3, "rows": [["1/5"], ["1/3", "1/3"]]})
+
+
+def test_point_hash_and_repr():
+    p = canonical_test_point()
+    assert hash(p) == hash(Point.from_rows(p.rows()))
+    assert len({p, Point.from_rows(p.rows())}) == 1
+    assert repr(Point.from_rows([[1], [2, 3]])) == (
+        "Point(n=2, rows=[[Fraction(1, 1)], [Fraction(2, 1), Fraction(3, 1)]])"
+    )
+
+
 def test_shift_subst_examples():
     assert shift_subst(X11, Shift.generator(1, 1)) == X11 - RationalFunction.one()
     f = (X11 + X21) / (X22 * X22)
@@ -139,6 +160,15 @@ def test_singular_context_rejects_bottom_row():
     assert classify_point(p).tag == "OneSingular"
     with pytest.raises(ValueError, match="bottom row"):
         SingularContext(p, 3, 1, 2)
+
+
+def test_singular_context_input_guards():
+    p = canonical_test_point()
+    with pytest.raises(ValueError, match=r"bad column pair \(2,1\) in row 2"):
+        SingularContext(p, 2, 2, 1)
+    with pytest.raises(ValueError, match=r"singular row must lie in 2..2, got 4"):
+        SingularContext(p, 4, 1, 2)
+    assert repr(canonical_context()) == "SingularContext(n=3, pair=(2,1,2))"
 
 
 def test_singular_context_requires_equal_values():
@@ -211,10 +241,10 @@ def test_divide_by_z1():
     ctx = canonical_context()
     z1 = X21 - X22
     one = RationalFunction.one()
-    assert divide_by_linear(z1 * z1, ctx.z1_poly) == z1
-    assert divide_by_linear(one, ctx.z1_poly) == one / z1
+    assert z1 * z1 / ctx.z1 == z1
+    assert (one / ctx.z1).forms == ((ctx.z1_poly, 1),)
     f = z1 / (z1 - one)
-    assert divide_by_linear(f, ctx.z1_poly) == one / (z1 - one)
+    assert f / ctx.z1 == one / (z1 - one)
 
 
 def test_canonical_point_classifies():
