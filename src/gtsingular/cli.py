@@ -66,7 +66,7 @@ def shift_spec(sigma: Shift) -> str:
     if sigma.is_identity():
         return "id"
     return ",".join(
-        f"({k},{i})+{m}" if m > 0 else f"({k},{i}){m}" for (k, i), m in sigma.items
+        f"({k},{i})+{m}" if m > 0 else f"({k},{i}){m}" for (k, i), m in sigma.sorted_items()
     )
 
 

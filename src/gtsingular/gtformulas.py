@@ -146,14 +146,22 @@ def phi_combination(n: int, terms: list[tuple[int, GeneratorId]]) -> RingElement
 
 def verify_homomorphism(n: int) -> dict:
     """Check the commutator identity on all ordered pairs of elementary
-    matrices; returns a machine-readable report."""
+    matrices; returns a machine-readable report.  Each bracket is built
+    once: [x,x] is zero, and [y,x] is -[x,y], held until its pair comes."""
     conv = convention()
     gens = all_generators(n)
     checks = []
     failures = []
+    mirrored: dict[tuple[GeneratorId, GeneratorId], RingElement] = {}
     for x in gens:
         for y in gens:
-            lhs = bracket(conv, phi_general(n, *x), phi_general(n, *y))
+            if x == y:
+                lhs = RingElement.zero()
+            elif (x, y) in mirrored:
+                lhs = mirrored.pop((x, y))
+            else:
+                lhs = bracket(conv, phi_general(n, *x), phi_general(n, *y))
+                mirrored[(y, x)] = -lhs
             rhs = phi_combination(n, gl_bracket(x, y))
             ok = lhs == rhs
             entry = {"pair": [list(x), list(y)], "equal": ok}

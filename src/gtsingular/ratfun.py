@@ -6,17 +6,18 @@ equality of rational functions.
 
 The denominators the Gelfand-Tsetlin formulas produce are products of
 linear forms x[k][i] - x[k][j] + m.  A denominator known to factor that way
-is kept as `forms`: a sorted tuple of (monic linear form, multiplicity)
-pairs.  Its expanded product is the same monic `den` as above, built on
-first use.  Linear forms are irreducible, so "reduced" means that no listed
-form divides `num`, and each form is tested on its own: `num` is evaluated
-modulo a prime on the form's zero set at a fixed integer point, and a
-nonzero residue proves the form does not divide.  The one integer
-evaluation kernel of `poly` computes the residue from the integer terms
-and denominators of `num` and the form (no Fraction is built), after
-solving the form for its leading variable.  Only a zero residue (or a
-denominator the prime divides) runs the exact `divexact`, so no
-probabilistic answer reaches a canonical form.
+is kept as `forms`: a dict from monic linear form to multiplicity, in no
+order (dict equality is canonical).  Its expanded product, the one that is
+printed, is the same monic `den` as above, built on first use.  Linear
+forms are irreducible, so "reduced" means that no listed form divides
+`num`, and each form is tested on its own: `num` is evaluated modulo a
+prime on the form's zero set at a fixed integer point, and a nonzero
+residue proves the form does not divide.  The one integer evaluation
+kernel of `poly` computes the residue from the integer terms and
+denominators of `num` and the form (no Fraction is built), after solving
+the form for its leading variable.  Only a zero residue (or a denominator
+the prime divides) runs the exact `divexact`, so no probabilistic answer
+reaches a canonical form.
 
 The constructor RationalFunction(num, den) is the one normaliser: every
 pair not already known to be reduced goes through it.  A constant or linear
@@ -51,8 +52,6 @@ from .poly import (
 
 _ONE = Fraction(1)
 
-Forms = tuple[tuple[Polynomial, int], ...]
-
 # The residue test works modulo this prime, at a fixed integer point.
 _P = (1 << 61) - 1
 
@@ -70,14 +69,6 @@ class PoleError(ArithmeticError):
 def _is_linear(p: Polynomial) -> bool:
     """Degree exactly 1."""
     return not p.is_constant() and mono_degree(max(p.terms)) == 1
-
-
-def _form_key(item: tuple[Polynomial, int]):
-    return sorted(item[0].terms.items())
-
-
-def _sorted_forms(acc: dict[Polynomial, int]) -> Forms:
-    return tuple(sorted(acc.items(), key=_form_key))
 
 
 def _expand(forms) -> Polynomial:
@@ -109,10 +100,10 @@ def _quotient(p: Polynomial, form: Polynomial) -> Polynomial | None:
     return divexact(p, form)
 
 
-def _cancel(num: Polynomial, forms) -> tuple[Polynomial, Forms]:
+def _cancel(num: Polynomial, forms: dict) -> tuple[Polynomial, dict]:
     """Divide num by the listed forms as often as they divide it."""
-    kept = []
-    for form, e in forms:
+    kept = {}
+    for form, e in forms.items():
         while e:
             q = _quotient(num, form)
             if q is None:
@@ -120,8 +111,8 @@ def _cancel(num: Polynomial, forms) -> tuple[Polynomial, Forms]:
             num = q
             e -= 1
         if e:
-            kept.append((form, e))
-    return num, tuple(kept)
+            kept[form] = e
+    return num, kept
 
 
 def _monic_form(p: Polynomial) -> tuple[Fraction, Polynomial]:
@@ -138,24 +129,24 @@ class RationalFunction:
             raise ZeroDivisionError("zero denominator")
         self._hash = self._den = None
         if num.is_zero():
-            self.num, self.forms = Polynomial.zero(), ()
+            self.num, self.forms = Polynomial.zero(), {}
             return
         if not (den.is_constant() or _is_linear(den)):
             g = poly_gcd(num, den)
             if not g.is_constant():
                 num, den = divexact(num, g), divexact(den, g)
         if den.is_constant():
-            self.num, self.forms = num.scale(_ONE / den.constant_value()), ()
+            self.num, self.forms = num.scale(_ONE / den.constant_value()), {}
         elif _is_linear(den):
             lc, form = _monic_form(den)
-            self.num, self.forms = _cancel(num.scale(_ONE / lc), ((form, 1),))
+            self.num, self.forms = _cancel(num.scale(_ONE / lc), {form: 1})
         else:
             inv = _ONE / den.leading_coeff()
             self.num, self.forms, self._den = num.scale(inv), None, den.scale(inv)
 
     @classmethod
-    def _make(cls, num: Polynomial, forms: Forms) -> "RationalFunction":
-        # internal: no form divides num, or num is zero and forms is ()
+    def _make(cls, num: Polynomial, forms: dict | None) -> "RationalFunction":
+        # internal: no form divides num, or num is zero and forms is {}
         f = cls.__new__(cls)
         f.num = num
         f.forms = forms
@@ -165,30 +156,30 @@ class RationalFunction:
 
     @classmethod
     def from_poly(cls, p: Polynomial) -> "RationalFunction":
-        return cls._make(p, ())
+        return cls._make(p, {})
 
     @classmethod
     def constant(cls, c) -> "RationalFunction":
-        return cls._make(Polynomial.constant(c), ())
+        return cls._make(Polynomial.constant(c), {})
 
     @classmethod
     def zero(cls) -> "RationalFunction":
-        return cls._make(Polynomial.zero(), ())
+        return cls._make(Polynomial.zero(), {})
 
     @classmethod
     def one(cls) -> "RationalFunction":
-        return cls._make(Polynomial.one(), ())
+        return cls._make(Polynomial.one(), {})
 
     @classmethod
     def variable(cls, k: int, i: int) -> "RationalFunction":
-        return cls._make(Polynomial.variable(k, i), ())
+        return cls._make(Polynomial.variable(k, i), {})
 
     @property
     def den(self) -> Polynomial:
         """The expanded monic denominator."""
         d = self._den
         if d is None:
-            d = self._den = _expand(self.forms)
+            d = self._den = _expand(self.forms.items())
         return d
 
     def is_zero(self) -> bool:
@@ -199,7 +190,7 @@ class RationalFunction:
 
     def is_polynomial(self) -> bool:
         # the expanded path only holds denominators of degree 2 or more
-        return self.forms == ()
+        return self.forms == {}
 
     def is_constant(self) -> bool:
         return self.num.is_constant() and self.is_polynomial()
@@ -251,21 +242,20 @@ class RationalFunction:
         # differ still divides exactly one cofactor, so only forms shared
         # with equal multiplicity can cancel.  The sum is not zero: opposite
         # values would have equal forms.
-        d1, d2 = dict(f1), dict(f2)
-        lcm = dict(d1)
-        for form, e in f2:
+        lcm = dict(f1)
+        for form, e in f2.items():
             if e > lcm.get(form, 0):
                 lcm[form] = e
-        a = _expand((form, e - d1.get(form, 0)) for form, e in lcm.items() if e > d1.get(form, 0))
-        b = _expand((form, e - d2.get(form, 0)) for form, e in lcm.items() if e > d2.get(form, 0))
+        a = _expand((form, e - f1.get(form, 0)) for form, e in lcm.items() if e > f1.get(form, 0))
+        b = _expand((form, e - f2.get(form, 0)) for form, e in lcm.items() if e > f2.get(form, 0))
         num = self.num * a + other.num * b
-        shared = [(form, e) for form, e in f1 if d2.get(form) == e]
+        shared = {form: e for form, e in f1.items() if f2.get(form) == e}
         if shared:
             num, kept = _cancel(num, shared)
-            for form, _ in shared:
+            for form in shared:
                 del lcm[form]
             lcm.update(kept)
-        return RationalFunction._make(num, _sorted_forms(lcm))
+        return RationalFunction._make(num, lcm)
 
     def __sub__(self, other: "RationalFunction") -> "RationalFunction":
         if not isinstance(other, RationalFunction):
@@ -286,10 +276,9 @@ class RationalFunction:
         if not f1 or not f2:
             forms = f1 or f2
         else:
-            acc = dict(f1)
-            for form, e in f2:
-                acc[form] = acc.get(form, 0) + e
-            forms = _sorted_forms(acc)
+            forms = dict(f1)
+            for form, e in f2.items():
+                forms[form] = forms.get(form, 0) + e
         return RationalFunction._make(n1 * n2, forms)
 
     def reciprocal(self) -> "RationalFunction":
@@ -310,7 +299,7 @@ class RationalFunction:
         if e == 0:
             return RationalFunction.one()
         # num and the forms stay coprime under powers
-        return RationalFunction._make(self.num**e, tuple((form, m * e) for form, m in self.forms))
+        return RationalFunction._make(self.num**e, {form: m * e for form, m in self.forms.items()})
 
     def scale(self, c) -> "RationalFunction":
         c = Fraction(c)
@@ -323,7 +312,7 @@ class RationalFunction:
         if self.forms is None:
             return self.den.evaluate(coords)
         out = _ONE
-        for form, e in self.forms:
+        for form, e in self.forms.items():
             out *= form.evaluate(coords) ** e
         return out
 
@@ -346,9 +335,8 @@ class RationalFunction:
         # The new numerator is prime to every form of L, so only the forms
         # free of var can cancel.
         key = mono_pack(((var, 1),))
-        moving = [
-            (form, e, Fraction(form.terms[key], form.den)) for form, e in forms if key in form.terms
-        ]
+        moving = [(form, e, Fraction(form.terms[key], form.den))
+                  for form, e in forms.items() if key in form.terms]
         num = n.derivative(var)
         if moving:
             big = _expand((form, 1) for form, _, _ in moving)
@@ -361,10 +349,9 @@ class RationalFunction:
         if num.is_zero():
             return RationalFunction.zero()
         grown = {form for form, _, _ in moving}
-        num, kept = _cancel(num, [(form, e) for form, e in forms if form not in grown])
-        acc = dict(kept)
-        acc.update((form, e + 1) for form, e, _ in moving)
-        return RationalFunction._make(num, _sorted_forms(acc))
+        num, kept = _cancel(num, {form: e for form, e in forms.items() if form not in grown})
+        kept.update((form, e + 1) for form, e, _ in moving)
+        return RationalFunction._make(num, kept)
 
     def subs_offsets(self, offsets: Mapping[Var, Fraction]) -> "RationalFunction":
         num = self.num.subs_offsets(offsets)
@@ -373,7 +360,7 @@ class RationalFunction:
         # affine substitution is a ring automorphism fixing leading terms,
         # so reducedness and the monic forms survive untouched
         return RationalFunction._make(
-            num, _sorted_forms({form.subs_offsets(offsets): e for form, e in self.forms})
+            num, {form.subs_offsets(offsets): e for form, e in self.forms.items()}
         )
 
     def swap_vars(self, a: Var, b: Var) -> "RationalFunction":
@@ -381,13 +368,13 @@ class RationalFunction:
         if self.forms is None:
             return RationalFunction(num, self.den.swap_vars(a, b))
         # an automorphism again, but the leading term of a form may move
-        acc = {}
+        forms = {}
         unit = _ONE
-        for form, e in self.forms:
+        for form, e in self.forms.items():
             lc, form = _monic_form(form.swap_vars(a, b))
-            acc[form] = e
+            forms[form] = e
             unit *= lc**e
-        return RationalFunction._make(num.scale(_ONE / unit), _sorted_forms(acc))
+        return RationalFunction._make(num.scale(_ONE / unit), forms)
 
     def variables(self) -> list[Var]:
         return sorted(set(self.num.variables()) | set(self.den.variables()))
@@ -405,9 +392,10 @@ def multiply_by_linear(f: RationalFunction, lin: Polynomial) -> RationalFunction
     if f.forms is None:
         return f * RationalFunction.from_poly(lin)
     lc, form = _monic_form(lin)
-    forms = f.forms
-    for idx, (listed, e) in enumerate(forms):
-        if listed == form:
-            left = ((form, e - 1),) if e > 1 else ()
-            return RationalFunction._make(f.num.scale(lc), forms[:idx] + left + forms[idx + 1:])
-    return RationalFunction._make(f.num * lin, forms)
+    forms = dict(f.forms)
+    e = forms.pop(form, 0)
+    if not e:
+        return RationalFunction._make(f.num * lin, f.forms)
+    if e > 1:
+        forms[form] = e - 1
+    return RationalFunction._make(f.num.scale(lc), forms)

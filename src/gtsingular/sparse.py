@@ -1,12 +1,14 @@
 """Finite formal sums keyed by labels: the one storage-and-arithmetic base.
 
-Polynomials (monomials -> int, over one denominator), ring elements (shifts
--> rational function) and the module vectors ((kind, shift) labels ->
-Fraction) are all `SparseSum`s.  Every sum keeps one rule: adding to a key
-drops the key when its coefficient sums to zero, so equal sums have equal
-dicts.  `add_term` is that rule.  Subclasses add their constructors and
-products; storage, equality, hashing, negation, addition and scaling live
-here, and `Polynomial` replaces the arithmetic with its integer kernels.
+Polynomials (monomials -> int, over one denominator), shifts (positions ->
+int), ring elements (shifts -> rational function) and the module vectors
+((kind, shift) labels -> Fraction) are all `SparseSum`s.  Every sum keeps
+one rule, `add_term`: adding to a key drops the key when its coefficient
+sums to zero, so equal sums have equal dicts and no order is kept; only
+`support()` and `sorted_items()` sort, for printing.  Subclasses add their
+constructors and products; storage, equality, hashing, negation, addition
+and scaling live here, and `Polynomial` replaces the arithmetic with its
+integer kernels.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ from typing import Iterable, Iterator, Mapping, TypeVar
 
 from .poly import Polynomial, Var, check_var
 from .ratfun import RationalFunction
+from .sparse import SparseSum
 
 RF = TypeVar("RF", Polynomial, RationalFunction)
 
@@ -26,80 +27,63 @@ def positions(n: int) -> Iterator[Var]:
             yield (k, i)
 
 
-class Shift:
-    """Element of the free abelian shift group: position (k, i) -> integer."""
+class Shift(SparseSum):
+    """Element of the free abelian shift group: a finite sum of positions
+    (k, i) with nonzero integer components, written multiplicatively.  The
+    group law is component addition, so the product, inverse and identity
+    are the sum's addition, negation and zero."""
 
-    __slots__ = ("items", "_hash")
+    __slots__ = ()
 
     def __init__(self, components: Mapping[Var, int] | Iterable[tuple[Var, int]] = ()):
-        comps = dict(components.items() if isinstance(components, Mapping) else components)
-        cleaned = {}
-        for v, m in comps.items():
+        super().__init__(components)
+        for v, m in self.terms.items():
             check_var(v)
-            if m:
-                cleaned[v] = int(m)
-        self.items: tuple[tuple[Var, int], ...] = tuple(sorted(cleaned.items()))
-        self._hash = None
+            if int(m) != m:
+                raise ValueError(f"shift component {m!r} at {v} is not an integer")
+            self.terms[v] = int(m)
+
+    _sort_key = staticmethod(tuple)  # positions sort ascending
 
     @classmethod
     def identity(cls) -> "Shift":
-        return cls(())
+        return cls._raw({})
 
     @classmethod
     def generator(cls, k: int, i: int, power: int = 1) -> "Shift":
         return cls({(k, i): power})
 
     def component(self, v: Var) -> int:
-        for w, m in self.items:
-            if w == v:
-                return m
-        return 0
+        return self.terms.get(v, 0)
 
-    def is_identity(self) -> bool:
-        return not self.items
+    __mul__ = SparseSum.__add__
+    inverse = SparseSum.__neg__
+    is_identity = SparseSum.is_zero
 
-    def __mul__(self, other: "Shift") -> "Shift":
-        out = dict(self.items)
-        for v, m in other.items:
-            out[v] = out.get(v, 0) + m
-        return Shift(out)
+    def scale(self, e) -> "Shift":
+        """sigma^e for an integer e."""
+        return Shift({v: m * e for v, m in self.terms.items()})
 
-    def inverse(self) -> "Shift":
-        return Shift({v: -m for v, m in self.items})
-
-    def __pow__(self, e: int) -> "Shift":
-        return Shift({v: m * e for v, m in self.items})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Shift) and self.items == other.items
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = self._hash = hash(self.items)
-        return h
+    __pow__ = scale
 
     def sort_key(self):
-        return self.items
+        return tuple(self.sorted_items())
 
     def validate(self, n: int) -> "Shift":
-        for (k, _i), _m in self.items:
+        for k, _i in self.terms:
             if k > n - 1:
                 raise ValueError(f"shift touches row {k}, beyond rows 1..{n - 1}")
         return self
 
-    def offsets(self, sign: int = 1) -> dict[Var, int]:
-        return {v: sign * m for v, m in self.items}
-
     def to_json(self) -> dict[str, int]:
-        return {f"({k},{i})": m for (k, i), m in self.items}
+        return {f"({k},{i})": m for (k, i), m in self.sorted_items()}
 
     def __repr__(self) -> str:
-        if not self.items:
+        if not self.terms:
             return "id"
         return "*".join(
             f"σ[{k},{i}]" + (f"^{m}" if m != 1 else "")
-            for (k, i), m in self.items
+            for (k, i), m in self.sorted_items()
         )
 
 
@@ -108,7 +92,7 @@ def shift_subst(f: RF, sigma: Shift) -> RF:
     substitute X(k,i) -> X(k,i) - m(k,i)."""
     if sigma.is_identity():
         return f
-    return f.subs_offsets(sigma.offsets(-1))
+    return f.subs_offsets(sigma.inverse().terms)
 
 
 def transpose_subst(f: RationalFunction, a: Var, b: Var) -> RationalFunction:
@@ -187,7 +171,7 @@ class Point:
 def apply_shift(sigma: Shift, p: Point) -> Point:
     sigma.validate(p.n)
     coords = dict(p.coords)
-    for v, m in sigma.items:
+    for v, m in sigma.terms.items():
         coords[v] += m
     return Point(p.n, coords)
 
@@ -264,14 +248,14 @@ class SingularContext:
         mj = sigma.component(self.pos_j)
         if mi == mj:
             return sigma
-        out = dict(sigma.items)
+        out = dict(sigma.terms)
         out.pop(self.pos_i, None)
         out.pop(self.pos_j, None)
         if mj:
             out[self.pos_i] = mj
         if mi:
             out[self.pos_j] = mi
-        return Shift(out)
+        return Shift._raw(out)
 
     def is_tau_fixed(self, sigma: Shift) -> bool:
         return sigma.component(self.pos_i) == sigma.component(self.pos_j)

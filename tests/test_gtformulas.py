@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -255,6 +257,30 @@ def test_homomorphism_oracle_fails_on_the_other_product_n3(monkeypatch):
     assert not report["ok"] and report["convention"] == "circ"
     assert report["total"] == 81 and report["passed"] == 51
     assert len(report["failures"]) == 30
+
+
+# sha256 of json.dumps(report, sort_keys=True), recorded when every
+# ordered pair still built its own bracket
+REPORT_DIGESTS = {
+    ("star", 2): "020179c24a40ddec1e9f12d1808507aaa6109987404c4fdc8131e39738a3e9f1",
+    ("star", 3): "f1a53df4b1edcf254f9f6b377d808764483895fd95f7d710c558fbc46c885364",
+    ("circ", 2): "2be657fa1e0a019beb322d1286d0674e8b2694a882f683b4980d2d47dfbe90b5",
+    ("circ", 3): "1a5ff64330b8231f32330affff21e7e3c0ccabca94e02e6d8d182a472f7e5107",
+}
+
+
+@pytest.mark.parametrize("conv, n", list(REPORT_DIGESTS))
+def test_homomorphism_reports_are_pinned(monkeypatch, conv, n):
+    """The full report, failures and counterexamples included, under both
+    products: building [y,x] as -[x,y] and [x,x] as zero changes no byte."""
+    monkeypatch.setattr(gtformulas, "convention", lambda: conv)
+    phi_general.cache_clear()
+    try:
+        report = verify_homomorphism(n)
+    finally:
+        phi_general.cache_clear()
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert digest == REPORT_DIGESTS[(conv, n)]
 
 
 @pytest.mark.parametrize("x, y", [((1, 3), (2, 4)), ((1, 3), (1, 4))])

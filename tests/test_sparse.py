@@ -110,3 +110,27 @@ def test_vectors_print_labels_by_one_rule():
     assert repr(d) == "3*D1[id] + 1*D1[σ[2,2]] + 1/2*D2[σ[2,2]]"
     # labels sort by shift, then by kind name: "DT" before "T"
     assert repr(e) == "3*T[id] + 1/2*DT[σ[2,2]] + 1*T[σ[2,2]]"
+
+
+# every finite-sum type, with two keys in print order
+PRINT_ORDER = {
+    Polynomial: ((((2, 1), 1),), ()),
+    RingElement: (ID, S22),
+    DistVector: (("D1", ID), ("D2", S22)),
+    DerivTabVec: (("DT", ID), ("T", S22)),
+    Shift: ((1, 1), (2, 2)),
+}
+
+
+@pytest.mark.parametrize("cls", list(PRINT_ORDER), ids=lambda cls: cls.__name__)
+def test_support_and_sorted_items_on_every_sum(cls):
+    """Terms keep insertion order; support() and sorted_items() build the
+    print order."""
+    first, second = PRINT_ORDER[cls]
+    coeff = F if cls is RingElement else 3
+    s = cls({second: coeff, first: coeff})
+    keys = list(s.terms)
+    assert len(keys) == 2
+    assert s.support() == keys[::-1]
+    assert s.sorted_items() == [(key, s.terms[key]) for key in keys[::-1]]
+    assert cls.zero().support() == [] and cls.zero().sorted_items() == []
