@@ -52,12 +52,10 @@ def parse_shift_spec(spec: str) -> Shift:
     body = spec.replace(" ", "")
     if not re.fullmatch(f"{_SHIFT_ATOM}(,{_SHIFT_ATOM})*", body):
         raise UsageError(f"bad shift spec {spec!r}")
-    comps: dict = {}
-    for k, i, off in re.findall(_SHIFT_ATOM, body):
-        pos = (int(k), int(i))
-        comps[pos] = comps.get(pos, 0) + int(off)
     try:
-        return Shift(comps)
+        # Shift sums the components of a repeated position
+        atoms = re.findall(_SHIFT_ATOM, body)
+        return Shift(((int(k), int(i)), int(off)) for k, i, off in atoms)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 

@@ -10,13 +10,19 @@ the basis: per term h sigma with g = z1 h,
     ev_v o (h sigma) = g(v) D2_sigma + (dg/dz1)(v) D1_sigma,
 
 followed by reduction to ordered representatives (D1 is tau-even, D2
-tau-odd).  The same module is realized on derivative-tableau symbols, which
-serves as an independent oracle.
+tau-odd).  The pair (g(v), (dg/dz1)(v)) is read by evaluating the
+numerator, the denominator's factors and their z1-slopes at v; no symbolic
+derivative is formed.  `act` checks tau-invariance once, on A, and
+`act_lie` sums basis columns memoized per (context, generator, basis
+vector).  The same module is realized on derivative-tableau symbols through
+the symbolic derivative `SingularContext.partial_z1`, which serves as an
+independent oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable
 
 from .gtformulas import GeneratorId, convention, multiply, phi_general
@@ -97,27 +103,61 @@ class DistVector(QVector):
 # --- evaluation of ring elements into the basis ------------------------------
 
 
-def evaluate_at_v(ctx: SingularContext, a: RingElement) -> DistVector:
-    """Expand ev_v o A in the distribution basis, term by term."""
+def _require_invariant(ctx: SingularContext, a: RingElement) -> None:
     if not is_tau_invariant(ctx, a):
         raise MembershipError("ring element is not invariant under the transposition")
+
+
+def _dz1_at_v(ctx: SingularContext, p: Polynomial) -> Fraction:
+    """(dp/dz1)(v), where d/dz1 = (d/dX(k,i) - d/dX(k,j)) / 2."""
+    return (p.derivative(ctx.pos_i) - p.derivative(ctx.pos_j)).evaluate(ctx.v.coords) * _HALF
+
+
+def _z1_jet(ctx: SingularContext, g: RationalFunction) -> tuple[Fraction, Fraction]:
+    """(g(v), (dg/dz1)(v)) by evaluation, with no symbolic derivative.  For
+    g = N / prod l^e, g'/g = N'/N - sum e l'/l, so
+
+        g'(v) = (N'(v) - N(v) sum e l'(v)/l(v)) / D(v);
+
+    an expanded denominator D counts as one factor.  Raises PoleError when
+    D(v) = 0."""
     v = ctx.v.coords
+    factors = ((g.den, 1),) if g.forms is None else g.forms.items()
+    den = Fraction(1)
+    log_slope = Fraction(0)
+    for f, e in factors:
+        fv = f.evaluate(v)
+        if not fv:
+            raise PoleError("denominator vanishes at the given point")
+        den *= fv**e
+        log_slope += e * _dz1_at_v(ctx, f) / fv
+    nv = g.num.evaluate(v)
+    return nv / den, (_dz1_at_v(ctx, g.num) - nv * log_slope) / den
+
+
+def _expand_at_v(ctx: SingularContext, a: RingElement) -> DistVector:
+    """ev_v o A in the basis, for a tau-invariant A: per term h sigma with
+    g = z1 h, g(v) on D2_sigma and (dg/dz1)(v) on D1_sigma."""
     terms: list[tuple[str, Shift, Fraction]] = []
     for sigma, h in a.terms.items():
-        g = multiply_by_linear(h, ctx.z1_poly)
         try:
-            d2 = g.evaluate(v)
+            d2, d1 = _z1_jet(ctx, multiply_by_linear(h, ctx.z1_poly))
         except PoleError as exc:
             # z1*h has a pole at v: h is more than simply singular there
             raise MembershipError(
                 "ring element has a higher-order pole at the base point"
             ) from exc
-        d1 = ctx.partial_z1(g).evaluate(v)
         if d2:
             terms.append(("D2", sigma, d2))
         if d1:
             terms.append(("D1", sigma, d1))
     return DistVector.from_terms(ctx, terms)
+
+
+def evaluate_at_v(ctx: SingularContext, a: RingElement) -> DistVector:
+    """Expand ev_v o A in the distribution basis, term by term."""
+    _require_invariant(ctx, a)
+    return _expand_at_v(ctx, a)
 
 
 def materialize(ctx: SingularContext, bv: BasisVec) -> RingElement:
@@ -137,21 +177,40 @@ def act(
     ctx: SingularContext, a: RingElement, d: "BasisVec | DistVector"
 ) -> DistVector:
     """Module action: D = ev_v o B goes to ev_v o (B composed with A),
-    with the composition side fixed by `convention()`."""
+    with the composition side fixed by `convention()`.
+
+    Invariance is checked once, on A: each B is nonzero and tau-invariant,
+    tau is a ring automorphism and the skew group ring has no zero
+    divisors, so the product is invariant exactly when A is."""
     if isinstance(d, BasisVec):
         d = DistVector.basis(d)
+    _require_invariant(ctx, a)
     conv = convention()
     out = DistVector.zero()
     for bv, c in d.terms.items():
         composed = multiply(conv, a, materialize(ctx, bv))
-        out = out + evaluate_at_v(ctx, composed).scale(c)
+        out = out + _expand_at_v(ctx, composed).scale(c)
     return out
+
+
+@lru_cache(maxsize=None)
+def _lie_column(ctx: SingularContext, r: int, s: int, bv: BasisVec) -> DistVector:
+    # keyed by the context object, so contexts never share columns; the
+    # returned vector is shared by every caller and must not be mutated
+    return act(ctx, phi_general(ctx.n, r, s), bv)
 
 
 def act_lie(
     ctx: SingularContext, gen: GeneratorId, d: "BasisVec | DistVector"
 ) -> DistVector:
-    return act(ctx, phi_general(ctx.n, *gen), d)
+    """act by the image of E(r,s), summed from memoized basis columns."""
+    r, s = gen
+    if isinstance(d, BasisVec):
+        d = DistVector.basis(d)
+    out = DistVector.zero()
+    for bv, c in d.terms.items():
+        out = out + _lie_column(ctx, r, s, bv).scale(c)
+    return out
 
 
 # --- distributions as functionals --------------------------------------------

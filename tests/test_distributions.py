@@ -22,17 +22,26 @@ from gtsingular.distributions import (
     generic_act,
     materialize,
 )
-from gtsingular.gtformulas import gl_bracket, phi_combination, phi_diagonal, phi_general
+from gtsingular.gtformulas import (
+    all_generators,
+    convention,
+    gl_bracket,
+    multiply,
+    phi_combination,
+    phi_diagonal,
+    phi_general,
+)
 from gtsingular.poly import Polynomial
-from gtsingular.ratfun import RationalFunction
-from gtsingular.skewring import RingElement, apply_to_function
+from gtsingular.ratfun import RationalFunction, multiply_by_linear
+from gtsingular.skewring import RingElement, apply_to_function, is_tau_invariant
 from gtsingular.suites import (
     GENERIC_POINT_3,
+    appendix_sample,
     random_dist_vector,
     random_generator_form,
     random_invariant_polynomial,
 )
-from gtsingular.tableau import Point, Shift, canonical_context
+from gtsingular.tableau import Point, Shift, SingularContext, canonical_context
 
 CTX = canonical_context()
 ID = Shift.identity()
@@ -174,6 +183,96 @@ def test_act_commutator_consistency(x, y):
         lhs = act_lie(CTX, x, act_lie(CTX, y, d)) - act_lie(CTX, y, act_lie(CTX, x, d))
         rhs = act(CTX, phi_combination(3, gl_bracket(x, y)), d)
         assert lhs == rhs
+
+
+def expanded_den_element():
+    """A tau-invariant element whose coefficients have the non-linear
+    denominator x21*x22 + 1, so they stay on the expanded path."""
+    x21, x22 = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
+    den = x21 * x22 + Polynomial.one()
+    h = RationalFunction(x21, den)
+    a = RingElement(
+        [(ID, RationalFunction(Polynomial.one(), den)), (S21, h), (S22, CTX.transpose(h))]
+    )
+    assert h.forms is None and is_tau_invariant(CTX, a)
+    return a
+
+
+def test_evaluated_jet_matches_symbolic_derivative():
+    """The first z1-jet read by evaluation equals the value of the symbolic
+    derivative on every coefficient z1*h of every product the action forms:
+    all 9 order-3 generator images, plus one element with an expanded
+    denominator, times the appendix sample."""
+    v = CTX.v.coords
+    elements = [phi_general(3, *gen) for gen in all_generators(3)]
+    elements.append(expanded_den_element())
+    expanded = 0
+    for a in elements:
+        for kind, sigma in appendix_sample(CTX):
+            product = multiply(convention(), a, materialize(CTX, BasisVec(kind, sigma)))
+            for h in product.terms.values():
+                g = multiply_by_linear(h, CTX.z1_poly)
+                expanded += g.forms is None
+                want = (g.evaluate(v), CTX.partial_z1(g).evaluate(v))
+                assert distributions._z1_jet(CTX, g) == want
+    assert expanded
+
+
+def test_act_on_an_expanded_denominator():
+    """The jet's expanded-denominator branch inside the action agrees with
+    expanding the symbolic product through the derivative."""
+    a = expanded_den_element()
+    v = CTX.v.coords
+    for kind, sigma in appendix_sample(CTX):
+        product = multiply(convention(), a, materialize(CTX, BasisVec(kind, sigma)))
+        terms = []
+        for rho, h in product.terms.items():
+            g = multiply_by_linear(h, CTX.z1_poly)
+            terms.append(("D2", rho, g.evaluate(v)))
+            terms.append(("D1", rho, CTX.partial_z1(g).evaluate(v)))
+        assert act(CTX, a, BasisVec(kind, sigma)) == DistVector.from_terms(CTX, terms)
+
+
+def test_act_checks_invariance_of_the_acting_element():
+    for bv in [BasisVec("D1", ID), BasisVec("D2", S22)]:
+        with pytest.raises(MembershipError, match="not invariant under the transposition"):
+            act(CTX, RingElement.term(ONE, S21), bv)
+
+
+def test_act_lie_columns_match_act():
+    """act_lie sums memoized columns; the first call fills them and the
+    second is served from the memo, and both equal the direct action."""
+    ctx = canonical_context()
+    vectors = [DistVector.basis(BasisVec(kind, sigma)) for kind, sigma in appendix_sample(ctx)]
+    terms = [("D1", ID, Fraction(2)), ("D2", S22, Fraction(-3, 4)), ("D2", S21 * S11, Fraction(5))]
+    vectors.append(DistVector.from_terms(ctx, terms))
+    for gen in all_generators(3):
+        a = phi_general(3, *gen)
+        for d in vectors:
+            want = act(ctx, a, d)
+            hits = distributions._lie_column.cache_info().hits
+            assert act_lie(ctx, gen, d) == want
+            assert act_lie(ctx, gen, d) == want
+            assert distributions._lie_column.cache_info().hits >= hits + len(d.terms)
+
+
+def test_act_lie_columns_are_per_context():
+    """Contexts at different points keep their own columns."""
+    other = SingularContext(
+        Point.from_rows(
+            [
+                [Fraction(1, 17)],
+                [Fraction(2, 3), Fraction(2, 3)],
+                [Fraction(1, 7), Fraction(2, 11), Fraction(3, 13)],
+            ]
+        ),
+        2, 1, 2,
+    )
+    bv = BasisVec("D1", ID)
+    for ctx in (CTX, other, CTX):
+        assert act_lie(ctx, (1, 1), bv) == DistVector({bv: ctx.v[(1, 1)]})
+        assert act_lie(ctx, (2, 3), bv) == act(ctx, phi_general(3, 2, 3), bv)
+    assert act_lie(CTX, (2, 3), bv) != act_lie(other, (2, 3), bv)
 
 
 def test_act_linear_in_distvector():
