@@ -42,6 +42,7 @@ from .distributions import (
     DistVector,
     InvariantViolation,
     MembershipError,
+    OrbitVector,
     act,
     act_lie,
     appendix_act,
@@ -90,6 +91,7 @@ __all__ = [
     "DistVector",
     "InvariantViolation",
     "MembershipError",
+    "OrbitVector",
     "act",
     "act_lie",
     "appendix_act",

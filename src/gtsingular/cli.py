@@ -77,25 +77,15 @@ def parse_basis_spec(spec: str) -> tuple[str, Shift]:
     return kind, parse_shift_spec(rest)
 
 
-def parse_gen(spec: str) -> tuple[int, int]:
+def parse_int_spec(spec: str, name: str, fields: str) -> tuple[int, ...]:
+    """Comma-separated integers, one for each name in `fields` ("r,s")."""
     parts = spec.split(",")
-    if len(parts) != 2:
-        raise UsageError(f"generator spec must be r,s, got {spec!r}")
-    try:
-        return int(parts[0]), int(parts[1])
-    except ValueError as exc:
-        raise UsageError(f"generator spec must be r,s, got {spec!r}") from exc
-
-
-def parse_singular(spec: str) -> tuple[int, int, int]:
-    parts = spec.split(",")
-    if len(parts) != 3:
-        raise UsageError(f"singular spec must be k,i,j, got {spec!r}")
-    try:
-        k, i, j = (int(p) for p in parts)
-    except ValueError as exc:
-        raise UsageError(f"singular spec must be k,i,j, got {spec!r}") from exc
-    return k, i, j
+    if len(parts) == len(fields.split(",")):
+        try:
+            return tuple(int(p) for p in parts)
+        except ValueError:
+            pass
+    raise UsageError(f"{name} spec must be {fields}, got {spec!r}")
 
 
 @dataclass
@@ -125,9 +115,15 @@ class RunConfig:
 
 
 def _load_point(path: str) -> Point:
+    # besides unreadable files and malformed values: a deeply nested array
+    # overflows the parser's recursion, and "n": 1e400 reads as an infinite
+    # float that int() cannot convert
     try:
         return Point.load(path)
-    except (OSError, json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
+    except (
+        OSError, json.JSONDecodeError, ValueError, KeyError, TypeError,
+        RecursionError, OverflowError,
+    ) as exc:
         raise UsageError(f"cannot read point file {path}: {exc}") from exc
 
 
@@ -145,7 +141,7 @@ def _config(args) -> RunConfig:
             raise UsageError(f"point has order {cfg.point.n}; the order must be at most {MAX_ORDER}")
         cfg.n = cfg.point.n if getattr(args, "n", None) is None else cfg.n
     if getattr(args, "singular", None):
-        cfg.singular = parse_singular(args.singular)
+        cfg.singular = parse_int_spec(args.singular, "singular", "k,i,j")
     return cfg
 
 
@@ -169,7 +165,7 @@ def _emit(payload_json, payload_text: str, fmt: str) -> None:
 
 def cmd_phi(args) -> int:
     cfg = _config(args)
-    r, s = parse_gen(args.gen)
+    r, s = parse_int_spec(args.gen, "generator", "r,s")
     try:
         element = phi_general(cfg.n, r, s)
     except ValueError as exc:
@@ -181,7 +177,7 @@ def cmd_phi(args) -> int:
 def cmd_act(args) -> int:
     cfg = _config(args)
     ctx = cfg.resolve_context()
-    r, s = parse_gen(args.gen)
+    r, s = parse_int_spec(args.gen, "generator", "r,s")
     kind, sigma = parse_basis_spec(args.basis)
     try:
         sigma.validate(ctx.n)
@@ -189,7 +185,7 @@ def cmd_act(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     try:
-        result = act_lie(ctx, (r, s), DistVector.basis(bv)).scale(sign)
+        result = act_lie(ctx, (r, s), bv).scale(sign)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     _emit(result.to_json(), dist_vector_text(result), cfg.fmt)

@@ -12,11 +12,14 @@ the basis: per term h sigma with g = z1 h,
 followed by reduction to ordered representatives (D1 is tau-even, D2
 tau-odd).  The pair (g(v), (dg/dz1)(v)) is read by evaluating the
 numerator, the denominator's factors and their z1-slopes at v; no symbolic
-derivative is formed.  `act` checks tau-invariance once, on A, and
-`act_lie` sums basis columns memoized per (context, generator, basis
-vector).  The same module is realized on derivative-tableau symbols through
-the symbolic derivative `SingularContext.partial_z1`, which serves as an
-independent oracle.
+derivative is formed.  `act` checks tau-invariance once, on A.  `act` and
+`act_lie` (columns memoized per context, generator and basis vector) extend
+their basis columns linearly through one helper, and `evaluate_at_v` is the
+action on ev_v, itself the basis vector D1_id.  The same module is realized
+on derivative-tableau symbols through the symbolic derivative
+`SingularContext.partial_z1`, an independent oracle; both realizations
+reduce labels by one parity rule, `SingularContext.representative`.  The
+generic orbit action's vectors are `SparseSum`s of shifts (`OrbitVector`).
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .gtformulas import GeneratorId, convention, multiply, phi_general
 from .poly import Polynomial, divexact
 from .ratfun import PoleError, RationalFunction, multiply_by_linear
 from .skewring import RingElement, is_tau_invariant
-from .sparse import BasisVec, QVector, add_term
+from .sparse import BasisVec, QVector, SparseSum, add_term
 from .tableau import (
     Point,
     Shift,
@@ -40,6 +43,7 @@ from .tableau import (
 )
 
 _HALF = Fraction(1, 2)
+_EV_V = BasisVec("D1", Shift.identity())  # evaluation at v
 
 
 class MembershipError(ValueError):
@@ -56,36 +60,51 @@ def canonical_basis_vec(
     """Reduce (kind, sigma) to its ordered representative; returns the sign."""
     if kind not in ("D1", "D2"):
         raise ValueError(f"unknown distribution kind {kind!r}")
-    rep, flipped = ctx.delta_representative(sigma)
-    if kind == "D2" and ctx.is_tau_fixed(sigma):
+    rep, sign = ctx.representative(sigma, kind == "D2")
+    if not sign:
         raise ValueError("D2 is undefined on a transposition-fixed shift")
-    sign = -1 if (kind == "D2" and flipped) else 1
     return BasisVec(kind, rep), sign
 
 
-class DistVector(QVector):
-    """Finite rational combination of canonical basis distributions."""
+class _ParityVector(QVector):
+    """Combination of one tau-even and one tau-odd kind of label.  The
+    parity rule is `SingularContext.representative`; `from_terms` applies it
+    to every label."""
 
     __slots__ = ()
+    kinds: tuple[str, str]  # (even, odd)
+    noun: str
+    # an odd label on a tau-fixed shift: zero in the quotient, or a bug
+    odd_fixed_is_zero: bool
 
     @classmethod
     def from_terms(
-        cls,
-        ctx: SingularContext,
-        terms: Iterable[tuple[str, Shift, Fraction]],
-    ) -> "DistVector":
+        cls, ctx: SingularContext, terms: Iterable[tuple[str, Shift, Fraction]]
+    ) -> "_ParityVector":
         acc: dict[BasisVec, Fraction] = {}
         for kind, sigma, c in terms:
             c = Fraction(c)
             if not c:
                 continue
-            if kind == "D2" and ctx.is_tau_fixed(sigma):
+            if kind not in cls.kinds:
+                raise ValueError(f"unknown {cls.noun} {kind!r}")
+            rep, sign = ctx.representative(sigma, kind == cls.kinds[1])
+            if sign:
+                add_term(acc, BasisVec(kind, rep), sign * c)
+            elif not cls.odd_fixed_is_zero:
                 raise InvariantViolation(
-                    f"nonzero D2 coefficient {c} on transposition-fixed shift {sigma!r}"
+                    f"nonzero {kind} coefficient {c} on transposition-fixed shift {sigma!r}"
                 )
-            bv, sign = canonical_basis_vec(ctx, kind, sigma)
-            add_term(acc, bv, sign * c)
         return cls._raw(acc)
+
+
+class DistVector(_ParityVector):
+    """Finite rational combination of canonical basis distributions."""
+
+    __slots__ = ()
+    kinds = ("D1", "D2")
+    noun = "distribution kind"
+    odd_fixed_is_zero = False
 
     @classmethod
     def basis(cls, bv: BasisVec) -> "DistVector":
@@ -101,11 +120,6 @@ class DistVector(QVector):
 
 
 # --- evaluation of ring elements into the basis ------------------------------
-
-
-def _require_invariant(ctx: SingularContext, a: RingElement) -> None:
-    if not is_tau_invariant(ctx, a):
-        raise MembershipError("ring element is not invariant under the transposition")
 
 
 def _dz1_at_v(ctx: SingularContext, p: Polynomial) -> Fraction:
@@ -154,12 +168,6 @@ def _expand_at_v(ctx: SingularContext, a: RingElement) -> DistVector:
     return DistVector.from_terms(ctx, terms)
 
 
-def evaluate_at_v(ctx: SingularContext, a: RingElement) -> DistVector:
-    """Expand ev_v o A in the distribution basis, term by term."""
-    _require_invariant(ctx, a)
-    return _expand_at_v(ctx, a)
-
-
 def materialize(ctx: SingularContext, bv: BasisVec) -> RingElement:
     """The defining ring element of a basis distribution."""
     sigma = bv.sigma
@@ -173,6 +181,14 @@ def materialize(ctx: SingularContext, bv: BasisVec) -> RingElement:
     return RingElement([(sigma, inv), (tau_sigma, -inv)])
 
 
+def _linear(column, d):
+    """The linear map given on labels by `column`, applied to a label (its
+    column itself) or to a vector (the sum of c * column(label))."""
+    if isinstance(d, (BasisVec, Shift)):
+        return column(d)
+    return sum((column(label).scale(c) for label, c in d.terms.items()), type(d).zero())
+
+
 def act(
     ctx: SingularContext, a: RingElement, d: "BasisVec | DistVector"
 ) -> DistVector:
@@ -182,15 +198,20 @@ def act(
     Invariance is checked once, on A: each B is nonzero and tau-invariant,
     tau is a ring automorphism and the skew group ring has no zero
     divisors, so the product is invariant exactly when A is."""
-    if isinstance(d, BasisVec):
-        d = DistVector.basis(d)
-    _require_invariant(ctx, a)
+    if not is_tau_invariant(ctx, a):
+        raise MembershipError("ring element is not invariant under the transposition")
     conv = convention()
-    out = DistVector.zero()
-    for bv, c in d.terms.items():
-        composed = multiply(conv, a, materialize(ctx, bv))
-        out = out + _expand_at_v(ctx, composed).scale(c)
-    return out
+
+    def column(bv: BasisVec) -> DistVector:
+        return _expand_at_v(ctx, multiply(conv, a, materialize(ctx, bv)))
+
+    return _linear(column, d)
+
+
+def evaluate_at_v(ctx: SingularContext, a: RingElement) -> DistVector:
+    """Expand ev_v o A in the distribution basis: ev_v is the basis vector
+    D1[id], so this is A acting on it."""
+    return act(ctx, a, _EV_V)
 
 
 @lru_cache(maxsize=None)
@@ -205,12 +226,7 @@ def act_lie(
 ) -> DistVector:
     """act by the image of E(r,s), summed from memoized basis columns."""
     r, s = gen
-    if isinstance(d, BasisVec):
-        d = DistVector.basis(d)
-    out = DistVector.zero()
-    for bv, c in d.terms.items():
-        out = out + _lie_column(ctx, r, s, bv).scale(c)
-    return out
+    return _linear(lambda bv: _lie_column(ctx, r, s, bv), d)
 
 
 # --- distributions as functionals --------------------------------------------
@@ -257,54 +273,42 @@ def apply_dist(ctx: SingularContext, d: DistVector, f: Polynomial) -> Fraction:
 # --- generic orbit action -----------------------------------------------------
 
 
-def generic_act_element(x: Point, a: RingElement, y: Shift) -> dict[Shift, Fraction]:
-    """Action of a ring element on the orbit label y at a generic point:
-    coefficients evaluated at y(x), labels composed through the inverse
-    shifts (the classical displacement y(x) -> y(x) + delta)."""
-    p = apply_shift(y, x)
-    out: dict[Shift, Fraction] = {}
-    for rho, h in a.terms.items():
-        add_term(out, y * rho.inverse(), h.evaluate(p.coords))
-    return out
+class OrbitVector(SparseSum):
+    """Finite rational combination of orbit labels (shifts) at a generic point."""
+
+    __slots__ = ()
 
 
-def generic_act(x: Point, gen: GeneratorId, y: Shift) -> dict[Shift, Fraction]:
+def generic_act_element(x: Point, a: RingElement, d: "Shift | OrbitVector") -> OrbitVector:
+    """Action of a ring element on orbit labels at a generic point, extended
+    linearly: on a label y, coefficients evaluated at y(x), labels composed
+    through the inverse shifts (the classical displacement y(x) -> y(x) + delta)."""
+
+    def column(y: Shift) -> OrbitVector:
+        p = apply_shift(y, x).coords
+        return OrbitVector((y * rho.inverse(), h.evaluate(p)) for rho, h in a.terms.items())
+
+    return _linear(column, d)
+
+
+def generic_act(x: Point, gen: GeneratorId, d: "Shift | OrbitVector") -> OrbitVector:
     if classify_point(x).tag != "Generic":
         raise ValueError("generic action requires a generic point")
-    return generic_act_element(x, phi_general(x.n, *gen), y)
+    return generic_act_element(x, phi_general(x.n, *gen), d)
 
 
 # --- derivative-tableau realization ------------------------------------------
 
 
-class DerivTabVec(QVector):
+class DerivTabVec(_ParityVector):
     """Combination of tableau symbols T (tau-even) and DT (tau-odd)."""
 
     __slots__ = ()
-
-    @classmethod
-    def from_terms(
-        cls,
-        ctx: SingularContext,
-        terms: Iterable[tuple[str, Shift, Fraction]],
-    ) -> "DerivTabVec":
-        acc: dict[BasisVec, Fraction] = {}
-        for sym, sigma, c in terms:
-            c = Fraction(c)
-            if not c:
-                continue
-            if sym not in ("T", "DT"):
-                raise ValueError(f"unknown tableau symbol {sym!r}")
-            rep, flipped = ctx.delta_representative(sigma)
-            if sym == "DT":
-                if ctx.is_tau_fixed(sigma):
-                    # the odd relation gives 2*DT = 0 on fixed shifts, so the
-                    # symbol itself is zero in the quotient
-                    continue
-                if flipped:
-                    c = -c
-            add_term(acc, BasisVec(sym, rep), c)
-        return cls._raw(acc)
+    kinds = ("T", "DT")
+    noun = "tableau symbol"
+    # the odd relation gives 2*DT = 0 on fixed shifts, so the symbol itself
+    # is zero in the quotient
+    odd_fixed_is_zero = True
 
 
 def appendix_act(
@@ -317,35 +321,22 @@ def appendix_act(
     terms: list[tuple[str, Shift, Fraction]] = []
     for (sym, sigma), c in e.terms.items():
         for rho, h in a.terms.items():
-            cfn = shift_subst(h, sigma)
-            target = sigma * rho
+            g = shift_subst(h, sigma)
             if sym == "T":
-                g = multiply_by_linear(cfn, ctx.z1_poly)
-                terms.append(("T", target, c * ctx.partial_z1(g).evaluate(v)))
-                terms.append(("DT", target, c * g.evaluate(v)))
-            else:
-                terms.append(("T", target, c * ctx.partial_z1(cfn).evaluate(v)))
-                terms.append(("DT", target, c * cfn.evaluate(v)))
+                g = multiply_by_linear(g, ctx.z1_poly)
+            target = sigma * rho
+            terms.append(("T", target, c * ctx.partial_z1(g).evaluate(v)))
+            terms.append(("DT", target, c * g.evaluate(v)))
     return DerivTabVec.from_terms(ctx, terms)
 
 
 def basis_correspondence(ctx: SingularContext, d: DistVector) -> DerivTabVec:
     """D1 pairs with the even symbol T, D2 with the odd symbol DT; on
     ordered representatives the map is label-preserving."""
-    terms = []
-    for bv, c in d.terms.items():
-        tau_sigma = ctx.tau_of_shift(bv.sigma)
-        if bv.kind == "D1":
-            terms.append(("T", bv.sigma, c * _HALF))
-            terms.append(("T", tau_sigma, c * _HALF))
-        else:
-            terms.append(("DT", bv.sigma, c * _HALF))
-            terms.append(("DT", tau_sigma, -c * _HALF))
+    terms = [("T" if kind == "D1" else "DT", sigma, c) for (kind, sigma), c in d.terms.items()]
     return DerivTabVec.from_terms(ctx, terms)
 
 
 def basis_correspondence_inverse(ctx: SingularContext, e: DerivTabVec) -> DistVector:
-    terms = []
-    for (sym, sigma), c in e.terms.items():
-        terms.append(("D1" if sym == "T" else "D2", sigma, c))
+    terms = [("D1" if sym == "T" else "D2", sigma, c) for (sym, sigma), c in e.terms.items()]
     return DistVector.from_terms(ctx, terms)

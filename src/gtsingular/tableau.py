@@ -260,11 +260,18 @@ class SingularContext:
     def is_tau_fixed(self, sigma: Shift) -> bool:
         return sigma.component(self.pos_i) == sigma.component(self.pos_j)
 
-    def delta_representative(self, sigma: Shift) -> tuple[Shift, bool]:
-        """Representative with component(k,i) <= component(k,j), plus a flip flag."""
-        if sigma.component(self.pos_i) <= sigma.component(self.pos_j):
-            return sigma, False
-        return self.tau_of_shift(sigma), True
+    def representative(self, sigma: Shift, odd: bool) -> tuple[Shift, int]:
+        """The label's ordered representative, with component(k,i) <=
+        component(k,j), and the sign its coefficient takes there: a tau-odd
+        label changes sign when tau moves it and is zero on a tau-fixed
+        shift; a tau-even label keeps its coefficient."""
+        mi = sigma.component(self.pos_i)
+        mj = sigma.component(self.pos_j)
+        if mi < mj:
+            return sigma, 1
+        if mi == mj:
+            return sigma, 0 if odd else 1
+        return self.tau_of_shift(sigma), -1 if odd else 1
 
     def transpose(self, f: RF) -> RF:
         """Swap the two singular columns in a polynomial or rational function."""

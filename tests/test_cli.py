@@ -80,6 +80,8 @@ def test_act_usage_errors(capsys):
         code, out, err = run(capsys, "act", "--singular", singular, "--gen", "1,1", "--basis", "D1:id")
         assert code == 2 and out == "" and len(err.splitlines()) == 1, singular
         assert err.startswith("error:"), singular
+        if singular != "3,1,2":
+            assert err == f"error: singular spec must be k,i,j, got {singular!r}\n"
 
 
 def test_phi_usage_errors(capsys):
@@ -96,6 +98,8 @@ def test_phi_usage_errors(capsys):
         assert err.startswith("error:"), argv
         if argv[0] == "--n" and int(argv[1]) > 12:
             assert "at most 12" in err, argv
+        if argv[0] == "--gen":
+            assert err == f"error: generator spec must be r,s, got {argv[1]!r}\n"
 
 
 def test_cli_writes_nothing_to_disk(tmp_path, capsys, monkeypatch):
@@ -132,6 +136,10 @@ def test_classify_malformed_point(tmp_path, capsys):
         # JSON numbers where rational strings belong: an int and a float entry
         '{"n":3,"rows":[[1],[2,3],[4,5,6]]}',
         '{"n":3,"rows":[["1"],["2","3"],["4",5.5,"6"]]}',
+        # nesting deeper than the JSON parser's recursion limit
+        "[" * 200000 + "]" * 200000,
+        # an order that reads as an infinite float
+        '{"n": 1e400, "rows": []}',
     ):
         bad.write_text(text)
         code, out, err = run(capsys, "classify", "--point", str(bad))

@@ -182,7 +182,7 @@ def test_generic_suite_failure_entries(monkeypatch):
     monkeypatch.setattr(
         suites,
         "generic_act_element",
-        lambda x, a, y: {lab: 2 * c for lab, c in generic_act_element(x, a, y).items()},
+        lambda x, a, d: generic_act_element(x, a, d).scale(2),
     )
     generators = [(1, 2), (2, 1)]
     labels = GENERIC_LABELS_3[:2]

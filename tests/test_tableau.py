@@ -218,18 +218,26 @@ def test_tau_of_shift():
         )
 
 
-def test_delta_representative():
+def test_representative():
+    """The parity rule: (shift, ordered representative, sign of an even
+    label, sign of an odd label)."""
     ctx = canonical_context()
-    s = Shift({(2, 1): 0, (2, 2): 2})
-    assert ctx.delta_representative(s) == (s, False)
-    rev = Shift({(2, 1): 2})
-    rep, flipped = ctx.delta_representative(rev)
-    assert flipped and rep == Shift({(2, 2): 2})
-    fixed = Shift({(2, 1): 1, (2, 2): 1})
-    assert ctx.delta_representative(fixed) == (fixed, False)
-    # idempotent
-    rep2, flip2 = ctx.delta_representative(rep)
-    assert rep2 == rep and not flip2
+    table = [
+        # ordered: component (2,1) at most component (2,2)
+        (Shift({(2, 2): 2}), Shift({(2, 2): 2}), 1, 1),
+        (Shift({(1, 1): 3, (2, 1): -1}), Shift({(1, 1): 3, (2, 1): -1}), 1, 1),
+        # flipped: tau swaps the pair, and an odd label changes sign
+        (Shift({(2, 1): 2}), Shift({(2, 2): 2}), 1, -1),
+        (Shift({(1, 1): 3, (2, 1): 1}), Shift({(1, 1): 3, (2, 2): 1}), 1, -1),
+        # fixed by tau: an odd label is zero there
+        (Shift({(2, 1): 1, (2, 2): 1}), Shift({(2, 1): 1, (2, 2): 1}), 1, 0),
+        (Shift.identity(), Shift.identity(), 1, 0),
+    ]
+    for sigma, rep, even_sign, odd_sign in table:
+        assert ctx.representative(sigma, False) == (rep, even_sign), sigma
+        assert ctx.representative(sigma, True) == (rep, odd_sign), sigma
+        # idempotent: the representative is its own
+        assert ctx.representative(rep, True)[0] == rep, sigma
 
 
 def test_partial_z1():
