@@ -17,7 +17,6 @@ from .tableau import (
     canonical_test_point,
     classify_point,
     shift_subst,
-    transpose_subst,
 )
 from .skewring import (
     RingElement,
@@ -72,7 +71,6 @@ __all__ = [
     "canonical_test_point",
     "classify_point",
     "shift_subst",
-    "transpose_subst",
     "RingElement",
     "apply_to_function",
     "group_act_on_ring",

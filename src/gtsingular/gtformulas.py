@@ -38,10 +38,6 @@ def _check_gen(n: int, r: int, s: int) -> None:
         raise ValueError(f"generator E({r},{s}) out of range for gl_{n}")
 
 
-def _xvar(k: int, i: int) -> Polynomial:
-    return Polynomial.variable(k, i)
-
-
 def _ratio(num: list[Polynomial], den: list[Polynomial]) -> RationalFunction:
     """prod(num) / prod(den) for linear factors, the denominator kept
     factored."""
@@ -57,8 +53,9 @@ def phi_raising(n: int, k: int) -> RingElement:
         raise ValueError(f"raising index {k} out of range for gl_{n}")
     terms = []
     for i in range(1, k + 1):
-        num = [_xvar(k, i) - _xvar(k + 1, j) for j in range(1, k + 2)]
-        den = [_xvar(k, i) - _xvar(k, j) for j in range(1, k + 1) if j != i]
+        xi = Polynomial.variable(k, i)
+        num = [xi - Polynomial.variable(k + 1, j) for j in range(1, k + 2)]
+        den = [xi - Polynomial.variable(k, j) for j in range(1, k + 1) if j != i]
         terms.append((Shift.generator(k, i, -1), -_ratio(num, den)))
     return RingElement(terms)
 
@@ -69,8 +66,9 @@ def phi_lowering(n: int, k: int) -> RingElement:
         raise ValueError(f"lowering index {k} out of range for gl_{n}")
     terms = []
     for i in range(1, k + 1):
-        num = [_xvar(k, i) - _xvar(k - 1, j) for j in range(1, k)]
-        den = [_xvar(k, i) - _xvar(k, j) for j in range(1, k + 1) if j != i]
+        xi = Polynomial.variable(k, i)
+        num = [xi - Polynomial.variable(k - 1, j) for j in range(1, k)]
+        den = [xi - Polynomial.variable(k, j) for j in range(1, k + 1) if j != i]
         terms.append((Shift.generator(k, i), _ratio(num, den)))
     return RingElement(terms)
 
@@ -81,9 +79,9 @@ def phi_diagonal(n: int, k: int) -> RingElement:
         raise ValueError(f"diagonal index {k} out of range for gl_{n}")
     p = Polynomial.zero()
     for i in range(1, k + 1):
-        p = p + _xvar(k, i) + Polynomial.constant(i - 1)
+        p = p + Polynomial.variable(k, i) + Polynomial.constant(i - 1)
     for i in range(1, k):
-        p = p - _xvar(k - 1, i) - Polynomial.constant(i - 1)
+        p = p - Polynomial.variable(k - 1, i) - Polynomial.constant(i - 1)
     return RingElement.term(RationalFunction.from_poly(p), Shift.identity())
 
 

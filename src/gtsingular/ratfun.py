@@ -30,7 +30,8 @@ the reciprocal of a non-linear numerator, or from a non-linear den given
 explicitly.  Every operation on such an operand builds its result
 unreduced and hands it to the constructor: sums (n1*d2 + n2*d1 over d1*d2),
 products, reciprocals (den over num), powers, affine substitutions and
-transpositions.  Results on the forms path are built directly.
+transpositions.  Results on the forms path are built directly, and a
+product with a constant factor only scales the other numerator.
 """
 
 from __future__ import annotations
@@ -267,6 +268,10 @@ class RationalFunction:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return RationalFunction.zero()
+        if self.is_constant():
+            return other.scale(self.num.constant_value())
+        if other.is_constant():
+            return self.scale(other.num.constant_value())
         f1, f2 = self.forms, other.forms
         if f1 is None or f2 is None:
             return RationalFunction(self.num * other.num, self.den * other.den)

@@ -95,12 +95,6 @@ def shift_subst(f: RF, sigma: Shift) -> RF:
     return f.subs_offsets(sigma.inverse().terms)
 
 
-def transpose_subst(f: RationalFunction, a: Var, b: Var) -> RationalFunction:
-    if a[0] != b[0]:
-        raise ValueError(f"positions {a} and {b} are in different rows")
-    return f.swap_vars(a, b)
-
-
 class Point:
     """Total rational coordinate assignment for a tableau of order n."""
 

@@ -13,8 +13,10 @@ from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
-# The disk cache was deleted; the tracer still lists its two methods.
-KNOWN_ABSENT = {"cache.Cache.get", "cache.Cache.put"}
+# The disk cache was deleted; the tracer still lists its two methods.  The
+# rational-function expression parser was deleted too; parse_frac still
+# feeds the tracer's textform.parse layer.
+KNOWN_ABSENT = {"cache.Cache.get", "cache.Cache.put", "textform.parse_rf"}
 
 # The names worker.py binds to package modules.
 WORKER_ALIASES = {

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from gtsingular import poly
 from gtsingular.poly import Polynomial, divexact, mono_div, mono_pack, mono_pairs, poly_gcd
 from gtsingular.tableau import canonical_test_point
-from gtsingular.textform import parse_poly
+from tests_helpers import to_sympy
 
 X11 = Polynomial.variable(1, 1)
 X21 = Polynomial.variable(2, 1)
@@ -39,16 +39,6 @@ def random_poly(rng, max_terms=4, max_deg=3, zero_ok=True):
 def pair_terms(d):
     """A term map with its packed monomials spelled as pair tuples."""
     return {mono_pairs(m): c for m, c in d.items()}
-
-
-def to_sympy(p):
-    expr = sympy.Integer(0)
-    for m, c in p.terms.items():
-        t = sympy.Rational(c, p.den)
-        for v, e in mono_pairs(m):
-            t *= sympy.Symbol(f"x_{v[0]}_{v[1]}") ** e
-        expr += t
-    return sympy.expand(expr)
 
 
 # --- basic arithmetic -------------------------------------------------------
@@ -260,9 +250,11 @@ def test_arith_matches_sympy(seed):
 
 # Both share x[2][2] - 1; a gcd that loses integer content along the way
 # calls them coprime.
+X33 = Polynomial.variable(3, 3)
 GCD_CONTENT_PAIR = (
-    "2*x[2][1]*x[2][2] + 1/2*x[2][2]*x[3][3] - 2*x[2][1] - 1/2*x[3][3]",
-    "x[2][2]*x[3][3] - x[3][3]",
+    (X21 * X22).scale(2) + (X22 * X33).scale(Fraction(1, 2))
+    - X21.scale(2) - X33.scale(Fraction(1, 2)),
+    X22 * X33 - X33,
 )
 
 
@@ -280,7 +272,7 @@ def test_gcd_matches_sympy(case, prs):
     must also keep the integer content: the gcd then agrees with sympy's up
     to sign."""
     if case == "content":
-        a, b = (parse_poly(text) for text in GCD_CONTENT_PAIR)
+        a, b = GCD_CONTENT_PAIR
     else:
         rng = random.Random(100 + case)
         f = random_poly(rng, max_terms=3, max_deg=2, zero_ok=False)

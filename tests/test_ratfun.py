@@ -187,6 +187,26 @@ def test_two_paths_cover_both_representations():
     assert sum(slow.forms is None for _, slow in pairs) >= 20
 
 
+@pytest.mark.parametrize("c", [Fraction(1), Fraction(-3, 2)])
+def test_constant_factor_only_scales(monkeypatch, c):
+    """A constant factor on either side scales the other numerator: no
+    residue test and no gcd runs, on either denominator path."""
+    rng = random.Random(900)
+    fs = [f for _ in range(4) for f in two_paths(rng)]
+    assert any(f.forms is None for f in fs) and any(f.forms for f in fs)
+    want = [RationalFunction(f.num.scale(c), f.den) for f in fs]
+    const = RationalFunction.constant(c)
+
+    def refuse(*args):
+        raise AssertionError("a constant factor ran a residue test or a gcd")
+
+    monkeypatch.setattr(ratfun, "_residue", refuse)
+    monkeypatch.setattr(ratfun, "poly_gcd", refuse)
+    for f, w in zip(fs, want):
+        assert_same(const * f, w)
+        assert_same(f * const, w)
+
+
 def test_cancellation_on_forms_path():
     z1 = X21 - X22
     inv = [ONE / lin for lin in (z1, z1 + ONE, z1 - ONE, X11 - X21)]

@@ -13,7 +13,6 @@ from gtsingular.tableau import (
     canonical_test_point,
     classify_point,
     shift_subst,
-    transpose_subst,
     SingularContext,
 )
 
@@ -155,15 +154,18 @@ def test_shift_subst_group_action():
         assert shift_subst(shift_subst(f, s), t) == shift_subst(f, s * t)
 
 
-def test_transpose_subst():
+def test_context_transpose():
+    """The canonical context swaps its singular pair (2,1) <-> (2,2) in
+    polynomials and rational functions alike, and is an involution."""
+    ctx = canonical_context()
     z1 = X21 - X22
-    assert transpose_subst(z1, (2, 1), (2, 2)) == -z1
+    assert ctx.transpose(z1) == -z1
+    assert ctx.transpose(ctx.z1_poly) == -ctx.z1_poly
     sym = X21 * X22
-    assert transpose_subst(sym, (2, 1), (2, 2)) == sym
+    assert ctx.transpose(sym) == sym
     f = (X11 - X21) / (X21 - X22)
-    assert transpose_subst(transpose_subst(f, (2, 1), (2, 2)), (2, 1), (2, 2)) == f
-    with pytest.raises(ValueError):
-        transpose_subst(z1, (1, 1), (2, 1))
+    assert ctx.transpose(f) == (X11 - X22) / (X22 - X21)
+    assert ctx.transpose(ctx.transpose(f)) == f
 
 
 def test_singular_context_valid():

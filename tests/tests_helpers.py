@@ -2,7 +2,9 @@
 
 from fractions import Fraction
 
-from gtsingular.poly import Polynomial
+import sympy
+
+from gtsingular.poly import Polynomial, mono_pairs
 from gtsingular.ratfun import RationalFunction
 
 VARS3 = [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)]
@@ -26,3 +28,15 @@ def random_rf(rng, variables=VARS3, max_deg=2):
     num = random_poly(rng, variables, max_terms=3, max_deg=max_deg)
     den = random_poly(rng, variables, max_terms=2, max_deg=1, zero_ok=False)
     return RationalFunction(num, den)
+
+
+def to_sympy(p):
+    """The polynomial as an expanded sympy expression; x[k][i] is the
+    symbol x_k_i."""
+    expr = sympy.Integer(0)
+    for m, c in p.terms.items():
+        t = sympy.Rational(c, p.den)
+        for (k, i), e in mono_pairs(m):
+            t *= sympy.Symbol(f"x_{k}_{i}") ** e
+        expr += t
+    return sympy.expand(expr)
