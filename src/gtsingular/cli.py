@@ -11,7 +11,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 
 from .distributions import DistVector, act_lie, canonical_basis_vec
 from .gtformulas import phi_general, verify_homomorphism
@@ -88,12 +87,12 @@ def parse_int_spec(spec: str, name: str, fields: str) -> tuple[int, ...]:
     raise UsageError(f"{name} spec must be {fields}, got {spec!r}")
 
 
-@dataclass
 class RunConfig:
-    n: int = 3
-    singular: tuple[int, int, int] | None = None
-    point: Point | None = None
-    fmt: str = "text"
+    def __init__(self, fmt: str = "text"):
+        self.n = 3
+        self.singular: tuple[int, int, int] | None = None
+        self.point: Point | None = None
+        self.fmt = fmt
 
     def resolve_point(self) -> Point:
         if self.point is not None:

@@ -19,7 +19,9 @@ action on ev_v, itself the basis vector D1_id.  The same module is realized
 on derivative-tableau symbols through the symbolic derivative
 `SingularContext.partial_z1`, an independent oracle; both realizations
 reduce labels by one parity rule, `SingularContext.representative`.  The
-generic orbit action's vectors are `SparseSum`s of shifts (`OrbitVector`).
+generic orbit action's vectors are `SparseSum`s of shifts (`OrbitVector`);
+`generic_act` extends its columns, memoized per point, generator and label,
+through the same linear helper.
 """
 
 from __future__ import annotations
@@ -291,10 +293,21 @@ def generic_act_element(x: Point, a: RingElement, d: "Shift | OrbitVector") -> O
     return _linear(column, d)
 
 
-def generic_act(x: Point, gen: GeneratorId, d: "Shift | OrbitVector") -> OrbitVector:
+@lru_cache(maxsize=None)
+def _generic_column(x: Point, r: int, s: int, y: Shift) -> OrbitVector:
+    # the point check runs once per new column; lru_cache keeps no
+    # exception, so a singular point raises on every call.  The returned
+    # vector is shared by every caller and must not be mutated.
     if classify_point(x).tag != "Generic":
         raise ValueError("generic action requires a generic point")
-    return generic_act_element(x, phi_general(x.n, *gen), d)
+    return generic_act_element(x, phi_general(x.n, r, s), y)
+
+
+def generic_act(x: Point, gen: GeneratorId, d: "Shift | OrbitVector") -> OrbitVector:
+    """act by the image of E(r,s) on orbit labels, summed from memoized
+    columns."""
+    r, s = gen
+    return _linear(lambda y: _generic_column(x, r, s, y), d)
 
 
 # --- derivative-tableau realization ------------------------------------------

@@ -10,9 +10,8 @@ same-row pair does.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, TypeVar
+from typing import Iterable, Iterator, Mapping, NamedTuple, TypeVar
 
 from .poly import Polynomial, Var, check_var
 from .ratfun import RationalFunction
@@ -98,7 +97,7 @@ def shift_subst(f: RF, sigma: Shift) -> RF:
 class Point:
     """Total rational coordinate assignment for a tableau of order n."""
 
-    __slots__ = ("n", "coords")
+    __slots__ = ("n", "coords", "_hash")
 
     def __init__(self, n: int, coords: Mapping[Var, Fraction]):
         if n < 2:
@@ -113,6 +112,7 @@ class Point:
             raise ValueError(f"unexpected positions {sorted(extra)}")
         self.n = n
         self.coords = full
+        self._hash = None
 
     def __getitem__(self, v: Var) -> Fraction:
         return self.coords[v]
@@ -121,7 +121,10 @@ class Point:
         return isinstance(other, Point) and self.n == other.n and self.coords == other.coords
 
     def __hash__(self) -> int:
-        return hash((self.n, tuple(sorted(self.coords.items()))))
+        # every memo keyed by a point hashes it; the coordinates never change
+        if self._hash is None:
+            self._hash = hash((self.n, tuple(sorted(self.coords.items()))))
+        return self._hash
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable]) -> "Point":
@@ -170,8 +173,7 @@ def apply_shift(sigma: Shift, p: Point) -> Point:
     return Point(p.n, coords)
 
 
-@dataclass(frozen=True)
-class PointClass:
+class PointClass(NamedTuple):
     tag: str  # "Generic" | "OneSingular" | "Other"
     pair: tuple[int, int, int] | None = None
 

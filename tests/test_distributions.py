@@ -37,6 +37,7 @@ from gtsingular.poly import Polynomial
 from gtsingular.ratfun import RationalFunction, multiply_by_linear
 from gtsingular.skewring import RingElement, apply_to_function, is_tau_invariant, ring_mul_circ
 from gtsingular.suites import (
+    GENERIC_LABELS_3,
     GENERIC_POINT_3,
     appendix_sample,
     random_dist_vector,
@@ -381,8 +382,17 @@ def test_generic_act_raising_n2():
 
 
 def test_generic_act_rejects_singular_point():
-    with pytest.raises(ValueError):
-        generic_act(canonical_context().v, (1, 1), ID)
+    """lru_cache keeps no exception: the point check runs on every call at
+    a singular point, on a cold memo and on one that holds other columns."""
+    singular = canonical_context().v
+    distributions._generic_column.cache_clear()
+    with pytest.raises(ValueError, match="generic point"):
+        generic_act(singular, (1, 1), ID)
+    generic_act(GENERIC_POINT_3, (1, 1), ID)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="generic point"):
+            generic_act(singular, (1, 1), ID)
+    assert distributions._generic_column.cache_info().currsize == 1
 
 
 def test_generic_act_is_linear():
@@ -395,6 +405,25 @@ def test_generic_act_is_linear():
         want = generic_act(x, gen, y).scale(2) + generic_act(x, gen, z).scale(Fraction(-1, 3))
         assert want and generic_act(x, gen, d) == want
         assert generic_act(x, gen, OrbitVector({y: 1})) == generic_act(x, gen, y)
+
+
+def test_generic_act_memo_matches_element_oracle():
+    """The memoized columns agree with the unmemoized element action for
+    every order-3 generator, on labels and on a 2-term vector; an equal
+    point built anew is served from the memo."""
+    x = GENERIC_POINT_3
+    d = OrbitVector({ID: Fraction(2), Shift({(2, 1): 1}): Fraction(-1, 3)})
+    for r, s in all_generators(3):
+        a = phi_general(3, r, s)
+        for y in [*GENERIC_LABELS_3, d]:
+            assert generic_act(x, (r, s), y) == generic_act_element(x, a, y)
+    twin = Point.from_rows(x.rows())
+    assert twin is not x
+    misses = distributions._generic_column.cache_info().misses
+    for gen in all_generators(3):
+        for y in GENERIC_LABELS_3:
+            generic_act(twin, gen, y)
+    assert distributions._generic_column.cache_info().misses == misses
 
 
 def test_generic_commutators_sampled():

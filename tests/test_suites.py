@@ -3,7 +3,7 @@ and samples are derived, and they run at order 4 as they do at order 3."""
 
 from fractions import Fraction
 
-from gtsingular import suites
+from gtsingular import distributions, suites
 from gtsingular.distributions import (
     DistVector,
     act,
@@ -176,14 +176,9 @@ def test_functional_suite_failure_entries(monkeypatch):
     assert report["failures"] == [{"pair": idx} for idx in range(4)]
 
 
-def test_generic_suite_failure_entries(monkeypatch):
-    """Doubling every orbit action doubles the right side and quadruples the
-    left: each pair and label with a nonzero right side fails."""
-    monkeypatch.setattr(
-        suites,
-        "generic_act_element",
-        lambda x, a, d: generic_act_element(x, a, d).scale(2),
-    )
+def _assert_nonzero_rhs_entries_fail():
+    """Run the generic suite on 2 generators and 2 labels; exactly the
+    entries whose true right side is nonzero must fail."""
     generators = [(1, 2), (2, 1)]
     labels = GENERIC_LABELS_3[:2]
     report = generic_suite(GENERIC_POINT_3, labels, generators)
@@ -196,3 +191,26 @@ def test_generic_suite_failure_entries(monkeypatch):
     ]
     assert expected and report["failures"] == expected
     assert report["total"] == 8 and report["passed"] == 8 - len(expected)
+
+
+def test_generic_suite_failure_entries(monkeypatch):
+    """Doubling the unmemoized orbit action doubles only the right side,
+    while the memoized left side stays equal to the true right side: each
+    pair and label with a nonzero right side fails."""
+    monkeypatch.setattr(
+        suites,
+        "generic_act_element",
+        lambda x, a, d: generic_act_element(x, a, d).scale(2),
+    )
+    _assert_nonzero_rhs_entries_fail()
+
+
+def test_generic_suite_fails_on_a_memo_fault(monkeypatch):
+    """Doubling the memoized columns quadruples the left side and leaves
+    the right side alone: each pair and label with a nonzero right side
+    fails, so a fault in the memo path cannot pass the suite."""
+    column = distributions._generic_column
+    monkeypatch.setattr(
+        distributions, "_generic_column", lambda x, r, s, y: column(x, r, s, y).scale(2)
+    )
+    _assert_nonzero_rhs_entries_fail()

@@ -137,6 +137,23 @@ def test_point_hash_and_repr():
     )
 
 
+def test_point_hash_is_cached_and_equal_across_constructions():
+    """Points are memo keys: equal points hash equally however they are
+    built, and the hash is computed once."""
+    p = canonical_test_point()
+    sigma = Shift({(1, 1): 1, (2, 2): -2})
+    moved = apply_shift(sigma, p)
+    rows = p.rows()
+    rows[0][0] += 1
+    rows[1][1] -= 2
+    built = Point.from_rows(rows)
+    assert moved == built and hash(moved) == hash(built)
+    assert apply_shift(sigma.inverse(), moved) == p
+    assert hash(apply_shift(sigma.inverse(), moved)) == hash(p)
+    first = hash(built)
+    assert built._hash == first and hash(built) == first
+
+
 def test_shift_subst_examples():
     assert shift_subst(X11, Shift.generator(1, 1)) == X11 - RationalFunction.one()
     f = (X11 + X21) / (X22 * X22)
