@@ -19,6 +19,25 @@ the form for its leading variable.  Only a zero residue (or a denominator
 the prime divides) runs the exact `divexact`, so no probabilistic answer
 reaches a canonical form.
 
+A residue is an evaluation, a ring homomorphism into the integers modulo
+the prime, so a result's residues follow from its operands' and a test
+costs the new term, not the accumulated numerator.  Each forms-path
+function memoizes the residue of its numerator at each form's test point
+(the memo is not part of == or hash).  A sum over equal forms adds the
+operands' residues; over different forms it takes r(n1) r(a) + r(n2) r(b),
+with a and b the cofactors, whose residue is the product of their forms'
+residues at the test point (a cofactor holding the form vanishes there,
+so only the side holding it at the top multiplicity contributes).  A
+product multiplies its factors' residues, and derives its memo only when
+a later operation first needs it; negation and scaling by c multiply by c.
+Dividing out a form f divides every other entry by f's residue at that
+entry's point, and drops the entry when that residue is 0.  A missing
+entry is evaluated on the operand that lacks it, one factor or one term.
+An entry is derived only when every residue it comes from is defined, so
+each equals the residue of the numerator itself: the memo changes what a
+test costs, never what it decides.  Each form's test point is solved once
+and cached.
+
 The constructor RationalFunction(num, den) is the one normaliser: every
 pair not already known to be reduced goes through it.  A constant or linear
 den goes to the forms path.  Any other den has unknown factorization; the
@@ -37,6 +56,7 @@ product with a constant factor only scales the other numerator.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping
 
 from .poly import (
@@ -79,41 +99,92 @@ def _expand(forms) -> Polynomial:
     return out
 
 
-def _residue(p: Polynomial, form: Polynomial) -> int | None:
-    """p mod _P at the point of form = 0 whose other coordinates are _COORDS;
-    None when _P divides a coefficient denominator."""
-    if form.den % _P == 0 or p.den % _P == 0:
+@lru_cache(maxsize=None)
+def _test_point(form: Polynomial) -> dict | None:
+    """The point of form = 0 whose other coordinates are _COORDS, keyed like
+    the evaluation kernel's coordinates; None when _P divides form.den.
+    Callers only read the dict."""
+    if form.den % _P == 0:
         return None
     # the form is monic in its leading variable u: u = -(form at u = 0)
     u = _lead_field(max(form.terms))
     xs = dict(_FIELD_COORDS)
     xs[u] = 0
     xs[u] = -_int_eval(form.terms, xs) * pow(form.den, -1, _P) % _P
+    return xs
+
+
+def _residue(p: Polynomial, form: Polynomial) -> int | None:
+    """p mod _P at the test point of form; None when _P divides a
+    coefficient denominator."""
+    xs = _test_point(form)
+    if xs is None or p.den % _P == 0:
+        return None
     return _int_eval(p.terms, xs) * pow(p.den, -1, _P) % _P
 
 
-def _quotient(p: Polynomial, form: Polynomial) -> Polynomial | None:
-    """p / form when the monic linear form divides p, else None.  A monic
-    divisor leaves the quotient's coefficients prime to _P when p's are, so
-    p then vanishes mod _P on form = 0: a nonzero residue settles it."""
-    if _residue(p, form):
-        return None
-    return divexact(p, form)
+def _memo_residue(res: dict, num: Polynomial, form: Polynomial) -> int | None:
+    """_residue(num, form) through res, a residue memo of num."""
+    if form in res:
+        return res[form]
+    r = res[form] = _residue(num, form)
+    return r
 
 
-def _cancel(num: Polynomial, forms: dict) -> tuple[Polynomial, dict]:
-    """Divide num by the listed forms as often as they divide it."""
+# The residue of a form at another form's test point: the factor a
+# cofactor or a divisor contributes.  Few distinct pairs occur.
+_form_residue = lru_cache(maxsize=None)(_residue)
+
+
+def _cancel(num: Polynomial, forms: dict, res: dict) -> tuple[Polynomial, dict, dict]:
+    """Divide num by the listed forms as often as they divide it.  res is a
+    residue memo of num (form -> _residue(num, form)); it gains the entries
+    the tests compute, and the memo of the quotient is returned as a new
+    dict, so a memo another function holds is never changed.
+
+    A monic divisor leaves the quotient's coefficients prime to _P when
+    num's are, so num then vanishes mod _P on form = 0: a nonzero residue
+    settles that the form does not divide, and only a zero or undefined one
+    runs the exact division."""
     kept = {}
     for form, e in forms.items():
         while e:
-            q = _quotient(num, form)
+            if _memo_residue(res, num, form):
+                break
+            q = divexact(num, form)
             if q is None:
                 break
             num = q
             e -= 1
+            res = _divided(res, form)
         if e:
             kept[form] = e
-    return num, kept
+    return num, kept, res
+
+
+def _divided(res: dict, form: Polynomial) -> dict:
+    """The memo of num / form from the memo of num.  An undefined entry, and
+    one whose divisor residue is 0 or undefined, is dropped, to be
+    evaluated when needed."""
+    out = {}
+    for g, r in res.items():
+        if r is not None and g != form:
+            d = _form_residue(form, g)
+            if d:
+                out[g] = r * pow(d, -1, _P) % _P
+    return out
+
+
+def _term_residue(f: "RationalFunction", form: Polynomial, cofactor: dict) -> int:
+    """_residue(f.num * prod(h**m for h, m in cofactor.items()), form), from
+    f's memo and the cofactor forms' residues at the form's test point.  The
+    caller checks that every residue involved is defined."""
+    if form in cofactor:
+        return 0
+    r = f._residue_at(form)
+    for h, m in cofactor.items():
+        r = r * pow(_form_residue(h, form), m, _P) % _P
+    return r
 
 
 def _monic_form(p: Polynomial) -> tuple[Fraction, Polynomial]:
@@ -123,12 +194,13 @@ def _monic_form(p: Polynomial) -> tuple[Fraction, Polynomial]:
 
 
 class RationalFunction:
-    __slots__ = ("num", "forms", "_den", "_hash")
+    # _res, the residue memo of num, is not part of == or hash
+    __slots__ = ("num", "forms", "_den", "_hash", "_res")
 
     def __init__(self, num: Polynomial, den: Polynomial):
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        self._hash = self._den = None
+        self._hash = self._den = self._res = None
         if num.is_zero():
             self.num, self.forms = Polynomial.zero(), {}
             return
@@ -140,19 +212,22 @@ class RationalFunction:
             self.num, self.forms = num.scale(_ONE / den.constant_value()), {}
         elif _is_linear(den):
             lc, form = _monic_form(den)
-            self.num, self.forms = _cancel(num.scale(_ONE / lc), {form: 1})
+            self.num, self.forms, res = _cancel(num.scale(_ONE / lc), {form: 1}, {})
+            self._res = res if self.forms else None
         else:
             inv = _ONE / den.leading_coeff()
             self.num, self.forms, self._den = num.scale(inv), None, den.scale(inv)
 
     @classmethod
-    def _make(cls, num: Polynomial, forms: dict | None) -> "RationalFunction":
-        # internal: no form divides num, or num is zero and forms is {}
+    def _make(cls, num: Polynomial, forms: dict | None, res=None) -> "RationalFunction":
+        # internal: no form divides num, or num is zero and forms is {};
+        # res is a residue memo of num, a product's factors (see _memo) or None
         f = cls.__new__(cls)
         f.num = num
         f.forms = forms
         f._den = None
         f._hash = None
+        f._res = res if forms else None
         return f
 
     @classmethod
@@ -215,13 +290,44 @@ class RationalFunction:
         return h
 
     def __neg__(self) -> "RationalFunction":
-        return self._with_num(-self.num)
+        return self._with_num(-self.num, -1)
 
-    def _with_num(self, num: Polynomial) -> "RationalFunction":
-        # same denominator; num a nonzero scalar multiple of self.num
-        f = RationalFunction._make(num, self.forms)
+    def _with_num(self, num: Polynomial, c: Fraction | int) -> "RationalFunction":
+        # same denominator; num = c * self.num for a nonzero constant c
+        res = self._res
+        if res is not None:
+            res = self._memo()
+            a, b = c.numerator, c.denominator
+            if a % _P and b % _P:
+                k = a * pow(b, -1, _P)
+                res = {form: r if r is None else r * k % _P for form, r in res.items()}
+            else:
+                res = None
+        f = RationalFunction._make(num, self.forms, res)
         f._den = self._den
         return f
+
+    def _memo(self) -> dict:
+        """The residue memo of num, built on first use and kept when self has
+        forms.  Until then a product holds its two factors and their memos:
+        residues multiply, r(n1 n2) = r(n1) r(n2), so a missing entry costs
+        an evaluation of one factor, never of the product."""
+        res = self._res
+        if type(res) is dict:
+            return res
+        out = {}
+        if res is not None:
+            n1, res1, n2, res2 = res
+            for form in self.forms:
+                r1, r2 = _memo_residue(res1, n1, form), _memo_residue(res2, n2, form)
+                if r1 is not None and r2 is not None:
+                    out[form] = r1 * r2 % _P
+        if self.forms:
+            self._res = out
+        return out
+
+    def _residue_at(self, form: Polynomial) -> int | None:
+        return _memo_residue(self._memo(), self.num, form)
 
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
         if not isinstance(other, RationalFunction):
@@ -238,7 +344,13 @@ class RationalFunction:
             num = self.num + other.num
             if num.is_zero():
                 return RationalFunction.zero()
-            return RationalFunction._make(*_cancel(num, f1))
+            # residues add: derive each entry from the operands' memos
+            res = {}
+            for form in f1:
+                r1, r2 = self._residue_at(form), other._residue_at(form)
+                if r1 is not None and r2 is not None:
+                    res[form] = (r1 + r2) % _P
+            return RationalFunction._make(*_cancel(num, f1, res))
         # Over the lcm of the two multisets, a form whose multiplicities
         # differ still divides exactly one cofactor, so only forms shared
         # with equal multiplicity can cancel.  The sum is not zero: opposite
@@ -247,16 +359,22 @@ class RationalFunction:
         for form, e in f2.items():
             if e > lcm.get(form, 0):
                 lcm[form] = e
-        a = _expand((form, e - f1.get(form, 0)) for form, e in lcm.items() if e > f1.get(form, 0))
-        b = _expand((form, e - f2.get(form, 0)) for form, e in lcm.items() if e > f2.get(form, 0))
-        num = self.num * a + other.num * b
+        a = {form: e - f1.get(form, 0) for form, e in lcm.items() if e > f1.get(form, 0)}
+        b = {form: e - f2.get(form, 0) for form, e in lcm.items() if e > f2.get(form, 0)}
+        num = self.num * _expand(a.items()) + other.num * _expand(b.items())
+        # r(num) = r(n1) r(a) + r(n2) r(b) when every residue is defined; a
+        # cofactor holding the form vanishes at its test point
+        res = {}
+        if self.num.den % _P and other.num.den % _P and all(form.den % _P for form in lcm):
+            for form in lcm:
+                res[form] = (_term_residue(self, form, a) + _term_residue(other, form, b)) % _P
         shared = {form: e for form, e in f1.items() if f2.get(form) == e}
         if shared:
-            num, kept = _cancel(num, shared)
+            num, kept, res = _cancel(num, shared, res)
             for form in shared:
                 del lcm[form]
             lcm.update(kept)
-        return RationalFunction._make(num, lcm)
+        return RationalFunction._make(num, lcm, res)
 
     def __sub__(self, other: "RationalFunction") -> "RationalFunction":
         if not isinstance(other, RationalFunction):
@@ -275,16 +393,19 @@ class RationalFunction:
         f1, f2 = self.forms, other.forms
         if f1 is None or f2 is None:
             return RationalFunction(self.num * other.num, self.den * other.den)
+        if not f1 and not f2:
+            return RationalFunction._make(self.num * other.num, f1)
         # each side is reduced, so n1 can only cancel against f2, n2 against f1
-        n1, f2 = _cancel(self.num, f2)
-        n2, f1 = _cancel(other.num, f1)
+        n1, f2, res1 = _cancel(self.num, f2, self._memo())
+        n2, f1, res2 = _cancel(other.num, f1, other._memo())
         if not f1 or not f2:
             forms = f1 or f2
         else:
             forms = dict(f1)
             for form, e in f2.items():
                 forms[form] = forms.get(form, 0) + e
-        return RationalFunction._make(n1 * n2, forms)
+        # the product's memo is derived from the factors' on first use
+        return RationalFunction._make(n1 * n2, forms, (n1, res1, n2, res2))
 
     def reciprocal(self) -> "RationalFunction":
         if self.is_zero():
@@ -310,7 +431,9 @@ class RationalFunction:
         c = Fraction(c)
         if not c:
             return RationalFunction.zero()
-        return self._with_num(self.num.scale(c))
+        if c == 1:
+            return self
+        return self._with_num(self.num.scale(c), c)
 
     def den_value(self, coords: Mapping[Var, Fraction]) -> Fraction:
         """The denominator's value at a point."""
@@ -354,9 +477,9 @@ class RationalFunction:
         if num.is_zero():
             return RationalFunction.zero()
         grown = {form for form, _, _ in moving}
-        num, kept = _cancel(num, {form: e for form, e in forms.items() if form not in grown})
+        num, kept, res = _cancel(num, {form: e for form, e in forms.items() if form not in grown}, {})
         kept.update((form, e + 1) for form, e, _ in moving)
-        return RationalFunction._make(num, kept)
+        return RationalFunction._make(num, kept, res)
 
     def subs_offsets(self, offsets: Mapping[Var, Fraction]) -> "RationalFunction":
         num = self.num.subs_offsets(offsets)

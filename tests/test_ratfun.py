@@ -295,3 +295,158 @@ def test_zero_and_constant_guards():
         (ONE / (X21 - X22)).constant_value()
     with pytest.raises(ValueError, match="not constant"):
         X11.constant_value()
+
+
+# -- the residue memo -------------------------------------------------------
+
+
+def assert_memo_exact(f):
+    """Every entry of f's residue memo is the residue of f.num itself."""
+    for form, r in f._memo().items():
+        assert r == ratfun._residue(f.num, form), (rf_text(f), form)
+
+
+def with_forms(rng):
+    f = random_rf(rng)
+    while not f.forms:
+        f = random_rf(rng)
+    return f
+
+
+def over(num, *lins):
+    """num / prod(lins), built on the forms path."""
+    out = RationalFunction.from_poly(num)
+    for lin in lins:
+        out = out / RationalFunction.from_poly(lin)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_residue_memo_matches_evaluation(seed):
+    """Sums, differences, negations, scales and products derive their memos
+    from their operands'; each entry equals the residue evaluated on the
+    result's own numerator."""
+    rng = random.Random(1100 + seed)
+    f, g = with_forms(rng), with_forms(rng)
+    (l,) = f.forms
+    same = over(random_poly(rng, zero_ok=False), l)
+    l2, m, n = (ratfun._monic_form(random_linear(rng))[1] for _ in range(3))
+    c = random_poly(rng, zero_ok=False)
+    q = random_poly(rng, zero_ok=False)
+    values = [
+        f + same, f - same, same + f,  # equal forms
+        f + g, f - g, g - f, (f + g) + same, (f * g) + f,  # different forms
+        -f, -(f + g), f.scale(Fraction(-3, 2)), (f * g).scale(Fraction(5, 7)),
+        f * g, f * same, (f + g) * (f - g), f * f,
+        # a shared form divides: l2 cancels out of the lcm sum, l out of
+        # the equal-forms sums, once and twice over
+        over(m * c + l2, l2, m) + over(l2 - c * n, l2, n),
+        same + over(q * l - same.num, l),
+        over(q.scale(3), l, l) + over(q * l - q.scale(3), l, l),
+        over(l * q, m) * over(c, l),
+    ]
+    for h in values:
+        if h.forms:
+            assert_memo_exact(h)
+    assert values[16] == over(n + m, m, n)
+    assert values[17] == RationalFunction.from_poly(q)
+    assert values[18] == over(q, l)
+    assert values[19] == over(q * c, m)
+
+
+def spy_on(monkeypatch, name):
+    """Replace ratfun.<name> by a wrapper that records its arguments."""
+    calls = []
+    real = getattr(ratfun, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ratfun, name, spy)
+    return calls
+
+
+def test_sum_evaluates_only_the_new_terms(monkeypatch):
+    """Adding terms to an accumulated sum, over equal and over different
+    forms: no residue test evaluates a sum's numerator."""
+    l, m = (Polynomial.variable(2, 1) - Polynomial.variable(3, i) for i in (1, 2))
+    rng = random.Random(1200)
+    # built again by a substitution, so each term starts with no memo
+    terms = [over(random_poly(rng, zero_ok=False), *lins).subs_offsets({})
+             for lins in [(l,), (l,), (m,), (l, m), (l,), (m, m), (l, m, m)]]
+    evaluated = spy_on(monkeypatch, "_residue")
+    acc = terms[0]
+    for t in terms[1:]:
+        acc = acc + t
+    assert acc.forms == {l: 1, m: 2}
+    assert evaluated and all(any(p == t.num for t in terms) for p, _ in evaluated)
+    assert_memo_exact(acc)
+
+
+def test_derived_zero_residue_runs_the_exact_division(monkeypatch):
+    """A sum whose derived residue is 0 although the form does not divide
+    it: divexact decides, and the form stays."""
+    form = Polynomial.variable(1, 1) - Polynomial.variable(2, 1)
+    a = ratfun._COORDS[(2, 1)]
+    f = RationalFunction(Polynomial.variable(2, 1), form)
+    g = RationalFunction(Polynomial.constant(-a), form)
+    assert f._memo()[form] and g._memo()[form]
+    calls = spy_on(monkeypatch, "divexact")
+    h = f + g
+    want = Polynomial.variable(2, 1) - Polynomial.constant(a)
+    assert calls == [(want, form)]
+    assert h.num == want and h.forms == {form: 1} and h._res == {form: 0}
+    assert_memo_exact(h)
+
+
+def test_residue_memo_with_prime_denominators(monkeypatch):
+    """A numerator denominator divisible by _P: the entry is None, the
+    exact division runs, and no entry is derived from it."""
+    form = Polynomial.variable(1, 1) - Polynomial.variable(2, 1)
+    big = Fraction(1, ratfun._P)
+    num = Polynomial.variable(3, 1).scale(big) + Polynomial.one()
+    f = RationalFunction(num, form)
+    assert f.forms == {form: 1} and f._res == {form: None}
+    g = RationalFunction(Polynomial.variable(2, 2), form)
+    calls = spy_on(monkeypatch, "divexact")
+    h = f + g
+    assert calls == [(h.num, form)]
+    assert h._res == {form: None} and h.forms == {form: 1}
+    k = f + RationalFunction(Polynomial.variable(2, 2), Polynomial.variable(3, 3))
+    assert_memo_exact(k)
+    # scaling by a multiple of _P (or its inverse) keeps no memo at all
+    assert f.scale(big)._res is None and g.scale(ratfun._P)._res is None
+    assert f.scale(big) == RationalFunction(num.scale(big), form)
+    for v in (h, k, -f, f.scale(3)):
+        assert_memo_exact(v)
+
+
+def test_entry_dropped_when_the_divisor_vanishes_at_its_point(monkeypatch):
+    """Dividing by a form that vanishes at another form's test point drops
+    that form's entry; it is evaluated again, on the quotient."""
+    g = Polynomial.variable(1, 1) - Polynomial.variable(2, 1)
+    f = Polynomial.variable(2, 2) - Polynomial.constant(ratfun._COORDS[(2, 2)])
+    assert ratfun._residue(f, g) == 0 and ratfun._residue(g, f) != 0
+    assert ratfun._divided({f: 0, g: 5}, f) == {}
+    x = Polynomial.variable(1, 1)
+    y = Polynomial.variable(3, 1)
+    a, b = over(f * x + y, f, g), over(-y, f, g)
+    evaluated = spy_on(monkeypatch, "_residue")
+    h = a + b
+    assert h.num == x and h.forms == {g: 1}
+    assert h._residue_at(g) == ratfun._residue(x, g) != 0
+    assert (x, g) in evaluated
+    assert_memo_exact(h)
+
+
+def test_memo_is_not_part_of_equality():
+    """The same function with and without a memo: equal, with equal hashes."""
+    form = Polynomial.variable(2, 1) - Polynomial.variable(2, 2)
+    num = Polynomial.variable(1, 1) * Polynomial.variable(3, 2)
+    with_memo = RationalFunction(num, form)
+    without = with_memo.subs_offsets({})
+    assert with_memo._res and without._res is None
+    assert with_memo == without and without == with_memo
+    assert hash(with_memo) == hash(without)
+    assert {with_memo: 1}[without] == 1
