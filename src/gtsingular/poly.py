@@ -2,14 +2,19 @@
 numerators over one common denominator.
 
 Variables are tableau positions (row, col) with 1 <= col <= row <= MAX_ORDER.
-A monomial is one packed integer: a 16-bit exponent field per position,
-(1,1) in the most significant field, then (2,1), (2,2), (3,1) and so on,
-and the total degree in an unbounded field above them all (packed exponent
-vectors: Monagan & Pearce, CASC 2007).  Graded lex order, earlier positions
-ranked higher, is then integer comparison, and a product of monomials is one
-addition.  Every degree stays below 2^15 (a larger product raises
-ValueError), so the top bit of each field is a free guard bit: b divides a
-exactly when (a | G) - b keeps every guard bit of G set.
+A monomial is one packed integer of 16-bit fields (packed exponent vectors:
+Monagan & Pearce, CASC 2007): the total degree in the lowest field, then one
+exponent field per position, (1,1) just above the degree, then (2,1), (2,2),
+(3,1) and so on.  A monomial over the positions of order n thus fits in
+16 * (n(n+1)/2 + 1) bits, whatever MAX_ORDER is, and a product of monomials
+is one addition.  Integer comparison is lex order with later positions
+ranked higher, a monomial order, so division and its heap use it as is; the
+canonical graded-lex order (total degree first, then earlier positions
+ranked higher), which fixes print order, leading terms and signs, is the
+order of `mono_key`.  Every degree stays below 2^15 (a larger product
+raises ValueError), so the top bit of each field is a free guard bit: b
+divides a exactly when b <= a and (a | G) - b keeps every guard bit of G
+set, with G the guard bits of a's fields.
 
 A polynomial is `terms` / `den`: `terms` maps monomials to nonzero ints and
 `den` is a positive int prime to their content, zero is ({}, 1).  This
@@ -28,7 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import comb, gcd as _igcd, lcm as _ilcm
-from operator import neg
+from struct import Struct
 from typing import Iterable, Mapping
 
 from .sparse import SparseSum, add_term
@@ -42,14 +47,17 @@ MAX_ORDER = 12
 _POSITIONS = [(k, i) for k in range(1, MAX_ORDER + 1) for i in range(1, k + 1)]
 _FIELD_BITS = 16
 _FIELD = (1 << _FIELD_BITS) - 1
-# position -> bit offset of its exponent field; (1,1) sits highest
-_SHIFT = {v: _FIELD_BITS * (len(_POSITIONS) - 1 - idx) for idx, v in enumerate(_POSITIONS)}
+# position -> bit offset of its exponent field; the degree field sits lowest
+_SHIFT = {v: _FIELD_BITS * (idx + 1) for idx, v in enumerate(_POSITIONS)}
 _VAR_AT = {s: v for v, s in _SHIFT.items()}
-_DEG_SHIFT = _FIELD_BITS * len(_POSITIONS)
-_DEG_ONE = 1 << _DEG_SHIFT
-_EXP_MASK = _DEG_ONE - 1
+_DEG_ONE = 1
+_EXP_MASK = ~_FIELD
 _DEG_LIMIT = 1 << (_FIELD_BITS - 1)
-_GUARD = sum(_DEG_LIMIT << s for s in _SHIFT.values())
+_NFIELDS = len(_POSITIONS) + 1
+# _GUARDS[k]: the guard bits of the lowest k fields
+_GUARDS = [sum(_DEG_LIMIT << (_FIELD_BITS * j) for j in range(k)) for k in range(_NFIELDS + 1)]
+# _UNPACK[k] reads the lowest k fields, lowest first
+_UNPACK = [Struct(f"<{k}H") for k in range(_NFIELDS + 1)]
 
 
 def check_var(v: Var, n: int | None = None) -> Var:
@@ -74,19 +82,21 @@ def _var_mono(v: Var) -> Monomial:
 
 def mono_pack(pairs: Iterable[tuple[Var, int]]) -> Monomial:
     """The packed monomial of ((row, col), exponent) pairs."""
-    m = 0
+    m = deg = 0
     for v, e in pairs:
         if e < 0:
             raise ValueError(f"negative exponent {e} of {v!r}")
         m += e * _var_mono(v)
-    if m >> _DEG_SHIFT >= _DEG_LIMIT:
-        raise ValueError(f"monomial degree {m >> _DEG_SHIFT} exceeds {_DEG_LIMIT - 1}")
+        deg += e
+    # checked apart from m: a degree past the field carries into (1,1)
+    if deg >= _DEG_LIMIT:
+        raise ValueError(f"monomial degree {deg} exceeds {_DEG_LIMIT - 1}")
     return m
 
 
 def _fields(m: Monomial) -> list[tuple[int, int]]:
     """(bit offset, exponent) of the nonzero exponent fields of m, lowest
-    field (latest position) first."""
+    field (earliest position) first."""
     out = []
     m &= _EXP_MASK
     while m:
@@ -99,24 +109,45 @@ def _fields(m: Monomial) -> list[tuple[int, int]]:
 
 def mono_pairs(m: Monomial) -> tuple[tuple[Var, int], ...]:
     """The ((row, col), exponent) pairs of m, positions ascending."""
-    return tuple((_VAR_AT[s], e) for s, e in reversed(_fields(m)))
+    return tuple((_VAR_AT[s], e) for s, e in _fields(m))
 
 
 def mono_degree(m: Monomial) -> int:
-    return m >> _DEG_SHIFT
+    return m & _FIELD
+
+
+def _top_degree(d: Iterable[Monomial]) -> int:
+    """The largest total degree among the monomials of d, which is not empty."""
+    return max(map(_FIELD.__and__, d))
+
+
+def mono_key(m: Monomial) -> tuple[int, ...]:
+    """Sort key of the graded-lex order: the fields of m lowest first,
+    (degree, e(1,1), e(2,1), ...), up to its highest nonzero field.  Two
+    keys of equal degree are never a proper prefix one of the other (the
+    degree is the sum of the rest), so tuple comparison is the comparison
+    of the zero-padded exponent vectors."""
+    k = -(-m.bit_length() // _FIELD_BITS)
+    return _UNPACK[k].unpack(m.to_bytes(2 * k, "little"))
 
 
 def _lead_field(m: Monomial) -> int:
     """Bit offset of the field of m's earliest variable."""
-    return ((m & _EXP_MASK).bit_length() - 1) & -_FIELD_BITS
+    m &= _EXP_MASK
+    return ((m & -m).bit_length() - 1) & -_FIELD_BITS
 
 
 def mono_div(a: Monomial, b: Monomial) -> Monomial | None:
-    """a / b, or None when some exponent would go negative.  Each field of
-    a | G is at least 2^15 > b's exponent, so no borrow crosses a field and
-    a field's guard bit survives exactly when a's exponent is at least b's."""
-    t = (a | _GUARD) - b
-    return t ^ _GUARD if t & _GUARD == _GUARD else None
+    """a / b, or None when some exponent would go negative.  b divides a
+    only if b <= a, and then b has no field above a's highest.  Each field
+    of a | G, with G the guard bits of a's fields, is at least 2^15 > b's
+    exponent, so no borrow crosses a field and a field's guard bit survives
+    exactly when a's exponent is at least b's."""
+    if b > a:
+        return None
+    g = _GUARDS[-(-a.bit_length() // _FIELD_BITS)]
+    t = (a | g) - b
+    return t ^ g if t & g == g else None
 
 
 def _vars_of(d: Iterable[Monomial]) -> list[Var]:
@@ -125,7 +156,7 @@ def _vars_of(d: Iterable[Monomial]) -> list[Var]:
     for m in d:
         acc |= m
     # an OR of fields is nonzero exactly where some exponent is
-    return [_VAR_AT[s] for s, _ in reversed(_fields(acc))]
+    return [_VAR_AT[s] for s, _ in _fields(acc)]
 
 
 class Polynomial(SparseSum):
@@ -136,7 +167,8 @@ class Polynomial(SparseSum):
 
     # support() and sorted_items() list monomials in descending graded-lex
     # order, the canonical print order
-    _sort_key = staticmethod(neg)
+    _sort_key = staticmethod(mono_key)
+    _sort_reverse = True
 
     def __init__(self, terms: Mapping[tuple[tuple[Var, int], ...], Fraction] | None = None):
         acc: dict[Monomial, Fraction] = {}
@@ -239,7 +271,7 @@ class Polynomial(SparseSum):
     def leading_monomial(self) -> Monomial:
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms)
+        return max(self.terms, key=mono_key)
 
     def leading_coeff(self) -> Fraction:
         return Fraction(self.terms[self.leading_monomial()], self.den)
@@ -251,7 +283,7 @@ class Polynomial(SparseSum):
         xs = {_SHIFT[v]: coords[v] for v in _vars_of(d)}
         # the coordinates over one common denominator q
         q = _ilcm(*(x.denominator for x in xs.values()))
-        top = mono_degree(max(d))
+        top = _top_degree(d)
         total = _int_eval(d, {s: x.numerator * (q // x.denominator) for s, x in xs.items()}, q)
         return Fraction(total, self.den * q**top)
 
@@ -355,8 +387,12 @@ def _int_divexact(f: IntTerms, g: IntTerms) -> IntTerms | None:
     that are skipped when popped."""
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
+    # Any monomial order serves; native integer order is lex.  In an exact
+    # division every quotient term has degree at most deg f - deg g, so a
+    # larger one ends the loop before any exponent can grow past its field.
     g_lm = max(g)
     g_lc = g[g_lm]
+    q_top = _top_degree(f) - _top_degree(g) if f else 0
     g_items = list(g.items())
     rem = dict(f)
     heap = [-m for m in rem]
@@ -372,7 +408,7 @@ def _int_divexact(f: IntTerms, g: IntTerms) -> IntTerms | None:
         if lc is None:
             continue
         q_mono = mono_div(lm, g_lm)
-        if q_mono is None:
+        if q_mono is None or q_mono & _FIELD > q_top:
             return None
         q_c, r = divmod(lc, g_lc)
         if r:
@@ -410,12 +446,12 @@ def _int_eval(d: IntTerms, xs: Mapping[int, int], q: int = 1) -> int:
     mapping each field's bit offset to an integer coordinate.  With
     coordinates a_v / q this is q^D times the value of d, an exact
     integer."""
-    top = mono_degree(max(d)) if q != 1 else 0
+    top = _top_degree(d) if q != 1 else 0
     qpow = [q**j for j in range(top + 1)] if top else None
     total = 0
     for m, c in d.items():
         if top:
-            c *= qpow[top - (m >> _DEG_SHIFT)]
+            c *= qpow[top - (m & _FIELD)]
         m &= _EXP_MASK
         # walk the nonzero fields from the top: the highest set bit names
         # the field, and shifting down to it leaves just the exponent
@@ -445,7 +481,7 @@ def _int_scale_div(d: IntTerms, k: int) -> IntTerms:
 
 def _int_mul(a: IntTerms, b: IntTerms) -> IntTerms:
     """Product of integer term maps; also the kernel of Polynomial.__mul__."""
-    if mono_degree(max(a) + max(b)) >= _DEG_LIMIT:
+    if _top_degree(a) + _top_degree(b) >= _DEG_LIMIT:
         raise ValueError(f"product degree exceeds {_DEG_LIMIT - 1}")
     out: IntTerms = {}
     for m1, c1 in a.items():
@@ -515,7 +551,7 @@ def _content_in_var(d: IntTerms, var: Var) -> IntTerms:
 
 def _positive_primitive(d: IntTerms) -> IntTerms:
     c = _int_content(d)
-    if d[max(d)] < 0:
+    if d[max(d, key=mono_key)] < 0:
         c = -c
     return _int_scale_div(d, c)
 

@@ -65,8 +65,8 @@ from .poly import (
     Var,
     _int_eval,
     _lead_field,
+    _top_degree,
     divexact,
-    mono_degree,
     mono_pack,
     poly_gcd,
 )
@@ -89,7 +89,7 @@ class PoleError(ArithmeticError):
 
 def _is_linear(p: Polynomial) -> bool:
     """Degree exactly 1."""
-    return not p.is_constant() and mono_degree(max(p.terms)) == 1
+    return not p.is_constant() and _top_degree(p.terms) == 1
 
 
 def _expand(forms) -> Polynomial:
@@ -106,8 +106,9 @@ def _test_point(form: Polynomial) -> dict | None:
     Callers only read the dict."""
     if form.den % _P == 0:
         return None
-    # the form is monic in its leading variable u: u = -(form at u = 0)
-    u = _lead_field(max(form.terms))
+    # the form is monic in its graded-lex leading variable u:
+    # u = -(form at u = 0)
+    u = _lead_field(form.leading_monomial())
     xs = dict(_FIELD_COORDS)
     xs[u] = 0
     xs[u] = -_int_eval(form.terms, xs) * pow(form.den, -1, _P) % _P

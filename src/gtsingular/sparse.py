@@ -104,16 +104,18 @@ class SparseSum:
 
     @staticmethod
     def _sort_key(key):
-        """The order of support() and sorted_items(); labels sort by their
-        `sort_key()`."""
+        """The order of support() and sorted_items(), descending when
+        _sort_reverse is set; labels sort by their `sort_key()`."""
         return key.sort_key()
 
+    _sort_reverse = False
+
     def support(self) -> list:
-        return sorted(self.terms, key=self._sort_key)
+        return sorted(self.terms, key=self._sort_key, reverse=self._sort_reverse)
 
     def sorted_items(self) -> list[tuple]:
         order = self._sort_key
-        return sorted(self.terms.items(), key=lambda t: order(t[0]))
+        return sorted(self.terms.items(), key=lambda t: order(t[0]), reverse=self._sort_reverse)
 
 
 class BasisVec(NamedTuple):

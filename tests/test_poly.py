@@ -9,6 +9,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from gtsingular import poly
+from gtsingular.gtformulas import phi_general
 from gtsingular.poly import Polynomial, divexact, mono_div, mono_pack, mono_pairs, poly_gcd
 from gtsingular.tableau import canonical_test_point
 from tests_helpers import to_sympy
@@ -115,17 +116,33 @@ BOUNDARY = [
 ]
 
 
+def pair_mul(a, b):
+    """a * b on pair tuples."""
+    out = Counter(dict(a))
+    out.update(dict(b))
+    return tuple(sorted(out.items()))
+
+
 def test_mono_key_total_order():
-    """Packed integer order is graded lex, and the guard-bit division is
-    exact division, on every pair of small monomials and on the boundary
-    monomials against all of them."""
+    """On every pair of small monomials, and on the boundary monomials
+    against all of them: mono_key sorts as graded lex, native integer order
+    is a monomial order, and the guard-bit division is exact division."""
     monos = small_monomials() + BOUNDARY
     packed = {m: mono_pack(m) for m in monos}
     assert len(set(packed.values())) == len(monos)
     assert all(mono_pairs(packed[m]) == m for m in monos)
     assert all(poly.mono_degree(packed[m]) == grlex_key(m)[0] for m in monos)
     # two total orders on one set agree when they sort it alike
-    assert sorted(monos, key=grlex_key) == sorted(monos, key=packed.get)
+    assert sorted(monos, key=grlex_key) == sorted(monos, key=lambda m: poly.mono_key(packed[m]))
+    # native order: the constant is the least monomial, and multiplying by
+    # any c keeps the order (the packed product is the sum, no field carries)
+    native = sorted(monos, key=packed.get)
+    assert native[0] == () and packed[()] == 0
+    for c in random.Random(5).sample(monos[:1001], 40) + BOUNDARY:
+        fit = [m for m in native if grlex_key(m)[0] + grlex_key(c)[0] <= TOP]
+        prods = [mono_pack(pair_mul(m, c)) for m in fit]
+        assert prods == [packed[m] + packed[c] for m in fit]
+        assert prods == sorted(prods)
     pairs = [(a, b) for a in monos[:1001] for b in monos[:1001]]
     pairs += [(a, b) for a in BOUNDARY for b in monos] + [(b, a) for a in BOUNDARY for b in monos]
     for a, b in pairs:
@@ -142,6 +159,21 @@ def test_mono_key_total_order():
         assert mono_pairs(p.leading_monomial()) == by_key[0]
 
 
+def test_monomial_width_follows_the_order():
+    """An order-n monomial fits in 16 * (n(n+1)/2 + 1) bits: the degree
+    field and one field per position of order n, none for MAX_ORDER."""
+    for n in range(1, 5):
+        bits = 16 * (n * (n + 1) // 2 + 1)
+        positions = ORDER4[: n * (n + 1) // 2]
+        monos = [m for m in small_monomials() if all(v in positions for v, _ in m)]
+        monos += [((positions[-1], TOP),), ((positions[0], 1), (positions[-1], TOP - 1))]
+        assert max(mono_pack(m).bit_length() for m in monos) <= bits
+        assert mono_pack(((positions[-1], 1),)).bit_length() > bits - 16
+    image = phi_general(4, 1, 4)
+    widths = [m.bit_length() for f in image.terms.values() for p in (f.num, f.den) for m in p.terms]
+    assert widths and max(widths) <= 16 * 11
+
+
 def test_exponent_overflow_raises():
     """A degree past 2^15 - 1 raises instead of carrying into the next
     field."""
@@ -153,6 +185,20 @@ def test_exponent_overflow_raises():
         top * X21
     with pytest.raises(ValueError, match="degree"):
         Polynomial.term((((12, 12), TOP), ((1, 1), 1)), 1)
+    # the degree field sits just below (1,1): one past the limit raises
+    # instead of carrying into it, and the largest degree packs intact
+    with pytest.raises(ValueError, match=r"^monomial degree 32768 exceeds 32767$"):
+        mono_pack((((1, 1), TOP), ((2, 1), 1)))
+    with pytest.raises(ValueError, match=r"^monomial degree 70000 exceeds 32767$"):
+        mono_pack((((1, 1), 40000), ((2, 1), 30000)))
+    edge = mono_pack((((1, 1), TOP - 1), ((2, 1), 1)))
+    assert poly.mono_degree(edge) == TOP and mono_pairs(edge) == (((1, 1), TOP - 1), ((2, 1), 1))
+    with pytest.raises(ValueError, match=r"^product degree exceeds 32767$"):
+        X11 ** 2**14 * X21 ** 2**14
+    # the product's degree is checked on its top-degree terms, not on the
+    # natively largest ones (x[2][1] outranks x[1][1]^TOP)
+    with pytest.raises(ValueError, match=r"^product degree exceeds 32767$"):
+        (X21 + top) * X11
     with pytest.raises(ValueError, match="negative exponent"):
         Polynomial.term((((1, 1), -1),), 1)
     # the largest exponent still differentiates and divides exactly
@@ -281,7 +327,9 @@ def test_gcd_matches_sympy(case, prs):
         a, b = f * h, g * h
     if prs:
         a, b = (p * Polynomial.constant(6 * p.den) for p in (a, b))
-    mine = to_sympy(poly_gcd(a, b))
+    d = poly_gcd(a, b)
+    assert d.leading_coeff() > 0  # the graded-lex lead, whatever the native one
+    mine = to_sympy(d)
     theirs = sympy.gcd(to_sympy(a), to_sympy(b))
     quot = sympy.simplify(mine / theirs)
     if prs:
@@ -339,6 +387,18 @@ def test_int_divexact_roundtrip(seed):
     f = random_int_terms(rng)
     g = random_int_terms(rng)
     assert poly._int_divexact(poly._int_mul(f, g), g) == f
+
+
+def test_divexact_stops_at_a_quotient_term_of_too_high_degree():
+    """Native order is lex, so a divisor's leading term need not have its
+    top degree and the remainder's exponents can grow.  A quotient term of
+    degree above deg f - deg g ends an inexact division before any exponent
+    passes its field: here x[2][1] would climb to 200^2 = 40,000."""
+    g = X22 + X21**200
+    assert poly.mono_pairs(max(g.terms)) == (((2, 2), 1),)
+    assert divexact(X22**200, g) is None
+    f = g * (X11 * X22 - X21**3)
+    assert divexact(f, g) == X11 * X22 - X21**3
 
 
 def test_int_divexact_coefficient_remainder():
@@ -402,9 +462,9 @@ def test_gcd_common_linear_factor():
     z1 = X21 - X22
     f = z1 * (X11 + Polynomial.one())
     g = z1 * z1 * X31
-    d = poly_gcd(f, g)
-    assert divexact(d, z1) is not None
-    assert divexact(z1, d) is not None
+    # the graded-lex lead x[2][1] is positive, the native largest term
+    # -x[2][2] negative
+    assert poly_gcd(f, g) == z1 == poly_gcd(-f, g)
 
 
 def test_gcd_with_zero():

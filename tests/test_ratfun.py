@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from gtsingular import ratfun
+from gtsingular import poly, ratfun
 from gtsingular.poly import Polynomial, divexact
 from gtsingular.ratfun import PoleError, RationalFunction, multiply_by_linear
 from gtsingular.textform import rf_text
@@ -240,6 +240,32 @@ def test_zero_residue_without_divisibility():
     odd_form = Polynomial.variable(1, 1) + Polynomial.variable(2, 1).scale(big)
     assert ratfun._residue(num, odd_form) is None
     assert RationalFunction(num, odd_form).forms == {odd_form: 1}
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_test_point_solves_for_the_graded_lex_leading_variable(k):
+    """In x[k][1] - x[k][k] + m the native largest monomial is x[k][k],
+    whose coefficient is -1; the test point solves for x[k][1], whose
+    coefficient is 1, and lies on form = 0."""
+    rng = random.Random(40 + k)
+    for m in (0, 1, -3, Fraction(5, 2)):
+        form = Polynomial.variable(k, 1) - Polynomial.variable(k, k) + Polynomial.constant(m)
+        assert Fraction(form.terms[max(form.terms)], form.den) == -1 and form.leading_coeff() == 1
+        xs = ratfun._test_point(form)
+        assert xs[poly._SHIFT[(k, k)]] == ratfun._COORDS[(k, k)]
+        assert poly._int_eval(form.terms, xs) % ratfun._P == 0
+        p = random_poly(rng, zero_ok=False)
+        assert ratfun._residue(form * p, form) == 0
+        assert RationalFunction(form * p, form) == RationalFunction.from_poly(p)
+
+
+def test_is_linear_reads_the_top_degree():
+    """x[1][1]^2 + x[2][1] has degree 2, though its natively largest
+    monomial x[2][1] has degree 1: the denominator is not a linear form."""
+    p = Polynomial.variable(1, 1) ** 2 + Polynomial.variable(2, 1)
+    assert not ratfun._is_linear(p)
+    f = RationalFunction(Polynomial.one(), p)
+    assert f.forms is None and f.den == p
 
 
 def test_forms_path_runs_no_gcd(monkeypatch):
