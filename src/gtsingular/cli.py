@@ -1,8 +1,8 @@
 """Command-line surface: generator images, module actions, point
 classification, and the named verification suites.
 
-Exit codes: 0 success (all checks passed), 1 verification failure,
-2 usage or input error.
+Exit codes: 0 success (all checks passed), 1 verification failure, 2 usage
+or input error, argparse's own included (one stderr line, empty stdout).
 """
 
 from __future__ import annotations
@@ -41,6 +41,11 @@ SUITES = {
 
 class UsageError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(message)
 
 
 def parse_shift_spec(spec: str) -> Shift:
@@ -228,7 +233,7 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gtsingular",
         description="Exact shift-operator algebra on Gelfand-Tsetlin tableaux",
     )
@@ -266,9 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

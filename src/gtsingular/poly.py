@@ -506,22 +506,6 @@ def _coeff_map(d: IntTerms, var: Var) -> dict[int, IntTerms]:
     return out
 
 
-def _mono_content(monos: Iterable[Monomial]) -> Monomial:
-    """Largest monomial dividing every listed one."""
-    it = iter(monos)
-    common = dict(_fields(next(it)))
-    for m in it:
-        if not common:
-            break
-        for s in list(common):
-            e = (m >> s) & _FIELD
-            if e == 0:
-                del common[s]
-            elif e < common[s]:
-                common[s] = e
-    return sum(e << s for s, e in common.items()) + sum(common.values()) * _DEG_ONE
-
-
 def _int_deg(d: IntTerms, var: Var) -> int:
     s = _SHIFT[var]
     return max(((m >> s) & _FIELD for m in d), default=0)
@@ -544,8 +528,6 @@ def _content_in_var(d: IntTerms, var: Var) -> IntTerms:
     cont: IntTerms = {}
     for coeff in _coeff_map(d, var).values():
         cont = _int_gcd(cont, coeff)
-        if len(cont) == 1 and 0 in cont and abs(cont[0]) == 1:
-            break
     return cont
 
 
@@ -558,23 +540,17 @@ def _positive_primitive(d: IntTerms) -> IntTerms:
 
 def _int_gcd(f: IntTerms, g: IntTerms) -> IntTerms:
     """gcd of integer term maps with positive lead, by a primitive
-    polynomial remainder sequence (Brown 1971) in the shared variable of
-    least degree; contents in that variable recurse through _int_gcd."""
+    polynomial remainder sequence (Brown 1971) in the first variable both
+    share; contents in that variable recurse through _int_gcd."""
     if not f or not g:
         return _positive_primitive(f or g)
     ci = _igcd(_int_content(f), _int_content(g))
     f = _positive_primitive(f)
     g = _positive_primitive(g)
-    if f == g:
-        return {m: c * ci for m, c in f.items()}
-    mono = _mono_content(f.keys() | g.keys())
-    if mono:
-        f = {m - mono: c for m, c in f.items()}
-        g = {m - mono: c for m, c in g.items()}
-    common = sorted(set(_vars_of(f)) & set(_vars_of(g)))
-    if not common or len(f) == 1 or len(g) == 1:
-        return {mono: ci}
-    var = min(common, key=lambda v: min(_int_deg(f, v), _int_deg(g, v)))
+    common = set(_vars_of(f)) & set(_vars_of(g))
+    if not common:
+        return {0: ci}
+    var = min(common)
     cont_f = _content_in_var(f, var)
     cont_g = _content_in_var(g, var)
     cont = _int_gcd(cont_f, cont_g)
@@ -588,7 +564,7 @@ def _int_gcd(f: IntTerms, g: IntTerms) -> IntTerms:
         r = _prem(F, G, var)
     # a remainder free of var leaves no common factor of positive degree
     out = _int_mul({0: 1} if r else _positive_primitive(G), cont)
-    return {m + mono: c * ci for m, c in out.items()}
+    return {m: c * ci for m, c in out.items()}
 
 
 def _int_divexact_strict(f: IntTerms, g: IntTerms) -> IntTerms:

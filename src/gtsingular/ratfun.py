@@ -196,12 +196,12 @@ def _monic_form(p: Polynomial) -> tuple[Fraction, Polynomial]:
 
 class RationalFunction:
     # _res, the residue memo of num, is not part of == or hash
-    __slots__ = ("num", "forms", "_den", "_hash", "_res")
+    __slots__ = ("num", "forms", "_den", "_res")
 
     def __init__(self, num: Polynomial, den: Polynomial):
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        self._hash = self._den = self._res = None
+        self._den = self._res = None
         if num.is_zero():
             self.num, self.forms = Polynomial.zero(), {}
             return
@@ -227,7 +227,6 @@ class RationalFunction:
         f.num = num
         f.forms = forms
         f._den = None
-        f._hash = None
         f._res = res if forms else None
         return f
 
@@ -285,16 +284,13 @@ class RationalFunction:
         return self.den == other.den
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = self._hash = hash((self.num, self.den))
-        return h
+        return hash((self.num, self.den))
 
     def __neg__(self) -> "RationalFunction":
         return self._with_num(-self.num, -1)
 
     def _with_num(self, num: Polynomial, c: Fraction | int) -> "RationalFunction":
-        # same denominator; num = c * self.num for a nonzero constant c
+        # same denominator; num = c * self.num for a nonzero constant c, so the memo scales by c, not evaluated again
         res = self._res
         if res is not None:
             res = self._memo()
@@ -345,7 +341,7 @@ class RationalFunction:
             num = self.num + other.num
             if num.is_zero():
                 return RationalFunction.zero()
-            # residues add: derive each entry from the operands' memos
+            # most sums meet equal forms and need no cofactor; residues add
             res = {}
             for form in f1:
                 r1, r2 = self._residue_at(form), other._residue_at(form)
@@ -394,18 +390,12 @@ class RationalFunction:
         f1, f2 = self.forms, other.forms
         if f1 is None or f2 is None:
             return RationalFunction(self.num * other.num, self.den * other.den)
-        if not f1 and not f2:
-            return RationalFunction._make(self.num * other.num, f1)
         # each side is reduced, so n1 can only cancel against f2, n2 against f1
         n1, f2, res1 = _cancel(self.num, f2, self._memo())
-        n2, f1, res2 = _cancel(other.num, f1, other._memo())
-        if not f1 or not f2:
-            forms = f1 or f2
-        else:
-            forms = dict(f1)
-            for form, e in f2.items():
-                forms[form] = forms.get(form, 0) + e
-        # the product's memo is derived from the factors' on first use
+        n2, forms, res2 = _cancel(other.num, f1, other._memo())
+        for form, e in f2.items():
+            forms[form] = forms.get(form, 0) + e
+        # the product's memo is derived from the factors' on first use; many products are never tested
         return RationalFunction._make(n1 * n2, forms, (n1, res1, n2, res2))
 
     def reciprocal(self) -> "RationalFunction":
@@ -515,7 +505,7 @@ class RationalFunction:
 
 
 def multiply_by_linear(f: RationalFunction, lin: Polynomial) -> RationalFunction:
-    """f * lin for a linear polynomial lin."""
+    """f * lin for a linear polynomial lin; a listed form cancels with no test or division."""
     if f.is_zero():
         return f
     if f.forms is None:

@@ -245,3 +245,28 @@ def test_module_main_guard(capsys, monkeypatch):
             runpy.run_module("gtsingular.cli", run_name="__main__")
     assert exc.value.code == 0
     assert capsys.readouterr().out.strip() == "(-x[1][1] + x[2][1] + x[2][2] + 1) id"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(("phi", "--n", "3"), id="missing-flag"),
+        pytest.param(("phi", "--n", "3", "--gen", "1,1", "--bogus"), id="unknown-flag"),
+        pytest.param(("verify", "--n", "x", "ring"), id="non-integer-n"),
+        pytest.param(("act", "--gen", "1,1", "--basis", "D1:id", "--format", "xml"), id="bad-format"),
+        pytest.param((), id="missing-subcommand"),
+        pytest.param(("frob",), id="unknown-subcommand"),
+    ],
+)
+def test_argparse_errors_keep_the_exit_contract(capsys, argv):
+    """argparse's own errors exit 2 with one `error:` line and no usage text."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and len(err.splitlines()) == 1, err
+    assert err.startswith("error:"), err
+
+
+def test_help_still_exits_zero(capsys):
+    for argv in (["-h"], ["verify", "-h"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage:")

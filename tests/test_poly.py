@@ -302,6 +302,17 @@ GCD_CONTENT_PAIR = (
     - X21.scale(2) - X33.scale(Fraction(1, 2)),
     X22 * X33 - X33,
 )
+# The remainder sequence answers these with no shortcut of its own: a shared
+# monomial content, a one-term operand, equal operands, no shared variable.
+F1 = X22 * X31 - X11 + Polynomial.constant(3)
+G1 = X21 * X22 + X31.scale(2) - Polynomial.one()
+GCD_NAMED_PAIRS = {
+    "content": GCD_CONTENT_PAIR,
+    "monomial": (X11 * X11 * X21 * F1, X11 * X21 * X21 * X21 * G1),
+    "one-term": ((X11 * X21 * X21).scale(Fraction(3, 2)), X21 * F1),
+    "equal": (F1 * G1, F1 * G1),
+    "disjoint": ((X11 + Polynomial.one()) * (X11 - Polynomial.constant(2)), X22 * X31 + X22.scale(3)),
+}
 
 
 @pytest.mark.parametrize(
@@ -309,7 +320,7 @@ GCD_CONTENT_PAIR = (
     [
         pytest.param(case, prs, id=f"prs-{case}" if prs else str(case))
         for prs in (False, True)
-        for case in [*range(12), "content"]
+        for case in [*range(12), *GCD_NAMED_PAIRS]
     ],
 )
 def test_gcd_matches_sympy(case, prs):
@@ -317,8 +328,8 @@ def test_gcd_matches_sympy(case, prs):
     integer coefficients sharing the factor 6, where the remainder sequence
     must also keep the integer content: the gcd then agrees with sympy's up
     to sign."""
-    if case == "content":
-        a, b = GCD_CONTENT_PAIR
+    if case in GCD_NAMED_PAIRS:
+        a, b = GCD_NAMED_PAIRS[case]
     else:
         rng = random.Random(100 + case)
         f = random_poly(rng, max_terms=3, max_deg=2, zero_ok=False)
