@@ -2,7 +2,8 @@
 classification, and the named verification suites.
 
 Exit codes: 0 success (all checks passed), 1 verification failure, 2 usage
-or input error, argparse's own included (one stderr line, empty stdout).
+or input error, argparse's own included, or a run that exhausts memory
+(one stderr line, empty stdout, no traceback).
 """
 
 from __future__ import annotations
@@ -276,6 +277,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -10,13 +10,19 @@ the basis: per term h sigma with g = z1 h,
     ev_v o (h sigma) = g(v) D2_sigma + (dg/dz1)(v) D1_sigma,
 
 followed by reduction to ordered representatives (D1 is tau-even, D2
-tau-odd).  The pair (g(v), (dg/dz1)(v)) is read by evaluating the
-numerator, the denominator's factors and their z1-slopes at v; no symbolic
-derivative is formed.  `act` checks tau-invariance once, on A.  `act` and
-`act_lie` (columns memoized per context, generator and basis vector) extend
-their basis columns linearly through one helper, and `evaluate_at_v` is the
-action on ev_v, itself the basis vector D1_id.  The same module is realized
-on derivative-tableau symbols through the symbolic derivative
+tau-odd).  B o A is never formed.  Its coefficient on a target shift
+s rho is a signed sum, over the two sides s of B (one when tau fixes the
+label), of A's coefficient a_rho read on the z1 line through v - m(s).
+Evaluation is a ring homomorphism, so each g is read from truncated
+Laurent series of the a_rho along those lines (`Polynomial.line_series`
+restricts numerator and denominator exactly; the denominator's lowest
+order is its pole order): order 0 of g goes on D2, order 1 on D1, and a
+negative order that survives the sum is a pole beyond the simple one.
+`act` checks tau-invariance once, on A.  `act` and `act_lie` (columns
+memoized per context, generator and basis vector) extend their basis
+columns linearly through one helper, and `evaluate_at_v` is the action on
+ev_v, itself the basis vector D1_id.  The same module is realized on
+derivative-tableau symbols through the symbolic derivative
 `SingularContext.partial_z1`, an independent oracle; both realizations
 reduce labels by one parity rule, `SingularContext.representative`.  The
 generic orbit action's vectors are `SparseSum`s of shifts (`OrbitVector`);
@@ -30,9 +36,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
-from .gtformulas import GeneratorId, convention, multiply, phi_general
-from .poly import Polynomial, divexact
-from .ratfun import PoleError, RationalFunction, multiply_by_linear
+from .gtformulas import GeneratorId, phi_general
+from .poly import Polynomial, _top_degree, divexact
+from .ratfun import RationalFunction, multiply_by_linear
 from .skewring import RingElement, is_tau_invariant
 from .sparse import BasisVec, QVector, SparseSum, add_term
 from .tableau import (
@@ -124,54 +130,51 @@ class DistVector(_ParityVector):
 # --- evaluation of ring elements into the basis ------------------------------
 
 
-def _dz1_at_v(ctx: SingularContext, p: Polynomial) -> Fraction:
-    """(dp/dz1)(v), where d/dz1 = (d/dX(k,i) - d/dX(k,j)) / 2."""
-    return (p.derivative(ctx.pos_i) - p.derivative(ctx.pos_j)).evaluate(ctx.v.coords) * _HALF
+def _line_laurent(
+    ctx: SingularContext, h: RationalFunction, coords: dict, top: int
+) -> tuple[int, list[Fraction]]:
+    """(low, c) with h = sum_k c[k] e^(low + k) + O(e^(top + 1)) on the z1
+    line through coords, where x(k,i) = coords + e/2, x(k,j) = coords - e/2
+    and so z1 = e.  The denominator (on the forms path the product of the
+    forms, which a function expands once and keeps) is restricted exactly
+    to the line: its lowest nonzero order is the pole order, and it is zero
+    everywhere only when a factor vanishes on the whole line.  The
+    numerator's series is taken as far as top and the pole order ask, and
+    divided by the rest of the denominator order by order."""
+    a, b = ctx.pos_i, ctx.pos_j
+    den = h.den.line_series(coords, a, b, _top_degree(h.den.terms))
+    pole = next((k for k, c in enumerate(den) if c), None)
+    if pole is None:
+        raise MembershipError("ring element has a pole on a whole z1 line")
+    n = top + pole + 1
+    den = den[pole:]
+    num = h.num.line_series(coords, a, b, n - 1)
+    # num = den * out, solved order by order
+    out: list[Fraction] = []
+    for k in range(n):
+        c = num[k] - sum(den[i] * out[k - i] for i in range(1, min(k + 1, len(den))))
+        out.append(c / den[0])
+    return -pole, out
 
 
-def _z1_jet(ctx: SingularContext, g: RationalFunction) -> tuple[Fraction, Fraction]:
-    """(g(v), (dg/dz1)(v)) by evaluation, with no symbolic derivative.  For
-    g = N / prod l^e, g'/g = N'/N - sum e l'/l, so
-
-        g'(v) = (N'(v) - N(v) sum e l'(v)/l(v)) / D(v);
-
-    an expanded denominator D counts as one factor.  Raises PoleError when
-    D(v) = 0."""
-    v = ctx.v.coords
-    factors = ((g.den, 1),) if g.forms is None else g.forms.items()
-    den = Fraction(1)
-    log_slope = Fraction(0)
-    for f, e in factors:
-        fv = f.evaluate(v)
-        if not fv:
-            raise PoleError("denominator vanishes at the given point")
-        den *= fv**e
-        log_slope += e * _dz1_at_v(ctx, f) / fv
-    nv = g.num.evaluate(v)
-    return nv / den, (_dz1_at_v(ctx, g.num) - nv * log_slope) / den
-
-
-def _expand_at_v(ctx: SingularContext, a: RingElement) -> DistVector:
-    """ev_v o A in the basis, for a tau-invariant A: per term h sigma with
-    g = z1 h, g(v) on D2_sigma and (dg/dz1)(v) on D1_sigma."""
-    terms: list[tuple[str, Shift, Fraction]] = []
-    for sigma, h in a.terms.items():
-        try:
-            d2, d1 = _z1_jet(ctx, multiply_by_linear(h, ctx.z1_poly))
-        except PoleError as exc:
-            # z1*h has a pole at v: h is more than simply singular there
-            raise MembershipError(
-                "ring element has a higher-order pole at the base point"
-            ) from exc
-        if d2:
-            terms.append(("D2", sigma, d2))
-        if d1:
-            terms.append(("D1", sigma, d1))
-    return DistVector.from_terms(ctx, terms)
+def _basis_sides(ctx: SingularContext, bv: BasisVec) -> list[tuple[Shift, Fraction]]:
+    """The defining element of a basis label as (shift, weight) pairs: B is
+    the sum of w s for D1 and of (w / z1) s for D2.  A tau-fixed D1 label
+    is one side of weight 1."""
+    sigma = bv.sigma
+    tau_sigma = ctx.tau_of_shift(sigma)
+    if bv.kind == "D1":
+        if sigma == tau_sigma:
+            return [(sigma, Fraction(1))]
+        return [(sigma, _HALF), (tau_sigma, _HALF)]
+    if sigma == tau_sigma:
+        raise ValueError("D2 is undefined on a transposition-fixed shift")
+    return [(sigma, _HALF), (tau_sigma, -_HALF)]
 
 
 def materialize(ctx: SingularContext, bv: BasisVec) -> RingElement:
-    """The defining ring element of a basis distribution."""
+    """The defining ring element of a basis distribution; `_basis_sides`
+    lists the same element as weights."""
     sigma = bv.sigma
     tau_sigma = ctx.tau_of_shift(sigma)
     if bv.kind == "D1":
@@ -181,6 +184,35 @@ def materialize(ctx: SingularContext, bv: BasisVec) -> RingElement:
         raise ValueError("D2 is undefined on a transposition-fixed shift")
     inv = RationalFunction(Polynomial.constant(_HALF), ctx.z1_poly)
     return RingElement([(sigma, inv), (tau_sigma, -inv)])
+
+
+def _column(ctx: SingularContext, a: RingElement, bv: BasisVec) -> DistVector:
+    """ev_v o (B o A) for B = materialize(ctx, bv), read by evaluation.  The
+    coefficient of B o A on t = s rho is the sum over the sides (s, w) of B
+    of w s(a_rho), times 1/z1 for D2, and s(a_rho) on the z1 line through v
+    is a_rho on the z1 line through v - m(s).  So g_t = z1 h_t is a signed
+    sum of those Laurent series (times z1 for D1): its order-0 coefficient
+    goes on D2_t, its order-1 coefficient on D1_t, and any negative order
+    that survives the sum is a pole beyond the simple one."""
+    lift = 1 if bv.kind == "D1" else 0
+    jets: dict[Shift, dict[int, Fraction]] = {}
+    for side, w in _basis_sides(ctx, bv):
+        coords = dict(ctx.v.coords)
+        for pos, m in side.terms.items():
+            coords[pos] -= m
+        for rho, h in a.terms.items():
+            low, series = _line_laurent(ctx, h, coords, 1 - lift)
+            jet = jets.setdefault(side * rho, {})
+            for k, c in enumerate(series, low + lift):
+                if c:
+                    jet[k] = jet.get(k, 0) + w * c
+    terms: list[tuple[str, Shift, Fraction]] = []
+    for t, jet in jets.items():
+        if any(c for k, c in jet.items() if k < 0):
+            raise MembershipError("ring element has a higher-order pole at the base point")
+        terms.append(("D2", t, jet.get(0, 0)))
+        terms.append(("D1", t, jet.get(1, 0)))
+    return DistVector.from_terms(ctx, terms)
 
 
 def _linear(column, d):
@@ -194,20 +226,17 @@ def _linear(column, d):
 def act(
     ctx: SingularContext, a: RingElement, d: "BasisVec | DistVector"
 ) -> DistVector:
-    """Module action: D = ev_v o B goes to ev_v o (B composed with A),
-    with the composition side fixed by `convention()`.
+    """Module action: D = ev_v o B goes to ev_v o (B o A), where B o A is
+    the product A * B of `gtformulas.convention()` ("star", a*b = b o a)
+    written out.  Each column is read from Laurent jets of A's
+    coefficients on z1 lines (`_column`); no product is formed.
 
     Invariance is checked once, on A: each B is nonzero and tau-invariant,
     tau is a ring automorphism and the skew group ring has no zero
     divisors, so the product is invariant exactly when A is."""
     if not is_tau_invariant(ctx, a):
         raise MembershipError("ring element is not invariant under the transposition")
-    conv = convention()
-
-    def column(bv: BasisVec) -> DistVector:
-        return _expand_at_v(ctx, multiply(conv, a, materialize(ctx, bv)))
-
-    return _linear(column, d)
+    return _linear(lambda bv: _column(ctx, a, bv), d)
 
 
 def evaluate_at_v(ctx: SingularContext, a: RingElement) -> DistVector:

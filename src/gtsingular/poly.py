@@ -23,9 +23,12 @@ for Computer Algebra*, 1992, ch. 2), so structural equality is equality.
 Arithmetic, exact division, evaluation and gcd run on integers only, and
 `_normal` divides out gcd(den, content) after each operation.  Fractions
 appear only at the boundary: the `Polynomial(mapping)`, `term` and
-`constant` constructors take them, `constant_value`, `leading_coeff` and
-`evaluate` return them.  `_int_eval` is the one evaluation kernel; the
-residue test of `ratfun` runs it at integer coordinates modulo a prime.
+`constant` constructors take them, `constant_value`, `leading_coeff`,
+`evaluate` and `line_series` return them.  `_int_eval` is the one
+evaluation kernel; the residue test of `ratfun` runs it at integer
+coordinates modulo a prime.  `line_series`, the Taylor series along a line
+in the direction of one difference x_a - x_b, walks the terms the same
+way.
 """
 
 from __future__ import annotations
@@ -287,6 +290,53 @@ class Polynomial(SparseSum):
         total = _int_eval(d, {s: x.numerator * (q // x.denominator) for s, x in xs.items()}, q)
         return Fraction(total, self.den * q**top)
 
+    def line_series(
+        self, coords: Mapping[Var, Fraction], a: Var, b: Var, order: int
+    ) -> list[Fraction]:
+        """Taylor coefficients c_0..c_order of p along the line x_a =
+        coords[a] + e/2, x_b = coords[b] - e/2, every other x_v = coords[v]:
+        p = c_0 + c_1 e + ... + O(e^(order+1)).  One walk over the integer
+        terms, over one common denominator q as in `evaluate`: the part of
+        each term free of x_a and x_b is summed into the bucket of its pair
+        of exponents (e_a, e_b), and each bucket then takes the truncated
+        binomial expansions of (q x_a)^e_a (q x_b)^e_b.  No derivative
+        polynomial is built."""
+        d = self.terms
+        if not d:
+            return [Fraction(0)] * (order + 1)
+        sa, sb = _SHIFT[a], _SHIFT[b]
+        xs = {_SHIFT[v]: coords[v] for v in _vars_of(d)}
+        q = _ilcm(2, *(x.denominator for x in xs.values()))
+        ints = {s: x.numerator * (q // x.denominator) for s, x in xs.items()}
+        top = _top_degree(d)
+        qpow = [q**j for j in range(top + 1)]
+        out = [0] * (order + 1)
+        buckets: dict[tuple[int, int], int] = {}
+        for m, c in d.items():
+            c *= qpow[top - (m & _FIELD)]
+            ea, eb = (m >> sa) & _FIELD, (m >> sb) & _FIELD
+            m &= _EXP_MASK
+            m ^= (ea << sa) | (eb << sb)
+            while m:
+                s = (m.bit_length() - 1) & -_FIELD_BITS
+                e = m >> s
+                m ^= e << s
+                c *= ints[s] if e == 1 else ints[s] ** e
+            if ea or eb:
+                key = (ea, eb)
+                buckets[key] = buckets.get(key, 0) + c
+            else:
+                out[0] += c
+        h = q // 2
+        for (ea, eb), c in buckets.items():
+            pa = _binomial_row(ints.get(sa, 0), h, ea, order)
+            pb = _binomial_row(ints.get(sb, 0), -h, eb, order)
+            for i, u in enumerate(pa):
+                for j, w in enumerate(pb[: order + 1 - i]):
+                    out[i + j] += c * u * w
+        den = self.den * qpow[top]
+        return [Fraction(x, den) for x in out]
+
     def derivative(self, var: Var) -> "Polynomial":
         s = _SHIFT[var]
         unit = (1 << s) | _DEG_ONE
@@ -462,6 +512,11 @@ def _int_eval(d: IntTerms, xs: Mapping[int, int], q: int = 1) -> int:
             c *= xs[s] if e == 1 else xs[s] ** e
         total += c
     return total
+
+
+def _binomial_row(x: int, h: int, e: int, order: int) -> list[int]:
+    """The coefficients of (x + h t)^e up to t^order."""
+    return [comb(e, j) * x ** (e - j) * h**j for j in range(min(e, order) + 1)]
 
 
 def _int_content(d: IntTerms, g: int = 0) -> int:

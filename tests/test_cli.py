@@ -186,6 +186,18 @@ def test_verify_exit_codes(tmp_path, capsys):
         assert code == 2 and out == "" and len(err.splitlines()) == 1 and "order" in err
 
 
+def test_out_of_memory_keeps_the_exit_contract(capsys, monkeypatch):
+    """A run that exhausts memory exits 2 with one stderr line and nothing
+    on stdout, not with a traceback."""
+
+    def exhausted(n):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "verify_homomorphism", exhausted)
+    code, out, err = run(capsys, "verify", "--n", "3", "homomorphism")
+    assert code == 2 and out == "" and err == "error: out of memory\n"
+
+
 def test_verify_context_suites_at_order_4(tmp_path, capsys):
     pt = tmp_path / "order4.json"
     rows = [["1/5"], ["1/3", "1/3"], ["1/7", "2/11", "3/13"], ["1/17", "2/19", "3/23", "4/29"]]

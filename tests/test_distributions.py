@@ -26,16 +26,20 @@ from gtsingular.distributions import (
 )
 from gtsingular.gtformulas import (
     all_generators,
-    convention,
     gl_bracket,
-    multiply,
     phi_combination,
     phi_diagonal,
     phi_general,
 )
 from gtsingular.poly import Polynomial
-from gtsingular.ratfun import RationalFunction, multiply_by_linear
-from gtsingular.skewring import RingElement, apply_to_function, is_tau_invariant, ring_mul_circ
+from gtsingular.ratfun import RationalFunction
+from gtsingular.skewring import (
+    RingElement,
+    apply_to_function,
+    group_act_on_ring,
+    is_tau_invariant,
+    ring_mul_circ,
+)
 from gtsingular.suites import (
     GENERIC_LABELS_3,
     GENERIC_POINT_3,
@@ -43,8 +47,10 @@ from gtsingular.suites import (
     random_dist_vector,
     random_generator_form,
     random_invariant_polynomial,
+    sample_basis,
 )
 from gtsingular.tableau import Point, Shift, SingularContext, canonical_context
+from tests_helpers import ROW3_POINT, symbolic_act
 
 CTX = canonical_context()
 ID = Shift.identity()
@@ -91,6 +97,8 @@ def test_d2_undefined_on_fixed_shift():
     fixed = S21 * S22
     with pytest.raises(ValueError, match="D2 is undefined"):
         materialize(CTX, BasisVec("D2", fixed))
+    with pytest.raises(ValueError, match="D2 is undefined"):
+        act(CTX, RingElement.one(), BasisVec("D2", fixed))
     with pytest.raises(ValueError, match="D2 is undefined"):
         dist_functional(CTX, "D2", fixed, Polynomial.one())
     with pytest.raises(ValueError, match="unknown distribution kind 'D3'"):
@@ -143,6 +151,27 @@ def test_evaluate_membership_errors():
     bad = RingElement([(S21, ONE / z1sq), (S22, ONE / z1sq)])
     with pytest.raises(MembershipError, match="higher-order pole at the base point"):
         evaluate_at_v(CTX, bad)
+    # a double pole that survives the sum over sigma and tau sigma, on a D1
+    # label and on a D2 label that tau moves: on the side S22 the z1 line
+    # through v - m(S22) has z1 - 1 = e, on the side S21 it has z1 + 1 = e
+    near, far = CTX.z1 - ONE, CTX.z1 + ONE
+    moved = RingElement.term(ONE / (near * near) + ONE / (far * far), ID)
+    assert is_tau_invariant(CTX, moved) and evaluate_at_v(CTX, moved)
+    for bv in [BasisVec("D1", S22), BasisVec("D2", S22)]:
+        with pytest.raises(MembershipError, match="higher-order pole at the base point"):
+            act(CTX, moved, bv)
+
+
+def test_act_rejects_a_pole_on_the_whole_line():
+    """A linear form free of the singular pair that vanishes at v is
+    constant along the z1 line, so no Laurent series exists there."""
+    form = Polynomial.variable(1, 1) - Polynomial.constant(CTX.v[(1, 1)])
+    a = RingElement.term(RationalFunction(Polynomial.one(), form), ID)
+    assert is_tau_invariant(CTX, a)
+    with pytest.raises(MembershipError, match="pole on a whole z1 line"):
+        evaluate_at_v(CTX, a)
+    # on the label S11 the line runs through v - m(S11), where the form is -1
+    assert act(CTX, a, BasisVec("D1", S11)) == DistVector({BasisVec("D1", S11): Fraction(-1)})
 
 
 def test_evaluation_is_the_action_on_ev_v():
@@ -155,7 +184,7 @@ def test_evaluation_is_the_action_on_ev_v():
         a = random_generator_form(rng, CTX)
         if rng.random() < 0.4:
             a = ring_mul_circ(a, random_generator_form(rng, CTX))
-        want = distributions._expand_at_v(CTX, a)
+        want = symbolic_act(CTX, a, ev_v)
         assert evaluate_at_v(CTX, a) == act(CTX, a, ev_v) == want
 
 
@@ -217,39 +246,79 @@ def expanded_den_element():
     return a
 
 
-def test_evaluated_jet_matches_symbolic_derivative():
-    """The first z1-jet read by evaluation equals the value of the symbolic
-    derivative on every coefficient z1*h of every product the action forms:
+def test_act_matches_symbolic_product():
+    """The columns read from Laurent jets equal the symbolic product's:
     all 9 order-3 generator images, plus one element with an expanded
     denominator, times the appendix sample."""
-    v = CTX.v.coords
     elements = [phi_general(3, *gen) for gen in all_generators(3)]
     elements.append(expanded_den_element())
-    expanded = 0
     for a in elements:
         for kind, sigma in appendix_sample(CTX):
-            product = multiply(convention(), a, materialize(CTX, BasisVec(kind, sigma)))
-            for h in product.terms.values():
-                g = multiply_by_linear(h, CTX.z1_poly)
-                expanded += g.forms is None
-                want = (g.evaluate(v), CTX.partial_z1(g).evaluate(v))
-                assert distributions._z1_jet(CTX, g) == want
-    assert expanded
+            bv = BasisVec(kind, sigma)
+            assert act(CTX, a, bv) == symbolic_act(CTX, a, bv)
+
+
+@pytest.mark.parametrize("gen", [(3, 4), (4, 3), (1, 4)])
+def test_act_matches_symbolic_product_at_order_4(gen):
+    """Order 4 at the row-3 pair (3,1,2), on the module sample: the raising
+    and lowering images at the singular row and E(1,4), a bracket of
+    brackets."""
+    ctx = SingularContext(ROW3_POINT, 3, 1, 2)
+    a = phi_general(4, *gen)
+    for kind, sigma in sample_basis(ctx):
+        bv = BasisVec(kind, sigma)
+        assert act(ctx, a, bv) == symbolic_act(ctx, a, bv)
+
+
+def test_simple_poles_cancel_across_the_two_sides():
+    """On D2[S22] the side S22 reads A on the z1 line through v - m(S22),
+    where z1 = 1 + e, and the side S21 on the line through v - m(S21),
+    where z1 = -1 + e.  A meets a simple pole on each side at the target
+    S22^2 (and, by invariance, at S21^2); the residues cancel in the sum
+    and the column equals the symbolic product's.  No D2 column of an
+    order-3 generator image meets a pole on either side: there every
+    z1-form is z1 itself, and it is +-m on a D2 side, m != 0."""
+    x11 = Polynomial.variable(1, 1)
+    z1 = CTX.z1_poly
+    one = Polynomial.one()
+    half = RingElement([
+        (S22, RationalFunction(x11, z1 - one)),
+        (S22 * S22 * S21.inverse(), RationalFunction(x11 + z1 + one, z1 + one)),
+    ])
+    a = half + group_act_on_ring(CTX, half)
+    assert is_tau_invariant(CTX, a)
+    bv = BasisVec("D2", S22)
+    residues: dict = {}
+    for side, w in distributions._basis_sides(CTX, bv):
+        coords = dict(CTX.v.coords)
+        for pos, m in side.terms.items():
+            coords[pos] -= m
+        for rho, h in a.terms.items():
+            low, series = distributions._line_laurent(CTX, h, coords, 1)
+            if low == -1:
+                residues.setdefault(side * rho, []).append(w * series[0])
+    assert set(residues) == {S22 * S22, S21 * S21}
+    for both in residues.values():
+        assert len(both) == 2 and both[0] and sum(both) == 0
+    column = act(CTX, a, bv)
+    assert column and column == symbolic_act(CTX, a, bv)
 
 
 def test_act_on_an_expanded_denominator():
-    """The jet's expanded-denominator branch inside the action agrees with
-    expanding the symbolic product through the derivative."""
-    a = expanded_den_element()
-    v = CTX.v.coords
+    """An expanded denominator with a simple z1 factor: on the z1 line
+    through v it has pole order 1, which a D1 label absorbs, and every
+    column agrees with the symbolic product."""
+    x11, x31 = Polynomial.variable(1, 1), Polynomial.variable(3, 1)
+    x21, x22 = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
+    den = CTX.z1_poly * (x11 * x31 + Polynomial.one())
+    h = RationalFunction(x21 + x22, den)
+    # tau maps h to -h: z1 changes sign, the rest is symmetric
+    a = RingElement([(S21, h), (S22, -h)])
+    assert h.forms is None and is_tau_invariant(CTX, a)
+    assert act(CTX, a, BasisVec("D1", ID))
     for kind, sigma in appendix_sample(CTX):
-        product = multiply(convention(), a, materialize(CTX, BasisVec(kind, sigma)))
-        terms = []
-        for rho, h in product.terms.items():
-            g = multiply_by_linear(h, CTX.z1_poly)
-            terms.append(("D2", rho, g.evaluate(v)))
-            terms.append(("D1", rho, CTX.partial_z1(g).evaluate(v)))
-        assert act(CTX, a, BasisVec(kind, sigma)) == DistVector.from_terms(CTX, terms)
+        bv = BasisVec(kind, sigma)
+        assert act(CTX, a, bv) == symbolic_act(CTX, a, bv)
 
 
 def test_act_checks_invariance_of_the_acting_element():

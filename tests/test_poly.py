@@ -240,6 +240,25 @@ def test_evaluate_matches_fraction_loop(seed):
             assert p.evaluate(point) == fraction_eval(p, point), name
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_line_series_matches_taylor(seed):
+    """The Taylor coefficients along x_a = v_a + e/2, x_b = v_b - e/2 are
+    D^k p(v) / k! with D = (d/dx_a - d/dx_b) / 2, here built from
+    symbolic derivatives; the series stops at the requested order."""
+    rng = random.Random(500 + seed)
+    a, b = (2, 1), (2, 2)
+    for _ in range(12):
+        p = random_poly(rng, max_terms=6, max_deg=4)
+        for name, point in EVAL_POINTS.items():
+            want, d = [], p
+            for k in range(6):
+                want.append(d.evaluate(point) / math.factorial(k))
+                d = (d.derivative(a) - d.derivative(b)).scale(Fraction(1, 2))
+            for order in (0, 1, 5):
+                assert p.line_series(point, a, b, order) == want[: order + 1], name
+    assert Polynomial.zero().line_series(SHIPPED, a, b, 2) == [0, 0, 0]
+
+
 def test_input_guards():
     with pytest.raises(ValueError, match="out of range for order 12"):
         Polynomial.variable(13, 1)

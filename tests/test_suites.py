@@ -28,18 +28,8 @@ from gtsingular.suites import (
     sample_basis,
     singularity_suite,
 )
-from gtsingular.tableau import Point, Shift, SingularContext, canonical_context, positions
-
-# An order-4 point, 1-singular at the row-3 pair (3,1,2); every other
-# coordinate has its own prime denominator.
-ROW3_POINT = Point.from_rows(
-    [
-        [Fraction(1, 5)],
-        [Fraction(1, 3), Fraction(1, 7)],
-        [Fraction(2, 11), Fraction(2, 11), Fraction(3, 13)],
-        [Fraction(1, 17), Fraction(2, 19), Fraction(3, 23), Fraction(4, 29)],
-    ]
-)
+from gtsingular.tableau import Shift, SingularContext, canonical_context, positions
+from tests_helpers import ROW3_POINT
 
 
 def test_derived_defaults_match_documented_literals():
