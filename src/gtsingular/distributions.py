@@ -13,12 +13,13 @@ followed by reduction to ordered representatives (D1 is tau-even, D2
 tau-odd).  B o A is never formed.  Its coefficient on a target shift
 s rho is a signed sum, over the two sides s of B (one when tau fixes the
 label), of A's coefficient a_rho read on the z1 line through v - m(s).
-Evaluation is a ring homomorphism, so each g is read from truncated
-Laurent series of the a_rho along those lines (`Polynomial.line_series`
-restricts numerator and denominator exactly; the denominator's lowest
-order is its pole order): order 0 of g goes on D2, order 1 on D1, and a
-negative order that survives the sum is a pole beyond the simple one.
-`act` checks tau-invariance once, on A.  `act` and `act_lie` (columns
+Evaluation is a ring homomorphism, so g is the same signed sum of the
+terms' jets on those lines (`Polynomial.line_series` restricts numerator
+and denominator exactly): order 0 of g goes on D2, order 1 on D1.
+Membership is decided per term from its reduced denominator, not from the
+line: a term that is not regular at v on its own sends its target to an
+exact symbolic sum, which is regular only when the other side cancels the
+pole.  `act` checks tau-invariance once, on A.  `act` and `act_lie` (columns
 memoized per context, generator and basis vector) extend their basis
 columns linearly through one helper, and `evaluate_at_v` is the action on
 ev_v, itself the basis vector D1_id.  The same module is realized on
@@ -37,7 +38,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .gtformulas import GeneratorId, phi_general
-from .poly import Polynomial, _top_degree, divexact
+from .poly import Polynomial, divexact
 from .ratfun import RationalFunction, multiply_by_linear
 from .skewring import RingElement, is_tau_invariant
 from .sparse import BasisVec, QVector, SparseSum, add_term
@@ -130,31 +131,29 @@ class DistVector(_ParityVector):
 # --- evaluation of ring elements into the basis ------------------------------
 
 
-def _line_laurent(
-    ctx: SingularContext, h: RationalFunction, coords: dict, top: int
-) -> tuple[int, list[Fraction]]:
-    """(low, c) with h = sum_k c[k] e^(low + k) + O(e^(top + 1)) on the z1
-    line through coords, where x(k,i) = coords + e/2, x(k,j) = coords - e/2
-    and so z1 = e.  The denominator (on the forms path the product of the
-    forms, which a function expands once and keeps) is restricted exactly
-    to the line: its lowest nonzero order is the pole order, and it is zero
-    everywhere only when a factor vanishes on the whole line.  The
-    numerator's series is taken as far as top and the pole order ask, and
-    divided by the rest of the denominator order by order."""
+def _side_jet(
+    ctx: SingularContext, h: RationalFunction, coords: dict, zform: Polynomial, lift: int
+) -> tuple[Fraction, Fraction] | None:
+    """(g_0, g_1) with g = zform^lift h = g_0 + g_1 e + O(e^2) on the z1 line
+    through coords, where x(k,i) = coords + e/2, x(k,j) = coords - e/2 and
+    zform, the z1-form that vanishes at coords, is e; None when g is not
+    regular at coords.  h is reduced, so g is regular there exactly when
+    its reduced denominator does not vanish there: h's does not, or lift is
+    1 and h's is zform times one that does not."""
     a, b = ctx.pos_i, ctx.pos_j
-    den = h.den.line_series(coords, a, b, _top_degree(h.den.terms))
-    pole = next((k for k, c in enumerate(den) if c), None)
-    if pole is None:
-        raise MembershipError("ring element has a pole on a whole z1 line")
-    n = top + pole + 1
-    den = den[pole:]
-    num = h.num.line_series(coords, a, b, n - 1)
-    # num = den * out, solved order by order
-    out: list[Fraction] = []
-    for k in range(n):
-        c = num[k] - sum(den[i] * out[k - i] for i in range(1, min(k + 1, len(den))))
-        out.append(c / den[0])
-    return -pole, out
+    den = h.den.line_series(coords, a, b, 1 + lift)
+    if den[0]:
+        if lift:
+            return Fraction(0), h.num.line_series(coords, a, b, 0)[0] / den[0]
+    elif lift and den[1] and h.den_divisible_by(zform):
+        # h = num / (zform r), zform = e on the line, so r is den shifted
+        # down one order and r(coords) = den[1] != 0
+        den = den[1:]
+    else:
+        return None
+    num = h.num.line_series(coords, a, b, 1)
+    c0 = num[0] / den[0]
+    return c0, (num[1] - den[1] * c0) / den[0]
 
 
 def _basis_sides(ctx: SingularContext, bv: BasisVec) -> list[tuple[Shift, Fraction]]:
@@ -173,45 +172,57 @@ def _basis_sides(ctx: SingularContext, bv: BasisVec) -> list[tuple[Shift, Fracti
 
 
 def materialize(ctx: SingularContext, bv: BasisVec) -> RingElement:
-    """The defining ring element of a basis distribution; `_basis_sides`
-    lists the same element as weights."""
-    sigma = bv.sigma
-    tau_sigma = ctx.tau_of_shift(sigma)
+    """The defining ring element of a basis distribution, built from
+    `_basis_sides`."""
+    sides = _basis_sides(ctx, bv)
     if bv.kind == "D1":
-        half = RationalFunction.constant(_HALF)
-        return RingElement([(sigma, half), (tau_sigma, half)])
-    if ctx.is_tau_fixed(sigma):
-        raise ValueError("D2 is undefined on a transposition-fixed shift")
-    inv = RationalFunction(Polynomial.constant(_HALF), ctx.z1_poly)
-    return RingElement([(sigma, inv), (tau_sigma, -inv)])
+        return RingElement((s, RationalFunction.constant(w)) for s, w in sides)
+    return RingElement((s, RationalFunction(Polynomial.constant(w), ctx.z1_poly)) for s, w in sides)
 
 
 def _column(ctx: SingularContext, a: RingElement, bv: BasisVec) -> DistVector:
     """ev_v o (B o A) for B = materialize(ctx, bv), read by evaluation.  The
     coefficient of B o A on t = s rho is the sum over the sides (s, w) of B
-    of w s(a_rho), times 1/z1 for D2, and s(a_rho) on the z1 line through v
-    is a_rho on the z1 line through v - m(s).  So g_t = z1 h_t is a signed
-    sum of those Laurent series (times z1 for D1): its order-0 coefficient
-    goes on D2_t, its order-1 coefficient on D1_t, and any negative order
-    that survives the sum is a pole beyond the simple one."""
+    of w s(a_rho), times 1/z1 for D2, so g_t = z1 h_t is the sum of
+    w z1^lift s(a_rho), lift 1 for D1 and 0 for D2.  On the z1 line through
+    v, s(a_rho) is a_rho on the z1 line through v - m(s): each regular term
+    gives its jet there (`_side_jet`), and g_t's order-0 coefficient goes
+    on D2_t, its order-1 coefficient on D1_t.  A term that is not regular
+    at v on its own is regular in the sum only if the other side cancels
+    its pole, so such a target's g_t is summed symbolically and read at v;
+    MembershipError when it is not regular there either."""
     lift = 1 if bv.kind == "D1" else 0
-    jets: dict[Shift, dict[int, Fraction]] = {}
-    for side, w in _basis_sides(ctx, bv):
+    sides = _basis_sides(ctx, bv)
+    jets: dict[Shift, list[Fraction]] = {}
+    singular: set[Shift] = set()
+    for side, w in sides:
         coords = dict(ctx.v.coords)
         for pos, m in side.terms.items():
             coords[pos] -= m
+        zform = ctx.z1_poly - Polynomial.constant(coords[ctx.pos_i] - coords[ctx.pos_j])
         for rho, h in a.terms.items():
-            low, series = _line_laurent(ctx, h, coords, 1 - lift)
-            jet = jets.setdefault(side * rho, {})
-            for k, c in enumerate(series, low + lift):
-                if c:
-                    jet[k] = jet.get(k, 0) + w * c
-    terms: list[tuple[str, Shift, Fraction]] = []
-    for t, jet in jets.items():
-        if any(c for k, c in jet.items() if k < 0):
+            t = side * rho
+            jet = _side_jet(ctx, h, coords, zform, lift)
+            if jet is None:
+                singular.add(t)
+            else:
+                acc = jets.setdefault(t, [0, 0])
+                acc[0] += w * jet[0]
+                acc[1] += w * jet[1]
+    for t in singular:
+        g = RationalFunction.zero()
+        for side, w in sides:
+            h = a.terms.get(side.inverse() * t)
+            if h is not None:
+                g += shift_subst(h, side).scale(w)
+        jet = _side_jet(ctx, g, ctx.v.coords, ctx.z1_poly, lift)
+        if jet is None:
             raise MembershipError("ring element has a higher-order pole at the base point")
-        terms.append(("D2", t, jet.get(0, 0)))
-        terms.append(("D1", t, jet.get(1, 0)))
+        jets[t] = jet
+    terms: list[tuple[str, Shift, Fraction]] = []
+    for t, (d2, d1) in jets.items():
+        terms.append(("D2", t, d2))
+        terms.append(("D1", t, d1))
     return DistVector.from_terms(ctx, terms)
 
 
@@ -228,8 +239,8 @@ def act(
 ) -> DistVector:
     """Module action: D = ev_v o B goes to ev_v o (B o A), where B o A is
     the product A * B of `gtformulas.convention()` ("star", a*b = b o a)
-    written out.  Each column is read from Laurent jets of A's
-    coefficients on z1 lines (`_column`); no product is formed.
+    written out.  Each column is read from jets of A's coefficients on z1
+    lines (`_column`); no product is formed.
 
     Invariance is checked once, on A: each B is nonzero and tau-invariant,
     tau is a ring automorphism and the skew group ring has no zero

@@ -426,6 +426,13 @@ class RationalFunction:
             return self
         return self._with_num(self.num.scale(c), c)
 
+    def den_divisible_by(self, lin: Polynomial) -> bool:
+        """Whether the linear polynomial lin divides the denominator: on the
+        forms path, whether its monic form is listed."""
+        if self.forms is None:
+            return divexact(self.den, lin) is not None
+        return _monic_form(lin)[1] in self.forms
+
     def den_value(self, coords: Mapping[Var, Fraction]) -> Fraction:
         """The denominator's value at a point."""
         if self.forms is None:

@@ -32,7 +32,7 @@ from gtsingular.gtformulas import (
     phi_general,
 )
 from gtsingular.poly import Polynomial
-from gtsingular.ratfun import RationalFunction
+from gtsingular.ratfun import PoleError, RationalFunction
 from gtsingular.skewring import (
     RingElement,
     apply_to_function,
@@ -162,16 +162,90 @@ def test_evaluate_membership_errors():
             act(CTX, moved, bv)
 
 
-def test_act_rejects_a_pole_on_the_whole_line():
-    """A linear form free of the singular pair that vanishes at v is
-    constant along the z1 line, so no Laurent series exists there."""
-    form = Polynomial.variable(1, 1) - Polynomial.constant(CTX.v[(1, 1)])
-    a = RingElement.term(RationalFunction(Polynomial.one(), form), ID)
-    assert is_tau_invariant(CTX, a)
-    with pytest.raises(MembershipError, match="pole on a whole z1 line"):
-        evaluate_at_v(CTX, a)
-    # on the label S11 the line runs through v - m(S11), where the form is -1
+def test_membership_is_decided_off_the_line():
+    """Each element is regular along the z1 line through v (or meets there
+    only the simple pole a D1 label absorbs) but z1*h has a pole at v, so
+    it is outside the ring: the action decides membership from the reduced
+    denominator, not from the line."""
+    x11 = RationalFunction.variable(1, 1)
+    x21, x22 = RationalFunction.variable(2, 1), RationalFunction.variable(2, 2)
+    v11 = RationalFunction.constant(CTX.v[(1, 1)])
+    z1sq = CTX.z1 * CTX.z1
+    c = v11 - RationalFunction.constant(CTX.v[(2, 1)])
+    poly_den = Polynomial.variable(1, 1) * Polynomial.variable(3, 1) - Polynomial.constant(
+        CTX.v[(1, 1)] * CTX.v[(3, 1)]
+    )
+    outside = {
+        # a numerator that vanishes at v hides a double pole from the
+        # line, which reads 0 here and 1 on the second
+        "vanishing numerator": (x11 - v11) / z1sq,
+        "regular on the line": (x11 - v11 + z1sq) / z1sq,
+        # a form free of the pair, constant along the line
+        "constant form": ONE / (x11 - v11),
+        # two forms that move along the line but are not z1: their poles
+        # cancel on the line, not across it
+        "moving forms": ONE / (x21 - x11 + c) + ONE / (x22 - x11 + c),
+        # an expanded denominator that vanishes at v and has no z1 factor
+        "expanded": RationalFunction(Polynomial.one(), poly_den),
+    }
+    assert outside["expanded"].forms is None
+    for name, h in outside.items():
+        a = RingElement.term(h, ID)
+        assert is_tau_invariant(CTX, a), name
+        with pytest.raises(MembershipError, match="higher-order pole at the base point"):
+            evaluate_at_v(CTX, a)
+    # on the label S11 the line runs through v - m(S11), where x11 - v11 is -1
+    a = RingElement.term(outside["constant form"], ID)
     assert act(CTX, a, BasisVec("D1", S11)) == DistVector({BasisVec("D1", S11): Fraction(-1)})
+    # on D1[S22] the side S22 reads A at v - m(S22), where this expanded
+    # denominator vanishes with a nonzero slope along the line, as a simple
+    # z1 pole would, but has no z1 factor
+    x = {v: Polynomial.variable(*v) for v in [(1, 1), (2, 1), (2, 2)]}
+    p = {v: c - (v == (2, 2)) for v, c in CTX.v.coords.items()}
+    den = x[(1, 1)] * x[(2, 1)] * x[(2, 2)] - Polynomial.constant(p[(1, 1)] * p[(2, 1)] * p[(2, 2)])
+    assert den.line_series(p, (2, 1), (2, 2), 1)[1]
+    a = RingElement.term(RationalFunction(Polynomial.one(), den), ID)
+    assert is_tau_invariant(CTX, a)
+    with pytest.raises(MembershipError, match="higher-order pole at the base point"):
+        act(CTX, a, BasisVec("D1", S22))
+
+
+def test_membership_agrees_with_the_symbolic_product():
+    """Seeded tau-invariant elements whose coefficients have poles at v and
+    at the sides of the sample labels, z1-forms and others, with
+    numerators that may vanish there: act raises exactly when the symbolic
+    product has a coefficient z1*h with a pole at v, and otherwise gives
+    its column."""
+    x = {v: Polynomial.variable(*v) for v in [(1, 1), (2, 1), (2, 2), (3, 1)]}
+    one, z1 = Polynomial.one(), CTX.z1_poly
+    at_v = {v: Polynomial.constant(CTX.v[v]) for v in x}
+    forms = [z1, z1 - one, z1 + one, z1 + one + one, x[(1, 1)] - at_v[(1, 1)],
+             x[(2, 1)] - x[(1, 1)] + at_v[(1, 1)] - at_v[(2, 1)], x[(3, 1)] + one]
+    nums = [one, x[(1, 1)], x[(1, 1)] - at_v[(1, 1)], x[(2, 1)] + x[(2, 2)], z1 * z1]
+    shifts = [ID, S21, S22, S21 * S22, S22 * S22 * S21.inverse()]
+    rng = random.Random(41)
+    outcomes = set()
+    for _ in range(40):
+        half = RingElement.zero()
+        for _ in range(2):
+            h = RationalFunction.from_poly(rng.choice(nums))
+            for _ in range(rng.randint(1, 2)):
+                h = h * RationalFunction(one, rng.choice(forms))
+            half = half + RingElement.term(h, rng.choice(shifts))
+        a = half + group_act_on_ring(CTX, half)
+        assert is_tau_invariant(CTX, a)
+        for kind, sigma in sample_basis(CTX):
+            bv = BasisVec(kind, sigma)
+            try:
+                want = symbolic_act(CTX, a, bv)
+            except PoleError:
+                with pytest.raises(MembershipError, match="higher-order pole"):
+                    act(CTX, a, bv)
+                outcomes.add("outside")
+            else:
+                assert act(CTX, a, bv) == want
+                outcomes.add("inside")
+    assert outcomes == {"inside", "outside"}
 
 
 def test_evaluation_is_the_action_on_ev_v():
@@ -270,38 +344,51 @@ def test_act_matches_symbolic_product_at_order_4(gen):
         assert act(ctx, a, bv) == symbolic_act(ctx, a, bv)
 
 
-def test_simple_poles_cancel_across_the_two_sides():
-    """On D2[S22] the side S22 reads A on the z1 line through v - m(S22),
-    where z1 = 1 + e, and the side S21 on the line through v - m(S21),
-    where z1 = -1 + e.  A meets a simple pole on each side at the target
-    S22^2 (and, by invariance, at S21^2); the residues cancel in the sum
-    and the column equals the symbolic product's.  No D2 column of an
-    order-3 generator image meets a pole on either side: there every
-    z1-form is z1 itself, and it is +-m on a D2 side, m != 0."""
-    x11 = Polynomial.variable(1, 1)
+def _two_sided(second_residue):
+    """A tau-invariant element with a simple pole on each side of D2[S22]
+    at the target S22^2: the side S22 reads it on the z1 line through
+    v - m(S22), where z1 = 1 + e, and the side S21 on the line through
+    v - m(S21), where z1 = -1 + e.  The residues there are x11 and
+    second_residue."""
     z1 = CTX.z1_poly
     one = Polynomial.one()
     half = RingElement([
-        (S22, RationalFunction(x11, z1 - one)),
-        (S22 * S22 * S21.inverse(), RationalFunction(x11 + z1 + one, z1 + one)),
+        (S22, RationalFunction(Polynomial.variable(1, 1), z1 - one)),
+        (S22 * S22 * S21.inverse(), RationalFunction(second_residue + z1 + one, z1 + one)),
     ])
     a = half + group_act_on_ring(CTX, half)
     assert is_tau_invariant(CTX, a)
+    return a
+
+
+def test_simple_poles_cancel_across_the_two_sides():
+    """With equal residues the poles cancel in the sum, at S22^2 and, by
+    invariance, at S21^2: no term there is regular on its own, and the
+    column equals the symbolic product's.  No D2 column of an order-3
+    generator image meets a pole on either side: there every z1-form is z1
+    itself, and it is +-m on a D2 side, m != 0."""
+    a = _two_sided(Polynomial.variable(1, 1))
     bv = BasisVec("D2", S22)
-    residues: dict = {}
+    singular: dict = {}
     for side, w in distributions._basis_sides(CTX, bv):
         coords = dict(CTX.v.coords)
         for pos, m in side.terms.items():
             coords[pos] -= m
+        zform = CTX.z1_poly - Polynomial.constant(coords[(2, 1)] - coords[(2, 2)])
         for rho, h in a.terms.items():
-            low, series = distributions._line_laurent(CTX, h, coords, 1)
-            if low == -1:
-                residues.setdefault(side * rho, []).append(w * series[0])
-    assert set(residues) == {S22 * S22, S21 * S21}
-    for both in residues.values():
-        assert len(both) == 2 and both[0] and sum(both) == 0
+            if distributions._side_jet(CTX, h, coords, zform, 0) is None:
+                singular.setdefault(side * rho, []).append(side)
+    assert singular == {t: [S22, S21] for t in (S22 * S22, S21 * S21)}
     column = act(CTX, a, bv)
     assert column and column == symbolic_act(CTX, a, bv)
+
+
+def test_poles_that_cancel_only_at_v_are_rejected():
+    """Residues x11 and v11 agree at v but not across the z1 hyperplane,
+    so the sum keeps a pole at v: the line through v alone would cancel it."""
+    a = _two_sided(Polynomial.constant(CTX.v[(1, 1)]))
+    with pytest.raises(MembershipError, match="higher-order pole at the base point"):
+        act(CTX, a, BasisVec("D2", S22))
 
 
 def test_act_on_an_expanded_denominator():
