@@ -4,6 +4,10 @@ The elementary matrices E(r,s) of gl_n map to ring elements: adjacent and
 diagonal generators come from the classical tableau formulas, every other
 E(r,s) from a fixed commutator bracketing.  The map is a ring homomorphism
 for the opposite of the twisted product, a*b = b o a (see `convention`).
+A bracket is one pass over the term pairs of its operands
+(`skewring.ring_commutator`), with a shift-free side factored out, so a
+bracket with a diagonal image scales each term instead of forming two
+products.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from math import prod
 
 from .poly import Polynomial
 from .ratfun import RationalFunction
-from .skewring import RingElement, ring_mul_circ
+from .skewring import RingElement, ring_commutator, ring_mul_circ
 from .tableau import Shift
 
 GeneratorId = tuple[int, int]
@@ -94,7 +98,13 @@ def multiply(convention: str, a: RingElement, b: RingElement) -> RingElement:
 
 
 def bracket(convention: str, a: RingElement, b: RingElement) -> RingElement:
-    return multiply(convention, a, b) - multiply(convention, b, a)
+    """a*b - b*a under the named product, in one pass over the term pairs
+    (`skewring.ring_commutator`); "star" reverses the operands."""
+    if convention == "circ":
+        return ring_commutator(a, b)
+    if convention == "star":
+        return ring_commutator(b, a)
+    raise ValueError(f"unknown multiplication convention {convention!r}")
 
 
 def adjacent_generators(n: int) -> list[GeneratorId]:

@@ -5,8 +5,10 @@ through the shift action on functions:
 
     (f sigma) o (g rho) = f * sigma(g) (sigma o rho)
 
-extended bilinearly.  The transposition of a singular pair acts as a ring
-automorphism.
+extended bilinearly.  Shifts commute, so the commutator a o b - b o a is
+built in one pass over the term pairs, each pair landing on one shift; a
+shift-free side is factored out of its pair's two products.  The
+transposition of a singular pair acts as a ring automorphism.
 """
 
 from __future__ import annotations
@@ -64,6 +66,27 @@ def ring_mul_circ(a: RingElement, b: RingElement) -> RingElement:
     for sa, fa in a.terms.items():
         for sb, fb in b.terms.items():
             add_term(out, sa * sb, fa * shift_subst(fb, sa))
+    return RingElement._raw(out)
+
+
+def ring_commutator(a: RingElement, b: RingElement) -> RingElement:
+    """a o b - b o a in one pass over the term pairs.  Shifts commute, so
+    (fa sa)(fb sb) and (fb sb)(fa sa) land on the same shift sa sb with
+    coefficient fa * sa(fb) - fb * sb(fa).  A shift-free side is factored
+    out: fb * (fa - sb(fa)) when sa is the identity, fa * (sa(fb) - fb)
+    when sb is; for a diagonal image fa - sb(fa) is a constant, so the
+    pair costs a scale."""
+    out: dict[Shift, RationalFunction] = {}
+    for sa, fa in a.terms.items():
+        for sb, fb in b.terms.items():
+            sigma = sa * sb
+            if sa.is_identity():
+                add_term(out, sigma, fb * (fa - shift_subst(fa, sb)))
+            elif sb.is_identity():
+                add_term(out, sigma, fa * (shift_subst(fb, sa) - fb))
+            else:
+                add_term(out, sigma, fa * shift_subst(fb, sa))
+                add_term(out, sigma, -fb * shift_subst(fa, sb))
     return RingElement._raw(out)
 
 

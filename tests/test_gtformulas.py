@@ -24,6 +24,8 @@ from gtsingular.skewring import (
     group_act_on_ring,
     is_at_most_one_singular,
     is_tau_invariant,
+    ring_commutator,
+    ring_mul_circ,
 )
 from gtsingular.tableau import Shift, canonical_context
 
@@ -292,6 +294,29 @@ def test_homomorphism_order4_corner_brackets(x, y):
     assert lhs == phi_combination(4, gl_bracket(x, y))
 
 
+def _oracle_pairs(n, diagonal_only):
+    gens = [(r, s) for r in range(1, n + 1) for s in range(1, n + 1)]
+    return [(x, y) for x in gens for y in gens
+            if not diagonal_only or x[0] == x[1] or y[0] == y[1]]
+
+
+@pytest.mark.parametrize("n, diagonal_only, count", [(3, False, 81), (4, True, 112)])
+def test_commutator_of_images_matches_two_products(n, diagonal_only, count):
+    """The one-pass commutator against two full products on every ordered
+    pair of order-3 images, and on the order-4 pairs with a diagonal side."""
+    pairs = _oracle_pairs(n, diagonal_only)
+    assert len(pairs) == count
+    for x, y in pairs:
+        a, b = phi_general(n, *x), phi_general(n, *y)
+        assert ring_commutator(a, b) == ring_mul_circ(a, b) - ring_mul_circ(b, a), (x, y)
+
+
+def test_multiply_names_the_product():
+    a, b = phi_general(2, 1, 2), phi_general(2, 2, 1)
+    assert gtformulas.multiply("circ", a, b) == ring_mul_circ(a, b)
+    assert gtformulas.multiply("star", a, b) == ring_mul_circ(b, a)
+
+
 def test_commutator_antisymmetry_of_reports():
     conv = convention()
     a, b = phi_general(3, 1, 2), phi_general(3, 2, 2)
@@ -324,5 +349,7 @@ def test_input_guards():
     a = phi_general(2, 1, 2)
     with pytest.raises(ValueError, match="unknown multiplication convention"):
         gtformulas.multiply("nope", a, a)
+    with pytest.raises(ValueError, match="unknown multiplication convention"):
+        bracket("nope", a, a)
     with pytest.raises(ValueError, match="lowering index 3"):
         phi_lowering(3, 3)

@@ -10,10 +10,11 @@ from gtsingular.skewring import (
     group_act_on_ring,
     is_at_most_one_singular,
     is_tau_invariant,
+    ring_commutator,
     ring_mul_circ,
 )
 from gtsingular.tableau import Shift, canonical_context, shift_subst
-from tests_helpers import random_rf
+from tests_helpers import random_poly, random_rf
 
 X11 = RationalFunction.variable(1, 1)
 X21 = RationalFunction.variable(2, 1)
@@ -82,6 +83,43 @@ def test_star_associative_via_circ(seed):
     rng = random.Random(600 + seed)
     a, b, c = (random_ring_element(rng, 2) for _ in range(3))
     assert multiply("star", a, multiply("star", b, c)) == multiply("star", multiply("star", a, b), c)
+
+
+def _nonzero_ring_element(rng):
+    # random_ring_element draws zero about a third of the time
+    while True:
+        a = random_ring_element(rng)
+        if a:
+            return a
+
+
+def _with_identity_term(rng, a, expanded=False):
+    """a plus a nonzero coefficient on the identity shift, over a linear
+    denominator or, when expanded, over the non-linear x11*x21 + 1."""
+    num = random_poly(rng, max_terms=2, zero_ok=False)
+    if expanded:
+        f = RationalFunction(num, (X11 * X21 + ONE).num)
+    else:
+        f = random_rf(rng) + RationalFunction.from_poly(num)
+    out = a + RingElement.term(f, Shift.identity())
+    assert Shift.identity() in out.terms
+    return out
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_commutator_matches_two_products(seed):
+    """The one-pass commutator against a o b - b o a from two full products.
+    Identity-shift terms go on a (seeds 0 mod 4), on b (1 mod 4) or on both,
+    so both factored branches and the identity-by-identity pair run; at 3 mod
+    4 one of them has a non-linear denominator."""
+    rng = random.Random(2200 + seed)
+    a, b = _nonzero_ring_element(rng), _nonzero_ring_element(rng)
+    mode = seed % 4
+    if mode != 1:
+        a = _with_identity_term(rng, a, expanded=mode == 3 and seed % 8 == 3)
+    if mode != 0:
+        b = _with_identity_term(rng, b, expanded=mode == 3 and seed % 8 == 7)
+    assert ring_commutator(a, b) == ring_mul_circ(a, b) - ring_mul_circ(b, a)
 
 
 @pytest.mark.parametrize("seed", range(6))
