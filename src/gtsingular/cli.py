@@ -4,33 +4,31 @@ classification, and the named verification suites.
 Exit codes: 0 success (all checks passed), 1 verification failure, 2 usage
 or input error, argparse's own included, or a run that exhausts memory
 (one stderr line, empty stdout, no traceback).
+
+Each command imports the modules it uses when it runs, so a process loads,
+and without bytecode on disk compiles, only those.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import re
 import sys
+from typing import TYPE_CHECKING
 
-from .distributions import DistVector, act_lie, canonical_basis_vec
-from .gtformulas import phi_general, verify_homomorphism
-from .poly import MAX_ORDER
-from .suites import appendix_suite, module_suite, ring_suite, singularity_suite
-from .tableau import (
-    Point,
-    Shift,
-    SingularContext,
-    canonical_test_point,
-    classify_point,
-)
+if TYPE_CHECKING:
+    from .distributions import DistVector
+    from .tableau import Point, Shift, SingularContext
 
 _SHIFT_ATOM = r"\((\d+),(\d+)\)([+-]\d+)"
 
 # Each suite runs on the order (--n) or on the singular context that
 # --point, --n and --singular select.  A suite is named here and looked up
 # in this module when it runs, so a wrapper bound to that name (a tracer
-# span, a test stub) sees the call.
+# span, a test stub) sees the call; until one is bound, the name resolves
+# to the suite in its own module (`__getattr__`).
 SUITES = {
     "ring": ("order", "ring_suite"),
     "homomorphism": ("order", "verify_homomorphism"),
@@ -38,6 +36,14 @@ SUITES = {
     "module": ("context", "module_suite"),
     "appendix": ("context", "appendix_suite"),
 }
+
+
+def __getattr__(name: str):
+    """A suite's function, imported from its module on first use."""
+    if name not in {fn for _, fn in SUITES.values()}:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    home = "gtformulas" if name == "verify_homomorphism" else "suites"
+    return getattr(importlib.import_module(f".{home}", __package__), name)
 
 
 class UsageError(ValueError):
@@ -51,6 +57,8 @@ class _Parser(argparse.ArgumentParser):
 
 def parse_shift_spec(spec: str) -> Shift:
     """Grammar: "id" or comma-separated "(k,i)+m" / "(k,i)-m" atoms."""
+    from .tableau import Shift
+
     spec = spec.strip()
     if spec == "id":
         return Shift.identity()
@@ -101,6 +109,8 @@ class RunConfig:
         self.fmt = fmt
 
     def resolve_point(self) -> Point:
+        from .tableau import canonical_test_point
+
         if self.point is not None:
             return self.point
         try:
@@ -109,6 +119,8 @@ class RunConfig:
             raise UsageError(f"no default point for order {self.n}; pass --point") from exc
 
     def resolve_context(self) -> SingularContext:
+        from .tableau import SingularContext
+
         point = self.resolve_point()
         if point.n != self.n:
             raise UsageError(f"point has order {point.n}, expected {self.n}")
@@ -120,6 +132,8 @@ class RunConfig:
 
 
 def _load_point(path: str) -> Point:
+    from .tableau import Point
+
     # besides unreadable files and malformed values: a deeply nested array
     # overflows the parser's recursion, and "n": 1e400 reads as an infinite
     # float that int() cannot convert
@@ -133,6 +147,8 @@ def _load_point(path: str) -> Point:
 
 
 def _config(args) -> RunConfig:
+    from .poly import MAX_ORDER
+
     cfg = RunConfig(fmt=args.format)
     if getattr(args, "n", None) is not None:
         if args.n < 1:
@@ -169,6 +185,8 @@ def _emit(payload_json, payload_text: str, fmt: str) -> None:
 
 
 def cmd_phi(args) -> int:
+    from .gtformulas import phi_general
+
     cfg = _config(args)
     r, s = parse_int_spec(args.gen, "generator", "r,s")
     try:
@@ -180,6 +198,8 @@ def cmd_phi(args) -> int:
 
 
 def cmd_act(args) -> int:
+    from .distributions import act_lie, canonical_basis_vec
+
     cfg = _config(args)
     ctx = cfg.resolve_context()
     r, s = parse_int_spec(args.gen, "generator", "r,s")
@@ -198,6 +218,8 @@ def cmd_act(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .tableau import classify_point
+
     cfg = _config(args)
     point = cfg.resolve_point()
     cls = classify_point(point)
@@ -220,7 +242,8 @@ def cmd_verify(args) -> int:
     takes, name = SUITES[suite]
     if takes == "order" and (args.point or args.singular):
         raise UsageError(f"suite {suite} runs on --n only; it takes no --point or --singular")
-    report = globals()[name](cfg.resolve_context() if takes == "context" else cfg.n)
+    suite_fn = getattr(sys.modules[__name__], name)
+    report = suite_fn(cfg.resolve_context() if takes == "context" else cfg.n)
     lines = [f"suite {suite}: {report['passed']}/{report['total']} passed"]
     for failure in report.get("failures", []):
         lines.append(f"FAIL {json.dumps(failure, sort_keys=True)}")

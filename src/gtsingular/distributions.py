@@ -19,10 +19,17 @@ and denominator exactly): order 0 of g goes on D2, order 1 on D1.
 Membership is decided per term from its reduced denominator, not from the
 line: a term that is not regular at v on its own sends its target to an
 exact symbolic sum, which is regular only when the other side cancels the
-pole.  `act` checks tau-invariance once, on A.  `act` and `act_lie` (columns
-memoized per context, generator and basis vector) extend their basis
-columns linearly through one helper, and `evaluate_at_v` is the action on
-ev_v, itself the basis vector D1_id.  The same module is realized on
+pole.  A term's jet on a line is a Laurent pair, regular (c0, c1) or at a
+simple pole (c_-1, c0): D2 reads (c0, c1) of a regular jet, D1 the jet of
+z1 h, (0, c0) or (c_-1, c0).  So one jet per coefficient and side serves
+both kinds.  `act` checks tau-invariance once per call, on A, and computes
+per jet only the orders its label's kind reads.  `act_lie` memoizes per
+context and generator the image, its invariance checked once, with its
+jets per side, shared by the D1 and D2 columns, and memoizes its columns
+per basis vector; each side's line is built once per context.  Both
+extend their basis columns linearly through one helper, which sums the
+scaled columns into one dict.  `evaluate_at_v` is the action on ev_v,
+itself the basis vector D1_id.  The same module is realized on
 derivative-tableau symbols through the symbolic derivative
 `SingularContext.partial_z1`, an independent oracle; both realizations
 reduce labels by one parity rule, `SingularContext.representative`.  The
@@ -131,29 +138,58 @@ class DistVector(_ParityVector):
 # --- evaluation of ring elements into the basis ------------------------------
 
 
+@lru_cache(maxsize=None)
+def _side_line(ctx: SingularContext, side: Shift) -> tuple[dict, Polynomial]:
+    """The z1 line through v - m(side) as (coords, zform): its base point
+    and the z1-form that vanishes there, which is e on the line.  Memoized
+    per context and side; the returned dict is shared and must not be
+    mutated."""
+    coords = dict(ctx.v.coords)
+    for pos, m in side.terms.items():
+        coords[pos] -= m
+    return coords, ctx.z1_poly - Polynomial.constant(coords[ctx.pos_i] - coords[ctx.pos_j])
+
+
 def _side_jet(
-    ctx: SingularContext, h: RationalFunction, coords: dict, zform: Polynomial, lift: int
-) -> tuple[Fraction, Fraction] | None:
-    """(g_0, g_1) with g = zform^lift h = g_0 + g_1 e + O(e^2) on the z1 line
-    through coords, where x(k,i) = coords + e/2, x(k,j) = coords - e/2 and
-    zform, the z1-form that vanishes at coords, is e; None when g is not
-    regular at coords.  h is reduced, so g is regular there exactly when
-    its reduced denominator does not vanish there: h's does not, or lift is
-    1 and h's is zform times one that does not."""
+    ctx: SingularContext, h: RationalFunction, line: tuple[dict, Polynomial], lift: int | None = None
+) -> tuple[bool, Fraction, Fraction | None] | None:
+    """h's Laurent jet on the z1 line (coords, zform), where x(k,i) = coords
+    + e/2, x(k,j) = coords - e/2 and zform = e: (False, c0, c1) when h =
+    c0 + c1 e + O(e^2) is regular at coords, (True, c_-1, c0) when h =
+    c_-1/e + c0 + O(e) has a simple pole there, None otherwise.  h is
+    reduced, so it is regular at coords exactly when its reduced
+    denominator does not vanish there, and has a simple pole when that
+    denominator is zform times one that does not.  `_read_jet` gives each
+    kind its pair.  lift 1 (D1 alone) leaves out c1 of a regular jet, which
+    D1 does not read, and lift 0 (D2 alone) the pole, which D2 cannot
+    absorb; with lift None one jet serves both kinds."""
     a, b = ctx.pos_i, ctx.pos_j
-    den = h.den.line_series(coords, a, b, 1 + lift)
-    if den[0]:
-        if lift:
-            return Fraction(0), h.num.line_series(coords, a, b, 0)[0] / den[0]
-    elif lift and den[1] and h.den_divisible_by(zform):
+    coords, zform = line
+    den = h.den.line_series(coords, a, b, 1 if lift == 0 else 2)
+    pole = not den[0]
+    if pole:
+        if lift == 0 or not den[1] or not h.den_divisible_by(zform):
+            return None
         # h = num / (zform r), zform = e on the line, so r is den shifted
         # down one order and r(coords) = den[1] != 0
         den = den[1:]
-    else:
-        return None
+    elif lift == 1:
+        return False, h.num.line_series(coords, a, b, 0)[0] / den[0], None
     num = h.num.line_series(coords, a, b, 1)
     c0 = num[0] / den[0]
-    return c0, (num[1] - den[1] * c0) / den[0]
+    return pole, c0, (num[1] - den[1] * c0) / den[0]
+
+
+def _read_jet(jet, lift: int) -> tuple[Fraction, Fraction] | None:
+    """(g_0, g_1) with g = e^lift h = g_0 + g_1 e + O(e^2), from h's Laurent
+    jet: D1 (lift 1) reads (0, c0) or, at a simple pole, (c_-1, c0); D2
+    (lift 0) reads (c0, c1) of a regular jet.  None when g is not regular."""
+    if jet is None:
+        return None
+    pole, lo, hi = jet
+    if lift:
+        return (lo, hi) if pole else (0, lo)
+    return None if pole else (lo, hi)
 
 
 def _basis_sides(ctx: SingularContext, bv: BasisVec) -> list[tuple[Shift, Fraction]]:
@@ -180,45 +216,43 @@ def materialize(ctx: SingularContext, bv: BasisVec) -> RingElement:
     return RingElement((s, RationalFunction(Polynomial.constant(w), ctx.z1_poly)) for s, w in sides)
 
 
-def _column(ctx: SingularContext, a: RingElement, bv: BasisVec) -> DistVector:
+def _column(ctx: SingularContext, a: RingElement, bv: BasisVec, side_jets) -> DistVector:
     """ev_v o (B o A) for B = materialize(ctx, bv), read by evaluation.  The
     coefficient of B o A on t = s rho is the sum over the sides (s, w) of B
     of w s(a_rho), times 1/z1 for D2, so g_t = z1 h_t is the sum of
     w z1^lift s(a_rho), lift 1 for D1 and 0 for D2.  On the z1 line through
-    v, s(a_rho) is a_rho on the z1 line through v - m(s): each regular term
-    gives its jet there (`_side_jet`), and g_t's order-0 coefficient goes
-    on D2_t, its order-1 coefficient on D1_t.  A term that is not regular
-    at v on its own is regular in the sum only if the other side cancels
-    its pole, so such a target's g_t is summed symbolically and read at v;
-    MembershipError when it is not regular there either."""
+    v, s(a_rho) is a_rho on the z1 line through v - m(s):
+    side_jets(s, lift) gives each term's Laurent jet there (`_side_jet`),
+    a regular term adds its pair (`_read_jet`), and g_t's order-0
+    coefficient goes on D2_t, its order-1 coefficient on D1_t.  A term
+    that is not regular at v on its own is regular in the sum only if the
+    other side cancels its pole, so such a target's g_t is summed
+    symbolically and read at v; MembershipError when it is not regular
+    there either."""
     lift = 1 if bv.kind == "D1" else 0
     sides = _basis_sides(ctx, bv)
     jets: dict[Shift, list[Fraction]] = {}
     singular: set[Shift] = set()
     for side, w in sides:
-        coords = dict(ctx.v.coords)
-        for pos, m in side.terms.items():
-            coords[pos] -= m
-        zform = ctx.z1_poly - Polynomial.constant(coords[ctx.pos_i] - coords[ctx.pos_j])
-        for rho, h in a.terms.items():
+        for rho, jet in side_jets(side, lift):
             t = side * rho
-            jet = _side_jet(ctx, h, coords, zform, lift)
-            if jet is None:
+            g = _read_jet(jet, lift)
+            if g is None:
                 singular.add(t)
             else:
                 acc = jets.setdefault(t, [0, 0])
-                acc[0] += w * jet[0]
-                acc[1] += w * jet[1]
+                acc[0] += w * g[0]
+                acc[1] += w * g[1]
     for t in singular:
         g = RationalFunction.zero()
         for side, w in sides:
             h = a.terms.get(side.inverse() * t)
             if h is not None:
                 g += shift_subst(h, side).scale(w)
-        jet = _side_jet(ctx, g, ctx.v.coords, ctx.z1_poly, lift)
-        if jet is None:
+        pair = _read_jet(_side_jet(ctx, g, (ctx.v.coords, ctx.z1_poly), lift), lift)
+        if pair is None:
             raise MembershipError("ring element has a higher-order pole at the base point")
-        jets[t] = jet
+        jets[t] = pair
     terms: list[tuple[str, Shift, Fraction]] = []
     for t, (d2, d1) in jets.items():
         terms.append(("D2", t, d2))
@@ -228,10 +262,20 @@ def _column(ctx: SingularContext, a: RingElement, bv: BasisVec) -> DistVector:
 
 def _linear(column, d):
     """The linear map given on labels by `column`, applied to a label (its
-    column itself) or to a vector (the sum of c * column(label))."""
+    column itself) or to a vector (the sum of c * column(label), summed in
+    one dict)."""
     if isinstance(d, (BasisVec, Shift)):
         return column(d)
-    return sum((column(label).scale(c) for label, c in d.terms.items()), type(d).zero())
+    acc: dict = {}
+    for label, c in d.terms.items():
+        for key, x in column(label).terms.items():
+            add_term(acc, key, c * x)
+    return type(d)._raw(acc)
+
+
+def _check_invariant(ctx: SingularContext, a: RingElement) -> None:
+    if not is_tau_invariant(ctx, a):
+        raise MembershipError("ring element is not invariant under the transposition")
 
 
 def act(
@@ -240,14 +284,19 @@ def act(
     """Module action: D = ev_v o B goes to ev_v o (B o A), where B o A is
     the product A * B of `gtformulas.convention()` ("star", a*b = b o a)
     written out.  Each column is read from jets of A's coefficients on z1
-    lines (`_column`); no product is formed.
+    lines (`_column`); no product is formed.  Each jet computes only the
+    orders its label's kind reads.
 
-    Invariance is checked once, on A: each B is nonzero and tau-invariant,
-    tau is a ring automorphism and the skew group ring has no zero
-    divisors, so the product is invariant exactly when A is."""
-    if not is_tau_invariant(ctx, a):
-        raise MembershipError("ring element is not invariant under the transposition")
-    return _linear(lambda bv: _column(ctx, a, bv), d)
+    Invariance is checked once per call, on A: each B is nonzero and
+    tau-invariant, tau is a ring automorphism and the skew group ring has
+    no zero divisors, so the product is invariant exactly when A is."""
+    _check_invariant(ctx, a)
+
+    def side_jets(side, lift):
+        line = _side_line(ctx, side)
+        return [(rho, _side_jet(ctx, h, line, lift)) for rho, h in a.terms.items()]
+
+    return _linear(lambda bv: _column(ctx, a, bv, side_jets), d)
 
 
 def evaluate_at_v(ctx: SingularContext, a: RingElement) -> DistVector:
@@ -257,16 +306,39 @@ def evaluate_at_v(ctx: SingularContext, a: RingElement) -> DistVector:
 
 
 @lru_cache(maxsize=None)
+def _lie_image(ctx: SingularContext, r: int, s: int) -> tuple[RingElement, dict]:
+    """The image of E(r,s), its invariance checked once per context, and
+    its shared jets: per side, each coefficient's Laurent jet on that
+    side's line, filled by `_lie_column` on first use.  lru_cache keeps no
+    exception, so an image that fails the check raises on every call."""
+    a = phi_general(ctx.n, r, s)
+    _check_invariant(ctx, a)
+    return a, {}
+
+
+@lru_cache(maxsize=None)
 def _lie_column(ctx: SingularContext, r: int, s: int, bv: BasisVec) -> DistVector:
     # keyed by the context object, so contexts never share columns; the
     # returned vector is shared by every caller and must not be mutated
-    return act(ctx, phi_general(ctx.n, r, s), bv)
+    a, shared = _lie_image(ctx, r, s)
+
+    def side_jets(side, _lift):
+        jets = shared.get(side)
+        if jets is None:
+            line = _side_line(ctx, side)
+            jets = shared[side] = [(rho, _side_jet(ctx, h, line)) for rho, h in a.terms.items()]
+        return jets
+
+    return _column(ctx, a, bv, side_jets)
 
 
 def act_lie(
     ctx: SingularContext, gen: GeneratorId, d: "BasisVec | DistVector"
 ) -> DistVector:
-    """act by the image of E(r,s), summed from memoized basis columns."""
+    """act by the image of E(r,s), summed from memoized basis columns.  A
+    column reads each coefficient's jet on a side's line from the image's
+    shared jets, so D1 and D2 labels of one shift compute them once, and
+    the image's invariance is checked once per context, not per column."""
     r, s = gen
     return _linear(lambda bv: _lie_column(ctx, r, s, bv), d)
 

@@ -1,9 +1,15 @@
+import importlib
 import json
+import os
 import runpy
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from gtsingular import cli
+import gtsingular
+from gtsingular import cli, suites
 from gtsingular.cli import main, parse_basis_spec, parse_shift_spec, shift_spec
 from gtsingular.distributions import DistVector
 from gtsingular.tableau import Shift, canonical_test_point
@@ -282,3 +288,52 @@ def test_help_still_exits_zero(capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage:")
+
+
+def test_package_names_resolve_on_first_use():
+    """Each name of gtsingular.__all__ is its module's object, imported on
+    first use; an unknown name raises AttributeError, in the package and
+    in cli, whose suite names resolve to the suites themselves."""
+    for name in gtsingular.__all__:
+        home = importlib.import_module(f"gtsingular.{gtsingular._HOME[name]}")
+        assert getattr(gtsingular, name) is getattr(home, name)
+    with pytest.raises(AttributeError):
+        gtsingular.no_such_name
+    assert not hasattr(cli, "no_such_suite")
+    assert cli.module_suite is suites.module_suite
+
+
+LOADED = """
+import json, sys
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("gtsingular."))
+import gtsingular
+out = [loaded()]
+from gtsingular import cli
+out.append(loaded())
+for argv in sys.argv[1:]:
+    cli.main(json.loads(argv))
+    out.append(loaded())
+print(json.dumps(out), file=sys.stderr)
+"""
+
+
+def test_cli_imports_only_what_a_command_uses():
+    """`import gtsingular` loads no module of the package, `gtsingular.cli`
+    only itself, and a command the modules it uses: no suites for classify,
+    phi or act."""
+    commands = [
+        ["classify"],
+        ["phi", "--n", "2", "--gen", "1,2"],
+        ["act", "--gen", "2,3", "--basis", "D1:id"],
+    ]
+    src = str(Path(gtsingular.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED, *map(json.dumps, commands)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), check=True,
+    )
+    bare, cli_only, classify, phi, act = json.loads(proc.stderr)
+    assert bare == [] and cli_only == ["gtsingular.cli"]
+    assert "gtsingular.tableau" in classify and "gtsingular.gtformulas" not in classify
+    assert "gtsingular.gtformulas" in phi and "gtsingular.distributions" not in phi
+    assert "gtsingular.distributions" in act and "gtsingular.suites" not in act

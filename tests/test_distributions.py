@@ -376,7 +376,7 @@ def test_simple_poles_cancel_across_the_two_sides():
             coords[pos] -= m
         zform = CTX.z1_poly - Polynomial.constant(coords[(2, 1)] - coords[(2, 2)])
         for rho, h in a.terms.items():
-            if distributions._side_jet(CTX, h, coords, zform, 0) is None:
+            if distributions._side_jet(CTX, h, (coords, zform), 0) is None:
                 singular.setdefault(side * rho, []).append(side)
     assert singular == {t: [S22, S21] for t in (S22 * S22, S21 * S21)}
     column = act(CTX, a, bv)
@@ -416,11 +416,13 @@ def test_act_checks_invariance_of_the_acting_element():
 
 def test_act_lie_columns_match_act():
     """act_lie sums memoized columns; the first call fills them and the
-    second is served from the memo, and both equal the direct action."""
+    second is served from the memo, and both equal the direct action.  Each
+    image is built and checked for invariance once per context."""
     ctx = canonical_context()
     vectors = [DistVector.basis(BasisVec(kind, sigma)) for kind, sigma in appendix_sample(ctx)]
     terms = [("D1", ID, Fraction(2)), ("D2", S22, Fraction(-3, 4)), ("D2", S21 * S11, Fraction(5))]
     vectors.append(DistVector.from_terms(ctx, terms))
+    image_misses = distributions._lie_image.cache_info().misses
     for gen in all_generators(3):
         a = phi_general(3, *gen)
         for d in vectors:
@@ -429,6 +431,114 @@ def test_act_lie_columns_match_act():
             assert act_lie(ctx, gen, d) == want
             assert act_lie(ctx, gen, d) == want
             assert distributions._lie_column.cache_info().hits >= hits + len(d.terms)
+    assert distributions._lie_image.cache_info().misses == image_misses + len(all_generators(3))
+
+
+@pytest.fixture
+def cold_lie_memos():
+    """act_lie's memos start empty and are emptied again afterwards, so a
+    patched image reaches no other test."""
+
+    def clear():
+        for memo in (distributions._lie_column, distributions._lie_image, distributions._side_line):
+            memo.cache_clear()
+
+    clear()
+    yield
+    clear()
+
+
+def patch_image(monkeypatch, gen, image):
+    """act_lie reads `image` as the image of gen."""
+    real = distributions.phi_general
+    monkeypatch.setattr(
+        distributions, "phi_general", lambda n, r, s: image if (r, s) == gen else real(n, r, s)
+    )
+
+
+@pytest.mark.parametrize("d2_first", [False, True])
+def test_shared_jets_serve_both_kinds(cold_lie_memos, d2_first):
+    """One jet per coefficient and side serves the D1 and D2 columns of a
+    shift.  Asked in either order on cold memos, every column of every
+    order-3 image equals the uncached action and the symbolic product.  The
+    tau-fixed D1 labels have one side, on which four images have simple
+    poles."""
+    kinds = ("D2", "D1") if d2_first else ("D1", "D2")
+    labels = [BasisVec("D1", sigma) for sigma in (ID, S21 * S22)]
+    for sigma in (S22, S22 * S22, S21.inverse() * S22, S11 * S22):
+        labels += [BasisVec(kind, sigma) for kind in kinds]
+    for gen in all_generators(3):
+        a = phi_general(3, *gen)
+        for bv in labels:
+            assert act_lie(CTX, gen, bv) == act(CTX, a, bv) == symbolic_act(CTX, a, bv)
+    with_poles = {
+        gen
+        for gen in all_generators(3)
+        for jets in distributions._lie_image(CTX, *gen)[1].values()
+        if any(jet is not None and jet[0] for _, jet in jets)
+    }
+    assert with_poles == {(1, 3), (2, 3), (3, 1), (3, 2)}
+
+
+def _one_sided():
+    """A tau-invariant element with a simple pole on each side of D2[S22],
+    at the target S22^2 on the side S22 and at S21^2 on the side S21, so
+    no other term cancels it."""
+    z1 = CTX.z1_poly
+    half = RingElement.term(RationalFunction(Polynomial.variable(1, 1), z1 - Polynomial.one()), S22)
+    a = half + group_act_on_ring(CTX, half)
+    assert is_tau_invariant(CTX, a)
+    return a
+
+
+@pytest.mark.parametrize("d2_first", [False, True])
+def test_shared_pole_jets_stay_with_d1(cold_lie_memos, monkeypatch, d2_first):
+    """A D1 column absorbs a simple pole that a D2 column cannot.  With an
+    image that has a simple pole on each side of the shift S22, a jet
+    stored for one kind gives the other kind its own reading, in either
+    order: D1 reads it, and D2 sums the target symbolically, which is
+    regular when the poles cancel and a MembershipError when they do not."""
+    gen = (1, 2)
+    kinds = ("D2", "D1") if d2_first else ("D1", "D2")
+    cancelling = _two_sided(Polynomial.variable(1, 1))
+    patch_image(monkeypatch, gen, cancelling)
+    for kind in kinds:
+        bv = BasisVec(kind, S22)
+        want = symbolic_act(CTX, cancelling, bv)
+        assert want and act_lie(CTX, gen, bv) == act(CTX, cancelling, bv) == want
+    distributions._lie_column.cache_clear()
+    distributions._lie_image.cache_clear()
+    lone = _one_sided()
+    patch_image(monkeypatch, gen, lone)
+    for kind in kinds:
+        bv = BasisVec(kind, S22)
+        if kind == "D1":
+            assert act_lie(CTX, gen, bv) == act(CTX, lone, bv) == symbolic_act(CTX, lone, bv)
+            continue
+        for action in (lambda: act_lie(CTX, gen, bv), lambda: act(CTX, lone, bv)):
+            with pytest.raises(MembershipError, match="higher-order pole"):
+                action()
+        with pytest.raises(PoleError):
+            symbolic_act(CTX, lone, bv)
+
+
+def test_act_lie_rejects_an_image_that_is_not_invariant(cold_lie_memos, monkeypatch):
+    """An image that fails the invariance check raises MembershipError on a
+    cold memo and, once the other images have filled the memos, on a warm
+    one, on every call: no failed check is memoized."""
+    gen = (2, 3)
+    patch_image(monkeypatch, gen, RingElement.term(ONE, S21))
+    labels = [BasisVec("D1", ID), BasisVec("D2", S22)]
+    with pytest.raises(MembershipError, match="not invariant under the transposition"):
+        act_lie(CTX, gen, labels[0])
+    for other in all_generators(3):
+        if other != gen:
+            for bv in labels:
+                act_lie(CTX, other, bv)
+    for _ in range(2):
+        for bv in labels:
+            with pytest.raises(MembershipError, match="not invariant under the transposition"):
+                act_lie(CTX, gen, bv)
 
 
 def test_act_lie_columns_are_per_context():
