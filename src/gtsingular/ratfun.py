@@ -38,6 +38,15 @@ each equals the residue of the numerator itself: the memo changes what a
 test costs, never what it decides.  Each form's test point is solved once
 and cached.
 
+Forms are shared and their transforms computed once.  `_monic_form` caches
+the monic scaling of each linear polynomial, so equal forms are one object
+and a dict lookup on a form meets its cached hash and an identity test.  A
+shift moves only a form's constant, l(x + a) = l(x) + sum c_v a_v, so
+`_shifted_form` caches the shifted form on (form, that amount), not on the
+whole offsets; a transposition is cached on (form, a, b) with the unit it
+leaves, which goes to the numerator.  (`skewring` likewise decides once per
+form and point whether the form vanishes there.)
+
 The constructor RationalFunction(num, den) is the one normaliser: every
 pair not already known to be reduced goes through it.  A constant or linear
 den goes to the forms path.  Any other den has unknown factorization; the
@@ -61,6 +70,7 @@ from typing import Mapping
 
 from .poly import (
     _SHIFT,
+    _VAR_AT,
     Polynomial,
     Var,
     _int_eval,
@@ -188,10 +198,40 @@ def _term_residue(f: "RationalFunction", form: Polynomial, cofactor: dict) -> in
     return r
 
 
+@lru_cache(maxsize=None)
 def _monic_form(p: Polynomial) -> tuple[Fraction, Polynomial]:
-    """(lc, p / lc) for a linear polynomial p."""
+    """(lc, p / lc) for a linear polynomial p.  Cached, so each monic form
+    is one shared object: the first of its equal copies to arrive."""
     lc = p.leading_coeff()
-    return lc, (p if lc == 1 else p.scale(_ONE / lc))
+    if lc == 1:
+        return _ONE, p
+    return lc, _monic_form(p.scale(_ONE / lc))[1]
+
+
+def _shifted_form(form: Polynomial, offsets: Mapping[Var, Fraction]) -> Polynomial:
+    """form.subs_offsets(offsets) for a monic linear form.  A shift moves only
+    the constant, by sum(c_v offsets[v]) / form.den over the form's integer
+    coefficients c_v, so the shared result is cached on (form, that sum)."""
+    moved = 0
+    for m, c in form.terms.items():
+        # a degree-1 monomial's top bit is its variable's field offset
+        a = m and offsets.get(_VAR_AT[m.bit_length() - 1])
+        if a:
+            moved += c * a
+    return _plus_constant(form, moved) if moved else form
+
+
+@lru_cache(maxsize=None)
+def _plus_constant(form: Polynomial, moved: Fraction | int) -> Polynomial:
+    """form + moved / form.den, a monic form again: its shared copy."""
+    return _monic_form(form + Polynomial.constant(Fraction(moved, form.den)))[1]
+
+
+@lru_cache(maxsize=None)
+def _swapped_form(form: Polynomial, a: Var, b: Var) -> tuple[Fraction, Polynomial]:
+    """_monic_form(form.swap_vars(a, b)): the unit a transposition leaves on
+    a form whose leading variable it moves, and the shared monic form."""
+    return _monic_form(form.swap_vars(a, b))
 
 
 class RationalFunction:
@@ -486,7 +526,7 @@ class RationalFunction:
         # affine substitution is a ring automorphism fixing leading terms,
         # so reducedness and the monic forms survive untouched
         return RationalFunction._make(
-            num, {form.subs_offsets(offsets): e for form, e in self.forms.items()}
+            num, {_shifted_form(form, offsets): e for form, e in self.forms.items()}
         )
 
     def swap_vars(self, a: Var, b: Var) -> "RationalFunction":
@@ -497,9 +537,10 @@ class RationalFunction:
         forms = {}
         unit = _ONE
         for form, e in self.forms.items():
-            lc, form = _monic_form(form.swap_vars(a, b))
+            lc, form = _swapped_form(form, a, b)
             forms[form] = e
-            unit *= lc**e
+            if lc != 1:
+                unit *= lc**e
         return RationalFunction._make(num.scale(_ONE / unit), forms)
 
     def variables(self) -> list[Var]:

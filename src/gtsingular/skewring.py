@@ -14,10 +14,12 @@ transposition of a singular pair acts as a ring automorphism.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
+from .poly import Polynomial
 from .ratfun import RationalFunction, multiply_by_linear
 from .sparse import SparseSum, add_term
-from .tableau import Shift, SingularContext, shift_subst
+from .tableau import Point, Shift, SingularContext, shift_subst
 
 
 class RingElement(SparseSum):
@@ -111,6 +113,11 @@ def is_tau_invariant(ctx: SingularContext, a: RingElement) -> bool:
     return group_act_on_ring(ctx, a) == a
 
 
+@lru_cache(maxsize=None)
+def _vanishes_at(form: Polynomial, p: Point) -> bool:
+    return form.evaluate(p.coords) == 0
+
+
 def is_at_most_one_singular(
     ctx: SingularContext, a: RingElement, *, orbit_check: bool = False
 ) -> bool:
@@ -121,13 +128,19 @@ def is_at_most_one_singular(
     z1*h regular at every support translate sigma(v); products of admissible
     elements satisfy the pointwise condition but not the orbit one, so the
     default matches what products must pass.
+
+    On the forms path z1*h is singular at a point exactly when one of its
+    forms vanishes there, which is decided once per (form, point); an
+    expanded denominator is evaluated.
     """
-    check_points = [ctx.v.coords]
+    points = [ctx.v]
     if orbit_check:
-        check_points += [ctx.orbit_point(s).coords for s in a.support()]
+        points += [ctx.orbit_point(s) for s in a.terms]
     for h in a.terms.values():
         g = multiply_by_linear(h, ctx.z1_poly)
-        for coords in check_points:
-            if g.den_value(coords) == 0:
+        if g.forms is None:
+            if any(g.den_value(p.coords) == 0 for p in points):
                 return False
+        elif any(_vanishes_at(form, p) for form in g.forms for p in points):
+            return False
     return True

@@ -114,6 +114,13 @@ class Point:
         self.coords = full
         self._hash = None
 
+    @classmethod
+    def _raw(cls, n: int, coords: dict[Var, Fraction]) -> "Point":
+        # internal: coords holds a Fraction for every position of order n
+        p = cls.__new__(cls)
+        p.n, p.coords, p._hash = n, coords, None
+        return p
+
     def __getitem__(self, v: Var) -> Fraction:
         return self.coords[v]
 
@@ -166,11 +173,15 @@ class Point:
 
 
 def apply_shift(sigma: Shift, p: Point) -> Point:
+    """sigma(p): p with sigma's components added.  The shift is validated
+    for p's order; p's coordinates are already complete Fractions and a
+    shift adds integers, so the new point is built without checking them
+    again."""
     sigma.validate(p.n)
     coords = dict(p.coords)
     for v, m in sigma.terms.items():
         coords[v] += m
-    return Point(p.n, coords)
+    return Point._raw(p.n, coords)
 
 
 class PointClass(NamedTuple):

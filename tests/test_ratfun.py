@@ -476,3 +476,94 @@ def test_memo_is_not_part_of_equality():
     assert with_memo == without and without == with_memo
     assert hash(with_memo) == hash(without)
     assert {with_memo: 1}[without] == 1
+
+
+def poly_var(k, i):
+    return Polynomial.variable(k, i)
+
+
+def uncached_monic(p):
+    """(lc, p / lc), computed afresh."""
+    lc = p.leading_coeff()
+    return lc, p.scale(1 / lc)
+
+
+SWAPS = [((2, 1), (2, 2)), ((3, 1), (3, 3)), ((1, 1), (3, 2)), ((2, 2), (1, 1))]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_form_transforms_match_the_uncached_computation(seed):
+    """The cached shift and transposition of a seeded monic form equal the
+    computations they replace, and a repeated call returns the same object."""
+    rng = random.Random(900 + seed)
+    form = ratfun._monic_form(random_linear(rng))[1]
+    absent = [v for v in VARS3 if v not in form.variables()]
+    shifts = [{v: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for v in rng.sample(VARS3, 3)}
+              for _ in range(3)]
+    shifts.append({v: Fraction(1, 2) for v in absent})
+    for offsets in shifts:
+        moved = ratfun._shifted_form(form, offsets)
+        assert moved == form.subs_offsets(offsets)
+        assert ratfun._shifted_form(form, offsets) is moved
+        assert ratfun._monic_form(form.subs_offsets(offsets))[1] is moved
+    for a, b in SWAPS:
+        lc, swapped = ratfun._swapped_form(form, a, b)
+        assert (lc, swapped) == uncached_monic(form.swap_vars(a, b))
+        assert ratfun._swapped_form(form, a, b)[1] is swapped
+
+
+def test_shift_cache_reads_the_constant_the_shift_adds():
+    """One form with den 6, shifted by Fraction offsets that move its
+    constant by different amounts, and by offsets only on variables it
+    lacks, which leave the form itself."""
+    form = poly_var(2, 1) + poly_var(3, 1).scale(Fraction(1, 2)) - Polynomial.constant(Fraction(1, 3))
+    assert form.den == 6 and ratfun._monic_form(form) == (1, form)
+    form = ratfun._monic_form(form)[1]
+    moved = []
+    for offsets in [{(2, 1): Fraction(2), (3, 1): Fraction(1, 2)},
+                    {(3, 1): Fraction(-2, 3), (1, 1): Fraction(5)},
+                    {(2, 1): Fraction(1, 7)},
+                    {(2, 1): Fraction(-1, 2), (3, 1): Fraction(1)}]:
+        moved.append(ratfun._shifted_form(form, offsets))
+        assert moved[-1] == form.subs_offsets(offsets)
+    # the constant moves by 9/4, -1/3, 1/7 and 0
+    assert len(set(moved[:3])) == 3 and moved[3] is form
+    assert ratfun._shifted_form(form, {(1, 1): Fraction(3, 2), (3, 3): Fraction(-1)}) is form
+    f = RationalFunction(poly_var(1, 1), form)
+    offsets = {(2, 1): Fraction(2), (1, 1): Fraction(1, 2)}
+    assert f.subs_offsets(offsets) == RationalFunction(
+        poly_var(1, 1) + Polynomial.constant(Fraction(1, 2)), form + Polynomial.constant(2))
+
+
+def test_swap_that_moves_the_leading_variable_keeps_its_unit():
+    """x21 - x22 + 1 under (2,1) <-> (2,2) is -(x21 - x22 - 1): the monic
+    form changes and the unit -1 goes to the numerator."""
+    form = poly_var(2, 1) - poly_var(2, 2) + Polynomial.one()
+    flipped = poly_var(2, 1) - poly_var(2, 2) - Polynomial.one()
+    lc, swapped = ratfun._swapped_form(form, (2, 1), (2, 2))
+    assert lc == -1 and swapped == flipped
+    assert ratfun._swapped_form(form, (3, 1), (3, 2)) == (1, form)
+    f = RationalFunction(poly_var(1, 1), form)
+    g = f.swap_vars((2, 1), (2, 2))
+    assert g.num == -poly_var(1, 1) and g.forms == {flipped: 1}
+    assert g.evaluate({(1, 1): 1, (2, 1): 3, (2, 2): 1}) == Fraction(1, -1)
+    assert g.swap_vars((2, 1), (2, 2)) == f
+    # a swap of two variables the form lacks leaves it as it is
+    assert f.swap_vars((3, 1), (3, 2)) == RationalFunction(poly_var(1, 1), form)
+
+
+def test_equal_forms_share_one_object():
+    """Every forms-path form is the shared copy of its value, however it was
+    built: from a scaled denominator, a shift, a transposition or a product."""
+    a = poly_var(2, 1) - poly_var(3, 2) + Polynomial.constant(3)
+    b = (poly_var(3, 2) - poly_var(2, 1) - Polynomial.constant(3)).scale(Fraction(-2, 5))
+    shared = ratfun._monic_form(a)[1]
+    assert ratfun._monic_form(b) == (Fraction(2, 5), shared)
+    assert ratfun._monic_form(b)[1] is shared
+    f = RationalFunction(poly_var(1, 1), b)
+    assert next(iter(f.forms)) is shared
+    back = f.subs_offsets({(2, 1): Fraction(1)}).subs_offsets({(3, 2): Fraction(1)})
+    assert back == f and next(iter(back.forms)) is shared
+    twice = f.swap_vars((2, 1), (3, 2)).swap_vars((2, 1), (3, 2))
+    assert twice == f and next(iter(twice.forms)) is shared
+    assert next(iter((f * f).forms)) is shared

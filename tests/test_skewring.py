@@ -172,6 +172,24 @@ def test_is_at_most_one_singular():
     assert not is_at_most_one_singular(CTX, a, orbit_check=True)
 
 
+def test_is_at_most_one_singular_on_expanded_denominators():
+    """z1*h with a non-linear denominator keeps it expanded and evaluates
+    it: 1/(z1 (x11 x31 + 1)) is regular after z1 at v = (1/5, ..., 1/7, ...)
+    and at the translate by sigma(1,1); x11 x31 - 6/35 vanishes only there."""
+    x11x31 = X11 * RationalFunction.variable(3, 1)
+    regular = ONE / (Z1 * (x11x31 + ONE))
+    at_translate = ONE / (Z1 * (x11x31 - RationalFunction.constant(Fraction(6, 35))))
+    at_v = ONE / (x11x31 - RationalFunction.constant(Fraction(1, 35)))
+    for h in (regular, at_translate, at_v):
+        assert h.forms is None
+    for orbit_check in (False, True):
+        assert is_at_most_one_singular(CTX, RingElement.term(regular, S11), orbit_check=orbit_check)
+        assert not is_at_most_one_singular(CTX, RingElement.term(at_v, S11), orbit_check=orbit_check)
+    a = RingElement([(S11, at_translate), (S21, ONE / Z1)])
+    assert is_at_most_one_singular(CTX, a)
+    assert not is_at_most_one_singular(CTX, a, orbit_check=True)
+
+
 def test_product_closure_anchor():
     a = RingElement([(S21, ONE / Z1), (S22, -(ONE / Z1))])
     prod = ring_mul_circ(a, a)

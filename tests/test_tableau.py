@@ -148,6 +148,7 @@ def test_point_hash_is_cached_and_equal_across_constructions():
     rows[1][1] -= 2
     built = Point.from_rows(rows)
     assert moved == built and hash(moved) == hash(built)
+    assert all(type(c) is Fraction for c in moved.coords.values())
     assert apply_shift(sigma.inverse(), moved) == p
     assert hash(apply_shift(sigma.inverse(), moved)) == hash(p)
     first = hash(built)
