@@ -14,8 +14,11 @@ tau-odd).  B o A is never formed.  Its coefficient on a target shift
 s rho is a signed sum, over the two sides s of B (one when tau fixes the
 label), of A's coefficient a_rho read on the z1 line through v - m(s).
 Evaluation is a ring homomorphism, so g is the same signed sum of the
-terms' jets on those lines (`Polynomial.line_series` restricts numerator
-and denominator exactly): order 0 of g goes on D2, order 1 on D1.
+terms' jets on those lines: each line is one integer kernel (`poly.Line`,
+built once per context and side), `Polynomial.line_series` restricts
+numerator and denominator exactly to integers over one denominator each,
+and a jet takes one Fraction per coefficient; a polynomial term reads no
+denominator.  Order 0 of g goes on D2, order 1 on D1.
 Membership is decided per term from its reduced denominator, not from the
 line: a term that is not regular at v on its own sends its target to an
 exact symbolic sum, which is regular only when the other side cancels the
@@ -45,7 +48,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .gtformulas import GeneratorId, phi_general
-from .poly import Polynomial, divexact
+from .poly import Line, Polynomial, divexact
 from .ratfun import RationalFunction, multiply_by_linear
 from .skewring import RingElement, is_tau_invariant
 from .sparse import BasisVec, QVector, SparseSum, add_term
@@ -139,45 +142,53 @@ class DistVector(_ParityVector):
 
 
 @lru_cache(maxsize=None)
-def _side_line(ctx: SingularContext, side: Shift) -> tuple[dict, Polynomial]:
-    """The z1 line through v - m(side) as (coords, zform): its base point
-    and the z1-form that vanishes there, which is e on the line.  Memoized
-    per context and side; the returned dict is shared and must not be
-    mutated."""
+def _side_line(ctx: SingularContext, side: Shift) -> tuple[Line, Polynomial]:
+    """The z1 line through v - m(side) as (line, zform): its integer kernel
+    (`Line`) and the z1-form that vanishes at its base point, which is e on
+    the line.  Memoized per context and side; the identity's line is v's
+    own.  The kernel's rows fill as jets are read, so every column on the
+    side shares them."""
     coords = dict(ctx.v.coords)
     for pos, m in side.terms.items():
         coords[pos] -= m
-    return coords, ctx.z1_poly - Polynomial.constant(coords[ctx.pos_i] - coords[ctx.pos_j])
+    zform = ctx.z1_poly - Polynomial.constant(coords[ctx.pos_i] - coords[ctx.pos_j])
+    return Line(coords, ctx.pos_i, ctx.pos_j), zform
 
 
 def _side_jet(
-    ctx: SingularContext, h: RationalFunction, line: tuple[dict, Polynomial], lift: int | None = None
+    h: RationalFunction, line: tuple[Line, Polynomial], lift: int | None = None
 ) -> tuple[bool, Fraction, Fraction | None] | None:
-    """h's Laurent jet on the z1 line (coords, zform), where x(k,i) = coords
-    + e/2, x(k,j) = coords - e/2 and zform = e: (False, c0, c1) when h =
-    c0 + c1 e + O(e^2) is regular at coords, (True, c_-1, c0) when h =
-    c_-1/e + c0 + O(e) has a simple pole there, None otherwise.  h is
-    reduced, so it is regular at coords exactly when its reduced
-    denominator does not vanish there, and has a simple pole when that
-    denominator is zform times one that does not.  `_read_jet` gives each
-    kind its pair.  lift 1 (D1 alone) leaves out c1 of a regular jet, which
-    D1 does not read, and lift 0 (D2 alone) the pole, which D2 cannot
-    absorb; with lift None one jet serves both kinds."""
-    a, b = ctx.pos_i, ctx.pos_j
-    coords, zform = line
-    den = h.den.line_series(coords, a, b, 1 if lift == 0 else 2)
+    """h's Laurent jet on the z1 line (kernel, zform) of `_side_line`, where
+    x(k,i) = base + e/2, x(k,j) = base - e/2 and zform = e: (False, c0, c1)
+    when h = c0 + c1 e + O(e^2) is regular at the base point, (True, c_-1,
+    c0) when h = c_-1/e + c0 + O(e) has a simple pole there, None
+    otherwise.  h is reduced, so it is regular there exactly when its
+    reduced denominator does not vanish there, and has a simple pole when
+    that denominator is zform times one that does not.  `_read_jet` gives
+    each kind its pair.  lift 1 (D1 alone) leaves out c1 of a regular jet,
+    which D1 does not read, and lift 0 (D2 alone) the pole, which D2 cannot
+    absorb; with lift None one jet serves both kinds.  The series are
+    integers over one denominator each, N / nd for the numerator and D / dd
+    for the denominator, so c0 = N0 dd / (nd D0) and c1 = (N1 D0 - D1 N0) dd
+    / (nd D0^2); a polynomial has no denominator series."""
+    kernel, zform = line
+    if h.is_polynomial():
+        num, nd = h.num.line_series(kernel, 0 if lift == 1 else 1)
+        return False, Fraction(num[0], nd), None if lift == 1 else Fraction(num[1], nd)
+    den, dd = h.den.line_series(kernel, 1 if lift == 0 else 2)
     pole = not den[0]
     if pole:
         if lift == 0 or not den[1] or not h.den_divisible_by(zform):
             return None
         # h = num / (zform r), zform = e on the line, so r is den shifted
-        # down one order and r(coords) = den[1] != 0
+        # down one order and r(base) = den[1] != 0
         den = den[1:]
     elif lift == 1:
-        return False, h.num.line_series(coords, a, b, 0)[0] / den[0], None
-    num = h.num.line_series(coords, a, b, 1)
-    c0 = num[0] / den[0]
-    return pole, c0, (num[1] - den[1] * c0) / den[0]
+        num, nd = h.num.line_series(kernel, 0)
+        return False, Fraction(num[0] * dd, nd * den[0]), None
+    (n0, n1), nd = h.num.line_series(kernel, 1)
+    d0 = den[0]
+    return pole, Fraction(n0 * dd, nd * d0), Fraction((n1 * d0 - den[1] * n0) * dd, nd * d0 * d0)
 
 
 def _read_jet(jet, lift: int) -> tuple[Fraction, Fraction] | None:
@@ -249,7 +260,7 @@ def _column(ctx: SingularContext, a: RingElement, bv: BasisVec, side_jets) -> Di
             h = a.terms.get(side.inverse() * t)
             if h is not None:
                 g += shift_subst(h, side).scale(w)
-        pair = _read_jet(_side_jet(ctx, g, (ctx.v.coords, ctx.z1_poly), lift), lift)
+        pair = _read_jet(_side_jet(g, _side_line(ctx, Shift.identity()), lift), lift)
         if pair is None:
             raise MembershipError("ring element has a higher-order pole at the base point")
         jets[t] = pair
@@ -294,7 +305,7 @@ def act(
 
     def side_jets(side, lift):
         line = _side_line(ctx, side)
-        return [(rho, _side_jet(ctx, h, line, lift)) for rho, h in a.terms.items()]
+        return [(rho, _side_jet(h, line, lift)) for rho, h in a.terms.items()]
 
     return _linear(lambda bv: _column(ctx, a, bv, side_jets), d)
 
@@ -326,7 +337,7 @@ def _lie_column(ctx: SingularContext, r: int, s: int, bv: BasisVec) -> DistVecto
         jets = shared.get(side)
         if jets is None:
             line = _side_line(ctx, side)
-            jets = shared[side] = [(rho, _side_jet(ctx, h, line)) for rho, h in a.terms.items()]
+            jets = shared[side] = [(rho, _side_jet(h, line)) for rho, h in a.terms.items()]
         return jets
 
     return _column(ctx, a, bv, side_jets)

@@ -23,12 +23,15 @@ for Computer Algebra*, 1992, ch. 2), so structural equality is equality.
 Arithmetic, exact division, evaluation and gcd run on integers only, and
 `_normal` divides out gcd(den, content) after each operation.  Fractions
 appear only at the boundary: the `Polynomial(mapping)`, `term` and
-`constant` constructors take them, `constant_value`, `leading_coeff`,
-`evaluate` and `line_series` return them.  `_int_eval` is the one
-evaluation kernel; the residue test of `ratfun` runs it at integer
-coordinates modulo a prime.  `line_series`, the Taylor series along a line
-in the direction of one difference x_a - x_b, walks the terms the same
-way.
+`constant` constructors take them, `constant_value`, `leading_coeff` and
+`evaluate` return them.  `_int_eval` is the one evaluation kernel; the
+residue test of `ratfun` runs it at integer coordinates modulo a prime.
+`line_series`, the Taylor series along a line in the direction of one
+difference x_a - x_b, walks the terms the same way on a `Line`: the line's
+integer kernel, built once per line, holds q (the lcm of 2 and the
+coordinates' denominators), q x_v per field and the binomial rows of the
+two moving coordinates, filled on first use.  It returns integer
+coefficients over one denominator, den q^top, with no Fraction.
 """
 
 from __future__ import annotations
@@ -162,6 +165,33 @@ def _vars_of(d: Iterable[Monomial]) -> list[Var]:
     return [_VAR_AT[s] for s, _ in _fields(acc)]
 
 
+class Line:
+    """The line x_a = coords[a] + t/2, x_b = coords[b] - t/2, every other
+    x_v = coords[v], as the integer kernel of `Polynomial.line_series`:
+    q, the lcm of 2 and every coordinate's denominator; q x_v per field
+    offset; the fields of a and b; and the binomial rows of
+    (q x_a + (q/2) t)^e and (q x_b - (q/2) t)^e, each filled on first use."""
+
+    __slots__ = ("q", "ints", "sa", "sb", "_rows")
+
+    def __init__(self, coords: Mapping[Var, Fraction], a: Var, b: Var):
+        q = self.q = _ilcm(2, *(x.denominator for x in coords.values()))
+        self.ints = {_SHIFT[v]: x.numerator * (q // x.denominator) for v, x in coords.items()}
+        self.sa, self.sb = _SHIFT[a], _SHIFT[b]
+        self._rows: dict[tuple[int, int], list[int]] = {}
+
+    def row(self, s: int, e: int) -> list[int]:
+        """The coefficients of (q x + h t)^e, x and h = q/2 at the field s
+        of a, x and h = -q/2 at that of b."""
+        r = self._rows.get((s, e))
+        if r is None:
+            x, h = self.ints[s], self.q // 2
+            if s == self.sb:
+                h = -h
+            r = self._rows[s, e] = [comb(e, j) * x ** (e - j) * h**j for j in range(e + 1)]
+        return r
+
+
 class Polynomial(SparseSum):
     """Immutable sparse polynomial terms/den: `terms` maps packed monomials
     to nonzero ints, and `den` is a positive int prime to their content."""
@@ -290,24 +320,19 @@ class Polynomial(SparseSum):
         total = _int_eval(d, {s: x.numerator * (q // x.denominator) for s, x in xs.items()}, q)
         return Fraction(total, self.den * q**top)
 
-    def line_series(
-        self, coords: Mapping[Var, Fraction], a: Var, b: Var, order: int
-    ) -> list[Fraction]:
-        """Taylor coefficients c_0..c_order of p along the line x_a =
-        coords[a] + e/2, x_b = coords[b] - e/2, every other x_v = coords[v]:
-        p = c_0 + c_1 e + ... + O(e^(order+1)).  One walk over the integer
-        terms, over one common denominator q as in `evaluate`: the part of
-        each term free of x_a and x_b is summed into the bucket of its pair
-        of exponents (e_a, e_b), and each bucket then takes the truncated
-        binomial expansions of (q x_a)^e_a (q x_b)^e_b.  No derivative
-        polynomial is built."""
+    def line_series(self, line: Line, order: int) -> tuple[list[int], int]:
+        """Taylor coefficients of p along `line` as integers over one
+        denominator: ([c_0, ..., c_order], den) with p = (c_0 + c_1 t + ...
+        + c_order t^order) / den + O(t^(order+1)) and den = self.den q^top,
+        with q the line's common denominator and top p's total degree.  One walk over the integer
+        terms: the part of each term free of x_a and x_b is summed into the
+        bucket of its pair of exponents (e_a, e_b), and each bucket then
+        takes the line's binomial rows of (q x_a)^e_a and (q x_b)^e_b.  No
+        derivative polynomial and no Fraction is built."""
         d = self.terms
         if not d:
-            return [Fraction(0)] * (order + 1)
-        sa, sb = _SHIFT[a], _SHIFT[b]
-        xs = {_SHIFT[v]: coords[v] for v in _vars_of(d)}
-        q = _ilcm(2, *(x.denominator for x in xs.values()))
-        ints = {s: x.numerator * (q // x.denominator) for s, x in xs.items()}
+            return [0] * (order + 1), 1
+        sa, sb, ints, q = line.sa, line.sb, line.ints, line.q
         top = _top_degree(d)
         qpow = [q**j for j in range(top + 1)]
         out = [0] * (order + 1)
@@ -327,15 +352,14 @@ class Polynomial(SparseSum):
                 buckets[key] = buckets.get(key, 0) + c
             else:
                 out[0] += c
-        h = q // 2
+        row = line.row
         for (ea, eb), c in buckets.items():
-            pa = _binomial_row(ints.get(sa, 0), h, ea, order)
-            pb = _binomial_row(ints.get(sb, 0), -h, eb, order)
-            for i, u in enumerate(pa):
+            pb = row(sb, eb)
+            for i, u in enumerate(row(sa, ea)[: order + 1]):
+                u *= c
                 for j, w in enumerate(pb[: order + 1 - i]):
-                    out[i + j] += c * u * w
-        den = self.den * qpow[top]
-        return [Fraction(x, den) for x in out]
+                    out[i + j] += u * w
+        return out, self.den * qpow[top]
 
     def derivative(self, var: Var) -> "Polynomial":
         s = _SHIFT[var]
@@ -351,15 +375,20 @@ class Polynomial(SparseSum):
     def subs_offsets(self, offsets: Mapping[Var, Fraction]) -> "Polynomial":
         """Substitute X_v -> X_v + offsets[v] for every listed variable, one
         variable at a time.  With offset a/b and top exponent E of X_v,
-        b^E (X_v + a/b)^e is the integer sum of C(e,j) a^(e-j) b^(E-e+j) X_v^j."""
-        live = [(_SHIFT[v], c) for v, c in sorted(offsets.items()) if c]
-        if not live or not self.terms:
+        b^E (X_v + a/b)^e is the integer sum of C(e,j) a^(e-j) b^(E-e+j) X_v^j.
+        Offsets on variables p lacks, found by one OR over its monomials, are
+        skipped, and p itself is returned when no listed variable occurs."""
+        occurs = 0
+        for m in self.terms:
+            occurs |= m
+        live = sorted((s, c) for s, c in ((_SHIFT[v], c) for v, c in offsets.items())
+                      if c and (occurs >> s) & _FIELD)
+        if not live:
             return self
         out, den = self.terms, self.den
         for s, c in live:
+            # a substitution in another variable keeps X_v's top exponent
             top = max((m >> s) & _FIELD for m in out)
-            if not top:
-                continue
             a, b = c.numerator, c.denominator
             den *= b**top
             unit = (1 << s) | _DEG_ONE
@@ -512,11 +541,6 @@ def _int_eval(d: IntTerms, xs: Mapping[int, int], q: int = 1) -> int:
             c *= xs[s] if e == 1 else xs[s] ** e
         total += c
     return total
-
-
-def _binomial_row(x: int, h: int, e: int, order: int) -> list[int]:
-    """The coefficients of (x + h t)^e up to t^order."""
-    return [comb(e, j) * x ** (e - j) * h**j for j in range(min(e, order) + 1)]
 
 
 def _int_content(d: IntTerms, g: int = 0) -> int:

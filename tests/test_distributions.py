@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from gtsingular import distributions
 from gtsingular.distributions import (
@@ -31,7 +32,7 @@ from gtsingular.gtformulas import (
     phi_diagonal,
     phi_general,
 )
-from gtsingular.poly import Polynomial
+from gtsingular.poly import Line, Polynomial
 from gtsingular.ratfun import PoleError, RationalFunction
 from gtsingular.skewring import (
     RingElement,
@@ -47,10 +48,11 @@ from gtsingular.suites import (
     random_dist_vector,
     random_generator_form,
     random_invariant_polynomial,
+    random_polynomial,
     sample_basis,
 )
 from gtsingular.tableau import Point, Shift, SingularContext, canonical_context
-from tests_helpers import ROW3_POINT, symbolic_act
+from tests_helpers import ROW3_POINT, symbolic_act, to_sympy
 
 CTX = canonical_context()
 ID = Shift.identity()
@@ -203,7 +205,7 @@ def test_membership_is_decided_off_the_line():
     x = {v: Polynomial.variable(*v) for v in [(1, 1), (2, 1), (2, 2)]}
     p = {v: c - (v == (2, 2)) for v, c in CTX.v.coords.items()}
     den = x[(1, 1)] * x[(2, 1)] * x[(2, 2)] - Polynomial.constant(p[(1, 1)] * p[(2, 1)] * p[(2, 2)])
-    assert den.line_series(p, (2, 1), (2, 2), 1)[1]
+    assert den.line_series(Line(p, (2, 1), (2, 2)), 1)[0][1]
     a = RingElement.term(RationalFunction(Polynomial.one(), den), ID)
     assert is_tau_invariant(CTX, a)
     with pytest.raises(MembershipError, match="higher-order pole at the base point"):
@@ -376,11 +378,98 @@ def test_simple_poles_cancel_across_the_two_sides():
             coords[pos] -= m
         zform = CTX.z1_poly - Polynomial.constant(coords[(2, 1)] - coords[(2, 2)])
         for rho, h in a.terms.items():
-            if distributions._side_jet(CTX, h, (coords, zform), 0) is None:
+            if distributions._side_jet(h, (Line(coords, (2, 1), (2, 2)), zform), 0) is None:
                 singular.setdefault(side * rho, []).append(side)
     assert singular == {t: [S22, S21] for t in (S22 * S22, S21 * S21)}
     column = act(CTX, a, bv)
     assert column and column == symbolic_act(CTX, a, bv)
+
+
+def _jet_cases(ctx, rng):
+    """Seeded tau-invariant rational functions as (numerator, denominator
+    factors), by the kind of their denominator: regular on every sample
+    line (or none, a polynomial); a simple z1 pole on the lines where z1 is
+    +-1 or +-2; a pole on a form that is not a z1-form (constant along the
+    line, or x_i x_j - c, which crosses it); a double z1 pole.  A
+    numerator is p + tau(p), so numerator and factors are tau-invariant."""
+    x11 = Polynomial.variable(1, 1)
+    xi, xj = Polynomial.variable(*ctx.pos_i), Polynomial.variable(*ctx.pos_j)
+    z, one, c = ctx.z1_poly, Polynomial.one(), Polynomial.constant
+    vi, v11 = ctx.v[ctx.pos_i], ctx.v[(1, 1)]
+    # x_i + x_j at v - m(side) is 2 vi - m_i - m_j
+    s = xi + xj - c(2 * vi)
+    kinds = {
+        "regular": [[], [z * z + one, s + c(HALF)]],
+        "simple z1 pole": [[z - one, z + one], [z * z - c(4), x11 - c(v11 + 1)]],
+        "other pole": [[x11 - c(v11)], [s + one], [xi * xj - c(vi * (vi - 1))]],
+        "double z1 pole": [[z, z], [z * z - one, z * z - one]],
+    }
+    for kind, dens in kinds.items():
+        for factors in dens:
+            p = random_polynomial(rng, ctx.n, max_terms=2, max_deg=2, zero_ok=False)
+            yield kind, p + ctx.transpose(p), factors
+
+
+def _sympy_jet(num, den, zsym, base, pair):
+    """The Laurent jet of num / den, a reduced sympy fraction, on the z1
+    line through base, by sympy alone: the category from den (regular when
+    it does not vanish at base, a simple pole when it is zsym times one
+    that does not), the coefficients from sympy.series in e."""
+    at = {sympy.Symbol(f"x_{k}_{i}"): sympy.Rational(x.numerator, x.denominator)
+          for (k, i), x in base.items()}
+    if den.xreplace(at) != 0:
+        pole = False
+    else:
+        q, r = sympy.div(den, zsym, *sorted(at, key=str))
+        if r != 0 or q.xreplace(at) == 0:
+            return None
+        pole = True
+    e = sympy.Symbol("e")
+    xi, xj = (sympy.Symbol(f"x_{k}_{i}") for k, i in pair)
+    line = {**at, xi: at[xi] + e / 2, xj: at[xj] - e / 2}
+    series = sympy.series(sympy.cancel(num.xreplace(line) / den.xreplace(line)), e, 0, 2).removeO()
+    lo = -1 if pole else 0
+    return pole, series.coeff(e, lo), series.coeff(e, lo + 1)
+
+
+@pytest.mark.parametrize("where", ["shipped", "row 3"])
+def test_side_jet_matches_sympy_series(where):
+    """`_side_jet` on every side line of the module sample against
+    sympy.series in e along the line, for seeded tau-invariant functions
+    with each kind of denominator, in both representations (a product of
+    forms and one expanded denominator) and for every lift: regular jets
+    give (c0, c1), simple z1 poles (c_-1, c0), anything else None."""
+    ctx = CTX if where == "shipped" else SingularContext(ROW3_POINT, 3, 1, 2)
+    rng = random.Random(61 if where == "shipped" else 62)
+    cases = []
+    for kind, num, factors in _jet_cases(ctx, rng):
+        reduced = sympy.fraction(sympy.cancel(to_sympy(num) / sympy.Mul(*map(to_sympy, factors))))
+        forms, expanded = RationalFunction.from_poly(num), Polynomial.one()
+        for f in factors:
+            forms, expanded = forms * RationalFunction(Polynomial.one(), f), expanded * f
+        cases.append((kind, reduced, (forms, RationalFunction(num, expanded))))
+    sides = {side for kind, sigma in sample_basis(ctx)
+             for side, _ in distributions._basis_sides(ctx, BasisVec(kind, sigma))}
+    xi, xj = (sympy.Symbol(f"x_{k}_{i}") for k, i in (ctx.pos_i, ctx.pos_j))
+    seen = set()
+    for side in sides:
+        base = dict(ctx.v.coords)
+        for pos, m in side.terms.items():
+            base[pos] -= m
+        zsym = xi - xj - sympy.Rational(base[ctx.pos_i] - base[ctx.pos_j])
+        line = distributions._side_line(ctx, side)
+        for kind, reduced, representations in cases:
+            want = _sympy_jet(*reduced, zsym, base, (ctx.pos_i, ctx.pos_j))
+            seen.add((kind, None if want is None else want[0]))
+            for h in representations:
+                assert distributions._side_jet(h, line) == want, (side, kind)
+                regular = want if want is not None and not want[0] else None
+                assert distributions._side_jet(h, line, 0) == regular, (side, kind)
+                d1 = want if regular is None else (False, want[1], None)
+                assert distributions._side_jet(h, line, 1) == d1, (side, kind)
+    assert {("regular", False), ("simple z1 pole", True), ("other pole", None),
+            ("double z1 pole", None)} <= seen
+    assert not {("regular", True), ("regular", None), ("double z1 pole", True)} & seen
 
 
 def test_poles_that_cancel_only_at_v_are_rejected():

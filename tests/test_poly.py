@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from gtsingular import poly
 from gtsingular.gtformulas import phi_general
-from gtsingular.poly import Polynomial, divexact, mono_div, mono_pack, mono_pairs, poly_gcd
+from gtsingular.poly import Line, Polynomial, divexact, mono_div, mono_pack, mono_pairs, poly_gcd
 from gtsingular.tableau import canonical_test_point
-from tests_helpers import to_sympy
+from tests_helpers import ROW3_POINT, to_sympy
 
 X11 = Polynomial.variable(1, 1)
 X21 = Polynomial.variable(2, 1)
@@ -22,7 +22,7 @@ X31 = Polynomial.variable(3, 1)
 VARS = [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)]
 
 
-def random_poly(rng, max_terms=4, max_deg=3, zero_ok=True):
+def random_poly(rng, max_terms=4, max_deg=3, zero_ok=True, variables=VARS):
     while True:
         nterms = rng.randint(0 if zero_ok else 1, max_terms)
         p = Polynomial.zero()
@@ -30,7 +30,7 @@ def random_poly(rng, max_terms=4, max_deg=3, zero_ok=True):
             c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
             mono = {}
             for _ in range(rng.randint(0, max_deg)):
-                v = rng.choice(VARS)
+                v = rng.choice(variables)
                 mono[v] = mono.get(v, 0) + 1
             p = p + Polynomial.term(tuple(sorted(mono.items())), c)
         if zero_ok or not p.is_zero():
@@ -244,19 +244,25 @@ def test_evaluate_matches_fraction_loop(seed):
 def test_line_series_matches_taylor(seed):
     """The Taylor coefficients along x_a = v_a + e/2, x_b = v_b - e/2 are
     D^k p(v) / k! with D = (d/dx_a - d/dx_b) / 2, here built from
-    symbolic derivatives; the series stops at the requested order."""
+    symbolic derivatives; the series stops at the requested order.  Each
+    line's kernel is built once, so later polynomials read rows that
+    earlier ones filled; the order-4 case is the row-3 pair at ROW3_POINT."""
     rng = random.Random(500 + seed)
-    a, b = (2, 1), (2, 2)
-    for _ in range(12):
-        p = random_poly(rng, max_terms=6, max_deg=4)
-        for name, point in EVAL_POINTS.items():
-            want, d = [], p
-            for k in range(6):
-                want.append(d.evaluate(point) / math.factorial(k))
-                d = (d.derivative(a) - d.derivative(b)).scale(Fraction(1, 2))
-            for order in (0, 1, 5):
-                assert p.line_series(point, a, b, order) == want[: order + 1], name
-    assert Polynomial.zero().line_series(SHIPPED, a, b, 2) == [0, 0, 0]
+    cases = [((2, 1), (2, 2), EVAL_POINTS, VARS),
+             ((3, 1), (3, 2), {"row 3": ROW3_POINT.coords}, list(ROW3_POINT.coords))]
+    for a, b, points, variables in cases:
+        lines = {name: Line(point, a, b) for name, point in points.items()}
+        for _ in range(12):
+            p = random_poly(rng, max_terms=6, max_deg=4, variables=variables)
+            for name, point in points.items():
+                want, d = [], p
+                for k in range(6):
+                    want.append(d.evaluate(point) / math.factorial(k))
+                    d = (d.derivative(a) - d.derivative(b)).scale(Fraction(1, 2))
+                for order in (0, 1, 5):
+                    coeffs, den = p.line_series(lines[name], order)
+                    assert [Fraction(c, den) for c in coeffs] == want[: order + 1], name
+    assert Polynomial.zero().line_series(Line(SHIPPED, (2, 1), (2, 2)), 2) == ([0, 0, 0], 1)
 
 
 def test_input_guards():
@@ -290,6 +296,10 @@ def test_subs_offsets():
     p = X11 * X11
     q = p.subs_offsets({(1, 1): Fraction(-1)})
     assert q == X11 * X11 - X11.scale(2) + Polynomial.one()
+    # offsets on variables p lacks are skipped; p itself when none occurs
+    assert p.subs_offsets({(2, 1): Fraction(3), (3, 1): Fraction(-1, 2)}) is p
+    assert p.subs_offsets({(2, 2): Fraction(5), (1, 1): Fraction(-1)}) == q
+    assert Polynomial.zero().subs_offsets({(1, 1): Fraction(1)}).is_zero()
 
 
 def test_swap_vars():
