@@ -6,7 +6,8 @@ or input error, argparse's own included, or a run that exhausts memory
 (one stderr line, empty stdout, no traceback).
 
 Each command imports the modules it uses when it runs, so a process loads,
-and without bytecode on disk compiles, only those.
+and without bytecode on disk compiles, only those, and renders its result
+only in the format asked for.
 """
 
 from __future__ import annotations
@@ -177,11 +178,20 @@ def dist_vector_text(d: DistVector) -> str:
     )
 
 
-def _emit(payload_json, payload_text: str, fmt: str) -> None:
+def verify_text(suite: str, report: dict) -> str:
+    lines = [f"suite {suite}: {report['passed']}/{report['total']} passed"]
+    for failure in report.get("failures", []):
+        lines.append(f"FAIL {json.dumps(failure, sort_keys=True)}")
+    return "\n".join(lines)
+
+
+def _emit(fmt: str, render_json, render_text) -> None:
+    """Print the result in the chosen format; only that format's renderer
+    runs."""
     if fmt == "json":
-        print(json.dumps(payload_json, sort_keys=True, indent=2))
+        print(json.dumps(render_json(), sort_keys=True, indent=2))
     else:
-        print(payload_text)
+        print(render_text())
 
 
 def cmd_phi(args) -> int:
@@ -193,7 +203,7 @@ def cmd_phi(args) -> int:
         element = phi_general(cfg.n, r, s)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    _emit(element.to_json(), repr(element), cfg.fmt)
+    _emit(cfg.fmt, element.to_json, lambda: repr(element))
     return 0
 
 
@@ -213,7 +223,7 @@ def cmd_act(args) -> int:
         result = act_lie(ctx, (r, s), bv).scale(sign)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    _emit(result.to_json(), dist_vector_text(result), cfg.fmt)
+    _emit(cfg.fmt, result.to_json, lambda: dist_vector_text(result))
     return 0
 
 
@@ -226,7 +236,7 @@ def cmd_classify(args) -> int:
     payload = {"class": cls.tag}
     if cls.pair:
         payload["pair"] = list(cls.pair)
-    _emit(payload, str(cls), cfg.fmt)
+    _emit(cfg.fmt, lambda: payload, lambda: str(cls))
     return 0
 
 
@@ -244,15 +254,11 @@ def cmd_verify(args) -> int:
         raise UsageError(f"suite {suite} runs on --n only; it takes no --point or --singular")
     suite_fn = getattr(sys.modules[__name__], name)
     report = suite_fn(cfg.resolve_context() if takes == "context" else cfg.n)
-    lines = [f"suite {suite}: {report['passed']}/{report['total']} passed"]
-    for failure in report.get("failures", []):
-        lines.append(f"FAIL {json.dumps(failure, sort_keys=True)}")
-    text = "\n".join(lines)
-    if cfg.fmt == "json":
-        slim = {k: v for k, v in report.items() if k != "checks"}
-        print(json.dumps(slim, sort_keys=True, indent=2))
-    else:
-        print(text)
+    _emit(
+        cfg.fmt,
+        lambda: {k: v for k, v in report.items() if k != "checks"},
+        lambda: verify_text(suite, report),
+    )
     return 0 if report["ok"] else 1
 
 

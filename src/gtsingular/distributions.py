@@ -18,7 +18,10 @@ terms' jets on those lines: each line is one integer kernel (`poly.Line`,
 built once per context and side), `Polynomial.line_series` restricts
 numerator and denominator exactly to integers over one denominator each,
 and a jet takes one Fraction per coefficient; a polynomial term reads no
-denominator.  Order 0 of g goes on D2, order 1 on D1.
+denominator.  The weights of B's sides are 1 or +-1/2, so a column adds
+each target's jets with the side's sign and halves the sum once when B
+has two sides.  Order 0 of g goes on D2, order 1 on D1, and each target
+is reduced to its ordered representative once, for both kinds.
 Membership is decided per term from its reduced denominator, not from the
 line: a term that is not regular at v on its own sends its target to an
 exact symbolic sum, which is regular only when the other side cancels the
@@ -30,10 +33,11 @@ per jet only the orders its label's kind reads.  `act_lie` memoizes per
 context and generator the image, its invariance checked once, with its
 jets per side, shared by the D1 and D2 columns, and memoizes its columns
 per basis vector; each side's line is built once per context.  Both
-extend their basis columns linearly through one helper, which sums the
-scaled columns into one dict.  `evaluate_at_v` is the action on ev_v,
-itself the basis vector D1_id.  The same module is realized on
-derivative-tableau symbols through the symbolic derivative
+extend their basis columns linearly through one helper: a label, or a
+vector of one label with coefficient 1, is its column itself, and any
+other vector sums its scaled columns into one dict.  `evaluate_at_v` is
+the action on ev_v, itself the basis vector D1_id.  The same module is
+realized on derivative-tableau symbols through the symbolic derivative
 `SingularContext.partial_z1`, an independent oracle; both realizations
 reduce labels by one parity rule, `SingularContext.representative`.  The
 generic orbit action's vectors are `SparseSum`s of shifts (`OrbitVector`);
@@ -234,26 +238,38 @@ def _column(ctx: SingularContext, a: RingElement, bv: BasisVec, side_jets) -> Di
     w z1^lift s(a_rho), lift 1 for D1 and 0 for D2.  On the z1 line through
     v, s(a_rho) is a_rho on the z1 line through v - m(s):
     side_jets(s, lift) gives each term's Laurent jet there (`_side_jet`),
-    a regular term adds its pair (`_read_jet`), and g_t's order-0
-    coefficient goes on D2_t, its order-1 coefficient on D1_t.  A term
-    that is not regular at v on its own is regular in the sum only if the
-    other side cancels its pole, so such a target's g_t is summed
-    symbolically and read at v; MembershipError when it is not regular
-    there either."""
+    a regular term adds its pair (`_read_jet`) with the sign of w, and a
+    two-sided B halves each target's sum once.  g_t's order-0 coefficient
+    goes on D2_t, its order-1 coefficient on D1_t, and t is reduced once
+    for both.  A term that is not regular at v on its own is regular in the
+    sum only if the other side cancels its pole, so such a target's g_t is
+    summed symbolically and read at v; MembershipError when it is not
+    regular there either."""
     lift = 1 if bv.kind == "D1" else 0
     sides = _basis_sides(ctx, bv)
     jets: dict[Shift, list[Fraction]] = {}
     singular: set[Shift] = set()
     for side, w in sides:
+        neg = w < 0
         for rho, jet in side_jets(side, lift):
             t = side * rho
             g = _read_jet(jet, lift)
             if g is None:
                 singular.add(t)
+                continue
+            g0, g1 = g
+            if neg:
+                g0, g1 = -g0, -g1
+            acc = jets.get(t)
+            if acc is None:
+                jets[t] = [g0, g1]
             else:
-                acc = jets.setdefault(t, [0, 0])
-                acc[0] += w * g[0]
-                acc[1] += w * g[1]
+                acc[0] += g0
+                acc[1] += g1
+    if len(sides) == 2:
+        for acc in jets.values():
+            acc[0] *= _HALF
+            acc[1] *= _HALF
     for t in singular:
         g = RationalFunction.zero()
         for side, w in sides:
@@ -264,21 +280,33 @@ def _column(ctx: SingularContext, a: RingElement, bv: BasisVec, side_jets) -> Di
         if pair is None:
             raise MembershipError("ring element has a higher-order pole at the base point")
         jets[t] = pair
-    terms: list[tuple[str, Shift, Fraction]] = []
+    out: dict[BasisVec, Fraction] = {}
     for t, (d2, d1) in jets.items():
-        terms.append(("D2", t, d2))
-        terms.append(("D1", t, d1))
-    return DistVector.from_terms(ctx, terms)
+        # one reduction serves both kinds: D1 is tau-even, so its sign is 1
+        rep, sign = ctx.representative(t, True)
+        if d2:
+            if not sign:
+                raise InvariantViolation(
+                    f"nonzero D2 coefficient {d2} on transposition-fixed shift {t!r}"
+                )
+            add_term(out, BasisVec("D2", rep), sign * d2)
+        add_term(out, BasisVec("D1", rep), d1)
+    return DistVector._raw(out)
 
 
 def _linear(column, d):
-    """The linear map given on labels by `column`, applied to a label (its
-    column itself) or to a vector (the sum of c * column(label), summed in
-    one dict)."""
+    """The linear map given on labels by `column`, applied to a label or to
+    a vector of one label with coefficient 1 (its column itself), or to any
+    other vector (the sum of c * column(label), summed in one dict)."""
     if isinstance(d, (BasisVec, Shift)):
         return column(d)
+    terms = d.terms
+    if len(terms) == 1:
+        ((label, c),) = terms.items()
+        if c == 1:
+            return column(label)
     acc: dict = {}
-    for label, c in d.terms.items():
+    for label, c in terms.items():
         for key, x in column(label).terms.items():
             add_term(acc, key, c * x)
     return type(d)._raw(acc)

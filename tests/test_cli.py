@@ -337,3 +337,50 @@ def test_cli_imports_only_what_a_command_uses():
     assert "gtsingular.tableau" in classify and "gtsingular.gtformulas" not in classify
     assert "gtsingular.gtformulas" in phi and "gtsingular.distributions" not in phi
     assert "gtsingular.distributions" in act and "gtsingular.suites" not in act
+
+
+def _other_format_renderer(*args, **kwargs):
+    raise AssertionError("the renderer of the format not asked for ran")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("phi", "--n", "4", "--gen", "1,4"),
+        ("act", "--gen", "1,3", "--basis", "D2:(2,2)+1"),
+        ("act", "--gen", "2,2", "--basis", "D1:(2,1)+1,(2,2)+1"),
+        ("verify", "--n", "2", "homomorphism"),
+        ("verify", "module"),
+    ],
+)
+def test_cli_renders_only_the_chosen_format(capsys, monkeypatch, argv):
+    """A text run never builds the JSON payload and a JSON run never builds
+    the text, and each prints what it printed with both renderers present."""
+    from gtsingular.skewring import RingElement
+
+    expected = {fmt: run(capsys, *argv, "--format", fmt) for fmt in ("text", "json")}
+    assert expected["text"][0] == expected["json"][0] == 0
+    with monkeypatch.context() as m:
+        m.setattr(RingElement, "to_json", _other_format_renderer)
+        m.setattr(DistVector, "to_json", _other_format_renderer)
+        assert run(capsys, *argv, "--format", "text") == expected["text"]
+    with monkeypatch.context() as m:
+        m.setattr(RingElement, "__repr__", _other_format_renderer)
+        m.setattr(cli, "dist_vector_text", _other_format_renderer)
+        m.setattr(cli, "verify_text", _other_format_renderer)
+        assert run(capsys, *argv, "--format", "json") == expected["json"]
+
+
+def test_verify_failure_lines_render_only_as_text(capsys, monkeypatch):
+    """A failing suite's FAIL lines are built for text alone; JSON prints the
+    report without its checks."""
+    report = {"suite": "ring", "ok": False, "passed": 1, "total": 2, "checks": [1, 2],
+              "failures": [{"pair": [[1, 2], [2, 1]]}]}
+    monkeypatch.setattr(cli, "ring_suite", lambda n: report, raising=False)
+    code, out, _ = run(capsys, "verify", "--n", "2", "ring")
+    assert code == 1
+    assert out == 'suite ring: 1/2 passed\nFAIL {"pair": [[1, 2], [2, 1]]}\n'
+    monkeypatch.setattr(cli, "verify_text", _other_format_renderer)
+    code, out, _ = run(capsys, "verify", "--n", "2", "ring", "--format", "json")
+    assert code == 1 and "checks" not in json.loads(out)
+    assert json.loads(out)["failures"] == report["failures"]

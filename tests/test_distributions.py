@@ -649,6 +649,90 @@ def test_act_lie_columns_are_per_context():
     assert act_lie(CTX, (2, 3), bv) != act_lie(other, (2, 3), bv)
 
 
+def _weighted_vectors(ctx, rng):
+    """Vectors over the module sample with non-unit Fraction coefficients:
+    a few multi-term ones, one holding a unit coefficient among others, and
+    a one-label vector with coefficient 2/3."""
+    labels = sample_basis(ctx)
+
+    def coeff():
+        while True:
+            c = Fraction(rng.choice([-1, 1]) * rng.randint(1, 7), rng.randint(2, 9))
+            if c.denominator != 1:
+                return c
+
+    vectors = []
+    for size in (2, 3, 4):
+        picked = rng.sample(labels, size)
+        vectors.append(DistVector.from_terms(ctx, [(k, s, coeff()) for k, s in picked]))
+    (k1, s1), (k2, s2) = rng.sample(labels, 2)
+    vectors.append(DistVector.from_terms(ctx, [(k1, s1, Fraction(1)), (k2, s2, coeff())]))
+    kind, sigma = labels[-1]
+    vectors.append(DistVector.from_terms(ctx, [(kind, sigma, Fraction(2, 3))]))
+    return vectors
+
+
+@pytest.mark.parametrize(
+    "where, gens",
+    [
+        ("shipped", None),
+        ("row 3", [(3, 4), (4, 3), (1, 4), (2, 2)]),
+    ],
+    ids=["shipped", "row 3"],
+)
+def test_act_lie_on_vectors_matches_the_symbolic_product(where, gens):
+    """On vectors with non-unit coefficients, act_lie equals the
+    combination of symbolic-product columns, sum of c * symbolic_act(B),
+    over the module sample at the shipped point (every order-3 generator)
+    and at the row-3 pair (3,1,2) of ROW3_POINT."""
+    ctx = CTX if where == "shipped" else SingularContext(ROW3_POINT, 3, 1, 2)
+    vectors = _weighted_vectors(ctx, random.Random(26))
+    assert all(c.denominator != 1 for d in vectors[:3] for c in d.terms.values())
+    for gen in gens or all_generators(3):
+        a = phi_general(ctx.n, *gen)
+        for d in vectors:
+            want = DistVector.zero()
+            for bv, c in d.terms.items():
+                want = want + symbolic_act(ctx, a, bv).scale(c)
+            assert act_lie(ctx, gen, d) == want
+
+
+def test_a_unit_label_returns_its_memoized_column():
+    """A one-label vector with coefficient 1 is its label: act_lie returns
+    the memoized column itself, and so does generic_act on a one-label
+    orbit vector."""
+    for kind, sigma in sample_basis(CTX):
+        bv = BasisVec(kind, sigma)
+        for gen in [(1, 2), (2, 3), (2, 2)]:
+            column = distributions._lie_column(CTX, *gen, bv)
+            assert act_lie(CTX, gen, DistVector.basis(bv)) is column
+            assert act_lie(CTX, gen, bv) is column
+    x = GENERIC_POINT_3
+    for y in GENERIC_LABELS_3:
+        for gen in [(1, 2), (3, 1)]:
+            column = distributions._generic_column(x, *gen, y)
+            assert generic_act(x, gen, OrbitVector({y: 1})) is column
+
+
+def test_column_rejects_d2_on_a_fixed_target():
+    """_column reduces each target once and raises on a nonzero D2
+    coefficient at a tau-fixed target, the failure act's invariance check
+    rules out.  Reached here by calling _column on a non-invariant element
+    directly: B = D2[S22] has the sides S22 and S21, and the term 1 * S21
+    lands on the fixed target S22 S21 from one side only."""
+    a = RingElement.term(ONE, S21)
+    assert not is_tau_invariant(CTX, a)
+
+    def side_jets(side, lift):
+        line = distributions._side_line(CTX, side)
+        return [(rho, distributions._side_jet(h, line, lift)) for rho, h in a.terms.items()]
+
+    fixed = S22 * S21
+    with pytest.raises(InvariantViolation) as exc:
+        distributions._column(CTX, a, BasisVec("D2", S22), side_jets)
+    assert str(exc.value) == f"nonzero D2 coefficient 1/2 on transposition-fixed shift {fixed!r}"
+
+
 def test_act_linear_in_distvector():
     rng = random.Random(5)
     d1 = random_dist_vector(rng, CTX)
