@@ -8,13 +8,12 @@ exponent field per position, (1,1) just above the degree, then (2,1), (2,2),
 (3,1) and so on.  A monomial over the positions of order n thus fits in
 16 * (n(n+1)/2 + 1) bits, whatever MAX_ORDER is, and a product of monomials
 is one addition.  Integer comparison is lex order with later positions
-ranked higher, a monomial order, so division and its heap use it as is; the
-canonical graded-lex order (total degree first, then earlier positions
-ranked higher), which fixes print order, leading terms and signs, is the
-order of `mono_key`.  Every degree stays below 2^15 (a larger product
-raises ValueError), so the top bit of each field is a free guard bit: b
-divides a exactly when b <= a and (a | G) - b keeps every guard bit of G
-set, with G the guard bits of a's fields.
+ranked higher, a monomial order, so the top field of a divisor's largest
+monomial names its highest variable, in which exact division runs long
+division; the canonical graded-lex order (total degree first, then earlier
+positions ranked higher), which fixes print order, leading terms and signs,
+is the order of `mono_key`.  Every degree stays below 2^15 (a larger
+product raises ValueError), so no exponent field carries into the next.
 
 A polynomial is `terms` / `den`: `terms` maps monomials to nonzero ints and
 `den` is a positive int prime to their content, zero is ({}, 1).  This
@@ -37,7 +36,6 @@ coefficients over one denominator, den q^top, with no Fraction.
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from math import comb, gcd as _igcd, lcm as _ilcm
 from struct import Struct
 from typing import Iterable, Mapping
@@ -59,11 +57,8 @@ _VAR_AT = {s: v for v, s in _SHIFT.items()}
 _DEG_ONE = 1
 _EXP_MASK = ~_FIELD
 _DEG_LIMIT = 1 << (_FIELD_BITS - 1)
-_NFIELDS = len(_POSITIONS) + 1
-# _GUARDS[k]: the guard bits of the lowest k fields
-_GUARDS = [sum(_DEG_LIMIT << (_FIELD_BITS * j) for j in range(k)) for k in range(_NFIELDS + 1)]
 # _UNPACK[k] reads the lowest k fields, lowest first
-_UNPACK = [Struct(f"<{k}H") for k in range(_NFIELDS + 1)]
+_UNPACK = [Struct(f"<{k}H") for k in range(len(_POSITIONS) + 2)]
 
 
 def check_var(v: Var, n: int | None = None) -> Var:
@@ -141,19 +136,6 @@ def _lead_field(m: Monomial) -> int:
     """Bit offset of the field of m's earliest variable."""
     m &= _EXP_MASK
     return ((m & -m).bit_length() - 1) & -_FIELD_BITS
-
-
-def mono_div(a: Monomial, b: Monomial) -> Monomial | None:
-    """a / b, or None when some exponent would go negative.  b divides a
-    only if b <= a, and then b has no field above a's highest.  Each field
-    of a | G, with G the guard bits of a's fields, is at least 2^15 > b's
-    exponent, so no borrow crosses a field and a field's guard bit survives
-    exactly when a's exponent is at least b's."""
-    if b > a:
-        return None
-    g = _GUARDS[-(-a.bit_length() // _FIELD_BITS)]
-    t = (a | g) - b
-    return t ^ g if t & g == g else None
 
 
 def _vars_of(d: Iterable[Monomial]) -> list[Var]:
@@ -381,8 +363,9 @@ class Polynomial(SparseSum):
         occurs = 0
         for m in self.terms:
             occurs |= m
-        live = sorted((s, c) for s, c in ((_SHIFT[v], c) for v, c in offsets.items())
-                      if c and (occurs >> s) & _FIELD)
+        # substitutions in different variables commute, so any order serves
+        live = [(s, c) for s, c in ((_SHIFT[v], c) for v, c in offsets.items())
+                if c and (occurs >> s) & _FIELD]
         if not live:
             return self
         out, den = self.terms, self.den
@@ -459,51 +442,41 @@ def _int_combine(a: IntTerms, ka: int, b: IntTerms, kb: int) -> IntTerms:
 
 
 def _int_divexact(f: IntTerms, g: IntTerms) -> IntTerms | None:
-    """Term map of f/g when the division is exact over Z, else None.  The
-    remainder is a dict whose monomials also sit negated in a min-heap, so
-    the leading term is a heap pop instead of a rescan (Johnson 1974;
-    Monagan & Pearce 2011); cancelled monomials leave stale heap entries
-    that are skipped when popped."""
+    """Term map of f/g when the division is exact over Z, else None: long
+    division in g's highest variable u (Geddes, Czapor & Labahn 1992, ch. 2),
+    each quotient coefficient the exact quotient, one variable down, of the
+    remainder's top coefficient by g's; synthetic division by a linear g."""
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
-    # Any monomial order serves; native integer order is lex.  In an exact
-    # division every quotient term has degree at most deg f - deg g, so a
-    # larger one ends the loop before any exponent can grow past its field.
-    g_lm = max(g)
-    g_lc = g[g_lm]
+    top = max(g)
+    if not top:  # an integer divisor
+        return None if any(a % g[0] for a in f.values()) else _int_scale_div(f, g[0])
+    # native order is lex, so the top field of max(g) is u's
+    s = (top.bit_length() - 1) & -_FIELD_BITS
+    rem, rest = _coeff_map(f, _VAR_AT[s]), _coeff_map(g, _VAR_AT[s])
+    dg = top >> s
+    lc = rest.pop(dg)
+    # An exact quotient has degree deg f - deg g, so a term above that ends
+    # the loop before any exponent can grow past its field.
     q_top = _top_degree(f) - _top_degree(g) if f else 0
-    g_items = list(g.items())
-    rem = dict(f)
-    heap = [-m for m in rem]
-    heapify(heap)
-    # A monomial popped from the heap never re-enters the remainder (every
-    # later product term is smaller), so one heap entry per monomial is
-    # enough even when it cancels and reappears before its turn.
-    queued = set(rem)
+    unit = (1 << s) | _DEG_ONE
     out: IntTerms = {}
-    while rem:
-        lm = -heappop(heap)
-        lc = rem.get(lm)
-        if lc is None:
+    for k in range(max(rem, default=0) - dg, -1, -1):
+        q = rem.pop(k + dg, None)
+        if not q:
             continue
-        q_mono = mono_div(lm, g_lm)
-        if q_mono is None or q_mono & _FIELD > q_top:
+        q = _int_divexact(q, lc)
+        if q is None or _top_degree(q) + k > q_top:
             return None
-        q_c, r = divmod(lc, g_lc)
-        if r:
-            return None
-        out[q_mono] = q_c
-        for m, c in g_items:
-            mm = m + q_mono
-            s = rem.get(mm, 0) - c * q_c
-            if s:
-                rem[mm] = s
-                if mm not in queued:
-                    queued.add(mm)
-                    heappush(heap, -mm)
-            else:
-                rem.pop(mm, None)
-    return out
+        for e, c in rest.items():
+            acc = rem.setdefault(k + e, {})
+            for m1, c1 in q.items():
+                for m2, c2 in c.items():
+                    add_term(acc, m1 + m2, -c1 * c2)
+        ku = k * unit
+        out.update((m + ku, c) for m, c in q.items())
+    # exact when nothing is left below u^dg
+    return None if any(rem.values()) else out
 
 
 def divexact(f: Polynomial, g: Polynomial) -> Polynomial | None:

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from gtsingular import poly
 from gtsingular.gtformulas import phi_general
-from gtsingular.poly import Line, Polynomial, divexact, mono_div, mono_pack, mono_pairs, poly_gcd
+from gtsingular.poly import Line, Polynomial, divexact, mono_pack, mono_pairs, poly_gcd
 from gtsingular.tableau import canonical_test_point
 from tests_helpers import ROW3_POINT, to_sympy
 
@@ -83,17 +83,6 @@ def grlex_key(pairs):
     return (sum(exps.values()), tuple(exps.get(v, 0) for v in ALL_POSITIONS))
 
 
-def pair_div(a, b):
-    """a / b on pair tuples, or None when some exponent would go negative."""
-    out = dict(a)
-    for v, e in b:
-        r = out.get(v, 0) - e
-        if r < 0:
-            return None
-        out[v] = r
-    return tuple(sorted((v, e) for v, e in out.items() if e))
-
-
 def small_monomials():
     """All 1,001 monomials of degree <= 4 over the ten order-4 positions."""
     monos = [
@@ -125,8 +114,8 @@ def pair_mul(a, b):
 
 def test_mono_key_total_order():
     """On every pair of small monomials, and on the boundary monomials
-    against all of them: mono_key sorts as graded lex, native integer order
-    is a monomial order, and the guard-bit division is exact division."""
+    against all of them: mono_key sorts as graded lex and native integer
+    order is a monomial order."""
     monos = small_monomials() + BOUNDARY
     packed = {m: mono_pack(m) for m in monos}
     assert len(set(packed.values())) == len(monos)
@@ -143,12 +132,6 @@ def test_mono_key_total_order():
         prods = [mono_pack(pair_mul(m, c)) for m in fit]
         assert prods == [packed[m] + packed[c] for m in fit]
         assert prods == sorted(prods)
-    pairs = [(a, b) for a in monos[:1001] for b in monos[:1001]]
-    pairs += [(a, b) for a in BOUNDARY for b in monos] + [(b, a) for a in BOUNDARY for b in monos]
-    for a, b in pairs:
-        q = mono_div(packed[a], packed[b])
-        expect = pair_div(a, b)
-        assert (None if q is None else mono_pairs(q)) == expect, (a, b)
     rng = random.Random(11)
     for _ in range(40):
         sample = rng.sample(monos, rng.randint(1, 12))
@@ -459,27 +442,74 @@ def test_divexact_nonunit_fraction_lead():
         assert divexact(f * g + Polynomial.one(), g) is None
 
 
-def test_divexact_cancelled_monomial_reappears(monkeypatch):
-    """Dividing q*g by g cancels x11*x21 and x11*x21^2 from the remainder in
-    the first step; the second brings x11*x21 back, while x11*x21^2 leaves a
-    stale heap entry that must be skipped."""
-    q = X11 * X21 - X11 - Polynomial.one()
-    g = X11 * X21 - X21 + Polynomial.one()
-    popped = []
-    heappop = poly.heappop
+def oracle_divisors(rng):
+    """(kind, divisor, the variables of its dividends) for each kind of
+    divisor the division oracle covers.  U is the later of two positions,
+    so the linear forms' top variable; the last kind's, x[3][2], is absent
+    from its dividends."""
 
-    def recording_heappop(heap):
-        entry = heappop(heap)
-        popped.append(mono_pairs(-entry))
-        return entry
+    def c():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 4))
 
-    monkeypatch.setattr(poly, "heappop", recording_heappop)
-    assert divexact(q * g, g) == q
-    stale = (((1, 1), 1), ((2, 1), 2))
-    assert popped.count(stale) == 1 and len(popped) == len(q.terms) + 1
-    popped.clear()
-    assert poly._int_divexact((q * g).terms, g.terms) == q.terms
-    assert stale in popped
+    W, U = (Polynomial.variable(*v) for v in sorted(rng.sample(VARS, 2)))
+    return [
+        ("constant", Polynomial.constant(c()), VARS),
+        ("monic linear", U - W + Polynomial.constant(c()), VARS),
+        ("non-monic linear", U.scale(c()) + W.scale(c()) + Polynomial.constant(c()), VARS),
+        ("non-linear", (U * W).scale(c()) + random_poly(rng, max_deg=1), VARS),
+        ("top variable absent", Polynomial.variable(3, 2).scale(c()) + U - W, VARS[:-1]),
+    ]
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_divexact_matches_sympy_cancel(seed):
+    """divexact against sympy.cancel and sympy.div over one divisor of each
+    kind: q*g is exact, q*g + r with r nonzero of lower degree than a
+    non-constant g is not, and a dividend q lacking g's top variable is
+    exact only by a constant."""
+    rng = random.Random(2700 + seed)
+    for kind, g, variables in oracle_divisors(rng):
+        G = to_sympy(g)
+        deg = poly.mono_degree(max(g.terms, key=poly.mono_key))
+        q = random_poly(rng, zero_ok=False, variables=variables)
+        r = random_poly(rng, max_deg=max(deg - 1, 0), zero_ok=False, variables=variables)
+        for f, exact in ((q * g, True), (q * g + r, not deg), (q, kind == "constant")):
+            F = to_sympy(f)
+            quo, rem = sympy.div(F, G, *SYM.values(), domain=sympy.QQ)
+            den = sympy.fraction(sympy.cancel(F / G))[1]
+            assert (rem == 0) == (not den.free_symbols) == exact, (kind, f, g)
+            mine = divexact(f, g)
+            if exact:
+                assert sympy.expand(to_sympy(mine) - quo) == 0, (kind, f, g)
+            else:
+                assert mine is None, (kind, f, g)
+
+
+def test_int_divexact_early_returns(monkeypatch):
+    """Each way the long division gives up: an integer divisor leaves a
+    coefficient remainder; a quotient coefficient is not exact one variable
+    down; a quotient term exceeds deg f - deg g, which ends the loop at its
+    first step; something is left below g's degree in its top variable,
+    also when f lacks that variable."""
+    one = Polynomial.one()
+    assert poly._int_divexact(X11.scale(3).terms, {0: 2}) is None
+    assert poly._int_divexact(X11.scale(4).terms, {0: -2}) == X11.scale(-2).terms
+    assert poly._int_divexact(X21.terms, (X11 * X21 + one).terms) is None
+    calls = []
+    divide = poly._int_divexact
+
+    def counted(f, g):
+        calls.append(g)
+        return divide(f, g)
+
+    monkeypatch.setattr(poly, "_int_divexact", counted)
+    # without the degree test the loop would run 200 steps on x[2][1]^(200 j)
+    assert poly._int_divexact((X22**200).terms, (X22 + X21**200).terms) is None
+    assert calls == [(X22 + X21**200).terms, {0: 1}]
+    monkeypatch.undo()
+    assert poly._int_divexact((X11 * X21 + one).terms, X21.terms) is None
+    assert poly._int_divexact(X11.terms, X21.terms) is None
+    assert poly._int_divexact({}, X21.terms) == {} == poly._int_divexact({}, {0: 3})
 
 
 def test_support_uses_print_order():
