@@ -28,21 +28,21 @@ exact symbolic sum, which is regular only when the other side cancels the
 pole.  A term's jet on a line is a Laurent pair, regular (c0, c1) or at a
 simple pole (c_-1, c0): D2 reads (c0, c1) of a regular jet, D1 the jet of
 z1 h, (0, c0) or (c_-1, c0).  So one jet per coefficient and side serves
-both kinds.  `act` checks tau-invariance once per call, on A, and computes
-per jet only the orders its label's kind reads.  `act_lie` memoizes per
-context and generator the image, its invariance checked once, with its
-jets per side, shared by the D1 and D2 columns, and memoizes its columns
-per basis vector; each side's line is built once per context.  Both
-extend their basis columns linearly through one helper: a label, or a
-vector of one label with coefficient 1, is its column itself, and any
-other vector sums its scaled columns into one dict.  `evaluate_at_v` is
-the action on ev_v, itself the basis vector D1_id.  The same module is
-realized on derivative-tableau symbols through the symbolic derivative
-`SingularContext.partial_z1`, an independent oracle; both realizations
-reduce labels by one parity rule, `SingularContext.representative`.  The
-generic orbit action's vectors are `SparseSum`s of shifts (`OrbitVector`);
-`generic_act` extends its columns, memoized per point, generator and label,
-through the same linear helper.
+both kinds.  `act` keeps one memo on A itself, per context: A's
+invariance, stored once the check passes, each side's jets, shared by the
+D1 and D2 columns, and each label's column; each side's line is built once
+per context.  An equal but distinct element starts with an empty memo, so
+a memo lives exactly as long as its element.  `act_lie` is `act` by
+`phi_general`'s memoized image.  `act` extends its columns linearly
+through one helper: a label, or a vector of one label with coefficient 1,
+is its column itself, and any other vector sums its scaled columns into
+one dict.  `evaluate_at_v` is the action on ev_v, itself the basis vector
+D1_id.  The same module is realized on derivative-tableau symbols through
+the symbolic derivative `SingularContext.partial_z1`, an independent
+oracle; both realizations reduce labels by one parity rule,
+`SingularContext.representative`.  The generic orbit action's vectors are
+`SparseSum`s of shifts (`OrbitVector`); `generic_act` extends its columns,
+memoized per point, generator and label, through the same linear helper.
 """
 
 from __future__ import annotations
@@ -160,36 +160,31 @@ def _side_line(ctx: SingularContext, side: Shift) -> tuple[Line, Polynomial]:
 
 
 def _side_jet(
-    h: RationalFunction, line: tuple[Line, Polynomial], lift: int | None = None
-) -> tuple[bool, Fraction, Fraction | None] | None:
+    h: RationalFunction, line: tuple[Line, Polynomial]
+) -> tuple[bool, Fraction, Fraction] | None:
     """h's Laurent jet on the z1 line (kernel, zform) of `_side_line`, where
     x(k,i) = base + e/2, x(k,j) = base - e/2 and zform = e: (False, c0, c1)
     when h = c0 + c1 e + O(e^2) is regular at the base point, (True, c_-1,
     c0) when h = c_-1/e + c0 + O(e) has a simple pole there, None
     otherwise.  h is reduced, so it is regular there exactly when its
     reduced denominator does not vanish there, and has a simple pole when
-    that denominator is zform times one that does not.  `_read_jet` gives
-    each kind its pair.  lift 1 (D1 alone) leaves out c1 of a regular jet,
-    which D1 does not read, and lift 0 (D2 alone) the pole, which D2 cannot
-    absorb; with lift None one jet serves both kinds.  The series are
+    that denominator is zform times one that does not.  One jet serves
+    both kinds; `_read_jet` gives each kind its pair.  The series are
     integers over one denominator each, N / nd for the numerator and D / dd
     for the denominator, so c0 = N0 dd / (nd D0) and c1 = (N1 D0 - D1 N0) dd
     / (nd D0^2); a polynomial has no denominator series."""
     kernel, zform = line
     if h.is_polynomial():
-        num, nd = h.num.line_series(kernel, 0 if lift == 1 else 1)
-        return False, Fraction(num[0], nd), None if lift == 1 else Fraction(num[1], nd)
-    den, dd = h.den.line_series(kernel, 1 if lift == 0 else 2)
+        num, nd = h.num.line_series(kernel, 1)
+        return False, Fraction(num[0], nd), Fraction(num[1], nd)
+    den, dd = h.den.line_series(kernel, 2)
     pole = not den[0]
     if pole:
-        if lift == 0 or not den[1] or not h.den_divisible_by(zform):
+        if not den[1] or not h.den_divisible_by(zform):
             return None
         # h = num / (zform r), zform = e on the line, so r is den shifted
         # down one order and r(base) = den[1] != 0
         den = den[1:]
-    elif lift == 1:
-        num, nd = h.num.line_series(kernel, 0)
-        return False, Fraction(num[0] * dd, nd * den[0]), None
     (n0, n1), nd = h.num.line_series(kernel, 1)
     d0 = den[0]
     return pole, Fraction(n0 * dd, nd * d0), Fraction((n1 * d0 - den[1] * n0) * dd, nd * d0 * d0)
@@ -231,27 +226,31 @@ def materialize(ctx: SingularContext, bv: BasisVec) -> RingElement:
     return RingElement((s, RationalFunction(Polynomial.constant(w), ctx.z1_poly)) for s, w in sides)
 
 
-def _column(ctx: SingularContext, a: RingElement, bv: BasisVec, side_jets) -> DistVector:
+def _column(ctx: SingularContext, a: RingElement, bv: BasisVec, jets: dict) -> DistVector:
     """ev_v o (B o A) for B = materialize(ctx, bv), read by evaluation.  The
     coefficient of B o A on t = s rho is the sum over the sides (s, w) of B
     of w s(a_rho), times 1/z1 for D2, so g_t = z1 h_t is the sum of
     w z1^lift s(a_rho), lift 1 for D1 and 0 for D2.  On the z1 line through
-    v, s(a_rho) is a_rho on the z1 line through v - m(s):
-    side_jets(s, lift) gives each term's Laurent jet there (`_side_jet`),
-    a regular term adds its pair (`_read_jet`) with the sign of w, and a
-    two-sided B halves each target's sum once.  g_t's order-0 coefficient
-    goes on D2_t, its order-1 coefficient on D1_t, and t is reduced once
-    for both.  A term that is not regular at v on its own is regular in the
-    sum only if the other side cancels its pole, so such a target's g_t is
-    summed symbolically and read at v; MembershipError when it is not
-    regular there either."""
+    v, s(a_rho) is a_rho on the z1 line through v - m(s): each term's
+    Laurent jet there (`_side_jet`) is read once per side into `jets`,
+    shared by the D1 and D2 columns, a regular term adds its pair
+    (`_read_jet`) with the sign of w, and a two-sided B halves each
+    target's sum once.  g_t's order-0 coefficient goes on D2_t, its order-1
+    coefficient on D1_t, and t is reduced once for both.  A term that is
+    not regular at v on its own is regular in the sum only if the other
+    side cancels its pole, so such a target's g_t is summed symbolically
+    and read at v; MembershipError when it is not regular there either."""
     lift = 1 if bv.kind == "D1" else 0
     sides = _basis_sides(ctx, bv)
-    jets: dict[Shift, list[Fraction]] = {}
+    sums: dict[Shift, list[Fraction]] = {}
     singular: set[Shift] = set()
     for side, w in sides:
         neg = w < 0
-        for rho, jet in side_jets(side, lift):
+        side_jets = jets.get(side)
+        if side_jets is None:
+            line = _side_line(ctx, side)
+            side_jets = jets[side] = [(rho, _side_jet(h, line)) for rho, h in a.terms.items()]
+        for rho, jet in side_jets:
             t = side * rho
             g = _read_jet(jet, lift)
             if g is None:
@@ -260,14 +259,14 @@ def _column(ctx: SingularContext, a: RingElement, bv: BasisVec, side_jets) -> Di
             g0, g1 = g
             if neg:
                 g0, g1 = -g0, -g1
-            acc = jets.get(t)
+            acc = sums.get(t)
             if acc is None:
-                jets[t] = [g0, g1]
+                sums[t] = [g0, g1]
             else:
                 acc[0] += g0
                 acc[1] += g1
     if len(sides) == 2:
-        for acc in jets.values():
+        for acc in sums.values():
             acc[0] *= _HALF
             acc[1] *= _HALF
     for t in singular:
@@ -276,12 +275,12 @@ def _column(ctx: SingularContext, a: RingElement, bv: BasisVec, side_jets) -> Di
             h = a.terms.get(side.inverse() * t)
             if h is not None:
                 g += shift_subst(h, side).scale(w)
-        pair = _read_jet(_side_jet(g, _side_line(ctx, Shift.identity()), lift), lift)
+        pair = _read_jet(_side_jet(g, _side_line(ctx, Shift.identity())), lift)
         if pair is None:
             raise MembershipError("ring element has a higher-order pole at the base point")
-        jets[t] = pair
+        sums[t] = pair
     out: dict[BasisVec, Fraction] = {}
-    for t, (d2, d1) in jets.items():
+    for t, (d2, d1) in sums.items():
         # one reduction serves both kinds: D1 is tau-even, so its sign is 1
         rep, sign = ctx.representative(t, True)
         if d2:
@@ -323,19 +322,31 @@ def act(
     """Module action: D = ev_v o B goes to ev_v o (B o A), where B o A is
     the product A * B of `gtformulas.convention()` ("star", a*b = b o a)
     written out.  Each column is read from jets of A's coefficients on z1
-    lines (`_column`); no product is formed.  Each jet computes only the
-    orders its label's kind reads.
+    lines (`_column`); no product is formed.
 
-    Invariance is checked once per call, on A: each B is nonzero and
+    A's invariance, its jets per side and its columns per label are
+    memoized on A, per context, so A acting again, on any vector, reuses
+    them; an equal but distinct element is checked and read afresh.  The
+    check is stored only once it passes: each B is nonzero and
     tau-invariant, tau is a ring automorphism and the skew group ring has
-    no zero divisors, so the product is invariant exactly when A is."""
-    _check_invariant(ctx, a)
+    no zero divisors, so the product is invariant exactly when A is.  A
+    returned column is shared by every caller and must not be mutated."""
+    memo = getattr(a, "_act", None)  # the slot is unset until A first acts
+    if memo is None:
+        memo = a._act = {}
+    found = memo.get(ctx)
+    if found is None:
+        _check_invariant(ctx, a)
+        found = memo[ctx] = ({}, {})
+    jets, columns = found
 
-    def side_jets(side, lift):
-        line = _side_line(ctx, side)
-        return [(rho, _side_jet(h, line, lift)) for rho, h in a.terms.items()]
+    def column(bv: BasisVec) -> DistVector:
+        col = columns.get(bv)
+        if col is None:
+            col = columns[bv] = _column(ctx, a, bv, jets)
+        return col
 
-    return _linear(lambda bv: _column(ctx, a, bv, side_jets), d)
+    return _linear(column, d)
 
 
 def evaluate_at_v(ctx: SingularContext, a: RingElement) -> DistVector:
@@ -344,42 +355,13 @@ def evaluate_at_v(ctx: SingularContext, a: RingElement) -> DistVector:
     return act(ctx, a, _EV_V)
 
 
-@lru_cache(maxsize=None)
-def _lie_image(ctx: SingularContext, r: int, s: int) -> tuple[RingElement, dict]:
-    """The image of E(r,s), its invariance checked once per context, and
-    its shared jets: per side, each coefficient's Laurent jet on that
-    side's line, filled by `_lie_column` on first use.  lru_cache keeps no
-    exception, so an image that fails the check raises on every call."""
-    a = phi_general(ctx.n, r, s)
-    _check_invariant(ctx, a)
-    return a, {}
-
-
-@lru_cache(maxsize=None)
-def _lie_column(ctx: SingularContext, r: int, s: int, bv: BasisVec) -> DistVector:
-    # keyed by the context object, so contexts never share columns; the
-    # returned vector is shared by every caller and must not be mutated
-    a, shared = _lie_image(ctx, r, s)
-
-    def side_jets(side, _lift):
-        jets = shared.get(side)
-        if jets is None:
-            line = _side_line(ctx, side)
-            jets = shared[side] = [(rho, _side_jet(h, line)) for rho, h in a.terms.items()]
-        return jets
-
-    return _column(ctx, a, bv, side_jets)
-
-
 def act_lie(
     ctx: SingularContext, gen: GeneratorId, d: "BasisVec | DistVector"
 ) -> DistVector:
-    """act by the image of E(r,s), summed from memoized basis columns.  A
-    column reads each coefficient's jet on a side's line from the image's
-    shared jets, so D1 and D2 labels of one shift compute them once, and
-    the image's invariance is checked once per context, not per column."""
-    r, s = gen
-    return _linear(lambda bv: _lie_column(ctx, r, s, bv), d)
+    """act by the image of E(r,s).  `phi_general` returns one element per
+    generator, so the image's invariance check, its jets and its columns,
+    memoized on it by `act`, serve every later call in the context."""
+    return act(ctx, phi_general(ctx.n, *gen), d)
 
 
 # --- distributions as functionals --------------------------------------------

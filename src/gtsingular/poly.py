@@ -449,8 +449,11 @@ def _int_divexact(f: IntTerms, g: IntTerms) -> IntTerms | None:
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
     top = max(g)
-    if not top:  # an integer divisor
-        return None if any(a % g[0] for a in f.values()) else _int_scale_div(f, g[0])
+    if not top:  # an integer divisor; a unit divides everything
+        k = g[0]
+        if k == 1:
+            return f
+        return None if any(a % k for a in f.values()) else _int_scale_div(f, k)
     # native order is lex, so the top field of max(g) is u's
     s = (top.bit_length() - 1) & -_FIELD_BITS
     rem, rest = _coeff_map(f, _VAR_AT[s]), _coeff_map(g, _VAR_AT[s])
@@ -482,14 +485,20 @@ def _int_divexact(f: IntTerms, g: IntTerms) -> IntTerms | None:
 def divexact(f: Polynomial, g: Polynomial) -> Polynomial | None:
     """Quotient f/g when the division is exact, else None.  With g = c*P/den
     for P primitive, f is exactly divisible by g over Q only if f.terms is
-    by P over Z (Gauss's lemma), so the loop runs on integers."""
+    by P over Z (Gauss's lemma), so the loop runs on integers.  c takes the
+    sign of g's lex-leading coefficient, so P's is positive and a monic
+    linear form leaves the loop only unit divisions; the quotient's sign is
+    restored with den."""
     c = _int_content(g.terms)
+    if g.terms and g.terms[max(g.terms)] < 0:
+        c = -c
     q = _int_divexact(f.terms, _int_scale_div(g.terms, c))
     if q is None:
         return None
-    if g.den != 1:
-        q = {m: v * g.den for m, v in q.items()}
-    return _normal(q, f.den * c)
+    k = g.den if c > 0 else -g.den
+    if k != 1:
+        q = {m: v * k for m, v in q.items()}
+    return _normal(q, f.den * abs(c))
 
 
 def _int_eval(d: IntTerms, xs: Mapping[int, int], q: int = 1) -> int:

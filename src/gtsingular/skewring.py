@@ -25,7 +25,7 @@ from .tableau import Point, Shift, SingularContext, shift_subst
 class RingElement(SparseSum):
     """Finite formal sum of shifts with rational-function coefficients."""
 
-    __slots__ = ()
+    __slots__ = ("_act",)  # the memo of `distributions.act`; not part of == or hash
 
     # in the class dict, where perfbench's tracer wraps RingElement.__add__
     __add__ = SparseSum.__add__

@@ -378,7 +378,8 @@ def test_simple_poles_cancel_across_the_two_sides():
             coords[pos] -= m
         zform = CTX.z1_poly - Polynomial.constant(coords[(2, 1)] - coords[(2, 2)])
         for rho, h in a.terms.items():
-            if distributions._side_jet(h, (Line(coords, (2, 1), (2, 2)), zform), 0) is None:
+            jet = distributions._side_jet(h, (Line(coords, (2, 1), (2, 2)), zform))
+            if distributions._read_jet(jet, 0) is None:
                 singular.setdefault(side * rho, []).append(side)
     assert singular == {t: [S22, S21] for t in (S22 * S22, S21 * S21)}
     column = act(CTX, a, bv)
@@ -437,8 +438,11 @@ def test_side_jet_matches_sympy_series(where):
     """`_side_jet` on every side line of the module sample against
     sympy.series in e along the line, for seeded tau-invariant functions
     with each kind of denominator, in both representations (a product of
-    forms and one expanded denominator) and for every lift: regular jets
-    give (c0, c1), simple z1 poles (c_-1, c0), anything else None."""
+    forms and one expanded denominator): regular jets give (c0, c1),
+    simple z1 poles (c_-1, c0), anything else None.  Each kind reads its
+    pair of e^lift h from the one jet: D2 (lift 0) the series of h when h
+    is regular, D1 (lift 1) the series of e h when h has at most a simple
+    pole."""
     ctx = CTX if where == "shipped" else SingularContext(ROW3_POINT, 3, 1, 2)
     rng = random.Random(61 if where == "shipped" else 62)
     cases = []
@@ -461,12 +465,16 @@ def test_side_jet_matches_sympy_series(where):
         for kind, reduced, representations in cases:
             want = _sympy_jet(*reduced, zsym, base, (ctx.pos_i, ctx.pos_j))
             seen.add((kind, None if want is None else want[0]))
+            d2 = d1 = None
+            if want is not None:
+                pole, lo, hi = want
+                d2 = None if pole else (lo, hi)
+                d1 = (lo, hi) if pole else (0, lo)
             for h in representations:
-                assert distributions._side_jet(h, line) == want, (side, kind)
-                regular = want if want is not None and not want[0] else None
-                assert distributions._side_jet(h, line, 0) == regular, (side, kind)
-                d1 = want if regular is None else (False, want[1], None)
-                assert distributions._side_jet(h, line, 1) == d1, (side, kind)
+                jet = distributions._side_jet(h, line)
+                assert jet == want, (side, kind)
+                assert distributions._read_jet(jet, 0) == d2, (side, kind)
+                assert distributions._read_jet(jet, 1) == d1, (side, kind)
     assert {("regular", False), ("simple z1 pole", True), ("other pole", None),
             ("double z1 pole", None)} <= seen
     assert not {("regular", True), ("regular", None), ("double z1 pole", True)} & seen
@@ -503,38 +511,52 @@ def test_act_checks_invariance_of_the_acting_element():
             act(CTX, RingElement.term(ONE, S21), bv)
 
 
-def test_act_lie_columns_match_act():
-    """act_lie sums memoized columns; the first call fills them and the
-    second is served from the memo, and both equal the direct action.  Each
-    image is built and checked for invariance once per context."""
-    ctx = canonical_context()
+def _record_calls(monkeypatch, name):
+    """Patch distributions.<name> to record the arguments of every call."""
+    calls = []
+    real = getattr(distributions, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(distributions, name, recorded)
+    return calls
+
+
+def _copy(a):
+    """An element equal to a but distinct from it, with an empty memo."""
+    return RingElement(a.terms)
+
+
+def test_act_lie_columns_match_act(monkeypatch):
+    """act_lie sums the columns memoized on the image; the first call fills
+    them and the second is served from the memo, and both equal the direct
+    action of an equal, distinct element.  Each image is checked for
+    invariance once per context."""
+    ctx = canonical_context()  # a new context, in which no image has acted
     vectors = [DistVector.basis(BasisVec(kind, sigma)) for kind, sigma in appendix_sample(ctx)]
     terms = [("D1", ID, Fraction(2)), ("D2", S22, Fraction(-3, 4)), ("D2", S21 * S11, Fraction(5))]
     vectors.append(DistVector.from_terms(ctx, terms))
-    image_misses = distributions._lie_image.cache_info().misses
+    checks = _record_calls(monkeypatch, "_check_invariant")
+    columns = _record_calls(monkeypatch, "_column")
     for gen in all_generators(3):
         a = phi_general(3, *gen)
         for d in vectors:
-            want = act(ctx, a, d)
-            hits = distributions._lie_column.cache_info().hits
+            want = act(ctx, _copy(a), d)
             assert act_lie(ctx, gen, d) == want
+            filled = len(columns)
             assert act_lie(ctx, gen, d) == want
-            assert distributions._lie_column.cache_info().hits >= hits + len(d.terms)
-    assert distributions._lie_image.cache_info().misses == image_misses + len(all_generators(3))
+            assert len(columns) == filled
+    images = [a for _, a in checks if any(a is phi_general(3, *g) for g in all_generators(3))]
+    assert len(images) == len({id(a) for a in images}) == len(all_generators(3))
 
 
 @pytest.fixture
-def cold_lie_memos():
-    """act_lie's memos start empty and are emptied again afterwards, so a
-    patched image reaches no other test."""
-
-    def clear():
-        for memo in (distributions._lie_column, distributions._lie_image, distributions._side_line):
-            memo.cache_clear()
-
-    clear()
-    yield
-    clear()
+def cold_ctx():
+    """A context equal to CTX in which no element has acted yet, so every
+    image's memo starts cold in it."""
+    return SingularContext(CTX.v, CTX.k, CTX.i, CTX.j)
 
 
 def patch_image(monkeypatch, gen, image):
@@ -546,12 +568,13 @@ def patch_image(monkeypatch, gen, image):
 
 
 @pytest.mark.parametrize("d2_first", [False, True])
-def test_shared_jets_serve_both_kinds(cold_lie_memos, d2_first):
+def test_shared_jets_serve_both_kinds(cold_ctx, d2_first):
     """One jet per coefficient and side serves the D1 and D2 columns of a
     shift.  Asked in either order on cold memos, every column of every
-    order-3 image equals the uncached action and the symbolic product.  The
-    tau-fixed D1 labels have one side, on which four images have simple
-    poles."""
+    order-3 image equals the action of a fresh copy, which reads only that
+    column's jets, and the symbolic product.  The tau-fixed D1 labels have
+    one side, on which four images have simple poles."""
+    ctx = cold_ctx
     kinds = ("D2", "D1") if d2_first else ("D1", "D2")
     labels = [BasisVec("D1", sigma) for sigma in (ID, S21 * S22)]
     for sigma in (S22, S22 * S22, S21.inverse() * S22, S11 * S22):
@@ -559,11 +582,11 @@ def test_shared_jets_serve_both_kinds(cold_lie_memos, d2_first):
     for gen in all_generators(3):
         a = phi_general(3, *gen)
         for bv in labels:
-            assert act_lie(CTX, gen, bv) == act(CTX, a, bv) == symbolic_act(CTX, a, bv)
+            assert act_lie(ctx, gen, bv) == act(ctx, _copy(a), bv) == symbolic_act(ctx, a, bv)
     with_poles = {
         gen
         for gen in all_generators(3)
-        for jets in distributions._lie_image(CTX, *gen)[1].values()
+        for jets in phi_general(3, *gen)._act[ctx][0].values()
         if any(jet is not None and jet[0] for _, jet in jets)
     }
     assert with_poles == {(1, 3), (2, 3), (3, 1), (3, 2)}
@@ -581,53 +604,76 @@ def _one_sided():
 
 
 @pytest.mark.parametrize("d2_first", [False, True])
-def test_shared_pole_jets_stay_with_d1(cold_lie_memos, monkeypatch, d2_first):
+def test_shared_pole_jets_stay_with_d1(cold_ctx, monkeypatch, d2_first):
     """A D1 column absorbs a simple pole that a D2 column cannot.  With an
     image that has a simple pole on each side of the shift S22, a jet
     stored for one kind gives the other kind its own reading, in either
     order: D1 reads it, and D2 sums the target symbolically, which is
-    regular when the poles cancel and a MembershipError when they do not."""
+    regular when the poles cancel and a MembershipError when they do not.
+    Each patched image is a new element, so its memo starts cold."""
+    ctx = cold_ctx
     gen = (1, 2)
     kinds = ("D2", "D1") if d2_first else ("D1", "D2")
     cancelling = _two_sided(Polynomial.variable(1, 1))
     patch_image(monkeypatch, gen, cancelling)
     for kind in kinds:
         bv = BasisVec(kind, S22)
-        want = symbolic_act(CTX, cancelling, bv)
-        assert want and act_lie(CTX, gen, bv) == act(CTX, cancelling, bv) == want
-    distributions._lie_column.cache_clear()
-    distributions._lie_image.cache_clear()
+        want = symbolic_act(ctx, cancelling, bv)
+        assert want and act_lie(ctx, gen, bv) == act(ctx, _copy(cancelling), bv) == want
     lone = _one_sided()
     patch_image(monkeypatch, gen, lone)
     for kind in kinds:
         bv = BasisVec(kind, S22)
         if kind == "D1":
-            assert act_lie(CTX, gen, bv) == act(CTX, lone, bv) == symbolic_act(CTX, lone, bv)
+            assert act_lie(ctx, gen, bv) == act(ctx, _copy(lone), bv) == symbolic_act(ctx, lone, bv)
             continue
-        for action in (lambda: act_lie(CTX, gen, bv), lambda: act(CTX, lone, bv)):
+        for action in (lambda: act_lie(ctx, gen, bv), lambda: act(ctx, _copy(lone), bv)):
             with pytest.raises(MembershipError, match="higher-order pole"):
                 action()
         with pytest.raises(PoleError):
-            symbolic_act(CTX, lone, bv)
+            symbolic_act(ctx, lone, bv)
+    assert set(lone._act[ctx][0]) == {S22, S21}
 
 
-def test_act_lie_rejects_an_image_that_is_not_invariant(cold_lie_memos, monkeypatch):
+def test_act_lie_rejects_an_image_that_is_not_invariant(cold_ctx, monkeypatch):
     """An image that fails the invariance check raises MembershipError on a
-    cold memo and, once the other images have filled the memos, on a warm
+    cold memo and, once the other images have filled their memos, on a warm
     one, on every call: no failed check is memoized."""
+    ctx = cold_ctx
     gen = (2, 3)
-    patch_image(monkeypatch, gen, RingElement.term(ONE, S21))
+    image = RingElement.term(ONE, S21)
+    patch_image(monkeypatch, gen, image)
     labels = [BasisVec("D1", ID), BasisVec("D2", S22)]
     with pytest.raises(MembershipError, match="not invariant under the transposition"):
-        act_lie(CTX, gen, labels[0])
+        act_lie(ctx, gen, labels[0])
     for other in all_generators(3):
         if other != gen:
             for bv in labels:
-                act_lie(CTX, other, bv)
+                act_lie(ctx, other, bv)
+    checks = _record_calls(monkeypatch, "_check_invariant")
     for _ in range(2):
         for bv in labels:
             with pytest.raises(MembershipError, match="not invariant under the transposition"):
-                act_lie(CTX, gen, bv)
+                act_lie(ctx, gen, bv)
+    assert len(checks) == 4 and ctx not in image._act
+
+
+def test_an_equal_but_distinct_element_is_checked_again(cold_ctx, monkeypatch):
+    """The memo lives on the element, not on its value: an equal copy is
+    checked and read afresh, and gets an equal column of its own."""
+    ctx = cold_ctx
+    checks = _record_calls(monkeypatch, "_check_invariant")
+    a = phi_general(3, 2, 3)
+    bv = BasisVec("D2", S22)
+    column = act(ctx, a, bv)
+    assert act(ctx, a, bv) is column and act_lie(ctx, (2, 3), bv) is column
+    assert len(checks) == 1
+    b = _copy(a)
+    assert b == a and b is not a
+    other = act(ctx, b, bv)
+    assert other == column and other is not column
+    assert [x for _, x in checks] == [a, b]
+    assert checks[0][1] is a and checks[1][1] is b
 
 
 def test_act_lie_columns_are_per_context():
@@ -699,12 +745,13 @@ def test_act_lie_on_vectors_matches_the_symbolic_product(where, gens):
 
 def test_a_unit_label_returns_its_memoized_column():
     """A one-label vector with coefficient 1 is its label: act_lie returns
-    the memoized column itself, and so does generic_act on a one-label
-    orbit vector."""
+    the column memoized on the image itself, and so does generic_act on a
+    one-label orbit vector."""
     for kind, sigma in sample_basis(CTX):
         bv = BasisVec(kind, sigma)
         for gen in [(1, 2), (2, 3), (2, 2)]:
-            column = distributions._lie_column(CTX, *gen, bv)
+            column = act_lie(CTX, gen, bv)
+            assert phi_general(3, *gen)._act[CTX][1][bv] is column
             assert act_lie(CTX, gen, DistVector.basis(bv)) is column
             assert act_lie(CTX, gen, bv) is column
     x = GENERIC_POINT_3
@@ -722,14 +769,9 @@ def test_column_rejects_d2_on_a_fixed_target():
     lands on the fixed target S22 S21 from one side only."""
     a = RingElement.term(ONE, S21)
     assert not is_tau_invariant(CTX, a)
-
-    def side_jets(side, lift):
-        line = distributions._side_line(CTX, side)
-        return [(rho, distributions._side_jet(h, line, lift)) for rho, h in a.terms.items()]
-
     fixed = S22 * S21
     with pytest.raises(InvariantViolation) as exc:
-        distributions._column(CTX, a, BasisVec("D2", S22), side_jets)
+        distributions._column(CTX, a, BasisVec("D2", S22), {})
     assert str(exc.value) == f"nonzero D2 coefficient 1/2 on transposition-fixed shift {fixed!r}"
 
 

@@ -485,6 +485,38 @@ def test_divexact_matches_sympy_cancel(seed):
                 assert mine is None, (kind, f, g)
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_divexact_by_a_negated_form(seed, monkeypatch):
+    """g = x_a - x_b with b the later position, so g's lex-leading
+    coefficient is -1.  divexact divides by g made lex-positive and
+    restores the quotient's sign: divexact(f, -g) == -divexact(f, g), each
+    equal to sympy's quotient, or both None, and the loop meets no integer
+    divisor but 1."""
+    rng = random.Random(2800 + seed)
+    a, b = sorted(rng.sample(VARS, 2))
+    g = Polynomial.variable(*a) - Polynomial.variable(*b)
+    assert g.terms[max(g.terms)] == -1 and (-g).terms[max(g.terms)] == 1
+    divisors = []
+    divide = poly._int_divexact
+
+    def recorded(f, d):
+        if max(d) == 0:
+            divisors.append(d[0])
+        return divide(f, d)
+
+    monkeypatch.setattr(poly, "_int_divexact", recorded)
+    q = random_poly(rng, zero_ok=False).scale(Fraction(rng.randint(1, 5), rng.randint(1, 4)))
+    for f, exact in ((q * g, True), (q * g + Polynomial.one(), False)):
+        mine, negated = divexact(f, g), divexact(f, -g)
+        if exact:
+            quo, rem = sympy.div(to_sympy(f), to_sympy(g), *SYM.values(), domain=sympy.QQ)
+            assert rem == 0 and sympy.expand(to_sympy(mine) - quo) == 0, (f, g)
+            assert negated == -mine
+        else:
+            assert mine is None and negated is None
+    assert divisors and set(divisors) == {1}
+
+
 def test_int_divexact_early_returns(monkeypatch):
     """Each way the long division gives up: an integer divisor leaves a
     coefficient remainder; a quotient coefficient is not exact one variable

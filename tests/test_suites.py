@@ -74,6 +74,26 @@ def test_suites_run_at_order_4():
     assert report["ok"] and report["total"] == 16 and report["n"] == 4, report["failures"][:3]
 
 
+def test_module_suite_checks_each_element_once(monkeypatch):
+    """The shipped module suite acts with 7 generator images on the left and
+    one element per distinct bracket, 17 of them, on the right.  Each is
+    checked for invariance once, in the suite's new context: 24 checks for
+    196 commutator checks."""
+    checks = []
+    real = distributions._check_invariant
+
+    def recorded(ctx, a):
+        checks.append(a)
+        return real(ctx, a)
+
+    monkeypatch.setattr(distributions, "_check_invariant", recorded)
+    report = module_suite()
+    assert report["ok"] and report["total"] == 196
+    assert len(checks) == len({id(a) for a in checks}) == 24
+    gens = adjacent_generators(3)
+    assert len({tuple(gl_bracket(x, y)) for x in gens for y in gens}) == 17
+
+
 def test_module_suite_failure_entries(monkeypatch):
     """A wrong right-hand side is reported per (pair, basis vector), with
     both sides in their JSON form."""
