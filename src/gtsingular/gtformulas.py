@@ -1,10 +1,11 @@
 """Classical Gelfand-Tsetlin generator images in the skew ring.
 
-The elementary matrices E(r,s) of gl_n map to ring elements: adjacent and
-diagonal generators come from the classical tableau formulas, every other
-E(r,s) from a fixed commutator bracketing.  The map is a ring homomorphism
-for the opposite of the twisted product, a*b = b o a (see `convention`).
-A bracket is one pass over the term pairs of its operands
+The elementary matrices E(r,s) of gl_n map to ring elements: E(k,k+1) and
+E(k+1,k) come from one tableau formula taken a row down or up
+(`_phi_adjacent`), E(k,k) from the row sums, and every other E(r,s) from a
+fixed commutator bracketing.  The map is a ring homomorphism for the
+opposite of the twisted product, a*b = b o a = `ring_mul_circ(b, a)` (see
+`convention`).  A bracket is one pass over the term pairs of its operands
 (`skewring.ring_commutator`), with a shift-free side factored out, so a
 bracket with a diagonal image scales each term instead of forming two
 products.
@@ -17,7 +18,7 @@ from math import prod
 
 from .poly import Polynomial
 from .ratfun import RationalFunction
-from .skewring import RingElement, ring_commutator, ring_mul_circ
+from .skewring import RingElement, ring_commutator
 from .tableau import Shift
 
 GeneratorId = tuple[int, int]
@@ -51,30 +52,30 @@ def _ratio(num: list[Polynomial], den: list[Polynomial]) -> RationalFunction:
     return out
 
 
-def phi_raising(n: int, k: int) -> RingElement:
-    """Image of E(k, k+1): shifts sigma(k,i)^-1 with the classical coefficients."""
+def _phi_adjacent(n: int, k: int, step: int) -> RingElement:
+    """Image of E(k, k+1) (step +1) or E(k+1, k) (step -1): for i = 1..k
+    the shift sigma(k,i)^-step with coefficient
+    -step * prod_j (x(k,i) - x(k+step,j)) / prod_{j != i} (x(k,i) - x(k,j))."""
     if not (1 <= k <= n - 1):
-        raise ValueError(f"raising index {k} out of range for gl_{n}")
+        name = "raising" if step > 0 else "lowering"
+        raise ValueError(f"{name} index {k} out of range for gl_{n}")
     terms = []
     for i in range(1, k + 1):
         xi = Polynomial.variable(k, i)
-        num = [xi - Polynomial.variable(k + 1, j) for j in range(1, k + 2)]
+        num = [xi - Polynomial.variable(k + step, j) for j in range(1, k + step + 1)]
         den = [xi - Polynomial.variable(k, j) for j in range(1, k + 1) if j != i]
-        terms.append((Shift.generator(k, i, -1), -_ratio(num, den)))
+        terms.append((Shift.generator(k, i, -step), _ratio(num, den).scale(-step)))
     return RingElement(terms)
+
+
+def phi_raising(n: int, k: int) -> RingElement:
+    """Image of E(k, k+1): shifts sigma(k,i)^-1 with the classical coefficients."""
+    return _phi_adjacent(n, k, 1)
 
 
 def phi_lowering(n: int, k: int) -> RingElement:
     """Image of E(k+1, k): shifts sigma(k,i) with the classical coefficients."""
-    if not (1 <= k <= n - 1):
-        raise ValueError(f"lowering index {k} out of range for gl_{n}")
-    terms = []
-    for i in range(1, k + 1):
-        xi = Polynomial.variable(k, i)
-        num = [xi - Polynomial.variable(k - 1, j) for j in range(1, k)]
-        den = [xi - Polynomial.variable(k, j) for j in range(1, k + 1) if j != i]
-        terms.append((Shift.generator(k, i), _ratio(num, den)))
-    return RingElement(terms)
+    return _phi_adjacent(n, k, -1)
 
 
 def phi_diagonal(n: int, k: int) -> RingElement:
@@ -87,14 +88,6 @@ def phi_diagonal(n: int, k: int) -> RingElement:
     for i in range(1, k):
         p = p - Polynomial.variable(k - 1, i) - Polynomial.constant(i - 1)
     return RingElement.term(RationalFunction.from_poly(p), Shift.identity())
-
-
-def multiply(convention: str, a: RingElement, b: RingElement) -> RingElement:
-    if convention == "circ":
-        return ring_mul_circ(a, b)
-    if convention == "star":
-        return ring_mul_circ(b, a)
-    raise ValueError(f"unknown multiplication convention {convention!r}")
 
 
 def bracket(convention: str, a: RingElement, b: RingElement) -> RingElement:

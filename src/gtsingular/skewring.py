@@ -118,29 +118,17 @@ def _vanishes_at(form: Polynomial, p: Point) -> bool:
     return form.evaluate(p.coords) == 0
 
 
-def is_at_most_one_singular(
-    ctx: SingularContext, a: RingElement, *, orbit_check: bool = False
-) -> bool:
+def is_at_most_one_singular(ctx: SingularContext, a: RingElement) -> bool:
     """Every coefficient h has z1*h regular at the base point, i.e. h is
-    holomorphic at v up to one simple z1 pole.
-
-    With orbit_check the (strictly stronger) input-side gate also requires
-    z1*h regular at every support translate sigma(v); products of admissible
-    elements satisfy the pointwise condition but not the orbit one, so the
-    default matches what products must pass.
-
-    On the forms path z1*h is singular at a point exactly when one of its
-    forms vanishes there, which is decided once per (form, point); an
-    expanded denominator is evaluated.
-    """
-    points = [ctx.v]
-    if orbit_check:
-        points += [ctx.orbit_point(s) for s in a.terms]
+    holomorphic at v up to one simple z1 pole, the condition products of
+    admissible elements satisfy.  On the forms path z1*h is singular at v
+    exactly when one of its forms vanishes there, which is decided once per
+    (form, point); an expanded denominator is evaluated."""
     for h in a.terms.values():
         g = multiply_by_linear(h, ctx.z1_poly)
         if g.forms is None:
-            if any(g.den_value(p.coords) == 0 for p in points):
+            if g.den_value(ctx.v.coords) == 0:
                 return False
-        elif any(_vanishes_at(form, p) for form in g.forms for p in points):
+        elif any(_vanishes_at(form, ctx.v) for form in g.forms):
             return False
     return True

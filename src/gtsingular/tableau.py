@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, NamedTuple, TypeVar
 
 from .poly import Polynomial, Var, check_var
@@ -290,9 +291,6 @@ class SingularContext:
         """Directional derivative along z1 = X(k,i) - X(k,j)."""
         return (f.derivative(self.pos_i) - f.derivative(self.pos_j)).scale(Fraction(1, 2))
 
-    def orbit_point(self, sigma: Shift) -> Point:
-        return apply_shift(sigma, self.v)
-
     def __repr__(self) -> str:
         return f"SingularContext(n={self.n}, pair=({self.k},{self.i},{self.j}))"
 
@@ -311,5 +309,7 @@ def canonical_test_point(n: int = 3) -> Point:
     )
 
 
+@lru_cache(maxsize=None)
 def canonical_context(n: int = 3) -> SingularContext:
+    """The shipped context, one per order: memos keyed by it are shared."""
     return SingularContext(canonical_test_point(n), 2, 1, 2)

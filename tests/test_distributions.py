@@ -529,12 +529,12 @@ def _copy(a):
     return RingElement(a.terms)
 
 
-def test_act_lie_columns_match_act(monkeypatch):
+def test_act_lie_columns_match_act(cold_ctx, monkeypatch):
     """act_lie sums the columns memoized on the image; the first call fills
     them and the second is served from the memo, and both equal the direct
     action of an equal, distinct element.  Each image is checked for
     invariance once per context."""
-    ctx = canonical_context()  # a new context, in which no image has acted
+    ctx = cold_ctx
     vectors = [DistVector.basis(BasisVec(kind, sigma)) for kind, sigma in appendix_sample(ctx)]
     terms = [("D1", ID, Fraction(2)), ("D2", S22, Fraction(-3, 4)), ("D2", S21 * S11, Fraction(5))]
     vectors.append(DistVector.from_terms(ctx, terms))

@@ -28,6 +28,7 @@ from gtsingular.skewring import (
     ring_mul_circ,
 )
 from gtsingular.tableau import Shift, canonical_context
+from tests_helpers import regular_on_orbit
 
 CTX = canonical_context()
 
@@ -192,7 +193,7 @@ def test_all_images_in_universal_ring():
         for s in range(1, 4):
             a = phi_general(3, r, s)
             assert is_at_most_one_singular(CTX, a), (r, s)
-            assert is_at_most_one_singular(CTX, a, orbit_check=True), (r, s)
+            assert regular_on_orbit(CTX, a), (r, s)
 
 
 def test_tau_invariance_of_lowering_row2():
@@ -311,12 +312,6 @@ def test_commutator_of_images_matches_two_products(n, diagonal_only, count):
         assert ring_commutator(a, b) == ring_mul_circ(a, b) - ring_mul_circ(b, a), (x, y)
 
 
-def test_multiply_names_the_product():
-    a, b = phi_general(2, 1, 2), phi_general(2, 2, 1)
-    assert gtformulas.multiply("circ", a, b) == ring_mul_circ(a, b)
-    assert gtformulas.multiply("star", a, b) == ring_mul_circ(b, a)
-
-
 def test_commutator_antisymmetry_of_reports():
     conv = convention()
     a, b = phi_general(3, 1, 2), phi_general(3, 2, 2)
@@ -347,8 +342,6 @@ def test_phi_invalid_indices():
 
 def test_input_guards():
     a = phi_general(2, 1, 2)
-    with pytest.raises(ValueError, match="unknown multiplication convention"):
-        gtformulas.multiply("nope", a, a)
     with pytest.raises(ValueError, match="unknown multiplication convention"):
         bracket("nope", a, a)
     with pytest.raises(ValueError, match="lowering index 3"):

@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from gtsingular.gtformulas import multiply
 from gtsingular.ratfun import RationalFunction
 from gtsingular.skewring import (
     RingElement,
@@ -14,7 +13,7 @@ from gtsingular.skewring import (
     ring_mul_circ,
 )
 from gtsingular.tableau import Shift, canonical_context, shift_subst
-from tests_helpers import random_poly, random_rf
+from tests_helpers import random_poly, random_rf, regular_on_orbit
 
 X11 = RationalFunction.variable(1, 1)
 X21 = RationalFunction.variable(2, 1)
@@ -59,8 +58,6 @@ def test_circ_unit():
     a = random_ring_element(rng)
     assert ring_mul_circ(a, RingElement.one()) == a
     assert ring_mul_circ(RingElement.one(), a) == a
-    assert multiply("star", a, RingElement.one()) == a
-    assert multiply("star", RingElement.one(), a) == a
 
 
 def test_circ_singular_coefficient():
@@ -73,7 +70,7 @@ def test_circ_singular_coefficient():
 def test_star_unfolds():
     f, g = X11, X21 * X22
     rho = Shift({(2, 2): -1})
-    lhs = multiply("star", RingElement.term(f, S11), RingElement.term(g, rho))
+    lhs = ring_mul_circ(RingElement.term(g, rho), RingElement.term(f, S11))
     rhs = RingElement.term(g * shift_subst(f, rho), rho * S11)
     assert lhs == rhs
 
@@ -82,7 +79,8 @@ def test_star_unfolds():
 def test_star_associative_via_circ(seed):
     rng = random.Random(600 + seed)
     a, b, c = (random_ring_element(rng, 2) for _ in range(3))
-    assert multiply("star", a, multiply("star", b, c)) == multiply("star", multiply("star", a, b), c)
+    # a*b = b o a; a*(b*c) = (c o b) o a and (a*b)*c = c o (b o a)
+    assert ring_mul_circ(ring_mul_circ(c, b), a) == ring_mul_circ(c, ring_mul_circ(b, a))
 
 
 def _nonzero_ring_element(rng):
@@ -165,11 +163,11 @@ def test_is_at_most_one_singular():
     assert is_at_most_one_singular(
         CTX, RingElement.term(ONE / (Z1 - ONE), Shift.identity())
     )
-    # orbit gate is stricter: the same coefficient on sigma(2,1) fails at its
-    # own translate, where z1 = 1
+    # the orbit condition is stricter: the same coefficient on sigma(2,1)
+    # fails at its own translate, where z1 = 1
     a = RingElement.term(ONE / (Z1 - ONE), S21)
     assert is_at_most_one_singular(CTX, a)
-    assert not is_at_most_one_singular(CTX, a, orbit_check=True)
+    assert not regular_on_orbit(CTX, a)
 
 
 def test_is_at_most_one_singular_on_expanded_denominators():
@@ -182,12 +180,12 @@ def test_is_at_most_one_singular_on_expanded_denominators():
     at_v = ONE / (x11x31 - RationalFunction.constant(Fraction(1, 35)))
     for h in (regular, at_translate, at_v):
         assert h.forms is None
-    for orbit_check in (False, True):
-        assert is_at_most_one_singular(CTX, RingElement.term(regular, S11), orbit_check=orbit_check)
-        assert not is_at_most_one_singular(CTX, RingElement.term(at_v, S11), orbit_check=orbit_check)
+    for check in (is_at_most_one_singular, regular_on_orbit):
+        assert check(CTX, RingElement.term(regular, S11))
+        assert not check(CTX, RingElement.term(at_v, S11))
     a = RingElement([(S11, at_translate), (S21, ONE / Z1)])
     assert is_at_most_one_singular(CTX, a)
-    assert not is_at_most_one_singular(CTX, a, orbit_check=True)
+    assert not regular_on_orbit(CTX, a)
 
 
 def test_product_closure_anchor():

@@ -13,7 +13,13 @@ from gtsingular.distributions import (
     basis_correspondence,
     generic_act_element,
 )
-from gtsingular.gtformulas import adjacent_generators, all_generators, gl_bracket, phi_combination
+from gtsingular.gtformulas import (
+    adjacent_generators,
+    all_generators,
+    gl_bracket,
+    phi_combination,
+    phi_general,
+)
 from gtsingular.skewring import RingElement, ring_mul_circ
 from gtsingular.sparse import BasisVec
 from gtsingular.suites import (
@@ -28,7 +34,13 @@ from gtsingular.suites import (
     sample_basis,
     singularity_suite,
 )
-from gtsingular.tableau import Shift, SingularContext, canonical_context, positions
+from gtsingular.tableau import (
+    Shift,
+    SingularContext,
+    canonical_context,
+    canonical_test_point,
+    positions,
+)
 from tests_helpers import ROW3_POINT
 
 
@@ -77,8 +89,9 @@ def test_suites_run_at_order_4():
 def test_module_suite_checks_each_element_once(monkeypatch):
     """The shipped module suite acts with 7 generator images on the left and
     one element per distinct bracket, 17 of them, on the right.  Each is
-    checked for invariance once, in the suite's new context: 24 checks for
-    196 commutator checks."""
+    checked for invariance once, in a new context: 24 checks for 196
+    commutator checks."""
+    ctx = SingularContext(canonical_test_point(), 2, 1, 2)  # no image has acted in it
     checks = []
     real = distributions._check_invariant
 
@@ -87,11 +100,23 @@ def test_module_suite_checks_each_element_once(monkeypatch):
         return real(ctx, a)
 
     monkeypatch.setattr(distributions, "_check_invariant", recorded)
-    report = module_suite()
+    report = module_suite(ctx)
     assert report["ok"] and report["total"] == 196
     assert len(checks) == len({id(a) for a in checks}) == 24
     gens = adjacent_generators(3)
     assert len({tuple(gl_bracket(x, y)) for x in gens for y in gens}) == 17
+
+
+def test_default_module_suites_share_one_context():
+    """Suites called without a context act in the one shipped context, so
+    a second default module suite finds every image's memo filled and adds
+    no context to it."""
+    gens = all_generators(3)
+    assert module_suite()["ok"]
+    keys = {g: list(getattr(phi_general(3, *g), "_act", {})) for g in gens}
+    assert all(canonical_context() in keys[g] for g in adjacent_generators(3))
+    assert module_suite()["ok"]
+    assert {g: list(getattr(phi_general(3, *g), "_act", {})) for g in gens} == keys
 
 
 def test_module_suite_failure_entries(monkeypatch):

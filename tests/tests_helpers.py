@@ -6,10 +6,10 @@ from fractions import Fraction
 import sympy
 
 from gtsingular.distributions import DistVector, materialize
-from gtsingular.gtformulas import convention, multiply
 from gtsingular.poly import Polynomial, mono_pairs
 from gtsingular.ratfun import RationalFunction, multiply_by_linear
-from gtsingular.tableau import Point
+from gtsingular.skewring import ring_mul_circ
+from gtsingular.tableau import Point, apply_shift
 
 VARS3 = [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)]
 
@@ -64,10 +64,24 @@ def symbolic_act(ctx, a, bv):
     D2, (dg/dz1)(v) on D1).  An oracle for the action, which forms no
     product; a pole at v raises PoleError here."""
     v = ctx.v.coords
-    product = multiply(convention(), a, materialize(ctx, bv))
+    product = ring_mul_circ(materialize(ctx, bv), a)
     terms = []
     for rho, h in product.terms.items():
         g = multiply_by_linear(h, ctx.z1_poly)
         terms.append(("D2", rho, g.evaluate(v)))
         terms.append(("D1", rho, ctx.partial_z1(g).evaluate(v)))
     return DistVector.from_terms(ctx, terms)
+
+
+def regular_on_orbit(ctx, a):
+    """Whether z1*h is regular, for every coefficient h of a, at v and at
+    every support translate sigma(v): the orbit admissibility of the
+    generator images.  Stricter than `is_at_most_one_singular`, the
+    pointwise condition: products of admissible elements meet that one,
+    not always this."""
+    points = [ctx.v] + [apply_shift(sigma, ctx.v) for sigma in a.terms]
+    for h in a.terms.values():
+        g = multiply_by_linear(h, ctx.z1_poly)
+        if any(g.den_value(p.coords) == 0 for p in points):
+            return False
+    return True
