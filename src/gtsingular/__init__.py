@@ -12,7 +12,7 @@ import importlib
 
 # module -> the names it exports here, in the order of __all__
 _EXPORTS = {
-    "poly": ("Polynomial", "divexact", "poly_gcd"),
+    "poly": ("Polynomial", "divexact"),
     "ratfun": ("PoleError", "RationalFunction"),
     "tableau": (
         "Point",

@@ -172,11 +172,8 @@ def _side_jet(
     both kinds; `_read_jet` gives each kind its pair.  The series are
     integers over one denominator each, N / nd for the numerator and D / dd
     for the denominator, so c0 = N0 dd / (nd D0) and c1 = (N1 D0 - D1 N0) dd
-    / (nd D0^2); a polynomial has no denominator series."""
+    / (nd D0^2); a polynomial's denominator series is (1, 0, 0) over 1."""
     kernel, zform = line
-    if h.is_polynomial():
-        num, nd = h.num.line_series(kernel, 1)
-        return False, Fraction(num[0], nd), Fraction(num[1], nd)
     den, dd = h.den.line_series(kernel, 2)
     pole = not den[0]
     if pole:

@@ -19,7 +19,7 @@ A polynomial is `terms` / `den`: `terms` maps monomials to nonzero ints and
 `den` is a positive int prime to their content, zero is ({}, 1).  This
 content/primitive form is canonical (Geddes, Czapor & Labahn, *Algorithms
 for Computer Algebra*, 1992, ch. 2), so structural equality is equality.
-Arithmetic, exact division, evaluation and gcd run on integers only, and
+Arithmetic, exact division and evaluation run on integers only, and
 `_normal` divides out gcd(den, content) after each operation.  Fractions
 appear only at the boundary: the `Polynomial(mapping)`, `term` and
 `constant` constructors take them, `constant_value`, `leading_coeff` and
@@ -435,9 +435,7 @@ def _int_combine(a: IntTerms, ka: int, b: IntTerms, kb: int) -> IntTerms:
 
 
 # ---------------------------------------------------------------------------
-# Exact division, evaluation and gcd, all on integer term maps.  The gcd is
-# a primitive polynomial remainder sequence, recursing on the coefficient
-# polynomials for contents.
+# Exact division and evaluation, both on integer term maps.
 # ---------------------------------------------------------------------------
 
 
@@ -541,7 +539,7 @@ def _int_scale_div(d: IntTerms, k: int) -> IntTerms:
 
 
 def _int_mul(a: IntTerms, b: IntTerms) -> IntTerms:
-    """Product of integer term maps; also the kernel of Polynomial.__mul__."""
+    """Product of integer term maps, the kernel of Polynomial.__mul__."""
     if _top_degree(a) + _top_degree(b) >= _DEG_LIMIT:
         raise ValueError(f"product degree exceeds {_DEG_LIMIT - 1}")
     out: IntTerms = {}
@@ -565,78 +563,3 @@ def _coeff_map(d: IntTerms, var: Var) -> dict[int, IntTerms]:
         e = (m >> s) & _FIELD
         out.setdefault(e, {})[m - e * unit] = c
     return out
-
-
-def _int_deg(d: IntTerms, var: Var) -> int:
-    s = _SHIFT[var]
-    return max(((m >> s) & _FIELD for m in d), default=0)
-
-
-def _prem(f: IntTerms, g: IntTerms, var: Var) -> IntTerms:
-    """Pseudo-remainder of f by g with respect to var."""
-    dg = _int_deg(g, var)
-    lcg = _coeff_map(g, var)[dg]
-    df = _int_deg(f, var)
-    while f and df >= dg:
-        pw = (df - dg) * _var_mono(var)
-        shifted = {m + pw: c for m, c in _int_mul(_coeff_map(f, var)[df], g).items()}
-        f = _int_combine(_int_mul(lcg, f), 1, shifted, -1)
-        df = _int_deg(f, var)
-    return f
-
-
-def _content_in_var(d: IntTerms, var: Var) -> IntTerms:
-    cont: IntTerms = {}
-    for coeff in _coeff_map(d, var).values():
-        cont = _int_gcd(cont, coeff)
-    return cont
-
-
-def _positive_primitive(d: IntTerms) -> IntTerms:
-    c = _int_content(d)
-    if d[max(d, key=mono_key)] < 0:
-        c = -c
-    return _int_scale_div(d, c)
-
-
-def _int_gcd(f: IntTerms, g: IntTerms) -> IntTerms:
-    """gcd of integer term maps with positive lead, by a primitive
-    polynomial remainder sequence (Brown 1971) in the first variable both
-    share; contents in that variable recurse through _int_gcd."""
-    if not f or not g:
-        return _positive_primitive(f or g)
-    ci = _igcd(_int_content(f), _int_content(g))
-    f = _positive_primitive(f)
-    g = _positive_primitive(g)
-    common = set(_vars_of(f)) & set(_vars_of(g))
-    if not common:
-        return {0: ci}
-    var = min(common)
-    cont_f = _content_in_var(f, var)
-    cont_g = _content_in_var(g, var)
-    cont = _int_gcd(cont_f, cont_g)
-    F = _int_divexact_strict(f, cont_f)
-    G = _int_divexact_strict(g, cont_g)
-    if _int_deg(F, var) < _int_deg(G, var):
-        F, G = G, F
-    r = _prem(F, G, var)
-    while r and _int_deg(r, var):
-        F, G = G, _positive_primitive(_int_divexact_strict(r, _content_in_var(r, var)))
-        r = _prem(F, G, var)
-    # a remainder free of var leaves no common factor of positive degree
-    out = _int_mul({0: 1} if r else _positive_primitive(G), cont)
-    return {m: c * ci for m, c in out.items()}
-
-
-def _int_divexact_strict(f: IntTerms, g: IntTerms) -> IntTerms:
-    q = _int_divexact(f, g)
-    if q is None:
-        raise ArithmeticError("internal gcd error: expected exact division")
-    return q
-
-
-def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Greatest common divisor, returned primitive over Z with positive lead."""
-    if f.is_zero() and g.is_zero():
-        return Polynomial.zero()
-    return Polynomial._raw(_int_gcd(f.terms, g.terms))

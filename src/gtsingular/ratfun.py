@@ -1,28 +1,26 @@
 """Rational functions in tableau variables, kept in reduced canonical form.
 
-Canonical form: gcd(num, den) = 1, denominator monic under the graded-lex
-order, and num = 0 stored as 0/1.  Structural equality then coincides with
-equality of rational functions.
+Every denominator is a product of linear forms x[k][i] - x[k][j] + m, the
+only denominators the Gelfand-Tsetlin formulas produce.  It is kept as
+`forms`: a dict from monic linear form to multiplicity, in no order (dict
+equality is canonical).  Its expanded product, the monic `den` that is
+printed, is built on first use.  Canonical form: no listed form divides
+`num`, and num = 0 is stored as 0 with no forms.  Structural equality then
+coincides with equality of rational functions.
 
-The denominators the Gelfand-Tsetlin formulas produce are products of
-linear forms x[k][i] - x[k][j] + m.  A denominator known to factor that way
-is kept as `forms`: a dict from monic linear form to multiplicity, in no
-order (dict equality is canonical).  Its expanded product, the one that is
-printed, is the same monic `den` as above, built on first use.  Linear
-forms are irreducible, so "reduced" means that no listed form divides
-`num`, and each form is tested on its own: `num` is evaluated modulo a
-prime on the form's zero set at a fixed integer point, and a nonzero
-residue proves the form does not divide.  The one integer evaluation
-kernel of `poly` computes the residue from the integer terms and
-denominators of `num` and the form (no Fraction is built), after solving
-the form for its leading variable.  Only a zero residue (or a denominator
-the prime divides) runs the exact `divexact`, so no probabilistic answer
-reaches a canonical form.
+Linear forms are irreducible, so each form is tested on its own: `num` is
+evaluated modulo a prime on the form's zero set at a fixed integer point,
+and a nonzero residue proves the form does not divide.  The one integer
+evaluation kernel of `poly` computes the residue from the integer terms
+and denominators of `num` and the form (no Fraction is built), after
+solving the form for its leading variable.  Only a zero residue (or a
+denominator the prime divides) runs the exact `divexact`, so no
+probabilistic answer reaches a canonical form.
 
 A residue is an evaluation, a ring homomorphism into the integers modulo
 the prime, so a result's residues follow from its operands' and a test
-costs the new term, not the accumulated numerator.  Each forms-path
-function memoizes the residue of its numerator at each form's test point
+costs the new term, not the accumulated numerator.  Each function
+memoizes the residue of its numerator at each form's test point
 (the memo is not part of == or hash).  A sum over equal forms adds the
 operands' residues; over different forms it takes r(n1) r(a) + r(n2) r(b),
 with a and b the cofactors, whose residue is the product of their forms'
@@ -47,19 +45,13 @@ whole offsets; a transposition is cached on (form, a, b) with the unit it
 leaves, which goes to the numerator.  (`skewring` likewise decides once per
 form and point whether the form vanishes there.)
 
-The constructor RationalFunction(num, den) is the one normaliser: every
-pair not already known to be reduced goes through it.  A constant or linear
-den goes to the forms path.  Any other den has unknown factorization; the
-constructor reduces it with `poly_gcd`, a primitive polynomial remainder
-sequence, and this is the one place a gcd runs.  If the reduced den has
-degree at most 1 it returns to the forms path; otherwise it is stored
-monic and expanded (`forms` is None).  Such a denominator arises only from
-the reciprocal of a non-linear numerator, or from a non-linear den given
-explicitly.  Every operation on such an operand builds its result
-unreduced and hands it to the constructor: sums (n1*d2 + n2*d1 over d1*d2),
-products, reciprocals (den over num), powers, affine substitutions and
-transpositions.  Results on the forms path are built directly, and a
-product with a constant factor only scales the other numerator.
+The constructor RationalFunction(num, den) normalises a pair not already
+known to be reduced.  It takes a constant or linear den and raises
+ValueError on any other: no denominator is factored, so a value such as
+1/z^2 is built from linear forms, as z**-2.  The reciprocal of a numerator
+of degree 2 or more, through `/` or a negative power, raises the same
+error.  Every other operation builds its result directly on the forms, and
+a product with a constant factor only scales the other numerator.
 """
 
 from __future__ import annotations
@@ -78,7 +70,6 @@ from .poly import (
     _top_degree,
     divexact,
     mono_pack,
-    poly_gcd,
 )
 
 _ONE = Fraction(1)
@@ -95,6 +86,9 @@ _FIELD_COORDS = {_SHIFT[v]: x for v, x in _COORDS.items()}
 
 class PoleError(ArithmeticError):
     """Evaluation hit a zero of the denominator."""
+
+
+_NOT_LINEAR = "a denominator must be constant or linear; build others from linear forms"
 
 
 def _is_linear(p: Polynomial) -> bool:
@@ -242,25 +236,19 @@ class RationalFunction:
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         self._den = self._res = None
-        if num.is_zero():
-            self.num, self.forms = Polynomial.zero(), {}
-            return
-        if not (den.is_constant() or _is_linear(den)):
-            g = poly_gcd(num, den)
-            if not g.is_constant():
-                num, den = divexact(num, g), divexact(den, g)
         if den.is_constant():
             self.num, self.forms = num.scale(_ONE / den.constant_value()), {}
-        elif _is_linear(den):
+        elif not _is_linear(den):
+            raise ValueError(_NOT_LINEAR)
+        elif num.is_zero():
+            self.num, self.forms = num, {}
+        else:
             lc, form = _monic_form(den)
             self.num, self.forms, res = _cancel(num.scale(_ONE / lc), {form: 1}, {})
             self._res = res if self.forms else None
-        else:
-            inv = _ONE / den.leading_coeff()
-            self.num, self.forms, self._den = num.scale(inv), None, den.scale(inv)
 
     @classmethod
-    def _make(cls, num: Polynomial, forms: dict | None, res=None) -> "RationalFunction":
+    def _make(cls, num: Polynomial, forms: dict, res=None) -> "RationalFunction":
         # internal: no form divides num, or num is zero and forms is {};
         # res is a residue memo of num, a product's factors (see _memo) or None
         f = cls.__new__(cls)
@@ -305,8 +293,7 @@ class RationalFunction:
         return bool(self.num)
 
     def is_polynomial(self) -> bool:
-        # the expanded path only holds denominators of degree 2 or more
-        return self.forms == {}
+        return not self.forms
 
     def is_constant(self) -> bool:
         return self.num.is_constant() and self.is_polynomial()
@@ -317,11 +304,8 @@ class RationalFunction:
         return self.num.constant_value()
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, RationalFunction) or self.num != other.num:
-            return False
-        if self.forms is not None and other.forms is not None:
-            return self.forms == other.forms
-        return self.den == other.den
+        return (isinstance(other, RationalFunction) and self.num == other.num
+                and self.forms == other.forms)
 
     def __hash__(self) -> int:
         return hash((self.num, self.den))
@@ -374,9 +358,6 @@ class RationalFunction:
         if other.is_zero():
             return self
         f1, f2 = self.forms, other.forms
-        if f1 is None or f2 is None:
-            d1, d2 = self.den, other.den
-            return RationalFunction(self.num * d2 + other.num * d1, d1 * d2)
         if f1 == f2:
             num = self.num + other.num
             if num.is_zero():
@@ -428,8 +409,6 @@ class RationalFunction:
         if other.is_constant():
             return self.scale(other.num.constant_value())
         f1, f2 = self.forms, other.forms
-        if f1 is None or f2 is None:
-            return RationalFunction(self.num * other.num, self.den * other.den)
         # each side is reduced, so n1 can only cancel against f2, n2 against f1
         n1, f2, res1 = _cancel(self.num, f2, self._memo())
         n2, forms, res2 = _cancel(other.num, f1, other._memo())
@@ -451,8 +430,6 @@ class RationalFunction:
     def __pow__(self, e: int) -> "RationalFunction":
         if e < 0:
             return self.reciprocal() ** (-e)
-        if self.forms is None:
-            return RationalFunction(self.num**e, self.den**e)
         if e == 0:
             return RationalFunction.one()
         # num and the forms stay coprime under powers
@@ -467,16 +444,12 @@ class RationalFunction:
         return self._with_num(self.num.scale(c), c)
 
     def den_divisible_by(self, lin: Polynomial) -> bool:
-        """Whether the linear polynomial lin divides the denominator: on the
-        forms path, whether its monic form is listed."""
-        if self.forms is None:
-            return divexact(self.den, lin) is not None
+        """Whether the linear polynomial lin divides the denominator: whether
+        its monic form is listed."""
         return _monic_form(lin)[1] in self.forms
 
     def den_value(self, coords: Mapping[Var, Fraction]) -> Fraction:
         """The denominator's value at a point."""
-        if self.forms is None:
-            return self.den.evaluate(coords)
         out = _ONE
         for form, e in self.forms.items():
             out *= form.evaluate(coords) ** e
@@ -489,40 +462,22 @@ class RationalFunction:
         return self.num.evaluate(coords) / dv
 
     def derivative(self, var: Var) -> "RationalFunction":
-        if self.is_polynomial():
-            return RationalFunction.from_poly(self.num.derivative(var))
-        n, forms = self.num, self.forms
-        if forms is None:
-            d = self.den
-            return RationalFunction(n.derivative(var) * d - n * d.derivative(var), d * d)
-        # With L the product of the forms l that contain var, each with
-        # coefficient c and multiplicity e:
-        #   (n/d)' = (n'L - n * sum e*c*L/l) / (d*L).
-        # The new numerator is prime to every form of L, so only the forms
-        # free of var can cancel.
+        # The quotient rule over d = prod l^e, with c the coefficient of var
+        # in l: (n/d)' = n'/d - sum e*c*(n/d)/l.
+        dn = self.num.derivative(var)
+        out = RationalFunction.zero()
+        if dn:
+            out = RationalFunction._make(*_cancel(dn, self.forms, {}))
         key = mono_pack(((var, 1),))
-        moving = [(form, e, Fraction(form.terms[key], form.den))
-                  for form, e in forms.items() if key in form.terms]
-        num = n.derivative(var)
-        if moving:
-            big = _expand((form, 1) for form, _, _ in moving)
-            s = Polynomial.zero()
-            for i, (_, e, c) in enumerate(moving):
-                s = s + _expand(
-                    (form, 1) for j, (form, _, _) in enumerate(moving) if j != i
-                ).scale(e * c)
-            num = num * big - n * s
-        if num.is_zero():
-            return RationalFunction.zero()
-        grown = {form for form, _, _ in moving}
-        num, kept, res = _cancel(num, {form: e for form, e in forms.items() if form not in grown}, {})
-        kept.update((form, e + 1) for form, e, _ in moving)
-        return RationalFunction._make(num, kept, res)
+        for form, e in self.forms.items():
+            c = form.terms.get(key)
+            if c:
+                term = self / RationalFunction.from_poly(form)
+                out = out - term.scale(Fraction(e * c, form.den))
+        return out
 
     def subs_offsets(self, offsets: Mapping[Var, Fraction]) -> "RationalFunction":
         num = self.num.subs_offsets(offsets)
-        if self.forms is None:
-            return RationalFunction(num, self.den.subs_offsets(offsets))
         # affine substitution is a ring automorphism fixing leading terms,
         # so reducedness and the monic forms survive untouched
         return RationalFunction._make(
@@ -531,8 +486,6 @@ class RationalFunction:
 
     def swap_vars(self, a: Var, b: Var) -> "RationalFunction":
         num = self.num.swap_vars(a, b)
-        if self.forms is None:
-            return RationalFunction(num, self.den.swap_vars(a, b))
         # an automorphism again, but the leading term of a form may move
         forms = {}
         unit = _ONE
@@ -556,8 +509,6 @@ def multiply_by_linear(f: RationalFunction, lin: Polynomial) -> RationalFunction
     """f * lin for a linear polynomial lin; a listed form cancels with no test or division."""
     if f.is_zero():
         return f
-    if f.forms is None:
-        return f * RationalFunction.from_poly(lin)
     lc, form = _monic_form(lin)
     forms = dict(f.forms)
     e = forms.pop(form, 0)

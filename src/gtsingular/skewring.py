@@ -121,14 +121,9 @@ def _vanishes_at(form: Polynomial, p: Point) -> bool:
 def is_at_most_one_singular(ctx: SingularContext, a: RingElement) -> bool:
     """Every coefficient h has z1*h regular at the base point, i.e. h is
     holomorphic at v up to one simple z1 pole, the condition products of
-    admissible elements satisfy.  On the forms path z1*h is singular at v
-    exactly when one of its forms vanishes there, which is decided once per
-    (form, point); an expanded denominator is evaluated."""
+    admissible elements satisfy.  z1*h is singular at v exactly when one of
+    its forms vanishes there, which is decided once per (form, point)."""
     for h in a.terms.values():
-        g = multiply_by_linear(h, ctx.z1_poly)
-        if g.forms is None:
-            if g.den_value(ctx.v.coords) == 0:
-                return False
-        elif any(_vanishes_at(form, ctx.v) for form in g.forms):
+        if any(_vanishes_at(form, ctx.v) for form in multiply_by_linear(h, ctx.z1_poly).forms):
             return False
     return True

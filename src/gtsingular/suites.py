@@ -185,9 +185,9 @@ def _anchor_check(ctx: SingularContext) -> bool:
     a = RingElement([(s_i, one / z1), (s_j, -(one / z1))])
     expected = RingElement(
         [
-            (s_i * s_i, one / (z1 * (z1 - one))),
-            (s_i * s_j, -(two / (z1 * z1 - one))),
-            (s_j * s_j, one / (z1 * (z1 + one))),
+            (s_i * s_i, (one / z1) * (one / (z1 - one))),
+            (s_i * s_j, -(two / (z1 - one)) * (one / (z1 + one))),
+            (s_j * s_j, (one / z1) * (one / (z1 + one))),
         ]
     )
     return ring_mul_circ(a, a) == expected

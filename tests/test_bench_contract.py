@@ -15,8 +15,10 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # The disk cache was deleted; the tracer still lists its two methods.  The
 # rational-function expression parser was deleted too; parse_frac still
-# feeds the tracer's textform.parse layer.
-KNOWN_ABSENT = {"cache.Cache.get", "cache.Cache.put", "textform.parse_rf"}
+# feeds the tracer's textform.parse layer.  The polynomial gcd was deleted
+# when every denominator became a product of linear forms; the tracer still
+# lists poly_gcd, and its poly.gcd layer reads zero.
+KNOWN_ABSENT = {"cache.Cache.get", "cache.Cache.put", "textform.parse_rf", "poly.poly_gcd"}
 
 # The names worker.py binds to package modules.
 WORKER_ALIASES = {

@@ -149,15 +149,14 @@ def test_evaluate_examples():
 def test_evaluate_membership_errors():
     with pytest.raises(MembershipError, match="not invariant under the transposition"):
         evaluate_at_v(CTX, RingElement.term(ONE, S21))
-    z1sq = CTX.z1 * CTX.z1
-    bad = RingElement([(S21, ONE / z1sq), (S22, ONE / z1sq)])
+    bad = RingElement([(S21, CTX.z1**-2), (S22, CTX.z1**-2)])
     with pytest.raises(MembershipError, match="higher-order pole at the base point"):
         evaluate_at_v(CTX, bad)
     # a double pole that survives the sum over sigma and tau sigma, on a D1
     # label and on a D2 label that tau moves: on the side S22 the z1 line
     # through v - m(S22) has z1 - 1 = e, on the side S21 it has z1 + 1 = e
     near, far = CTX.z1 - ONE, CTX.z1 + ONE
-    moved = RingElement.term(ONE / (near * near) + ONE / (far * far), ID)
+    moved = RingElement.term(near**-2 + far**-2, ID)
     assert is_tau_invariant(CTX, moved) and evaluate_at_v(CTX, moved)
     for bv in [BasisVec("D1", S22), BasisVec("D2", S22)]:
         with pytest.raises(MembershipError, match="higher-order pole at the base point"):
@@ -172,25 +171,22 @@ def test_membership_is_decided_off_the_line():
     x11 = RationalFunction.variable(1, 1)
     x21, x22 = RationalFunction.variable(2, 1), RationalFunction.variable(2, 2)
     v11 = RationalFunction.constant(CTX.v[(1, 1)])
-    z1sq = CTX.z1 * CTX.z1
+    z1sq, inv_z1sq = CTX.z1 * CTX.z1, CTX.z1**-2
     c = v11 - RationalFunction.constant(CTX.v[(2, 1)])
-    poly_den = Polynomial.variable(1, 1) * Polynomial.variable(3, 1) - Polynomial.constant(
-        CTX.v[(1, 1)] * CTX.v[(3, 1)]
-    )
+    v21 = RationalFunction.constant(CTX.v[(2, 1)])
     outside = {
         # a numerator that vanishes at v hides a double pole from the
         # line, which reads 0 here and 1 on the second
-        "vanishing numerator": (x11 - v11) / z1sq,
-        "regular on the line": (x11 - v11 + z1sq) / z1sq,
+        "vanishing numerator": (x11 - v11) * inv_z1sq,
+        "regular on the line": (x11 - v11 + z1sq) * inv_z1sq,
         # a form free of the pair, constant along the line
         "constant form": ONE / (x11 - v11),
         # two forms that move along the line but are not z1: their poles
         # cancel on the line, not across it
         "moving forms": ONE / (x21 - x11 + c) + ONE / (x22 - x11 + c),
-        # an expanded denominator that vanishes at v and has no z1 factor
-        "expanded": RationalFunction(Polynomial.one(), poly_den),
+        # two forms that vanish at v, neither of them z1
+        "two vanishing forms": (ONE / (x21 - v21)) * (ONE / (x22 - v21)),
     }
-    assert outside["expanded"].forms is None
     for name, h in outside.items():
         a = RingElement.term(h, ID)
         assert is_tau_invariant(CTX, a), name
@@ -199,15 +195,13 @@ def test_membership_is_decided_off_the_line():
     # on the label S11 the line runs through v - m(S11), where x11 - v11 is -1
     a = RingElement.term(outside["constant form"], ID)
     assert act(CTX, a, BasisVec("D1", S11)) == DistVector({BasisVec("D1", S11): Fraction(-1)})
-    # on D1[S22] the side S22 reads A at v - m(S22), where this expanded
-    # denominator vanishes with a nonzero slope along the line, as a simple
-    # z1 pole would, but has no z1 factor
-    x = {v: Polynomial.variable(*v) for v in [(1, 1), (2, 1), (2, 2)]}
+    # on D1[S22] the side S22 reads A at v - m(S22), where only x21 - v21
+    # vanishes: the product of the two forms has a nonzero slope along the
+    # line, as a simple z1 pole would, but no z1 factor
+    h = outside["two vanishing forms"]
     p = {v: c - (v == (2, 2)) for v, c in CTX.v.coords.items()}
-    den = x[(1, 1)] * x[(2, 1)] * x[(2, 2)] - Polynomial.constant(p[(1, 1)] * p[(2, 1)] * p[(2, 2)])
-    assert den.line_series(Line(p, (2, 1), (2, 2)), 1)[0][1]
-    a = RingElement.term(RationalFunction(Polynomial.one(), den), ID)
-    assert is_tau_invariant(CTX, a)
+    assert h.den.line_series(Line(p, (2, 1), (2, 2)), 1)[0][1]
+    a = RingElement.term(h, ID)
     with pytest.raises(MembershipError, match="higher-order pole at the base point"):
         act(CTX, a, BasisVec("D1", S22))
 
@@ -309,26 +303,10 @@ def test_act_commutator_consistency(x, y):
         assert lhs == rhs
 
 
-def expanded_den_element():
-    """A tau-invariant element whose coefficients have the non-linear
-    denominator x21*x22 + 1, so they stay on the expanded path."""
-    x21, x22 = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
-    den = x21 * x22 + Polynomial.one()
-    h = RationalFunction(x21, den)
-    a = RingElement(
-        [(ID, RationalFunction(Polynomial.one(), den)), (S21, h), (S22, CTX.transpose(h))]
-    )
-    assert h.forms is None and is_tau_invariant(CTX, a)
-    return a
-
-
 def test_act_matches_symbolic_product():
     """The columns read from Laurent jets equal the symbolic product's:
-    all 9 order-3 generator images, plus one element with an expanded
-    denominator, times the appendix sample."""
-    elements = [phi_general(3, *gen) for gen in all_generators(3)]
-    elements.append(expanded_den_element())
-    for a in elements:
+    all 9 order-3 generator images times the appendix sample."""
+    for a in (phi_general(3, *gen) for gen in all_generators(3)):
         for kind, sigma in appendix_sample(CTX):
             bv = BasisVec(kind, sigma)
             assert act(CTX, a, bv) == symbolic_act(CTX, a, bv)
@@ -391,8 +369,9 @@ def _jet_cases(ctx, rng):
     factors), by the kind of their denominator: regular on every sample
     line (or none, a polynomial); a simple z1 pole on the lines where z1 is
     +-1 or +-2; a pole on a form that is not a z1-form (constant along the
-    line, or x_i x_j - c, which crosses it); a double z1 pole.  A
-    numerator is p + tau(p), so numerator and factors are tau-invariant."""
+    line, or the pair (x_i - c)(x_j - c), which crosses it); a double z1
+    pole.  A numerator is p + tau(p), so the numerator and the product of
+    the factors are tau-invariant."""
     x11 = Polynomial.variable(1, 1)
     xi, xj = Polynomial.variable(*ctx.pos_i), Polynomial.variable(*ctx.pos_j)
     z, one, c = ctx.z1_poly, Polynomial.one(), Polynomial.constant
@@ -400,10 +379,10 @@ def _jet_cases(ctx, rng):
     # x_i + x_j at v - m(side) is 2 vi - m_i - m_j
     s = xi + xj - c(2 * vi)
     kinds = {
-        "regular": [[], [z * z + one, s + c(HALF)]],
-        "simple z1 pole": [[z - one, z + one], [z * z - c(4), x11 - c(v11 + 1)]],
-        "other pole": [[x11 - c(v11)], [s + one], [xi * xj - c(vi * (vi - 1))]],
-        "double z1 pole": [[z, z], [z * z - one, z * z - one]],
+        "regular": [[], [z - c(HALF), z + c(HALF), s + c(HALF)]],
+        "simple z1 pole": [[z - one, z + one], [z - c(2), z + c(2), x11 - c(v11 + 1)]],
+        "other pole": [[x11 - c(v11)], [s + one], [xi - c(vi - 1), xj - c(vi - 1)]],
+        "double z1 pole": [[z, z], [z - one, z + one, z - one, z + one]],
     }
     for kind, dens in kinds.items():
         for factors in dens:
@@ -437,9 +416,8 @@ def _sympy_jet(num, den, zsym, base, pair):
 def test_side_jet_matches_sympy_series(where):
     """`_side_jet` on every side line of the module sample against
     sympy.series in e along the line, for seeded tau-invariant functions
-    with each kind of denominator, in both representations (a product of
-    forms and one expanded denominator): regular jets give (c0, c1),
-    simple z1 poles (c_-1, c0), anything else None.  Each kind reads its
+    with each kind of denominator, a product of linear forms: regular jets
+    give (c0, c1), simple z1 poles (c_-1, c0), anything else None.  Each kind reads its
     pair of e^lift h from the one jet: D2 (lift 0) the series of h when h
     is regular, D1 (lift 1) the series of e h when h has at most a simple
     pole."""
@@ -448,10 +426,10 @@ def test_side_jet_matches_sympy_series(where):
     cases = []
     for kind, num, factors in _jet_cases(ctx, rng):
         reduced = sympy.fraction(sympy.cancel(to_sympy(num) / sympy.Mul(*map(to_sympy, factors))))
-        forms, expanded = RationalFunction.from_poly(num), Polynomial.one()
+        h = RationalFunction.from_poly(num)
         for f in factors:
-            forms, expanded = forms * RationalFunction(Polynomial.one(), f), expanded * f
-        cases.append((kind, reduced, (forms, RationalFunction(num, expanded))))
+            h = h * RationalFunction(Polynomial.one(), f)
+        cases.append((kind, reduced, h))
     sides = {side for kind, sigma in sample_basis(ctx)
              for side, _ in distributions._basis_sides(ctx, BasisVec(kind, sigma))}
     xi, xj = (sympy.Symbol(f"x_{k}_{i}") for k, i in (ctx.pos_i, ctx.pos_j))
@@ -462,7 +440,7 @@ def test_side_jet_matches_sympy_series(where):
             base[pos] -= m
         zsym = xi - xj - sympy.Rational(base[ctx.pos_i] - base[ctx.pos_j])
         line = distributions._side_line(ctx, side)
-        for kind, reduced, representations in cases:
+        for kind, reduced, h in cases:
             want = _sympy_jet(*reduced, zsym, base, (ctx.pos_i, ctx.pos_j))
             seen.add((kind, None if want is None else want[0]))
             d2 = d1 = None
@@ -470,11 +448,10 @@ def test_side_jet_matches_sympy_series(where):
                 pole, lo, hi = want
                 d2 = None if pole else (lo, hi)
                 d1 = (lo, hi) if pole else (0, lo)
-            for h in representations:
-                jet = distributions._side_jet(h, line)
-                assert jet == want, (side, kind)
-                assert distributions._read_jet(jet, 0) == d2, (side, kind)
-                assert distributions._read_jet(jet, 1) == d1, (side, kind)
+            jet = distributions._side_jet(h, line)
+            assert jet == want, (side, kind)
+            assert distributions._read_jet(jet, 0) == d2, (side, kind)
+            assert distributions._read_jet(jet, 1) == d1, (side, kind)
     assert {("regular", False), ("simple z1 pole", True), ("other pole", None),
             ("double z1 pole", None)} <= seen
     assert not {("regular", True), ("regular", None), ("double z1 pole", True)} & seen
@@ -486,23 +463,6 @@ def test_poles_that_cancel_only_at_v_are_rejected():
     a = _two_sided(Polynomial.constant(CTX.v[(1, 1)]))
     with pytest.raises(MembershipError, match="higher-order pole at the base point"):
         act(CTX, a, BasisVec("D2", S22))
-
-
-def test_act_on_an_expanded_denominator():
-    """An expanded denominator with a simple z1 factor: on the z1 line
-    through v it has pole order 1, which a D1 label absorbs, and every
-    column agrees with the symbolic product."""
-    x11, x31 = Polynomial.variable(1, 1), Polynomial.variable(3, 1)
-    x21, x22 = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
-    den = CTX.z1_poly * (x11 * x31 + Polynomial.one())
-    h = RationalFunction(x21 + x22, den)
-    # tau maps h to -h: z1 changes sign, the rest is symmetric
-    a = RingElement([(S21, h), (S22, -h)])
-    assert h.forms is None and is_tau_invariant(CTX, a)
-    assert act(CTX, a, BasisVec("D1", ID))
-    for kind, sigma in appendix_sample(CTX):
-        bv = BasisVec(kind, sigma)
-        assert act(CTX, a, bv) == symbolic_act(CTX, a, bv)
 
 
 def test_act_checks_invariance_of_the_acting_element():

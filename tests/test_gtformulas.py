@@ -289,8 +289,8 @@ def test_homomorphism_reports_are_pinned(monkeypatch, conv, n):
 @pytest.mark.parametrize("x, y", [((1, 3), (2, 4)), ((1, 3), (1, 4))])
 def test_homomorphism_order4_corner_brackets(x, y):
     """Two order-4 corner pairs of non-adjacent images, whose products run
-    through large gcds and exact divisions; minutes each with a rescanning
-    division."""
+    through large sums and exact divisions by linear forms; minutes each
+    with a rescanning division."""
     lhs = bracket(convention(), phi_general(4, *x), phi_general(4, *y))
     assert lhs == phi_combination(4, gl_bracket(x, y))
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from gtsingular import poly
 from gtsingular.gtformulas import phi_general
-from gtsingular.poly import Line, Polynomial, divexact, mono_pack, mono_pairs, poly_gcd
+from gtsingular.poly import Line, Polynomial, divexact, mono_pack, mono_pairs
 from gtsingular.tableau import canonical_test_point
 from tests_helpers import ROW3_POINT, to_sympy
 
@@ -306,62 +306,6 @@ def test_arith_matches_sympy(seed):
     assert sympy.simplify(mine - theirs) == 0
 
 
-# Both share x[2][2] - 1; a gcd that loses integer content along the way
-# calls them coprime.
-X33 = Polynomial.variable(3, 3)
-GCD_CONTENT_PAIR = (
-    (X21 * X22).scale(2) + (X22 * X33).scale(Fraction(1, 2))
-    - X21.scale(2) - X33.scale(Fraction(1, 2)),
-    X22 * X33 - X33,
-)
-# The remainder sequence answers these with no shortcut of its own: a shared
-# monomial content, a one-term operand, equal operands, no shared variable.
-F1 = X22 * X31 - X11 + Polynomial.constant(3)
-G1 = X21 * X22 + X31.scale(2) - Polynomial.one()
-GCD_NAMED_PAIRS = {
-    "content": GCD_CONTENT_PAIR,
-    "monomial": (X11 * X11 * X21 * F1, X11 * X21 * X21 * X21 * G1),
-    "one-term": ((X11 * X21 * X21).scale(Fraction(3, 2)), X21 * F1),
-    "equal": (F1 * G1, F1 * G1),
-    "disjoint": ((X11 + Polynomial.one()) * (X11 - Polynomial.constant(2)), X22 * X31 + X22.scale(3)),
-}
-
-
-@pytest.mark.parametrize(
-    "case, prs",
-    [
-        pytest.param(case, prs, id=f"prs-{case}" if prs else str(case))
-        for prs in (False, True)
-        for case in [*range(12), *GCD_NAMED_PAIRS]
-    ],
-)
-def test_gcd_matches_sympy(case, prs):
-    """The gcd against sympy.  With prs the operands are first cleared to
-    integer coefficients sharing the factor 6, where the remainder sequence
-    must also keep the integer content: the gcd then agrees with sympy's up
-    to sign."""
-    if case in GCD_NAMED_PAIRS:
-        a, b = GCD_NAMED_PAIRS[case]
-    else:
-        rng = random.Random(100 + case)
-        f = random_poly(rng, max_terms=3, max_deg=2, zero_ok=False)
-        g = random_poly(rng, max_terms=3, max_deg=2, zero_ok=False)
-        h = random_poly(rng, max_terms=2, max_deg=2, zero_ok=False)
-        a, b = f * h, g * h
-    if prs:
-        a, b = (p * Polynomial.constant(6 * p.den) for p in (a, b))
-    d = poly_gcd(a, b)
-    assert d.leading_coeff() > 0  # the graded-lex lead, whatever the native one
-    mine = to_sympy(d)
-    theirs = sympy.gcd(to_sympy(a), to_sympy(b))
-    quot = sympy.simplify(mine / theirs)
-    if prs:
-        assert quot in (1, -1)
-    else:
-        # both are defined up to a rational unit
-        assert quot.is_rational and quot != 0
-
-
 @pytest.mark.parametrize("seed", range(12))
 def test_divexact_roundtrip(seed):
     rng = random.Random(200 + seed)
@@ -555,26 +499,6 @@ def test_support_uses_print_order():
     assert repr(p) == "x[2][1] + 1"
 
 
-def test_gcd_of_coprime_is_constant():
-    g = poly_gcd(X11 + Polynomial.one(), X21 + X22)
-    assert g.is_constant() and not g.is_zero()
-
-
-def test_gcd_common_linear_factor():
-    z1 = X21 - X22
-    f = z1 * (X11 + Polynomial.one())
-    g = z1 * z1 * X31
-    # the graded-lex lead x[2][1] is positive, the native largest term
-    # -x[2][2] negative
-    assert poly_gcd(f, g) == z1 == poly_gcd(-f, g)
-
-
-def test_gcd_with_zero():
-    f = X11 * X21
-    assert divexact(poly_gcd(f, Polynomial.zero()), f) is not None
-    assert poly_gcd(Polynomial.zero(), Polynomial.zero()).is_zero()
-
-
 # --- the integer form terms/den ----------------------------------------------
 
 
@@ -631,10 +555,6 @@ def test_int_form_matches_sympy(seed):
         check(inexact, q)
     else:
         assert inexact is None
-    d = poly_gcd(f * h, g * h)
-    assert_int_form(d)
-    assert d.den == 1
-    assert sympy.simplify(to_sympy(d) / sympy.gcd(to_sympy(f * h), to_sympy(g * h))).is_rational
 
 
 def test_normaliser_paths():
@@ -668,14 +588,6 @@ def test_equal_terms_unequal_den():
     assert len({a, b, c}) == 2
     assert Polynomial.constant(Fraction(2, 3)).constant_value() == Fraction(2, 3)
     assert b.leading_coeff() == Fraction(1, 3)
-
-
-def test_int_divexact_strict_raises_on_a_remainder():
-    """The gcd's exact divisions go through a checked wrapper; a division
-    that leaves a remainder there is an internal error."""
-    assert poly._int_divexact_strict((X11 * X21).terms, X21.terms) == X11.terms
-    with pytest.raises(ArithmeticError, match="internal gcd error"):
-        poly._int_divexact_strict(X11.terms, X21.terms)
 
 
 # --- hypothesis properties --------------------------------------------------

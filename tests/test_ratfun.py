@@ -2,12 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from gtsingular import poly, ratfun
 from gtsingular.poly import Polynomial, divexact
 from gtsingular.ratfun import PoleError, RationalFunction, multiply_by_linear
 from gtsingular.textform import rf_text
-from tests_helpers import VARS3, random_poly, random_rf
+from tests_helpers import VARS3, random_poly, random_rf, to_sympy
 
 X11 = RationalFunction.variable(1, 1)
 X21 = RationalFunction.variable(2, 1)
@@ -26,8 +27,8 @@ def test_multiplicative_inverse():
 
 def test_partial_fraction_identity():
     z1 = X21 - X22
-    lhs = ONE / (z1 * (z1 - ONE)) + ONE / (z1 * (z1 + ONE))
-    rhs = RationalFunction.constant(2) / ((z1 - ONE) * (z1 + ONE))
+    lhs = (ONE / z1) * (ONE / (z1 - ONE)) + (ONE / z1) * (ONE / (z1 + ONE))
+    rhs = RationalFunction.constant(2) * (ONE / (z1 - ONE)) * (ONE / (z1 + ONE))
     assert lhs == rhs
     # independent cross-multiplication check, no reduction involved
     assert lhs.num * rhs.den == rhs.num * lhs.den
@@ -55,7 +56,8 @@ def test_canonical_invariants():
 def test_normalize_soundness(seed):
     rng = random.Random(300 + seed)
     f = random_rf(rng)
-    g = random_rf(rng)
+    # a numerator of degree at most 1, so that g has a reciprocal
+    g = random_rf(rng, max_deg=1)
     if g.is_zero():
         g = ONE
     assert f * g / g == f
@@ -102,12 +104,12 @@ def test_eval_is_homomorphism(seed):
 def test_derivative_quotient_rule():
     f = X11 / (X21 - X22)
     d = f.derivative((2, 1))
-    assert d == -X11 / ((X21 - X22) * (X21 - X22))
+    assert d == -X11 * (X21 - X22) ** -2
 
 
 def test_pow_negative():
     z1 = X21 - X22
-    assert z1**-2 == ONE / (z1 * z1)
+    assert z1**-2 == (ONE / z1) * (ONE / z1)
 
 
 def assert_canonical(f):
@@ -118,15 +120,6 @@ def assert_canonical(f):
     assert f.den.leading_coeff() == 1
 
 
-def assert_same(fast, slow):
-    assert fast == slow and slow == fast
-    assert fast.num == slow.num and fast.den == slow.den
-    assert rf_text(fast) == rf_text(slow)
-    assert hash(fast) == hash(slow)
-    if fast.forms is not None:
-        assert_canonical(fast)
-
-
 def random_linear(rng):
     while True:
         p = random_poly(rng, max_terms=3, max_deg=1, zero_ok=False)
@@ -134,83 +127,123 @@ def random_linear(rng):
             return p
 
 
-def two_paths(rng):
-    """f / l twice, for a random_rf(rng) value f with a linear denominator:
-    with the denominator kept as forms, and given as the expanded product
-    of the two forms, which takes the gcd path."""
+def with_a_form(rng):
+    """f / l for a random_rf(rng) value f with a linear denominator and a
+    random linear l: a denominator of one or two forms."""
     f = random_rf(rng)
     while f.is_polynomial():
         f = random_rf(rng)
-    lin = random_linear(rng)
-    fast = f / RationalFunction.from_poly(lin)
-    slow = RationalFunction(fast.num, fast.den)
-    assert (slow.forms is None) == (sum(fast.forms.values()) > 1)
-    return fast, slow
+    return f / RationalFunction.from_poly(random_linear(rng))
+
+
+def sympy_rf(f):
+    return to_sympy(f.num) / to_sympy(f.den)
+
+
+def sym(v):
+    return sympy.Symbol("x_%d_%d" % v)
+
+
+def rat(c):
+    return sympy.Rational(c.numerator, c.denominator)
+
+
+def assert_matches_sympy(result, expr):
+    """result is canonical, its numerator and denominator are coprime, and
+    its value is sympy.cancel(expr), compared by cross-multiplication."""
+    assert_canonical(result)
+    num, den = to_sympy(result.num), to_sympy(result.den)
+    assert not sympy.gcd(num, den).free_symbols
+    n, d = sympy.fraction(sympy.cancel(expr))
+    assert sympy.expand(num * d - n * den) == 0
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_forms_path_matches_gcd_path(seed):
+def test_forms_path_matches_sympy(seed):
+    """Each operation on seeded values with one or two forms in the
+    denominator, against sympy's cancelled form of the same expression."""
     rng = random.Random(700 + seed)
-    (f, f_slow), (g, g_slow) = two_paths(rng), two_paths(rng)
-    assert f.forms is not None and g.forms is not None
-    assert_same(f, f_slow)
-    assert_same(f + g, f_slow + g_slow)
-    assert_same(f - g, f_slow - g_slow)
-    assert_same(f * g, f_slow * g_slow)
-    assert_same(f + g, f + g_slow)
-    assert_same(f * g, f_slow * g)
+    f, g = with_a_form(rng), with_a_form(rng)
+    # a numerator of degree at most 1, so that h has a reciprocal
+    h = over(random_linear(rng), random_linear(rng))
+    sf, sg, sh = sympy_rf(f), sympy_rf(g), sympy_rf(h)
+    assert_matches_sympy(f, sf)
+    assert_matches_sympy(f + g, sf + sg)
+    assert_matches_sympy(f - g, sf - sg)
+    assert_matches_sympy(f * g, sf * sg)
+    assert_matches_sympy(-f, -sf)
+    assert_matches_sympy(f.scale(Fraction(-3, 2)), sf * sympy.Rational(-3, 2))
     for var in VARS3:
-        assert_same(f.derivative(var), f_slow.derivative(var))
+        # f**2 has forms of multiplicity 2
+        for u, su in ((f, sf), (f**2, sf**2)):
+            assert_matches_sympy(u.derivative(var), sympy.diff(su, sym(var)))
     offsets = {(2, 1): Fraction(1), (1, 1): Fraction(-2), (3, 2): Fraction(1, 2)}
-    assert_same(f.subs_offsets(offsets), f_slow.subs_offsets(offsets))
+    moved = {sym(v): sym(v) + rat(c) for v, c in offsets.items()}
+    assert_matches_sympy(f.subs_offsets(offsets), sf.subs(moved, simultaneous=True))
     for a, b in [((2, 1), (2, 2)), ((3, 1), (3, 3)), ((1, 1), (3, 2))]:
-        assert_same(f.swap_vars(a, b), f_slow.swap_vars(a, b))
-    assert_same(f**0, f_slow**0)
-    assert_same(f**2, f_slow**2)
-    assert_same(f**-1, f_slow**-1)
+        swapped = sf.subs({sym(a): sym(b), sym(b): sym(a)}, simultaneous=True)
+        assert_matches_sympy(f.swap_vars(a, b), swapped)
+    assert_matches_sympy(f**0, sympy.Integer(1))
+    assert_matches_sympy(f**2, sf**2)
+    assert_matches_sympy(h**-1, 1 / sh)
+    assert_matches_sympy(h**-2, sh**-2)
+    assert_matches_sympy(f / h, sf / sh)
     for lin in (random_linear(rng), next(iter(f.forms)).scale(3)):
-        assert_same(f / RationalFunction.from_poly(lin), f_slow / RationalFunction.from_poly(lin))
-        assert_same(multiply_by_linear(f, lin), multiply_by_linear(f_slow, lin))
+        assert_matches_sympy(f / RationalFunction.from_poly(lin), sf / to_sympy(lin))
+        assert_matches_sympy(multiply_by_linear(f, lin), sf * to_sympy(lin))
     pt = {v: Fraction(rng.randint(1, 40), rng.randint(7, 13)) for v in VARS3}
-    try:
-        value = f_slow.evaluate(pt)
-    except PoleError:
+    at = {sym(v): rat(c) for v, c in pt.items()}
+    if sympy.fraction(sympy.cancel(sf))[1].subs(at) == 0:
         with pytest.raises(PoleError):
             f.evaluate(pt)
     else:
-        assert f.evaluate(pt) == value
+        value = sf.subs(at)
+        assert f.evaluate(pt) == Fraction(int(value.p), int(value.q))
 
 
-def test_two_paths_cover_both_representations():
-    rng = random.Random(700)
-    pairs = [two_paths(rng) for _ in range(24)]
-    assert sum(slow.forms is None for _, slow in pairs) >= 20
+def test_a_non_linear_denominator_raises():
+    """The constructor takes a constant or linear den; any other den, the
+    reciprocal of a numerator of degree 2 or more, a division by such a
+    function and its negative powers raise the same ValueError."""
+    x11, x21 = Polynomial.variable(1, 1), Polynomial.variable(2, 1)
+    quadratic = x11 * x21 + Polynomial.one()
+    square = RationalFunction.from_poly(x11 - x21) ** 2
+    for den in (quadratic, (x11 - x21) ** 2):
+        for num in (Polynomial.one(), Polynomial.zero(), x11 * quadratic):
+            with pytest.raises(ValueError, match=ratfun._NOT_LINEAR):
+                RationalFunction(num, den)
+    for f in (RationalFunction.from_poly(quadratic), square, square / (X11 + X22)):
+        with pytest.raises(ValueError, match=ratfun._NOT_LINEAR):
+            f.reciprocal()
+        with pytest.raises(ValueError, match=ratfun._NOT_LINEAR):
+            X11 / f
+        for k in (1, 2):
+            with pytest.raises(ValueError, match=ratfun._NOT_LINEAR):
+                f ** -k
 
 
 @pytest.mark.parametrize("c", [Fraction(1), Fraction(-3, 2)])
 def test_constant_factor_only_scales(monkeypatch, c):
     """A constant factor on either side scales the other numerator: no
-    residue test and no gcd runs, on either denominator path."""
+    residue test runs."""
     rng = random.Random(900)
-    fs = [f for _ in range(4) for f in two_paths(rng)]
-    assert any(f.forms is None for f in fs) and any(f.forms for f in fs)
-    want = [RationalFunction(f.num.scale(c), f.den) for f in fs]
+    fs = [with_a_form(rng) for _ in range(8)]
+    want = [over(f.num.scale(c), *(form for form, e in f.forms.items() for _ in range(e)))
+            for f in fs]
     const = RationalFunction.constant(c)
 
     def refuse(*args):
-        raise AssertionError("a constant factor ran a residue test or a gcd")
+        raise AssertionError("a constant factor ran a residue test")
 
     monkeypatch.setattr(ratfun, "_residue", refuse)
-    monkeypatch.setattr(ratfun, "poly_gcd", refuse)
     for f, w in zip(fs, want):
-        assert_same(const * f, w)
-        assert_same(f * const, w)
+        assert const * f == w and f * const == w
+        assert_canonical(const * f)
 
 
 def test_cancellation_on_forms_path():
     z1 = X21 - X22
     inv = [ONE / lin for lin in (z1, z1 + ONE, z1 - ONE, X11 - X21)]
-    assert all(f.forms is not None for f in inv)
     f = z1 * (z1 + ONE) * inv[1] * inv[3]
     assert f.forms == {(X11 - X21).num: 1} and f == z1 / (X11 - X21)
     g = inv[0] * inv[0] + X11 * inv[0]
@@ -219,7 +252,7 @@ def test_cancellation_on_forms_path():
     # z1 is shared with equal multiplicity, and cancels out of the sum
     h = inv[0] * inv[1] + inv[0] * inv[2]
     assert h.forms == {(z1 - ONE).num: 1, (z1 + ONE).num: 1}
-    assert h == RationalFunction.constant(2) / ((z1 + ONE) * (z1 - ONE))
+    assert h == RationalFunction.constant(2) * inv[1] * inv[2]
 
 
 def test_zero_residue_without_divisibility():
@@ -264,27 +297,8 @@ def test_is_linear_reads_the_top_degree():
     monomial x[2][1] has degree 1: the denominator is not a linear form."""
     p = Polynomial.variable(1, 1) ** 2 + Polynomial.variable(2, 1)
     assert not ratfun._is_linear(p)
-    f = RationalFunction(Polynomial.one(), p)
-    assert f.forms is None and f.den == p
-
-
-def test_forms_path_runs_no_gcd(monkeypatch):
-    """Generator images, their brackets and module actions keep every
-    denominator factored."""
-    from gtsingular.distributions import act_lie
-    from gtsingular.gtformulas import verify_homomorphism
-    from gtsingular.sparse import BasisVec
-    from gtsingular.tableau import Shift, canonical_context
-
-    def no_gcd(f, g):
-        raise AssertionError("poly_gcd called on the forms path")
-
-    monkeypatch.setattr(ratfun, "poly_gcd", no_gcd)
-    assert verify_homomorphism(3)["ok"]
-    ctx = canonical_context()
-    for gen in [(1, 3), (3, 1), (2, 3), (3, 2), (2, 2)]:
-        act_lie(ctx, gen, BasisVec("D2", Shift.generator(2, 1)))
-        act_lie(ctx, gen, BasisVec("D1", Shift.identity()))
+    with pytest.raises(ValueError, match=ratfun._NOT_LINEAR):
+        RationalFunction(Polynomial.one(), p)
 
 
 def test_arithmetic_with_other_types_is_not_implemented():
@@ -306,7 +320,7 @@ def test_multiply_by_linear_lowers_a_listed_form():
     z1, w = X21 - X22, X11 - X21
     f = X11 / z1 / z1 / w
     g = multiply_by_linear(f, z1.num.scale(3))
-    assert g.forms == {z1.num: 1, w.num: 1} and g == RationalFunction.constant(3) * X11 / (z1 * w)
+    assert g.forms == {z1.num: 1, w.num: 1} and g == RationalFunction.constant(3) * X11 / z1 / w
     h = multiply_by_linear(g, z1.num)
     assert h.forms == {w.num: 1} and h == RationalFunction.constant(3) * X11 / w
     assert f.forms == {z1.num: 2, w.num: 1}

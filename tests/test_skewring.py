@@ -64,7 +64,7 @@ def test_circ_singular_coefficient():
     a = RingElement.term(ONE / Z1, S21)
     prod = ring_mul_circ(a, a)
     assert shift_subst(Z1, S21) == Z1 - ONE
-    assert prod == RingElement.term(ONE / (Z1 * (Z1 - ONE)), S21 * S21)
+    assert prod == RingElement.term((ONE / Z1) * (ONE / (Z1 - ONE)), S21 * S21)
 
 
 def test_star_unfolds():
@@ -91,14 +91,11 @@ def _nonzero_ring_element(rng):
             return a
 
 
-def _with_identity_term(rng, a, expanded=False):
+def _with_identity_term(rng, a):
     """a plus a nonzero coefficient on the identity shift, over a linear
-    denominator or, when expanded, over the non-linear x11*x21 + 1."""
+    denominator."""
     num = random_poly(rng, max_terms=2, zero_ok=False)
-    if expanded:
-        f = RationalFunction(num, (X11 * X21 + ONE).num)
-    else:
-        f = random_rf(rng) + RationalFunction.from_poly(num)
+    f = random_rf(rng) + RationalFunction.from_poly(num)
     out = a + RingElement.term(f, Shift.identity())
     assert Shift.identity() in out.terms
     return out
@@ -108,15 +105,14 @@ def _with_identity_term(rng, a, expanded=False):
 def test_commutator_matches_two_products(seed):
     """The one-pass commutator against a o b - b o a from two full products.
     Identity-shift terms go on a (seeds 0 mod 4), on b (1 mod 4) or on both,
-    so both factored branches and the identity-by-identity pair run; at 3 mod
-    4 one of them has a non-linear denominator."""
+    so both factored branches and the identity-by-identity pair run."""
     rng = random.Random(2200 + seed)
     a, b = _nonzero_ring_element(rng), _nonzero_ring_element(rng)
     mode = seed % 4
     if mode != 1:
-        a = _with_identity_term(rng, a, expanded=mode == 3 and seed % 8 == 3)
+        a = _with_identity_term(rng, a)
     if mode != 0:
-        b = _with_identity_term(rng, b, expanded=mode == 3 and seed % 8 == 7)
+        b = _with_identity_term(rng, b)
     assert ring_commutator(a, b) == ring_mul_circ(a, b) - ring_mul_circ(b, a)
 
 
@@ -159,7 +155,7 @@ def test_is_tau_invariant():
 
 def test_is_at_most_one_singular():
     assert is_at_most_one_singular(CTX, RingElement.term(ONE / Z1, S21))
-    assert not is_at_most_one_singular(CTX, RingElement.term(ONE / (Z1 * Z1), S21))
+    assert not is_at_most_one_singular(CTX, RingElement.term(Z1**-2, S21))
     assert is_at_most_one_singular(
         CTX, RingElement.term(ONE / (Z1 - ONE), Shift.identity())
     )
@@ -170,32 +166,14 @@ def test_is_at_most_one_singular():
     assert not regular_on_orbit(CTX, a)
 
 
-def test_is_at_most_one_singular_on_expanded_denominators():
-    """z1*h with a non-linear denominator keeps it expanded and evaluates
-    it: 1/(z1 (x11 x31 + 1)) is regular after z1 at v = (1/5, ..., 1/7, ...)
-    and at the translate by sigma(1,1); x11 x31 - 6/35 vanishes only there."""
-    x11x31 = X11 * RationalFunction.variable(3, 1)
-    regular = ONE / (Z1 * (x11x31 + ONE))
-    at_translate = ONE / (Z1 * (x11x31 - RationalFunction.constant(Fraction(6, 35))))
-    at_v = ONE / (x11x31 - RationalFunction.constant(Fraction(1, 35)))
-    for h in (regular, at_translate, at_v):
-        assert h.forms is None
-    for check in (is_at_most_one_singular, regular_on_orbit):
-        assert check(CTX, RingElement.term(regular, S11))
-        assert not check(CTX, RingElement.term(at_v, S11))
-    a = RingElement([(S11, at_translate), (S21, ONE / Z1)])
-    assert is_at_most_one_singular(CTX, a)
-    assert not regular_on_orbit(CTX, a)
-
-
 def test_product_closure_anchor():
     a = RingElement([(S21, ONE / Z1), (S22, -(ONE / Z1))])
     prod = ring_mul_circ(a, a)
     expected = RingElement(
         [
-            (S21 * S21, ONE / (Z1 * (Z1 - ONE))),
-            (S21 * S22, -(RationalFunction.constant(2) / (Z1 * Z1 - ONE))),
-            (S22 * S22, ONE / (Z1 * (Z1 + ONE))),
+            (S21 * S21, (ONE / Z1) * (ONE / (Z1 - ONE))),
+            (S21 * S22, -(RationalFunction.constant(2) / (Z1 - ONE)) * (ONE / (Z1 + ONE))),
+            (S22 * S22, (ONE / Z1) * (ONE / (Z1 + ONE))),
         ]
     )
     assert prod == expected
