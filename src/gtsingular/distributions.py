@@ -425,9 +425,9 @@ def generic_act_element(x: Point, a: RingElement, d: "Shift | OrbitVector") -> O
 
 @lru_cache(maxsize=None)
 def _generic_column(x: Point, r: int, s: int, y: Shift) -> OrbitVector:
-    # the point check runs once per new column; lru_cache keeps no
-    # exception, so a singular point raises on every call.  The returned
-    # vector is shared by every caller and must not be mutated.
+    # classify_point is cached, so a point is classified once; lru_cache
+    # keeps no exception, so a singular point raises on every call.  The
+    # returned vector is shared by every caller and must not be mutated.
     if classify_point(x).tag != "Generic":
         raise ValueError("generic action requires a generic point")
     return generic_act_element(x, phi_general(x.n, r, s), y)

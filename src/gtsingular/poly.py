@@ -20,22 +20,21 @@ A polynomial is `terms` / `den`: `terms` maps monomials to nonzero ints and
 content/primitive form is canonical (Geddes, Czapor & Labahn, *Algorithms
 for Computer Algebra*, 1992, ch. 2), so structural equality is equality.
 Arithmetic, exact division and evaluation run on integers only, and
-`_normal` divides out gcd(den, content) after each operation.  Fractions
-appear only at the boundary: the `Polynomial(mapping)`, `term` and
-`constant` constructors take them, `constant_value`, `leading_coeff` and
-`evaluate` return them.  `_int_eval` is the one evaluation kernel; the
-residue test of `ratfun` runs it at integer coordinates modulo a prime.
+`_normal` divides out gcd(den, content) where an operation can change it;
+a shift by integers is unimodular over Z and keeps both.  Fractions appear
+only at the boundary: the `Polynomial(mapping)`, `term` and `constant`
+constructors take them, `constant_value`, `leading_coeff` and `evaluate`
+return them.  `_int_eval` is the one evaluation kernel; `ratfun` runs it
+for its evaluation and, modulo a prime, for its residue test.
 `line_series`, the Taylor series along a line in the direction of one
-difference x_a - x_b, walks the terms the same way on a `Line`: the line's
-integer kernel, built once per line, holds q (the lcm of 2 and the
-coordinates' denominators), q x_v per field and the binomial rows of the
-two moving coordinates, filled on first use.  It returns integer
-coefficients over one denominator, den q^top, with no Fraction.
+difference x_a - x_b, walks the terms the same way on a `Line`, the line's
+integer kernel, and returns integers over one denominator, no Fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, gcd as _igcd, lcm as _ilcm
 from struct import Struct
 from typing import Iterable, Mapping
@@ -113,13 +112,9 @@ def mono_pairs(m: Monomial) -> tuple[tuple[Var, int], ...]:
     return tuple((_VAR_AT[s], e) for s, e in _fields(m))
 
 
-def mono_degree(m: Monomial) -> int:
-    return m & _FIELD
-
-
 def _top_degree(d: Iterable[Monomial]) -> int:
-    """The largest total degree among the monomials of d, which is not empty."""
-    return max(map(_FIELD.__and__, d))
+    """The largest total degree among the monomials of d; 0 when d is empty."""
+    return max(map(_FIELD.__and__, d), default=0)
 
 
 def mono_key(m: Monomial) -> tuple[int, ...]:
@@ -293,8 +288,6 @@ class Polynomial(SparseSum):
 
     def evaluate(self, coords: Mapping[Var, Fraction]) -> Fraction:
         d = self.terms
-        if not d:
-            return Fraction(0)
         xs = {_SHIFT[v]: coords[v] for v in _vars_of(d)}
         # the coordinates over one common denominator q
         q = _ilcm(*(x.denominator for x in xs.values()))
@@ -354,10 +347,10 @@ class Polynomial(SparseSum):
                 out[m - unit] = c * e
         return _normal(out, self.den)
 
-    def subs_offsets(self, offsets: Mapping[Var, Fraction]) -> "Polynomial":
-        """Substitute X_v -> X_v + offsets[v] for every listed variable, one
-        variable at a time.  With offset a/b and top exponent E of X_v,
-        b^E (X_v + a/b)^e is the integer sum of C(e,j) a^(e-j) b^(E-e+j) X_v^j.
+    def subs_offsets(self, offsets: Mapping[Var, Fraction], sign: int = 1) -> "Polynomial":
+        """Substitute X_v -> X_v + sign * offsets[v] for every listed variable,
+        one variable at a time, with the rows of `_shift_rows`.  Integer
+        offsets keep den and the content: the result is canonical as it is.
         Offsets on variables p lacks, found by one OR over its monomials, are
         skipped, and p itself is returned when no listed variable occurs."""
         occurs = 0
@@ -372,18 +365,15 @@ class Polynomial(SparseSum):
         for s, c in live:
             # a substitution in another variable keeps X_v's top exponent
             top = max((m >> s) & _FIELD for m in out)
-            a, b = c.numerator, c.denominator
+            b = c.denominator
             den *= b**top
-            unit = (1 << s) | _DEG_ONE
-            # exponent e -> the terms of b^(E-e) (b*X_v + a)^e as (monomial change, coefficient)
-            rows = [[((j - e) * unit, comb(e, j) * a ** (e - j) * b ** (top - e + j))
-                     for j in range(e + 1)] for e in range(top + 1)]
+            rows = _shift_rows(s, sign * c.numerator, b, top)
             nxt: IntTerms = {}
             for m, coeff in out.items():
                 for dm, c2 in rows[(m >> s) & _FIELD]:
                     add_term(nxt, m + dm, coeff * c2)
             out = nxt
-        return _normal(out, den)
+        return Polynomial._raw(out, den) if den == self.den else _normal(out, den)
 
     def swap_vars(self, a: Var, b: Var) -> "Polynomial":
         if a == b:
@@ -409,6 +399,14 @@ def _normal(terms: IntTerms, den: int) -> Polynomial:
         return Polynomial._raw({})
     g = _int_content(terms, den) if den != 1 else 1
     return Polynomial._raw(_int_scale_div(terms, g), den // g)
+
+
+@lru_cache(maxsize=None)
+def _shift_rows(s: int, a: int, b: int, top: int) -> list[list[tuple[int, int]]]:
+    """Row e <= top: b^top (X + a/b)^e, X at field s, as (monomial change, coefficient)."""
+    unit = (1 << s) | _DEG_ONE
+    return [[((j - e) * unit, comb(e, j) * a ** (e - j) * b ** (top - e + j)) for j in range(e + 1)]
+            for e in range(top + 1)]
 
 
 def _merge(a: Polynomial, b: Polynomial, sign: int) -> Polynomial:

@@ -42,8 +42,10 @@ and a dict lookup on a form meets its cached hash and an identity test.  A
 shift moves only a form's constant, l(x + a) = l(x) + sum c_v a_v, so
 `_shifted_form` caches the shifted form on (form, that amount), not on the
 whole offsets; a transposition is cached on (form, a, b) with the unit it
-leaves, which goes to the numerator.  (`skewring` likewise decides once per
-form and point whether the form vanishes there.)
+leaves, an int for the Gelfand-Tsetlin forms, whose -1 negates the
+numerator.  (`skewring` likewise decides once per form and point whether
+the form vanishes there.)  Evaluation runs the integer kernel on num and
+each form at one common denominator, and builds one Fraction.
 
 The constructor RationalFunction(num, den) normalises a pair not already
 known to be reduced.  It takes a constant or linear den and raises
@@ -58,6 +60,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm as _ilcm
 from typing import Mapping
 
 from .poly import (
@@ -202,17 +205,17 @@ def _monic_form(p: Polynomial) -> tuple[Fraction, Polynomial]:
     return lc, _monic_form(p.scale(_ONE / lc))[1]
 
 
-def _shifted_form(form: Polynomial, offsets: Mapping[Var, Fraction]) -> Polynomial:
-    """form.subs_offsets(offsets) for a monic linear form.  A shift moves only
-    the constant, by sum(c_v offsets[v]) / form.den over the form's integer
-    coefficients c_v, so the shared result is cached on (form, that sum)."""
+def _shifted_form(form: Polynomial, offsets: Mapping[Var, Fraction], sign: int = 1) -> Polynomial:
+    """form.subs_offsets(offsets, sign) for a monic linear form.  A shift moves
+    only the constant, by sign sum(c_v offsets[v]) / form.den, c_v the form's
+    integer coefficients, so the shared result is cached on (form, that sum)."""
     moved = 0
     for m, c in form.terms.items():
         # a degree-1 monomial's top bit is its variable's field offset
         a = m and offsets.get(_VAR_AT[m.bit_length() - 1])
         if a:
             moved += c * a
-    return _plus_constant(form, moved) if moved else form
+    return _plus_constant(form, sign * moved) if moved else form
 
 
 @lru_cache(maxsize=None)
@@ -222,10 +225,12 @@ def _plus_constant(form: Polynomial, moved: Fraction | int) -> Polynomial:
 
 
 @lru_cache(maxsize=None)
-def _swapped_form(form: Polynomial, a: Var, b: Var) -> tuple[Fraction, Polynomial]:
+def _swapped_form(form: Polynomial, a: Var, b: Var) -> tuple[Fraction | int, Polynomial]:
     """_monic_form(form.swap_vars(a, b)): the unit a transposition leaves on
-    a form whose leading variable it moves, and the shared monic form."""
-    return _monic_form(form.swap_vars(a, b))
+    a form whose leading variable it moves, an int when it is 1 or -1, and
+    the shared monic form."""
+    lc, form = _monic_form(form.swap_vars(a, b))
+    return (int(lc) if lc in (1, -1) else lc), form
 
 
 class RationalFunction:
@@ -448,18 +453,18 @@ class RationalFunction:
         its monic form is listed."""
         return _monic_form(lin)[1] in self.forms
 
-    def den_value(self, coords: Mapping[Var, Fraction]) -> Fraction:
-        """The denominator's value at a point."""
-        out = _ONE
-        for form, e in self.forms.items():
-            out *= form.evaluate(coords) ** e
-        return out
-
     def evaluate(self, coords: Mapping[Var, Fraction]) -> Fraction:
-        dv = self.den_value(coords)
-        if dv == 0:
-            raise PoleError("denominator vanishes at the given point")
-        return self.num.evaluate(coords) / dv
+        d = self.num.terms
+        q = _ilcm(*(x.denominator for x in coords.values()))
+        xs = {_SHIFT[v]: x.numerator * (q // x.denominator) for v, x in coords.items()}
+        nq, dq = _int_eval(d, xs, q), self.num.den * q ** _top_degree(d)
+        for form, e in self.forms.items():
+            f = _int_eval(form.terms, xs, q)
+            if not f:
+                raise PoleError("denominator vanishes at the given point")
+            nq *= (form.den * q) ** e
+            dq *= f**e
+        return Fraction(nq, dq)
 
     def derivative(self, var: Var) -> "RationalFunction":
         # The quotient rule over d = prod l^e, with c the coefficient of var
@@ -472,29 +477,35 @@ class RationalFunction:
         for form, e in self.forms.items():
             c = form.terms.get(key)
             if c:
-                term = self / RationalFunction.from_poly(form)
-                out = out - term.scale(Fraction(e * c, form.den))
+                # n/(d l) is reduced: l divides d.  Its memo is a product's,
+                # n times k, so n is evaluated once per form, in n's memo.
+                k = Fraction(-e * c, form.den)
+                res = (self.num, self._memo(), Polynomial.constant(k), {})
+                forms = {**self.forms, form: e + 1}
+                out = out + RationalFunction._make(self.num.scale(k), forms, res)
         return out
 
-    def subs_offsets(self, offsets: Mapping[Var, Fraction]) -> "RationalFunction":
-        num = self.num.subs_offsets(offsets)
+    def subs_offsets(self, offsets: Mapping[Var, Fraction], sign: int = 1) -> "RationalFunction":
+        num = self.num.subs_offsets(offsets, sign)
         # affine substitution is a ring automorphism fixing leading terms,
         # so reducedness and the monic forms survive untouched
         return RationalFunction._make(
-            num, {_shifted_form(form, offsets): e for form, e in self.forms.items()}
+            num, {_shifted_form(form, offsets, sign): e for form, e in self.forms.items()}
         )
 
     def swap_vars(self, a: Var, b: Var) -> "RationalFunction":
         num = self.num.swap_vars(a, b)
         # an automorphism again, but the leading term of a form may move
         forms = {}
-        unit = _ONE
+        unit = 1
         for form, e in self.forms.items():
             lc, form = _swapped_form(form, a, b)
             forms[form] = e
             if lc != 1:
                 unit *= lc**e
-        return RationalFunction._make(num.scale(_ONE / unit), forms)
+        if unit != 1:
+            num = -num if unit == -1 else num.scale(_ONE / unit)
+        return RationalFunction._make(num, forms)
 
     def variables(self) -> list[Var]:
         return sorted(set(self.num.variables()) | set(self.den.variables()))

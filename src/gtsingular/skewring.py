@@ -48,6 +48,8 @@ class RingElement(SparseSum):
         c = Fraction(c)
         if not c:
             return RingElement.zero()
+        if c == 1:
+            return self
         return RingElement._raw({s: f.scale(c) for s, f in self.terms.items()})
 
     def __repr__(self) -> str:

@@ -120,17 +120,6 @@ def random_invariant_polynomial(rng: random.Random, ctx: SingularContext) -> Pol
     return g + ctx.transpose(g)
 
 
-def random_dist_vector(rng: random.Random, ctx: SingularContext) -> DistVector:
-    terms = []
-    for _ in range(rng.randint(1, 3)):
-        sigma = random_shift(rng, ctx.n, radius=2)
-        kind = rng.choice(["D1", "D2"])
-        if kind == "D2" and ctx.is_tau_fixed(sigma):
-            kind = "D1"
-        terms.append((kind, sigma, Fraction(rng.randint(-3, 3), rng.randint(1, 2))))
-    return DistVector.from_terms(ctx, terms)
-
-
 # --- suites -------------------------------------------------------------------
 
 

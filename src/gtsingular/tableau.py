@@ -89,10 +89,11 @@ class Shift(SparseSum):
 
 def shift_subst(f: RF, sigma: Shift) -> RF:
     """Image of f (a polynomial or a rational function) under sigma:
-    substitute X(k,i) -> X(k,i) - m(k,i)."""
+    substitute X(k,i) -> X(k,i) - m(k,i), on integers: the numerator keeps
+    its den and content, and a form moves only its constant."""
     if sigma.is_identity():
         return f
-    return f.subs_offsets(sigma.inverse().terms)
+    return f.subs_offsets(sigma.terms, -1)
 
 
 class Point:
@@ -196,6 +197,7 @@ class PointClass(NamedTuple):
         return self.tag
 
 
+@lru_cache(maxsize=None)
 def classify_point(p: Point) -> PointClass:
     """Count same-row integer differences: none = Generic, one = OneSingular."""
     witness = None
@@ -264,9 +266,6 @@ class SingularContext:
         if mi:
             out[self.pos_j] = mi
         return Shift._raw(out)
-
-    def is_tau_fixed(self, sigma: Shift) -> bool:
-        return sigma.component(self.pos_i) == sigma.component(self.pos_j)
 
     def representative(self, sigma: Shift, odd: bool) -> tuple[Shift, int]:
         """The label's ordered representative, with component(k,i) <=

@@ -16,9 +16,9 @@ from gtsingular.suites import (
     ring_suite,
     sample_basis,
     singularity_suite,
-    random_dist_vector,
 )
 from gtsingular.tableau import Shift, canonical_context
+from tests_helpers import random_dist_vector
 
 CTX = canonical_context()
 

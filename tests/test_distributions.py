@@ -45,14 +45,13 @@ from gtsingular.suites import (
     GENERIC_LABELS_3,
     GENERIC_POINT_3,
     appendix_sample,
-    random_dist_vector,
     random_generator_form,
     random_invariant_polynomial,
     random_polynomial,
     sample_basis,
 )
 from gtsingular.tableau import Point, Shift, SingularContext, canonical_context
-from tests_helpers import ROW3_POINT, symbolic_act, to_sympy
+from tests_helpers import ROW3_POINT, random_dist_vector, symbolic_act, to_sympy
 
 CTX = canonical_context()
 ID = Shift.identity()

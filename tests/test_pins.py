@@ -10,9 +10,10 @@ from pathlib import Path
 
 from gtsingular.cli import main
 from gtsingular.gtformulas import phi_general
-from gtsingular.poly import Polynomial, mono_degree
+from gtsingular.poly import Polynomial
 from gtsingular.ratfun import RationalFunction
 from gtsingular.textform import rf_text
+from tests_helpers import mono_degree
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 VARS = [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)]

@@ -201,6 +201,42 @@ def test_forms_path_matches_sympy(seed):
         assert f.evaluate(pt) == Fraction(int(value.p), int(value.q))
 
 
+def test_evaluate_matches_sympy_and_raises_at_a_form():
+    """One integer pass over the numerator and forms of multiplicity 1 and
+    2, at a point whose coordinates have different denominators, gives
+    sympy's value; a vanishing form raises at either multiplicity."""
+    x21, x22, x31 = (Polynomial.variable(*v) for v in [(2, 1), (2, 2), (3, 1)])
+    l1 = x21 - x22 + Polynomial.constant(Fraction(1, 2))
+    l2 = x21 + x31.scale(3) - Polynomial.one()
+    num = (x21 * x22 * x31).scale(Fraction(2, 7)) + x22 - Polynomial.constant(5)
+    f = over(num, l1) * over(Polynomial.one(), l2) ** 2
+    assert f.forms and sorted(f.forms.values()) == [1, 2]
+    pt = {(1, 1): Fraction(4), (2, 1): Fraction(1, 3), (2, 2): Fraction(-5, 4),
+          (3, 1): Fraction(2, 11), (3, 2): Fraction(0), (3, 3): Fraction(7, 2)}
+    at = {sym(v): rat(c) for v, c in pt.items()}
+    value = sympy_rf(f).subs(at)
+    assert f.evaluate(pt) == Fraction(int(value.p), int(value.q))
+    # l1 = 0 at (2,1) = 1/4, (2,2) = 3/4; l2 = 0 at (2,1) = 1, (3,1) = 0
+    for zero in ({(2, 1): Fraction(1, 4), (2, 2): Fraction(3, 4)},
+                 {(2, 1): Fraction(1), (3, 1): Fraction(0)}):
+        with pytest.raises(PoleError):
+            f.evaluate({**pt, **zero})
+
+
+def test_swap_vars_units_match_sympy():
+    """A swap that leaves the unit -1 (x21 - x22 + 1 under (2,1) <-> (2,2),
+    at multiplicity 1 and 3) and one that leaves a non-unit leading
+    coefficient (x11 + 2 x21 under (1,1) <-> (2,1) is 2 (x11 + x21/2))."""
+    x11, x21, x22 = (Polynomial.variable(*v) for v in [(1, 1), (2, 1), (2, 2)])
+    num = x11 * x22 + Polynomial.constant(Fraction(3, 5))
+    flip = x21 - x22 + Polynomial.one()
+    for f, a, b in [(over(num, flip), (2, 1), (2, 2)),
+                    (over(num, flip) ** 3, (2, 1), (2, 2)),
+                    (over(num, x11 + x21.scale(2)), (1, 1), (2, 1))]:
+        swapped = sympy_rf(f).subs({sym(a): sym(b), sym(b): sym(a)}, simultaneous=True)
+        assert_matches_sympy(f.swap_vars(a, b), swapped)
+
+
 def test_a_non_linear_denominator_raises():
     """The constructor takes a constant or linear den; any other den, the
     reciprocal of a numerator of degree 2 or more, a division by such a

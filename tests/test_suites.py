@@ -88,8 +88,10 @@ def test_suites_run_at_order_4():
 
 def test_module_suite_checks_each_element_once(monkeypatch):
     """The shipped module suite acts with 7 generator images on the left and
-    one element per distinct bracket, 17 of them, on the right.  Each is
-    checked for invariance once, in a new context: 24 checks for 196
+    one element per distinct bracket, 17 of them, on the right.  Four
+    brackets are +1 times an adjacent generator, such as [E11,E12] = E12,
+    and their element is that generator's image itself.  Each element is
+    checked for invariance once, in a new context: 20 checks for 196
     commutator checks."""
     ctx = SingularContext(canonical_test_point(), 2, 1, 2)  # no image has acted in it
     checks = []
@@ -102,7 +104,7 @@ def test_module_suite_checks_each_element_once(monkeypatch):
     monkeypatch.setattr(distributions, "_check_invariant", recorded)
     report = module_suite(ctx)
     assert report["ok"] and report["total"] == 196
-    assert len(checks) == len({id(a) for a in checks}) == 24
+    assert len(checks) == len({id(a) for a in checks}) == 20
     gens = adjacent_generators(3)
     assert len({tuple(gl_bracket(x, y)) for x in gens for y in gens}) == 17
 

@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
+from gtsingular import poly
 from gtsingular.poly import Polynomial
 from gtsingular.ratfun import RationalFunction
 from gtsingular.tableau import (
@@ -15,6 +17,7 @@ from gtsingular.tableau import (
     shift_subst,
     SingularContext,
 )
+from tests_helpers import random_poly, random_rf, to_sympy
 
 X11 = RationalFunction.variable(1, 1)
 X21 = RationalFunction.variable(2, 1)
@@ -170,6 +173,32 @@ def test_shift_subst_group_action():
         s = Shift({(1, 1): rng.randint(-2, 2), (2, 1): rng.randint(-2, 2)})
         t = Shift({(2, 1): rng.randint(-2, 2), (2, 2): rng.randint(-2, 2)})
         assert shift_subst(shift_subst(f, s), t) == shift_subst(f, s * t)
+
+
+def sympy_value(f):
+    return to_sympy(f) if isinstance(f, Polynomial) else to_sympy(f.num) / to_sympy(f.den)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_shift_subst_integer_path(seed):
+    """shift_subst on random polynomials and rational functions with
+    rational coefficients: the integer path keeps the numerator canonical
+    as it stands, and equals a Fraction-offset substitution by m - 1/2 then
+    1/2 and sympy's substitution X -> X - m."""
+    rng = random.Random(900 + seed)
+    for f in (random_poly(rng, max_terms=5, max_deg=3), random_rf(rng)):
+        sigma = Shift({v: rng.randint(-3, 3) for v in [(1, 1), (2, 1), (2, 2)]})
+        moved = shift_subst(f, sigma)
+        num = moved if isinstance(moved, Polynomial) else moved.num
+        normal = poly._normal(dict(num.terms), num.den)
+        assert (normal.terms, normal.den) == (num.terms, num.den)
+        half = {v: Fraction(-m) + Fraction(1, 2) for v, m in sigma.terms.items()}
+        back = {v: Fraction(-1, 2) for v in sigma.terms}
+        assert moved == f.subs_offsets(half).subs_offsets(back)
+        sub = {sympy.Symbol("x_%d_%d" % v): sympy.Symbol("x_%d_%d" % v) - m
+               for v, m in sigma.terms.items()}
+        expected = sympy_value(f).subs(sub, simultaneous=True)
+        assert sympy.cancel(sympy_value(moved) - expected) == 0
 
 
 def test_context_transpose():

@@ -6,9 +6,10 @@ from fractions import Fraction
 import sympy
 
 from gtsingular.distributions import DistVector, materialize
-from gtsingular.poly import Polynomial, mono_pairs
+from gtsingular.poly import _FIELD, Polynomial, mono_pairs
 from gtsingular.ratfun import RationalFunction, multiply_by_linear
 from gtsingular.skewring import ring_mul_circ
+from gtsingular.suites import random_shift
 from gtsingular.tableau import Point, apply_shift
 
 VARS3 = [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)]
@@ -23,6 +24,22 @@ ROW3_POINT = Point.from_rows(
         [Fraction(1, 17), Fraction(2, 19), Fraction(3, 23), Fraction(4, 29)],
     ]
 )
+
+
+def mono_degree(m):
+    """The total degree of a packed monomial: its lowest field."""
+    return m & _FIELD
+
+
+def random_dist_vector(rng, ctx):
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        sigma = random_shift(rng, ctx.n, radius=2)
+        kind = rng.choice(["D1", "D2"])
+        if kind == "D2" and sigma.component(ctx.pos_i) == sigma.component(ctx.pos_j):
+            kind = "D1"
+        terms.append((kind, sigma, Fraction(rng.randint(-3, 3), rng.randint(1, 2))))
+    return DistVector.from_terms(ctx, terms)
 
 
 def random_poly(rng, variables=VARS3, max_terms=3, max_deg=2, zero_ok=True):
@@ -82,6 +99,6 @@ def regular_on_orbit(ctx, a):
     points = [ctx.v] + [apply_shift(sigma, ctx.v) for sigma in a.terms]
     for h in a.terms.values():
         g = multiply_by_linear(h, ctx.z1_poly)
-        if any(g.den_value(p.coords) == 0 for p in points):
+        if any(form.evaluate(p.coords) == 0 for form in g.forms for p in points):
             return False
     return True
