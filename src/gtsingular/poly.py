@@ -34,8 +34,9 @@ integer kernel, and returns integers over one denominator, no Fraction.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb, gcd as _igcd, lcm as _ilcm
+from operator import or_
 from struct import Struct
 from typing import Iterable, Mapping
 
@@ -135,11 +136,19 @@ def _lead_field(m: Monomial) -> int:
 
 def _vars_of(d: Iterable[Monomial]) -> list[Var]:
     """Positions whose exponent is nonzero in some monomial, ascending."""
-    acc = 0
-    for m in d:
-        acc |= m
     # an OR of fields is nonzero exactly where some exponent is
-    return [_VAR_AT[s] for s, _ in _fields(acc)]
+    return [_VAR_AT[s] for s, _ in _fields(reduce(or_, d, 0))]
+
+
+def _int_point(coords: Mapping[Var, Fraction], *ds: Iterable[Monomial]) -> tuple[dict[int, int], int]:
+    """The coordinates at the positions the ds use, over one common
+    denominator q: ({field offset: q x_v}, q), as `_int_eval` takes them."""
+    acc = 0
+    for d in ds:
+        acc = reduce(or_, d, acc)
+    xs = {s: coords[_VAR_AT[s]] for s, _ in _fields(acc)}
+    q = _ilcm(*(x.denominator for x in xs.values()))
+    return {s: x.numerator * (q // x.denominator) for s, x in xs.items()}, q
 
 
 class Line:
@@ -288,12 +297,8 @@ class Polynomial(SparseSum):
 
     def evaluate(self, coords: Mapping[Var, Fraction]) -> Fraction:
         d = self.terms
-        xs = {_SHIFT[v]: coords[v] for v in _vars_of(d)}
-        # the coordinates over one common denominator q
-        q = _ilcm(*(x.denominator for x in xs.values()))
-        top = _top_degree(d)
-        total = _int_eval(d, {s: x.numerator * (q // x.denominator) for s, x in xs.items()}, q)
-        return Fraction(total, self.den * q**top)
+        xs, q = _int_point(coords, d)
+        return Fraction(_int_eval(d, xs, q), self.den * q ** _top_degree(d))
 
     def line_series(self, line: Line, order: int) -> tuple[list[int], int]:
         """Taylor coefficients of p along `line` as integers over one
@@ -347,15 +352,13 @@ class Polynomial(SparseSum):
                 out[m - unit] = c * e
         return _normal(out, self.den)
 
-    def subs_offsets(self, offsets: Mapping[Var, Fraction], sign: int = 1) -> "Polynomial":
-        """Substitute X_v -> X_v + sign * offsets[v] for every listed variable,
-        one variable at a time, with the rows of `_shift_rows`.  Integer
+    def subs_offsets(self, offsets: Mapping[Var, Fraction]) -> "Polynomial":
+        """Substitute X_v -> X_v - offsets[v] for every listed variable, one
+        variable at a time, with the rows of `_shift_rows`.  Integer
         offsets keep den and the content: the result is canonical as it is.
         Offsets on variables p lacks, found by one OR over its monomials, are
         skipped, and p itself is returned when no listed variable occurs."""
-        occurs = 0
-        for m in self.terms:
-            occurs |= m
+        occurs = reduce(or_, self.terms, 0)
         # substitutions in different variables commute, so any order serves
         live = [(s, c) for s, c in ((_SHIFT[v], c) for v, c in offsets.items())
                 if c and (occurs >> s) & _FIELD]
@@ -365,9 +368,8 @@ class Polynomial(SparseSum):
         for s, c in live:
             # a substitution in another variable keeps X_v's top exponent
             top = max((m >> s) & _FIELD for m in out)
-            b = c.denominator
-            den *= b**top
-            rows = _shift_rows(s, sign * c.numerator, b, top)
+            den *= c.denominator**top
+            rows = _shift_rows(s, -c.numerator, c.denominator, top)
             nxt: IntTerms = {}
             for m, coeff in out.items():
                 for dm, c2 in rows[(m >> s) & _FIELD]:

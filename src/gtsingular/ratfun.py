@@ -39,13 +39,13 @@ and cached.
 Forms are shared and their transforms computed once.  `_monic_form` caches
 the monic scaling of each linear polynomial, so equal forms are one object
 and a dict lookup on a form meets its cached hash and an identity test.  A
-shift moves only a form's constant, l(x + a) = l(x) + sum c_v a_v, so
+shift moves only a form's constant, l(x - a) = l(x) - sum c_v a_v, so
 `_shifted_form` caches the shifted form on (form, that amount), not on the
 whole offsets; a transposition is cached on (form, a, b) with the unit it
 leaves, an int for the Gelfand-Tsetlin forms, whose -1 negates the
 numerator.  (`skewring` likewise decides once per form and point whether
-the form vanishes there.)  Evaluation runs the integer kernel on num and
-each form at one common denominator, and builds one Fraction.
+the form vanishes there.)  `evaluate` runs `_int_eval` on num and each
+form over one common denominator and builds one Fraction.
 
 The constructor RationalFunction(num, den) normalises a pair not already
 known to be reduced.  It takes a constant or linear den and raises
@@ -60,7 +60,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm as _ilcm
 from typing import Mapping
 
 from .poly import (
@@ -69,6 +68,7 @@ from .poly import (
     Polynomial,
     Var,
     _int_eval,
+    _int_point,
     _lead_field,
     _top_degree,
     divexact,
@@ -205,17 +205,17 @@ def _monic_form(p: Polynomial) -> tuple[Fraction, Polynomial]:
     return lc, _monic_form(p.scale(_ONE / lc))[1]
 
 
-def _shifted_form(form: Polynomial, offsets: Mapping[Var, Fraction], sign: int = 1) -> Polynomial:
-    """form.subs_offsets(offsets, sign) for a monic linear form.  A shift moves
-    only the constant, by sign sum(c_v offsets[v]) / form.den, c_v the form's
-    integer coefficients, so the shared result is cached on (form, that sum)."""
+def _shifted_form(form: Polynomial, offsets: Mapping[Var, Fraction]) -> Polynomial:
+    """form.subs_offsets(offsets) for a monic linear form.  A shift moves only
+    the constant, by -sum(c_v offsets[v]) / form.den over the form's integer
+    coefficients c_v, so the shared result is cached on (form, that amount)."""
     moved = 0
     for m, c in form.terms.items():
         # a degree-1 monomial's top bit is its variable's field offset
         a = m and offsets.get(_VAR_AT[m.bit_length() - 1])
         if a:
-            moved += c * a
-    return _plus_constant(form, sign * moved) if moved else form
+            moved -= c * a
+    return _plus_constant(form, moved) if moved else form
 
 
 @lru_cache(maxsize=None)
@@ -455,8 +455,7 @@ class RationalFunction:
 
     def evaluate(self, coords: Mapping[Var, Fraction]) -> Fraction:
         d = self.num.terms
-        q = _ilcm(*(x.denominator for x in coords.values()))
-        xs = {_SHIFT[v]: x.numerator * (q // x.denominator) for v, x in coords.items()}
+        xs, q = _int_point(coords, d, *(form.terms for form in self.forms))
         nq, dq = _int_eval(d, xs, q), self.num.den * q ** _top_degree(d)
         for form, e in self.forms.items():
             f = _int_eval(form.terms, xs, q)
@@ -485,12 +484,12 @@ class RationalFunction:
                 out = out + RationalFunction._make(self.num.scale(k), forms, res)
         return out
 
-    def subs_offsets(self, offsets: Mapping[Var, Fraction], sign: int = 1) -> "RationalFunction":
-        num = self.num.subs_offsets(offsets, sign)
+    def subs_offsets(self, offsets: Mapping[Var, Fraction]) -> "RationalFunction":
+        num = self.num.subs_offsets(offsets)
         # affine substitution is a ring automorphism fixing leading terms,
         # so reducedness and the monic forms survive untouched
         return RationalFunction._make(
-            num, {_shifted_form(form, offsets, sign): e for form, e in self.forms.items()}
+            num, {_shifted_form(form, offsets): e for form, e in self.forms.items()}
         )
 
     def swap_vars(self, a: Var, b: Var) -> "RationalFunction":

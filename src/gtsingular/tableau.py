@@ -93,7 +93,7 @@ def shift_subst(f: RF, sigma: Shift) -> RF:
     its den and content, and a form moves only its constant."""
     if sigma.is_identity():
         return f
-    return f.subs_offsets(sigma.terms, -1)
+    return f.subs_offsets(sigma.terms)
 
 
 class Point:

@@ -60,7 +60,7 @@ def rf_texts(seed: int, count: int) -> list[str]:
         f, g = random_rf(rng), random_rf(rng)
         v, w = rng.sample(VARS, 2)
         results = [f, g, f + g, f - g, f * g, f**2, f.derivative(v), f.swap_vars(v, w),
-                   f.subs_offsets({v: Fraction(1, 2), w: Fraction(-1)})]
+                   f.subs_offsets({v: Fraction(-1, 2), w: Fraction(1)})]
         # only a numerator of degree at most 1 has a reciprocal
         if mono_degree(g.num.leading_monomial()) <= 1:
             results.append(f / g)

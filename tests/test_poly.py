@@ -277,12 +277,12 @@ def test_derivative():
 
 def test_subs_offsets():
     p = X11 * X11
-    q = p.subs_offsets({(1, 1): Fraction(-1)})
+    q = p.subs_offsets({(1, 1): Fraction(1)})
     assert q == X11 * X11 - X11.scale(2) + Polynomial.one()
     # offsets on variables p lacks are skipped; p itself when none occurs
-    assert p.subs_offsets({(2, 1): Fraction(3), (3, 1): Fraction(-1, 2)}) is p
-    assert p.subs_offsets({(2, 2): Fraction(5), (1, 1): Fraction(-1)}) == q
-    assert Polynomial.zero().subs_offsets({(1, 1): Fraction(1)}).is_zero()
+    assert p.subs_offsets({(2, 1): Fraction(-3), (3, 1): Fraction(1, 2)}) is p
+    assert p.subs_offsets({(2, 2): Fraction(-5), (1, 1): Fraction(1)}) == q
+    assert Polynomial.zero().subs_offsets({(1, 1): Fraction(-1)}).is_zero()
 
 
 def test_swap_vars():
@@ -538,8 +538,8 @@ def test_int_form_matches_sympy(seed):
     check(f.derivative((2, 1)), sympy.diff(F, SYM[(2, 1)]))
     swap = {SYM[(2, 1)]: SYM[(3, 2)], SYM[(3, 2)]: SYM[(2, 1)]}
     check(f.swap_vars((2, 1), (3, 2)), F.subs(swap, simultaneous=True))
-    offsets = {(2, 1): Fraction(1, 2), (1, 1): Fraction(-2), (3, 2): Fraction(-5, 3)}
-    moved = {SYM[v]: SYM[v] + sympy.Rational(c.numerator, c.denominator) for v, c in offsets.items()}
+    offsets = {(2, 1): Fraction(-1, 2), (1, 1): Fraction(2), (3, 2): Fraction(5, 3)}
+    moved = {SYM[v]: SYM[v] - sympy.Rational(c.numerator, c.denominator) for v, c in offsets.items()}
     check(f.subs_offsets(offsets), F.subs(moved, simultaneous=True))
     point = {v: Fraction(2 * i - 3, 7 + i) for i, v in enumerate(VARS)}
     value = F.subs({SYM[v]: sympy.Rational(c.numerator, c.denominator) for v, c in point.items()})
@@ -637,7 +637,7 @@ def test_derivative_leibniz(f, g):
 @settings(max_examples=40, deadline=None)
 @given(polys())
 def test_subs_offsets_evaluation(f):
-    offs = {(2, 1): Fraction(3, 2), (1, 1): Fraction(-1)}
+    offs = {(2, 1): Fraction(-3, 2), (1, 1): Fraction(1)}
     point = {v: Fraction(i + 2, 7) for i, v in enumerate(VARS)}
-    shifted_point = {v: point[v] + offs.get(v, 0) for v in VARS}
+    shifted_point = {v: point[v] - offs.get(v, 0) for v in VARS}
     assert f.subs_offsets(offs).evaluate(point) == f.evaluate(shifted_point)

@@ -192,8 +192,8 @@ def test_shift_subst_integer_path(seed):
         num = moved if isinstance(moved, Polynomial) else moved.num
         normal = poly._normal(dict(num.terms), num.den)
         assert (normal.terms, normal.den) == (num.terms, num.den)
-        half = {v: Fraction(-m) + Fraction(1, 2) for v, m in sigma.terms.items()}
-        back = {v: Fraction(-1, 2) for v in sigma.terms}
+        half = {v: Fraction(m) - Fraction(1, 2) for v, m in sigma.terms.items()}
+        back = {v: Fraction(1, 2) for v in sigma.terms}
         assert moved == f.subs_offsets(half).subs_offsets(back)
         sub = {sympy.Symbol("x_%d_%d" % v): sympy.Symbol("x_%d_%d" % v) - m
                for v, m in sigma.terms.items()}
