@@ -1,23 +1,23 @@
 """Classical Gelfand-Tsetlin generator images in the skew ring.
 
-The elementary matrices E(r,s) of gl_n map to ring elements: E(k,k+1) and
-E(k+1,k) come from one tableau formula taken a row down or up
-(`_phi_adjacent`), E(k,k) from the row sums, and every other E(r,s) from a
-fixed commutator bracketing.  The map is a ring homomorphism for the
+E(k,k) of gl_n maps to the row sums, and every other E(r,s) to one sum
+over index paths from row r toward row s (`phi_general`).  The paths of
+length 1 are the classical formulas for E(k,k+1) and E(k+1,k) (Zhelobenko
+1973; Molev, arXiv:math/0211289); the tests check the longer ones against
+brackets of neighbouring images.  The map is a ring homomorphism for the
 opposite of the twisted product, a*b = b o a = `ring_mul_circ(b, a)` (see
-`convention`).  A bracket is one pass over the term pairs of its operands
-(`skewring.ring_commutator`), with a shift-free side factored out, so a
-bracket with a diagonal image scales each term instead of forming two
-products.
+`convention`): `verify_homomorphism` checks every ordered generator pair,
+each bracket one pass over its operands' term pairs (`ring_commutator`).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 from math import prod
 
 from .poly import Polynomial
-from .ratfun import RationalFunction
+from .ratfun import RationalFunction, _monic_form
 from .skewring import RingElement, ring_commutator
 from .tableau import Shift
 
@@ -38,44 +38,32 @@ def gl_bracket(x: GeneratorId, y: GeneratorId) -> list[tuple[int, GeneratorId]]:
     return out
 
 
-def _check_gen(n: int, r: int, s: int) -> None:
-    if not (1 <= r <= n and 1 <= s <= n):
-        raise ValueError(f"generator E({r},{s}) out of range for gl_{n}")
-
-
 def _ratio(num: list[Polynomial], den: list[Polynomial]) -> RationalFunction:
-    """prod(num) / prod(den) for linear factors, the denominator kept
-    factored."""
-    out = RationalFunction.from_poly(prod(num, start=Polynomial.one()))
+    """prod(num) / prod(den) for linear factors, reduced as built.  Every
+    numerator form joins two adjacent rows and every denominator form lies
+    in one row, so no denominator form divides the numerator and the
+    quotient is canonical with no residue test or division."""
+    unit, forms = 1, {}
     for lin in den:
-        out = out / RationalFunction.from_poly(lin)
-    return out
-
-
-def _phi_adjacent(n: int, k: int, step: int) -> RingElement:
-    """Image of E(k, k+1) (step +1) or E(k+1, k) (step -1): for i = 1..k
-    the shift sigma(k,i)^-step with coefficient
-    -step * prod_j (x(k,i) - x(k+step,j)) / prod_{j != i} (x(k,i) - x(k,j))."""
-    if not (1 <= k <= n - 1):
-        name = "raising" if step > 0 else "lowering"
-        raise ValueError(f"{name} index {k} out of range for gl_{n}")
-    terms = []
-    for i in range(1, k + 1):
-        xi = Polynomial.variable(k, i)
-        num = [xi - Polynomial.variable(k + step, j) for j in range(1, k + step + 1)]
-        den = [xi - Polynomial.variable(k, j) for j in range(1, k + 1) if j != i]
-        terms.append((Shift.generator(k, i, -step), _ratio(num, den).scale(-step)))
-    return RingElement(terms)
+        lc, form = _monic_form(lin)
+        unit *= lc
+        forms[form] = forms.get(form, 0) + 1
+    p = prod(num, start=Polynomial.one())
+    return RationalFunction._make(-p if unit < 0 else p, forms)
 
 
 def phi_raising(n: int, k: int) -> RingElement:
     """Image of E(k, k+1): shifts sigma(k,i)^-1 with the classical coefficients."""
-    return _phi_adjacent(n, k, 1)
+    if not (1 <= k <= n - 1):
+        raise ValueError(f"raising index {k} out of range for gl_{n}")
+    return phi_general(n, k, k + 1)
 
 
 def phi_lowering(n: int, k: int) -> RingElement:
     """Image of E(k+1, k): shifts sigma(k,i) with the classical coefficients."""
-    return _phi_adjacent(n, k, -1)
+    if not (1 <= k <= n - 1):
+        raise ValueError(f"lowering index {k} out of range for gl_{n}")
+    return phi_general(n, k + 1, k)
 
 
 def phi_diagonal(n: int, k: int) -> RingElement:
@@ -118,24 +106,36 @@ def all_generators(n: int) -> list[GeneratorId]:
 
 def convention() -> str:
     """The product that makes the generator map a homomorphism: "star",
-    a*b = b o a.  Tier-1 proves the choice: verify_homomorphism passes with
-    it at orders 2 and 3 and fails with "circ" at both."""
+    a*b = b o a.  The images do not depend on it; `verify_homomorphism`
+    brackets with it, and `perfbench/worker.py` reads it.  Tier-1 proves the
+    choice: verify_homomorphism passes with it at orders 2 and 3 and fails
+    with "circ" at both."""
     return "star"
 
 
 @lru_cache(maxsize=None)
 def phi_general(n: int, r: int, s: int) -> RingElement:
-    """Image of any E(r,s), non-adjacent ones via E(r,s) = [E(r,t), E(t,s)]
-    with t the neighbor of r toward s."""
-    _check_gen(n, r, s)
+    """Image of any E(r,s).  Off the diagonal, with step = sign(s - r), each
+    index path i_k in 1..k over the rows k = r..s-1 (up) or r-1..s (down)
+    gives the shift prod sigma(k,i_k)^-step with coefficient -step * prod_k
+    prod_{j != i_next} (x(k,i_k) - x(k+step,j)) / prod_{j != i_k} (x(k,i_k) - x(k,j)),
+    with i_next the path's index on the next row, every j on the last row."""
+    if not (1 <= r <= n and 1 <= s <= n):
+        raise ValueError(f"generator E({r},{s}) out of range for gl_{n}")
     if r == s:
         return phi_diagonal(n, r)
-    if s == r + 1:
-        return phi_raising(n, r)
-    if s == r - 1:
-        return phi_lowering(n, s)
-    t = r + 1 if s > r else r - 1
-    return bracket(convention(), phi_general(n, r, t), phi_general(n, t, s))
+    step = 1 if s > r else -1
+    rows = range(r, s) if step > 0 else range(r - 1, s - 1, -1)
+    terms = []
+    for path in product(*(range(1, k + 1) for k in rows)):
+        num, den = [], []
+        for k, i, nxt in zip(rows, path, path[1:] + (0,)):
+            xi = Polynomial.variable(k, i)
+            num += [xi - Polynomial.variable(k + step, j) for j in range(1, k + step + 1) if j != nxt]
+            den += [xi - Polynomial.variable(k, j) for j in range(1, k + 1) if j != i]
+        shift = Shift({(k, i): -step for k, i in zip(rows, path)})
+        terms.append((shift, _ratio(num, den).scale(-step)))
+    return RingElement(terms)
 
 
 def phi_combination(n: int, terms: list[tuple[int, GeneratorId]]) -> RingElement:

@@ -7,6 +7,7 @@ import pytest
 
 from gtsingular import gtformulas
 from gtsingular.gtformulas import (
+    all_generators,
     bracket,
     convention,
     gl_bracket,
@@ -28,7 +29,7 @@ from gtsingular.skewring import (
     ring_mul_circ,
 )
 from gtsingular.tableau import Shift, canonical_context
-from tests_helpers import regular_on_orbit
+from tests_helpers import assert_canonical, bracket_image, regular_on_orbit
 
 CTX = canonical_context()
 
@@ -248,18 +249,29 @@ def test_homomorphism_n3():
 
 
 def test_homomorphism_oracle_fails_on_the_other_product_n3(monkeypatch):
-    """At order 3 the non-adjacent images are brackets, so the circ product
-    also builds them; the image cache is cleared on both sides of the run
-    so that no circ-built image reaches another test."""
+    """At order 3 the circ product fails on more pairs than at order 2: the
+    images come from the path formula, which does not depend on the
+    product, so the pairs whose bracket is a non-adjacent image fail too."""
     monkeypatch.setattr(gtformulas, "convention", lambda: "circ")
+    report = verify_homomorphism(3)
+    assert not report["ok"] and report["convention"] == "circ"
+    assert report["total"] == 81 and report["passed"] == 39
+    assert len(report["failures"]) == 42
+
+
+def test_homomorphism_catches_a_dropped_image_term(monkeypatch):
+    """The defining pairs test the path formula: with one term of E(1,3)'s
+    image dropped, [E(1,2), E(2,3)] = E(1,3) fails.  The image cache is
+    cleared on both sides so the broken image reaches no other test."""
     phi_general.cache_clear()
     try:
+        image = phi_general(3, 1, 3)
+        monkeypatch.delitem(image.terms, Shift({(1, 1): -1, (2, 1): -1}))
         report = verify_homomorphism(3)
     finally:
         phi_general.cache_clear()
-    assert not report["ok"] and report["convention"] == "circ"
-    assert report["total"] == 81 and report["passed"] == 51
-    assert len(report["failures"]) == 30
+    assert not report["ok"]
+    assert [[1, 2], [2, 3]] in [f["pair"] for f in report["failures"]]
 
 
 # sha256 of json.dumps(report, sort_keys=True), recorded when every
@@ -268,7 +280,7 @@ REPORT_DIGESTS = {
     ("star", 2): "020179c24a40ddec1e9f12d1808507aaa6109987404c4fdc8131e39738a3e9f1",
     ("star", 3): "f1a53df4b1edcf254f9f6b377d808764483895fd95f7d710c558fbc46c885364",
     ("circ", 2): "2be657fa1e0a019beb322d1286d0674e8b2694a882f683b4980d2d47dfbe90b5",
-    ("circ", 3): "1a5ff64330b8231f32330affff21e7e3c0ccabca94e02e6d8d182a472f7e5107",
+    ("circ", 3): "9ad1a4716b495ed645c5e784e9b1eb8813294f87708e27d2302414490ef2a05e",
 }
 
 
@@ -277,20 +289,15 @@ def test_homomorphism_reports_are_pinned(monkeypatch, conv, n):
     """The full report, failures and counterexamples included, under both
     products: building [y,x] as -[x,y] and [x,x] as zero changes no byte."""
     monkeypatch.setattr(gtformulas, "convention", lambda: conv)
-    phi_general.cache_clear()
-    try:
-        report = verify_homomorphism(n)
-    finally:
-        phi_general.cache_clear()
+    report = verify_homomorphism(n)
     digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
     assert digest == REPORT_DIGESTS[(conv, n)]
 
 
 @pytest.mark.parametrize("x, y", [((1, 3), (2, 4)), ((1, 3), (1, 4))])
 def test_homomorphism_order4_corner_brackets(x, y):
-    """Two order-4 corner pairs of non-adjacent images, whose products run
-    through large sums and exact divisions by linear forms; minutes each
-    with a rescanning division."""
+    """Two order-4 corner pairs of non-adjacent images, whose commutators
+    run through large sums and exact divisions by linear forms."""
     lhs = bracket(convention(), phi_general(4, *x), phi_general(4, *y))
     assert lhs == phi_combination(4, gl_bracket(x, y))
 
@@ -324,11 +331,24 @@ def test_phi_general_delegates():
     assert phi_general(3, 2, 2) == phi_diagonal(3, 2)
 
 
-def test_phi_general_nonadjacent_bracket():
-    expected = bracket(convention(), phi_general(3, 1, 2), phi_general(3, 2, 3))
-    assert phi_general(3, 1, 3) == expected
-    assert not phi_general(3, 1, 3).is_zero()
-    assert not phi_general(3, 3, 1).is_zero()
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_phi_general_nonadjacent_bracket(n):
+    """Every non-adjacent image from the path formula equals the bracket
+    of its neighbouring images (`bracket_image`)."""
+    for r, s in all_generators(n):
+        if abs(r - s) > 1:
+            image = phi_general(n, r, s)
+            assert not image.is_zero()
+            assert image == bracket_image(n, r, s), (r, s)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_image_coefficients_are_reduced_as_built(n):
+    """No denominator form of an image coefficient divides its numerator,
+    though the path formula builds each one with no division."""
+    for gen in all_generators(n):
+        for c in phi_general(n, *gen).terms.values():
+            assert_canonical(c)
 
 
 def test_phi_invalid_indices():

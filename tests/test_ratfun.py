@@ -8,7 +8,7 @@ from gtsingular import poly, ratfun
 from gtsingular.poly import Polynomial, divexact
 from gtsingular.ratfun import PoleError, RationalFunction, multiply_by_linear
 from gtsingular.textform import rf_text
-from tests_helpers import VARS3, random_poly, random_rf, to_sympy
+from tests_helpers import VARS3, assert_canonical, random_poly, random_rf, to_sympy
 
 X11 = RationalFunction.variable(1, 1)
 X21 = RationalFunction.variable(2, 1)
@@ -110,14 +110,6 @@ def test_derivative_quotient_rule():
 def test_pow_negative():
     z1 = X21 - X22
     assert z1**-2 == (ONE / z1) * (ONE / z1)
-
-
-def assert_canonical(f):
-    """A forms-path value: monic linear forms, none dividing num."""
-    for form, e in f.forms.items():
-        assert e > 0 and ratfun._is_linear(form) and form.leading_coeff() == 1
-        assert divexact(f.num, form) is None
-    assert f.den.leading_coeff() == 1
 
 
 def random_linear(rng):

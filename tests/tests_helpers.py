@@ -2,13 +2,16 @@
 the test suite."""
 
 from fractions import Fraction
+from functools import cache
 
 import sympy
 
+from gtsingular import ratfun
 from gtsingular.distributions import DistVector, materialize
-from gtsingular.poly import _FIELD, Polynomial, mono_pairs
+from gtsingular.gtformulas import phi_general
+from gtsingular.poly import _FIELD, Polynomial, divexact, mono_pairs
 from gtsingular.ratfun import RationalFunction, multiply_by_linear
-from gtsingular.skewring import ring_mul_circ
+from gtsingular.skewring import ring_commutator, ring_mul_circ
 from gtsingular.suites import random_shift
 from gtsingular.tableau import Point, apply_shift
 
@@ -60,6 +63,26 @@ def random_rf(rng, variables=VARS3, max_deg=2):
     num = random_poly(rng, variables, max_terms=3, max_deg=max_deg)
     den = random_poly(rng, variables, max_terms=2, max_deg=1, zero_ok=False)
     return RationalFunction(num, den)
+
+
+def assert_canonical(f):
+    """A forms-path value: monic linear forms, none dividing num."""
+    for form, e in f.forms.items():
+        assert e > 0 and ratfun._is_linear(form) and form.leading_coeff() == 1
+        assert divexact(f.num, form) is None
+    assert f.den.leading_coeff() == 1
+
+
+@cache
+def bracket_image(n, r, s):
+    """The image of E(r,s) built as the bracket [E(r,t), E(t,s)] of its
+    neighbouring images, t the neighbour of r toward s, under the product
+    a*b = b o a: an oracle for the path formula of `phi_general` that
+    shares only the adjacent images with it."""
+    if abs(r - s) <= 1:
+        return phi_general(n, r, s)
+    t = r + 1 if s > r else r - 1
+    return ring_commutator(bracket_image(n, t, s), phi_general(n, r, t))
 
 
 def to_sympy(p):
