@@ -14,10 +14,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from math import prod
 
 from .poly import Polynomial
-from .ratfun import RationalFunction, _monic_form
+from .ratfun import RationalFunction, _expand, _monic_form
 from .skewring import RingElement, ring_commutator
 from .tableau import Shift
 
@@ -36,20 +35,6 @@ def gl_bracket(x: GeneratorId, y: GeneratorId) -> list[tuple[int, GeneratorId]]:
     if len(out) == 2 and out[0][1] == out[1][1]:
         return []
     return out
-
-
-def _ratio(num: list[Polynomial], den: list[Polynomial]) -> RationalFunction:
-    """prod(num) / prod(den) for linear factors, reduced as built.  Every
-    numerator form joins two adjacent rows and every denominator form lies
-    in one row, so no denominator form divides the numerator and the
-    quotient is canonical with no residue test or division."""
-    unit, forms = 1, {}
-    for lin in den:
-        lc, form = _monic_form(lin)
-        unit *= lc
-        forms[form] = forms.get(form, 0) + 1
-    p = prod(num, start=Polynomial.one())
-    return RationalFunction._make(-p if unit < 0 else p, forms)
 
 
 def phi_raising(n: int, k: int) -> RingElement:
@@ -119,23 +104,40 @@ def phi_general(n: int, r: int, s: int) -> RingElement:
     index path i_k in 1..k over the rows k = r..s-1 (up) or r-1..s (down)
     gives the shift prod sigma(k,i_k)^-step with coefficient -step * prod_k
     prod_{j != i_next} (x(k,i_k) - x(k+step,j)) / prod_{j != i_k} (x(k,i_k) - x(k,j)),
-    with i_next the path's index on the next row, every j on the last row."""
+    with i_next the path's index on the next row, every j on the last row.
+    Each difference is made monic (`_monic_form`), its unit +-1 folded
+    into the sign.  Every numerator form joins two adjacent rows and every
+    denominator form lies in one row, so no denominator form divides the
+    numerator and the coefficient is canonical as built, with no residue
+    test or division.  The image keeps each coefficient's numerator forms,
+    shift -> {form: multiplicity}, in its `_factors` slot, from which
+    `distributions` reads their jets."""
     if not (1 <= r <= n and 1 <= s <= n):
         raise ValueError(f"generator E({r},{s}) out of range for gl_{n}")
     if r == s:
         return phi_diagonal(n, r)
     step = 1 if s > r else -1
     rows = range(r, s) if step > 0 else range(r - 1, s - 1, -1)
-    terms = []
+    terms, factors = {}, {}
     for path in product(*(range(1, k + 1) for k in rows)):
-        num, den = [], []
+        sign, num, den = -step, {}, {}
         for k, i, nxt in zip(rows, path, path[1:] + (0,)):
             xi = Polynomial.variable(k, i)
-            num += [xi - Polynomial.variable(k + step, j) for j in range(1, k + step + 1) if j != nxt]
-            den += [xi - Polynomial.variable(k, j) for j in range(1, k + 1) if j != i]
+            # numerator forms reach the next row, denominator forms row k
+            for forms, row, skip in ((num, k + step, nxt), (den, k, i)):
+                for j in range(1, row + 1):
+                    if j != skip:
+                        lc, form = _monic_form(xi - Polynomial.variable(row, j))
+                        if lc < 0:
+                            sign = -sign
+                        forms[form] = forms.get(form, 0) + 1
         shift = Shift({(k, i): -step for k, i in zip(rows, path)})
-        terms.append((shift, _ratio(num, den).scale(-step)))
-    return RingElement(terms)
+        p = _expand(num.items())
+        terms[shift] = RationalFunction._make(p if sign > 0 else -p, den)
+        factors[shift] = num
+    image = RingElement._raw(terms)
+    image._factors = factors
+    return image
 
 
 def phi_combination(n: int, terms: list[tuple[int, GeneratorId]]) -> RingElement:

@@ -28,7 +28,9 @@ return them.  `_int_eval` is the one evaluation kernel; `ratfun` runs it
 for its evaluation and, modulo a prime, for its residue test.
 `line_series`, the Taylor series along a line in the direction of one
 difference x_a - x_b, walks the terms the same way on a `Line`, the line's
-integer kernel, and returns integers over one denominator, no Fraction.
+integer kernel, and returns integers over one denominator, no Fraction;
+`Line.product_series` gives the same series of a product of linear forms
+from the forms alone, with no expanded product.
 """
 
 from __future__ import annotations
@@ -156,15 +158,19 @@ class Line:
     x_v = coords[v], as the integer kernel of `Polynomial.line_series`:
     q, the lcm of 2 and every coordinate's denominator; q x_v per field
     offset; the fields of a and b; and the binomial rows of
-    (q x_a + (q/2) t)^e and (q x_b - (q/2) t)^e, each filled on first use."""
+    (q x_a + (q/2) t)^e and (q x_b - (q/2) t)^e, each filled on first use;
+    and, per shared monic form, its series (v + w t) / (q form.den), also
+    filled on first use, from which `product_series` multiplies the series
+    of a product of forms without expanding it."""
 
-    __slots__ = ("q", "ints", "sa", "sb", "_rows")
+    __slots__ = ("q", "ints", "sa", "sb", "_rows", "_forms")
 
     def __init__(self, coords: Mapping[Var, Fraction], a: Var, b: Var):
         q = self.q = _ilcm(2, *(x.denominator for x in coords.values()))
         self.ints = {_SHIFT[v]: x.numerator * (q // x.denominator) for v, x in coords.items()}
         self.sa, self.sb = _SHIFT[a], _SHIFT[b]
         self._rows: dict[tuple[int, int], list[int]] = {}
+        self._forms: dict[Polynomial, tuple[list[int], int]] = {}
 
     def row(self, s: int, e: int) -> list[int]:
         """The coefficients of (q x + h t)^e, x and h = q/2 at the field s
@@ -176,6 +182,24 @@ class Line:
                 h = -h
             r = self._rows[s, e] = [comb(e, j) * x ** (e - j) * h**j for j in range(e + 1)]
         return r
+
+    def product_series(self, forms: Mapping[Polynomial, int]) -> tuple[list[int], int]:
+        """`line_series` to order 2 of prod(f**e for f, e in forms.items()),
+        a product of linear forms, read from the forms: each form is
+        (v + w t) / d on the line, d = q f.den, and the product is the
+        truncated product of those pairs over the product of the ds.  An
+        empty product is 1."""
+        c0, c1, c2 = 1, 0, 0
+        den = 1
+        for f, e in forms.items():
+            vw = self._forms.get(f)
+            if vw is None:
+                vw = self._forms[f] = f.line_series(self, 1)
+            (v, w), d = vw
+            den *= d**e
+            for _ in range(e):
+                c0, c1, c2 = c0 * v, c1 * v + c0 * w, c2 * v + c1 * w
+        return [c0, c1, c2], den
 
 
 class Polynomial(SparseSum):

@@ -23,9 +23,15 @@ from .tableau import Point, Shift, SingularContext, shift_subst
 
 
 class RingElement(SparseSum):
-    """Finite formal sum of shifts with rational-function coefficients."""
+    """Finite formal sum of shifts with rational-function coefficients.
 
-    __slots__ = ("_act",)  # the memo of `distributions.act`; not part of == or hash
+    Two slots are not part of == or hash, and each is unset until filled:
+    `_act`, the memo of `distributions.act`, and `_factors`, set on an
+    off-diagonal generator image by `gtformulas.phi_general`: per shift, the
+    monic linear forms whose product is that coefficient's numerator up to
+    a constant, form -> multiplicity.  `scale` keeps `_factors`."""
+
+    __slots__ = ("_act", "_factors")
 
     # in the class dict, where perfbench's tracer wraps RingElement.__add__
     __add__ = SparseSum.__add__
@@ -50,7 +56,11 @@ class RingElement(SparseSum):
             return RingElement.zero()
         if c == 1:
             return self
-        return RingElement._raw({s: f.scale(c) for s, f in self.terms.items()})
+        out = RingElement._raw({s: f.scale(c) for s, f in self.terms.items()})
+        factors = getattr(self, "_factors", None)
+        if factors is not None:
+            out._factors = factors
+        return out
 
     def __repr__(self) -> str:
         if not self.terms:

@@ -51,7 +51,7 @@ from gtsingular.suites import (
     sample_basis,
 )
 from gtsingular.tableau import Point, Shift, SingularContext, canonical_context
-from tests_helpers import ROW3_POINT, random_dist_vector, symbolic_act, to_sympy
+from tests_helpers import ORDER5_POINT, ROW3_POINT, random_dist_vector, symbolic_act, to_sympy
 
 CTX = canonical_context()
 ID = Shift.identity()
@@ -454,6 +454,62 @@ def test_side_jet_matches_sympy_series(where):
     assert {("regular", False), ("simple z1 pole", True), ("other pole", None),
             ("double z1 pole", None)} <= seen
     assert not {("regular", True), ("regular", None), ("double z1 pole", True)} & seen
+
+
+def _expanded_jet(h, line):
+    """h's jet on the line read from its expanded numerator and
+    denominator: both series by `Polynomial.line_series`, the denominator's
+    to order 2, and the same formulas as `_side_jet`."""
+    kernel, zform = line
+    den, dd = h.den.line_series(kernel, 2)
+    pole = not den[0]
+    if pole:
+        if not den[1] or not h.den_divisible_by(zform):
+            return None
+        den = den[1:]
+    (n0, n1), nd = h.num.line_series(kernel, 1)
+    d0 = den[0]
+    return pole, Fraction(n0 * dd, nd * d0), Fraction((n1 * d0 - den[1] * n0) * dd, nd * d0 * d0)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_side_jet_from_factors_matches_the_expanded_series(n):
+    """Every off-diagonal image coefficient of order n, on every side line
+    of the module sample at the shipped point, at the row-3 pair (3,1,2)
+    of ROW3_POINT and at (2,1,2) of ORDER5_POINT: the jet read from the
+    numerator's factors equals the jet read from its terms and the jet of
+    the expanded numerator and denominator.  `scale(-1)` keeps the
+    factors, and the negation's jets and columns are the image's negated,
+    so its unit is read from its own numerator.  Regular jets and simple
+    poles both occur.  A copy of the image without its factors acts with
+    the same columns."""
+    ctx = {3: CTX, 4: SingularContext(ROW3_POINT, 3, 1, 2),
+           5: SingularContext(ORDER5_POINT, 2, 1, 2)}[n]
+    labels = [BasisVec(kind, sigma) for kind, sigma in sample_basis(ctx)]
+    sides = {side for bv in labels for side, _ in distributions._basis_sides(ctx, bv)}
+    lines = [distributions._side_line(ctx, side) for side in sides]
+    seen = set()
+    for r, s in all_generators(n):
+        if r == s:
+            continue
+        image = phi_general(n, r, s)
+        neg = image.scale(-1)
+        assert neg._factors is image._factors
+        for rho, h in image.terms.items():
+            factors = image._factors[rho]
+            for line in lines:
+                want = _expanded_jet(h, line)
+                assert distributions._side_jet(h, line, factors) == want
+                assert distributions._side_jet(h, line) == want
+                got = distributions._side_jet(neg.terms[rho], line, factors)
+                assert got == (None if want is None else (want[0], -want[1], -want[2]))
+                seen.add(None if want is None else want[0])
+        bare = RingElement._raw(dict(image.terms))
+        for bv in labels:
+            column = act(ctx, bare, bv)
+            assert act(ctx, image, bv) == column, (r, s, bv)
+            assert act(ctx, neg, bv) == -column, (r, s, bv)
+    assert {False, True} <= seen
 
 
 def test_poles_that_cancel_only_at_v_are_rejected():

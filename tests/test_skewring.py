@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from gtsingular.gtformulas import phi_general
 from gtsingular.ratfun import RationalFunction
 from gtsingular.skewring import (
     RingElement,
@@ -151,6 +152,18 @@ def test_is_tau_invariant():
     sym = RingElement([(S21, half_z), (S22, -half_z)])
     assert is_tau_invariant(CTX, sym)
     assert not is_tau_invariant(CTX, RingElement.term(ONE, S21))
+
+
+def test_scale_keeps_the_image_factors():
+    """An image's numerator factors ride along through scale, which
+    scales only the numerators; sums and elements built otherwise have
+    none."""
+    image = phi_general(3, 1, 3)
+    assert image.scale(1) is image
+    for c in (-1, Fraction(2, 3)):
+        assert image.scale(c)._factors is image._factors
+    assert getattr(image + image, "_factors", None) is None
+    assert getattr(RingElement.term(ONE, S21).scale(-1), "_factors", None) is None
 
 
 def test_is_at_most_one_singular():

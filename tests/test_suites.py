@@ -1,6 +1,8 @@
 """Suites read their order from their inputs: the default generator lists
 and samples are derived, and they run at order 4 as they do at order 3."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 from gtsingular import distributions, suites
@@ -41,7 +43,7 @@ from gtsingular.tableau import (
     canonical_test_point,
     positions,
 )
-from tests_helpers import ROW3_POINT
+from tests_helpers import ORDER5_POINT, ROW3_POINT
 
 
 def test_derived_defaults_match_documented_literals():
@@ -84,6 +86,20 @@ def test_suites_run_at_order_4():
     # two generators and the default sample: 2 x 2 pairs x 4 vectors
     report = module_suite(ctx, [(2, 3), (3, 2)])
     assert report["ok"] and report["total"] == 16 and report["n"] == 4, report["failures"][:3]
+
+
+def test_order5_module_report_is_pinned():
+    """module_suite at (2,1,2) of ORDER5_POINT for the corner generators
+    E(1,5), E(5,1), their neighbours E(4,5), E(5,4), and E(2,2) on D1[id]:
+    the report, sha256 of json.dumps(report, sort_keys=True), is the one
+    the module computed when it read every jet from expanded numerators
+    and denominators."""
+    ctx = SingularContext(ORDER5_POINT, 2, 1, 2)
+    gens = [(1, 5), (5, 1), (4, 5), (5, 4), (2, 2)]
+    report = module_suite(ctx, gens, [("D1", Shift.identity())])
+    assert report["ok"] and report["total"] == 25 and report["n"] == 5
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert digest == "0acca4c603b459ed1852bdcddf8349b2122dd9d0e7f5c1993079328ac1b0817b"
 
 
 def test_module_suite_checks_each_element_once(monkeypatch):

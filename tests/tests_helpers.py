@@ -28,6 +28,18 @@ ROW3_POINT = Point.from_rows(
     ]
 )
 
+# An order-5 point, 1-singular at the row-2 pair (2,1,2); every other
+# coordinate has its own prime denominator.
+ORDER5_POINT = Point.from_rows(
+    [
+        [Fraction(1, 5)],
+        [Fraction(1, 3), Fraction(1, 3)],
+        [Fraction(1, 7), Fraction(2, 11), Fraction(3, 13)],
+        [Fraction(1, 17), Fraction(2, 19), Fraction(3, 23), Fraction(4, 29)],
+        [Fraction(1, 31), Fraction(2, 37), Fraction(3, 41), Fraction(4, 43), Fraction(5, 47)],
+    ]
+)
+
 
 def mono_degree(m):
     """The total degree of a packed monomial: its lowest field."""
