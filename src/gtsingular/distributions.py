@@ -155,8 +155,8 @@ def _side_line(ctx: SingularContext, side: Shift) -> tuple[Line, Polynomial]:
     """The z1 line through v - m(side) as (line, zform): its integer kernel
     (`Line`) and the z1-form that vanishes at its base point, which is e on
     the line.  Memoized per context and side; the identity's line is v's
-    own.  The kernel's rows fill as jets are read, so every column on the
-    side shares them."""
+    own.  The kernel's form pairs fill as jets are read, so every column on
+    the side shares them."""
     coords = dict(ctx.v.coords)
     for pos, m in side.terms.items():
         coords[pos] -= m
@@ -198,7 +198,7 @@ def _side_jet(
         den = den[1:]
     num = h.num
     if factors is None:
-        (n0, n1), nd = num.line_series(kernel, 1)
+        (n0, n1), nd = num.line_series(kernel)
     else:
         (n0, n1, _), nd = kernel.product_series(factors)
         unit = num.terms[sum(e * _leading_monomial(f) for f, e in factors.items())]

@@ -26,11 +26,12 @@ only at the boundary: the `Polynomial(mapping)`, `term` and `constant`
 constructors take them, `constant_value`, `leading_coeff` and `evaluate`
 return them.  `_int_eval` is the one evaluation kernel; `ratfun` runs it
 for its evaluation and, modulo a prime, for its residue test.
-`line_series`, the Taylor series along a line in the direction of one
-difference x_a - x_b, walks the terms the same way on a `Line`, the line's
-integer kernel, and returns integers over one denominator, no Fraction;
-`Line.product_series` gives the same series of a product of linear forms
-from the forms alone, with no expanded product.
+`line_series`, the first-order Taylor series along a line in the
+direction of one difference x_a - x_b, walks the terms the same way on a
+`Line`, the line's integer kernel, and returns integers over one
+denominator, no Fraction; `Line.product_series` gives the series to order
+2 of a product of linear forms from the forms alone, with no expanded
+product.
 """
 
 from __future__ import annotations
@@ -157,34 +158,21 @@ class Line:
     """The line x_a = coords[a] + t/2, x_b = coords[b] - t/2, every other
     x_v = coords[v], as the integer kernel of `Polynomial.line_series`:
     q, the lcm of 2 and every coordinate's denominator; q x_v per field
-    offset; the fields of a and b; and the binomial rows of
-    (q x_a + (q/2) t)^e and (q x_b - (q/2) t)^e, each filled on first use;
-    and, per shared monic form, its series (v + w t) / (q form.den), also
-    filled on first use, from which `product_series` multiplies the series
-    of a product of forms without expanding it."""
+    offset; the fields of a and b; and, per shared monic form, its series
+    (v + w t) / (q form.den), filled on first use, from which
+    `product_series` multiplies the series of a product of forms without
+    expanding it."""
 
-    __slots__ = ("q", "ints", "sa", "sb", "_rows", "_forms")
+    __slots__ = ("q", "ints", "sa", "sb", "_forms")
 
     def __init__(self, coords: Mapping[Var, Fraction], a: Var, b: Var):
         q = self.q = _ilcm(2, *(x.denominator for x in coords.values()))
         self.ints = {_SHIFT[v]: x.numerator * (q // x.denominator) for v, x in coords.items()}
         self.sa, self.sb = _SHIFT[a], _SHIFT[b]
-        self._rows: dict[tuple[int, int], list[int]] = {}
         self._forms: dict[Polynomial, tuple[list[int], int]] = {}
 
-    def row(self, s: int, e: int) -> list[int]:
-        """The coefficients of (q x + h t)^e, x and h = q/2 at the field s
-        of a, x and h = -q/2 at that of b."""
-        r = self._rows.get((s, e))
-        if r is None:
-            x, h = self.ints[s], self.q // 2
-            if s == self.sb:
-                h = -h
-            r = self._rows[s, e] = [comb(e, j) * x ** (e - j) * h**j for j in range(e + 1)]
-        return r
-
     def product_series(self, forms: Mapping[Polynomial, int]) -> tuple[list[int], int]:
-        """`line_series` to order 2 of prod(f**e for f, e in forms.items()),
+        """The series to order 2 of prod(f**e for f, e in forms.items()),
         a product of linear forms, read from the forms: each form is
         (v + w t) / d on the line, d = q f.den, and the product is the
         truncated product of those pairs over the product of the ds.  An
@@ -194,7 +182,7 @@ class Line:
         for f, e in forms.items():
             vw = self._forms.get(f)
             if vw is None:
-                vw = self._forms[f] = f.line_series(self, 1)
+                vw = self._forms[f] = f.line_series(self)
             (v, w), d = vw
             den *= d**e
             for _ in range(e):
@@ -324,23 +312,22 @@ class Polynomial(SparseSum):
         xs, q = _int_point(coords, d)
         return Fraction(_int_eval(d, xs, q), self.den * q ** _top_degree(d))
 
-    def line_series(self, line: Line, order: int) -> tuple[list[int], int]:
-        """Taylor coefficients of p along `line` as integers over one
-        denominator: ([c_0, ..., c_order], den) with p = (c_0 + c_1 t + ...
-        + c_order t^order) / den + O(t^(order+1)) and den = self.den q^top,
-        with q the line's common denominator and top p's total degree.  One walk over the integer
-        terms: the part of each term free of x_a and x_b is summed into the
-        bucket of its pair of exponents (e_a, e_b), and each bucket then
-        takes the line's binomial rows of (q x_a)^e_a and (q x_b)^e_b.  No
-        derivative polynomial and no Fraction is built."""
+    def line_series(self, line: Line) -> tuple[list[int], int]:
+        """The first-order Taylor series of p along `line` as integers over
+        one denominator: ([c0, c1], den) with p = (c0 + c1 t) / den + O(t^2),
+        den = self.den q^top, q the line's common denominator and top p's
+        total degree.  One walk over the integer terms: with h = q/2, a term
+        c r x_a^ea x_b^eb, r free of x_a and x_b, adds c r (q x_a)^ea
+        (q x_b)^eb to c0 and c r h (ea (q x_a)^(ea-1) (q x_b)^eb - eb
+        (q x_a)^ea (q x_b)^(eb-1)) to c1.  No Fraction is built."""
         d = self.terms
         if not d:
-            return [0] * (order + 1), 1
+            return [0, 0], 1
         sa, sb, ints, q = line.sa, line.sb, line.ints, line.q
+        xa, xb = ints[sa], ints[sb]
         top = _top_degree(d)
         qpow = [q**j for j in range(top + 1)]
-        out = [0] * (order + 1)
-        buckets: dict[tuple[int, int], int] = {}
+        c0 = c1 = 0
         for m, c in d.items():
             c *= qpow[top - (m & _FIELD)]
             ea, eb = (m >> sa) & _FIELD, (m >> sb) & _FIELD
@@ -351,19 +338,13 @@ class Polynomial(SparseSum):
                 e = m >> s
                 m ^= e << s
                 c *= ints[s] if e == 1 else ints[s] ** e
-            if ea or eb:
-                key = (ea, eb)
-                buckets[key] = buckets.get(key, 0) + c
-            else:
-                out[0] += c
-        row = line.row
-        for (ea, eb), c in buckets.items():
-            pb = row(sb, eb)
-            for i, u in enumerate(row(sa, ea)[: order + 1]):
-                u *= c
-                for j, w in enumerate(pb[: order + 1 - i]):
-                    out[i + j] += u * w
-        return out, self.den * qpow[top]
+            pa, pb = xa**ea, xb**eb
+            c0 += c * pa * pb
+            if ea:
+                c1 += c * ea * xa ** (ea - 1) * pb
+            if eb:
+                c1 -= c * eb * pa * xb ** (eb - 1)
+        return [c0, c1 * (q // 2)], self.den * qpow[top]
 
     def derivative(self, var: Var) -> "Polynomial":
         s = _SHIFT[var]

@@ -4,9 +4,9 @@ Every denominator is a product of linear forms x[k][i] - x[k][j] + m, the
 only denominators the Gelfand-Tsetlin formulas produce.  It is kept as
 `forms`: a dict from monic linear form to multiplicity, in no order (dict
 equality is canonical).  Its expanded product, the monic `den` that is
-printed, is built on first use.  Canonical form: no listed form divides
-`num`, and num = 0 is stored as 0 with no forms.  Structural equality then
-coincides with equality of rational functions.
+printed, is built on each use and not kept.  Canonical form: no listed
+form divides `num`, and num = 0 is stored as 0 with no forms.  Structural
+equality then coincides with equality of rational functions.
 
 Linear forms are irreducible, so each form is tested on its own: `num` is
 evaluated modulo a prime on the form's zero set at a fixed integer point,
@@ -235,12 +235,12 @@ def _swapped_form(form: Polynomial, a: Var, b: Var) -> tuple[Fraction | int, Pol
 
 class RationalFunction:
     # _res, the residue memo of num, is not part of == or hash
-    __slots__ = ("num", "forms", "_den", "_res")
+    __slots__ = ("num", "forms", "_res")
 
     def __init__(self, num: Polynomial, den: Polynomial):
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        self._den = self._res = None
+        self._res = None
         if den.is_constant():
             self.num, self.forms = num.scale(_ONE / den.constant_value()), {}
         elif not _is_linear(den):
@@ -259,7 +259,6 @@ class RationalFunction:
         f = cls.__new__(cls)
         f.num = num
         f.forms = forms
-        f._den = None
         f._res = res if forms else None
         return f
 
@@ -285,11 +284,8 @@ class RationalFunction:
 
     @property
     def den(self) -> Polynomial:
-        """The expanded monic denominator."""
-        d = self._den
-        if d is None:
-            d = self._den = _expand(self.forms.items())
-        return d
+        """The expanded monic denominator, built afresh."""
+        return _expand(self.forms.items())
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -313,7 +309,8 @@ class RationalFunction:
                 and self.forms == other.forms)
 
     def __hash__(self) -> int:
-        return hash((self.num, self.den))
+        # forms is canonical as a dict, so equal functions hash equal
+        return hash((self.num, frozenset(self.forms.items())))
 
     def __neg__(self) -> "RationalFunction":
         return self._with_num(-self.num, -1)
@@ -329,9 +326,7 @@ class RationalFunction:
                 res = {form: r if r is None else r * k % _P for form, r in res.items()}
             else:
                 res = None
-        f = RationalFunction._make(num, self.forms, res)
-        f._den = self._den
-        return f
+        return RationalFunction._make(num, self.forms, res)
 
     def _memo(self) -> dict:
         """The residue memo of num, built on first use and kept when self has

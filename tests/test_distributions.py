@@ -51,7 +51,14 @@ from gtsingular.suites import (
     sample_basis,
 )
 from gtsingular.tableau import Point, Shift, SingularContext, canonical_context
-from tests_helpers import ORDER5_POINT, ROW3_POINT, random_dist_vector, symbolic_act, to_sympy
+from tests_helpers import (
+    ORDER5_POINT,
+    ROW3_POINT,
+    random_dist_vector,
+    symbolic_act,
+    taylor_series,
+    to_sympy,
+)
 
 CTX = canonical_context()
 ID = Shift.identity()
@@ -199,7 +206,7 @@ def test_membership_is_decided_off_the_line():
     # line, as a simple z1 pole would, but no z1 factor
     h = outside["two vanishing forms"]
     p = {v: c - (v == (2, 2)) for v, c in CTX.v.coords.items()}
-    assert h.den.line_series(Line(p, (2, 1), (2, 2)), 1)[0][1]
+    assert h.den.line_series(Line(p, (2, 1), (2, 2)))[0][1]
     a = RingElement.term(h, ID)
     with pytest.raises(MembershipError, match="higher-order pole at the base point"):
         act(CTX, a, BasisVec("D1", S22))
@@ -456,20 +463,21 @@ def test_side_jet_matches_sympy_series(where):
     assert not {("regular", True), ("regular", None), ("double z1 pole", True)} & seen
 
 
-def _expanded_jet(h, line):
-    """h's jet on the line read from its expanded numerator and
-    denominator: both series by `Polynomial.line_series`, the denominator's
-    to order 2, and the same formulas as `_side_jet`."""
-    kernel, zform = line
-    den, dd = h.den.line_series(kernel, 2)
+def _expanded_jet(h, line, base, pair):
+    """h's jet on the line through base read from its expanded numerator
+    and denominator: the numerator's series by `Polynomial.line_series`,
+    the denominator's to order 2 by the Taylor oracle, and the same
+    formulas as `_side_jet`."""
+    zform = line[1]
+    den = taylor_series(h.den, base, *pair, 2)
     pole = not den[0]
     if pole:
         if not den[1] or not h.den_divisible_by(zform):
             return None
         den = den[1:]
-    (n0, n1), nd = h.num.line_series(kernel, 1)
-    d0 = den[0]
-    return pole, Fraction(n0 * dd, nd * d0), Fraction((n1 * d0 - den[1] * n0) * dd, nd * d0 * d0)
+    (n0, n1), nd = h.num.line_series(line[0])
+    n0, n1, d0 = Fraction(n0, nd), Fraction(n1, nd), den[0]
+    return pole, n0 / d0, (n1 * d0 - den[1] * n0) / (d0 * d0)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -478,7 +486,8 @@ def test_side_jet_from_factors_matches_the_expanded_series(n):
     of the module sample at the shipped point, at the row-3 pair (3,1,2)
     of ROW3_POINT and at (2,1,2) of ORDER5_POINT: the jet read from the
     numerator's factors equals the jet read from its terms and the jet of
-    the expanded numerator and denominator.  `scale(-1)` keeps the
+    the expanded numerator and denominator, the denominator's series by the
+    Taylor oracle on the side's base point v - m(side).  `scale(-1)` keeps the
     factors, and the negation's jets and columns are the image's negated,
     so its unit is read from its own numerator.  Regular jets and simple
     poles both occur.  A copy of the image without its factors acts with
@@ -487,7 +496,12 @@ def test_side_jet_from_factors_matches_the_expanded_series(n):
            5: SingularContext(ORDER5_POINT, 2, 1, 2)}[n]
     labels = [BasisVec(kind, sigma) for kind, sigma in sample_basis(ctx)]
     sides = {side for bv in labels for side, _ in distributions._basis_sides(ctx, bv)}
-    lines = [distributions._side_line(ctx, side) for side in sides]
+    lines, pair = [], (ctx.pos_i, ctx.pos_j)
+    for side in sides:
+        base = dict(ctx.v.coords)
+        for pos, m in side.terms.items():
+            base[pos] -= m
+        lines.append((distributions._side_line(ctx, side), base))
     seen = set()
     for r, s in all_generators(n):
         if r == s:
@@ -497,8 +511,8 @@ def test_side_jet_from_factors_matches_the_expanded_series(n):
         assert neg._factors is image._factors
         for rho, h in image.terms.items():
             factors = image._factors[rho]
-            for line in lines:
-                want = _expanded_jet(h, line)
+            for line, base in lines:
+                want = _expanded_jet(h, line, base, pair)
                 assert distributions._side_jet(h, line, factors) == want
                 assert distributions._side_jet(h, line) == want
                 got = distributions._side_jet(neg.terms[rho], line, factors)

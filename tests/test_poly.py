@@ -8,11 +8,11 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from gtsingular import poly
+from gtsingular import poly, ratfun
 from gtsingular.gtformulas import phi_general
 from gtsingular.poly import Line, Polynomial, divexact, mono_pack, mono_pairs
 from gtsingular.tableau import canonical_test_point
-from tests_helpers import ROW3_POINT, mono_degree, to_sympy
+from tests_helpers import ROW3_POINT, mono_degree, taylor_series, to_sympy
 
 X11 = Polynomial.variable(1, 1)
 X21 = Polynomial.variable(2, 1)
@@ -223,29 +223,68 @@ def test_evaluate_matches_fraction_loop(seed):
             assert p.evaluate(point) == fraction_eval(p, point), name
 
 
+def _powers_of_the_pair(a, b, other):
+    """Terms with exponents up to 4 in x_a and x_b, alone and times another
+    variable, and polynomials free of both."""
+    xa, xb, xc = (Polynomial.variable(*v) for v in (a, b, other))
+    out = [xa**4, xb**4, xa**3 * xb, xa * xb**3, (xa * xb) ** 2 * xc,
+           xa**4 * xb**4 - xa * xc, Polynomial.constant(Fraction(-7, 3)), xc**3 - xc]
+    out.append(sum(out, Polynomial.zero()))
+    return out
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_line_series_matches_taylor(seed):
-    """The Taylor coefficients along x_a = v_a + e/2, x_b = v_b - e/2 are
-    D^k p(v) / k! with D = (d/dx_a - d/dx_b) / 2, here built from
-    symbolic derivatives; the series stops at the requested order.  Each
-    line's kernel is built once, so later polynomials read rows that
-    earlier ones filled; the order-4 case is the row-3 pair at ROW3_POINT."""
+    """The first-order Taylor coefficients along x_a = v_a + e/2,
+    x_b = v_b - e/2 are p(v) and D p(v) with D = (d/dx_a - d/dx_b) / 2,
+    here built from symbolic derivatives (`tests_helpers.taylor_series`).
+    Each line's kernel is built once and serves every polynomial; the
+    order-4 case is the row-3 pair at ROW3_POINT."""
     rng = random.Random(500 + seed)
     cases = [((2, 1), (2, 2), EVAL_POINTS, VARS),
              ((3, 1), (3, 2), {"row 3": ROW3_POINT.coords}, list(ROW3_POINT.coords))]
     for a, b, points, variables in cases:
         lines = {name: Line(point, a, b) for name, point in points.items()}
-        for _ in range(12):
-            p = random_poly(rng, max_terms=6, max_deg=4, variables=variables)
+        polys = _powers_of_the_pair(a, b, (1, 1))
+        polys += [random_poly(rng, max_terms=6, max_deg=4, variables=variables) for _ in range(12)]
+        for p in polys:
             for name, point in points.items():
-                want, d = [], p
-                for k in range(6):
-                    want.append(d.evaluate(point) / math.factorial(k))
-                    d = (d.derivative(a) - d.derivative(b)).scale(Fraction(1, 2))
-                for order in (0, 1, 5):
-                    coeffs, den = p.line_series(lines[name], order)
-                    assert [Fraction(c, den) for c in coeffs] == want[: order + 1], name
-    assert Polynomial.zero().line_series(Line(SHIPPED, (2, 1), (2, 2)), 2) == ([0, 0, 0], 1)
+                coeffs, den = p.line_series(lines[name])
+                want = taylor_series(p, point, a, b, 1)
+                assert [Fraction(c, den) for c in coeffs] == want, (name, p)
+    assert Polynomial.zero().line_series(Line(SHIPPED, (2, 1), (2, 2))) == ([0, 0], 1)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_product_series_matches_taylor(seed):
+    """`Line.product_series` of a product of linear forms, read from the
+    forms, against the Taylor oracle of the expanded product to order 2:
+    forms of multiplicity 1 to 3, forms that vanish at the base point (one
+    with a slope along the line, one constant on it, so that the product
+    vanishes there to order 1 or identically), and the empty product."""
+    rng = random.Random(520 + seed)
+    a, b = (2, 1), (2, 2)
+    for name, point in EVAL_POINTS.items():
+        line = Line(point, a, b)
+        base = {v: Polynomial.variable(*v) - Polynomial.constant(point[v]) for v in VARS}
+        through = [base[a] - base[b], base[(3, 1)]]
+        for _ in range(6):
+            forms = {}
+            for _ in range(rng.randint(1, 3)):
+                lin = random_poly(rng, max_terms=3, max_deg=1, zero_ok=False) + X31
+                if ratfun._is_linear(lin):
+                    forms[ratfun._monic_form(lin)[1]] = rng.randint(1, 3)
+            if rng.random() < 0.5:
+                forms[ratfun._monic_form(rng.choice(through))[1]] = rng.randint(1, 2)
+            coeffs, den = line.product_series(forms)
+            want = taylor_series(ratfun._expand(forms.items()), point, a, b, 2)
+            assert [Fraction(c, den) for c in coeffs] == want, name
+        assert line.product_series({}) == ([1, 0, 0], 1)
+    # a simple zero along the line and a double one
+    line = Line(SHIPPED, a, b)
+    z = ratfun._monic_form(X21 - X22 - Polynomial.constant(SHIPPED[a] - SHIPPED[b]))[1]
+    assert [c == 0 for c in line.product_series({z: 1})[0]] == [True, False, True]
+    assert [c == 0 for c in line.product_series({z: 2})[0]] == [True, True, False]
 
 
 def test_input_guards():

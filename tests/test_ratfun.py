@@ -513,7 +513,10 @@ def test_entry_dropped_when_the_divisor_vanishes_at_its_point(monkeypatch):
 
 
 def test_memo_is_not_part_of_equality():
-    """The same function with and without a memo: equal, with equal hashes."""
+    """The same function with and without a memo: equal, with equal hashes.
+    So are functions built by different routes (products in other orders,
+    a sum, a cancellation), whose forms dicts list the same forms in
+    different orders or reach their multiplicities in different steps."""
     form = Polynomial.variable(2, 1) - Polynomial.variable(2, 2)
     num = Polynomial.variable(1, 1) * Polynomial.variable(3, 2)
     with_memo = RationalFunction(num, form)
@@ -522,6 +525,20 @@ def test_memo_is_not_part_of_equality():
     assert with_memo == without and without == with_memo
     assert hash(with_memo) == hash(without)
     assert {with_memo: 1}[without] == 1
+    x11, x32 = (RationalFunction.from_poly(Polynomial.variable(*v)) for v in [(1, 1), (3, 2)])
+    other = Polynomial.variable(3, 1) - Polynomial.variable(3, 2) + Polynomial.constant(2)
+    f, g = RationalFunction(Polynomial.one(), form), RationalFunction(Polynomial.one(), other)
+    routes = [
+        f * f * g * x11,
+        x11 * g * (f**2),
+        x11 / RationalFunction.from_poly(form.scale(-3)) * (g * f) * RationalFunction.constant(-3),
+        (f * g * x11 * (RationalFunction.one() + x32) - g * f * x11 * x32) * f,
+        x11 * RationalFunction.from_poly(form) * f**3 * g,
+    ]
+    assert [list(r.forms) for r in routes[:2]] != [list(routes[0].forms)] * 2
+    for r in routes:
+        assert r == routes[0] and hash(r) == hash(routes[0]), r
+    assert len(set(routes)) == 1
 
 
 def poly_var(k, i):

@@ -1,6 +1,7 @@
 """Shared random generators (seeded by callers), points and oracles for
 the test suite."""
 
+import math
 from fractions import Fraction
 from functools import cache
 
@@ -95,6 +96,19 @@ def bracket_image(n, r, s):
         return phi_general(n, r, s)
     t = r + 1 if s > r else r - 1
     return ring_commutator(bracket_image(n, t, s), phi_general(n, r, t))
+
+
+def taylor_series(p, coords, a, b, order):
+    """[D^k p(v) / k! for k = 0..order] with D = (d/dx_a - d/dx_b) / 2: the
+    Taylor coefficients of the polynomial p along x_a = v_a + t/2,
+    x_b = v_b - t/2 through v = coords, from symbolic derivatives.  An
+    oracle for `Polynomial.line_series` and `Line.product_series`, which
+    build no derivative."""
+    out = []
+    for k in range(order + 1):
+        out.append(p.evaluate(coords) / math.factorial(k))
+        p = (p.derivative(a) - p.derivative(b)).scale(Fraction(1, 2))
+    return out
 
 
 def to_sympy(p):
