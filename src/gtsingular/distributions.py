@@ -19,14 +19,14 @@ built once per context and side), on which numerator and denominator
 restrict exactly to integers over one denominator each, and a jet takes
 one Fraction per coefficient.  No product of linear forms is expanded to
 be read: each form is one integer pair on the line, memoized there, and
-`Line.product_series` multiplies the pairs, truncated.  The denominator
-is always read from its forms (a polynomial term's is 1), and a generator
-image's numerator from the factors `phi_general` records on the image
-(`RingElement._factors`); any other numerator is read from its terms by
-`Polynomial.line_series`.  The weights of B's sides are 1 or +-1/2, so a column adds
-each target's jets with the side's sign and halves the sum once when B
-has two sides.  Order 0 of g goes on D2, order 1 on D1, and each target
-is reduced to its ordered representative once, for both kinds.
+`Line.product_series` multiplies the pairs, truncated.  The denominator is
+always read from its forms (a polynomial term's is 1), and a numerator
+from the linear factors its coefficient records (`_num_forms`, on image
+coefficients and their multiples); any other from its terms by
+`Polynomial.line_series`.  The weights of B's sides are 1 or +-1/2, so a
+column adds each target's jets with the side's sign and halves the sum
+once when B has two sides.  Order 0 of g goes on D2, order 1 on D1, and
+each target is reduced to its ordered representative once, for both kinds.
 Membership is decided per term from its reduced denominator, not from the
 line: a term that is not regular at v on its own sends its target to an
 exact symbolic sum, which is regular only when the other side cancels the
@@ -164,12 +164,8 @@ def _side_line(ctx: SingularContext, side: Shift) -> tuple[Line, Polynomial]:
     return Line(coords, ctx.pos_i, ctx.pos_j), zform
 
 
-# Forms are shared objects (`ratfun._monic_form`), and few distinct ones occur.
-_leading_monomial = lru_cache(maxsize=None)(Polynomial.leading_monomial)
-
-
 def _side_jet(
-    h: RationalFunction, line: tuple[Line, Polynomial], factors: dict | None = None
+    h: RationalFunction, line: tuple[Line, Polynomial]
 ) -> tuple[bool, Fraction, Fraction] | None:
     """h's Laurent jet on the z1 line (kernel, zform) of `_side_line`, where
     x(k,i) = base + e/2, x(k,j) = base - e/2 and zform = e: (False, c0, c1)
@@ -182,11 +178,11 @@ def _side_jet(
     integers over one denominator each, N / nd for the numerator and D / dd
     for the denominator, so c0 = N0 dd / (nd D0) and c1 = (N1 D0 - D1 N0) dd
     / (nd D0^2).  The denominator series is the product of its forms'
-    (`Line.product_series`), (1, 0, 0) over 1 for a polynomial.  `factors`,
-    when given, are num's monic linear factors, form -> multiplicity: num is
-    their product times its coefficient at the sum of their leading
-    monomials, where the product's coefficient is 1, and its series is read
-    from them too; otherwise from num's terms (`Polynomial.line_series`)."""
+    (`Line.product_series`), (1, 0, 0) over 1 for a polynomial.  When h
+    carries its numerator's factors, num = unit * prod(form**e) (the
+    `_num_forms` memo), num's series is the unit times their product's,
+    read from the forms too; otherwise it is read from num's terms
+    (`Polynomial.line_series`)."""
     kernel, zform = line
     den, dd = kernel.product_series(h.forms)
     pole = not den[0]
@@ -196,13 +192,14 @@ def _side_jet(
         # h = num / (zform r), zform = e on the line, so r is den shifted
         # down one order and r(base) = den[1] != 0
         den = den[1:]
-    num = h.num
-    if factors is None:
-        (n0, n1), nd = num.line_series(kernel)
+    num_forms = h._num_forms
+    if num_forms is None:
+        (n0, n1), nd = h.num.line_series(kernel)
     else:
-        (n0, n1, _), nd = kernel.product_series(factors)
-        unit = num.terms[sum(e * _leading_monomial(f) for f, e in factors.items())]
-        n0, n1, nd = n0 * unit, n1 * unit, nd * num.den
+        unit, forms = num_forms
+        (n0, n1, _), nd = kernel.product_series(forms)
+        a = unit.numerator
+        n0, n1, nd = n0 * a, n1 * a, nd * unit.denominator
     d0 = den[0]
     return pole, Fraction(n0 * dd, nd * d0), Fraction((n1 * d0 - den[1] * n0) * dd, nd * d0 * d0)
 
@@ -259,7 +256,6 @@ def _column(ctx: SingularContext, a: RingElement, bv: BasisVec, jets: dict) -> D
     and read at v; MembershipError when it is not regular there either."""
     lift = 1 if bv.kind == "D1" else 0
     sides = _basis_sides(ctx, bv)
-    factors = getattr(a, "_factors", None) or {}  # set on generator images and their multiples
     sums: dict[Shift, list[Fraction]] = {}
     singular: set[Shift] = set()
     for side, w in sides:
@@ -267,9 +263,7 @@ def _column(ctx: SingularContext, a: RingElement, bv: BasisVec, jets: dict) -> D
         side_jets = jets.get(side)
         if side_jets is None:
             line = _side_line(ctx, side)
-            side_jets = jets[side] = [
-                (rho, _side_jet(h, line, factors.get(rho))) for rho, h in a.terms.items()
-            ]
+            side_jets = jets[side] = [(rho, _side_jet(h, line)) for rho, h in a.terms.items()]
         for rho, jet in side_jets:
             t = side * rho
             g = _read_jet(jet, lift)

@@ -4,10 +4,12 @@ E(k,k) of gl_n maps to the row sums, and every other E(r,s) to one sum
 over index paths from row r toward row s (`phi_general`).  The paths of
 length 1 are the classical formulas for E(k,k+1) and E(k+1,k) (Zhelobenko
 1973; Molev, arXiv:math/0211289); the tests check the longer ones against
-brackets of neighbouring images.  The map is a ring homomorphism for the
-opposite of the twisted product, a*b = b o a = `ring_mul_circ(b, a)` (see
-`convention`): `verify_homomorphism` checks every ordered generator pair,
-each bracket one pass over its operands' term pairs (`ring_commutator`).
+brackets of neighbouring images, and each off-diagonal coefficient
+records its numerator's linear factors (`RationalFunction._num_forms`).
+The map is a ring homomorphism for the opposite of the twisted product,
+a*b = b o a = `ring_mul_circ(b, a)` (see `convention`):
+`verify_homomorphism` checks every ordered generator pair, each bracket
+one pass over its operands' term pairs (`ring_commutator`).
 """
 
 from __future__ import annotations
@@ -109,8 +111,8 @@ def phi_general(n: int, r: int, s: int) -> RingElement:
     into the sign.  Every numerator form joins two adjacent rows and every
     denominator form lies in one row, so no denominator form divides the
     numerator and the coefficient is canonical as built, with no residue
-    test or division.  The image keeps each coefficient's numerator forms,
-    shift -> {form: multiplicity}, in its `_factors` slot, from which
+    test or division.  Each coefficient keeps its numerator's factors,
+    (sign, {form: multiplicity}), in its `_num_forms` memo, from which
     `distributions` reads their jets."""
     if not (1 <= r <= n and 1 <= s <= n):
         raise ValueError(f"generator E({r},{s}) out of range for gl_{n}")
@@ -118,7 +120,7 @@ def phi_general(n: int, r: int, s: int) -> RingElement:
         return phi_diagonal(n, r)
     step = 1 if s > r else -1
     rows = range(r, s) if step > 0 else range(r - 1, s - 1, -1)
-    terms, factors = {}, {}
+    terms = {}
     for path in product(*(range(1, k + 1) for k in rows)):
         sign, num, den = -step, {}, {}
         for k, i, nxt in zip(rows, path, path[1:] + (0,)):
@@ -133,11 +135,8 @@ def phi_general(n: int, r: int, s: int) -> RingElement:
                         forms[form] = forms.get(form, 0) + 1
         shift = Shift({(k, i): -step for k, i in zip(rows, path)})
         p = _expand(num.items())
-        terms[shift] = RationalFunction._make(p if sign > 0 else -p, den)
-        factors[shift] = num
-    image = RingElement._raw(terms)
-    image._factors = factors
-    return image
+        terms[shift] = RationalFunction._make(p if sign > 0 else -p, den, num_forms=(sign, num))
+    return RingElement._raw(terms)
 
 
 def phi_combination(n: int, terms: list[tuple[int, GeneratorId]]) -> RingElement:

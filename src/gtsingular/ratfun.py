@@ -36,6 +36,11 @@ each equals the residue of the numerator itself: the memo changes what a
 test costs, never what it decides.  Each form's test point is solved once
 and cached.
 
+A `gtformulas.phi_general` image coefficient also records its numerator's
+linear factors, `_num_forms` = (unit, {monic form: e}) with num == unit *
+prod(form**e), outside == and hash; scaling and negation keep it with the
+unit times the scalar, and every other result has None.
+
 Forms are shared and their transforms computed once.  `_monic_form` caches
 the monic scaling of each linear polynomial, so equal forms are one object
 and a dict lookup on a form meets its cached hash and an identity test.  A
@@ -234,13 +239,13 @@ def _swapped_form(form: Polynomial, a: Var, b: Var) -> tuple[Fraction | int, Pol
 
 
 class RationalFunction:
-    # _res, the residue memo of num, is not part of == or hash
-    __slots__ = ("num", "forms", "_res")
+    # the memos _res and _num_forms (see the module docstring) are not part of == or hash
+    __slots__ = ("num", "forms", "_res", "_num_forms")
 
     def __init__(self, num: Polynomial, den: Polynomial):
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        self._res = None
+        self._res = self._num_forms = None
         if den.is_constant():
             self.num, self.forms = num.scale(_ONE / den.constant_value()), {}
         elif not _is_linear(den):
@@ -253,13 +258,15 @@ class RationalFunction:
             self._res = res if self.forms else None
 
     @classmethod
-    def _make(cls, num: Polynomial, forms: dict, res=None) -> "RationalFunction":
+    def _make(cls, num: Polynomial, forms: dict, res=None, num_forms=None) -> "RationalFunction":
         # internal: no form divides num, or num is zero and forms is {};
-        # res is a residue memo of num, a product's factors (see _memo) or None
+        # res is a residue memo of num, a product's factors (see _memo) or None;
+        # num_forms is (unit, {form: e}) with num == unit * prod(form**e), or None
         f = cls.__new__(cls)
         f.num = num
         f.forms = forms
         f._res = res if forms else None
+        f._num_forms = num_forms
         return f
 
     @classmethod
@@ -316,17 +323,22 @@ class RationalFunction:
         return self._with_num(-self.num, -1)
 
     def _with_num(self, num: Polynomial, c: Fraction | int) -> "RationalFunction":
-        # same denominator; num = c * self.num for a nonzero constant c, so the memo scales by c, not evaluated again
+        # same denominator; num = c * self.num for a nonzero constant c, so both
+        # memos scale by c, not evaluated again (an integer c builds no Fraction)
+        a, b = c.numerator, c.denominator
+        num_forms = self._num_forms
+        if num_forms is not None:
+            unit = num_forms[0] * a
+            num_forms = (unit if b == 1 else Fraction(unit, b), num_forms[1])
         res = self._res
         if res is not None:
             res = self._memo()
-            a, b = c.numerator, c.denominator
             if a % _P and b % _P:
                 k = a * pow(b, -1, _P)
                 res = {form: r if r is None else r * k % _P for form, r in res.items()}
             else:
                 res = None
-        return RationalFunction._make(num, self.forms, res)
+        return RationalFunction._make(num, self.forms, res, num_forms)
 
     def _memo(self) -> dict:
         """The residue memo of num, built on first use and kept when self has

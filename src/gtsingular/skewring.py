@@ -8,7 +8,8 @@ through the shift action on functions:
 extended bilinearly.  Shifts commute, so the commutator a o b - b o a is
 built in one pass over the term pairs, each pair landing on one shift; a
 shift-free side is factored out of its pair's two products.  The
-transposition of a singular pair acts as a ring automorphism.
+transposition of a singular pair acts as a ring automorphism.  `scale`
+scales each coefficient, which keeps its numerator's factors (`ratfun`).
 """
 
 from __future__ import annotations
@@ -25,13 +26,10 @@ from .tableau import Point, Shift, SingularContext, shift_subst
 class RingElement(SparseSum):
     """Finite formal sum of shifts with rational-function coefficients.
 
-    Two slots are not part of == or hash, and each is unset until filled:
-    `_act`, the memo of `distributions.act`, and `_factors`, set on an
-    off-diagonal generator image by `gtformulas.phi_general`: per shift, the
-    monic linear forms whose product is that coefficient's numerator up to
-    a constant, form -> multiplicity.  `scale` keeps `_factors`."""
+    The slot `_act`, the memo of `distributions.act`, is not part of == or
+    hash, and is unset until the element first acts."""
 
-    __slots__ = ("_act", "_factors")
+    __slots__ = ("_act",)
 
     # in the class dict, where perfbench's tracer wraps RingElement.__add__
     __add__ = SparseSum.__add__
@@ -56,11 +54,7 @@ class RingElement(SparseSum):
             return RingElement.zero()
         if c == 1:
             return self
-        out = RingElement._raw({s: f.scale(c) for s, f in self.terms.items()})
-        factors = getattr(self, "_factors", None)
-        if factors is not None:
-            out._factors = factors
-        return out
+        return RingElement._raw({s: f.scale(c) for s, f in self.terms.items()})
 
     def __repr__(self) -> str:
         if not self.terms:

@@ -168,7 +168,7 @@ def _anchor_check(ctx: SingularContext) -> bool:
     coefficient's z1-pole cancels exactly."""
     s_i = Shift.generator(ctx.k, ctx.i)
     s_j = Shift.generator(ctx.k, ctx.j)
-    z1 = RationalFunction.from_poly(ctx.z1_poly)
+    z1 = ctx.z1
     one = RationalFunction.one()
     two = RationalFunction.constant(2)
     a = RingElement([(s_i, one / z1), (s_j, -(one / z1))])

@@ -487,11 +487,11 @@ def test_side_jet_from_factors_matches_the_expanded_series(n):
     of ROW3_POINT and at (2,1,2) of ORDER5_POINT: the jet read from the
     numerator's factors equals the jet read from its terms and the jet of
     the expanded numerator and denominator, the denominator's series by the
-    Taylor oracle on the side's base point v - m(side).  `scale(-1)` keeps the
-    factors, and the negation's jets and columns are the image's negated,
-    so its unit is read from its own numerator.  Regular jets and simple
-    poles both occur.  A copy of the image without its factors acts with
-    the same columns."""
+    Taylor oracle on the side's base point v - m(side).  `scale(c)` keeps the
+    factors with the unit times c, for c = -1 and a non-integer c, and the
+    scaled image's jets and columns are the image's times c.  Regular jets
+    and simple poles both occur.  A copy of the image whose coefficients
+    carry no factors acts with the same columns."""
     ctx = {3: CTX, 4: SingularContext(ROW3_POINT, 3, 1, 2),
            5: SingularContext(ORDER5_POINT, 2, 1, 2)}[n]
     labels = [BasisVec(kind, sigma) for kind, sigma in sample_basis(ctx)]
@@ -507,23 +507,47 @@ def test_side_jet_from_factors_matches_the_expanded_series(n):
         if r == s:
             continue
         image = phi_general(n, r, s)
-        neg = image.scale(-1)
-        assert neg._factors is image._factors
+        scaled = [(c, image.scale(c)) for c in (-1, Fraction(-2, 3))]
+        bare = RingElement._raw({rho: RationalFunction._make(h.num, h.forms)
+                                 for rho, h in image.terms.items()})
         for rho, h in image.terms.items():
-            factors = image._factors[rho]
+            unit, forms = h._num_forms
+            for c, multiple in scaled:
+                assert multiple.terms[rho]._num_forms == (unit * c, forms)
+            assert bare.terms[rho]._num_forms is None
             for line, base in lines:
                 want = _expanded_jet(h, line, base, pair)
-                assert distributions._side_jet(h, line, factors) == want
                 assert distributions._side_jet(h, line) == want
-                got = distributions._side_jet(neg.terms[rho], line, factors)
-                assert got == (None if want is None else (want[0], -want[1], -want[2]))
+                assert distributions._side_jet(bare.terms[rho], line) == want
+                for c, multiple in scaled:
+                    got = distributions._side_jet(multiple.terms[rho], line)
+                    assert got == (None if want is None else (want[0], c * want[1], c * want[2]))
                 seen.add(None if want is None else want[0])
-        bare = RingElement._raw(dict(image.terms))
         for bv in labels:
             column = act(ctx, bare, bv)
             assert act(ctx, image, bv) == column, (r, s, bv)
-            assert act(ctx, neg, bv) == -column, (r, s, bv)
+            for c, multiple in scaled:
+                assert act(ctx, multiple, bv) == column.scale(c), (r, s, bv, c)
     assert {False, True} <= seen
+
+
+def test_a_sum_of_images_with_disjoint_shifts_keeps_the_factors():
+    """E(1,3) + E(2,4) at order 4: the two images share no shift, so the
+    sum's coefficients are the images' own, with their numerator factors,
+    and the sum acts through them with the columns of a copy whose
+    coefficients carry none, at the row-3 pair (3,1,2) of ROW3_POINT."""
+    ctx = SingularContext(ROW3_POINT, 3, 1, 2)
+    a, b = phi_general(4, 1, 3), phi_general(4, 2, 4)
+    total = a + b
+    assert not a.terms.keys() & b.terms.keys()
+    assert len(total.terms) == len(a.terms) + len(b.terms)
+    for rho, h in total.terms.items():
+        assert h is (a.terms.get(rho) or b.terms[rho]) and h._num_forms is not None
+    bare = RingElement._raw({rho: RationalFunction._make(h.num, h.forms)
+                             for rho, h in total.terms.items()})
+    for kind, sigma in sample_basis(ctx):
+        bv = BasisVec(kind, sigma)
+        assert act(ctx, total, bv) == act(ctx, bare, bv), bv
 
 
 def test_poles_that_cancel_only_at_v_are_rejected():

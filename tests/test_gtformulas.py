@@ -345,25 +345,25 @@ def test_phi_general_nonadjacent_bracket(n):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_image_coefficients_are_reduced_as_built(n):
     """No denominator form of an image coefficient divides its numerator,
-    though the path formula builds each one with no division.  An
-    off-diagonal image records, per shift, its numerator's factors: monic
-    differences x_a - x_b whose product is the numerator up to a sign."""
+    though the path formula builds each one with no division.  Each
+    off-diagonal image coefficient carries its numerator's factors: a unit
+    +-1 and monic differences x_a - x_b whose product times the unit is the
+    numerator; a diagonal coefficient carries none."""
     for r, s in all_generators(n):
         image = phi_general(n, r, s)
-        for c in image.terms.values():
+        for sigma, c in image.terms.items():
             assert_canonical(c)
-        if r == s:
-            assert getattr(image, "_factors", None) is None
-            continue
-        assert image._factors.keys() == image.terms.keys()
-        for sigma, factors in image._factors.items():
-            p = Polynomial.one()
-            for form, e in factors.items():
+            if r == s:
+                assert c._num_forms is None
+                continue
+            unit, forms = c._num_forms
+            assert unit in (1, -1)
+            p = Polynomial.constant(unit)
+            for form, e in forms.items():
                 assert len(form.terms) == 2 and form.leading_coeff() == 1
                 assert sorted(form.terms.values()) == [-1, 1] and form.den == 1
                 p = p * form**e
-            num = image.terms[sigma].num
-            assert num in (p, -p), (r, s, sigma)
+            assert p == c.num, (r, s, sigma)
 
 
 def test_phi_invalid_indices():

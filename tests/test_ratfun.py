@@ -5,6 +5,7 @@ import pytest
 import sympy
 
 from gtsingular import poly, ratfun
+from gtsingular.gtformulas import phi_general
 from gtsingular.poly import Polynomial, divexact
 from gtsingular.ratfun import PoleError, RationalFunction, multiply_by_linear
 from gtsingular.textform import rf_text
@@ -513,10 +514,11 @@ def test_entry_dropped_when_the_divisor_vanishes_at_its_point(monkeypatch):
 
 
 def test_memo_is_not_part_of_equality():
-    """The same function with and without a memo: equal, with equal hashes.
-    So are functions built by different routes (products in other orders,
-    a sum, a cancellation), whose forms dicts list the same forms in
-    different orders or reach their multiplicities in different steps."""
+    """The same function with and without a memo (the residue memo, or
+    the record of its numerator's factors): equal, with equal hashes.  So are
+    functions built by different routes (products in other orders, a sum,
+    a cancellation), whose forms dicts list the same forms in different
+    orders or reach their multiplicities in different steps."""
     form = Polynomial.variable(2, 1) - Polynomial.variable(2, 2)
     num = Polynomial.variable(1, 1) * Polynomial.variable(3, 2)
     with_memo = RationalFunction(num, form)
@@ -525,6 +527,11 @@ def test_memo_is_not_part_of_equality():
     assert with_memo == without and without == with_memo
     assert hash(with_memo) == hash(without)
     assert {with_memo: 1}[without] == 1
+    image = next(iter(phi_general(3, 1, 3).terms.values()))
+    bare = RationalFunction._make(image.num, image.forms)
+    assert image._num_forms is not None and bare._num_forms is None
+    assert image == bare and bare == image and hash(image) == hash(bare)
+    assert {image: 1}[bare] == 1
     x11, x32 = (RationalFunction.from_poly(Polynomial.variable(*v)) for v in [(1, 1), (3, 2)])
     other = Polynomial.variable(3, 1) - Polynomial.variable(3, 2) + Polynomial.constant(2)
     f, g = RationalFunction(Polynomial.one(), form), RationalFunction(Polynomial.one(), other)
@@ -539,6 +546,26 @@ def test_memo_is_not_part_of_equality():
     for r in routes:
         assert r == routes[0] and hash(r) == hash(routes[0]), r
     assert len(set(routes)) == 1
+
+
+def test_only_scaling_keeps_the_numerator_factors():
+    """An image coefficient's numerator factors (`_num_forms`, set by
+    `phi_general`) survive only scaling and negation (test_skewring); a
+    coefficient built from image coefficients in any other way carries
+    none, so no operation but those has to keep the record exact."""
+    h, g = phi_general(3, 3, 2).terms.values()  # linear numerators
+    k = next(iter(phi_general(3, 1, 3).terms.values()))
+    assert all(f._num_forms is not None for f in (h, g, k))
+    z1 = Polynomial.variable(2, 1) - Polynomial.variable(2, 2)
+    built = [
+        h + g, h + h, h - g, k + X11, h * g, h * h, k * X11, h / g,
+        k.subs_offsets({(2, 1): Fraction(1)}), k.swap_vars((2, 1), (2, 2)),
+        k**1, k**2, h**-1, h.reciprocal(), k.derivative((2, 1)),
+        RationalFunction(k.num, z1), multiply_by_linear(k, z1),
+        multiply_by_linear(k, Polynomial.variable(1, 1)),
+    ]
+    for f in built:
+        assert f._num_forms is None, f
 
 
 def poly_var(k, i):

@@ -155,15 +155,18 @@ def test_is_tau_invariant():
 
 
 def test_scale_keeps_the_image_factors():
-    """An image's numerator factors ride along through scale, which
-    scales only the numerators; sums and elements built otherwise have
-    none."""
+    """An image coefficient's numerator factors ride along through scale
+    and negation, which scale only the numerators, with the unit times the
+    scalar; a sum has none."""
     image = phi_general(3, 1, 3)
     assert image.scale(1) is image
-    for c in (-1, Fraction(2, 3)):
-        assert image.scale(c)._factors is image._factors
-    assert getattr(image + image, "_factors", None) is None
-    assert getattr(RingElement.term(ONE, S21).scale(-1), "_factors", None) is None
+    two_thirds = Fraction(2, 3)
+    for c, scaled in [(-1, -image), (-1, image.scale(-1)), (two_thirds, image.scale(two_thirds))]:
+        for sigma, h in image.terms.items():
+            unit, forms = h._num_forms
+            assert scaled.terms[sigma]._num_forms == (unit * c, forms)
+    for h in (image + image).terms.values():
+        assert h._num_forms is None
 
 
 def test_is_at_most_one_singular():
