@@ -136,13 +136,11 @@ def _load_point(path: str) -> Point:
     from .tableau import Point
 
     # besides unreadable files and malformed values: a deeply nested array
-    # overflows the parser's recursion, and "n": 1e400 reads as an infinite
-    # float that int() cannot convert
+    # overflows the parser's recursion
     try:
         return Point.load(path)
     except (
-        OSError, json.JSONDecodeError, ValueError, KeyError, TypeError,
-        RecursionError, OverflowError,
+        OSError, json.JSONDecodeError, ValueError, KeyError, TypeError, RecursionError,
     ) as exc:
         raise UsageError(f"cannot read point file {path}: {exc}") from exc
 

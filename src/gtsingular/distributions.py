@@ -42,9 +42,11 @@ a memo lives exactly as long as its element.  `act_lie` is `act` by
 through one helper: a label, or a vector of one label with coefficient 1,
 is its column itself, and any other vector sums its scaled columns into
 one dict.  `evaluate_at_v` is the action on ev_v, itself the basis vector
-D1_id.  The same module is realized on derivative-tableau symbols through
-the symbolic derivative `SingularContext.partial_z1`, an independent
-oracle; both realizations reduce labels by one parity rule,
+D1_id.  `appendix_act` realizes the same module on derivative-tableau
+symbols, an independent oracle: it reads each coefficient's value and
+z1-slope at v by the quotient rule (the symbolic derivative
+`SingularContext.partial_z1` is only the tests' oracle for that rule).
+Both realizations reduce labels by one parity rule,
 `SingularContext.representative`.  The generic orbit action's vectors are
 `SparseSum`s of shifts (`OrbitVector`); `generic_act` extends its columns,
 memoized per point, generator and label, through the same linear helper.
@@ -471,22 +473,38 @@ class DerivTabVec(_ParityVector):
     odd_fixed_is_zero = True
 
 
+def _value_and_slope(ctx: SingularContext, g: RationalFunction) -> tuple[Fraction, Fraction]:
+    """(g(v), (dg/dz1)(v)) for g = n / prod(l**e) by the quotient rule at v,
+    dg/dz1 = n_z / d - g sum(e l_z / l), p_z = (dp/dx(k,i) - dp/dx(k,j)) / 2
+    and each l_z a constant.  PoleError when a form vanishes at v."""
+    v = ctx.v.coords
+    value = g.evaluate(v)
+    i, j = ctx.pos_i, ctx.pos_j
+    d, s = Fraction(1), Fraction(0)
+    for form, e in g.forms.items():
+        lv = form.evaluate(v)
+        d *= lv**e
+        s += e * (form.derivative(i) - form.derivative(j)).constant_value() / lv
+    n_z = (g.num.derivative(i) - g.num.derivative(j)).evaluate(v)
+    return value, (n_z / d - value * s) * _HALF
+
+
 def appendix_act(
     ctx: SingularContext, gen: GeneratorId, e: DerivTabVec
 ) -> DerivTabVec:
     """Generator action on tableau symbols through the first z1-jet of the
-    symbolic orbit expansion; an independent realization of the module."""
+    symbolic orbit expansion, read by value; an independent realization."""
     a = phi_general(ctx.n, *gen)
-    v = ctx.v.coords
     terms: list[tuple[str, Shift, Fraction]] = []
     for (sym, sigma), c in e.terms.items():
         for rho, h in a.terms.items():
             g = shift_subst(h, sigma)
             if sym == "T":
                 g = multiply_by_linear(g, ctx.z1_poly)
+            value, slope = _value_and_slope(ctx, g)
             target = sigma * rho
-            terms.append(("T", target, c * ctx.partial_z1(g).evaluate(v)))
-            terms.append(("DT", target, c * g.evaluate(v)))
+            terms.append(("T", target, c * slope))
+            terms.append(("DT", target, c * value))
     return DerivTabVec.from_terms(ctx, terms)
 
 

@@ -21,13 +21,13 @@ A residue is an evaluation, a ring homomorphism into the integers modulo
 the prime, so a result's residues follow from its operands' and a test
 costs the new term, not the accumulated numerator.  Each function
 memoizes the residue of its numerator at each form's test point
-(the memo is not part of == or hash).  A sum over equal forms adds the
-operands' residues; over different forms it takes r(n1) r(a) + r(n2) r(b),
-with a and b the cofactors, whose residue is the product of their forms'
-residues at the test point (a cofactor holding the form vanishes there,
-so only the side holding it at the top multiplicity contributes).  A
-product multiplies its factors' residues, and derives its memo only when
-a later operation first needs it; negation and scaling by c multiply by c.
+(the memo is not part of == or hash).  A sum takes r(n1) r(a) + r(n2) r(b)
+over the cofactors a and b, empty for equal forms; a cofactor's residue is
+the product of its forms' residues at the test point (a cofactor holding
+the form vanishes there, so only the side holding it at the top
+multiplicity contributes).  A product multiplies its factors' residues,
+and derives its memo only when a later operation first needs it.
+Negation, scaling and `derivative` keep no residues.
 Dividing out a form f divides every other entry by f's residue at that
 entry's point, and drops the entry when that residue is 0.  A missing
 entry is evaluated on the operand that lacks it, one factor or one term.
@@ -323,22 +323,13 @@ class RationalFunction:
         return self._with_num(-self.num, -1)
 
     def _with_num(self, num: Polynomial, c: Fraction | int) -> "RationalFunction":
-        # same denominator; num = c * self.num for a nonzero constant c, so both
-        # memos scale by c, not evaluated again (an integer c builds no Fraction)
-        a, b = c.numerator, c.denominator
+        # same denominator; num = c * self.num for a nonzero constant c, so the
+        # factor record's unit scales by c (an integer c builds no Fraction)
         num_forms = self._num_forms
         if num_forms is not None:
-            unit = num_forms[0] * a
+            unit, b = num_forms[0] * c.numerator, c.denominator
             num_forms = (unit if b == 1 else Fraction(unit, b), num_forms[1])
-        res = self._res
-        if res is not None:
-            res = self._memo()
-            if a % _P and b % _P:
-                k = a * pow(b, -1, _P)
-                res = {form: r if r is None else r * k % _P for form, r in res.items()}
-            else:
-                res = None
-        return RationalFunction._make(num, self.forms, res, num_forms)
+        return RationalFunction._make(num, self.forms, None, num_forms)
 
     def _memo(self) -> dict:
         """The residue memo of num, built on first use and kept when self has
@@ -370,28 +361,20 @@ class RationalFunction:
         if other.is_zero():
             return self
         f1, f2 = self.forms, other.forms
-        if f1 == f2:
-            num = self.num + other.num
-            if num.is_zero():
-                return RationalFunction.zero()
-            # most sums meet equal forms and need no cofactor; residues add
-            res = {}
-            for form in f1:
-                r1, r2 = self._residue_at(form), other._residue_at(form)
-                if r1 is not None and r2 is not None:
-                    res[form] = (r1 + r2) % _P
-            return RationalFunction._make(*_cancel(num, f1, res))
         # Over the lcm of the two multisets, a form whose multiplicities
         # differ still divides exactly one cofactor, so only forms shared
-        # with equal multiplicity can cancel.  The sum is not zero: opposite
-        # values would have equal forms.
+        # with equal multiplicity can cancel.  Equal forms leave both
+        # cofactors empty, and an empty cofactor multiplies nothing.
         lcm = dict(f1)
         for form, e in f2.items():
             if e > lcm.get(form, 0):
                 lcm[form] = e
         a = {form: e - f1.get(form, 0) for form, e in lcm.items() if e > f1.get(form, 0)}
         b = {form: e - f2.get(form, 0) for form, e in lcm.items() if e > f2.get(form, 0)}
-        num = self.num * _expand(a.items()) + other.num * _expand(b.items())
+        num = ((self.num * _expand(a.items()) if a else self.num)
+               + (other.num * _expand(b.items()) if b else other.num))
+        if num.is_zero():
+            return RationalFunction.zero()
         # r(num) = r(n1) r(a) + r(n2) r(b) when every residue is defined; a
         # cofactor holding the form vanishes at its test point
         res = {}
@@ -483,12 +466,10 @@ class RationalFunction:
         for form, e in self.forms.items():
             c = form.terms.get(key)
             if c:
-                # n/(d l) is reduced: l divides d.  Its memo is a product's,
-                # n times k, so n is evaluated once per form, in n's memo.
+                # n/(d l) is reduced: l divides d
                 k = Fraction(-e * c, form.den)
-                res = (self.num, self._memo(), Polynomial.constant(k), {})
                 forms = {**self.forms, form: e + 1}
-                out = out + RationalFunction._make(self.num.scale(k), forms, res)
+                out = out + RationalFunction._make(self.num.scale(k), forms)
         return out
 
     def subs_offsets(self, offsets: Mapping[Var, Fraction]) -> "RationalFunction":

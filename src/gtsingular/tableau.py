@@ -159,7 +159,10 @@ class Point:
     def from_json(cls, data: Mapping) -> "Point":
         from .textform import parse_frac
 
-        n = int(data["n"])
+        n = data["n"]
+        # a float, a numeric string or a bool is not read as an order
+        if type(n) is not int:
+            raise ValueError(f"the order n must be a JSON integer, got {n!r}")
         rows = [[parse_frac(s) for s in row] for row in data["rows"]]
         if len(rows) != n:
             raise ValueError(f"expected {n} rows, got {len(rows)}")

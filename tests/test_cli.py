@@ -146,6 +146,10 @@ def test_classify_malformed_point(tmp_path, capsys):
         "[" * 200000 + "]" * 200000,
         # an order that reads as an infinite float
         '{"n": 1e400, "rows": []}',
+        # orders that are not JSON integers: a float, a string and a bool
+        '{"n": 3.9, "rows": [["1"], ["2", "3"], ["4", "5", "6"]]}',
+        '{"n": "3", "rows": [["1"], ["2", "3"], ["4", "5", "6"]]}',
+        '{"n": true, "rows": [["1"]]}',
     ):
         bad.write_text(text)
         code, out, err = run(capsys, "classify", "--point", str(bad))

@@ -33,7 +33,7 @@ from gtsingular.gtformulas import (
     phi_general,
 )
 from gtsingular.poly import Line, Polynomial
-from gtsingular.ratfun import PoleError, RationalFunction
+from gtsingular.ratfun import PoleError, RationalFunction, multiply_by_linear
 from gtsingular.skewring import (
     RingElement,
     apply_to_function,
@@ -45,12 +45,13 @@ from gtsingular.suites import (
     GENERIC_LABELS_3,
     GENERIC_POINT_3,
     appendix_sample,
+    appendix_suite,
     random_generator_form,
     random_invariant_polynomial,
     random_polynomial,
     sample_basis,
 )
-from gtsingular.tableau import Point, Shift, SingularContext, canonical_context
+from gtsingular.tableau import Point, Shift, SingularContext, canonical_context, shift_subst
 from tests_helpers import (
     ORDER5_POINT,
     ROW3_POINT,
@@ -1003,6 +1004,52 @@ def test_correspondence_roundtrip():
     for _ in range(10):
         d = random_dist_vector(rng, CTX)
         assert basis_correspondence_inverse(CTX, basis_correspondence(CTX, d)) == d
+
+
+@pytest.mark.parametrize("where", ["order3", "order4"])
+def test_value_and_slope_match_the_symbolic_derivative(where):
+    """The appendix reads each coefficient's value and z1-slope at v by
+    value: on every image coefficient shifted by each appendix sample
+    shift, as it is and times z1, both equal the evaluated symbolic
+    derivative exactly.  Where a form vanishes at v, both raise
+    PoleError."""
+    ctx = CTX if where == "order3" else SingularContext(ROW3_POINT, 3, 1, 2)
+    v = ctx.v.coords
+    poles = 0
+    for gen in all_generators(ctx.n):
+        for h in phi_general(ctx.n, *gen).terms.values():
+            for _, sigma in appendix_sample(ctx):
+                g = shift_subst(h, sigma)
+                for g in (g, multiply_by_linear(g, ctx.z1_poly)):
+                    if any(form.evaluate(v) == 0 for form in g.forms):
+                        poles += 1
+                        with pytest.raises(PoleError):
+                            distributions._value_and_slope(ctx, g)
+                        with pytest.raises(PoleError):
+                            ctx.partial_z1(g).evaluate(v)
+                        continue
+                    want = (g.evaluate(v), ctx.partial_z1(g).evaluate(v))
+                    assert distributions._value_and_slope(ctx, g) == want
+    assert poles
+
+
+def test_a_wrong_sign_in_the_value_rule_fails_the_appendix(monkeypatch):
+    """Negative control: with the sign of the quotient rule's sum turned,
+    the appendix suite at the shipped context reports failures."""
+    real = distributions._value_and_slope
+
+    def turned(ctx, g):
+        value, slope = real(ctx, g)
+        v = ctx.v.coords
+        i, j = ctx.pos_i, ctx.pos_j
+        s = sum(e * (form.derivative(i) - form.derivative(j)).constant_value() / form.evaluate(v)
+                for form, e in g.forms.items())
+        # with unhalved derivatives the rule is (n_z / d - g s) / 2; turned, + g s
+        return value, slope + value * s
+
+    monkeypatch.setattr(distributions, "_value_and_slope", turned)
+    report = appendix_suite()
+    assert report["passed"] < report["total"]
 
 
 @pytest.mark.parametrize("gen", [(1, 2), (2, 1), (2, 3), (3, 2), (1, 1), (2, 2), (3, 3), (1, 3), (3, 1)])

@@ -396,9 +396,10 @@ def over(num, *lins):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_residue_memo_matches_evaluation(seed):
-    """Sums, differences, negations, scales and products derive their memos
-    from their operands'; each entry equals the residue evaluated on the
-    result's own numerator."""
+    """Sums, differences and products derive their memos from their
+    operands'; negations and scales keep none and evaluate on first use.
+    Each entry equals the residue evaluated on the result's own
+    numerator."""
     rng = random.Random(1100 + seed)
     f, g = with_forms(rng), with_forms(rng)
     (l,) = f.forms
@@ -475,7 +476,8 @@ def test_derived_zero_residue_runs_the_exact_division(monkeypatch):
 
 def test_residue_memo_with_prime_denominators(monkeypatch):
     """A numerator denominator divisible by _P: the entry is None, the
-    exact division runs, and no entry is derived from it."""
+    exact division runs, and no entry is derived from it.  Scaling and
+    negation derive no memo."""
     form = Polynomial.variable(1, 1) - Polynomial.variable(2, 1)
     big = Fraction(1, ratfun._P)
     num = Polynomial.variable(3, 1).scale(big) + Polynomial.one()
@@ -488,11 +490,32 @@ def test_residue_memo_with_prime_denominators(monkeypatch):
     assert h._res == {form: None} and h.forms == {form: 1}
     k = f + RationalFunction(Polynomial.variable(2, 2), Polynomial.variable(3, 3))
     assert_memo_exact(k)
-    # scaling by a multiple of _P (or its inverse) keeps no memo at all
+    # a scaled function keeps no memo, also for a multiple of _P (or its inverse)
     assert f.scale(big)._res is None and g.scale(ratfun._P)._res is None
     assert f.scale(big) == RationalFunction(num.scale(big), form)
     for v in (h, k, -f, f.scale(3)):
         assert_memo_exact(v)
+
+
+def test_a_sum_multiplies_by_no_empty_cofactor(monkeypatch):
+    """Equal forms, and forms that contain the other side's: the side whose
+    cofactor is empty enters the sum's numerator as it is."""
+    l, m = (Polynomial.variable(2, 1) - Polynomial.variable(3, i) for i in (1, 2))
+    x, y = Polynomial.variable(1, 1), Polynomial.variable(3, 3)
+    f, g, h = over(x, l), over(y, l), over(y, l, m)
+    equal, contained = over(x + y, l), over(x * m + y, l, m)
+    calls = []
+    real = Polynomial.__mul__
+
+    def spy(p, q):
+        calls.append((p, q))
+        return real(p, q)
+
+    monkeypatch.setattr(Polynomial, "__mul__", spy)
+    assert f + g == equal
+    assert calls == []
+    assert f + h == contained
+    assert calls and all(q != Polynomial.one() for _, q in calls)
 
 
 def test_entry_dropped_when_the_divisor_vanishes_at_its_point(monkeypatch):

@@ -1,0 +1,99 @@
+"""Run the pinned heavy checks, each in a fresh process, and compare digests.
+
+Usage (from the repository root): python3 tools/reports.py [CHECK ...]
+
+The checks are `verify_homomorphism(4)`, the all-16 order-4 `module_suite`
+and the order-4 `appendix_suite` at (3,1,2) on `tests_helpers.ROW3_POINT`,
+and the all-25 order-5 `module_suite` and the order-5 `appendix_suite` at
+(2,1,2) on `tests_helpers.ORDER5_POINT`; with no CHECK named, all five run.
+Each runs in its own interpreter, so no memo of one serves another.  For
+each, one line gives passed/total, the seconds the check took (imports and
+point setup aside), the process's peak RSS and the first 12 hex digits of
+the sha256 of json.dumps(report, sort_keys=True).  Exit status: 2 for an
+unknown CHECK, 1 when a check fails, crashes or its digest differs from
+the pinned one, else 0.
+Besides the package and `tests/tests_helpers.py` (which imports the test
+extras) it uses the standard library only.  All five take about 15 s on a
+shared 2-core machine (CPython 3.11.7).
+"""
+
+import hashlib
+import json
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# sha256[:12] of each report, unchanged since the outputs were pinned
+PINNED = {
+    "homomorphism4": "0876dac83f0f",
+    "module4": "e8090b8c7e8b",
+    "appendix4": "c0eef2acbd0f",
+    "module5": "913f7b24cc0f",
+    "appendix5": "09afd5528a20",
+}
+
+
+def run_check(name: str) -> dict:
+    """Run one check in this process: its report, seconds and peak RSS."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+    from gtsingular.gtformulas import all_generators, verify_homomorphism
+    from gtsingular.suites import appendix_suite, module_suite
+    from gtsingular.tableau import SingularContext
+    from tests_helpers import ORDER5_POINT, ROW3_POINT
+
+    ctx4 = SingularContext(ROW3_POINT, 3, 1, 2)
+    ctx5 = SingularContext(ORDER5_POINT, 2, 1, 2)
+    check = {
+        "homomorphism4": lambda: verify_homomorphism(4),
+        "module4": lambda: module_suite(ctx4, generators=all_generators(4)),
+        "appendix4": lambda: appendix_suite(ctx4),
+        "module5": lambda: module_suite(ctx5, generators=all_generators(5)),
+        "appendix5": lambda: appendix_suite(ctx5),
+    }[name]
+    start = time.perf_counter()
+    report = check()
+    seconds = time.perf_counter() - start
+    # ru_maxrss is in KiB on Linux
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    return {"report": report, "seconds": seconds, "peak_rss_mib": rss}
+
+
+def main(names: list[str]) -> int:
+    unknown = [name for name in names if name not in PINNED]
+    if unknown:
+        print(f"unknown check {unknown[0]!r}; choose from {', '.join(PINNED)}", file=sys.stderr)
+        return 2
+    status = 0
+    for name in names or PINNED:
+        proc = subprocess.run(
+            [sys.executable, __file__, "--child", name], capture_output=True, text=True
+        )
+        if proc.returncode != 0:
+            print(f"{name:14} crashed (exit {proc.returncode}): {proc.stderr.strip()}")
+            status = 1
+            continue
+        out = json.loads(proc.stdout)
+        report = out["report"]
+        digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()[:12]
+        passed, total = report["passed"], report["total"]
+        verdict = "ok"
+        if passed != total:
+            verdict = "FAILED"
+        elif digest != PINNED[name]:
+            verdict = f"DIFFERS from {PINNED[name]}"
+        if verdict != "ok":
+            status = 1
+        print(f"{name:14} {passed:>5}/{total:<5} {out['seconds']:7.2f} s "
+              f"{out['peak_rss_mib']:6.0f} MiB  {digest}  {verdict}")
+    return status
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--child"]:
+        print(json.dumps(run_check(sys.argv[2])))
+    else:
+        sys.exit(main(sys.argv[1:]))
