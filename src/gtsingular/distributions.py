@@ -88,9 +88,7 @@ def canonical_basis_vec(
     ctx: SingularContext, kind: str, sigma: Shift
 ) -> tuple[BasisVec, int]:
     """Reduce (kind, sigma) to its ordered representative; returns the sign."""
-    if kind not in ("D1", "D2"):
-        raise ValueError(f"unknown distribution kind {kind!r}")
-    rep, sign = ctx.representative(sigma, kind == "D2")
+    rep, sign = ctx.representative(sigma, DistVector.parity(kind))
     if not sign:
         raise ValueError("D2 is undefined on a transposition-fixed shift")
     return BasisVec(kind, rep), sign
@@ -108,6 +106,13 @@ class _ParityVector(QVector):
     odd_fixed_is_zero: bool
 
     @classmethod
+    def parity(cls, kind: str) -> int:
+        """0 for the even kind, 1 for the odd one; ValueError for any other."""
+        if kind not in cls.kinds:
+            raise ValueError(f"unknown {cls.noun} {kind!r}")
+        return cls.kinds.index(kind)
+
+    @classmethod
     def from_terms(
         cls, ctx: SingularContext, terms: Iterable[tuple[str, Shift, Fraction]]
     ) -> "_ParityVector":
@@ -116,9 +121,7 @@ class _ParityVector(QVector):
             c = Fraction(c)
             if not c:
                 continue
-            if kind not in cls.kinds:
-                raise ValueError(f"unknown {cls.noun} {kind!r}")
-            rep, sign = ctx.representative(sigma, kind == cls.kinds[1])
+            rep, sign = ctx.representative(sigma, cls.parity(kind))
             if sign:
                 add_term(acc, BasisVec(kind, rep), sign * c)
             elif not cls.odd_fixed_is_zero:
@@ -138,6 +141,7 @@ class DistVector(_ParityVector):
 
     @classmethod
     def basis(cls, bv: BasisVec) -> "DistVector":
+        cls.parity(bv.kind)
         return cls._raw({bv: Fraction(1)})
 
     def to_json(self) -> list[dict]:
@@ -221,10 +225,11 @@ def _read_jet(jet, lift: int) -> tuple[Fraction, Fraction] | None:
 def _basis_sides(ctx: SingularContext, bv: BasisVec) -> list[tuple[Shift, Fraction]]:
     """The defining element of a basis label as (shift, weight) pairs: B is
     the sum of w s for D1 and of (w / z1) s for D2.  A tau-fixed D1 label
-    is one side of weight 1."""
+    is one side of weight 1.  ValueError for a label of another kind."""
+    odd = DistVector.parity(bv.kind)
     sigma = bv.sigma
     tau_sigma = ctx.tau_of_shift(sigma)
-    if bv.kind == "D1":
+    if not odd:
         if sigma == tau_sigma:
             return [(sigma, Fraction(1))]
         return [(sigma, _HALF), (tau_sigma, _HALF)]
@@ -497,9 +502,10 @@ def appendix_act(
     a = phi_general(ctx.n, *gen)
     terms: list[tuple[str, Shift, Fraction]] = []
     for (sym, sigma), c in e.terms.items():
+        even = not DerivTabVec.parity(sym)
         for rho, h in a.terms.items():
             g = shift_subst(h, sigma)
-            if sym == "T":
+            if even:
                 g = multiply_by_linear(g, ctx.z1_poly)
             value, slope = _value_and_slope(ctx, g)
             target = sigma * rho
@@ -511,10 +517,12 @@ def appendix_act(
 def basis_correspondence(ctx: SingularContext, d: DistVector) -> DerivTabVec:
     """D1 pairs with the even symbol T, D2 with the odd symbol DT; on
     ordered representatives the map is label-preserving."""
-    terms = [("T" if kind == "D1" else "DT", sigma, c) for (kind, sigma), c in d.terms.items()]
+    terms = [(DerivTabVec.kinds[DistVector.parity(kind)], sigma, c)
+             for (kind, sigma), c in d.terms.items()]
     return DerivTabVec.from_terms(ctx, terms)
 
 
 def basis_correspondence_inverse(ctx: SingularContext, e: DerivTabVec) -> DistVector:
-    terms = [("D1" if sym == "T" else "D2", sigma, c) for (sym, sigma), c in e.terms.items()]
+    terms = [(DistVector.kinds[DerivTabVec.parity(sym)], sigma, c)
+             for (sym, sigma), c in e.terms.items()]
     return DistVector.from_terms(ctx, terms)

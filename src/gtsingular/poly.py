@@ -8,12 +8,11 @@ exponent field per position, (1,1) just above the degree, then (2,1), (2,2),
 (3,1) and so on.  A monomial over the positions of order n thus fits in
 16 * (n(n+1)/2 + 1) bits, whatever MAX_ORDER is, and a product of monomials
 is one addition.  Integer comparison is lex order with later positions
-ranked higher, a monomial order, so the top field of a divisor's largest
-monomial names its highest variable, in which exact division runs long
-division; the canonical graded-lex order (total degree first, then earlier
-positions ranked higher), which fixes print order, leading terms and signs,
-is the order of `mono_key`.  Every degree stays below 2^15 (a larger
-product raises ValueError), so no exponent field carries into the next.
+ranked higher, a monomial order; the canonical graded-lex order (total
+degree first, then earlier positions ranked higher), which fixes print
+order, leading terms and signs, is the order of `mono_key`.  Every degree
+stays below 2^15 (a larger product raises ValueError), so no exponent field
+carries into the next.
 
 A polynomial is `terms` / `den`: `terms` maps monomials to nonzero ints and
 `den` is a positive int prime to their content, zero is ({}, 1).  This
@@ -24,7 +23,9 @@ Arithmetic, exact division and evaluation run on integers only, and
 a shift by integers is unimodular over Z and keeps both.  Fractions appear
 only at the boundary: the `Polynomial(mapping)`, `term` and `constant`
 constructors take them, `constant_value`, `leading_coeff` and `evaluate`
-return them.  `_int_eval` is the one evaluation kernel; `ratfun` runs it
+return them.  The one exact division, `divexact`, divides by a constant or
+a linear form only: synthetic division in the form's graded-lex leading
+variable.  `_int_eval` is the one evaluation kernel; `ratfun` runs it
 for its evaluation and, modulo a prime, for its residue test.
 `line_series`, the first-order Taylor series along a line in the
 direction of one difference x_a - x_b, walks the terms the same way on a
@@ -444,64 +445,56 @@ def _int_combine(a: IntTerms, ka: int, b: IntTerms, kb: int) -> IntTerms:
 # ---------------------------------------------------------------------------
 
 
-def _int_divexact(f: IntTerms, g: IntTerms) -> IntTerms | None:
-    """Term map of f/g when the division is exact over Z, else None: long
-    division in g's highest variable u (Geddes, Czapor & Labahn 1992, ch. 2),
-    each quotient coefficient the exact quotient, one variable down, of the
-    remainder's top coefficient by g's; synthetic division by a linear g."""
-    if not g:
+def divexact(f: Polynomial, g: Polynomial) -> Polynomial | None:
+    """Quotient f/g for a constant or linear g when the division is exact,
+    else None; ValueError for a g of degree 2 or more.  A constant divides
+    by scaling.  A linear g is c*P/den with P = lc*u + R primitive, u its
+    graded-lex leading variable and lc > 0; f is exactly divisible by g
+    over Q only if f.terms is by P over Z (Gauss's lemma).  So synthetic
+    division runs on integers: with f.terms = sum rem[e] u^e, from the top
+    down Q_k = rem[k+1] / lc, exact over Z, and rem[k] loses R*Q_k; the
+    division is exact when nothing is left in rem[0].  R is linear, so no
+    exponent outgrows its field.  c and den are restored on the quotient."""
+    d = g.terms
+    if not d:
         raise ZeroDivisionError("polynomial division by zero")
-    top = max(g)
-    if not top:  # an integer divisor; a unit divides everything
-        k = g[0]
-        if k == 1:
-            return f
-        return None if any(a % k for a in f.values()) else _int_scale_div(f, k)
-    # native order is lex, so the top field of max(g) is u's
-    s = (top.bit_length() - 1) & -_FIELD_BITS
-    rem, rest = _coeff_map(f, _VAR_AT[s]), _coeff_map(g, _VAR_AT[s])
-    dg = top >> s
-    lc = rest.pop(dg)
-    # An exact quotient has degree deg f - deg g, so a term above that ends
-    # the loop before any exponent can grow past its field.
-    q_top = _top_degree(f) - _top_degree(g) if f else 0
-    unit = (1 << s) | _DEG_ONE
+    deg = _top_degree(d)
+    if deg > 1:
+        raise ValueError("a divisor must be constant or linear")
+    if not deg:
+        return f.scale(Fraction(g.den, d[0]))
+    u = g.leading_monomial()  # x_u itself, one exponent and one degree
+    s = _lead_field(u)
+    c = _int_content(d)
+    if d[u] < 0:
+        c = -c
+    lc = d[u] // c
+    neg_rest = {m: -v // c for m, v in d.items() if m != u}
+    rem: dict[int, IntTerms] = {}
+    for m, v in f.terms.items():
+        e = (m >> s) & _FIELD
+        rem.setdefault(e, {})[m - e * u] = v
     out: IntTerms = {}
-    for k in range(max(rem, default=0) - dg, -1, -1):
-        q = rem.pop(k + dg, None)
+    for k in range(max(rem, default=0) - 1, -1, -1):
+        q = rem.pop(k + 1, None)
         if not q:
             continue
-        q = _int_divexact(q, lc)
-        if q is None or _top_degree(q) + k > q_top:
-            return None
-        for e, c in rest.items():
-            acc = rem.setdefault(k + e, {})
-            for m1, c1 in q.items():
-                for m2, c2 in c.items():
-                    add_term(acc, m1 + m2, -c1 * c2)
-        ku = k * unit
-        out.update((m + ku, c) for m, c in q.items())
-    # exact when nothing is left below u^dg
-    return None if any(rem.values()) else out
-
-
-def divexact(f: Polynomial, g: Polynomial) -> Polynomial | None:
-    """Quotient f/g when the division is exact, else None.  With g = c*P/den
-    for P primitive, f is exactly divisible by g over Q only if f.terms is
-    by P over Z (Gauss's lemma), so the loop runs on integers.  c takes the
-    sign of g's lex-leading coefficient, so P's is positive and a monic
-    linear form leaves the loop only unit divisions; the quotient's sign is
-    restored with den."""
-    c = _int_content(g.terms)
-    if g.terms and g.terms[max(g.terms)] < 0:
-        c = -c
-    q = _int_divexact(f.terms, _int_scale_div(g.terms, c))
-    if q is None:
+        if lc != 1:
+            if any(v % lc for v in q.values()):
+                return None
+            q = {m: v // lc for m, v in q.items()}
+        acc = rem.setdefault(k, {})
+        ku = k * u
+        for m1, c1 in q.items():
+            out[m1 + ku] = c1
+            for m2, c2 in neg_rest.items():
+                add_term(acc, m1 + m2, c1 * c2)
+    if rem.get(0):
         return None
     k = g.den if c > 0 else -g.den
     if k != 1:
-        q = {m: v * k for m, v in q.items()}
-    return _normal(q, f.den * abs(c))
+        out = {m: v * k for m, v in out.items()}
+    return _normal(out, f.den * abs(c))
 
 
 def _int_eval(d: IntTerms, xs: Mapping[int, int], q: int = 1) -> int:
@@ -556,15 +549,4 @@ def _int_mul(a: IntTerms, b: IntTerms) -> IntTerms:
                 out[m] = s
             else:
                 out.pop(m, None)
-    return out
-
-
-def _coeff_map(d: IntTerms, var: Var) -> dict[int, IntTerms]:
-    """View as univariate in var: degree -> coefficient term map."""
-    s = _SHIFT[var]
-    unit = (1 << s) | _DEG_ONE
-    out: dict[int, IntTerms] = {}
-    for m, c in d.items():
-        e = (m >> s) & _FIELD
-        out.setdefault(e, {})[m - e * unit] = c
     return out

@@ -127,6 +127,39 @@ def test_deriv_tab_vec_rejects_unknown_symbol():
         DerivTabVec.from_terms(CTX, [("D1", S22, Fraction(1))])
 
 
+WRONG_KIND = {
+    "act_lie-bogus": (
+        lambda: act_lie(CTX, (2, 3), BasisVec("bogus", S22)), "distribution kind 'bogus'"),
+    "act_lie-T": (
+        lambda: act_lie(CTX, (2, 3), DerivTabVec.from_terms(CTX, [("T", S22, 1)])),
+        "distribution kind 'T'"),
+    "materialize-bogus": (
+        lambda: materialize(CTX, BasisVec("bogus", S22)), "distribution kind 'bogus'"),
+    "basis-T": (
+        lambda: DistVector.basis(BasisVec("T", S22)), "distribution kind 'T'"),
+    "correspondence-T": (
+        lambda: basis_correspondence(CTX, DerivTabVec.from_terms(CTX, [("T", ID, 1)])),
+        "distribution kind 'T'"),
+    "appendix_act-D1": (
+        lambda: appendix_act(CTX, (2, 3), DistVector.from_terms(CTX, [("D1", ID, 1)])),
+        "tableau symbol 'D1'"),
+    "inverse-D1": (
+        lambda: basis_correspondence_inverse(CTX, DistVector.from_terms(CTX, [("D1", ID, 1)])),
+        "tableau symbol 'D1'"),
+}
+
+
+@pytest.mark.parametrize("case", WRONG_KIND)
+def test_a_label_of_the_wrong_kind_raises(case):
+    """A label of a kind its map does not take is refused by name, not read
+    as the odd kind.  Before, act_lie gave the D2 column, materialize the
+    D2 element, the correspondence 0, appendix_act a PoleError and the
+    inverse an InvariantViolation, and DistVector.basis kept a T label."""
+    call, kind = WRONG_KIND[case]
+    with pytest.raises(ValueError, match=f"^unknown {kind}$"):
+        call()
+
+
 def test_canonicalization_idempotent():
     rng = random.Random(1)
     for _ in range(10):

@@ -186,7 +186,7 @@ def test_exponent_overflow_raises():
         Polynomial.term((((1, 1), -1),), 1)
     # the largest exponent still differentiates and divides exactly
     assert top.derivative((1, 1)) == (X11 ** (TOP - 1)).scale(TOP)
-    assert divexact(top, X11 ** (TOP - 1)) == X11
+    assert divexact(X11 ** (TOP - 1) * (X11 - X21), X11 - X21) == X11 ** (TOP - 1)
 
 
 def test_evaluate():
@@ -345,11 +345,24 @@ def test_arith_matches_sympy(seed):
     assert sympy.simplify(mine - theirs) == 0
 
 
+def random_linear(rng, variables=VARS):
+    """A linear polynomial in one to three of the variables, with rational
+    coefficients of both signs and, mostly, a constant term."""
+
+    def c():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 4))
+
+    g = Polynomial.constant(c()) if rng.random() < 0.75 else Polynomial.zero()
+    for v in rng.sample(variables, rng.randint(1, 3)):
+        g = g + Polynomial.variable(*v).scale(c())
+    return g
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_divexact_roundtrip(seed):
     rng = random.Random(200 + seed)
     f = random_poly(rng, zero_ok=False)
-    g = random_poly(rng, zero_ok=False)
+    g = random_linear(rng)
     assert divexact(f * g, g) == f
 
 
@@ -362,9 +375,9 @@ def test_divexact_matches_sympy_div(seed):
     """A quotient exactly when sympy leaves no remainder, and then the same one."""
     rng = random.Random(200 + seed)
     f = random_poly(rng, zero_ok=False)
-    g = random_poly(rng, zero_ok=False)
+    g = random_linear(rng)
     gens = [sympy.Symbol(f"x_{k}_{i}") for k, i in VARS]
-    for a, b in ((f * g, g), (f, g), (g, f), (f * g + f, g)):
+    for a, b in ((f * g, g), (f, g), (g, g.scale(-3)), (f * g + f, g)):
         q, r = sympy.div(to_sympy(a), to_sympy(b), *gens, domain=sympy.QQ)
         mine = divexact(a, b)
         if r == 0:
@@ -389,34 +402,26 @@ def random_int_terms(rng, max_terms=4, max_deg=3):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_int_divexact_roundtrip(seed):
+    """On integer polynomials, with den 1 throughout: a primitive integer
+    linear g whose leading coefficient is not +-1 divides f*g back to f, and
+    each quotient coefficient is divided by it exactly over Z."""
     rng = random.Random(300 + seed)
-    f = random_int_terms(rng)
-    g = random_int_terms(rng)
-    assert poly._int_divexact(poly._int_mul(f, g), g) == f
-
-
-def test_divexact_stops_at_a_quotient_term_of_too_high_degree():
-    """Native order is lex, so a divisor's leading term need not have its
-    top degree and the remainder's exponents can grow.  A quotient term of
-    degree above deg f - deg g ends an inexact division before any exponent
-    passes its field: here x[2][1] would climb to 200^2 = 40,000."""
-    g = X22 + X21**200
-    assert poly.mono_pairs(max(g.terms)) == (((2, 2), 1),)
-    assert divexact(X22**200, g) is None
-    f = g * (X11 * X22 - X21**3)
-    assert divexact(f, g) == X11 * X22 - X21**3
+    f = Polynomial._raw(random_int_terms(rng))
+    a, b = rng.sample(VARS, 2)
+    lead = min(a, b)  # the earlier position leads in graded-lex order
+    g = Polynomial({((lead, 1),): rng.choice((-1, 1)) * rng.randint(2, 5),
+                    ((max(a, b), 1),): rng.choice((-1, 1)), (): rng.randint(-5, 5)})
+    assert g.den == 1 and abs(g.leading_coeff()) > 1
+    assert divexact(f * g, g) == f
 
 
 def test_int_divexact_coefficient_remainder():
-    x = mono_pack((((1, 1), 1),))
-    assert poly._int_divexact({x: 1}, {x: 2}) is None
-    assert pair_terms(poly._int_divexact({x: 4}, {x: 2})) == {(): 2}
-    # over Q the same division is exact
+    # over Q the division by a non-primitive form is exact
     assert divexact(X11, X11.scale(2)) == Polynomial.constant(Fraction(1, 2))
 
 
 def test_divexact_nonunit_fraction_lead():
-    g = (X21 * X22).scale(Fraction(2, 3)) - X11.scale(Fraction(5, 7)) + Polynomial.constant(3)
+    g = X21.scale(Fraction(2, 3)) - X22.scale(Fraction(5, 7)) + Polynomial.constant(3)
     assert g.leading_coeff() == Fraction(2, 3)
     rng = random.Random(7)
     for _ in range(8):
@@ -427,9 +432,9 @@ def test_divexact_nonunit_fraction_lead():
 
 def oracle_divisors(rng):
     """(kind, divisor, the variables of its dividends) for each kind of
-    divisor the division oracle covers.  U is the later of two positions,
-    so the linear forms' top variable; the last kind's, x[3][2], is absent
-    from its dividends."""
+    divisor the division oracle covers.  U is the later of two positions;
+    the last kind's divisor holds x[3][2], which its dividends lack.  A
+    non-linear divisor is refused."""
 
     def c():
         return Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 4))
@@ -448,14 +453,19 @@ def oracle_divisors(rng):
 def test_divexact_matches_sympy_cancel(seed):
     """divexact against sympy.cancel and sympy.div over one divisor of each
     kind: q*g is exact, q*g + r with r nonzero of lower degree than a
-    non-constant g is not, and a dividend q lacking g's top variable is
-    exact only by a constant."""
+    non-constant g is not, and a dividend q lacking a variable of g is
+    exact only by a constant.  A non-linear g raises ValueError."""
     rng = random.Random(2700 + seed)
     for kind, g, variables in oracle_divisors(rng):
         G = to_sympy(g)
         deg = mono_degree(max(g.terms, key=poly.mono_key))
         q = random_poly(rng, zero_ok=False, variables=variables)
         r = random_poly(rng, max_deg=max(deg - 1, 0), zero_ok=False, variables=variables)
+        if kind == "non-linear":
+            for f in (q * g, q * g + r, q):
+                with pytest.raises(ValueError, match="^a divisor must be constant or linear$"):
+                    divexact(f, g)
+            continue
         for f, exact in ((q * g, True), (q * g + r, not deg), (q, kind == "constant")):
             F = to_sympy(f)
             quo, rem = sympy.div(F, G, *SYM.values(), domain=sympy.QQ)
@@ -469,25 +479,15 @@ def test_divexact_matches_sympy_cancel(seed):
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_divexact_by_a_negated_form(seed, monkeypatch):
-    """g = x_a - x_b with b the later position, so g's lex-leading
-    coefficient is -1.  divexact divides by g made lex-positive and
-    restores the quotient's sign: divexact(f, -g) == -divexact(f, g), each
-    equal to sympy's quotient, or both None, and the loop meets no integer
-    divisor but 1."""
+def test_divexact_by_a_negated_form(seed):
+    """g = x_b - x_a with a the earlier position, so g's leading
+    coefficient is -1.  divexact divides by g made positive in its leading
+    variable and restores the quotient's sign: divexact(f, -g) ==
+    -divexact(f, g), each equal to sympy's quotient, or both None."""
     rng = random.Random(2800 + seed)
     a, b = sorted(rng.sample(VARS, 2))
-    g = Polynomial.variable(*a) - Polynomial.variable(*b)
-    assert g.terms[max(g.terms)] == -1 and (-g).terms[max(g.terms)] == 1
-    divisors = []
-    divide = poly._int_divexact
-
-    def recorded(f, d):
-        if max(d) == 0:
-            divisors.append(d[0])
-        return divide(f, d)
-
-    monkeypatch.setattr(poly, "_int_divexact", recorded)
+    g = Polynomial.variable(*b) - Polynomial.variable(*a)
+    assert g.leading_coeff() == -1 and (-g).leading_coeff() == 1
     q = random_poly(rng, zero_ok=False).scale(Fraction(rng.randint(1, 5), rng.randint(1, 4)))
     for f, exact in ((q * g, True), (q * g + Polynomial.one(), False)):
         mine, negated = divexact(f, g), divexact(f, -g)
@@ -497,34 +497,23 @@ def test_divexact_by_a_negated_form(seed, monkeypatch):
             assert negated == -mine
         else:
             assert mine is None and negated is None
-    assert divisors and set(divisors) == {1}
 
 
-def test_int_divexact_early_returns(monkeypatch):
-    """Each way the long division gives up: an integer divisor leaves a
-    coefficient remainder; a quotient coefficient is not exact one variable
-    down; a quotient term exceeds deg f - deg g, which ends the loop at its
-    first step; something is left below g's degree in its top variable,
-    also when f lacks that variable."""
-    one = Polynomial.one()
-    assert poly._int_divexact(X11.scale(3).terms, {0: 2}) is None
-    assert poly._int_divexact(X11.scale(4).terms, {0: -2}) == X11.scale(-2).terms
-    assert poly._int_divexact(X21.terms, (X11 * X21 + one).terms) is None
-    calls = []
-    divide = poly._int_divexact
-
-    def counted(f, g):
-        calls.append(g)
-        return divide(f, g)
-
-    monkeypatch.setattr(poly, "_int_divexact", counted)
-    # without the degree test the loop would run 200 steps on x[2][1]^(200 j)
-    assert poly._int_divexact((X22**200).terms, (X22 + X21**200).terms) is None
-    assert calls == [(X22 + X21**200).terms, {0: 1}]
-    monkeypatch.undo()
-    assert poly._int_divexact((X11 * X21 + one).terms, X21.terms) is None
-    assert poly._int_divexact(X11.terms, X21.terms) is None
-    assert poly._int_divexact({}, X21.terms) == {} == poly._int_divexact({}, {0: 3})
+def test_divexact_early_returns():
+    """Each way the division ends early, through the public call: a divisor
+    free of variables scales, whatever its sign; a quotient coefficient is
+    not exact over Z; something is left in rem[0], also when f lacks g's
+    leading variable; a zero dividend divides to zero; and a divisor of
+    degree 2 or more raises."""
+    one, zero = Polynomial.one(), Polynomial.zero()
+    assert divexact(X11.scale(3), Polynomial.constant(2)) == X11.scale(Fraction(3, 2))
+    assert divexact(X11.scale(4), Polynomial.constant(-2)) == X11.scale(-2)
+    assert divexact(X21 + one, X21.scale(2) + X22) is None
+    assert divexact(X11 * X21 + one, X21) is None
+    assert divexact(X11, X21) is None
+    assert divexact(zero, X21) == zero == divexact(zero, Polynomial.constant(3))
+    with pytest.raises(ValueError, match="^a divisor must be constant or linear$"):
+        divexact(X21, X11 * X21 + one)
 
 
 def test_support_uses_print_order():
@@ -563,6 +552,7 @@ def test_int_form_matches_sympy(seed):
     the integer form checked on every result."""
     rng = random.Random(500 + seed)
     f, g, h = (random_poly(rng, zero_ok=False) for _ in range(3))
+    lin = random_linear(rng)
     F, G = to_sympy(f), to_sympy(g)
     for p in (f, g, h):
         assert_int_form(p)
@@ -583,13 +573,14 @@ def test_int_form_matches_sympy(seed):
     point = {v: Fraction(2 * i - 3, 7 + i) for i, v in enumerate(VARS)}
     value = F.subs({SYM[v]: sympy.Rational(c.numerator, c.denominator) for v, c in point.items()})
     assert f.evaluate(point) == Fraction(int(sympy.numer(value)), int(sympy.denom(value)))
-    # exact division, also by a divisor with fractional content
-    for divisor in (g, g.scale(Fraction(6, 5))):
+    # exact division by a linear divisor, also with fractional content
+    for divisor in (lin, lin.scale(Fraction(6, 5))):
         q = divexact(f * divisor, divisor)
         assert q == f
         assert_int_form(q)
-    q, r = sympy.div(F * G + 1, G, *SYM.values(), domain=sympy.QQ)
-    inexact = divexact(f * g + Polynomial.one(), g)
+    L = to_sympy(lin)
+    q, r = sympy.div(F * L + 1, L, *SYM.values(), domain=sympy.QQ)
+    inexact = divexact(f * lin + Polynomial.one(), lin)
     if r == 0:
         check(inexact, q)
     else:
