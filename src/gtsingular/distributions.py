@@ -16,37 +16,40 @@ label), of A's coefficient a_rho read on the z1 line through v - m(s).
 Evaluation is a ring homomorphism, so g is the same signed sum of the
 terms' jets on those lines: each line is one integer kernel (`poly.Line`,
 built once per context and side), on which numerator and denominator
-restrict exactly to integers over one denominator each, and a jet takes
-one Fraction per coefficient.  No product of linear forms is expanded to
-be read: each form is one integer pair on the line, memoized there, and
-`Line.product_series` multiplies the pairs, truncated.  The denominator is
-always read from its forms (a polynomial term's is 1), and a numerator
-from the linear factors its coefficient records (`_num_forms`, on image
-coefficients and their multiples); any other from its terms by
-`Polynomial.line_series`.  The weights of B's sides are 1 or +-1/2, so a
-column adds each target's jets with the side's sign and halves the sum
-once when B has two sides.  Order 0 of g goes on D2, order 1 on D1, and
-each target is reduced to its ordered representative once, for both kinds.
-Membership is decided per term from its reduced denominator, not from the
-line: a term that is not regular at v on its own sends its target to an
-exact symbolic sum, which is regular only when the other side cancels the
-pole.  A term's jet on a line is a Laurent pair, regular (c0, c1) or at a
-simple pole (c_-1, c0): D2 reads (c0, c1) of a regular jet, D1 the jet of
-z1 h, (0, c0) or (c_-1, c0).  So one jet per coefficient and side serves
-both kinds.  `act` keeps one memo on A itself, per context: A's
-invariance, stored once the check passes, each side's jets, shared by the
-D1 and D2 columns, and each label's column; each side's line is built once
-per context.  An equal but distinct element starts with an empty memo, so
-a memo lives exactly as long as its element.  `act_lie` is `act` by
-`phi_general`'s memoized image.  `act` extends its columns linearly
-through one helper: a label, or a vector of one label with coefficient 1,
-is its column itself, and any other vector sums its scaled columns into
-one dict.  `evaluate_at_v` is the action on ev_v, itself the basis vector
-D1_id.  `appendix_act` realizes the same module on derivative-tableau
-symbols, an independent oracle: it reads each coefficient's value and
-z1-slope at v by the quotient rule (the symbolic derivative
-`SingularContext.partial_z1` is only the tests' oracle for that rule).
-Both realizations reduce labels by one parity rule,
+restrict exactly to integers over one denominator each, and a jet is its
+two coefficients as integers over one denominator.  No product of linear
+forms is expanded to be read: each form is one integer pair on the line,
+memoized there, and `Line.product_series` multiplies the pairs,
+truncated.  The denominator is always read from its forms (a polynomial
+term's is 1), and a numerator from the linear factors its coefficient
+records (`_num_forms`, on image coefficients and their multiples); any
+other from its terms by `Polynomial.line_series`.  The weights of B's
+sides are 1 or +-1/2, so a column adds each target's jets with the side's
+sign, as integers over one common denominator, and doubles that
+denominator once when B has two sides.  Order 0 of g goes on D2, order 1
+on D1, and each target is reduced to its ordered representative once,
+for both kinds, still in integers: a Fraction is built only for a nonzero
+entry of the finished column.  Membership is decided per term from its
+reduced denominator, not from the line: a term that is not regular at v
+on its own sends its target to an exact symbolic sum, which is regular
+only when the other side cancels the pole.  A term's jet on a line is a
+Laurent pair, regular (c0, c1) or at a simple pole (c_-1, c0): D2 reads
+(c0, c1) of a regular jet, D1 the jet of z1 h, (0, c0) or (c_-1, c0).  So
+one jet per coefficient and side serves both kinds.  `act` keeps one memo
+on A itself, per context: A's invariance, stored once the check passes,
+each side's jets, shared by the D1 and D2 columns, and each label's column;
+each side's line is built once per context.  An equal but distinct element
+starts with an empty memo, so a memo lives exactly as long as its element.
+`act_lie` is `act` by `phi_general`'s memoized image.  `act` extends its
+columns linearly through one helper: a label, or a vector of one label with
+coefficient 1, is its column itself, and any other vector sums its scaled
+columns per label as integers over one denominator, with one Fraction per
+nonzero entry.  `evaluate_at_v` is the action on ev_v, itself the basis
+vector D1_id.  `appendix_act` realizes the same module on
+derivative-tableau symbols, an independent oracle: it reads each
+coefficient's value and z1-slope at v by the quotient rule (the symbolic
+derivative `SingularContext.partial_z1` is only the tests' oracle for that
+rule).  Both realizations reduce labels by one parity rule,
 `SingularContext.representative`.  The generic orbit action's vectors are
 `SparseSum`s of shifts (`OrbitVector`); `generic_act` extends its columns,
 memoized per point, generator and label, through the same linear helper.
@@ -56,6 +59,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Iterable
 
 from .gtformulas import GeneratorId, phi_general
@@ -172,18 +176,21 @@ def _side_line(ctx: SingularContext, side: Shift) -> tuple[Line, Polynomial]:
 
 def _side_jet(
     h: RationalFunction, line: tuple[Line, Polynomial]
-) -> tuple[bool, Fraction, Fraction] | None:
+) -> tuple[bool, int, int, int] | None:
     """h's Laurent jet on the z1 line (kernel, zform) of `_side_line`, where
-    x(k,i) = base + e/2, x(k,j) = base - e/2 and zform = e: (False, c0, c1)
-    when h = c0 + c1 e + O(e^2) is regular at the base point, (True, c_-1,
-    c0) when h = c_-1/e + c0 + O(e) has a simple pole there, None
-    otherwise.  h is reduced, so it is regular there exactly when its
-    reduced denominator does not vanish there, and has a simple pole when
-    that denominator is zform times one that does not.  One jet serves
-    both kinds; `_read_jet` gives each kind its pair.  The series are
-    integers over one denominator each, N / nd for the numerator and D / dd
-    for the denominator, so c0 = N0 dd / (nd D0) and c1 = (N1 D0 - D1 N0) dd
-    / (nd D0^2).  The denominator series is the product of its forms'
+    x(k,i) = base + e/2, x(k,j) = base - e/2 and zform = e, as integers
+    (pole, lo, hi, q) over one denominator q: (False, c0 q, c1 q, q) when
+    h = c0 + c1 e + O(e^2) is regular at the base point, (True, c_-1 q,
+    c0 q, q) when h = c_-1/e + c0 + O(e) has a simple pole there, None
+    otherwise.  The triple is canonical, q > 0 and gcd(lo, hi, q) = 1, so
+    the jets memo holds the smallest integers.  h is reduced, so it is
+    regular there exactly when its reduced denominator does not vanish
+    there, and has a simple pole when that denominator is zform times one
+    that does not.  One jet serves both kinds; `_read_jet` gives each kind
+    its pair.  The series are integers over one denominator each, N / nd
+    for the numerator and D / dd for the denominator, so c0 = N0 dd D0 /
+    (nd D0^2) and c1 = (N1 D0 - D1 N0) dd / (nd D0^2), divided by the gcd
+    of the three.  The denominator series is the product of its forms'
     (`Line.product_series`), (1, 0, 0) over 1 for a polynomial.  When h
     carries its numerator's factors, num = unit * prod(form**e) (the
     `_num_forms` memo), num's series is the unit times their product's,
@@ -207,19 +214,23 @@ def _side_jet(
         a = unit.numerator
         n0, n1, nd = n0 * a, n1 * a, nd * unit.denominator
     d0 = den[0]
-    return pole, Fraction(n0 * dd, nd * d0), Fraction((n1 * d0 - den[1] * n0) * dd, nd * d0 * d0)
+    # q > 0: nd, like every series denominator, is positive
+    lo, hi, q = n0 * dd * d0, (n1 * d0 - den[1] * n0) * dd, nd * d0 * d0
+    g = gcd(lo, hi, q)
+    return pole, lo // g, hi // g, q // g
 
 
-def _read_jet(jet, lift: int) -> tuple[Fraction, Fraction] | None:
-    """(g_0, g_1) with g = e^lift h = g_0 + g_1 e + O(e^2), from h's Laurent
-    jet: D1 (lift 1) reads (0, c0) or, at a simple pole, (c_-1, c0); D2
-    (lift 0) reads (c0, c1) of a regular jet.  None when g is not regular."""
+def _read_jet(jet, lift: int) -> tuple[int, int, int] | None:
+    """(g_0, g_1, q) with g = e^lift h = (g_0 + g_1 e) / q + O(e^2), from
+    h's Laurent jet over its denominator q: D1 (lift 1) reads (0, c0) or,
+    at a simple pole, (c_-1, c0); D2 (lift 0) reads (c0, c1) of a regular
+    jet.  None when g is not regular."""
     if jet is None:
         return None
-    pole, lo, hi = jet
+    pole, lo, hi, q = jet
     if lift:
-        return (lo, hi) if pole else (0, lo)
-    return None if pole else (lo, hi)
+        return (lo, hi, q) if pole else (0, lo, q)
+    return None if pole else (lo, hi, q)
 
 
 def _basis_sides(ctx: SingularContext, bv: BasisVec) -> list[tuple[Shift, Fraction]]:
@@ -254,16 +265,19 @@ def _column(ctx: SingularContext, a: RingElement, bv: BasisVec, jets: dict) -> D
     w z1^lift s(a_rho), lift 1 for D1 and 0 for D2.  On the z1 line through
     v, s(a_rho) is a_rho on the z1 line through v - m(s): each term's
     Laurent jet there (`_side_jet`) is read once per side into `jets`,
-    shared by the D1 and D2 columns, a regular term adds its pair
-    (`_read_jet`) with the sign of w, and a two-sided B halves each
-    target's sum once.  g_t's order-0 coefficient goes on D2_t, its order-1
-    coefficient on D1_t, and t is reduced once for both.  A term that is
-    not regular at v on its own is regular in the sum only if the other
-    side cancels its pole, so such a target's g_t is summed symbolically
-    and read at v; MembershipError when it is not regular there either."""
+    shared by the D1 and D2 columns, and a regular term adds its pair
+    (`_read_jet`) with the sign of w into the target's integer sum
+    [s0, s1, q] (`_add_pair`); a two-sided B, of weights +-1/2, doubles
+    each q once.  A term that is not regular at v on its own is regular in
+    the sum only if the other side cancels its pole, so such a target's g_t
+    is summed symbolically and read at v; MembershipError when it is not
+    regular there either.  g_t's order-0 coefficient goes on D2_t, its
+    order-1 coefficient on D1_t, and t is reduced once for both: t and
+    tau t meet on one representative, where their integer sums are added,
+    and a Fraction is built only for a nonzero entry."""
     lift = 1 if bv.kind == "D1" else 0
     sides = _basis_sides(ctx, bv)
-    sums: dict[Shift, list[Fraction]] = {}
+    sums: dict[Shift, list[int]] = {}
     singular: set[Shift] = set()
     for side, w in sides:
         neg = w < 0
@@ -277,19 +291,13 @@ def _column(ctx: SingularContext, a: RingElement, bv: BasisVec, jets: dict) -> D
             if g is None:
                 singular.add(t)
                 continue
-            g0, g1 = g
+            g0, g1, q = g
             if neg:
                 g0, g1 = -g0, -g1
-            acc = sums.get(t)
-            if acc is None:
-                sums[t] = [g0, g1]
-            else:
-                acc[0] += g0
-                acc[1] += g1
+            _add_pair(sums, t, g0, g1, q)
     if len(sides) == 2:
         for acc in sums.values():
-            acc[0] *= _HALF
-            acc[1] *= _HALF
+            acc[2] *= 2
     for t in singular:
         g = RationalFunction.zero()
         for side, w in sides:
@@ -300,24 +308,48 @@ def _column(ctx: SingularContext, a: RingElement, bv: BasisVec, jets: dict) -> D
         if pair is None:
             raise MembershipError("ring element has a higher-order pole at the base point")
         sums[t] = pair
-    out: dict[BasisVec, Fraction] = {}
-    for t, (d2, d1) in sums.items():
-        # one reduction serves both kinds: D1 is tau-even, so its sign is 1
+    # one reduction serves both kinds: D1 is tau-even, so its sign is 1
+    reps: dict[Shift, list[int]] = {}
+    for t, (d2, d1, q) in sums.items():
         rep, sign = ctx.representative(t, True)
         if d2:
             if not sign:
                 raise InvariantViolation(
-                    f"nonzero D2 coefficient {d2} on transposition-fixed shift {t!r}"
+                    f"nonzero D2 coefficient {Fraction(d2, q)} on transposition-fixed shift {t!r}"
                 )
-            add_term(out, BasisVec("D2", rep), sign * d2)
-        add_term(out, BasisVec("D1", rep), d1)
+            d2 *= sign
+        _add_pair(reps, rep, d2, d1, q)
+    out: dict[BasisVec, Fraction] = {}
+    for rep, (d2, d1, q) in reps.items():
+        if d2:
+            out[BasisVec("D2", rep)] = Fraction(d2, q)
+        if d1:
+            out[BasisVec("D1", rep)] = Fraction(d1, q)
     return DistVector._raw(out)
+
+
+def _add_pair(acc: dict, key, x0: int, x1: int, q: int) -> None:
+    """acc[key] += (x0, x1) / q for q > 0, each entry a list [s0, s1, p] of
+    two numerators over one positive denominator: the sum is taken over
+    lcm(p, q), with no other reduction, and a zero sum stays in acc."""
+    s = acc.get(key)
+    if s is None:
+        acc[key] = [x0, x1, q]
+        return
+    p = s[2]
+    g = gcd(p, q)
+    a, b = q // g, p // g
+    s[0] = s[0] * a + x0 * b
+    s[1] = s[1] * a + x1 * b
+    s[2] = b * q
 
 
 def _linear(column, d):
     """The linear map given on labels by `column`, applied to a label or to
     a vector of one label with coefficient 1 (its column itself), or to any
-    other vector (the sum of c * column(label), summed in one dict)."""
+    other vector: the sum of c * column(label), summed per key as one
+    integer numerator over one denominator by `_add_pair` (the second
+    numerator unused), with one Fraction built per nonzero key."""
     if isinstance(d, (BasisVec, Shift)):
         return column(d)
     terms = d.terms
@@ -327,9 +359,10 @@ def _linear(column, d):
             return column(label)
     acc: dict = {}
     for label, c in terms.items():
+        cn, cd = c.numerator, c.denominator
         for key, x in column(label).terms.items():
-            add_term(acc, key, c * x)
-    return type(d)._raw(acc)
+            _add_pair(acc, key, cn * x.numerator, 0, cd * x.denominator)
+    return type(d)._raw({key: Fraction(n, q) for key, (n, _, q) in acc.items() if n})
 
 
 def _check_invariant(ctx: SingularContext, a: RingElement) -> None:

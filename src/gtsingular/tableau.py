@@ -156,14 +156,25 @@ class Point:
         return {"n": self.n, "rows": [[frac_text(c) for c in row] for row in self.rows()]}
 
     @classmethod
-    def from_json(cls, data: Mapping) -> "Point":
+    def from_json(cls, data) -> "Point":
+        """The point of a JSON object {"n": order, "rows": [[entry, ...],
+        ...]}, each entry a rational string; ValueError naming what is
+        wrong with any other shape."""
         from .textform import parse_frac
 
+        if not isinstance(data, dict):
+            raise ValueError(f"a point must be a JSON object, got {type(data).__name__}")
+        for key in ("n", "rows"):
+            if key not in data:
+                raise ValueError(f"a point needs the key {key!r}")
         n = data["n"]
         # a float, a numeric string or a bool is not read as an order
         if type(n) is not int:
             raise ValueError(f"the order n must be a JSON integer, got {n!r}")
-        rows = [[parse_frac(s) for s in row] for row in data["rows"]]
+        rows = data["rows"]
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise ValueError("the point's rows must be a list of lists")
+        rows = [[parse_frac(s) for s in row] for row in rows]
         if len(rows) != n:
             raise ValueError(f"expected {n} rows, got {len(rows)}")
         return cls.from_rows(rows)

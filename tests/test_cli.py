@@ -157,6 +157,26 @@ def test_classify_malformed_point(tmp_path, capsys):
         assert len(err.splitlines()) == 1 and "cannot read point" in err, text
 
 
+def test_classify_point_of_the_wrong_shape(tmp_path, capsys):
+    """A point file that is valid JSON of the wrong shape gives exit 2 and
+    one stderr line naming what is wrong: not an object, a missing key, or
+    rows that are not a list of lists."""
+    bad = tmp_path / "p.json"
+    rows = "the point's rows must be a list of lists"
+    for text, message in (
+        ('{"n": 3}', "a point needs the key 'rows'"),
+        ('{"rows": [["1"]]}', "a point needs the key 'n'"),
+        ("[1, 2]", "a point must be a JSON object, got list"),
+        ('"point"', "a point must be a JSON object, got str"),
+        ('{"n": 3, "rows": "abc"}', rows),
+        ('{"n": 3, "rows": [["1"], 2, ["4", "5", "6"]]}', rows),
+    ):
+        bad.write_text(text)
+        code, out, err = run(capsys, "classify", "--point", str(bad))
+        assert code == 2 and out == "", text
+        assert err.splitlines() == [f"error: cannot read point file {bad}: {message}"], text
+
+
 def test_verify_exit_codes(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", "--n", "2", "homomorphism")
     assert code == 0 and "16/16 passed" in out

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -51,7 +52,14 @@ from gtsingular.suites import (
     random_polynomial,
     sample_basis,
 )
-from gtsingular.tableau import Point, Shift, SingularContext, canonical_context, shift_subst
+from gtsingular.tableau import (
+    Point,
+    Shift,
+    SingularContext,
+    canonical_context,
+    classify_point,
+    shift_subst,
+)
 from tests_helpers import (
     ORDER5_POINT,
     ROW3_POINT,
@@ -452,6 +460,24 @@ def _sympy_jet(num, den, zsym, base, pair):
     return pole, series.coeff(e, lo), series.coeff(e, lo + 1)
 
 
+def _jet_value(jet):
+    """An integer jet (pole, lo, hi, q) of `_side_jet` by value, (pole,
+    lo/q, hi/q), once it is checked to be canonical: q > 0 and
+    gcd(lo, hi, q) = 1."""
+    if jet is None:
+        return None
+    pole, lo, hi, q = jet
+    assert all(type(x) is int for x in (lo, hi, q)), jet
+    assert q > 0 and math.gcd(lo, hi, q) == 1, jet
+    return pole, Fraction(lo, q), Fraction(hi, q)
+
+
+def _read_value(jet, lift):
+    """`_read_jet`'s (g_0, g_1, q) by value, (g_0/q, g_1/q)."""
+    g = distributions._read_jet(jet, lift)
+    return None if g is None else (Fraction(g[0], g[2]), Fraction(g[1], g[2]))
+
+
 @pytest.mark.parametrize("where", ["shipped", "row 3"])
 def test_side_jet_matches_sympy_series(where):
     """`_side_jet` on every side line of the module sample against
@@ -460,7 +486,8 @@ def test_side_jet_matches_sympy_series(where):
     give (c0, c1), simple z1 poles (c_-1, c0), anything else None.  Each kind reads its
     pair of e^lift h from the one jet: D2 (lift 0) the series of h when h
     is regular, D1 (lift 1) the series of e h when h has at most a simple
-    pole."""
+    pole.  Jets are integers over one denominator, compared by value and
+    checked canonical."""
     ctx = CTX if where == "shipped" else SingularContext(ROW3_POINT, 3, 1, 2)
     rng = random.Random(61 if where == "shipped" else 62)
     cases = []
@@ -489,9 +516,9 @@ def test_side_jet_matches_sympy_series(where):
                 d2 = None if pole else (lo, hi)
                 d1 = (lo, hi) if pole else (0, lo)
             jet = distributions._side_jet(h, line)
-            assert jet == want, (side, kind)
-            assert distributions._read_jet(jet, 0) == d2, (side, kind)
-            assert distributions._read_jet(jet, 1) == d1, (side, kind)
+            assert _jet_value(jet) == want, (side, kind)
+            assert _read_value(jet, 0) == d2, (side, kind)
+            assert _read_value(jet, 1) == d1, (side, kind)
     assert {("regular", False), ("simple z1 pole", True), ("other pole", None),
             ("double z1 pole", None)} <= seen
     assert not {("regular", True), ("regular", None), ("double z1 pole", True)} & seen
@@ -525,7 +552,8 @@ def test_side_jet_from_factors_matches_the_expanded_series(n):
     factors with the unit times c, for c = -1 and a non-integer c, and the
     scaled image's jets and columns are the image's times c.  Regular jets
     and simple poles both occur.  A copy of the image whose coefficients
-    carry no factors acts with the same columns."""
+    carry no factors acts with the same columns.  Jets are integers over
+    one denominator, compared by value and checked canonical."""
     ctx = {3: CTX, 4: SingularContext(ROW3_POINT, 3, 1, 2),
            5: SingularContext(ORDER5_POINT, 2, 1, 2)}[n]
     labels = [BasisVec(kind, sigma) for kind, sigma in sample_basis(ctx)]
@@ -551,10 +579,10 @@ def test_side_jet_from_factors_matches_the_expanded_series(n):
             assert bare.terms[rho]._num_forms is None
             for line, base in lines:
                 want = _expanded_jet(h, line, base, pair)
-                assert distributions._side_jet(h, line) == want
-                assert distributions._side_jet(bare.terms[rho], line) == want
+                assert _jet_value(distributions._side_jet(h, line)) == want
+                assert _jet_value(distributions._side_jet(bare.terms[rho], line)) == want
                 for c, multiple in scaled:
-                    got = distributions._side_jet(multiple.terms[rho], line)
+                    got = _jet_value(distributions._side_jet(multiple.terms[rho], line))
                     assert got == (None if want is None else (want[0], c * want[1], c * want[2]))
                 seen.add(None if want is None else want[0])
         for bv in labels:
@@ -828,6 +856,87 @@ def test_act_lie_on_vectors_matches_the_symbolic_product(where, gens):
             for bv, c in d.terms.items():
                 want = want + symbolic_act(ctx, a, bv).scale(c)
             assert act_lie(ctx, gen, d) == want
+
+
+def _cancelling(column, labels):
+    """Two labels with coefficients 1 and -x/y, where x and y are their
+    columns' coefficients on a key both columns hold, and that key: their
+    contributions there cancel."""
+    for i, l1 in enumerate(labels):
+        for l2 in labels[i + 1:]:
+            c1, c2 = column(l1).terms, column(l2).terms
+            for key in c1.keys() & c2.keys():
+                return {l1: Fraction(1), l2: -c1[key] / c2[key]}, key
+    raise AssertionError("no two columns share a key")
+
+
+def _check_integer_sums(column, vectors, cancelled):
+    """Each vector's image equals the Fraction reference, the sum of
+    column(label).scale(c) by `+`, and stores only Fraction coefficients;
+    the last vector's contributions on the key `cancelled` cancel."""
+    for d in vectors:
+        want = type(d).zero()
+        for label, c in d.terms.items():
+            want = want + column(label).scale(c)
+        got = distributions._linear(column, d)
+        assert got == want, d
+        assert all(type(x) is Fraction for x in got.terms.values()), d
+    assert cancelled not in got.terms
+
+
+GENERIC_POINT_4 = Point.from_rows([
+    [Fraction(1, 5)],
+    [Fraction(1, 3), Fraction(1, 7)],
+    [Fraction(1, 11), Fraction(2, 13), Fraction(3, 17)],
+    [Fraction(1, 19), Fraction(2, 23), Fraction(3, 29), Fraction(5, 31)],
+])
+
+
+@pytest.mark.parametrize("where", ["shipped", "row 3"])
+def test_integer_sums_match_the_fraction_reference(where):
+    """act and generic_act sum a multi-label vector's scaled columns per key
+    as integers over one denominator: the result equals the Fraction
+    reference, sum of c * column(label) by `SparseSum.scale` and `+`, on
+    mixed denominators, an int coefficient, the zero vector, and
+    contributions that cancel on a key (which is absent).  Checked at the
+    shipped point and at the row-3 pair (3,1,2) of ROW3_POINT, with a
+    generic point of the same order, for images whose support holds shifts
+    rho != tau rho with both present: in ev_v o A their targets meet on one
+    representative, where the integer sums are added, and the column
+    equals the symbolic product's."""
+    ctx = CTX if where == "shipped" else SingularContext(ROW3_POINT, 3, 1, 2)
+    x = GENERIC_POINT_3 if ctx.n == 3 else GENERIC_POINT_4
+    assert classify_point(x).tag == "Generic"
+    labels = [BasisVec(kind, sigma) for kind, sigma in sample_basis(ctx)]
+    labels += [BasisVec("D1", bv.sigma) for bv in labels if bv.kind == "D2"]
+    l1, l2, l3 = labels[:3]
+    gens = [(2, 3), (3, 1), (3, 2), (1, 3)] if ctx.n == 3 else [(4, 3), (1, 4), (3, 4), (4, 2)]
+    for gen in gens:
+        a = phi_general(ctx.n, *gen)
+        assert any(ctx.tau_of_shift(rho) != rho and ctx.tau_of_shift(rho) in a.terms
+                   for rho in a.terms), gen
+        assert evaluate_at_v(ctx, a) == symbolic_act(ctx, a, distributions._EV_V)
+        column = lambda bv: act(ctx, a, bv)  # noqa: E731
+        pair, cancelled = _cancelling(column, labels)
+        _check_integer_sums(column, [
+            DistVector({l1: Fraction(2, 3), l2: Fraction(-5, 7), l3: Fraction(3, 4)}),
+            DistVector.zero(),
+            DistVector(pair),
+        ], cancelled)
+        # the image's own shifts as labels: each column holds the identity
+        shifts = list(dict.fromkeys([Shift.identity(), Shift({(2, 1): 1}), *a.terms]))
+        y1, y2, y3 = shifts[:3]
+        vectors = [
+            OrbitVector({y1: Fraction(2, 3), y2: Fraction(-5, 7), y3: Fraction(3, 4)}),
+            OrbitVector({y1: 2, y2: Fraction(-1, 3)}),
+            OrbitVector.zero(),
+        ]
+        assert type(vectors[1].terms[y1]) is int
+        column = lambda y: generic_act(x, gen, y)  # noqa: E731
+        pair, cancelled = _cancelling(column, shifts)
+        _check_integer_sums(column, [*vectors, OrbitVector(pair)], cancelled)
+        for d in vectors:
+            assert generic_act(x, gen, d) == generic_act_element(x, a, d)
 
 
 def test_a_unit_label_returns_its_memoized_column():

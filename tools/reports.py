@@ -1,6 +1,6 @@
 """Run the pinned heavy checks, each in a fresh process, and compare digests.
 
-Usage (from the repository root): python3 tools/reports.py [CHECK ...]
+Usage (from the repository root): python3 tools/reports.py [--runs N] [CHECK ...]
 
 The checks are `verify_homomorphism(4)`, the all-16 order-4 `module_suite`
 and the order-4 `appendix_suite` at (3,1,2) on `tests_helpers.ROW3_POINT`,
@@ -9,17 +9,22 @@ and the all-25 order-5 `module_suite` and the order-5 `appendix_suite` at
 Each runs in its own interpreter, so no memo of one serves another.  For
 each, one line gives passed/total, the seconds the check took (imports and
 point setup aside), the process's peak RSS and the first 12 hex digits of
-the sha256 of json.dumps(report, sort_keys=True).  Exit status: 2 for an
-unknown CHECK, 1 when a check fails, crashes or its digest differs from
-the pinned one, else 0.
+the sha256 of json.dumps(report, sort_keys=True).  --runs N (default 1)
+runs each check in N fresh processes, one after another; the line then
+gives the median seconds with the [min-max] range, and the largest peak
+RSS.  Exit status: 2 for an unknown CHECK or a bad N, 1 when a check
+fails, crashes, its runs' digests disagree or its digest differs from the
+pinned one, else 0.
 Besides the package and `tests/tests_helpers.py` (which imports the test
 extras) it uses the standard library only.  All five take about 15 s on a
 shared 2-core machine (CPython 3.11.7).
 """
 
+import argparse
 import hashlib
 import json
 import resource
+import statistics
 import subprocess
 import sys
 import time
@@ -62,33 +67,70 @@ def run_check(name: str) -> dict:
     return {"report": report, "seconds": seconds, "peak_rss_mib": rss}
 
 
-def main(names: list[str]) -> int:
-    unknown = [name for name in names if name not in PINNED]
+def digest(report: dict) -> str:
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()[:12]
+
+
+def summarize(runs: list[dict]) -> dict:
+    """One check's runs, each as `run_check` returns it, summed up: the
+    fewest checks passed and the total, the median, least and most seconds,
+    the largest peak RSS and the distinct digests in the order first seen."""
+    seconds = [r["seconds"] for r in runs]
+    return {
+        "passed": min(r["report"]["passed"] for r in runs),
+        "total": runs[0]["report"]["total"],
+        "seconds": statistics.median(seconds),
+        "min_s": min(seconds),
+        "max_s": max(seconds),
+        "peak_rss_mib": max(r["peak_rss_mib"] for r in runs),
+        "digests": list(dict.fromkeys(digest(r["report"]) for r in runs)),
+    }
+
+
+def verdict(name: str, s: dict) -> str:
+    """"ok", or what is wrong with a check's summary."""
+    if s["passed"] != s["total"]:
+        return "FAILED"
+    if len(s["digests"]) > 1:
+        return "DISAGREE: " + " ".join(s["digests"])
+    if s["digests"][0] != PINNED[name]:
+        return f"DIFFERS from {PINNED[name]}"
+    return "ok"
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description="run the pinned heavy checks")
+    parser.add_argument("--runs", type=int, default=1)
+    parser.add_argument("checks", nargs="*", metavar="CHECK")
+    args = parser.parse_args(argv)
+    unknown = [name for name in args.checks if name not in PINNED]
     if unknown:
         print(f"unknown check {unknown[0]!r}; choose from {', '.join(PINNED)}", file=sys.stderr)
         return 2
+    if args.runs < 1:
+        print(f"--runs must be at least 1, got {args.runs}", file=sys.stderr)
+        return 2
     status = 0
-    for name in names or PINNED:
-        proc = subprocess.run(
-            [sys.executable, __file__, "--child", name], capture_output=True, text=True
-        )
-        if proc.returncode != 0:
-            print(f"{name:14} crashed (exit {proc.returncode}): {proc.stderr.strip()}")
+    for name in args.checks or PINNED:
+        runs = []
+        for _ in range(args.runs):
+            proc = subprocess.run(
+                [sys.executable, __file__, "--child", name], capture_output=True, text=True
+            )
+            if proc.returncode != 0:
+                print(f"{name:14} crashed (exit {proc.returncode}): {proc.stderr.strip()}")
+                break
+            runs.append(json.loads(proc.stdout))
+        if len(runs) < args.runs:
             status = 1
             continue
-        out = json.loads(proc.stdout)
-        report = out["report"]
-        digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()[:12]
-        passed, total = report["passed"], report["total"]
-        verdict = "ok"
-        if passed != total:
-            verdict = "FAILED"
-        elif digest != PINNED[name]:
-            verdict = f"DIFFERS from {PINNED[name]}"
-        if verdict != "ok":
+        s = summarize(runs)
+        result = verdict(name, s)
+        if result != "ok":
             status = 1
-        print(f"{name:14} {passed:>5}/{total:<5} {out['seconds']:7.2f} s "
-              f"{out['peak_rss_mib']:6.0f} MiB  {digest}  {verdict}")
+        spread = f" [{s['min_s']:.2f}-{s['max_s']:.2f}]" if args.runs > 1 else ""
+        print(f"{name:14} {s['passed']:>5}/{s['total']:<5} {s['seconds']:7.2f} s{spread} "
+              f"{s['peak_rss_mib']:6.0f} MiB  {s['digests'][0]}  {result}")
     return status
 
 
