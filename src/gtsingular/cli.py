@@ -36,6 +36,7 @@ SUITES = {
     "singularity": ("context", "singularity_suite"),
     "module": ("context", "module_suite"),
     "appendix": ("context", "appendix_suite"),
+    "functional": ("context", "functional_suite"),
 }
 
 

@@ -4,12 +4,20 @@ Each suite returns a JSON-ready report dict with an "ok" flag, counts, and
 failure details; the CLI maps suite names onto these functions.  A suite
 reads its order from its inputs (an order, a singular context or a point),
 so every default generator list and sample follows that order.
+
+The seeded suites draw their inputs with the samplers below.  A sampler's
+`rng` calls, in order, are part of the input of every seeded report: a
+change that keeps each returned value but moves, adds or drops one call
+changes every later draw.  The samplers build a polynomial's terms as
+integers over the denominator 2 and make one canonical polynomial from
+them, and a shift from its nonzero integer components, with no Fraction.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 from .distributions import (
     BasisVec,
@@ -24,15 +32,17 @@ from .distributions import (
     generic_act_element,
 )
 from .gtformulas import adjacent_generators, all_generators, gl_bracket, phi_combination
-from .poly import Polynomial
+from .poly import Monomial, Polynomial, Var, _normal, _var_mono
 from .ratfun import RationalFunction
 from .skewring import (
     RingElement,
     apply_to_function,
+    group_act_on_ring,
     is_at_most_one_singular,
     is_tau_invariant,
     ring_mul_circ,
 )
+from .sparse import add_term
 from .tableau import Point, Shift, SingularContext, canonical_context, positions
 
 DEFAULT_SEED = 318
@@ -61,8 +71,28 @@ def appendix_sample(ctx: SingularContext) -> list[tuple[str, Shift]]:
 # --- samplers -----------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _positions(n: int) -> tuple[Var, ...]:
+    """The positions of order n, in `positions` order."""
+    return tuple(positions(n))
+
+
+@lru_cache(maxsize=None)
+def _variables(n: int) -> tuple[Monomial, ...]:
+    """The monomials x_v over the positions of order n, in `positions`
+    order; ValueError past MAX_ORDER."""
+    return tuple(_var_mono(v) for v in positions(n))
+
+
 def random_shift(rng: random.Random, n: int, radius: int = 1) -> Shift:
-    return Shift({v: rng.randint(-radius, radius) for v in positions(n - 1)})
+    """One `randint(-radius, radius)` per position of order n - 1, in
+    `positions` order; the nonzero draws are the components."""
+    out = {}
+    for v in _positions(n - 1):
+        m = rng.randint(-radius, radius)
+        if m:
+            out[v] = m
+    return Shift._raw(out)
 
 
 def random_polynomial(
@@ -72,18 +102,26 @@ def random_polynomial(
     max_deg: int = 3,
     zero_ok: bool = True,
 ) -> Polynomial:
-    variables = list(positions(n))
+    """A sum of up to max_terms terms (a/b)·m.  The draws, in order: the
+    term count randint(0, max_terms) (from 1 when zero_ok is false), then
+    per term a = randint(-3, 3), b = randint(1, 2) and randint(0, max_deg)
+    `choice`s of a variable of order n, whose product is m.  Each term is
+    the integer a·(2/b) over the denominator 2, so the sum is one integer
+    map and one canonical polynomial; a zero or cancelling term drops out.
+    With zero_ok false, a zero sum is drawn again.  ValueError for an
+    order past MAX_ORDER, before any draw."""
+    variables = _variables(n)
     while True:
-        p = Polynomial.zero()
+        acc: dict = {}
         for _ in range(rng.randint(0 if zero_ok else 1, max_terms)):
-            c = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
-            mono: dict = {}
+            a = rng.randint(-3, 3)
+            c = a * (2 // rng.randint(1, 2))
+            mono = 0
             for _ in range(rng.randint(0, max_deg)):
-                v = rng.choice(variables)
-                mono[v] = mono.get(v, 0) + 1
-            p = p + Polynomial.term(tuple(sorted(mono.items())), c)
-        if zero_ok or not p.is_zero():
-            return p
+                mono += rng.choice(variables)
+            add_term(acc, mono, c)
+        if zero_ok or acc:
+            return _normal(acc, 2)
 
 
 def random_rational(rng: random.Random, n: int) -> RationalFunction:
@@ -104,8 +142,6 @@ def random_ring_element(rng: random.Random, n: int) -> RingElement:
 def random_generator_form(rng: random.Random, ctx: SingularContext) -> RingElement:
     """A tau-invariant element with coefficients H/z1, H polynomial: the
     symmetrization of a random polynomial-over-z1 sum."""
-    from .skewring import group_act_on_ring
-
     terms = []
     for _ in range(rng.randint(1, 2)):
         h = random_polynomial(rng, ctx.n, max_terms=2, max_deg=1, zero_ok=False)

@@ -13,6 +13,7 @@ from gtsingular import cli, suites
 from gtsingular.cli import main, parse_basis_spec, parse_shift_spec, shift_spec
 from gtsingular.distributions import DistVector
 from gtsingular.tableau import Shift, canonical_test_point
+from tests_helpers import ROW3_POINT
 
 
 def run(capsys, *argv):
@@ -237,6 +238,22 @@ def test_verify_context_suites_at_order_4(tmp_path, capsys):
     # the shipped point is order 3 only, so order 4 still needs --point
     code, out, err = run(capsys, "verify", "--n", "4", "module")
     assert code == 2 and out == "" and "no default point for order 4" in err
+
+
+def test_verify_functional(tmp_path, capsys):
+    """`functional` runs on the singular context like the other context
+    suites: at the shipped point by default, at any order given a point."""
+    code, out, err = run(capsys, "verify", "functional")
+    assert (code, out, err) == (0, "suite functional: 100/100 passed\n", "")
+    code, out, _ = run(capsys, "verify", "--format", "json", "functional")
+    report = json.loads(out)
+    assert code == 0 and report["ok"] is True
+    assert (report["suite"], report["passed"], report["total"]) == ("functional", 100, 100)
+    pt = tmp_path / "row3.json"
+    pt.write_text(json.dumps(ROW3_POINT.to_json()))
+    argv = ("verify", "--n", "4", "--point", str(pt), "--singular", "3,1,2", "functional")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out == "suite functional: 100/100 passed\n"
 
 
 def test_verify_suite_flag_form(capsys):

@@ -12,6 +12,8 @@ from gtsingular.cli import main
 from gtsingular.gtformulas import phi_general
 from gtsingular.poly import Polynomial
 from gtsingular.ratfun import RationalFunction
+from gtsingular.suites import DEFAULT_SEED, random_generator_form, random_ring_element
+from gtsingular.tableau import canonical_context
 from gtsingular.textform import rf_text
 from tests_helpers import mono_degree
 
@@ -87,3 +89,24 @@ def test_phi_n4_json_stdout_pinned(capsys):
     cli = json.loads(REFERENCE.read_text(encoding="utf-8"))["cli"]
     assert main(["phi", "--n", "4", "--gen", "1,4", "--format", "json"]) == 0
     assert sha16(capsys.readouterr().out) == cli["phi-n4-14-json"]["stdout"]
+
+
+def draws_digest(draws) -> str:
+    return sha16(json.dumps([e.to_json() for e in draws], sort_keys=True))
+
+
+def test_shipped_draws_pinned():
+    """The samplers' draws at the shipped seed: the 600 ring elements of a
+    200-triple `ring_suite` and the first 100 generator forms of
+    `singularity_suite` and `functional_suite` at the shipped context.
+    Every seeded report reads these draws, so a faster sampler must keep
+    them.  A deliberate change of the draws (such as one that stops
+    `random_ring_element` from drawing the zero element about a third of
+    the time) must update both pins and say so in CHANGES.md."""
+    rng = random.Random(DEFAULT_SEED)
+    ring = [random_ring_element(rng, 3) for _ in range(600)]
+    assert sum(1 for e in ring if e.is_zero()) == 211
+    assert draws_digest(ring) == "a6a7b1af7b6473f0"
+    rng, ctx = random.Random(DEFAULT_SEED), canonical_context()
+    forms = [random_generator_form(rng, ctx) for _ in range(100)]
+    assert draws_digest(forms) == "575e81a76be406c0"

@@ -3,7 +3,10 @@ and samples are derived, and they run at order 4 as they do at order 3."""
 
 import hashlib
 import json
+import random
 from fractions import Fraction
+
+import pytest
 
 from gtsingular import distributions, suites
 from gtsingular.distributions import (
@@ -22,6 +25,7 @@ from gtsingular.gtformulas import (
     phi_combination,
     phi_general,
 )
+from gtsingular.poly import Polynomial
 from gtsingular.skewring import RingElement, ring_mul_circ
 from gtsingular.sparse import BasisVec
 from gtsingular.suites import (
@@ -32,6 +36,8 @@ from gtsingular.suites import (
     functional_suite,
     generic_suite,
     module_suite,
+    random_polynomial,
+    random_shift,
     ring_suite,
     sample_basis,
     singularity_suite,
@@ -267,3 +273,65 @@ def test_generic_suite_fails_on_a_memo_fault(monkeypatch):
         distributions, "_generic_column", lambda x, r, s, y: column(x, r, s, y).scale(2)
     )
     _assert_nonzero_rhs_entries_fail()
+
+
+# The samplers as they were built before they summed integer terms: a
+# Fraction per coefficient and a one-term Polynomial per term.  The
+# reference for the draw-order contract below.
+
+
+def fraction_random_shift(rng: random.Random, n: int, radius: int = 1) -> Shift:
+    return Shift({v: rng.randint(-radius, radius) for v in positions(n - 1)})
+
+
+def fraction_random_polynomial(
+    rng: random.Random,
+    n: int,
+    max_terms: int = 3,
+    max_deg: int = 3,
+    zero_ok: bool = True,
+) -> Polynomial:
+    variables = list(positions(n))
+    while True:
+        p = Polynomial.zero()
+        for _ in range(rng.randint(0 if zero_ok else 1, max_terms)):
+            c = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            mono: dict = {}
+            for _ in range(rng.randint(0, max_deg)):
+                v = rng.choice(variables)
+                mono[v] = mono.get(v, 0) + 1
+            p = p + Polynomial.term(tuple(sorted(mono.items())), c)
+        if zero_ok or not p.is_zero():
+            return p
+
+
+# every parameter set the suites and the tests draw with
+POLY_PARAMS = [(), (3, 3, True), (2, 1, False), (3, 4, True), (2, 2, False)]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_samplers_make_the_reference_draws(n):
+    """At seeds 0-49 the integer samplers make the reference's rng calls,
+    in its order, and return its canonical values: after every draw the
+    terms, the denominator and the generator's state are equal."""
+    for seed in range(50):
+        new, ref = random.Random(seed), random.Random(seed)
+        for params in POLY_PARAMS:
+            got = random_polynomial(new, n, *params)
+            want = fraction_random_polynomial(ref, n, *params)
+            assert type(got) is Polynomial
+            assert (got.terms, got.den) == (want.terms, want.den), (seed, params)
+            assert new.getstate() == ref.getstate(), (seed, params)
+        for radius in (1, 2):
+            got, want = random_shift(new, n, radius), fraction_random_shift(ref, n, radius)
+            assert type(got) is Shift and got.terms == want.terms, (seed, radius)
+            assert all(type(m) is int for m in got.terms.values())
+            assert new.getstate() == ref.getstate(), (seed, radius)
+
+
+def test_random_polynomial_rejects_an_order_past_the_maximum():
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="out of range for order 12"):
+        random_polynomial(rng, 13)
+    assert rng.getstate() == state
