@@ -114,6 +114,8 @@ class RunConfig:
         from .tableau import canonical_test_point
 
         if self.point is not None:
+            if self.point.n != self.n:
+                raise UsageError(f"point has order {self.point.n}, expected {self.n}")
             return self.point
         try:
             return canonical_test_point(self.n)
@@ -124,8 +126,6 @@ class RunConfig:
         from .tableau import SingularContext
 
         point = self.resolve_point()
-        if point.n != self.n:
-            raise UsageError(f"point has order {point.n}, expected {self.n}")
         k, i, j = self.singular if self.singular else (2, 1, 2)
         try:
             return SingularContext(point, k, i, j)
@@ -229,9 +229,10 @@ def cmd_act(args) -> int:
 def cmd_classify(args) -> int:
     from .tableau import classify_point
 
+    if args.singular:
+        raise UsageError("classify takes no --singular; it reports the point's own pair")
     cfg = _config(args)
-    point = cfg.resolve_point()
-    cls = classify_point(point)
+    cls = classify_point(cfg.resolve_point())
     payload = {"class": cls.tag}
     if cls.pair:
         payload["pair"] = list(cls.pair)

@@ -22,8 +22,8 @@ forms is expanded to be read: each form is one integer pair on the line,
 memoized there, and `Line.product_series` multiplies the pairs,
 truncated.  The denominator is always read from its forms (a polynomial
 term's is 1), and a numerator from the linear factors its coefficient
-records (`_num_forms`, on image coefficients and their multiples); any
-other from its terms by `Polynomial.line_series`.  The weights of B's
+stores (`_num_forms`, on image coefficients, their multiples, shifts and
+transposes); any other from its terms by `Polynomial.line_series`.  The weights of B's
 sides are 1 or +-1/2, so a column adds each target's jets with the side's
 sign, as integers over one common denominator, and doubles that
 denominator once when B has two sides.  Order 0 of g goes on D2, order 1
@@ -192,8 +192,8 @@ def _side_jet(
     (nd D0^2) and c1 = (N1 D0 - D1 N0) dd / (nd D0^2), divided by the gcd
     of the three.  The denominator series is the product of its forms'
     (`Line.product_series`), (1, 0, 0) over 1 for a polynomial.  When h
-    carries its numerator's factors, num = unit * prod(form**e) (the
-    `_num_forms` memo), num's series is the unit times their product's,
+    carries its numerator's factors, num = unit * prod(form**e)
+    (`_num_forms`), num's series is the unit times their product's,
     read from the forms too; otherwise it is read from num's terms
     (`Polynomial.line_series`)."""
     kernel, zform = line

@@ -5,7 +5,7 @@ over index paths from row r toward row s (`phi_general`).  The paths of
 length 1 are the classical formulas for E(k,k+1) and E(k+1,k) (Zhelobenko
 1973; Molev, arXiv:math/0211289); the tests check the longer ones against
 brackets of neighbouring images, and each off-diagonal coefficient
-records its numerator's linear factors (`RationalFunction._num_forms`).
+stores its numerator as its linear factors (`RationalFunction._num_forms`).
 The map is a ring homomorphism for the opposite of the twisted product,
 a*b = b o a = `ring_mul_circ(b, a)` (see `convention`):
 `verify_homomorphism` checks every ordered generator pair, each bracket
@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import product
 
 from .poly import Polynomial
-from .ratfun import RationalFunction, _expand, _monic_form
+from .ratfun import RationalFunction, _monic_form
 from .skewring import RingElement, ring_commutator
 from .tableau import Shift
 
@@ -111,9 +111,12 @@ def phi_general(n: int, r: int, s: int) -> RingElement:
     into the sign.  Every numerator form joins two adjacent rows and every
     denominator form lies in one row, so no denominator form divides the
     numerator and the coefficient is canonical as built, with no residue
-    test or division.  Each coefficient keeps its numerator's factors,
-    (sign, {form: multiplicity}), in its `_num_forms` memo, from which
-    `distributions` reads their jets."""
+    test or division.  Each coefficient stores its numerator as its
+    factors, (sign, {form: multiplicity}) in `_num_forms`, and builds no
+    expanded numerator: `RationalFunction.num` expands it on first use.
+    `distributions` reads the jets from the factors, and the transposition
+    and the shifts keep them, so an image's tau-invariance is decided with
+    no expansion."""
     if not (1 <= r <= n and 1 <= s <= n):
         raise ValueError(f"generator E({r},{s}) out of range for gl_{n}")
     if r == s:
@@ -134,8 +137,7 @@ def phi_general(n: int, r: int, s: int) -> RingElement:
                             sign = -sign
                         forms[form] = forms.get(form, 0) + 1
         shift = Shift({(k, i): -step for k, i in zip(rows, path)})
-        p = _expand(num.items())
-        terms[shift] = RationalFunction._make(p if sign > 0 else -p, den, num_forms=(sign, num))
+        terms[shift] = RationalFunction._make(None, den, num_forms=(sign, num))
     return RingElement._raw(terms)
 
 

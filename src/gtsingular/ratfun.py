@@ -36,10 +36,30 @@ each equals the residue of the numerator itself: the memo changes what a
 test costs, never what it decides.  Each form's test point is solved once
 and cached.
 
-A `gtformulas.phi_general` image coefficient also records its numerator's
+A `gtformulas.phi_general` image coefficient stores its numerator as its
 linear factors, `_num_forms` = (unit, {monic form: e}) with num == unit *
-prod(form**e), outside == and hash; scaling and negation keep it with the
-unit times the scalar, and every other result has None.
+prod(form**e), and no expanded `num`: the `num` property expands the
+factors on first use and keeps the result in the slot `_num`.  Scaling and
+negation keep the factors, with the unit times the scalar, beside any
+expanded numerator.  `subs_offsets` and `swap_vars` move the numerator as
+it is kept: an expanded one when there is one, at the cost it always had,
+else the factors, each form through `_shifted_form` or `_swapped_form`
+and the transposition's units folded into the unit.  Every other result
+is expanded and has no factors.  Sums, general products, derivatives and
+printing expand a factored operand once; `evaluate` multiplies its forms'
+values.  Inside this module the stored `_num` is read directly and the
+property is called only where it is None, so a value that was never
+factored pays nothing for the factored form.
+
+Equality has two paths.  When both sides are factored, == compares the
+units and the factor dicts, with no expansion: a monic linear form is
+irreducible and distinct monic forms are not associates, so by unique
+factorization (unit, {form: e}) is canonical for a product of forms.
+Otherwise == compares the expanded numerators.  `is_zero` never expands:
+a factored numerator is nonzero.  The hash is that of the denominator's
+forms alone, which equal functions share whatever form their numerators
+are stored in; it needs no expansion, and nothing keys a dict or a cache
+on a rational function, so a coarse hash costs nothing.
 
 Forms are shared and their transforms computed once.  `_monic_form` caches
 the monic scaling of each linear polynomial, so equal forms are one object
@@ -49,8 +69,9 @@ shift moves only a form's constant, l(x - a) = l(x) - sum c_v a_v, so
 whole offsets; a transposition is cached on (form, a, b) with the unit it
 leaves, an int for the Gelfand-Tsetlin forms, whose -1 negates the
 numerator.  (`skewring` likewise decides once per form and point whether
-the form vanishes there.)  `evaluate` runs `_int_eval` on num and each
-form over one common denominator and builds one Fraction.
+the form vanishes there.)  `evaluate` runs `_int_eval` on num, or on each
+of its factors, and on each form over one common denominator and builds
+one Fraction.
 
 The constructor RationalFunction(num, den) normalises a pair not already
 known to be reduced.  It takes a constant or linear den and raises
@@ -238,32 +259,47 @@ def _swapped_form(form: Polynomial, a: Var, b: Var) -> tuple[Fraction | int, Pol
     return (int(lc) if lc in (1, -1) else lc), form
 
 
+def _swapped(forms: dict, a: Var, b: Var) -> tuple[dict, Fraction | int]:
+    """The monic forms of prod(form**e) with a and b transposed, and the unit
+    the transposition leaves on the product, an int when it is 1 or -1."""
+    out, unit = {}, 1
+    for form, e in forms.items():
+        lc, form = _swapped_form(form, a, b)
+        out[form] = e
+        if lc != 1:
+            unit *= lc**e
+    return out, unit
+
+
 class RationalFunction:
-    # the memos _res and _num_forms (see the module docstring) are not part of == or hash
-    __slots__ = ("num", "forms", "_res", "_num_forms")
+    # _num is the expanded numerator, None while only the factors
+    # _num_forms are kept; the residue memo _res is not part of == or hash
+    __slots__ = ("_num", "forms", "_res", "_num_forms")
 
     def __init__(self, num: Polynomial, den: Polynomial):
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         self._res = self._num_forms = None
         if den.is_constant():
-            self.num, self.forms = num.scale(_ONE / den.constant_value()), {}
+            self._num, self.forms = num.scale(_ONE / den.constant_value()), {}
         elif not _is_linear(den):
             raise ValueError(_NOT_LINEAR)
         elif num.is_zero():
-            self.num, self.forms = num, {}
+            self._num, self.forms = num, {}
         else:
             lc, form = _monic_form(den)
-            self.num, self.forms, res = _cancel(num.scale(_ONE / lc), {form: 1}, {})
+            self._num, self.forms, res = _cancel(num.scale(_ONE / lc), {form: 1}, {})
             self._res = res if self.forms else None
 
     @classmethod
-    def _make(cls, num: Polynomial, forms: dict, res=None, num_forms=None) -> "RationalFunction":
+    def _make(cls, num: Polynomial | None, forms: dict, res=None,
+              num_forms=None) -> "RationalFunction":
         # internal: no form divides num, or num is zero and forms is {};
         # res is a residue memo of num, a product's factors (see _memo) or None;
-        # num_forms is (unit, {form: e}) with num == unit * prod(form**e), or None
+        # num_forms is (unit, {form: e}) with num == unit * prod(form**e), or
+        # None; num may be None when num_forms is not
         f = cls.__new__(cls)
-        f.num = num
+        f._num = num
         f.forms = forms
         f._res = res if forms else None
         f._num_forms = num_forms
@@ -290,21 +326,38 @@ class RationalFunction:
         return cls._make(Polynomial.variable(k, i), {})
 
     @property
+    def num(self) -> Polynomial:
+        """The expanded numerator: for a factored one, unit * prod(form**e),
+        built on first use and kept."""
+        num = self._num
+        if num is None:
+            unit, forms = self._num_forms
+            num = _expand(forms.items())
+            self._num = num = num if unit == 1 else -num if unit == -1 else num.scale(unit)
+        return num
+
+    @property
     def den(self) -> Polynomial:
         """The expanded monic denominator, built afresh."""
         return _expand(self.forms.items())
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        # a factored numerator is never zero
+        num = self._num
+        return num is not None and not num.terms
 
     def __bool__(self) -> bool:
-        return bool(self.num)
+        num = self._num
+        return num is None or bool(num.terms)
 
     def is_polynomial(self) -> bool:
         return not self.forms
 
     def is_constant(self) -> bool:
-        return self.num.is_constant() and self.is_polynomial()
+        if self.forms:
+            return False
+        num = self._num
+        return (self.num if num is None else num).is_constant()
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
@@ -312,19 +365,30 @@ class RationalFunction:
         return self.num.constant_value()
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, RationalFunction) and self.num == other.num
-                and self.forms == other.forms)
+        if not isinstance(other, RationalFunction) or self.forms != other.forms:
+            return False
+        a, b = self._num_forms, other._num_forms
+        if a is not None and b is not None:
+            # unique factorization: the units and the dicts of monic forms
+            return a == b
+        n1, n2 = self._num, other._num
+        if n1 is None or n2 is None:
+            n1, n2 = self.num, other.num
+        return n1 == n2
 
     def __hash__(self) -> int:
-        # forms is canonical as a dict, so equal functions hash equal
-        return hash((self.num, frozenset(self.forms.items())))
+        # forms is canonical as a dict, and equal functions have equal
+        # reduced denominators, however their numerators are stored
+        return hash(frozenset(self.forms.items()))
 
     def __neg__(self) -> "RationalFunction":
-        return self._with_num(-self.num, -1)
+        num = self._num
+        return self._with_num(None if num is None else -num, -1)
 
-    def _with_num(self, num: Polynomial, c: Fraction | int) -> "RationalFunction":
-        # same denominator; num = c * self.num for a nonzero constant c, so the
-        # factor record's unit scales by c (an integer c builds no Fraction)
+    def _with_num(self, num: Polynomial | None, c: Fraction | int) -> "RationalFunction":
+        # same denominator; num = c * self.num for a nonzero constant c, or
+        # None when self keeps no expanded numerator, so the factors' unit
+        # scales by c (an integer c builds no Fraction)
         num_forms = self._num_forms
         if num_forms is not None:
             unit, b = num_forms[0] * c.numerator, c.denominator
@@ -351,7 +415,8 @@ class RationalFunction:
         return out
 
     def _residue_at(self, form: Polynomial) -> int | None:
-        return _memo_residue(self._memo(), self.num, form)
+        num = self._num
+        return _memo_residue(self._memo(), self.num if num is None else num, form)
 
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
         if not isinstance(other, RationalFunction):
@@ -360,6 +425,9 @@ class RationalFunction:
             return other
         if other.is_zero():
             return self
+        n1, n2 = self._num, other._num
+        if n1 is None or n2 is None:
+            n1, n2 = self.num, other.num
         f1, f2 = self.forms, other.forms
         # Over the lcm of the two multisets, a form whose multiplicities
         # differ still divides exactly one cofactor, so only forms shared
@@ -371,14 +439,13 @@ class RationalFunction:
                 lcm[form] = e
         a = {form: e - f1.get(form, 0) for form, e in lcm.items() if e > f1.get(form, 0)}
         b = {form: e - f2.get(form, 0) for form, e in lcm.items() if e > f2.get(form, 0)}
-        num = ((self.num * _expand(a.items()) if a else self.num)
-               + (other.num * _expand(b.items()) if b else other.num))
+        num = (n1 * _expand(a.items()) if a else n1) + (n2 * _expand(b.items()) if b else n2)
         if num.is_zero():
             return RationalFunction.zero()
         # r(num) = r(n1) r(a) + r(n2) r(b) when every residue is defined; a
         # cofactor holding the form vanishes at its test point
         res = {}
-        if self.num.den % _P and other.num.den % _P and all(form.den % _P for form in lcm):
+        if n1.den % _P and n2.den % _P and all(form.den % _P for form in lcm):
             for form in lcm:
                 res[form] = (_term_residue(self, form, a) + _term_residue(other, form, b)) % _P
         shared = {form: e for form, e in f1.items() if f2.get(form) == e}
@@ -399,14 +466,18 @@ class RationalFunction:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return RationalFunction.zero()
+        # is_constant keeps the expanded numerator of a constant
         if self.is_constant():
-            return other.scale(self.num.constant_value())
+            return other.scale(self._num.constant_value())
         if other.is_constant():
-            return self.scale(other.num.constant_value())
+            return self.scale(other._num.constant_value())
+        n1, n2 = self._num, other._num
+        if n1 is None or n2 is None:
+            n1, n2 = self.num, other.num
         f1, f2 = self.forms, other.forms
         # each side is reduced, so n1 can only cancel against f2, n2 against f1
-        n1, f2, res1 = _cancel(self.num, f2, self._memo())
-        n2, forms, res2 = _cancel(other.num, f1, other._memo())
+        n1, f2, res1 = _cancel(n1, f2, self._memo())
+        n2, forms, res2 = _cancel(n2, f1, other._memo())
         for form, e in f2.items():
             forms[form] = forms.get(form, 0) + e
         # the product's memo is derived from the factors' on first use; many products are never tested
@@ -436,7 +507,8 @@ class RationalFunction:
             return RationalFunction.zero()
         if c == 1:
             return self
-        return self._with_num(self.num.scale(c), c)
+        num = self._num
+        return self._with_num(None if num is None else num.scale(c), c)
 
     def den_divisible_by(self, lin: Polynomial) -> bool:
         """Whether the linear polynomial lin divides the denominator: whether
@@ -444,9 +516,19 @@ class RationalFunction:
         return _monic_form(lin)[1] in self.forms
 
     def evaluate(self, coords: Mapping[Var, Fraction]) -> Fraction:
-        d = self.num.terms
-        xs, q = _int_point(coords, d, *(form.terms for form in self.forms))
-        nq, dq = _int_eval(d, xs, q), self.num.den * q ** _top_degree(d)
+        num_forms = self._num_forms
+        if num_forms is None:
+            d = self._num.terms
+            xs, q = _int_point(coords, d, *(form.terms for form in self.forms))
+            nq, dq = _int_eval(d, xs, q), self._num.den * q ** _top_degree(d)
+        else:
+            # a factored numerator is the product of its forms' values
+            unit, nforms = num_forms
+            xs, q = _int_point(coords, *(f.terms for f in nforms), *(f.terms for f in self.forms))
+            nq, dq = unit.numerator, unit.denominator
+            for form, e in nforms.items():
+                nq *= _int_eval(form.terms, xs, q) ** e
+                dq *= (form.den * q) ** e
         for form, e in self.forms.items():
             f = _int_eval(form.terms, xs, q)
             if not f:
@@ -473,26 +555,34 @@ class RationalFunction:
         return out
 
     def subs_offsets(self, offsets: Mapping[Var, Fraction]) -> "RationalFunction":
-        num = self.num.subs_offsets(offsets)
         # affine substitution is a ring automorphism fixing leading terms,
-        # so reducedness and the monic forms survive untouched
-        return RationalFunction._make(
-            num, {_shifted_form(form, offsets): e for form, e in self.forms.items()}
-        )
+        # so reducedness, the monic forms and a factored numerator's unit
+        # survive untouched
+        forms = {_shifted_form(form, offsets): e for form, e in self.forms.items()}
+        num = self._num
+        if num is not None:
+            return RationalFunction._make(num.subs_offsets(offsets), forms)
+        unit, nforms = self._num_forms
+        nforms = {_shifted_form(form, offsets): e for form, e in nforms.items()}
+        return RationalFunction._make(None, forms, None, (unit, nforms))
 
     def swap_vars(self, a: Var, b: Var) -> "RationalFunction":
-        num = self.num.swap_vars(a, b)
-        # an automorphism again, but the leading term of a form may move
-        forms = {}
-        unit = 1
-        for form, e in self.forms.items():
-            lc, form = _swapped_form(form, a, b)
-            forms[form] = e
-            if lc != 1:
-                unit *= lc**e
-        if unit != 1:
-            num = -num if unit == -1 else num.scale(_ONE / unit)
-        return RationalFunction._make(num, forms)
+        # an automorphism again, but the leading term of a form may move:
+        # the denominator's unit divides the numerator
+        forms, unit = _swapped(self.forms, a, b)
+        num = self._num
+        if num is not None:
+            num = num.swap_vars(a, b)
+            if unit != 1:
+                num = -num if unit == -1 else num.scale(_ONE / unit)
+            return RationalFunction._make(num, forms)
+        nforms, u = _swapped(self._num_forms[1], a, b)
+        u *= self._num_forms[0]
+        if unit in (1, -1):
+            u *= unit
+        else:
+            u /= unit
+        return RationalFunction._make(None, forms, None, (u, nforms))
 
     def variables(self) -> list[Var]:
         return sorted(set(self.num.variables()) | set(self.den.variables()))

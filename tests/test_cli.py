@@ -136,6 +136,23 @@ def test_classify_default_and_file(tmp_path, capsys):
     assert code == 0 and out.strip() == "Other"
 
 
+def test_classify_rejects_an_order_mismatch_and_a_singular_pair(tmp_path, capsys):
+    """classify checks --n against the point's order as act and verify do,
+    and takes no --singular: each gives exit 2, one error line and no
+    output."""
+    pt = tmp_path / "p3.json"
+    pt.write_text(json.dumps(canonical_test_point(3).to_json()))
+    for argv, message in [
+        (["--n", "4", "--point", str(pt)], "error: point has order 3, expected 4"),
+        (["--singular", "9,9,9"], "error: classify takes no --singular; it reports the point's own pair"),
+        (["--point", str(pt), "--singular", "2,1,2"],
+         "error: classify takes no --singular; it reports the point's own pair"),
+    ]:
+        code, out, err = run(capsys, "classify", *argv)
+        assert (code, out, err) == (2, "", message + "\n"), argv
+    assert run(capsys, "classify", "--n", "3", "--point", str(pt))[:2] == (0, "OneSingular(2,1,2)\n")
+
+
 def test_classify_malformed_point(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     for text in (

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from gtsingular import gtformulas
+from gtsingular import gtformulas, ratfun
 from gtsingular.gtformulas import (
     all_generators,
     bracket,
@@ -28,8 +28,8 @@ from gtsingular.skewring import (
     ring_commutator,
     ring_mul_circ,
 )
-from gtsingular.tableau import Shift, canonical_context
-from tests_helpers import assert_canonical, bracket_image, regular_on_orbit
+from gtsingular.tableau import Shift, SingularContext, canonical_context, classify_point
+from tests_helpers import ORDER6_POINT, assert_canonical, bracket_image, regular_on_orbit
 
 CTX = canonical_context()
 
@@ -364,6 +364,29 @@ def test_image_coefficients_are_reduced_as_built(n):
                 assert sorted(form.terms.values()) == [-1, 1] and form.den == 1
                 p = p * form**e
             assert p == c.num, (r, s, sigma)
+
+
+def test_order6_images_are_tau_invariant_with_no_expansion(monkeypatch):
+    """All 36 order-6 images are invariant under the transposition at the
+    pair (2,1,2) of ORDER6_POINT, decided with no numerator expanded: each
+    coefficient is transposed and compared through its factors.  Dropping
+    a term at a shift the transposition moves breaks the invariance."""
+    assert str(classify_point(ORDER6_POINT)) == "OneSingular(2,1,2)"
+    ctx = SingularContext(ORDER6_POINT, 2, 1, 2)
+
+    def expand(forms):
+        raise AssertionError("a numerator was expanded")
+
+    monkeypatch.setattr(ratfun, "_expand", expand)
+    images = {(r, s): phi_general(6, r, s) for r, s in all_generators(6)}
+    for (r, s), image in images.items():
+        assert is_tau_invariant(ctx, image), (r, s)
+        if r != s:
+            assert all(c._num is None for c in image.terms.values()), (r, s)
+    corner = images[1, 6]
+    moved = next(rho for rho in corner.terms if ctx.tau_of_shift(rho) != rho)
+    broken = RingElement._raw({rho: c for rho, c in corner.terms.items() if rho != moved})
+    assert not is_tau_invariant(ctx, broken)
 
 
 def test_phi_invalid_indices():

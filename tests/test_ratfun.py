@@ -8,6 +8,7 @@ from gtsingular import poly, ratfun
 from gtsingular.gtformulas import phi_general
 from gtsingular.poly import Polynomial, divexact
 from gtsingular.ratfun import PoleError, RationalFunction, multiply_by_linear
+from gtsingular.tableau import positions
 from gtsingular.textform import rf_text
 from tests_helpers import VARS3, assert_canonical, random_poly, random_rf, to_sympy
 
@@ -571,24 +572,38 @@ def test_memo_is_not_part_of_equality():
     assert len(set(routes)) == 1
 
 
-def test_only_scaling_keeps_the_numerator_factors():
+def test_only_scaling_and_automorphisms_keep_the_numerator_factors():
     """An image coefficient's numerator factors (`_num_forms`, set by
-    `phi_general`) survive only scaling and negation (test_skewring); a
-    coefficient built from image coefficients in any other way carries
-    none, so no operation but those has to keep the record exact."""
+    `phi_general`) survive scaling and negation (test_skewring), a shift and
+    a transposition, each form moved as `_shifted_form` and `_swapped_form`
+    move it, and each copy's numerator expands to the transformed expanded
+    one.  A coefficient built from image coefficients in any other way is
+    expanded and carries none."""
     h, g = phi_general(3, 3, 2).terms.values()  # linear numerators
     k = next(iter(phi_general(3, 1, 3).terms.values()))
     assert all(f._num_forms is not None for f in (h, g, k))
+    unit, forms = k._num_forms
+    # a copy that keeps only the factors, whatever other tests expanded
+    factored = RationalFunction._make(None, k.forms, None, k._num_forms)
+    offsets = {(2, 1): Fraction(1), (3, 3): Fraction(-2)}
+    moved = factored.subs_offsets(offsets)
+    assert moved._num_forms == (unit, {ratfun._shifted_form(f, offsets): e for f, e in forms.items()})
+    assert moved._num is None and moved.num == k.num.subs_offsets(offsets)
+    for a, b in [((2, 1), (2, 2)), ((3, 1), (3, 3))]:
+        swapped = factored.swap_vars(a, b)
+        assert swapped._num is None and swapped._num_forms[1].keys() == {
+            ratfun._swapped_form(f, a, b)[1] for f in forms
+        }
+        assert swapped.num == RationalFunction._make(k.num, k.forms).swap_vars(a, b).num
     z1 = Polynomial.variable(2, 1) - Polynomial.variable(2, 2)
     built = [
         h + g, h + h, h - g, k + X11, h * g, h * h, k * X11, h / g,
-        k.subs_offsets({(2, 1): Fraction(1)}), k.swap_vars((2, 1), (2, 2)),
         k**1, k**2, h**-1, h.reciprocal(), k.derivative((2, 1)),
         RationalFunction(k.num, z1), multiply_by_linear(k, z1),
         multiply_by_linear(k, Polynomial.variable(1, 1)),
     ]
     for f in built:
-        assert f._num_forms is None, f
+        assert f._num_forms is None and f._num is not None, f
 
 
 def poly_var(k, i):
@@ -680,3 +695,129 @@ def test_equal_forms_share_one_object():
     twice = f.swap_vars((2, 1), (3, 2)).swap_vars((2, 1), (3, 2))
     assert twice == f and next(iter(twice.forms)) is shared
     assert next(iter((f * f).forms)) is shared
+
+
+def stored_both_ways(f):
+    """Two copies of a factored f: one keeping only the numerator's factors,
+    one keeping only the expanded numerator."""
+    return (RationalFunction._make(None, f.forms, None, f._num_forms),
+            RationalFunction._make(f.num, f.forms))
+
+
+def sympy_pair(f):
+    """f's numerator and denominator as sympy polynomials over QQ."""
+    return tuple(sympy.Poly(to_sympy(p), *SYMBOLS, domain="QQ") for p in (f.num, f.den))
+
+
+def sympy_equal(a, b):
+    """Whether the fractions a = (n1, d1) and b = (n2, d2) of sympy
+    polynomials, each in lowest terms, are equal: when d1 = c d2 and
+    n1 = c n2 for one constant c."""
+    (n1, d1), (n2, d2) = a, b
+    c = d1.LC() / d2.LC()
+    return d1 == d2.mul_ground(c) and n1 == n2.mul_ground(c)
+
+
+def image_sample(n, count):
+    """count image coefficients of order n drawn from the off-diagonal images
+    whose path has at most three rows, seeded by n."""
+    rng = random.Random(4100 + n)
+    gens = [(r, s) for r in range(1, n + 1) for s in range(1, n + 1) if 0 < abs(r - s) <= 3]
+    out = []
+    for r, s in rng.sample(gens, count):
+        out.append(rng.choice(list(phi_general(n, r, s).terms.values())))
+    return out
+
+
+# a factored value whose forms a transposition of (2,1) and (2,2) leaves
+# with units other than +-1, in the numerator and in the denominator
+GENERAL = RationalFunction._make(
+    None,
+    {ratfun._monic_form(poly_var(2, 1) + poly_var(2, 2).scale(Fraction(1, 2)))[1]: 1,
+     ratfun._monic_form(poly_var(3, 1) - poly_var(1, 1) + Polynomial.constant(2))[1]: 2},
+    None,
+    (Fraction(3, 2), {ratfun._monic_form(poly_var(2, 1) + poly_var(2, 2).scale(3))[1]: 2,
+                      ratfun._monic_form(poly_var(1, 1) - poly_var(3, 3))[1]: 1}),
+)
+SYMBOLS = [sympy.Symbol(f"x_{k}_{i}") for k in range(1, 6) for i in range(1, k + 1)]
+# one unit fraction per position up to order 5: no form x_a - x_b + m
+# vanishes at the point they make
+PRIMES = [11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67]
+
+
+def transforms(n):
+    """(name, transform of RationalFunction, the same on sympy (num, den)) at
+    order n: scaling, negation, a shift, transpositions in row 2 and across
+    rows, and the round trips that come back to the start."""
+    x = {(k, i): sympy.Symbol(f"x_{k}_{i}") for k in range(1, n + 1) for i in range(1, k + 1)}
+    off = {(2, 1): Fraction(2), (n, 1): Fraction(-1), (n - 1, 2): Fraction(3)}
+    back = {v: -a for v, a in off.items()}
+    pairs = [((2, 1), (2, 2)), ((1, 1), (n, n))]
+
+    def sub(mapping):
+        return lambda p: sympy.Poly(p.as_expr().subs(mapping, simultaneous=True), *SYMBOLS,
+                                    domain="QQ")
+
+    shift = sub({x[v]: x[v] - a for v, a in off.items()})
+    swaps = [sub({x[a]: x[b], x[b]: x[a]}) for a, b in pairs]
+    c = Fraction(-2, 3)
+    return [
+        ("id", lambda f: f, lambda nd: nd),
+        ("scale", lambda f: f.scale(c), lambda nd: (nd[0] * sympy.Rational(-2, 3), nd[1])),
+        ("neg", lambda f: -f, lambda nd: (-nd[0], nd[1])),
+        ("scale -1", lambda f: f.scale(-1), lambda nd: (-nd[0], nd[1])),
+        ("shift", lambda f: f.subs_offsets(off), lambda nd: tuple(map(shift, nd))),
+        ("shift back", lambda f: f.subs_offsets(off).subs_offsets(back), lambda nd: nd),
+        ("swap", lambda f: f.swap_vars(*pairs[0]), lambda nd: tuple(map(swaps[0], nd))),
+        ("swap across", lambda f: f.swap_vars(*pairs[1]), lambda nd: tuple(map(swaps[1], nd))),
+        ("swap twice", lambda f: f.swap_vars(*pairs[0]).swap_vars(*pairs[0]), lambda nd: nd),
+        ("scale back", lambda f: f.scale(c).scale(1 / c), lambda nd: nd),
+    ]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_both_numerator_forms_agree_with_sympy(n):
+    """Image coefficients at order n, and a factored value whose
+    transpositions leave units other than +-1, each stored with only its
+    factors and with only its expanded numerator, then scaled, negated,
+    shifted and transposed.  Every == between two results, factored or
+    expanded on either side, answers as sympy does on their numerators and
+    denominators, equal results hash alike, every result is sympy's
+    transform of the start, and a factored result evaluates at a point,
+    form by form, to the value of its expanded twin.  The == checks between
+    factored results run before any of them is expanded, so they take the
+    factored path.  A copy with its unit or one form's multiplicity changed
+    compares unequal."""
+    ts = transforms(n)
+    for h in image_sample(n, 3) + ([GENERAL] if n == 3 else []):
+        factored, expanded = stored_both_ways(h)
+        start = sympy_pair(expanded)
+        sym = [t_sym(start) for _, _, t_sym in ts]
+        by_f = [t(factored) for _, t, _ in ts]
+        by_e = [t(expanded) for _, t, _ in ts]
+        assert all(f._num is None and f._num_forms is not None for f in by_f)
+        assert all(e._num_forms is None for e in by_e)
+        assert start[0].gcd(start[1]).is_ground
+        want = {(i, j): sympy_equal(a, b) for i, a in enumerate(sym) for j, b in enumerate(sym)}
+        # factored on both sides first, then mixed, which expands
+        for left, right in [(by_f, by_f), (by_f, by_e), (by_e, by_f)]:
+            for (i, j), equal in want.items():
+                a, b = left[i], right[j]
+                assert (a == b) is equal, (ts[i][0], ts[j][0])
+                assert not equal or hash(a) == hash(b)
+            if left is right:
+                assert all(f._num is None for f in by_f)
+        unit, forms = factored._num_forms
+        form = next(iter(forms), ratfun._monic_form(poly_var(1, 1) - poly_var(2, 2))[1])
+        controls = [
+            RationalFunction._make(None, factored.forms, None, (2 * unit, forms)),
+            RationalFunction._make(None, factored.forms, None,
+                                   (unit, {**forms, form: forms.get(form, 0) + 1})),
+        ]
+        for bad in controls:
+            assert bad != factored and factored != bad
+            assert stored_both_ways(bad)[1] != factored and bad != expanded
+        point = {v: Fraction(1, p) for v, p in zip(positions(n), PRIMES)}
+        for (name, _, _), f, e, want_f in zip(ts, by_f, by_e, sym):
+            assert sympy_equal(sympy_pair(f), want_f), name
+            assert stored_both_ways(f)[0].evaluate(point) == e.evaluate(point), name

@@ -31,14 +31,21 @@ ROW3_POINT = Point.from_rows(
 
 # An order-5 point, 1-singular at the row-2 pair (2,1,2); every other
 # coordinate has its own prime denominator.
-ORDER5_POINT = Point.from_rows(
-    [
-        [Fraction(1, 5)],
-        [Fraction(1, 3), Fraction(1, 3)],
-        [Fraction(1, 7), Fraction(2, 11), Fraction(3, 13)],
-        [Fraction(1, 17), Fraction(2, 19), Fraction(3, 23), Fraction(4, 29)],
-        [Fraction(1, 31), Fraction(2, 37), Fraction(3, 41), Fraction(4, 43), Fraction(5, 47)],
-    ]
+ORDER5_ROWS = [
+    [Fraction(1, 5)],
+    [Fraction(1, 3), Fraction(1, 3)],
+    [Fraction(1, 7), Fraction(2, 11), Fraction(3, 13)],
+    [Fraction(1, 17), Fraction(2, 19), Fraction(3, 23), Fraction(4, 29)],
+    [Fraction(1, 31), Fraction(2, 37), Fraction(3, 41), Fraction(4, 43), Fraction(5, 47)],
+]
+ORDER5_POINT = Point.from_rows(ORDER5_ROWS)
+
+# ORDER5_POINT with a sixth row of prime denominators: an order-6 point,
+# 1-singular at (2,1,2) again.
+ORDER6_POINT = Point.from_rows(
+    ORDER5_ROWS
+    + [[Fraction(1, 53), Fraction(2, 59), Fraction(3, 61), Fraction(4, 67), Fraction(5, 71),
+        Fraction(6, 73)]]
 )
 
 

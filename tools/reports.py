@@ -4,8 +4,11 @@ Usage (from the repository root): python3 tools/reports.py [--runs N] [CHECK ...
 
 The checks are `verify_homomorphism(4)`, the all-16 order-4 `module_suite`
 and the order-4 `appendix_suite` at (3,1,2) on `tests_helpers.ROW3_POINT`,
-and the all-25 order-5 `module_suite` and the order-5 `appendix_suite` at
-(2,1,2) on `tests_helpers.ORDER5_POINT`; with no CHECK named, all five run.
+the all-25 order-5 `module_suite` and the order-5 `appendix_suite` at
+(2,1,2) on `tests_helpers.ORDER5_POINT`, and `images6`: the 36 order-6
+generator images built and each one's invariance under the transposition
+at (2,1,2) on `tests_helpers.ORDER6_POINT` decided (`images_report`); with
+no CHECK named, all six run.
 Each runs in its own interpreter, so no memo of one serves another.  For
 each, one line gives passed/total, the seconds the check took (imports and
 point setup aside), the process's peak RSS and the first 12 hex digits of
@@ -16,7 +19,7 @@ RSS.  Exit status: 2 for an unknown CHECK or a bad N, 1 when a check
 fails, crashes, its runs' digests disagree or its digest differs from the
 pinned one, else 0.
 Besides the package and `tests/tests_helpers.py` (which imports the test
-extras) it uses the standard library only.  All five take about 15 s on a
+extras) it uses the standard library only.  All six take about 15 s on a
 shared 2-core machine (CPython 3.11.7).
 """
 
@@ -39,7 +42,23 @@ PINNED = {
     "appendix4": "c0eef2acbd0f",
     "module5": "913f7b24cc0f",
     "appendix5": "09afd5528a20",
+    "images6": "54ac138a7222",
 }
+
+
+def images_report(ctx, n: int) -> dict:
+    """The images of every E(r,s) of order n, each built and checked for
+    invariance under ctx's transposition, in the usual report shape."""
+    from gtsingular.gtformulas import all_generators, phi_general
+    from gtsingular.skewring import is_tau_invariant
+
+    checks = []
+    for r, s in all_generators(n):
+        image = phi_general(n, r, s)
+        checks.append({"generator": [r, s], "terms": len(image.terms),
+                       "invariant": is_tau_invariant(ctx, image)})
+    passed = sum(c["invariant"] for c in checks)
+    return {"suite": "images", "n": n, "total": len(checks), "passed": passed, "checks": checks}
 
 
 def run_check(name: str) -> dict:
@@ -48,16 +67,18 @@ def run_check(name: str) -> dict:
     from gtsingular.gtformulas import all_generators, verify_homomorphism
     from gtsingular.suites import appendix_suite, module_suite
     from gtsingular.tableau import SingularContext
-    from tests_helpers import ORDER5_POINT, ROW3_POINT
+    from tests_helpers import ORDER5_POINT, ORDER6_POINT, ROW3_POINT
 
     ctx4 = SingularContext(ROW3_POINT, 3, 1, 2)
     ctx5 = SingularContext(ORDER5_POINT, 2, 1, 2)
+    ctx6 = SingularContext(ORDER6_POINT, 2, 1, 2)
     check = {
         "homomorphism4": lambda: verify_homomorphism(4),
         "module4": lambda: module_suite(ctx4, generators=all_generators(4)),
         "appendix4": lambda: appendix_suite(ctx4),
         "module5": lambda: module_suite(ctx5, generators=all_generators(5)),
         "appendix5": lambda: appendix_suite(ctx5),
+        "images6": lambda: images_report(ctx6, 6),
     }[name]
     start = time.perf_counter()
     report = check()
