@@ -39,6 +39,23 @@ def gl_bracket(x: GeneratorId, y: GeneratorId) -> list[tuple[int, GeneratorId]]:
     return out
 
 
+def commutator_once(held: dict, x: GeneratorId, y: GeneratorId, build, zero, label=None):
+    """The left side of a commutator identity at the ordered pair (x, y),
+    for a value antisymmetric by its formula, such as [phi(x), phi(y)] or
+    act(x, act(y, D)) - act(y, act(x, D)): `zero` when x == y; the
+    negation held for (x, y, label), popped, when the mirror pair came
+    first; else `build()`, whose negation is held for (y, x, label).  So
+    each unordered pair is built once per label, in the check that first
+    needs it, and `held` keeps only values still pending."""
+    if x == y:
+        return zero
+    value = held.pop((x, y, label), None)
+    if value is None:
+        value = build()
+        held[(y, x, label)] = -value
+    return value
+
+
 def phi_raising(n: int, k: int) -> RingElement:
     """Image of E(k, k+1): shifts sigma(k,i)^-1 with the classical coefficients."""
     if not (1 <= k <= n - 1):
@@ -151,21 +168,19 @@ def phi_combination(n: int, terms: list[tuple[int, GeneratorId]]) -> RingElement
 def verify_homomorphism(n: int) -> dict:
     """Check the commutator identity on all ordered pairs of elementary
     matrices; returns a machine-readable report.  Each bracket is built
-    once: [x,x] is zero, and [y,x] is -[x,y], held until its pair comes."""
+    once (`commutator_once`): [x,x] is zero, and [y,x] is -[x,y], held
+    until its pair comes."""
     conv = convention()
     gens = all_generators(n)
     checks = []
     failures = []
-    mirrored: dict[tuple[GeneratorId, GeneratorId], RingElement] = {}
+    held: dict = {}
+    zero = RingElement.zero()
     for x in gens:
         for y in gens:
-            if x == y:
-                lhs = RingElement.zero()
-            elif (x, y) in mirrored:
-                lhs = mirrored.pop((x, y))
-            else:
-                lhs = bracket(conv, phi_general(n, *x), phi_general(n, *y))
-                mirrored[(y, x)] = -lhs
+            lhs = commutator_once(
+                held, x, y, lambda: bracket(conv, phi_general(n, *x), phi_general(n, *y)), zero
+            )
             rhs = phi_combination(n, gl_bracket(x, y))
             ok = lhs == rhs
             entry = {"pair": [list(x), list(y)], "equal": ok}

@@ -22,6 +22,7 @@ from functools import lru_cache
 from .distributions import (
     BasisVec,
     DistVector,
+    OrbitVector,
     act,
     act_lie,
     appendix_act,
@@ -31,7 +32,13 @@ from .distributions import (
     generic_act,
     generic_act_element,
 )
-from .gtformulas import adjacent_generators, all_generators, gl_bracket, phi_combination
+from .gtformulas import (
+    adjacent_generators,
+    all_generators,
+    commutator_once,
+    gl_bracket,
+    phi_combination,
+)
 from .poly import Monomial, Polynomial, Var, _normal, _var_mono
 from .ratfun import RationalFunction
 from .skewring import (
@@ -247,13 +254,19 @@ def module_suite(
 ) -> dict:
     """Commutator identity [phi(x), phi(y)] D = phi([x, y]) D on the
     distribution module for every ordered generator pair and every sample
-    basis vector.  The left side acts by the generator images (`act_lie`).
-    The right side builds one element per distinct bracket, whose memo
-    (see `act`) serves the bracket's later checks until the call returns,
-    and acts with it through `act` once per check."""
+    basis vector; an empty list of either runs no check.  The left side,
+    act(x, act(y, D)) - act(y, act(x, D)) by the generator images
+    (`act_lie`), is antisymmetric in (x, y) by that formula, so it is zero
+    at x == y and built once per unordered pair and sample vector, in the
+    check that first needs it; its negation serves the mirror pair
+    (`commutator_once`).  The right side builds one element per distinct
+    bracket, whose memo (see `act`) serves the bracket's later checks until
+    the call returns, and acts with it through `act` once per check."""
     ctx = ctx or canonical_context()
-    generators = generators or adjacent_generators(ctx.n)
-    basis_sample = basis_sample or sample_basis(ctx)
+    if generators is None:
+        generators = adjacent_generators(ctx.n)
+    if basis_sample is None:
+        basis_sample = sample_basis(ctx)
     vectors = [
         DistVector.from_terms(ctx, [(kind, sigma, Fraction(1))])
         for kind, sigma in basis_sample
@@ -261,16 +274,24 @@ def module_suite(
     failures = []
     total = 0
     brackets: dict[tuple, RingElement] = {}
+    held: dict = {}
+    zero = DistVector.zero()
     for x in generators:
         for y in generators:
             key = tuple(gl_bracket(x, y))
             rhs_elem = brackets.get(key)
             if rhs_elem is None:
                 rhs_elem = brackets[key] = phi_combination(ctx.n, key)
-            for bv_spec, d in zip(basis_sample, vectors):
+            for idx, (bv_spec, d) in enumerate(zip(basis_sample, vectors)):
                 total += 1
-                lhs = act_lie(ctx, x, act_lie(ctx, y, d)) - act_lie(
-                    ctx, y, act_lie(ctx, x, d)
+                lhs = commutator_once(
+                    held,
+                    x,
+                    y,
+                    lambda: act_lie(ctx, x, act_lie(ctx, y, d))
+                    - act_lie(ctx, y, act_lie(ctx, x, d)),
+                    zero,
+                    idx,
                 )
                 rhs = act(ctx, rhs_elem, d)
                 if lhs != rhs:
@@ -291,10 +312,13 @@ def appendix_suite(
     basis_sample: list | None = None,
 ) -> dict:
     """The derivative-tableau realization intertwines the basis action
-    through the explicit correspondence."""
+    through the explicit correspondence; an empty list of either runs no
+    check."""
     ctx = ctx or canonical_context()
-    generators = generators or all_generators(ctx.n)
-    basis_sample = basis_sample or appendix_sample(ctx)
+    if generators is None:
+        generators = all_generators(ctx.n)
+    if basis_sample is None:
+        basis_sample = appendix_sample(ctx)
     failures = []
     total = 0
     for gen in generators:
@@ -355,21 +379,36 @@ def generic_suite(
     x: Point | None = None, labels: list | None = None, generators: list | None = None
 ) -> dict:
     """gl_n commutator identities for the orbit action at a generic point
-    (order 3 by default).  The left side runs through the memoized
-    `generic_act`, the right side through `generic_act_element` directly,
-    an unmemoized oracle."""
+    (order 3 by default); an empty list of labels or generators runs no
+    check.  The left side runs through the memoized `generic_act`; like
+    `module_suite`'s it is zero at xg == yg and built once per unordered
+    pair and label, its negation serving the mirror pair
+    (`commutator_once`).  The right side runs through `generic_act_element`
+    directly, an unmemoized oracle, from one `phi_combination` per ordered
+    pair."""
     x = x or GENERIC_POINT_3
-    labels = labels or GENERIC_LABELS_3
-    generators = generators or all_generators(x.n)
+    if labels is None:
+        labels = GENERIC_LABELS_3
+    if generators is None:
+        generators = all_generators(x.n)
     failures = []
     total = 0
+    held: dict = {}
+    zero = OrbitVector.zero()
     for xg in generators:
         for yg in generators:
             rhs_elem = phi_combination(x.n, gl_bracket(xg, yg))
-            for y in labels:
+            for idx, y in enumerate(labels):
                 total += 1
-                lhs = generic_act(x, xg, generic_act(x, yg, y))
-                lhs = lhs - generic_act(x, yg, generic_act(x, xg, y))
+                lhs = commutator_once(
+                    held,
+                    xg,
+                    yg,
+                    lambda: generic_act(x, xg, generic_act(x, yg, y))
+                    - generic_act(x, yg, generic_act(x, xg, y)),
+                    zero,
+                    idx,
+                )
                 rhs = generic_act_element(x, rhs_elem, y)
                 if lhs != rhs:
                     failures.append(

@@ -9,6 +9,7 @@ from gtsingular import gtformulas, ratfun
 from gtsingular.gtformulas import (
     all_generators,
     bracket,
+    commutator_once,
     convention,
     gl_bracket,
     phi_combination,
@@ -317,6 +318,26 @@ def test_commutator_of_images_matches_two_products(n, diagonal_only, count):
     for x, y in pairs:
         a, b = phi_general(n, *x), phi_general(n, *y)
         assert ring_commutator(a, b) == ring_mul_circ(a, b) - ring_mul_circ(b, a), (x, y)
+
+
+def test_commutator_once_builds_each_unordered_pair_once_per_label():
+    """Diagonal pairs are zero unbuilt; the first of (x, y) and (y, x) at a
+    label builds, the other takes its negation; nothing stays held."""
+    gens = [(1, 2), (2, 1), (1, 1)]
+    built, values, held = [], {}, {}
+    for x in gens:
+        for y in gens:
+            for label in ("a", "b"):
+                def build():
+                    built.append((x, y, label))
+                    return len(built)
+
+                values[x, y, label] = commutator_once(held, x, y, build, 0, label)
+    assert built == [(x, y, label) for i, x in enumerate(gens) for y in gens[i + 1:]
+                     for label in ("a", "b")]
+    assert all(values[x, y, lb] == -values[y, x, lb] for x, y, lb in values)
+    assert all(values[x, x, lb] == 0 for x in gens for lb in ("a", "b"))
+    assert held == {}
 
 
 def test_commutator_antisymmetry_of_reports():

@@ -275,6 +275,112 @@ def test_generic_suite_fails_on_a_memo_fault(monkeypatch):
     _assert_nonzero_rhs_entries_fail()
 
 
+def test_an_empty_list_runs_no_check():
+    """An empty generator, sample or label list is not the default: the
+    suite runs no check and passes."""
+    ctx = canonical_context()
+    reports = [
+        module_suite(ctx, generators=[]),
+        module_suite(ctx, generators=[(1, 2)], basis_sample=[]),
+        appendix_suite(ctx, generators=[]),
+        appendix_suite(ctx, generators=[(1, 2)], basis_sample=[]),
+        generic_suite(generators=[]),
+        generic_suite(labels=[], generators=[(1, 1)]),
+    ]
+    for report in reports:
+        assert report["ok"] and report["total"] == report["passed"] == 0
+        assert report["failures"] == []
+
+
+def _count_calls(monkeypatch, names):
+    """Count the calls each suite makes through `suites.<name>`."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(suites, name)
+
+        def counted(*args, _real=real, _name=name):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(suites, name, counted)
+    return counts
+
+
+def test_suites_build_each_commutator_once(monkeypatch):
+    """The left side is built once per unordered pair of distinct
+    generators and sample vector or label, with four generator actions;
+    the right side still acts once per check."""
+    counts = _count_calls(monkeypatch, ["act_lie", "act", "generic_act"])
+    report = module_suite()
+    assert report["ok"] and report["total"] == 196
+    # 7 generators make 21 unordered pairs, times 4 sample vectors
+    assert counts == {"act_lie": 4 * 21 * 4, "act": 196, "generic_act": 0}
+    counts.update(dict.fromkeys(counts, 0))
+    report = generic_suite()
+    assert report["ok"] and report["total"] == 486
+    # 9 generators make 36 unordered pairs, times 6 labels
+    assert counts == {"act_lie": 0, "act": 0, "generic_act": 4 * 36 * 6}
+
+
+def _double_one_generator(monkeypatch, name, gen):
+    """Make `suites.<name>` return twice the true result for gen."""
+    real = getattr(suites, name)
+    monkeypatch.setattr(
+        suites, name, lambda p, g, d: real(p, g, d).scale(2) if g == gen else real(p, g, d)
+    )
+    return getattr(suites, name)
+
+
+def _failed_pairs(report):
+    return {tuple(tuple(g) for g in f["pair"]) for f in report["failures"]}
+
+
+def test_module_suite_reports_a_left_side_fault_at_both_orders(monkeypatch):
+    """With E(1,2) acting twice over, the pairs it forms fail, every
+    failed pair fails in both orders, and each failure's left side is the
+    one computed afresh for its own pair, not taken from the mirror."""
+    faulty = _double_one_generator(monkeypatch, "act_lie", (1, 2))
+    ctx = canonical_context()
+    generators = [(1, 2), (2, 1), (1, 1)]
+    report = module_suite(ctx, generators)
+    assert not report["ok"] and report["total"] == 36
+    failed = _failed_pairs(report)
+    assert {((1, 2), (2, 1)), ((2, 1), (1, 2)), ((1, 2), (1, 1)), ((1, 1), (1, 2))} <= failed
+    assert all(x != y for x, y in failed) and failed == {(y, x) for x, y in failed}
+    vectors = {
+        json.dumps([kind, sigma.to_json()]): DistVector.from_terms(ctx, [(kind, sigma, 1)])
+        for kind, sigma in sample_basis(ctx)
+    }
+    for failure in report["failures"]:
+        x, y = (tuple(g) for g in failure["pair"])
+        d = vectors[json.dumps(failure["basis"])]
+        lhs = faulty(ctx, x, faulty(ctx, y, d)) - faulty(ctx, y, faulty(ctx, x, d))
+        assert failure["lhs"] == lhs.to_json()
+
+
+def test_generic_suite_reports_a_left_side_fault_at_both_orders(monkeypatch):
+    """The same fault in `generic_act`: every pair that fails in one
+    order fails in the other, and the failures are exactly the entries
+    whose left side, computed afresh, differs from the true right side."""
+    faulty = _double_one_generator(monkeypatch, "generic_act", (1, 2))
+    x = GENERIC_POINT_3
+    generators = [(1, 2), (2, 1), (1, 1)]
+    report = generic_suite(x, GENERIC_LABELS_3, generators)
+    assert not report["ok"] and report["total"] == 54
+    failed = _failed_pairs(report)
+    assert {((1, 2), (2, 1)), ((2, 1), (1, 2)), ((1, 2), (1, 1)), ((1, 1), (1, 2))} <= failed
+    assert all(xg != yg for xg, yg in failed) and failed == {(y, x) for x, y in failed}
+    expected = []
+    for xg in generators:
+        for yg in generators:
+            rhs_elem = phi_combination(3, gl_bracket(xg, yg))
+            for label in GENERIC_LABELS_3:
+                lhs = faulty(x, xg, faulty(x, yg, label)) - faulty(x, yg, faulty(x, xg, label))
+                if lhs != generic_act_element(x, rhs_elem, label):
+                    expected.append({"pair": [list(xg), list(yg)], "label": label.to_json()})
+    assert report["failures"] == expected
+
+
 # The samplers as they were built before they summed integer terms: a
 # Fraction per coefficient and a one-term Polynomial per term.  The
 # reference for the draw-order contract below.

@@ -5,10 +5,12 @@ Usage (from the repository root): python3 tools/reports.py [--runs N] [CHECK ...
 The checks are `verify_homomorphism(4)`, the all-16 order-4 `module_suite`
 and the order-4 `appendix_suite` at (3,1,2) on `tests_helpers.ROW3_POINT`,
 the all-25 order-5 `module_suite` and the order-5 `appendix_suite` at
-(2,1,2) on `tests_helpers.ORDER5_POINT`, and `images6`: the 36 order-6
+(2,1,2) on `tests_helpers.ORDER5_POINT`, `images6`: the 36 order-6
 generator images built and each one's invariance under the transposition
-at (2,1,2) on `tests_helpers.ORDER6_POINT` decided (`images_report`); with
-no CHECK named, all six run.
+at (2,1,2) on `tests_helpers.ORDER6_POINT` decided (`images_report`), and
+`corner6`: the order-6 `module_suite` at (2,1,2) on `ORDER6_POINT` over
+the corner set E(1,6), E(6,1), E(5,6), E(6,5), E(2,2); with no CHECK
+named, all seven run.
 Each runs in its own interpreter, so no memo of one serves another.  For
 each, one line gives passed/total, the seconds the check took (imports and
 point setup aside), the process's peak RSS and the first 12 hex digits of
@@ -19,8 +21,9 @@ RSS.  Exit status: 2 for an unknown CHECK or a bad N, 1 when a check
 fails, crashes, its runs' digests disagree or its digest differs from the
 pinned one, else 0.
 Besides the package and `tests/tests_helpers.py` (which imports the test
-extras) it uses the standard library only.  All six take about 15 s on a
-shared 2-core machine (CPython 3.11.7).
+extras) it uses the standard library only.  All seven took 45 s in one
+run on a loaded shared 2-core machine (CPython 3.11.7), 18 s of it
+`corner6`; the six others took about 15 s in all on a quieter run.
 """
 
 import argparse
@@ -43,7 +46,12 @@ PINNED = {
     "module5": "913f7b24cc0f",
     "appendix5": "09afd5528a20",
     "images6": "54ac138a7222",
+    "corner6": "38d33d1e28fd",
 }
+
+# the order-6 corner set: the generators that join the first and last rows,
+# the last two rows, and one diagonal
+CORNER6 = [(1, 6), (6, 1), (5, 6), (6, 5), (2, 2)]
 
 
 def images_report(ctx, n: int) -> dict:
@@ -79,6 +87,7 @@ def run_check(name: str) -> dict:
         "module5": lambda: module_suite(ctx5, generators=all_generators(5)),
         "appendix5": lambda: appendix_suite(ctx5),
         "images6": lambda: images_report(ctx6, 6),
+        "corner6": lambda: module_suite(ctx6, generators=CORNER6),
     }[name]
     start = time.perf_counter()
     report = check()
