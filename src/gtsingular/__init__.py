@@ -38,13 +38,10 @@ _EXPORTS = {
         "gl_bracket",
         "phi_diagonal",
         "phi_general",
-        "phi_lowering",
-        "phi_raising",
         "verify_homomorphism",
     ),
     "distributions": (
         "BasisVec",
-        "DerivTabVec",
         "DistVector",
         "InvariantViolation",
         "MembershipError",
@@ -53,8 +50,6 @@ _EXPORTS = {
         "act_lie",
         "appendix_act",
         "apply_dist",
-        "basis_correspondence",
-        "basis_correspondence_inverse",
         "dist_functional",
         "evaluate_at_v",
         "generic_act",

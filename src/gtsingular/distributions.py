@@ -45,12 +45,12 @@ columns linearly through one helper: a label, or a vector of one label with
 coefficient 1, is its column itself, and any other vector sums its scaled
 columns per label as integers over one denominator, with one Fraction per
 nonzero entry.  `evaluate_at_v` is the action on ev_v, itself the basis
-vector D1_id.  `appendix_act` realizes the same module on
-derivative-tableau symbols, an independent oracle: it reads each
-coefficient's value and z1-slope at v by the quotient rule (the symbolic
-derivative `SingularContext.partial_z1` is only the tests' oracle for that
-rule).  Both realizations reduce labels by one parity rule,
-`SingularContext.representative`.  The generic orbit action's vectors are
+vector D1_id.  `appendix_act`, an independent oracle, reads D1_sigma as
+the derivative-tableau symbol T(v + sigma) and D2_sigma as DT(v + sigma)
+and each coefficient's value and z1-slope at v by the quotient rule (the
+symbolic derivative `SingularContext.partial_z1` is only the tests'
+oracle for that rule).  One parity rule, `SingularContext.representative`,
+reduces every label.  The generic orbit action's vectors are
 `SparseSum`s of shifts (`OrbitVector`); `generic_act` extends its columns,
 memoized per point, generator and label, through the same linear helper.
 """
@@ -60,13 +60,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .gtformulas import GeneratorId, phi_general
 from .poly import Line, Polynomial, divexact
 from .ratfun import RationalFunction, multiply_by_linear
 from .skewring import RingElement, is_tau_invariant
-from .sparse import BasisVec, QVector, SparseSum, add_term
+from .sparse import BasisVec, SparseSum, add_term
 from .tableau import (
     Point,
     Shift,
@@ -98,50 +98,39 @@ def canonical_basis_vec(
     return BasisVec(kind, rep), sign
 
 
-class _ParityVector(QVector):
-    """Combination of one tau-even and one tau-odd kind of label.  The
-    parity rule is `SingularContext.representative`; `from_terms` applies it
-    to every label."""
+class DistVector(SparseSum):
+    """Finite rational combination of basis distributions; `from_terms`
+    reduces each label by `SingularContext.representative`."""
 
     __slots__ = ()
-    kinds: tuple[str, str]  # (even, odd)
-    noun: str
-    # an odd label on a tau-fixed shift: zero in the quotient, or a bug
-    odd_fixed_is_zero: bool
+    kinds = ("D1", "D2")  # (tau-even, tau-odd)
+
+    def __init__(self, terms: Mapping[tuple[str, Shift], Fraction] | None = None):
+        super().__init__((BasisVec(*key), Fraction(c)) for key, c in (terms or {}).items())
 
     @classmethod
     def parity(cls, kind: str) -> int:
-        """0 for the even kind, 1 for the odd one; ValueError for any other."""
+        """0 for D1, 1 for D2; ValueError for any other kind."""
         if kind not in cls.kinds:
-            raise ValueError(f"unknown {cls.noun} {kind!r}")
+            raise ValueError(f"unknown distribution kind {kind!r}")
         return cls.kinds.index(kind)
 
     @classmethod
     def from_terms(
         cls, ctx: SingularContext, terms: Iterable[tuple[str, Shift, Fraction]]
-    ) -> "_ParityVector":
+    ) -> "DistVector":
         acc: dict[BasisVec, Fraction] = {}
         for kind, sigma, c in terms:
             c = Fraction(c)
             if not c:
                 continue
             rep, sign = ctx.representative(sigma, cls.parity(kind))
-            if sign:
-                add_term(acc, BasisVec(kind, rep), sign * c)
-            elif not cls.odd_fixed_is_zero:
+            if not sign:
                 raise InvariantViolation(
                     f"nonzero {kind} coefficient {c} on transposition-fixed shift {sigma!r}"
                 )
+            add_term(acc, BasisVec(kind, rep), sign * c)
         return cls._raw(acc)
-
-
-class DistVector(_ParityVector):
-    """Finite rational combination of canonical basis distributions."""
-
-    __slots__ = ()
-    kinds = ("D1", "D2")
-    noun = "distribution kind"
-    odd_fixed_is_zero = False
 
     @classmethod
     def basis(cls, bv: BasisVec) -> "DistVector":
@@ -155,6 +144,11 @@ class DistVector(_ParityVector):
             {"kind": bv.kind, "shift": bv.sigma.to_json(), "coeff": frac_text(c)}
             for bv, c in self.sorted_items()
         ]
+
+    def __repr__(self) -> str:
+        if not self.terms:
+            return "0"
+        return " + ".join(f"{c}*{key!r}" for key, c in self.sorted_items())
 
 
 # --- evaluation of ring elements into the basis ------------------------------
@@ -500,17 +494,6 @@ def generic_act(x: Point, gen: GeneratorId, d: "Shift | OrbitVector") -> OrbitVe
 # --- derivative-tableau realization ------------------------------------------
 
 
-class DerivTabVec(_ParityVector):
-    """Combination of tableau symbols T (tau-even) and DT (tau-odd)."""
-
-    __slots__ = ()
-    kinds = ("T", "DT")
-    noun = "tableau symbol"
-    # the odd relation gives 2*DT = 0 on fixed shifts, so the symbol itself
-    # is zero in the quotient
-    odd_fixed_is_zero = True
-
-
 def _value_and_slope(ctx: SingularContext, g: RationalFunction) -> tuple[Fraction, Fraction]:
     """(g(v), (dg/dz1)(v)) for g = n / prod(l**e) by the quotient rule at v,
     dg/dz1 = n_z / d - g sum(e l_z / l), p_z = (dp/dx(k,i) - dp/dx(k,j)) / 2
@@ -527,35 +510,22 @@ def _value_and_slope(ctx: SingularContext, g: RationalFunction) -> tuple[Fractio
     return value, (n_z / d - value * s) * _HALF
 
 
-def appendix_act(
-    ctx: SingularContext, gen: GeneratorId, e: DerivTabVec
-) -> DerivTabVec:
-    """Generator action on tableau symbols through the first z1-jet of the
-    symbolic orbit expansion, read by value; an independent realization."""
+def appendix_act(ctx: SingularContext, gen: GeneratorId, e: DistVector) -> DistVector:
+    """Generator action through the first z1-jet of the symbolic orbit
+    expansion, read by value; an independent realization.  Each target gets
+    the slope on T = D1 and the value on DT = D2, except on a tau-fixed
+    target: DT(v + tau z) = -DT(v + z) makes DT zero there."""
     a = phi_general(ctx.n, *gen)
     terms: list[tuple[str, Shift, Fraction]] = []
-    for (sym, sigma), c in e.terms.items():
-        even = not DerivTabVec.parity(sym)
+    for (kind, sigma), c in e.terms.items():
+        even = not DistVector.parity(kind)
         for rho, h in a.terms.items():
             g = shift_subst(h, sigma)
             if even:
                 g = multiply_by_linear(g, ctx.z1_poly)
             value, slope = _value_and_slope(ctx, g)
             target = sigma * rho
-            terms.append(("T", target, c * slope))
-            terms.append(("DT", target, c * value))
-    return DerivTabVec.from_terms(ctx, terms)
-
-
-def basis_correspondence(ctx: SingularContext, d: DistVector) -> DerivTabVec:
-    """D1 pairs with the even symbol T, D2 with the odd symbol DT; on
-    ordered representatives the map is label-preserving."""
-    terms = [(DerivTabVec.kinds[DistVector.parity(kind)], sigma, c)
-             for (kind, sigma), c in d.terms.items()]
-    return DerivTabVec.from_terms(ctx, terms)
-
-
-def basis_correspondence_inverse(ctx: SingularContext, e: DerivTabVec) -> DistVector:
-    terms = [(DistVector.kinds[DerivTabVec.parity(sym)], sigma, c)
-             for (sym, sigma), c in e.terms.items()]
+            terms.append(("D1", target, c * slope))
+            if ctx.tau_of_shift(target) != target:
+                terms.append(("D2", target, c * value))
     return DistVector.from_terms(ctx, terms)

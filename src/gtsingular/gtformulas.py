@@ -56,20 +56,6 @@ def commutator_once(held: dict, x: GeneratorId, y: GeneratorId, build, zero, lab
     return value
 
 
-def phi_raising(n: int, k: int) -> RingElement:
-    """Image of E(k, k+1): shifts sigma(k,i)^-1 with the classical coefficients."""
-    if not (1 <= k <= n - 1):
-        raise ValueError(f"raising index {k} out of range for gl_{n}")
-    return phi_general(n, k, k + 1)
-
-
-def phi_lowering(n: int, k: int) -> RingElement:
-    """Image of E(k+1, k): shifts sigma(k,i) with the classical coefficients."""
-    if not (1 <= k <= n - 1):
-        raise ValueError(f"lowering index {k} out of range for gl_{n}")
-    return phi_general(n, k + 1, k)
-
-
 def phi_diagonal(n: int, k: int) -> RingElement:
     """Image of E(k, k): a shift-free row-sum coefficient."""
     if not (1 <= k <= n):

@@ -2,13 +2,13 @@
 
 Polynomials (monomials -> int, over one denominator), shifts (positions ->
 int), ring elements (shifts -> rational function) and the module vectors
-((kind, shift) labels -> Fraction) are all `SparseSum`s.  Every sum keeps
-one rule, `add_term`: adding to a key drops the key when its coefficient
-sums to zero, so equal sums have equal dicts and no order is kept; only
-`support()` and `sorted_items()` sort, for printing.  Subclasses add their
-constructors and products; storage, equality, hashing, negation, addition
-and scaling live here, and `Polynomial` replaces the arithmetic with its
-integer kernels.
+(`BasisVec` labels, or shifts at a generic point, -> Fraction) are all
+`SparseSum`s.  Every sum keeps one rule, `add_term`: adding to a key drops
+the key when its coefficient sums to zero, so equal sums have equal dicts
+and no order is kept; only `support()` and `sorted_items()` sort, for
+printing.  Subclasses add their constructors and products; storage,
+equality, hashing, negation, addition and scaling live here, and
+`Polynomial` replaces the arithmetic with its integer kernels.
 """
 
 from __future__ import annotations
@@ -119,7 +119,7 @@ class SparseSum:
 
 
 class BasisVec(NamedTuple):
-    """A label: D1/D2 for distributions, T/DT for tableau symbols."""
+    """A module label: kind D1 or D2 at a shift."""
 
     kind: str
     sigma: Shift
@@ -129,18 +129,3 @@ class BasisVec(NamedTuple):
 
     def __repr__(self) -> str:
         return f"{self.kind}[{self.sigma!r}]"
-
-
-class QVector(SparseSum):
-    """Finite rational combination of labels.  Subclasses differ only in how
-    from_terms reduces a label to its canonical representative."""
-
-    __slots__ = ()
-
-    def __init__(self, terms: Mapping[tuple[str, Shift], Fraction] | None = None):
-        super().__init__((BasisVec(*key), Fraction(c)) for key, c in (terms or {}).items())
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(f"{c}*{key!r}" for key, c in self.sorted_items())

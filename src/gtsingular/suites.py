@@ -20,14 +20,13 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .distributions import (
-    BasisVec,
     DistVector,
     OrbitVector,
     act,
     act_lie,
     appendix_act,
     apply_dist,
-    basis_correspondence,
+    canonical_basis_vec,
     evaluate_at_v,
     generic_act,
     generic_act_element,
@@ -73,6 +72,12 @@ def appendix_sample(ctx: SingularContext) -> list[tuple[str, Shift]]:
         ("D1", Shift({(1, 1): 1})),
         ("D2", Shift({(1, 1): 1, ctx.pos_j: 1})),
     ]
+
+
+def _sample_vector(ctx: SingularContext, kind: str, sigma: Shift) -> DistVector:
+    """A (kind, shift) sample as its signed ordered representative."""
+    bv, sign = canonical_basis_vec(ctx, kind, sigma)
+    return DistVector.basis(bv).scale(sign)
 
 
 # --- samplers -----------------------------------------------------------------
@@ -267,10 +272,7 @@ def module_suite(
         generators = adjacent_generators(ctx.n)
     if basis_sample is None:
         basis_sample = sample_basis(ctx)
-    vectors = [
-        DistVector.from_terms(ctx, [(kind, sigma, Fraction(1))])
-        for kind, sigma in basis_sample
-    ]
+    vectors = [_sample_vector(ctx, kind, sigma) for kind, sigma in basis_sample]
     failures = []
     total = 0
     brackets: dict[tuple, RingElement] = {}
@@ -311,9 +313,9 @@ def appendix_suite(
     generators: list | None = None,
     basis_sample: list | None = None,
 ) -> dict:
-    """The derivative-tableau realization intertwines the basis action
-    through the explicit correspondence; an empty list of either runs no
-    check."""
+    """The derivative-tableau oracle (`appendix_act`) agrees with the
+    module action (`act_lie`) on each generator and sample vector; an empty
+    list of either runs no check."""
     ctx = ctx or canonical_context()
     if generators is None:
         generators = all_generators(ctx.n)
@@ -324,9 +326,9 @@ def appendix_suite(
     for gen in generators:
         for kind, sigma in basis_sample:
             total += 1
-            d = DistVector.basis(BasisVec(kind, sigma))
-            lhs = basis_correspondence(ctx, act_lie(ctx, gen, d))
-            rhs = appendix_act(ctx, gen, basis_correspondence(ctx, d))
+            d = _sample_vector(ctx, kind, sigma)
+            lhs = act_lie(ctx, gen, d)
+            rhs = appendix_act(ctx, gen, d)
             if lhs != rhs:
                 failures.append(
                     {
@@ -379,8 +381,9 @@ def generic_suite(
     x: Point | None = None, labels: list | None = None, generators: list | None = None
 ) -> dict:
     """gl_n commutator identities for the orbit action at a generic point
-    (order 3 by default); an empty list of labels or generators runs no
-    check.  The left side runs through the memoized `generic_act`; like
+    (order 3 by default); the default labels are those of
+    `GENERIC_LABELS_3` that move only rows below the point's order, and an
+    empty list of labels or generators runs no check.  The left side runs through the memoized `generic_act`; like
     `module_suite`'s it is zero at xg == yg and built once per unordered
     pair and label, its negation serving the mirror pair
     (`commutator_once`).  The right side runs through `generic_act_element`
@@ -388,7 +391,7 @@ def generic_suite(
     pair."""
     x = x or GENERIC_POINT_3
     if labels is None:
-        labels = GENERIC_LABELS_3
+        labels = [y for y in GENERIC_LABELS_3 if all(k < x.n for k, _ in y.terms)]
     if generators is None:
         generators = all_generators(x.n)
     failures = []

@@ -8,7 +8,6 @@ import sympy
 from gtsingular import distributions
 from gtsingular.distributions import (
     BasisVec,
-    DerivTabVec,
     DistVector,
     InvariantViolation,
     MembershipError,
@@ -17,8 +16,6 @@ from gtsingular.distributions import (
     act_lie,
     appendix_act,
     apply_dist,
-    basis_correspondence,
-    basis_correspondence_inverse,
     canonical_basis_vec,
     dist_functional,
     evaluate_at_v,
@@ -130,39 +127,27 @@ def test_functional_reports_a_failed_division(monkeypatch):
         dist_functional(CTX, "D2", S22, Polynomial.variable(1, 1))
 
 
-def test_deriv_tab_vec_rejects_unknown_symbol():
-    with pytest.raises(ValueError, match="unknown tableau symbol 'D1'"):
-        DerivTabVec.from_terms(CTX, [("D1", S22, Fraction(1))])
-
-
 WRONG_KIND = {
     "act_lie-bogus": (
         lambda: act_lie(CTX, (2, 3), BasisVec("bogus", S22)), "distribution kind 'bogus'"),
     "act_lie-T": (
-        lambda: act_lie(CTX, (2, 3), DerivTabVec.from_terms(CTX, [("T", S22, 1)])),
+        lambda: act_lie(CTX, (2, 3), DistVector._raw({BasisVec("T", S22): Fraction(1)})),
         "distribution kind 'T'"),
     "materialize-bogus": (
         lambda: materialize(CTX, BasisVec("bogus", S22)), "distribution kind 'bogus'"),
     "basis-T": (
         lambda: DistVector.basis(BasisVec("T", S22)), "distribution kind 'T'"),
-    "correspondence-T": (
-        lambda: basis_correspondence(CTX, DerivTabVec.from_terms(CTX, [("T", ID, 1)])),
+    "appendix_act-T": (
+        lambda: appendix_act(CTX, (2, 3), DistVector._raw({BasisVec("T", ID): Fraction(1)})),
         "distribution kind 'T'"),
-    "appendix_act-D1": (
-        lambda: appendix_act(CTX, (2, 3), DistVector.from_terms(CTX, [("D1", ID, 1)])),
-        "tableau symbol 'D1'"),
-    "inverse-D1": (
-        lambda: basis_correspondence_inverse(CTX, DistVector.from_terms(CTX, [("D1", ID, 1)])),
-        "tableau symbol 'D1'"),
 }
 
 
 @pytest.mark.parametrize("case", WRONG_KIND)
 def test_a_label_of_the_wrong_kind_raises(case):
-    """A label of a kind its map does not take is refused by name, not read
-    as the odd kind.  Before, act_lie gave the D2 column, materialize the
-    D2 element, the correspondence 0, appendix_act a PoleError and the
-    inverse an InvariantViolation, and DistVector.basis kept a T label."""
+    """A label of a kind other than D1 and D2 is refused by name, not read
+    as the odd kind: act_lie, materialize and appendix_act would otherwise
+    give a D2 result, and DistVector.basis would keep the label."""
     call, kind = WRONG_KIND[case]
     with pytest.raises(ValueError, match=f"^unknown {kind}$"):
         call()
@@ -1119,33 +1104,46 @@ def test_generic_commutators_sampled():
 
 
 def test_appendix_diagonal_on_base_symbol():
-    e = DerivTabVec.from_terms(CTX, [("T", ID, Fraction(1))])
+    """D1[id] is the symbol T(v): E(1,1) multiplies it by v(1,1)."""
+    e = DistVector.basis(BasisVec("D1", ID))
     out = appendix_act(CTX, (1, 1), e)
-    assert out == DerivTabVec({("T", ID): CTX.v[(1, 1)]})
+    assert out == DistVector({("D1", ID): CTX.v[(1, 1)]})
 
 
 def test_appendix_relation_sanity():
-    e = DerivTabVec.from_terms(
-        CTX, [("DT", S21, Fraction(1)), ("DT", S22, Fraction(1))]
-    )
+    """D2 is DT: tau-odd, so D2[tau sigma] = -D2[sigma], and undefined on a
+    tau-fixed shift.  The oracle read on an unordered D2 label agrees."""
+    e = DistVector.from_terms(CTX, [("D2", S21, Fraction(1)), ("D2", S22, Fraction(1))])
     assert e.is_zero()
-    # 2*DT = 0 on a tau-fixed shift, so the symbol is dropped there
-    assert DerivTabVec.from_terms(CTX, [("DT", S21 * S22, Fraction(1))]).is_zero()
-    assert appendix_act(CTX, (2, 3), e).is_zero()
+    with pytest.raises(InvariantViolation, match="nonzero D2 coefficient 1 "):
+        DistVector.from_terms(CTX, [("D2", S21 * S22, Fraction(1))])
+    unordered = DistVector._raw({BasisVec("D2", S21): Fraction(1)})
+    for gen in [(2, 3), (3, 2), (1, 2)]:
+        out = appendix_act(CTX, gen, unordered)
+        assert out and out == -appendix_act(CTX, gen, DistVector.basis(BasisVec("D2", S22)))
+        assert out == act_lie(CTX, gen, unordered)
 
 
-def test_correspondence_labels():
-    d = DistVector.basis(BasisVec("D1", S21 * S22))
-    assert basis_correspondence(CTX, d) == DerivTabVec({("T", S21 * S22): Fraction(1)})
-    d2 = DistVector.basis(BasisVec("D2", S22))
-    assert basis_correspondence(CTX, d2) == DerivTabVec({("DT", S22): Fraction(1)})
-
-
-def test_correspondence_roundtrip():
-    rng = random.Random(17)
-    for _ in range(10):
-        d = random_dist_vector(rng, CTX)
-        assert basis_correspondence_inverse(CTX, basis_correspondence(CTX, d)) == d
+def test_appendix_skips_the_odd_value_on_a_fixed_target():
+    """E(2,3) on D2[sigma(2,2)]: the term at shift sigma(2,2)^-1 lands on
+    the tau-fixed target id with a nonzero value.  That value would be the
+    DT coefficient there, but DT(v + tau z) = -DT(v + z) makes DT zero on
+    a fixed shift, so the oracle skips it and still agrees with act_lie.
+    Kept, it makes from_terms raise."""
+    gen, d = (2, 3), DistVector.basis(BasisVec("D2", S22))
+    image = phi_general(3, *gen)
+    h = image.terms[Shift.generator(2, 2, -1)]
+    value, _ = distributions._value_and_slope(CTX, shift_subst(h, S22))
+    assert value == Fraction(-2380, 3861)
+    out = appendix_act(CTX, gen, d)
+    assert BasisVec("D2", ID) not in out.terms
+    assert out == act_lie(CTX, gen, d)
+    terms = []
+    for rho, h in image.terms.items():
+        value, slope = distributions._value_and_slope(CTX, shift_subst(h, S22))
+        terms += [("D1", S22 * rho, slope), ("D2", S22 * rho, value)]
+    with pytest.raises(InvariantViolation, match="nonzero D2 coefficient -2380/3861"):
+        DistVector.from_terms(CTX, terms)
 
 
 @pytest.mark.parametrize("where", ["order3", "order4"])
@@ -1198,9 +1196,7 @@ def test_a_wrong_sign_in_the_value_rule_fails_the_appendix(monkeypatch):
 def test_appendix_intertwines(gen):
     for spec in [("D1", ID), ("D2", S22), ("D1", S21 * S22), ("D2", S22**2)]:
         d = DistVector.from_terms(CTX, [(spec[0], spec[1], Fraction(1))])
-        lhs = basis_correspondence(CTX, act_lie(CTX, gen, d))
-        rhs = appendix_act(CTX, gen, basis_correspondence(CTX, d))
-        assert lhs == rhs
+        assert act_lie(CTX, gen, d) == appendix_act(CTX, gen, d)
 
 
 # --- serialization ---------------------------------------------------------------

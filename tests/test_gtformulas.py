@@ -15,8 +15,6 @@ from gtsingular.gtformulas import (
     phi_combination,
     phi_diagonal,
     phi_general,
-    phi_lowering,
-    phi_raising,
     verify_homomorphism,
 )
 from gtsingular.poly import Polynomial
@@ -90,17 +88,17 @@ def test_phi_raising_n2():
         RationalFunction(-(X(1, 1) - X(2, 1)) * (X(1, 1) - X(2, 2)), Polynomial.one()),
         Shift.generator(1, 1, -1),
     )
-    assert phi_raising(2, 1) == expected
+    assert phi_general(2, 1, 2) == expected
 
 
 def test_phi_lowering_n2():
-    assert phi_lowering(2, 1) == RingElement.term(
+    assert phi_general(2, 2, 1) == RingElement.term(
         RationalFunction.one(), Shift.generator(1, 1)
     )
 
 
 def test_phi_raising_n3_row2():
-    a = phi_raising(3, 2)
+    a = phi_general(3, 2, 3)
     assert a.support() == sorted(
         [Shift.generator(2, 1, -1), Shift.generator(2, 2, -1)], key=Shift.sort_key
     )
@@ -116,7 +114,7 @@ def test_phi_raising_n3_row2():
 
 
 def test_phi_lowering_n3_row2():
-    a = phi_lowering(3, 2)
+    a = phi_general(3, 3, 2)
     c1 = a.coeff(Shift.generator(2, 1))
     assert c1 == RationalFunction(X(2, 1) - X(1, 1), X(2, 1) - X(2, 2))
     c2 = a.coeff(Shift.generator(2, 2))
@@ -156,7 +154,7 @@ def test_generic_evaluation_oracle(seed):
     p = generic_point(rng)
     x = p.coords
     for k in (1, 2):
-        img = phi_raising(3, k)
+        img = phi_general(3, k, k + 1)
         for i in range(1, k + 1):
             num = Fraction(1)
             for j in range(1, k + 2):
@@ -166,7 +164,7 @@ def test_generic_evaluation_oracle(seed):
                 if j != i:
                     den *= x[(k, i)] - x[(k, j)]
             assert img.coeff(Shift.generator(k, i, -1)).evaluate(x) == -num / den
-        img = phi_lowering(3, k)
+        img = phi_general(3, k + 1, k)
         for i in range(1, k + 1):
             num = Fraction(1)
             for j in range(1, k):
@@ -199,7 +197,7 @@ def test_all_images_in_universal_ring():
 
 
 def test_tau_invariance_of_lowering_row2():
-    a = phi_lowering(3, 2)
+    a = phi_general(3, 3, 2)
     assert group_act_on_ring(CTX, a) == a
 
 
@@ -346,12 +344,6 @@ def test_commutator_antisymmetry_of_reports():
     assert bracket(conv, a, b) == bracket(conv, b, a).scale(-1)
 
 
-def test_phi_general_delegates():
-    assert phi_general(3, 1, 2) == phi_raising(3, 1)
-    assert phi_general(3, 2, 1) == phi_lowering(3, 1)
-    assert phi_general(3, 2, 2) == phi_diagonal(3, 2)
-
-
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_phi_general_nonadjacent_bracket(n):
     """Every non-adjacent image from the path formula equals the bracket
@@ -414,8 +406,6 @@ def test_phi_invalid_indices():
     with pytest.raises(ValueError):
         phi_general(3, 0, 1)
     with pytest.raises(ValueError):
-        phi_raising(3, 3)
-    with pytest.raises(ValueError):
         phi_diagonal(3, 4)
 
 
@@ -423,5 +413,3 @@ def test_input_guards():
     a = phi_general(2, 1, 2)
     with pytest.raises(ValueError, match="unknown multiplication convention"):
         bracket("nope", a, a)
-    with pytest.raises(ValueError, match="lowering index 3"):
-        phi_lowering(3, 3)

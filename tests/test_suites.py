@@ -15,7 +15,6 @@ from gtsingular.distributions import (
     act_lie,
     appendix_act,
     apply_dist,
-    basis_correspondence,
     generic_act_element,
 )
 from gtsingular.gtformulas import (
@@ -43,6 +42,7 @@ from gtsingular.suites import (
     singularity_suite,
 )
 from gtsingular.tableau import (
+    Point,
     Shift,
     SingularContext,
     canonical_context,
@@ -220,9 +220,7 @@ def test_appendix_suite_failure_entries(monkeypatch):
         {"generator": list(gen), "basis": [kind, sigma.to_json()]}
         for gen in generators
         for kind, sigma in sample
-        if not appendix_act(
-            ctx, gen, basis_correspondence(ctx, DistVector.basis(BasisVec(kind, sigma)))
-        ).is_zero()
+        if appendix_act(ctx, gen, DistVector.basis(BasisVec(kind, sigma)))
     ]
     assert expected and report["failures"] == expected
     assert report["total"] == 6 and report["passed"] == 6 - len(expected)
@@ -290,6 +288,33 @@ def test_an_empty_list_runs_no_check():
     for report in reports:
         assert report["ok"] and report["total"] == report["passed"] == 0
         assert report["failures"] == []
+
+
+def test_a_fixed_d2_sample_is_refused_as_input(monkeypatch):
+    """D2 is undefined on a transposition-fixed shift: module_suite refuses
+    such a sample as appendix_suite does, with a ValueError, not as an
+    internal fault.  An unordered sample is its ordered representative
+    with its sign."""
+    ctx = canonical_context()
+    for suite in (module_suite, appendix_suite):
+        with pytest.raises(ValueError, match="^D2 is undefined on a transposition-fixed shift$"):
+            suite(ctx, [(1, 2)], [("D2", Shift.identity())])
+    seen = []
+    monkeypatch.setattr(suites, "act", lambda ctx, a, d: seen.append(d) or act(ctx, a, d))
+    swapped = module_suite(ctx, [(2, 3), (1, 2)], [("D2", Shift({(2, 1): 1}))])
+    assert swapped["ok"] and swapped["total"] == 4
+    assert set(seen) == {DistVector({("D2", Shift({(2, 2): 1})): -1})}
+
+
+def test_generic_suite_defaults_follow_the_order():
+    """At order 2 the default labels are those of GENERIC_LABELS_3 that move
+    row 1 only; at order 3 they are all six."""
+    x = Point.from_rows([[Fraction(1, 5)], [Fraction(1, 3), Fraction(1, 7)]])
+    report = generic_suite(x)
+    # 4 generators, 16 ordered pairs, 2 labels
+    assert report["ok"] and report["total"] == 32 and report["n"] == 2, report["failures"][:3]
+    report = generic_suite(generators=[(1, 2), (2, 1)])
+    assert report["ok"] and report["total"] == 4 * len(GENERIC_LABELS_3) == 24
 
 
 def _count_calls(monkeypatch, names):
