@@ -207,19 +207,14 @@ def cmd_phi(args) -> int:
 
 
 def cmd_act(args) -> int:
-    from .distributions import act_lie, canonical_basis_vec
+    from .distributions import DistVector, act_lie
 
     cfg = _config(args)
     ctx = cfg.resolve_context()
     r, s = parse_int_spec(args.gen, "generator", "r,s")
     kind, sigma = parse_basis_spec(args.basis)
     try:
-        sigma.validate(ctx.n)
-        bv, sign = canonical_basis_vec(ctx, kind, sigma)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    try:
-        result = act_lie(ctx, (r, s), bv).scale(sign)
+        result = act_lie(ctx, (r, s), DistVector.from_terms(ctx, [(kind, sigma, 1)]))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     _emit(cfg.fmt, result.to_json, lambda: dist_vector_text(result))

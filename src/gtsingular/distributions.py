@@ -50,9 +50,12 @@ the derivative-tableau symbol T(v + sigma) and D2_sigma as DT(v + sigma)
 and each coefficient's value and z1-slope at v by the quotient rule (the
 symbolic derivative `SingularContext.partial_z1` is only the tests'
 oracle for that rule).  One parity rule, `SingularContext.representative`,
-reduces every label.  The generic orbit action's vectors are
-`SparseSum`s of shifts (`OrbitVector`); `generic_act` extends its columns,
-memoized per point, generator and label, through the same linear helper.
+reduces every label, and `DistVector.from_terms` is the one way in for a
+label from outside: it refuses a wrong kind, a shift outside rows 1..n-1
+and D2 on a tau-fixed shift with ValueError.  The generic orbit action's
+vectors are `SparseSum`s of shifts (`OrbitVector`); `generic_act` extends
+its columns, memoized per point, generator and label, through the same
+linear helper.
 """
 
 from __future__ import annotations
@@ -88,19 +91,9 @@ class InvariantViolation(RuntimeError):
     """A structurally guaranteed cancellation failed; indicates a bug."""
 
 
-def canonical_basis_vec(
-    ctx: SingularContext, kind: str, sigma: Shift
-) -> tuple[BasisVec, int]:
-    """Reduce (kind, sigma) to its ordered representative; returns the sign."""
-    rep, sign = ctx.representative(sigma, DistVector.parity(kind))
-    if not sign:
-        raise ValueError("D2 is undefined on a transposition-fixed shift")
-    return BasisVec(kind, rep), sign
-
-
 class DistVector(SparseSum):
-    """Finite rational combination of basis distributions; `from_terms`
-    reduces each label by `SingularContext.representative`."""
+    """Finite rational combination of basis distributions; `from_terms` is
+    the one way in for a label from outside."""
 
     __slots__ = ()
     kinds = ("D1", "D2")  # (tau-even, tau-odd)
@@ -119,23 +112,20 @@ class DistVector(SparseSum):
     def from_terms(
         cls, ctx: SingularContext, terms: Iterable[tuple[str, Shift, Fraction]]
     ) -> "DistVector":
+        """The sum of the terms (kind, sigma, c), each label reduced to its
+        ordered representative; a zero term is skipped unchecked.  ValueError
+        for another kind, a shift outside rows 1..n-1 or D2 on a tau-fixed shift."""
         acc: dict[BasisVec, Fraction] = {}
         for kind, sigma, c in terms:
             c = Fraction(c)
             if not c:
                 continue
-            rep, sign = ctx.representative(sigma, cls.parity(kind))
+            odd = cls.parity(kind)
+            rep, sign = ctx.representative(sigma.validate(ctx.n), odd)
             if not sign:
-                raise InvariantViolation(
-                    f"nonzero {kind} coefficient {c} on transposition-fixed shift {sigma!r}"
-                )
+                raise ValueError("D2 is undefined on a transposition-fixed shift")
             add_term(acc, BasisVec(kind, rep), sign * c)
         return cls._raw(acc)
-
-    @classmethod
-    def basis(cls, bv: BasisVec) -> "DistVector":
-        cls.parity(bv.kind)
-        return cls._raw({bv: Fraction(1)})
 
     def to_json(self) -> list[dict]:
         from .textform import frac_text
@@ -230,9 +220,10 @@ def _read_jet(jet, lift: int) -> tuple[int, int, int] | None:
 def _basis_sides(ctx: SingularContext, bv: BasisVec) -> list[tuple[Shift, Fraction]]:
     """The defining element of a basis label as (shift, weight) pairs: B is
     the sum of w s for D1 and of (w / z1) s for D2.  A tau-fixed D1 label
-    is one side of weight 1.  ValueError for a label of another kind."""
+    is one side of weight 1.  ValueError for a label of another kind or
+    with a shift outside rows 1..n-1."""
     odd = DistVector.parity(bv.kind)
-    sigma = bv.sigma
+    sigma = bv.sigma.validate(ctx.n)
     tau_sigma = ctx.tau_of_shift(sigma)
     if not odd:
         if sigma == tau_sigma:

@@ -26,7 +26,6 @@ from .distributions import (
     act_lie,
     appendix_act,
     apply_dist,
-    canonical_basis_vec,
     evaluate_at_v,
     generic_act,
     generic_act_element,
@@ -72,12 +71,6 @@ def appendix_sample(ctx: SingularContext) -> list[tuple[str, Shift]]:
         ("D1", Shift({(1, 1): 1})),
         ("D2", Shift({(1, 1): 1, ctx.pos_j: 1})),
     ]
-
-
-def _sample_vector(ctx: SingularContext, kind: str, sigma: Shift) -> DistVector:
-    """A (kind, shift) sample as its signed ordered representative."""
-    bv, sign = canonical_basis_vec(ctx, kind, sigma)
-    return DistVector.basis(bv).scale(sign)
 
 
 # --- samplers -----------------------------------------------------------------
@@ -272,7 +265,7 @@ def module_suite(
         generators = adjacent_generators(ctx.n)
     if basis_sample is None:
         basis_sample = sample_basis(ctx)
-    vectors = [_sample_vector(ctx, kind, sigma) for kind, sigma in basis_sample]
+    vectors = [DistVector.from_terms(ctx, [(kind, sigma, 1)]) for kind, sigma in basis_sample]
     failures = []
     total = 0
     brackets: dict[tuple, RingElement] = {}
@@ -326,7 +319,7 @@ def appendix_suite(
     for gen in generators:
         for kind, sigma in basis_sample:
             total += 1
-            d = _sample_vector(ctx, kind, sigma)
+            d = DistVector.from_terms(ctx, [(kind, sigma, 1)])
             lhs = act_lie(ctx, gen, d)
             rhs = appendix_act(ctx, gen, d)
             if lhs != rhs:

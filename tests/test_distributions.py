@@ -16,7 +16,6 @@ from gtsingular.distributions import (
     act_lie,
     appendix_act,
     apply_dist,
-    canonical_basis_vec,
     dist_functional,
     evaluate_at_v,
     generic_act,
@@ -82,15 +81,37 @@ def half_over_z1():
 # --- canonicalization ---------------------------------------------------------
 
 
-def test_canonical_basis_vec():
-    bv, sign = canonical_basis_vec(CTX, "D1", S21)
-    assert bv == BasisVec("D1", S22) and sign == 1
-    bv, sign = canonical_basis_vec(CTX, "D2", S21)
-    assert bv == BasisVec("D2", S22) and sign == -1
-    with pytest.raises(ValueError):
-        canonical_basis_vec(CTX, "D2", ID)
-    with pytest.raises(ValueError):
-        canonical_basis_vec(CTX, "D3", ID)
+FROM_TERMS = {
+    "D1-unordered": ([("D1", S21, 1)], "1*D1[σ[2,2]]"),
+    "D2-unordered": ([("D2", S21, 1)], "-1*D2[σ[2,2]]"),
+    "D2-fixed": ([("D2", ID, 1)], ValueError("D2 is undefined on a transposition-fixed shift")),
+    "D3": ([("D3", ID, 1)], ValueError("unknown distribution kind 'D3'")),
+    "row-n": (
+        [("D1", Shift({(3, 1): 1}), 1)],
+        ValueError("shift touches row 3, beyond rows 1..2")),
+    "past-row-n": (
+        [("D2", S22 * Shift({(4, 2): 1}), 1)],
+        ValueError("shift touches row 4, beyond rows 1..2")),
+    "row-n-on-fixed-D2": (
+        [("D2", Shift({(3, 3): -1}), 1)],
+        ValueError("shift touches row 3, beyond rows 1..2")),
+}
+
+
+@pytest.mark.parametrize("case", FROM_TERMS)
+def test_from_terms_checks_and_reduces_each_label(case):
+    """from_terms is the one way in for a label from outside: it reduces a
+    label to its ordered representative with its sign, and refuses a wrong
+    kind, a shift outside rows 1..n-1 and D2 on a transposition-fixed
+    shift with a ValueError, whose text the CLI prints; a shift outside
+    the rows is named before the D2 rule is applied."""
+    terms, want = FROM_TERMS[case]
+    if isinstance(want, str):
+        assert repr(DistVector.from_terms(CTX, terms)) == want
+        return
+    with pytest.raises(ValueError) as exc:
+        DistVector.from_terms(CTX, terms)
+    assert type(exc.value) is ValueError and str(exc.value) == str(want)
 
 
 def test_from_terms_applies_relations():
@@ -98,12 +119,13 @@ def test_from_terms_applies_relations():
     assert d == DistVector({BasisVec("D1", S22): Fraction(3)})
     d2 = DistVector.from_terms(CTX, [("D2", S21, Fraction(1)), ("D2", S22, Fraction(1))])
     assert d2.is_zero()
-    # a zero coefficient is skipped before its kind is checked
-    assert DistVector.from_terms(CTX, [("D3", ID, Fraction(0)), ("D2", ID, 0)]).is_zero()
+    # a zero coefficient is skipped before its label is checked
+    zeros = [("D3", ID, Fraction(0)), ("D2", ID, 0), ("D1", Shift({(3, 1): 1}), 0)]
+    assert DistVector.from_terms(CTX, zeros).is_zero()
 
 
 def test_from_terms_rejects_fixed_d2():
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(ValueError, match="^D2 is undefined on a transposition-fixed shift$"):
         DistVector.from_terms(CTX, [("D2", S21 * S22, Fraction(1))])
 
 
@@ -117,6 +139,24 @@ def test_d2_undefined_on_fixed_shift():
         dist_functional(CTX, "D2", fixed, Polynomial.one())
     with pytest.raises(ValueError, match="unknown distribution kind 'D3'"):
         dist_functional(CTX, "D3", S21, Polynomial.one())
+
+
+@pytest.mark.parametrize(
+    "gen, label, row",
+    [
+        ((2, 3), BasisVec("D1", Shift({(3, 1): 1})), 3),
+        ((1, 1), BasisVec("D1", Shift({(5, 1): 1})), 5),
+        ((2, 3), DistVector._raw({BasisVec("D2", S22 * Shift({(3, 2): 1})): Fraction(1)}), 3),
+    ],
+    ids=["row-n", "past-row-n", "row-n-in-a-vector"],
+)
+def test_act_refuses_a_label_outside_the_rows(gen, label, row):
+    """A basis label's shift moves rows 1..n-1 only.  act reads a bare label
+    or a vector's labels unreduced, so it checks the rows itself, once per
+    column: a row-n label would give a vector over labels outside the
+    basis, and a label past row n has no z1 line to be read on."""
+    with pytest.raises(ValueError, match=rf"^shift touches row {row}, beyond rows 1\.\.2$"):
+        act_lie(CTX, gen, label)
 
 
 def test_functional_reports_a_failed_division(monkeypatch):
@@ -135,8 +175,8 @@ WRONG_KIND = {
         "distribution kind 'T'"),
     "materialize-bogus": (
         lambda: materialize(CTX, BasisVec("bogus", S22)), "distribution kind 'bogus'"),
-    "basis-T": (
-        lambda: DistVector.basis(BasisVec("T", S22)), "distribution kind 'T'"),
+    "from_terms-T": (
+        lambda: DistVector.from_terms(CTX, [("T", S22, 1)]), "distribution kind 'T'"),
     "appendix_act-T": (
         lambda: appendix_act(CTX, (2, 3), DistVector._raw({BasisVec("T", ID): Fraction(1)})),
         "distribution kind 'T'"),
@@ -147,7 +187,7 @@ WRONG_KIND = {
 def test_a_label_of_the_wrong_kind_raises(case):
     """A label of a kind other than D1 and D2 is refused by name, not read
     as the odd kind: act_lie, materialize and appendix_act would otherwise
-    give a D2 result, and DistVector.basis would keep the label."""
+    give a D2 result, and from_terms would keep the label."""
     call, kind = WRONG_KIND[case]
     with pytest.raises(ValueError, match=f"^unknown {kind}$"):
         call()
@@ -293,7 +333,7 @@ def test_evaluation_is_the_action_on_ev_v():
 
 def test_materialize_roundtrip():
     for bv in [BasisVec("D1", ID), BasisVec("D1", S22), BasisVec("D2", S22)]:
-        assert evaluate_at_v(CTX, materialize(CTX, bv)) == DistVector.basis(bv)
+        assert evaluate_at_v(CTX, materialize(CTX, bv)) == DistVector({bv: 1})
 
 
 # --- module action -------------------------------------------------------------
@@ -301,7 +341,7 @@ def test_materialize_roundtrip():
 
 def test_act_unit_is_identity():
     for bv in [BasisVec("D1", ID), BasisVec("D2", S22), BasisVec("D1", S21 * S22)]:
-        assert act(CTX, RingElement.one(), bv) == DistVector.basis(bv)
+        assert act(CTX, RingElement.one(), bv) == DistVector({bv: 1})
 
 
 def test_act_diagonal_example():
@@ -635,7 +675,7 @@ def test_act_lie_columns_match_act(cold_ctx, monkeypatch):
     action of an equal, distinct element.  Each image is checked for
     invariance once per context."""
     ctx = cold_ctx
-    vectors = [DistVector.basis(BasisVec(kind, sigma)) for kind, sigma in appendix_sample(ctx)]
+    vectors = [DistVector.from_terms(ctx, [(kind, sigma, 1)]) for kind, sigma in appendix_sample(ctx)]
     terms = [("D1", ID, Fraction(2)), ("D2", S22, Fraction(-3, 4)), ("D2", S21 * S11, Fraction(5))]
     vectors.append(DistVector.from_terms(ctx, terms))
     checks = _record_calls(monkeypatch, "_check_invariant")
@@ -933,7 +973,7 @@ def test_a_unit_label_returns_its_memoized_column():
         for gen in [(1, 2), (2, 3), (2, 2)]:
             column = act_lie(CTX, gen, bv)
             assert phi_general(3, *gen)._act[CTX][1][bv] is column
-            assert act_lie(CTX, gen, DistVector.basis(bv)) is column
+            assert act_lie(CTX, gen, DistVector({bv: 1})) is column
             assert act_lie(CTX, gen, bv) is column
     x = GENERIC_POINT_3
     for y in GENERIC_LABELS_3:
@@ -979,7 +1019,7 @@ def test_functional_examples():
 
 def test_functional_requires_invariance():
     with pytest.raises(ValueError):
-        apply_dist(CTX, DistVector.basis(BasisVec("D1", ID)), Polynomial.variable(2, 1))
+        apply_dist(CTX, DistVector({("D1", ID): 1}), Polynomial.variable(2, 1))
 
 
 def test_relations_as_functionals():
@@ -1105,7 +1145,7 @@ def test_generic_commutators_sampled():
 
 def test_appendix_diagonal_on_base_symbol():
     """D1[id] is the symbol T(v): E(1,1) multiplies it by v(1,1)."""
-    e = DistVector.basis(BasisVec("D1", ID))
+    e = DistVector({("D1", ID): 1})
     out = appendix_act(CTX, (1, 1), e)
     assert out == DistVector({("D1", ID): CTX.v[(1, 1)]})
 
@@ -1115,12 +1155,13 @@ def test_appendix_relation_sanity():
     tau-fixed shift.  The oracle read on an unordered D2 label agrees."""
     e = DistVector.from_terms(CTX, [("D2", S21, Fraction(1)), ("D2", S22, Fraction(1))])
     assert e.is_zero()
-    with pytest.raises(InvariantViolation, match="nonzero D2 coefficient 1 "):
+    with pytest.raises(ValueError, match="^D2 is undefined on a transposition-fixed shift$"):
         DistVector.from_terms(CTX, [("D2", S21 * S22, Fraction(1))])
+    assert DistVector.from_terms(CTX, [("D2", S21 * S22, Fraction(0))]).is_zero()
     unordered = DistVector._raw({BasisVec("D2", S21): Fraction(1)})
     for gen in [(2, 3), (3, 2), (1, 2)]:
         out = appendix_act(CTX, gen, unordered)
-        assert out and out == -appendix_act(CTX, gen, DistVector.basis(BasisVec("D2", S22)))
+        assert out and out == -appendix_act(CTX, gen, DistVector({("D2", S22): 1}))
         assert out == act_lie(CTX, gen, unordered)
 
 
@@ -1129,8 +1170,9 @@ def test_appendix_skips_the_odd_value_on_a_fixed_target():
     the tau-fixed target id with a nonzero value.  That value would be the
     DT coefficient there, but DT(v + tau z) = -DT(v + z) makes DT zero on
     a fixed shift, so the oracle skips it and still agrees with act_lie.
-    Kept, it makes from_terms raise."""
-    gen, d = (2, 3), DistVector.basis(BasisVec("D2", S22))
+    Kept, it makes from_terms raise; dropped, from_terms gives the
+    oracle's result."""
+    gen, d = (2, 3), DistVector({("D2", S22): 1})
     image = phi_general(3, *gen)
     h = image.terms[Shift.generator(2, 2, -1)]
     value, _ = distributions._value_and_slope(CTX, shift_subst(h, S22))
@@ -1142,8 +1184,11 @@ def test_appendix_skips_the_odd_value_on_a_fixed_target():
     for rho, h in image.terms.items():
         value, slope = distributions._value_and_slope(CTX, shift_subst(h, S22))
         terms += [("D1", S22 * rho, slope), ("D2", S22 * rho, value)]
-    with pytest.raises(InvariantViolation, match="nonzero D2 coefficient -2380/3861"):
+    with pytest.raises(ValueError, match="^D2 is undefined on a transposition-fixed shift$"):
         DistVector.from_terms(CTX, terms)
+    skipped = [t for t in terms if t[0] == "D2" and CTX.tau_of_shift(t[1]) == t[1]]
+    assert skipped == [("D2", ID, Fraction(-2380, 3861))]
+    assert DistVector.from_terms(CTX, [t for t in terms if t not in skipped]) == out
 
 
 @pytest.mark.parametrize("where", ["order3", "order4"])

@@ -26,7 +26,6 @@ from gtsingular.gtformulas import (
 )
 from gtsingular.poly import Polynomial
 from gtsingular.skewring import RingElement, ring_mul_circ
-from gtsingular.sparse import BasisVec
 from gtsingular.suites import (
     GENERIC_LABELS_3,
     GENERIC_POINT_3,
@@ -220,7 +219,7 @@ def test_appendix_suite_failure_entries(monkeypatch):
         {"generator": list(gen), "basis": [kind, sigma.to_json()]}
         for gen in generators
         for kind, sigma in sample
-        if appendix_act(ctx, gen, DistVector.basis(BasisVec(kind, sigma)))
+        if appendix_act(ctx, gen, DistVector.from_terms(ctx, [(kind, sigma, 1)]))
     ]
     assert expected and report["failures"] == expected
     assert report["total"] == 6 and report["passed"] == 6 - len(expected)
@@ -304,6 +303,14 @@ def test_a_fixed_d2_sample_is_refused_as_input(monkeypatch):
     swapped = module_suite(ctx, [(2, 3), (1, 2)], [("D2", Shift({(2, 1): 1}))])
     assert swapped["ok"] and swapped["total"] == 4
     assert set(seen) == {DistVector({("D2", Shift({(2, 2): 1})): -1})}
+
+
+@pytest.mark.parametrize("suite", [module_suite, appendix_suite])
+def test_a_sample_outside_the_rows_is_refused(suite):
+    """A sample's shift moves rows 1..n-1 only: a sample at row n is
+    refused with a ValueError, not run over labels outside the basis."""
+    with pytest.raises(ValueError, match=r"^shift touches row 3, beyond rows 1\.\.2$"):
+        suite(canonical_context(), [(1, 2)], [("D1", Shift({(3, 1): 1}))])
 
 
 def test_generic_suite_defaults_follow_the_order():
