@@ -49,13 +49,14 @@ vector D1_id.  `appendix_act`, an independent oracle, reads D1_sigma as
 the derivative-tableau symbol T(v + sigma) and D2_sigma as DT(v + sigma)
 and each coefficient's value and z1-slope at v by the quotient rule (the
 symbolic derivative `SingularContext.partial_z1` is only the tests'
-oracle for that rule).  One parity rule, `SingularContext.representative`,
-reduces every label, and `DistVector.from_terms` is the one way in for a
-label from outside: it refuses a wrong kind, a shift outside rows 1..n-1
-and D2 on a tau-fixed shift with ValueError.  The generic orbit action's
-vectors are `SparseSum`s of shifts (`OrbitVector`); `generic_act` extends
-its columns, memoized per point, generator and label, through the same
-linear helper.
+oracle for that rule).  One label rule, `_label`, refuses a wrong kind, a
+shift outside rows 1..n-1 and D2 on a tau-fixed shift with ValueError:
+`DistVector.from_terms` (the one way in from outside), `act`, the
+functional and `appendix_act` read every label through it, and one parity
+rule, `SingularContext.representative`, reduces it.  The generic orbit
+action's vectors are `SparseSum`s of shifts (`OrbitVector`); `generic_act`
+extends its columns, memoized per point, generator and label, through the
+same linear helper.
 """
 
 from __future__ import annotations
@@ -96,34 +97,24 @@ class DistVector(SparseSum):
     the one way in for a label from outside."""
 
     __slots__ = ()
-    kinds = ("D1", "D2")  # (tau-even, tau-odd)
 
     def __init__(self, terms: Mapping[tuple[str, Shift], Fraction] | None = None):
         super().__init__((BasisVec(*key), Fraction(c)) for key, c in (terms or {}).items())
 
     @classmethod
-    def parity(cls, kind: str) -> int:
-        """0 for D1, 1 for D2; ValueError for any other kind."""
-        if kind not in cls.kinds:
-            raise ValueError(f"unknown distribution kind {kind!r}")
-        return cls.kinds.index(kind)
-
-    @classmethod
     def from_terms(
         cls, ctx: SingularContext, terms: Iterable[tuple[str, Shift, Fraction]]
     ) -> "DistVector":
-        """The sum of the terms (kind, sigma, c), each label reduced to its
-        ordered representative; a zero term is skipped unchecked.  ValueError
-        for another kind, a shift outside rows 1..n-1 or D2 on a tau-fixed shift."""
+        """The sum of the terms (kind, sigma, c), each label checked by
+        `_label` and reduced to its ordered representative; a zero term is
+        skipped unchecked."""
         acc: dict[BasisVec, Fraction] = {}
         for kind, sigma, c in terms:
             c = Fraction(c)
             if not c:
                 continue
-            odd = cls.parity(kind)
-            rep, sign = ctx.representative(sigma.validate(ctx.n), odd)
-            if not sign:
-                raise ValueError("D2 is undefined on a transposition-fixed shift")
+            odd, _ = _label(ctx, kind, sigma)
+            rep, sign = ctx.representative(sigma, odd)
             add_term(acc, BasisVec(kind, rep), sign * c)
         return cls._raw(acc)
 
@@ -217,21 +208,28 @@ def _read_jet(jet, lift: int) -> tuple[int, int, int] | None:
     return None if pole else (lo, hi, q)
 
 
+def _label(ctx: SingularContext, kind: str, sigma: Shift) -> tuple[bool, bool]:
+    """The one label rule: (odd, fixed) for a label of B_v, odd for D2 (the
+    tau-odd kind) and fixed when tau fixes sigma.  ValueError for another
+    kind, a shift outside rows 1..n-1 or D2 on a tau-fixed shift."""
+    if kind not in ("D1", "D2"):
+        raise ValueError(f"unknown distribution kind {kind!r}")
+    odd = kind == "D2"
+    fixed = sigma.validate(ctx.n).component(ctx.pos_i) == sigma.component(ctx.pos_j)
+    if odd and fixed:
+        raise ValueError("D2 is undefined on a transposition-fixed shift")
+    return odd, fixed
+
+
 def _basis_sides(ctx: SingularContext, bv: BasisVec) -> list[tuple[Shift, Fraction]]:
     """The defining element of a basis label as (shift, weight) pairs: B is
     the sum of w s for D1 and of (w / z1) s for D2.  A tau-fixed D1 label
-    is one side of weight 1.  ValueError for a label of another kind or
-    with a shift outside rows 1..n-1."""
-    odd = DistVector.parity(bv.kind)
-    sigma = bv.sigma.validate(ctx.n)
-    tau_sigma = ctx.tau_of_shift(sigma)
-    if not odd:
-        if sigma == tau_sigma:
-            return [(sigma, Fraction(1))]
-        return [(sigma, _HALF), (tau_sigma, _HALF)]
-    if sigma == tau_sigma:
-        raise ValueError("D2 is undefined on a transposition-fixed shift")
-    return [(sigma, _HALF), (tau_sigma, -_HALF)]
+    is one side of weight 1; the label is checked by `_label`."""
+    sigma = bv.sigma
+    odd, fixed = _label(ctx, bv.kind, sigma)
+    if fixed:
+        return [(sigma, Fraction(1))]
+    return [(sigma, _HALF), (ctx.tau_of_shift(sigma), -_HALF if odd else _HALF)]
 
 
 def materialize(ctx: SingularContext, bv: BasisVec) -> RingElement:
@@ -406,41 +404,34 @@ def act_lie(
 # --- distributions as functionals --------------------------------------------
 
 
-def check_invariant_function(ctx: SingularContext, f: Polynomial) -> Polynomial:
-    if ctx.transpose(f) != f:
-        raise ValueError("test function must be invariant under the transposition")
-    return f
-
-
 def dist_functional(
     ctx: SingularContext, kind: str, sigma: Shift, f: Polynomial
 ) -> Fraction:
     """Value of D1/D2 at any shift label (not necessarily ordered) on an
     invariant polynomial test function."""
-    check_invariant_function(ctx, f)
-    v = ctx.v.coords
-    tau_sigma = ctx.tau_of_shift(sigma)
-    if kind == "D1":
-        total = shift_subst(f, sigma).evaluate(v) + shift_subst(f, tau_sigma).evaluate(v)
-        return total * _HALF
-    if kind != "D2":
-        raise ValueError(f"unknown distribution kind {kind!r}")
-    if sigma == tau_sigma:
-        raise ValueError("D2 is undefined on a transposition-fixed shift")
-    diff = shift_subst(f, sigma) - shift_subst(f, tau_sigma)
-    quot = divexact(diff, ctx.z1_poly)
-    if quot is None:
-        raise InvariantViolation(
-            "antisymmetrized test function is not divisible by z1"
-        )
-    return quot.evaluate(v) * _HALF
+    return apply_dist(ctx, DistVector._raw({BasisVec(kind, sigma): Fraction(1)}), f)
 
 
 def apply_dist(ctx: SingularContext, d: DistVector, f: Polynomial) -> Fraction:
-    check_invariant_function(ctx, f)
+    """d(f) for an invariant f, checked once.  Each label pairs as B(f), the
+    sum of w s(f) over its sides (`_basis_sides`), divided by z1 for D2, at
+    v; the sides' weights are +-w, so D1 sums its sides' values and D2
+    divides the difference of its two sides, each scaled by w once."""
+    if ctx.transpose(f) != f:
+        raise ValueError("test function must be invariant under the transposition")
+    v = ctx.v.coords
     total = Fraction(0)
     for bv, c in d.terms.items():
-        total += c * dist_functional(ctx, bv.kind, bv.sigma, f)
+        sides = _basis_sides(ctx, bv)
+        w = sides[0][1]
+        if bv.kind == "D1":
+            total += c * w * sum(shift_subst(f, s).evaluate(v) for s, _ in sides)
+            continue
+        (s, _), (t, _) = sides
+        quot = divexact(shift_subst(f, s) - shift_subst(f, t), ctx.z1_poly)
+        if quot is None:
+            raise InvariantViolation("antisymmetrized test function is not divisible by z1")
+        total += c * w * quot.evaluate(v)
     return total
 
 
@@ -503,16 +494,17 @@ def _value_and_slope(ctx: SingularContext, g: RationalFunction) -> tuple[Fractio
 
 def appendix_act(ctx: SingularContext, gen: GeneratorId, e: DistVector) -> DistVector:
     """Generator action through the first z1-jet of the symbolic orbit
-    expansion, read by value; an independent realization.  Each target gets
-    the slope on T = D1 and the value on DT = D2, except on a tau-fixed
-    target: DT(v + tau z) = -DT(v + z) makes DT zero there."""
+    expansion, read by value; an independent realization.  Each input label
+    is checked by `_label` before it is read.  Each target gets the slope
+    on T = D1 and the value on DT = D2, except on a tau-fixed target:
+    DT(v + tau z) = -DT(v + z) makes DT zero there."""
     a = phi_general(ctx.n, *gen)
     terms: list[tuple[str, Shift, Fraction]] = []
     for (kind, sigma), c in e.terms.items():
-        even = not DistVector.parity(kind)
+        odd, _ = _label(ctx, kind, sigma)
         for rho, h in a.terms.items():
             g = shift_subst(h, sigma)
-            if even:
+            if not odd:
                 g = multiply_by_linear(g, ctx.z1_poly)
             value, slope = _value_and_slope(ctx, g)
             target = sigma * rho

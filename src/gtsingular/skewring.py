@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .poly import Polynomial
-from .ratfun import RationalFunction, multiply_by_linear
+from .ratfun import RationalFunction, _monic_form
 from .sparse import SparseSum, add_term
 from .tableau import Point, Shift, SingularContext, shift_subst
 
@@ -128,8 +128,12 @@ def is_at_most_one_singular(ctx: SingularContext, a: RingElement) -> bool:
     """Every coefficient h has z1*h regular at the base point, i.e. h is
     holomorphic at v up to one simple z1 pole, the condition products of
     admissible elements satisfy.  z1*h is singular at v exactly when one of
-    its forms vanishes there, which is decided once per (form, point)."""
+    its forms vanishes there, which is decided once per (form, point).
+    Those are h's forms with one power of z1's form cancelled
+    (`multiply_by_linear`), so they are read off h; z1*h is not built."""
+    z1 = _monic_form(ctx.z1_poly)[1]
     for h in a.terms.values():
-        if any(_vanishes_at(form, ctx.v) for form in multiply_by_linear(h, ctx.z1_poly).forms):
-            return False
+        for form, e in h.forms.items():
+            if _vanishes_at(form, ctx.v) and (e > 1 or form != z1):
+                return False
     return True

@@ -85,6 +85,9 @@ FROM_TERMS = {
     "D1-unordered": ([("D1", S21, 1)], "1*D1[σ[2,2]]"),
     "D2-unordered": ([("D2", S21, 1)], "-1*D2[σ[2,2]]"),
     "D2-fixed": ([("D2", ID, 1)], ValueError("D2 is undefined on a transposition-fixed shift")),
+    "D2-fixed-moved": (
+        [("D2", S21 * S22, 1)],
+        ValueError("D2 is undefined on a transposition-fixed shift")),
     "D3": ([("D3", ID, 1)], ValueError("unknown distribution kind 'D3'")),
     "row-n": (
         [("D1", Shift({(3, 1): 1}), 1)],
@@ -112,6 +115,35 @@ def test_from_terms_checks_and_reduces_each_label(case):
     with pytest.raises(ValueError) as exc:
         DistVector.from_terms(CTX, terms)
     assert type(exc.value) is ValueError and str(exc.value) == str(want)
+
+
+REFUSED = [case for case, (_, want) in FROM_TERMS.items() if isinstance(want, ValueError)]
+
+
+@pytest.mark.parametrize("entry", ["appendix_act", "dist_functional", "apply_dist"])
+@pytest.mark.parametrize("case", REFUSED)
+def test_every_entry_refuses_what_from_terms_refuses(case, entry):
+    """One label rule: the derivative-tableau oracle and the functional read
+    a label as given, unreduced, and refuse every label from_terms refuses
+    with its ValueError text, before reading it, alone or beside a good
+    label.  The oracle read D2 on a fixed shift as a number or a PoleError
+    (E(1,2) on D2[id] gave 0, E(2,3) a PoleError), and the functional
+    paired a row-n label (D1[sigma(3,1)] on x(3,1) gave -6/7)."""
+    ((kind, sigma, _),), want = FROM_TERMS[case]
+    d = DistVector._raw({BasisVec(kind, sigma): Fraction(1)})
+    vectors = [d, d + DistVector({("D2", S22): 1})]
+    f = Polynomial.variable(3, 1)  # invariant under the transposition
+    if entry == "appendix_act":
+        calls = [lambda gen=gen, e=e: appendix_act(CTX, gen, e)
+                 for gen in all_generators(CTX.n) for e in vectors]
+    elif entry == "dist_functional":
+        calls = [lambda: dist_functional(CTX, kind, sigma, f)]
+    else:
+        calls = [lambda e=e: apply_dist(CTX, e, f) for e in vectors]
+    for call in calls:
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert type(exc.value) is ValueError and str(exc.value) == str(want)
 
 
 def test_from_terms_applies_relations():
@@ -1049,6 +1081,75 @@ def test_separating_matrix():
             if c != 0:
                 assert dist_functional(CTX, "D2", sigma, one) == 0
                 assert dist_functional(CTX, "D2", sigma, z1sq) == -2 * c
+
+
+def closed_form(ctx, kind, sigma, f):
+    """The functional's closed formula: (f(sigma) + f(tau sigma)) / 2 at v
+    for D1, (f(sigma) - f(tau sigma)) / (2 z1) at v for D2, the quotient
+    reduced as a rational function."""
+    v = ctx.v.coords
+    a, b = shift_subst(f, sigma), shift_subst(f, ctx.tau_of_shift(sigma))
+    if kind == "D1":
+        return (a.evaluate(v) + b.evaluate(v)) * HALF
+    return (RationalFunction.from_poly(a - b) / ctx.z1).evaluate(v) * HALF
+
+
+@pytest.mark.parametrize("where", ["order3", "order4"])
+def test_functional_matches_the_closed_formula(where):
+    """On every appendix sample label and its unordered partner, and on
+    random labels of rows 1..n-1, the functional read through the label's
+    sides equals the closed formula exactly, and apply_dist is the same
+    sum."""
+    ctx = CTX if where == "order3" else SingularContext(ROW3_POINT, 3, 1, 2)
+    rng = random.Random(44)
+    rows = [p for p in ctx.v.coords if p[0] < ctx.n]
+    labels = []
+    for kind, sigma in appendix_sample(ctx):
+        labels += [(kind, sigma), (kind, ctx.tau_of_shift(sigma))]
+    for _ in range(12):
+        sigma = Shift({p: rng.randint(-2, 2) for p in rows})
+        fixed = ctx.tau_of_shift(sigma) == sigma
+        labels.append(("D1" if fixed else rng.choice(["D1", "D2"]), sigma))
+    tests = [f for f in (random_invariant_polynomial(rng, ctx) for _ in range(6)) if f]
+    assert len(tests) >= 3
+    for f in tests:
+        want = {label: closed_form(ctx, *label, f) for label in labels}
+        for (kind, sigma), value in want.items():
+            assert dist_functional(ctx, kind, sigma, f) == value
+        d = DistVector._raw({BasisVec(*label): Fraction(i + 1) for i, label in enumerate(want)})
+        assert apply_dist(ctx, d, f) == sum((i + 1) * x for i, x in enumerate(want.values()))
+
+
+def test_a_fixed_d1_label_pairs_to_one_value(monkeypatch):
+    """A tau-fixed D1 label is one side of weight 1: it pairs to f(sigma)
+    at v, read once."""
+    rng = random.Random(45)
+    shifted = []
+
+    def counting(f, sigma):
+        shifted.append(sigma)
+        return shift_subst(f, sigma)
+
+    monkeypatch.setattr(distributions, "shift_subst", counting)
+    for sigma in [ID, S11, S21 * S22, S11 * S21**2 * S22**2]:
+        f = random_invariant_polynomial(rng, CTX)
+        want = shift_subst(f, sigma).evaluate(CTX.v.coords)
+        shifted.clear()
+        assert dist_functional(CTX, "D1", sigma, f) == want
+        assert shifted == [sigma]
+        assert apply_dist(CTX, DistVector({("D1", sigma): 3}), f) == 3 * want
+
+
+def test_apply_dist_checks_the_test_function_once(monkeypatch):
+    """The invariance of f is checked once per call, not once per label."""
+    f = random_invariant_polynomial(random.Random(47), CTX)
+    d = DistVector.from_terms(CTX, [(kind, sigma, 1) for kind, sigma in appendix_sample(CTX)])
+    assert f and len(d.terms) > 1
+    calls = []
+    real = SingularContext.transpose
+    monkeypatch.setattr(SingularContext, "transpose", lambda ctx, f: calls.append(f) or real(ctx, f))
+    apply_dist(CTX, d, f)
+    assert calls == [f]
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from gtsingular.gtformulas import phi_general
-from gtsingular.ratfun import RationalFunction
+from gtsingular.poly import Polynomial
+from gtsingular.ratfun import RationalFunction, multiply_by_linear
 from gtsingular.skewring import (
     RingElement,
     group_act_on_ring,
@@ -180,6 +181,47 @@ def test_is_at_most_one_singular():
     a = RingElement.term(ONE / (Z1 - ONE), S21)
     assert is_at_most_one_singular(CTX, a)
     assert not regular_on_orbit(CTX, a)
+
+
+def test_one_singular_reads_the_forms_of_z1_h_off_h(monkeypatch):
+    """z1*h has h's forms with one power of z1's form cancelled, so the
+    check reads them off h and multiplies no polynomial; it agrees with
+    reading the forms of the built product z1*h.  A form other than z1 that
+    vanishes at v, or z1 squared, makes the element fail."""
+    v11 = RationalFunction.constant(CTX.v[(1, 1)])
+    X32 = RationalFunction.variable(3, 2)
+    coeffs = {
+        ONE / Z1: True,
+        X11 / Z1: True,
+        Z1**-2: False,
+        X11 * Z1**-2: False,
+        ONE / (X11 - v11): False,
+        (ONE / Z1) * (ONE / (X11 - v11)): False,
+        (ONE / Z1) * (ONE / (X11 - v11 - ONE)): True,
+        X32 * X11: True,
+        phi_general(3, 2, 3).coeff(S21): True,
+    }
+    elements = {}
+    for h, want in coeffs.items():
+        for sigma in (Shift.identity(), S21):
+            elements[RingElement.term(h, sigma)] = want
+    elements[RingElement([(S21, ONE / Z1), (S22, Z1**-2)])] = False
+
+    def by_product(a):
+        return not any(
+            form.evaluate(CTX.v.coords) == 0
+            for h in a.terms.values()
+            for form in multiply_by_linear(h, CTX.z1_poly).forms
+        )
+
+    assert all(by_product(a) == want for a, want in elements.items())
+
+    def no_product(*_):
+        raise AssertionError("a polynomial product was built")
+
+    monkeypatch.setattr(Polynomial, "__mul__", no_product)
+    for a, want in elements.items():
+        assert is_at_most_one_singular(CTX, a) == want
 
 
 def test_product_closure_anchor():
