@@ -25,11 +25,12 @@ if TYPE_CHECKING:
 
 _SHIFT_ATOM = r"\((\d+),(\d+)\)([+-]\d+)"
 
-# Each suite runs on the order (--n) or on the singular context that
-# --point, --n and --singular select.  A suite is named here and looked up
-# in this module when it runs, so a wrapper bound to that name (a tracer
-# span, a test stub) sees the call; until one is bound, the name resolves
-# to the suite in its own module (`__getattr__`).
+# Each suite runs on the order (--n) or on the singular context of the
+# point that --point and --n select, at the point's own singular pair.  A
+# suite is named here and looked up in this module when it runs, so a
+# wrapper bound to that name (a tracer span, a test stub) sees the call;
+# until one is bound, the name resolves to the suite in its own module
+# (`__getattr__`).
 SUITES = {
     "ring": ("order", "ring_suite"),
     "homomorphism": ("order", "verify_homomorphism"),
@@ -92,21 +93,20 @@ def parse_basis_spec(spec: str) -> tuple[str, Shift]:
     return kind, parse_shift_spec(rest)
 
 
-def parse_int_spec(spec: str, name: str, fields: str) -> tuple[int, ...]:
-    """Comma-separated integers, one for each name in `fields` ("r,s")."""
+def parse_gen_spec(spec: str) -> tuple[int, int]:
+    """A generator E(r,s) as "r,s": two comma-separated integers."""
     parts = spec.split(",")
-    if len(parts) == len(fields.split(",")):
+    if len(parts) == 2:
         try:
-            return tuple(int(p) for p in parts)
+            return int(parts[0]), int(parts[1])
         except ValueError:
             pass
-    raise UsageError(f"{name} spec must be {fields}, got {spec!r}")
+    raise UsageError(f"generator spec must be r,s, got {spec!r}")
 
 
 class RunConfig:
     def __init__(self, fmt: str = "text"):
         self.n = 3
-        self.singular: tuple[int, int, int] | None = None
         self.point: Point | None = None
         self.fmt = fmt
 
@@ -126,9 +126,8 @@ class RunConfig:
         from .tableau import SingularContext
 
         point = self.resolve_point()
-        k, i, j = self.singular if self.singular else (2, 1, 2)
         try:
-            return SingularContext(point, k, i, j)
+            return SingularContext(point)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
 
@@ -161,8 +160,6 @@ def _config(args) -> RunConfig:
         if cfg.point.n > MAX_ORDER:
             raise UsageError(f"point has order {cfg.point.n}; the order must be at most {MAX_ORDER}")
         cfg.n = cfg.point.n if getattr(args, "n", None) is None else cfg.n
-    if getattr(args, "singular", None):
-        cfg.singular = parse_int_spec(args.singular, "singular", "k,i,j")
     return cfg
 
 
@@ -197,7 +194,7 @@ def cmd_phi(args) -> int:
     from .gtformulas import phi_general
 
     cfg = _config(args)
-    r, s = parse_int_spec(args.gen, "generator", "r,s")
+    r, s = parse_gen_spec(args.gen)
     try:
         element = phi_general(cfg.n, r, s)
     except ValueError as exc:
@@ -211,7 +208,7 @@ def cmd_act(args) -> int:
 
     cfg = _config(args)
     ctx = cfg.resolve_context()
-    r, s = parse_int_spec(args.gen, "generator", "r,s")
+    r, s = parse_gen_spec(args.gen)
     kind, sigma = parse_basis_spec(args.basis)
     try:
         result = act_lie(ctx, (r, s), DistVector.from_terms(ctx, [(kind, sigma, 1)]))
@@ -224,8 +221,6 @@ def cmd_act(args) -> int:
 def cmd_classify(args) -> int:
     from .tableau import classify_point
 
-    if args.singular:
-        raise UsageError("classify takes no --singular; it reports the point's own pair")
     cfg = _config(args)
     cls = classify_point(cfg.resolve_point())
     payload = {"class": cls.tag}
@@ -236,17 +231,15 @@ def cmd_classify(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.suite and args.suite_flag:
-        raise UsageError("give the suite once, positionally or by --suite")
     cfg = _config(args)
-    suite = args.suite or args.suite_flag
+    suite = args.suite
     if not suite:
         raise UsageError("pick a suite: " + ", ".join(sorted(SUITES)))
     if suite not in SUITES:
         raise UsageError(f"unknown suite {suite!r}; choose from " + ", ".join(sorted(SUITES)))
     takes, name = SUITES[suite]
-    if takes == "order" and (args.point or args.singular):
-        raise UsageError(f"suite {suite} runs on --n only; it takes no --point or --singular")
+    if takes == "order" and args.point:
+        raise UsageError(f"suite {suite} runs on --n only; it takes no --point")
     suite_fn = getattr(sys.modules[__name__], name)
     report = suite_fn(cfg.resolve_context() if takes == "context" else cfg.n)
     _emit(
@@ -269,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json"), default="text")
         if with_point:
             p.add_argument("--point", default=None, help="point JSON file")
-            p.add_argument("--singular", default=None, help="singular pair k,i,j")
 
     p_phi = sub.add_parser("phi", help="print a generator image in the skew ring")
     common(p_phi, with_point=False)
@@ -289,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run a verification suite")
     common(p_ver)
     p_ver.add_argument("suite", nargs="?", default=None)
-    p_ver.add_argument("--suite", dest="suite_flag", default=None)
     p_ver.set_defaults(func=cmd_verify)
 
     return parser

@@ -157,8 +157,14 @@ def random_generator_form(rng: random.Random, ctx: SingularContext) -> RingEleme
 
 
 def random_invariant_polynomial(rng: random.Random, ctx: SingularContext) -> Polynomial:
-    g = random_polynomial(rng, ctx.n, max_terms=3, max_deg=4)
-    return g + ctx.transpose(g)
+    """A nonzero tau-invariant test function g + tau g, g a nonzero draw of
+    `random_polynomial`; g is drawn again while g + tau g is zero (g
+    tau-odd), since the zero function pairs to 0 with every vector."""
+    while True:
+        g = random_polynomial(rng, ctx.n, max_terms=3, max_deg=4, zero_ok=False)
+        f = g + ctx.transpose(g)
+        if not f.is_zero():
+            return f
 
 
 # --- suites -------------------------------------------------------------------

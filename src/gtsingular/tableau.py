@@ -232,29 +232,27 @@ def classify_point(p: Point) -> PointClass:
 class SingularContext:
     """Singular pair data at a 1-singular base point with equal pair values.
 
-    Holds the order n, the singular row/columns (k, i, j), the point v with
-    v(k,i) = v(k,j), the vanishing linear form z1 = X(k,i) - X(k,j), and the
-    transposition of the two columns.
+    The point alone fixes the context: its one same-row integer pair
+    (k, i, j), as `classify_point` reads it, is the singular pair.  Holds
+    the order n, that pair, the point v with v(k,i) = v(k,j), the vanishing
+    linear form z1 = X(k,i) - X(k,j), and the transposition of the two
+    columns.  ValueError for a point that is not 1-singular, whose pair lies
+    in the bottom row, or whose pair values differ.
     """
 
-    def __init__(self, v: Point, k: int, i: int, j: int):
+    def __init__(self, v: Point):
         n = v.n
-        if not (1 <= i < j <= k):
-            raise ValueError(f"bad column pair ({i},{j}) in row {k}")
+        cls = classify_point(v)
+        if cls.tag != "OneSingular":
+            raise ValueError(f"point classifies as {cls}, not OneSingular")
+        k, i, j = cls.pair
         if k == n:
             raise ValueError(
                 "singular pair in the bottom row produces no singular denominators; "
                 "context rejected"
             )
-        if not (2 <= k <= n - 1):
-            raise ValueError(f"singular row must lie in 2..{n - 1}, got {k}")
         if v[(k, i)] != v[(k, j)]:
             raise ValueError("base point must take equal values on the singular pair")
-        cls = classify_point(v)
-        if cls.tag != "OneSingular" or cls.pair != (k, i, j):
-            raise ValueError(
-                f"point classifies as {cls}, not OneSingular({k},{i},{j})"
-            )
         self.n = n
         self.k = k
         self.i = i
@@ -325,4 +323,4 @@ def canonical_test_point(n: int = 3) -> Point:
 @lru_cache(maxsize=None)
 def canonical_context(n: int = 3) -> SingularContext:
     """The shipped context, one per order: memos keyed by it are shared."""
-    return SingularContext(canonical_test_point(n), 2, 1, 2)
+    return SingularContext(canonical_test_point(n))

@@ -72,7 +72,7 @@ def test_act_cold_warm_identical(capsys):
     assert out1 == out2
 
 
-def test_act_usage_errors(capsys):
+def test_act_usage_errors(tmp_path, capsys):
     code, _, err = run(capsys, "act", "--gen", "1,1", "--basis", "nope")
     assert code == 2 and "basis" in err
     code, _, err = run(capsys, "act", "--gen", "1,1", "--basis", "D2:(2,1)+1,(2,2)+1")
@@ -82,13 +82,45 @@ def test_act_usage_errors(capsys):
     for basis in ("D1:(0,1)+1", "D1:(2,3)+1"):
         code, _, err = run(capsys, "act", "--gen", "1,1", "--basis", basis)
         assert code == 2 and len(err.splitlines()) == 1 and "position" in err
-    # a malformed pair, and a bottom-row pair the context rejects
-    for singular in ("2,1", "a,b,c", "3,1,2"):
-        code, out, err = run(capsys, "act", "--singular", singular, "--gen", "1,1", "--basis", "D1:id")
-        assert code == 2 and out == "" and len(err.splitlines()) == 1, singular
-        assert err.startswith("error:"), singular
-        if singular != "3,1,2":
-            assert err == f"error: singular spec must be k,i,j, got {singular!r}\n"
+    # a point with no singular context: not 1-singular, or its pair in the bottom row
+    pt = tmp_path / "point.json"
+    for rows, message in [
+        ([["1/5"], ["1/3", "1/7"], ["1/11", "2/13", "3/17"]],
+         "point classifies as Generic, not OneSingular"),
+        ([["1/5"], ["1/3", "1/7"], ["1/11", "1/11", "3/17"]],
+         "singular pair in the bottom row produces no singular denominators; context rejected"),
+    ]:
+        pt.write_text(json.dumps({"n": 3, "rows": rows}))
+        code, out, err = run(capsys, "act", "--point", str(pt), "--gen", "1,1", "--basis", "D1:id")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_act_at_a_row3_pair_takes_no_pair_flag(tmp_path, capsys):
+    """The context is read off the point: at an order-4 point 1-singular at
+    (3,1,2), act runs with only --point."""
+    pt = tmp_path / "row3.json"
+    pt.write_text(json.dumps(ROW3_POINT.to_json()))
+    code, out, err = run(capsys, "act", "--point", str(pt), "--gen", "3,4", "--basis", "D2:(3,2)+1")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "D1:id = -10315214429/21506397825"
+    assert len(out.splitlines()) == 5
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("act", "--singular", "2,1,2", "--gen", "1,1", "--basis", "D1:id"),
+        ("classify", "--singular", "2,1,2"),
+        ("verify", "--singular", "2,1,2", "functional"),
+        ("verify", "--n", "2", "--suite", "homomorphism"),
+    ],
+)
+def test_no_pair_or_suite_flag(capsys, argv):
+    """No command takes a singular pair or a --suite flag: each is a usage
+    error with one stderr line and nothing on stdout."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and len(err.splitlines()) == 1
+    assert err.startswith("error: unrecognized arguments: --s")
 
 
 def test_phi_usage_errors(capsys):
@@ -137,16 +169,12 @@ def test_classify_default_and_file(tmp_path, capsys):
 
 
 def test_classify_rejects_an_order_mismatch_and_a_singular_pair(tmp_path, capsys):
-    """classify checks --n against the point's order as act and verify do,
-    and takes no --singular: each gives exit 2, one error line and no
-    output."""
+    """classify checks --n against the point's order as act and verify do:
+    a mismatch gives exit 2, one error line and no output."""
     pt = tmp_path / "p3.json"
     pt.write_text(json.dumps(canonical_test_point(3).to_json()))
     for argv, message in [
         (["--n", "4", "--point", str(pt)], "error: point has order 3, expected 4"),
-        (["--singular", "9,9,9"], "error: classify takes no --singular; it reports the point's own pair"),
-        (["--point", str(pt), "--singular", "2,1,2"],
-         "error: classify takes no --singular; it reports the point's own pair"),
     ]:
         code, out, err = run(capsys, "classify", *argv)
         assert (code, out, err) == (2, "", message + "\n"), argv
@@ -198,7 +226,7 @@ def test_classify_point_of_the_wrong_shape(tmp_path, capsys):
 def test_verify_exit_codes(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", "--n", "2", "homomorphism")
     assert code == 0 and "16/16 passed" in out
-    # the order suites take no point or pair: passing one is a usage error
+    # the order suites take no point: passing one is a usage error
     p3 = tmp_path / "p3.json"
     p3.write_text(json.dumps(canonical_test_point(3).to_json()))
     p13 = tmp_path / "p13.json"
@@ -208,9 +236,6 @@ def test_verify_exit_codes(tmp_path, capsys):
         ("--singular", "9,9,9", "--n", "2", "homomorphism"),
         ("--point", str(p3), "--n", "2", "homomorphism"),
         ("--point", str(p3), "ring"),
-        # a suite named twice is ambiguous, never silently one of the two
-        ("--n", "2", "homomorphism", "--suite", "ring"),
-        ("--n", "2", "ring", "--suite", "ring"),
         # an order-3 point where order 4 is asked for
         ("--n", "4", "--point", str(p3), "singularity"),
         # orders above MAX_ORDER = 12, by --n or by the point's own order
@@ -268,18 +293,9 @@ def test_verify_functional(tmp_path, capsys):
     assert (report["suite"], report["passed"], report["total"]) == ("functional", 100, 100)
     pt = tmp_path / "row3.json"
     pt.write_text(json.dumps(ROW3_POINT.to_json()))
-    argv = ("verify", "--n", "4", "--point", str(pt), "--singular", "3,1,2", "functional")
+    argv = ("verify", "--n", "4", "--point", str(pt), "functional")
     code, out, _ = run(capsys, *argv)
     assert code == 0 and out == "suite functional: 100/100 passed\n"
-
-
-def test_verify_suite_flag_form(capsys):
-    code, out, _ = run(
-        capsys, "verify", "--n", "2", "--suite", "homomorphism", "--format", "json"
-    )
-    assert code == 0
-    report = json.loads(out)
-    assert report["ok"] is True and report["total"] == 16
 
 
 def test_point_json_matches_canonical(tmp_path, capsys):

@@ -422,7 +422,7 @@ def test_act_matches_symbolic_product_at_order_4(gen):
     """Order 4 at the row-3 pair (3,1,2), on the module sample: the raising
     and lowering images at the singular row and E(1,4), a bracket of
     brackets."""
-    ctx = SingularContext(ROW3_POINT, 3, 1, 2)
+    ctx = SingularContext(ROW3_POINT)
     a = phi_general(4, *gen)
     for kind, sigma in sample_basis(ctx):
         bv = BasisVec(kind, sigma)
@@ -545,7 +545,7 @@ def test_side_jet_matches_sympy_series(where):
     is regular, D1 (lift 1) the series of e h when h has at most a simple
     pole.  Jets are integers over one denominator, compared by value and
     checked canonical."""
-    ctx = CTX if where == "shipped" else SingularContext(ROW3_POINT, 3, 1, 2)
+    ctx = CTX if where == "shipped" else SingularContext(ROW3_POINT)
     rng = random.Random(61 if where == "shipped" else 62)
     cases = []
     for kind, num, factors in _jet_cases(ctx, rng):
@@ -611,8 +611,8 @@ def test_side_jet_from_factors_matches_the_expanded_series(n):
     and simple poles both occur.  A copy of the image whose coefficients
     carry no factors acts with the same columns.  Jets are integers over
     one denominator, compared by value and checked canonical."""
-    ctx = {3: CTX, 4: SingularContext(ROW3_POINT, 3, 1, 2),
-           5: SingularContext(ORDER5_POINT, 2, 1, 2)}[n]
+    ctx = {3: CTX, 4: SingularContext(ROW3_POINT),
+           5: SingularContext(ORDER5_POINT)}[n]
     labels = [BasisVec(kind, sigma) for kind, sigma in sample_basis(ctx)]
     sides = {side for bv in labels for side, _ in distributions._basis_sides(ctx, bv)}
     lines, pair = [], (ctx.pos_i, ctx.pos_j)
@@ -655,7 +655,7 @@ def test_a_sum_of_images_with_disjoint_shifts_keeps_the_factors():
     sum's coefficients are the images' own, with their numerator factors,
     and the sum acts through them with the columns of a copy whose
     coefficients carry none, at the row-3 pair (3,1,2) of ROW3_POINT."""
-    ctx = SingularContext(ROW3_POINT, 3, 1, 2)
+    ctx = SingularContext(ROW3_POINT)
     a, b = phi_general(4, 1, 3), phi_general(4, 2, 4)
     total = a + b
     assert not a.terms.keys() & b.terms.keys()
@@ -728,7 +728,7 @@ def test_act_lie_columns_match_act(cold_ctx, monkeypatch):
 def cold_ctx():
     """A context equal to CTX in which no element has acted yet, so every
     image's memo starts cold in it."""
-    return SingularContext(CTX.v, CTX.k, CTX.i, CTX.j)
+    return SingularContext(CTX.v)
 
 
 def patch_image(monkeypatch, gen, image):
@@ -857,8 +857,7 @@ def test_act_lie_columns_are_per_context():
                 [Fraction(2, 3), Fraction(2, 3)],
                 [Fraction(1, 7), Fraction(2, 11), Fraction(3, 13)],
             ]
-        ),
-        2, 1, 2,
+        )
     )
     bv = BasisVec("D1", ID)
     for ctx in (CTX, other, CTX):
@@ -903,7 +902,7 @@ def test_act_lie_on_vectors_matches_the_symbolic_product(where, gens):
     combination of symbolic-product columns, sum of c * symbolic_act(B),
     over the module sample at the shipped point (every order-3 generator)
     and at the row-3 pair (3,1,2) of ROW3_POINT."""
-    ctx = CTX if where == "shipped" else SingularContext(ROW3_POINT, 3, 1, 2)
+    ctx = CTX if where == "shipped" else SingularContext(ROW3_POINT)
     vectors = _weighted_vectors(ctx, random.Random(26))
     assert all(c.denominator != 1 for d in vectors[:3] for c in d.terms.values())
     for gen in gens or all_generators(3):
@@ -961,7 +960,7 @@ def test_integer_sums_match_the_fraction_reference(where):
     rho != tau rho with both present: in ev_v o A their targets meet on one
     representative, where the integer sums are added, and the column
     equals the symbolic product's."""
-    ctx = CTX if where == "shipped" else SingularContext(ROW3_POINT, 3, 1, 2)
+    ctx = CTX if where == "shipped" else SingularContext(ROW3_POINT)
     x = GENERIC_POINT_3 if ctx.n == 3 else GENERIC_POINT_4
     assert classify_point(x).tag == "Generic"
     labels = [BasisVec(kind, sigma) for kind, sigma in sample_basis(ctx)]
@@ -1100,7 +1099,7 @@ def test_functional_matches_the_closed_formula(where):
     random labels of rows 1..n-1, the functional read through the label's
     sides equals the closed formula exactly, and apply_dist is the same
     sum."""
-    ctx = CTX if where == "order3" else SingularContext(ROW3_POINT, 3, 1, 2)
+    ctx = CTX if where == "order3" else SingularContext(ROW3_POINT)
     rng = random.Random(44)
     rows = [p for p in ctx.v.coords if p[0] < ctx.n]
     labels = []
@@ -1299,7 +1298,7 @@ def test_value_and_slope_match_the_symbolic_derivative(where):
     shift, as it is and times z1, both equal the evaluated symbolic
     derivative exactly.  Where a form vanishes at v, both raise
     PoleError."""
-    ctx = CTX if where == "order3" else SingularContext(ROW3_POINT, 3, 1, 2)
+    ctx = CTX if where == "order3" else SingularContext(ROW3_POINT)
     v = ctx.v.coords
     poles = 0
     for gen in all_generators(ctx.n):

@@ -385,7 +385,7 @@ def test_order6_images_are_tau_invariant_with_no_expansion(monkeypatch):
     coefficient is transposed and compared through its factors.  Dropping
     a term at a shift the transposition moves breaks the invariance."""
     assert str(classify_point(ORDER6_POINT)) == "OneSingular(2,1,2)"
-    ctx = SingularContext(ORDER6_POINT, 2, 1, 2)
+    ctx = SingularContext(ORDER6_POINT)
 
     def expand(forms):
         raise AssertionError("a numerator was expanded")

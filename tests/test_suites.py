@@ -76,7 +76,7 @@ def test_derived_defaults_match_documented_literals():
 
 
 def test_suites_run_at_order_4():
-    ctx = SingularContext(ROW3_POINT, 3, 1, 2)
+    ctx = SingularContext(ROW3_POINT)
     assert sample_basis(ctx)[1:] == [
         ("D1", Shift({(3, 1): 1, (3, 2): 1})),
         ("D2", Shift({(3, 2): 1})),
@@ -99,7 +99,7 @@ def test_order5_module_report_is_pinned():
     the report, sha256 of json.dumps(report, sort_keys=True), is the one
     the module computed when it read every jet from expanded numerators
     and denominators."""
-    ctx = SingularContext(ORDER5_POINT, 2, 1, 2)
+    ctx = SingularContext(ORDER5_POINT)
     gens = [(1, 5), (5, 1), (4, 5), (5, 4), (2, 2)]
     report = module_suite(ctx, gens, [("D1", Shift.identity())])
     assert report["ok"] and report["total"] == 25 and report["n"] == 5
@@ -114,7 +114,7 @@ def test_module_suite_checks_each_element_once(monkeypatch):
     and their element is that generator's image itself.  Each element is
     checked for invariance once, in a new context: 20 checks for 196
     commutator checks."""
-    ctx = SingularContext(canonical_test_point(), 2, 1, 2)  # no image has acted in it
+    ctx = SingularContext(canonical_test_point())  # no image has acted in it
     checks = []
     real = distributions._check_invariant
 
@@ -223,6 +223,21 @@ def test_appendix_suite_failure_entries(monkeypatch):
     ]
     assert expected and report["failures"] == expected
     assert report["total"] == 6 and report["passed"] == 6 - len(expected)
+
+
+def test_functional_suite_pairs_no_zero_test_function(monkeypatch):
+    """Every test function the shipped functional suite draws is nonzero:
+    the zero function pairs to 0 with every vector and checks nothing."""
+    paired = []
+
+    def spy(ctx, d, f):
+        paired.append(f)
+        return apply_dist(ctx, d, f)
+
+    monkeypatch.setattr(suites, "apply_dist", spy)
+    report = functional_suite(canonical_context())
+    assert report["ok"] and report["total"] == len(paired) == 100
+    assert not any(f.is_zero() for f in paired)
 
 
 def test_functional_suite_failure_entries(monkeypatch):

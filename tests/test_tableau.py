@@ -17,7 +17,14 @@ from gtsingular.tableau import (
     shift_subst,
     SingularContext,
 )
-from tests_helpers import random_poly, random_rf, to_sympy
+from tests_helpers import (
+    ORDER5_POINT,
+    ORDER6_POINT,
+    ROW3_POINT,
+    random_poly,
+    random_rf,
+    to_sympy,
+)
 
 X11 = RationalFunction.variable(1, 1)
 X21 = RationalFunction.variable(2, 1)
@@ -224,29 +231,42 @@ def test_singular_context_valid():
 def test_singular_context_rejects_bottom_row():
     p = Point.from_rows([["1/5"], ["1/3", "1/7"], ["1/11", "1/11", "3/17"]])
     assert classify_point(p).tag == "OneSingular"
-    with pytest.raises(ValueError, match="bottom row"):
-        SingularContext(p, 3, 1, 2)
+    with pytest.raises(ValueError, match="^singular pair in the bottom row produces no "
+                       "singular denominators; context rejected$"):
+        SingularContext(p)
 
 
 def test_singular_context_input_guards():
-    p = canonical_test_point()
-    with pytest.raises(ValueError, match=r"bad column pair \(2,1\) in row 2"):
-        SingularContext(p, 2, 2, 1)
-    with pytest.raises(ValueError, match=r"singular row must lie in 2..2, got 4"):
-        SingularContext(p, 4, 1, 2)
     assert repr(canonical_context()) == "SingularContext(n=3, pair=(2,1,2))"
+
+
+def test_singular_context_reads_the_pair_off_the_point():
+    """The point alone fixes the context: its pair is the one
+    `classify_point` reports, in any row above the bottom one."""
+    for point, pair in [(ROW3_POINT, (3, 1, 2)), (ORDER5_POINT, (2, 1, 2)),
+                        (ORDER6_POINT, (2, 1, 2))]:
+        ctx = SingularContext(point)
+        assert (ctx.k, ctx.i, ctx.j) == pair == classify_point(point).pair
+        k, i, j = pair
+        assert ctx.z1_poly == Polynomial.variable(k, i) - Polynomial.variable(k, j)
 
 
 def test_singular_context_requires_equal_values():
     p = Point.from_rows([["1/5"], ["1/4", "-3/4"], ["1/7", "2/9", "5/11"]])
-    with pytest.raises(ValueError, match="equal values"):
-        SingularContext(p, 2, 1, 2)
+    with pytest.raises(ValueError, match="^base point must take equal values on the singular pair$"):
+        SingularContext(p)
 
 
 def test_singular_context_rejects_doubly_singular():
     p = Point.from_rows([["1/5"], ["1/4", "1/4"], ["1/7", "8/7", "3/13"]])
-    with pytest.raises(ValueError, match="OneSingular"):
-        SingularContext(p, 2, 1, 2)
+    with pytest.raises(ValueError, match="^point classifies as Other, not OneSingular$"):
+        SingularContext(p)
+
+
+def test_singular_context_rejects_a_generic_point():
+    p = Point.from_rows([["1/5"], ["1/3", "1/7"], ["1/11", "2/13", "3/17"]])
+    with pytest.raises(ValueError, match="^point classifies as Generic, not OneSingular$"):
+        SingularContext(p)
 
 
 def test_tau_of_shift():

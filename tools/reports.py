@@ -77,9 +77,9 @@ def run_check(name: str) -> dict:
     from gtsingular.tableau import SingularContext
     from tests_helpers import ORDER5_POINT, ORDER6_POINT, ROW3_POINT
 
-    ctx4 = SingularContext(ROW3_POINT, 3, 1, 2)
-    ctx5 = SingularContext(ORDER5_POINT, 2, 1, 2)
-    ctx6 = SingularContext(ORDER6_POINT, 2, 1, 2)
+    ctx4 = SingularContext(ROW3_POINT)
+    ctx5 = SingularContext(ORDER5_POINT)
+    ctx6 = SingularContext(ORDER6_POINT)
     check = {
         "homomorphism4": lambda: verify_homomorphism(4),
         "module4": lambda: module_suite(ctx4, generators=all_generators(4)),
