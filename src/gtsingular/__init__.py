@@ -36,7 +36,6 @@ _EXPORTS = {
     "gtformulas": (
         "convention",
         "gl_bracket",
-        "phi_diagonal",
         "phi_general",
         "verify_homomorphism",
     ),
@@ -50,7 +49,6 @@ _EXPORTS = {
         "act_lie",
         "appendix_act",
         "apply_dist",
-        "dist_functional",
         "evaluate_at_v",
         "generic_act",
         "materialize",

@@ -40,7 +40,8 @@ on A itself, per context: A's invariance, stored once the check passes,
 each side's jets, shared by the D1 and D2 columns, and each label's column;
 each side's line is built once per context.  An equal but distinct element
 starts with an empty memo, so a memo lives exactly as long as its element.
-`act_lie` is `act` by `phi_general`'s memoized image.  `act` extends its
+`act_lie` is `act` by `phi_general`'s memoized image, one per generator and
+shared by every order (the images do not depend on n).  `act` extends its
 columns linearly through one helper: a label, or a vector of one label with
 coefficient 1, is its column itself, and any other vector sums its scaled
 columns per label as integers over one denominator, with one Fraction per
@@ -51,8 +52,8 @@ and each coefficient's value and z1-slope at v by the quotient rule (the
 symbolic derivative `SingularContext.partial_z1` is only the tests'
 oracle for that rule).  One label rule, `_label`, refuses a wrong kind, a
 shift outside rows 1..n-1 and D2 on a tau-fixed shift with ValueError:
-`DistVector.from_terms` (the one way in from outside), `act`, the
-functional and `appendix_act` read every label through it, and one parity
+`DistVector.from_terms` (the one way in from outside), `act`,
+`apply_dist` and `appendix_act` read every label through it, and one parity
 rule, `SingularContext.representative`, reduces it.  The generic orbit
 action's vectors are `SparseSum`s of shifts (`OrbitVector`); `generic_act`
 extends its columns, memoized per point, generator and label, through the
@@ -395,21 +396,14 @@ def evaluate_at_v(ctx: SingularContext, a: RingElement) -> DistVector:
 def act_lie(
     ctx: SingularContext, gen: GeneratorId, d: "BasisVec | DistVector"
 ) -> DistVector:
-    """act by the image of E(r,s).  `phi_general` returns one element per
-    generator, so the image's invariance check, its jets and its columns,
-    memoized on it by `act`, serve every later call in the context."""
+    """act by `phi_general`'s memoized image of E(r,s).  The image does not
+    depend on n, so one element per generator serves every order, and its
+    invariance check, its jets and its columns, memoized on it by `act`,
+    serve every later call in the context."""
     return act(ctx, phi_general(ctx.n, *gen), d)
 
 
 # --- distributions as functionals --------------------------------------------
-
-
-def dist_functional(
-    ctx: SingularContext, kind: str, sigma: Shift, f: Polynomial
-) -> Fraction:
-    """Value of D1/D2 at any shift label (not necessarily ordered) on an
-    invariant polynomial test function."""
-    return apply_dist(ctx, DistVector._raw({BasisVec(kind, sigma): Fraction(1)}), f)
 
 
 def apply_dist(ctx: SingularContext, d: DistVector, f: Polynomial) -> Fraction:

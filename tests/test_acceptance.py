@@ -6,7 +6,7 @@ with its runtime against the stated budget.  All equalities are exact
 import random
 import time
 from gtsingular.cli import main
-from gtsingular.distributions import DistVector, dist_functional
+from gtsingular.distributions import DistVector
 from gtsingular.gtformulas import verify_homomorphism
 from gtsingular.suites import (
     module_suite,
@@ -18,7 +18,7 @@ from gtsingular.suites import (
     singularity_suite,
 )
 from gtsingular.tableau import Shift, canonical_context
-from tests_helpers import random_dist_vector
+from tests_helpers import label_value, random_dist_vector
 
 CTX = canonical_context()
 
@@ -95,13 +95,13 @@ def test_criterion_7_relations_and_independence():
             for m2 in range(m1, 3):
                 sigma = Shift({(2, 1): m1, (2, 2): m2})
                 gap = m1 - m2
-                assert dist_functional(CTX, "D1", sigma, one) == 1
-                assert dist_functional(CTX, "D1", sigma, z1sq) == gap * gap
+                assert label_value(CTX, "D1", sigma, one) == 1
+                assert label_value(CTX, "D1", sigma, z1sq) == gap * gap
                 if gap != 0:
-                    assert dist_functional(CTX, "D2", sigma, one) == 0
-                    assert dist_functional(CTX, "D2", sigma, z1sq) == -2 * gap
+                    assert label_value(CTX, "D2", sigma, one) == 0
+                    assert label_value(CTX, "D2", sigma, z1sq) == -2 * gap
         # the derived anchor value: unit gap reads exactly -2
-        assert dist_functional(CTX, "D2", Shift.generator(2, 1), z1sq) == -2
+        assert label_value(CTX, "D2", Shift.generator(2, 1), z1sq) == -2
 
 
 def test_criterion_8_appendix_oracle():

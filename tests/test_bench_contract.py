@@ -112,3 +112,24 @@ def test_worker_calls_bind():
         bound.add(name)
     assert {"module_suite", "ring_suite", "singularity_suite", "functional_suite",
             "appendix_suite", "generic_suite", "verify_homomorphism"} <= bound
+
+
+def test_phi_hit_counter_reads_the_image_builder():
+    """The tracer counts a gtformulas.phi hit when a phi_general call builds
+    no image; it reads the builder's counters through phi_general.cache_info.
+    A first build counts no hit, and a lookup of a built image, at any
+    order, counts one."""
+    from gtsingular import gtformulas
+
+    traced = load_tracer()
+    tracer = traced.Tracer()
+    before, after = traced._phi_hooks(tracer, gtformulas.phi_general)
+    assert before is not None and after is not None
+    phi = tracer.wrap("gtformulas.phi", gtformulas.phi_general, before, after)
+    gtformulas._image.cache_clear()
+    phi(3, 1, 2)
+    assert tracer.counts.get("gtformulas.phi.hit", 0) == 0
+    phi(3, 1, 2)
+    assert tracer.counts["gtformulas.phi.hit"] == 1
+    phi(4, 1, 2)
+    assert tracer.counts["gtformulas.phi.hit"] == 2

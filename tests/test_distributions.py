@@ -16,7 +16,6 @@ from gtsingular.distributions import (
     act_lie,
     appendix_act,
     apply_dist,
-    dist_functional,
     evaluate_at_v,
     generic_act,
     generic_act_element,
@@ -26,7 +25,6 @@ from gtsingular.gtformulas import (
     all_generators,
     gl_bracket,
     phi_combination,
-    phi_diagonal,
     phi_general,
 )
 from gtsingular.poly import Line, Polynomial
@@ -59,6 +57,7 @@ from gtsingular.tableau import (
 from tests_helpers import (
     ORDER5_POINT,
     ROW3_POINT,
+    label_value,
     random_dist_vector,
     symbolic_act,
     taylor_series,
@@ -120,7 +119,7 @@ def test_from_terms_checks_and_reduces_each_label(case):
 REFUSED = [case for case, (_, want) in FROM_TERMS.items() if isinstance(want, ValueError)]
 
 
-@pytest.mark.parametrize("entry", ["appendix_act", "dist_functional", "apply_dist"])
+@pytest.mark.parametrize("entry", ["appendix_act", "apply_dist"])
 @pytest.mark.parametrize("case", REFUSED)
 def test_every_entry_refuses_what_from_terms_refuses(case, entry):
     """One label rule: the derivative-tableau oracle and the functional read
@@ -136,8 +135,6 @@ def test_every_entry_refuses_what_from_terms_refuses(case, entry):
     if entry == "appendix_act":
         calls = [lambda gen=gen, e=e: appendix_act(CTX, gen, e)
                  for gen in all_generators(CTX.n) for e in vectors]
-    elif entry == "dist_functional":
-        calls = [lambda: dist_functional(CTX, kind, sigma, f)]
     else:
         calls = [lambda e=e: apply_dist(CTX, e, f) for e in vectors]
     for call in calls:
@@ -168,9 +165,9 @@ def test_d2_undefined_on_fixed_shift():
     with pytest.raises(ValueError, match="D2 is undefined"):
         act(CTX, RingElement.one(), BasisVec("D2", fixed))
     with pytest.raises(ValueError, match="D2 is undefined"):
-        dist_functional(CTX, "D2", fixed, Polynomial.one())
+        label_value(CTX, "D2", fixed, Polynomial.one())
     with pytest.raises(ValueError, match="unknown distribution kind 'D3'"):
-        dist_functional(CTX, "D3", S21, Polynomial.one())
+        label_value(CTX, "D3", S21, Polynomial.one())
 
 
 @pytest.mark.parametrize(
@@ -196,7 +193,7 @@ def test_functional_reports_a_failed_division(monkeypatch):
     division that fails anyway is an internal error, not a value."""
     monkeypatch.setattr(distributions, "divexact", lambda p, q: None)
     with pytest.raises(InvariantViolation, match="not divisible by z1"):
-        dist_functional(CTX, "D2", S22, Polynomial.variable(1, 1))
+        label_value(CTX, "D2", S22, Polynomial.variable(1, 1))
 
 
 WRONG_KIND = {
@@ -245,7 +242,7 @@ def test_evaluate_examples():
     b = RingElement([(S22, RationalFunction.constant(HALF)), (S21, RationalFunction.constant(HALF))])
     assert evaluate_at_v(CTX, b) == DistVector({BasisVec("D1", S22): Fraction(1)})
 
-    c = phi_diagonal(3, 1)
+    c = phi_general(3, 1, 1)
     assert evaluate_at_v(CTX, c) == DistVector(
         {BasisVec("D1", ID): CTX.v[(1, 1)]}
     )
@@ -377,7 +374,7 @@ def test_act_unit_is_identity():
 
 
 def test_act_diagonal_example():
-    out = act(CTX, phi_diagonal(3, 1), BasisVec("D1", ID))
+    out = act(CTX, phi_general(3, 1, 1), BasisVec("D1", ID))
     assert out == DistVector({BasisVec("D1", ID): CTX.v[(1, 1)]})
     assert act_lie(CTX, (1, 1), BasisVec("D1", ID)) == out
 
@@ -1041,11 +1038,11 @@ def test_act_linear_in_distvector():
 def test_functional_examples():
     z1sq = CTX.z1_poly * CTX.z1_poly
     f = Polynomial.constant(Fraction(5, 7)) + z1sq.scale(Fraction(3))
-    assert dist_functional(CTX, "D1", ID, f) == Fraction(5, 7)
-    assert dist_functional(CTX, "D2", S21, z1sq) == -2
-    assert dist_functional(CTX, "D2", S22, z1sq) == 2
+    assert label_value(CTX, "D1", ID, f) == Fraction(5, 7)
+    assert label_value(CTX, "D2", S21, z1sq) == -2
+    assert label_value(CTX, "D2", S22, z1sq) == 2
     for sigma in [ID, S11, S21, S21 * S22, S22**2]:
-        assert dist_functional(CTX, "D1", sigma, Polynomial.one()) == 1
+        assert label_value(CTX, "D1", sigma, Polynomial.one()) == 1
 
 
 def test_functional_requires_invariance():
@@ -1059,9 +1056,9 @@ def test_relations_as_functionals():
         f = random_invariant_polynomial(rng, CTX)
         sigma = Shift({(1, 1): rng.randint(-2, 2), (2, 1): rng.randint(-2, 2), (2, 2): rng.randint(-2, 2)})
         tau_sigma = CTX.tau_of_shift(sigma)
-        assert dist_functional(CTX, "D1", tau_sigma, f) == dist_functional(CTX, "D1", sigma, f)
+        assert label_value(CTX, "D1", tau_sigma, f) == label_value(CTX, "D1", sigma, f)
         if sigma != tau_sigma:
-            assert dist_functional(CTX, "D2", tau_sigma, f) == -dist_functional(
+            assert label_value(CTX, "D2", tau_sigma, f) == -label_value(
                 CTX, "D2", sigma, f
             )
 
@@ -1075,11 +1072,11 @@ def test_separating_matrix():
         for m2 in range(m1, 3):
             sigma = Shift({(2, 1): m1, (2, 2): m2})
             c = m1 - m2
-            assert dist_functional(CTX, "D1", sigma, one) == 1
-            assert dist_functional(CTX, "D1", sigma, z1sq) == c * c
+            assert label_value(CTX, "D1", sigma, one) == 1
+            assert label_value(CTX, "D1", sigma, z1sq) == c * c
             if c != 0:
-                assert dist_functional(CTX, "D2", sigma, one) == 0
-                assert dist_functional(CTX, "D2", sigma, z1sq) == -2 * c
+                assert label_value(CTX, "D2", sigma, one) == 0
+                assert label_value(CTX, "D2", sigma, z1sq) == -2 * c
 
 
 def closed_form(ctx, kind, sigma, f):
@@ -1114,7 +1111,7 @@ def test_functional_matches_the_closed_formula(where):
     for f in tests:
         want = {label: closed_form(ctx, *label, f) for label in labels}
         for (kind, sigma), value in want.items():
-            assert dist_functional(ctx, kind, sigma, f) == value
+            assert label_value(ctx, kind, sigma, f) == value
         d = DistVector._raw({BasisVec(*label): Fraction(i + 1) for i, label in enumerate(want)})
         assert apply_dist(ctx, d, f) == sum((i + 1) * x for i, x in enumerate(want.values()))
 
@@ -1134,7 +1131,7 @@ def test_a_fixed_d1_label_pairs_to_one_value(monkeypatch):
         f = random_invariant_polynomial(rng, CTX)
         want = shift_subst(f, sigma).evaluate(CTX.v.coords)
         shifted.clear()
-        assert dist_functional(CTX, "D1", sigma, f) == want
+        assert label_value(CTX, "D1", sigma, f) == want
         assert shifted == [sigma]
         assert apply_dist(CTX, DistVector({("D1", sigma): 3}), f) == 3 * want
 

@@ -13,7 +13,6 @@ from gtsingular.gtformulas import (
     convention,
     gl_bracket,
     phi_combination,
-    phi_diagonal,
     phi_general,
     verify_homomorphism,
 )
@@ -122,13 +121,24 @@ def test_phi_lowering_n3_row2():
 
 
 def test_phi_diagonal():
-    assert phi_diagonal(3, 1) == RingElement.term(
+    assert phi_general(3, 1, 1) == RingElement.term(
         RationalFunction.variable(1, 1), Shift.identity()
     )
     expected = RationalFunction.from_poly(
         X(2, 1) + X(2, 2) + Polynomial.one() - X(1, 1)
     )
-    assert phi_diagonal(3, 2) == RingElement.term(expected, Shift.identity())
+    assert phi_general(3, 2, 2) == RingElement.term(expected, Shift.identity())
+
+
+def test_one_image_per_generator():
+    """The images do not depend on n: every order returns the same object
+    for E(r,s), so orders 2 to 6 together build 36 images, not 90."""
+    gtformulas._image.cache_clear()
+    for n in range(2, 7):
+        for m in range(2, 7):
+            for r, s in all_generators(min(n, m)):
+                assert phi_general(n, r, s) is phi_general(m, r, s), (n, m, r, s)
+    assert gtformulas._image.cache_info().currsize == 36
 
 
 def generic_point(rng, n=3):
@@ -175,7 +185,7 @@ def test_generic_evaluation_oracle(seed):
                     den *= x[(k, i)] - x[(k, j)]
             assert img.coeff(Shift.generator(k, i)).evaluate(x) == num / den
     for k in (1, 2, 3):
-        img = phi_diagonal(3, k)
+        img = phi_general(3, k, k)
         val = sum(x[(k, i)] + i - 1 for i in range(1, k + 1)) - sum(
             x[(k - 1, i)] + i - 1 for i in range(1, k)
         )
@@ -220,7 +230,7 @@ def test_circ_commutator_has_wrong_sign():
 
 def test_diagonal_pair_commutes_both_ways():
     for conv in ("circ", "star"):
-        assert bracket(conv, phi_diagonal(2, 1), phi_diagonal(2, 2)).is_zero()
+        assert bracket(conv, phi_general(2, 1, 1), phi_general(2, 2, 2)).is_zero()
 
 
 def test_homomorphism_n2():
@@ -262,13 +272,13 @@ def test_homomorphism_catches_a_dropped_image_term(monkeypatch):
     """The defining pairs test the path formula: with one term of E(1,3)'s
     image dropped, [E(1,2), E(2,3)] = E(1,3) fails.  The image cache is
     cleared on both sides so the broken image reaches no other test."""
-    phi_general.cache_clear()
+    gtformulas._image.cache_clear()
     try:
         image = phi_general(3, 1, 3)
         monkeypatch.delitem(image.terms, Shift({(1, 1): -1, (2, 1): -1}))
         report = verify_homomorphism(3)
     finally:
-        phi_general.cache_clear()
+        gtformulas._image.cache_clear()
     assert not report["ok"]
     assert [[1, 2], [2, 3]] in [f["pair"] for f in report["failures"]]
 
@@ -383,7 +393,9 @@ def test_order6_images_are_tau_invariant_with_no_expansion(monkeypatch):
     """All 36 order-6 images are invariant under the transposition at the
     pair (2,1,2) of ORDER6_POINT, decided with no numerator expanded: each
     coefficient is transposed and compared through its factors.  Dropping
-    a term at a shift the transposition moves breaks the invariance."""
+    a term at a shift the transposition moves breaks the invariance.  Every
+    order shares one image per generator, and a coefficient keeps its
+    expansion once made, so the images are built afresh here."""
     assert str(classify_point(ORDER6_POINT)) == "OneSingular(2,1,2)"
     ctx = SingularContext(ORDER6_POINT)
 
@@ -391,6 +403,7 @@ def test_order6_images_are_tau_invariant_with_no_expansion(monkeypatch):
         raise AssertionError("a numerator was expanded")
 
     monkeypatch.setattr(ratfun, "_expand", expand)
+    gtformulas._image.cache_clear()
     images = {(r, s): phi_general(6, r, s) for r, s in all_generators(6)}
     for (r, s), image in images.items():
         assert is_tau_invariant(ctx, image), (r, s)
@@ -403,10 +416,9 @@ def test_order6_images_are_tau_invariant_with_no_expansion(monkeypatch):
 
 
 def test_phi_invalid_indices():
-    with pytest.raises(ValueError):
-        phi_general(3, 0, 1)
-    with pytest.raises(ValueError):
-        phi_diagonal(3, 4)
+    for n, r, s in [(3, 0, 1), (3, 4, 4), (3, 1, 4), (3, 4, 1), (2, 0, 0), (1, 1, 2), (4, 5, 5)]:
+        with pytest.raises(ValueError, match=rf"^generator E\({r},{s}\) out of range for gl_{n}$"):
+            phi_general(n, r, s)
 
 
 def test_input_guards():

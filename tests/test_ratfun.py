@@ -578,7 +578,7 @@ def test_only_scaling_and_automorphisms_keep_the_numerator_factors():
     a transposition, each form moved as `_shifted_form` and `_swapped_form`
     move it, and each copy's numerator expands to the transformed expanded
     one.  A coefficient built from image coefficients in any other way is
-    expanded and carries none."""
+    expanded and carries none; a sum expands a factored operand first."""
     h, g = phi_general(3, 3, 2).terms.values()  # linear numerators
     k = next(iter(phi_general(3, 1, 3).terms.values()))
     assert all(f._num_forms is not None for f in (h, g, k))
@@ -597,13 +597,14 @@ def test_only_scaling_and_automorphisms_keep_the_numerator_factors():
         assert swapped.num == RationalFunction._make(k.num, k.forms).swap_vars(a, b).num
     z1 = Polynomial.variable(2, 1) - Polynomial.variable(2, 2)
     built = [
-        h + g, h + h, h - g, k + X11, h * g, h * h, k * X11, h / g,
+        h + g, h + h, h - g, k + X11, factored + X11, h * g, h * h, k * X11, h / g,
         k**1, k**2, h**-1, h.reciprocal(), k.derivative((2, 1)),
         RationalFunction(k.num, z1), multiply_by_linear(k, z1),
         multiply_by_linear(k, Polynomial.variable(1, 1)),
     ]
     for f in built:
         assert f._num_forms is None and f._num is not None, f
+    assert built[4] == RationalFunction._make(k.num, k.forms) + X11
 
 
 def poly_var(k, i):

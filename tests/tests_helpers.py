@@ -8,11 +8,12 @@ from functools import cache
 import sympy
 
 from gtsingular import ratfun
-from gtsingular.distributions import DistVector, materialize
+from gtsingular.distributions import DistVector, apply_dist, materialize
 from gtsingular.gtformulas import phi_general
 from gtsingular.poly import _FIELD, Polynomial, divexact, mono_pairs
 from gtsingular.ratfun import RationalFunction, multiply_by_linear
 from gtsingular.skewring import ring_commutator, ring_mul_circ
+from gtsingular.sparse import BasisVec
 from gtsingular.suites import random_shift
 from gtsingular.tableau import Point, apply_shift
 
@@ -103,6 +104,12 @@ def bracket_image(n, r, s):
         return phi_general(n, r, s)
     t = r + 1 if s > r else r - 1
     return ring_commutator(bracket_image(n, t, s), phi_general(n, r, t))
+
+
+def label_value(ctx, kind, sigma, f):
+    """D1 or D2 at any shift label, ordered or not, on an invariant test
+    function f: `apply_dist` on the one label, read unreduced."""
+    return apply_dist(ctx, DistVector._raw({BasisVec(kind, sigma): 1}), f)
 
 
 def taylor_series(p, coords, a, b, order):
