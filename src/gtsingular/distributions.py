@@ -48,10 +48,11 @@ columns per label as integers over one denominator, with one Fraction per
 nonzero entry.  `evaluate_at_v` is the action on ev_v, itself the basis
 vector D1_id.  `appendix_act`, an independent oracle, reads D1_sigma as
 the derivative-tableau symbol T(v + sigma) and D2_sigma as DT(v + sigma)
-and each coefficient's value and z1-slope at v by the quotient rule (the
-symbolic derivative `SingularContext.partial_z1` is only the tests'
-oracle for that rule).  One label rule, `_label`, refuses a wrong kind, a
-shift outside rows 1..n-1 and D2 on a tau-fixed shift with ValueError:
+and each coefficient's value and z1-slope at v by the quotient rule over
+its denominator's forms (the tests check that rule against the quotient
+rule on the expanded numerator and denominator).  One label rule,
+`_label`, refuses a wrong kind, a shift outside rows 1..n-1 and D2 on a
+tau-fixed shift with ValueError:
 `DistVector.from_terms` (the one way in from outside), `act`,
 `apply_dist` and `appendix_act` read every label through it, and one parity
 rule, `SingularContext.representative`, reduces it.  The generic orbit

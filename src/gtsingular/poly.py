@@ -138,12 +138,6 @@ def _lead_field(m: Monomial) -> int:
     return ((m & -m).bit_length() - 1) & -_FIELD_BITS
 
 
-def _vars_of(d: Iterable[Monomial]) -> list[Var]:
-    """Positions whose exponent is nonzero in some monomial, ascending."""
-    # an OR of fields is nonzero exactly where some exponent is
-    return [_VAR_AT[s] for s, _ in _fields(reduce(or_, d, 0))]
-
-
 def _int_point(coords: Mapping[Var, Fraction], *ds: Iterable[Monomial]) -> tuple[dict[int, int], int]:
     """The coordinates at the positions the ds use, over one common
     denominator q: ({field offset: q x_v}, q), as `_int_eval` takes them."""
@@ -296,9 +290,6 @@ class Polynomial(SparseSum):
             if e:
                 base = base * base
         return result
-
-    def variables(self) -> list[Var]:
-        return _vars_of(self.terms)
 
     def leading_monomial(self) -> Monomial:
         if not self.terms:

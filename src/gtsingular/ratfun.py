@@ -27,7 +27,7 @@ the product of its forms' residues at the test point (a cofactor holding
 the form vanishes there, so only the side holding it at the top
 multiplicity contributes).  A product multiplies its factors' residues,
 and derives its memo only when a later operation first needs it.
-Negation, scaling and `derivative` keep no residues.
+Negation and scaling keep no residues.
 Dividing out a form f divides every other entry by f's residue at that
 entry's point, and drops the entry when that residue is 0.  A missing
 entry is evaluated on the operand that lacks it, one factor or one term.
@@ -45,8 +45,8 @@ expanded numerator.  `subs_offsets` and `swap_vars` move the numerator as
 it is kept: an expanded one when there is one, at the cost it always had,
 else the factors, each form through `_shifted_form` or `_swapped_form`
 and the transposition's units folded into the unit.  Every other result
-is expanded and has no factors.  Sums, general products, derivatives and
-printing expand a factored operand once; `evaluate` multiplies its forms'
+is expanded and has no factors.  Sums, general products and printing
+expand a factored operand once; `evaluate` multiplies its forms'
 values.  Inside this module the stored `_num` is read directly and the
 property is called only where it is None, so a value that was never
 factored pays nothing for the factored form.
@@ -98,7 +98,6 @@ from .poly import (
     _lead_field,
     _top_degree,
     divexact,
-    mono_pack,
 )
 
 _ONE = Fraction(1)
@@ -537,23 +536,6 @@ class RationalFunction:
             dq *= f**e
         return Fraction(nq, dq)
 
-    def derivative(self, var: Var) -> "RationalFunction":
-        # The quotient rule over d = prod l^e, with c the coefficient of var
-        # in l: (n/d)' = n'/d - sum e*c*(n/d)/l.
-        dn = self.num.derivative(var)
-        out = RationalFunction.zero()
-        if dn:
-            out = RationalFunction._make(*_cancel(dn, self.forms, {}))
-        key = mono_pack(((var, 1),))
-        for form, e in self.forms.items():
-            c = form.terms.get(key)
-            if c:
-                # n/(d l) is reduced: l divides d
-                k = Fraction(-e * c, form.den)
-                forms = {**self.forms, form: e + 1}
-                out = out + RationalFunction._make(self.num.scale(k), forms)
-        return out
-
     def subs_offsets(self, offsets: Mapping[Var, Fraction]) -> "RationalFunction":
         # affine substitution is a ring automorphism fixing leading terms,
         # so reducedness, the monic forms and a factored numerator's unit
@@ -583,9 +565,6 @@ class RationalFunction:
         else:
             u /= unit
         return RationalFunction._make(None, forms, None, (u, nforms))
-
-    def variables(self) -> list[Var]:
-        return sorted(set(self.num.variables()) | set(self.den.variables()))
 
     def __repr__(self) -> str:
         from .textform import rf_text

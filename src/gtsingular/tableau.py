@@ -296,12 +296,6 @@ class SingularContext:
         """Swap the two singular columns in a polynomial or rational function."""
         return f.swap_vars(self.pos_i, self.pos_j)
 
-    # -- z1 calculus -----------------------------------------------------------
-
-    def partial_z1(self, f: RationalFunction) -> RationalFunction:
-        """Directional derivative along z1 = X(k,i) - X(k,j)."""
-        return (f.derivative(self.pos_i) - f.derivative(self.pos_j)).scale(Fraction(1, 2))
-
     def __repr__(self) -> str:
         return f"SingularContext(n={self.n}, pair=({self.k},{self.i},{self.j}))"
 

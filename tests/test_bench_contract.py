@@ -17,8 +17,18 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 # rational-function expression parser was deleted too; parse_frac still
 # feeds the tracer's textform.parse layer.  The polynomial gcd was deleted
 # when every denominator became a product of linear forms; the tracer still
-# lists poly_gcd, and its poly.gcd layer reads zero.
-KNOWN_ABSENT = {"cache.Cache.get", "cache.Cache.put", "textform.parse_rf", "poly.poly_gcd"}
+# lists poly_gcd, and its poly.gcd layer reads zero.  The symbolic
+# derivative and the z1-derivative built on it were deleted when no library
+# code called them; their ratfun.derivative and tableau.partial_z1 layers
+# read zero as they did before.
+KNOWN_ABSENT = {
+    "cache.Cache.get",
+    "cache.Cache.put",
+    "textform.parse_rf",
+    "poly.poly_gcd",
+    "ratfun.RationalFunction.derivative",
+    "tableau.SingularContext.partial_z1",
+}
 
 # The names worker.py binds to package modules.
 WORKER_ALIASES = {

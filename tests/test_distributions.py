@@ -62,6 +62,7 @@ from tests_helpers import (
     symbolic_act,
     taylor_series,
     to_sympy,
+    z1_value_and_slope,
 )
 
 CTX = canonical_context()
@@ -1291,9 +1292,10 @@ def test_appendix_skips_the_odd_value_on_a_fixed_target():
 @pytest.mark.parametrize("where", ["order3", "order4"])
 def test_value_and_slope_match_the_symbolic_derivative(where):
     """The appendix reads each coefficient's value and z1-slope at v by
-    value: on every image coefficient shifted by each appendix sample
-    shift, as it is and times z1, both equal the evaluated symbolic
-    derivative exactly.  Where a form vanishes at v, both raise
+    the quotient rule over the denominator's forms: on every image
+    coefficient shifted by each appendix sample shift, as it is and times
+    z1, both equal the quotient rule on the expanded numerator and
+    denominator exactly.  Where a form vanishes at v, both raise
     PoleError."""
     ctx = CTX if where == "order3" else SingularContext(ROW3_POINT)
     v = ctx.v.coords
@@ -1308,11 +1310,40 @@ def test_value_and_slope_match_the_symbolic_derivative(where):
                         with pytest.raises(PoleError):
                             distributions._value_and_slope(ctx, g)
                         with pytest.raises(PoleError):
-                            ctx.partial_z1(g).evaluate(v)
+                            z1_value_and_slope(ctx, g)
                         continue
-                    want = (g.evaluate(v), ctx.partial_z1(g).evaluate(v))
-                    assert distributions._value_and_slope(ctx, g) == want
+                    assert distributions._value_and_slope(ctx, g) == z1_value_and_slope(ctx, g)
     assert poles
+
+
+def test_z1_value_and_slope_matches_sympy():
+    """The expanded quotient rule of the tests against sympy, on seeded
+    order-3 image coefficients shifted by an appendix sample shift, as they
+    are or times z1: sympy's value is N/D and its slope the derivative
+    (d/dx(2,1) - d/dx(2,2))/2 of N/D, both read at v.  A coefficient with
+    a pole at v raises PoleError."""
+    rng = random.Random(47)
+    v = CTX.v.coords
+    at = {sympy.Symbol(f"x_{k}_{i}"): sympy.Rational(x.numerator, x.denominator)
+          for (k, i), x in v.items()}
+    xi, xj = (sympy.Symbol(f"x_{k}_{i}") for k, i in (CTX.pos_i, CTX.pos_j))
+    coefficients = [h for gen in all_generators(3) for h in phi_general(3, *gen).terms.values()]
+    shifts = [sigma for _, sigma in appendix_sample(CTX)]
+    checked = 0
+    while checked < 12:
+        g = shift_subst(rng.choice(coefficients), rng.choice(shifts))
+        if rng.random() < 0.5:
+            g = multiply_by_linear(g, CTX.z1_poly)
+        if g.den.evaluate(v) == 0:
+            continue
+        expr = to_sympy(g.num) / to_sympy(g.den)
+        slope = (sympy.diff(expr, xi) - sympy.diff(expr, xj)) / 2
+        got = [sympy.Rational(x.numerator, x.denominator) for x in z1_value_and_slope(CTX, g)]
+        assert got == [expr.subs(at), slope.subs(at)]
+        checked += 1
+    pole = next(h for h in phi_general(3, 2, 3).terms.values() if h.den.evaluate(v) == 0)
+    with pytest.raises(PoleError):
+        z1_value_and_slope(CTX, pole)
 
 
 def test_a_wrong_sign_in_the_value_rule_fails_the_appendix(monkeypatch):

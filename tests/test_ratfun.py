@@ -10,7 +10,7 @@ from gtsingular.poly import Polynomial, divexact
 from gtsingular.ratfun import PoleError, RationalFunction, multiply_by_linear
 from gtsingular.tableau import positions
 from gtsingular.textform import rf_text
-from tests_helpers import VARS3, assert_canonical, random_poly, random_rf, to_sympy
+from tests_helpers import VARS3, assert_canonical, random_poly, random_rf, rf_derivative, to_sympy
 
 X11 = RationalFunction.variable(1, 1)
 X21 = RationalFunction.variable(2, 1)
@@ -91,8 +91,7 @@ def test_eval_is_homomorphism(seed):
     rng = random.Random(500 + seed)
     f = random_rf(rng)
     g = random_rf(rng)
-    pt = {v: Fraction(rng.randint(1, 40), rng.randint(7, 13)) for v in f.variables() + g.variables()}
-    pt = {v: pt.get(v, Fraction(1, 9)) for v in set(f.variables()) | set(g.variables())}
+    pt = {v: Fraction(rng.randint(1, 40), rng.randint(7, 13)) for v in VARS3}
     try:
         lhs = (f * g).evaluate(pt)
         rhs = f.evaluate(pt) * g.evaluate(pt)
@@ -101,12 +100,6 @@ def test_eval_is_homomorphism(seed):
     except PoleError:
         return
     assert lhs == rhs and lhs2 == rhs2
-
-
-def test_derivative_quotient_rule():
-    f = X11 / (X21 - X22)
-    d = f.derivative((2, 1))
-    assert d == -X11 * (X21 - X22) ** -2
 
 
 def test_pow_negative():
@@ -170,7 +163,7 @@ def test_forms_path_matches_sympy(seed):
     for var in VARS3:
         # f**2 has forms of multiplicity 2
         for u, su in ((f, sf), (f**2, sf**2)):
-            assert_matches_sympy(u.derivative(var), sympy.diff(su, sym(var)))
+            assert_matches_sympy(rf_derivative(u, var), sympy.diff(su, sym(var)))
     offsets = {(2, 1): Fraction(-1), (1, 1): Fraction(2), (3, 2): Fraction(-1, 2)}
     moved = {sym(v): sym(v) - rat(c) for v, c in offsets.items()}
     assert_matches_sympy(f.subs_offsets(offsets), sf.subs(moved, simultaneous=True))
@@ -598,7 +591,7 @@ def test_only_scaling_and_automorphisms_keep_the_numerator_factors():
     z1 = Polynomial.variable(2, 1) - Polynomial.variable(2, 2)
     built = [
         h + g, h + h, h - g, k + X11, factored + X11, h * g, h * h, k * X11, h / g,
-        k**1, k**2, h**-1, h.reciprocal(), k.derivative((2, 1)),
+        k**1, k**2, h**-1, h.reciprocal(),
         RationalFunction(k.num, z1), multiply_by_linear(k, z1),
         multiply_by_linear(k, Polynomial.variable(1, 1)),
     ]
@@ -626,7 +619,7 @@ def test_form_transforms_match_the_uncached_computation(seed):
     computations they replace, and a repeated call returns the same object."""
     rng = random.Random(900 + seed)
     form = ratfun._monic_form(random_linear(rng))[1]
-    absent = [v for v in VARS3 if v not in form.variables()]
+    absent = [v for v in VARS3 if form.derivative(v).is_zero()]
     shifts = [{v: Fraction(-rng.randint(-4, 4), rng.randint(1, 3)) for v in rng.sample(VARS3, 3)}
               for _ in range(3)]
     shifts.append({v: Fraction(-1, 2) for v in absent})

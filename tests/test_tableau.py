@@ -309,28 +309,6 @@ def test_representative():
         assert ctx.representative(rep, True)[0] == rep, sigma
 
 
-def test_partial_z1():
-    ctx = canonical_context()
-    z1 = X21 - X22
-    assert ctx.partial_z1(z1 * z1) == z1.scale(2)
-    assert ctx.partial_z1(X21 + X22).is_zero()
-    assert ctx.partial_z1(X11).is_zero()
-
-
-def test_partial_z1_leibniz_and_tau():
-    ctx = canonical_context()
-    rng = random.Random(11)
-    from tests_helpers import random_rf
-
-    for _ in range(8):
-        f = random_rf(rng)
-        g = random_rf(rng)
-        lhs = ctx.partial_z1(f * g)
-        rhs = ctx.partial_z1(f) * g + f * ctx.partial_z1(g)
-        assert lhs == rhs
-        assert ctx.partial_z1(ctx.transpose(f)) == -ctx.transpose(ctx.partial_z1(f))
-
-
 def test_divide_by_z1():
     ctx = canonical_context()
     z1 = X21 - X22

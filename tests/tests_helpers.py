@@ -11,7 +11,7 @@ from gtsingular import ratfun
 from gtsingular.distributions import DistVector, apply_dist, materialize
 from gtsingular.gtformulas import phi_general
 from gtsingular.poly import _FIELD, Polynomial, divexact, mono_pairs
-from gtsingular.ratfun import RationalFunction, multiply_by_linear
+from gtsingular.ratfun import PoleError, RationalFunction, multiply_by_linear
 from gtsingular.skewring import ring_commutator, ring_mul_circ
 from gtsingular.sparse import BasisVec
 from gtsingular.suites import random_shift
@@ -125,6 +125,36 @@ def taylor_series(p, coords, a, b, order):
     return out
 
 
+def rf_derivative(f, var):
+    """d f / d var by the quotient rule on the expanded numerator N and
+    denominator D: (N' D - N D') / D**2, with D**2 built as each form of f
+    inverted twice its multiplicity.  An oracle that shares only
+    `Polynomial.derivative` with the library."""
+    n, d = f.num, f.den
+    out = RationalFunction.from_poly(n.derivative(var) * d - n * d.derivative(var))
+    for form, e in f.forms.items():
+        for _ in range(2 * e):
+            out = out * RationalFunction(Polynomial.one(), form)
+    return out
+
+
+def z1_value_and_slope(ctx, g):
+    """(g(v), (dg/dz1)(v)) by the quotient rule on the expanded numerator N
+    and denominator D, (N/D, (N_z D - N D_z) / D**2) at v, with
+    p_z = (dp/dx(k,i) - dp/dx(k,j)) / 2.  PoleError when D(v) = 0."""
+    v = ctx.v.coords
+
+    def value_and_slope(p):
+        p_z = (p.derivative(ctx.pos_i) - p.derivative(ctx.pos_j)).scale(Fraction(1, 2))
+        return p.evaluate(v), p_z.evaluate(v)
+
+    n, n_z = value_and_slope(g.num)
+    d, d_z = value_and_slope(g.den)
+    if not d:
+        raise PoleError("denominator vanishes at v")
+    return n / d, (n_z * d - n * d_z) / d**2
+
+
 def to_sympy(p):
     """The polynomial as an expanded sympy expression; x[k][i] is the
     symbol x_k_i."""
@@ -139,17 +169,16 @@ def to_sympy(p):
 
 def symbolic_act(ctx, a, bv):
     """The column of `distributions.act` by the symbolic product: B o A is
-    built in the skew ring, each of its coefficients h becomes g = z1*h
-    and is differentiated along z1, and both are evaluated at v (g(v) on
-    D2, (dg/dz1)(v) on D1).  An oracle for the action, which forms no
-    product; a pole at v raises PoleError here."""
-    v = ctx.v.coords
+    built in the skew ring, each of its coefficients h becomes g = z1*h,
+    and `z1_value_and_slope` reads g at v (g(v) on D2, (dg/dz1)(v) on D1).
+    An oracle for the action, which forms no product; a pole at v raises
+    PoleError here."""
     product = ring_mul_circ(materialize(ctx, bv), a)
     terms = []
     for rho, h in product.terms.items():
-        g = multiply_by_linear(h, ctx.z1_poly)
-        terms.append(("D2", rho, g.evaluate(v)))
-        terms.append(("D1", rho, ctx.partial_z1(g).evaluate(v)))
+        value, slope = z1_value_and_slope(ctx, multiply_by_linear(h, ctx.z1_poly))
+        terms.append(("D2", rho, value))
+        terms.append(("D1", rho, slope))
     return DistVector.from_terms(ctx, terms)
 
 
