@@ -280,7 +280,8 @@ class RationalFunction:
             raise ZeroDivisionError("zero denominator")
         self._res = self._num_forms = None
         if den.is_constant():
-            self._num, self.forms = num.scale(_ONE / den.constant_value()), {}
+            # 1/(c/d) is d/c: one Fraction
+            self._num, self.forms = num.scale(Fraction(den.den, den.terms[0])), {}
         elif not _is_linear(den):
             raise ValueError(_NOT_LINEAR)
         elif num.is_zero():

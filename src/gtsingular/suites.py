@@ -5,11 +5,16 @@ failure details; the CLI maps suite names onto these functions.  A suite
 reads its order from its inputs (an order, a singular context or a point),
 so every default generator list and sample follows that order.
 
-The seeded suites draw their inputs with the samplers below.  A sampler's
-`rng` calls, in order, are part of the input of every seeded report: a
-change that keeps each returned value but moves, adds or drops one call
-changes every later draw.  The samplers build a polynomial's terms as
-integers over the denominator 2 and make one canonical polynomial from
+The seeded suites draw their inputs with the samplers below, from an `rng`
+that is a `random.Random`.  A sampler's draws, in order, are part of the
+input of every seeded report: a change that keeps each returned value but
+moves, adds or drops one draw changes every later draw.  Each integer draw
+is `rng.randint(lo, hi)` as CPython makes it, read straight from
+`rng.getrandbits`: for the width w = hi - lo + 1 and k = w.bit_length(),
+r = getrandbits(k) is drawn again while r >= w, and the draw is lo + r;
+`rng.choice(seq)` is seq[r] for w = len(seq).  `_randint` holds the rule
+and the hot loops run it inline.  The samplers build a polynomial's terms
+as integers over the denominator 2 and make one canonical polynomial from
 them, and a shift from its nonzero integer components, with no Fraction.
 """
 
@@ -89,14 +94,31 @@ def _variables(n: int) -> tuple[Monomial, ...]:
     return tuple(_var_mono(v) for v in positions(n))
 
 
+def _randint(rng: random.Random, lo: int, hi: int) -> int:
+    """rng.randint(lo, hi) for lo <= hi, with its draws: for w = hi - lo + 1
+    and k = w.bit_length(), getrandbits(k) again while it is >= w (CPython's
+    `_randbelow`)."""
+    w = hi - lo + 1
+    k = w.bit_length()
+    r = rng.getrandbits(k)
+    while r >= w:
+        r = rng.getrandbits(k)
+    return lo + r
+
+
 def random_shift(rng: random.Random, n: int, radius: int = 1) -> Shift:
     """One `randint(-radius, radius)` per position of order n - 1, in
     `positions` order; the nonzero draws are the components."""
+    getrandbits = rng.getrandbits
+    w = 2 * radius + 1
+    k = w.bit_length()
     out = {}
     for v in _positions(n - 1):
-        m = rng.randint(-radius, radius)
-        if m:
-            out[v] = m
+        r = getrandbits(k)
+        while r >= w:
+            r = getrandbits(k)
+        if r != radius:
+            out[v] = r - radius
     return Shift._raw(out)
 
 
@@ -116,20 +138,44 @@ def random_polynomial(
     With zero_ok false, a zero sum is drawn again.  ValueError for an
     order past MAX_ORDER, before any draw."""
     variables = _variables(n)
+    getrandbits = rng.getrandbits
+    # (width, bits) of the degree draw and of the variable choice; a is
+    # randint(-3, 3) + 3 (3 bits below 7) and b is randint(1, 2) - 1 (2 bits
+    # below 2), so a·(2/b) of the docstring is (a - 3)·(2 - b)
+    wd = max_deg + 1
+    kd = wd.bit_length()
+    wv = len(variables)
+    kv = wv.bit_length()
+    lo = 0 if zero_ok else 1
     while True:
         acc: dict = {}
-        for _ in range(rng.randint(0 if zero_ok else 1, max_terms)):
-            a = rng.randint(-3, 3)
-            c = a * (2 // rng.randint(1, 2))
+        for _ in range(_randint(rng, lo, max_terms)):
+            a = getrandbits(3)
+            while a >= 7:
+                a = getrandbits(3)
+            b = getrandbits(2)
+            while b >= 2:
+                b = getrandbits(2)
+            c = (a - 3) * (2 - b)
+            d = getrandbits(kd)
+            while d >= wd:
+                d = getrandbits(kd)
             mono = 0
-            for _ in range(rng.randint(0, max_deg)):
-                mono += rng.choice(variables)
+            for _ in range(d):
+                r = getrandbits(kv)
+                while r >= wv:
+                    r = getrandbits(kv)
+                mono += variables[r]
             add_term(acc, mono, c)
         if zero_ok or acc:
             return _normal(acc, 2)
 
 
 def random_rational(rng: random.Random, n: int) -> RationalFunction:
+    """A numerator over a 1 or a linear denominator.  The draws, in order:
+    the numerator random_polynomial(max_terms=3, max_deg=3), one
+    rng.random(), and, when that is at least 0.5, the denominator
+    random_polynomial(max_terms=2, max_deg=1, zero_ok=False)."""
     num = random_polynomial(rng, n, max_terms=3, max_deg=3)
     if rng.random() < 0.5:
         return RationalFunction.from_poly(num)
@@ -138,21 +184,27 @@ def random_rational(rng: random.Random, n: int) -> RationalFunction:
 
 
 def random_ring_element(rng: random.Random, n: int) -> RingElement:
-    terms = []
-    for _ in range(rng.randint(0, 3)):
-        terms.append((random_shift(rng, n), random_rational(rng, n)))
-    return RingElement(terms)
+    """A sum of up to three terms f·sigma.  The draws, in order: the term
+    count randint(0, 3), then per term the shift random_shift(n) and the
+    coefficient random_rational(n); terms on one shift add, and a zero
+    coefficient drops out."""
+    terms: dict = {}
+    for _ in range(_randint(rng, 0, 3)):
+        add_term(terms, random_shift(rng, n), random_rational(rng, n))
+    return RingElement._raw(terms)
 
 
 def random_generator_form(rng: random.Random, ctx: SingularContext) -> RingElement:
     """A tau-invariant element with coefficients H/z1, H polynomial: the
-    symmetrization of a random polynomial-over-z1 sum."""
-    terms = []
-    for _ in range(rng.randint(1, 2)):
+    symmetrization a + tau a of a random polynomial-over-z1 sum a.  The
+    draws, in order: the term count randint(1, 2), then per term
+    H = random_polynomial(max_terms=2, max_deg=1, zero_ok=False) and the
+    shift random_shift(n)."""
+    terms: dict = {}
+    for _ in range(_randint(rng, 1, 2)):
         h = random_polynomial(rng, ctx.n, max_terms=2, max_deg=1, zero_ok=False)
-        coeff = RationalFunction(h, ctx.z1_poly)
-        terms.append((random_shift(rng, ctx.n), coeff))
-    a = RingElement(terms)
+        add_term(terms, random_shift(rng, ctx.n), RationalFunction(h, ctx.z1_poly))
+    a = RingElement._raw(terms)
     return a + group_act_on_ring(ctx, a)
 
 
@@ -240,7 +292,7 @@ def singularity_suite(
     if not _anchor_check(ctx):
         failures.append({"check": "closed-form-anchor"})
     for idx in range(count):
-        length = rng.randint(1, 4)
+        length = _randint(rng, 1, 4)
         prod = random_generator_form(rng, ctx)
         for _ in range(length - 1):
             prod = ring_mul_circ(prod, random_generator_form(rng, ctx))

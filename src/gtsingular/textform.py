@@ -7,6 +7,8 @@ parse_frac(), which reads the rational coordinates of a point file.
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 
 from .poly import Monomial, Polynomial, mono_pairs
@@ -55,10 +57,23 @@ class ExpressionError(ValueError):
     """Malformed rational literal text."""
 
 
+# the exponent of a decimal literal, as `Fraction` reads it
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
 def parse_frac(text: str) -> Fraction:
+    """The rational of a literal `Fraction` reads.  A literal whose power
+    10**|e| of its exponent e would have more digits than Python's int
+    digit limit (`sys.get_int_max_str_digits()`, when set) is refused
+    before `Fraction` builds that power, which for the 14 characters
+    "1e100000000" runs for over a minute."""
     if not isinstance(text, str):
         raise ExpressionError(f"rational literal must be a string, got {text!r}")
+    m = _EXPONENT.search(text)
+    limit = sys.get_int_max_str_digits()
     try:
+        if m and limit and abs(int(m.group(1))) >= limit:
+            raise ValueError("exponent past the int digit limit")
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ExpressionError(f"bad rational literal {text!r}") from exc

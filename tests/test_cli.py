@@ -4,6 +4,7 @@ import os
 import runpy
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -201,6 +202,36 @@ def test_classify_malformed_point(tmp_path, capsys):
         code, out, err = run(capsys, "classify", "--point", str(bad))
         assert code == 2 and out == "", text
         assert len(err.splitlines()) == 1 and "cannot read point" in err, text
+
+
+def test_a_short_exponent_literal_exits_at_once(tmp_path):
+    """A coordinate with an exponent past the int digit limit, of either
+    sign, exits 2 with one stderr line in a fresh process well under a
+    second; `Fraction` alone would build 10**100000000 for over a minute.
+    Exponents within the limit still read."""
+    point = tmp_path / "p.json"
+    src = str(Path(gtsingular.__file__).resolve().parents[1])
+
+    def classify(literal: str):
+        rows = [[literal], ["1/3", "1/3"], ["1/7", "2/11", "3/13"]]
+        point.write_text(json.dumps({"n": 3, "rows": rows}))
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "gtsingular.cli", "classify", "--point", str(point)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+        )
+        return proc, time.perf_counter() - start
+
+    for literal in ("1e100000000", "1E-100000000"):
+        proc, seconds = classify(literal)
+        assert proc.returncode == 2 and proc.stdout == "", literal
+        assert proc.stderr.splitlines() == [
+            f"error: cannot read point file {point}: bad rational literal {literal!r}"
+        ]
+        assert seconds < 1, (literal, seconds)
+    for literal in ("1e3", "2.5e-3", "1e4000"):
+        proc, _ = classify(literal)
+        assert (proc.returncode, proc.stderr) == (0, ""), literal
 
 
 def test_classify_point_of_the_wrong_shape(tmp_path, capsys):

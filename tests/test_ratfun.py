@@ -268,6 +268,20 @@ def test_constant_factor_only_scales(monkeypatch, c):
         assert_canonical(const * f)
 
 
+@pytest.mark.parametrize("c", [Fraction(1), Fraction(-1), Fraction(3), Fraction(-3, 2), Fraction(2, 7)])
+def test_a_constant_denominator_divides_the_numerator(c):
+    """A constant denominator c gives the polynomial num / c: the same
+    integer terms and denominator as num.scale(1 / c), and no forms."""
+    rng = random.Random(901)
+    den = Polynomial.constant(c)
+    for _ in range(20):
+        num = random_poly(rng)
+        f = RationalFunction(num, den)
+        want = num.scale(1 / c)
+        assert f.forms == {} and (f.num.terms, f.num.den) == (want.terms, want.den)
+        assert f == RationalFunction.from_poly(want)
+
+
 def test_cancellation_on_forms_path():
     z1 = X21 - X22
     inv = [ONE / lin for lin in (z1, z1 + ONE, z1 - ONE, X11 - X21)]

@@ -25,7 +25,8 @@ from gtsingular.gtformulas import (
     phi_general,
 )
 from gtsingular.poly import Polynomial
-from gtsingular.skewring import RingElement, ring_mul_circ
+from gtsingular.ratfun import RationalFunction
+from gtsingular.skewring import RingElement, group_act_on_ring, ring_mul_circ
 from gtsingular.suites import (
     GENERIC_LABELS_3,
     GENERIC_POINT_3,
@@ -34,7 +35,11 @@ from gtsingular.suites import (
     functional_suite,
     generic_suite,
     module_suite,
+    random_generator_form,
+    random_invariant_polynomial,
     random_polynomial,
+    random_rational,
+    random_ring_element,
     random_shift,
     ring_suite,
     sample_basis,
@@ -48,6 +53,7 @@ from gtsingular.tableau import (
     canonical_test_point,
     positions,
 )
+from gtsingular.textform import poly_text, rf_text
 from tests_helpers import ORDER5_POINT, ROW3_POINT
 
 
@@ -458,15 +464,58 @@ def fraction_random_polynomial(
             return p
 
 
+def reference_random_rational(rng: random.Random, n: int) -> RationalFunction:
+    num = fraction_random_polynomial(rng, n, 3, 3)
+    if rng.random() < 0.5:
+        return RationalFunction.from_poly(num)
+    return RationalFunction(num, fraction_random_polynomial(rng, n, 2, 1, False))
+
+
+def reference_random_ring_element(rng: random.Random, n: int) -> RingElement:
+    return RingElement(
+        [(fraction_random_shift(rng, n), reference_random_rational(rng, n))
+         for _ in range(rng.randint(0, 3))]
+    )
+
+
+def reference_random_generator_form(rng: random.Random, ctx: SingularContext) -> RingElement:
+    terms = []
+    for _ in range(rng.randint(1, 2)):
+        h = fraction_random_polynomial(rng, ctx.n, 2, 1, False)
+        terms.append((fraction_random_shift(rng, ctx.n), RationalFunction(h, ctx.z1_poly)))
+    a = RingElement(terms)
+    return a + group_act_on_ring(ctx, a)
+
+
+def reference_random_invariant_polynomial(rng: random.Random, ctx: SingularContext) -> Polynomial:
+    while True:
+        g = fraction_random_polynomial(rng, ctx.n, 3, 4, False)
+        f = g + ctx.transpose(g)
+        if not f.is_zero():
+            return f
+
+
 # every parameter set the suites and the tests draw with
 POLY_PARAMS = [(), (3, 3, True), (2, 1, False), (3, 4, True), (2, 2, False)]
+# a singular context at each order that has one
+CONTEXTS = {3: canonical_context, 4: lambda: SingularContext(ROW3_POINT),
+            5: lambda: SingularContext(ORDER5_POINT)}
+
+
+def _same(got, want) -> bool:
+    """Equal values with equal text: the same canonical form."""
+    text = {Polynomial: poly_text, RationalFunction: rf_text, RingElement: RingElement.to_json}
+    return type(got) is type(want) and got == want and text[type(got)](got) == text[type(want)](want)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_samplers_make_the_reference_draws(n):
-    """At seeds 0-49 the integer samplers make the reference's rng calls,
-    in its order, and return its canonical values: after every draw the
-    terms, the denominator and the generator's state are equal."""
+    """At seeds 0-49 the samplers make the reference's `randint`, `choice`
+    and `random` calls, in its order, and return its canonical values:
+    after every draw the values and the generator's state are equal.  The
+    ring-element and rational samplers run from order 2 and the
+    context samplers at the orders with a singular context (3-5)."""
+    ctx = CONTEXTS[n]() if n in CONTEXTS else None
     for seed in range(50):
         new, ref = random.Random(seed), random.Random(seed)
         for params in POLY_PARAMS:
@@ -480,6 +529,36 @@ def test_samplers_make_the_reference_draws(n):
             assert type(got) is Shift and got.terms == want.terms, (seed, radius)
             assert all(type(m) is int for m in got.terms.values())
             assert new.getstate() == ref.getstate(), (seed, radius)
+        if n < 2:
+            continue
+        samplers = [
+            (random_rational, reference_random_rational, n),
+            (random_ring_element, reference_random_ring_element, n),
+        ]
+        if ctx is not None:
+            samplers += [
+                (random_generator_form, reference_random_generator_form, ctx),
+                (random_invariant_polynomial, reference_random_invariant_polynomial, ctx),
+            ]
+        for sampler, reference, arg in samplers:
+            for _ in range(3):
+                got, want = sampler(new, arg), reference(ref, arg)
+                assert _same(got, want), (seed, sampler.__name__)
+                assert new.getstate() == ref.getstate(), (seed, sampler.__name__)
+
+
+@pytest.mark.parametrize("lo", [-3, 0, 1])
+def test_the_draw_rule_is_randint(lo):
+    """For every width 1-64, `_randint(rng, lo, hi)` returns rng.randint(lo,
+    hi) and leaves the generator in the same state, draw after draw.  A
+    Python whose `randint` draws otherwise fails here rather than moving
+    every seeded report."""
+    for width in range(1, 65):
+        hi = lo + width - 1
+        new, ref = random.Random(width), random.Random(width)
+        for _ in range(40):
+            assert suites._randint(new, lo, hi) == ref.randint(lo, hi), (lo, width)
+            assert new.getstate() == ref.getstate(), (lo, width)
 
 
 def test_random_polynomial_rejects_an_order_past_the_maximum():

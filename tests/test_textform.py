@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,26 @@ def test_frac_text():
     assert parse_frac("7/3") == Fraction(7, 3)
     with pytest.raises(ExpressionError):
         parse_frac("x")
+
+
+def test_parse_frac_refuses_an_exponent_past_the_digit_limit():
+    """An exponent e is read while 10**|e| has at most the int digit limit
+    of digits, of either sign, and refused past it before any power is
+    built; with no limit set, every exponent is read."""
+    assert parse_frac("1e3") == 1000 and parse_frac(" 2.5E-3 ") == Fraction(1, 400)
+    assert parse_frac("1e1_0") == 10**10 and parse_frac("1e4000") == 10**4000
+    limit = sys.get_int_max_str_digits()
+    assert limit > 4000
+    assert parse_frac(f"3e{limit - 1}") == 3 * 10 ** (limit - 1)
+    assert parse_frac(f"-1e-{limit - 1}") == Fraction(-1, 10 ** (limit - 1))
+    for text in (f"1e{limit}", f"1e-{limit}", "1e100000000", "-7.5E+100000000", "1e" + "9" * 5000):
+        with pytest.raises(ExpressionError, match="bad rational literal"):
+            parse_frac(text)
+    sys.set_int_max_str_digits(0)
+    try:
+        assert parse_frac(f"1e{limit}") == 10**limit
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_poly_text_fixed():
