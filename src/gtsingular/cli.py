@@ -3,7 +3,10 @@ classification, and the named verification suites.
 
 Exit codes: 0 success (all checks passed), 1 verification failure, 2 usage
 or input error, argparse's own included, or a run that exhausts memory
-(one stderr line, empty stdout, no traceback).
+(one stderr line, empty stdout, no traceback).  `main` is the one place
+where a `ValueError` becomes exit 2: the parsers, the library's input
+checks and printing (an integer past Python's digit limit) all raise one,
+and no command catches it itself.
 
 Each command imports the modules it uses when it runs, so a process loads,
 and without bytecode on disk compiles, only those, and renders its result
@@ -21,7 +24,7 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .distributions import DistVector
-    from .tableau import Point, Shift, SingularContext
+    from .tableau import Point, Shift
 
 _SHIFT_ATOM = r"\((\d+),(\d+)\)([+-]\d+)"
 
@@ -68,12 +71,9 @@ def parse_shift_spec(spec: str) -> Shift:
     body = spec.replace(" ", "")
     if not re.fullmatch(f"{_SHIFT_ATOM}(,{_SHIFT_ATOM})*", body):
         raise UsageError(f"bad shift spec {spec!r}")
-    try:
-        # Shift sums the components of a repeated position
-        atoms = re.findall(_SHIFT_ATOM, body)
-        return Shift(((int(k), int(i)), int(off)) for k, i, off in atoms)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    # Shift sums the components of a repeated position
+    atoms = re.findall(_SHIFT_ATOM, body)
+    return Shift(((int(k), int(i)), int(off)) for k, i, off in atoms)
 
 
 def shift_spec(sigma: Shift) -> str:
@@ -104,34 +104,6 @@ def parse_gen_spec(spec: str) -> tuple[int, int]:
     raise UsageError(f"generator spec must be r,s, got {spec!r}")
 
 
-class RunConfig:
-    def __init__(self, fmt: str = "text"):
-        self.n = 3
-        self.point: Point | None = None
-        self.fmt = fmt
-
-    def resolve_point(self) -> Point:
-        from .tableau import canonical_test_point
-
-        if self.point is not None:
-            if self.point.n != self.n:
-                raise UsageError(f"point has order {self.point.n}, expected {self.n}")
-            return self.point
-        try:
-            return canonical_test_point(self.n)
-        except ValueError as exc:
-            raise UsageError(f"no default point for order {self.n}; pass --point") from exc
-
-    def resolve_context(self) -> SingularContext:
-        from .tableau import SingularContext
-
-        point = self.resolve_point()
-        try:
-            return SingularContext(point)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-
-
 def _load_point(path: str) -> Point:
     from .tableau import Point
 
@@ -139,28 +111,42 @@ def _load_point(path: str) -> Point:
     # overflows the parser's recursion
     try:
         return Point.load(path)
-    except (
-        OSError, json.JSONDecodeError, ValueError, KeyError, TypeError, RecursionError,
-    ) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         raise UsageError(f"cannot read point file {path}: {exc}") from exc
 
 
-def _config(args) -> RunConfig:
+def _config(args) -> tuple[int, Point | None]:
+    """The order and the point that --n and --point select: the point's
+    order when only --point is given, else --n, by default 3."""
     from .poly import MAX_ORDER
 
-    cfg = RunConfig(fmt=args.format)
-    if getattr(args, "n", None) is not None:
-        if args.n < 1:
-            raise UsageError(f"order must be at least 1, got {args.n}")
-        if args.n > MAX_ORDER:
-            raise UsageError(f"order must be at most {MAX_ORDER}, got {args.n}")
-        cfg.n = args.n
+    n = args.n
+    if n is not None:
+        if n < 1:
+            raise UsageError(f"order must be at least 1, got {n}")
+        if n > MAX_ORDER:
+            raise UsageError(f"order must be at most {MAX_ORDER}, got {n}")
+    point = None
     if getattr(args, "point", None):
-        cfg.point = _load_point(args.point)
-        if cfg.point.n > MAX_ORDER:
-            raise UsageError(f"point has order {cfg.point.n}; the order must be at most {MAX_ORDER}")
-        cfg.n = cfg.point.n if getattr(args, "n", None) is None else cfg.n
-    return cfg
+        point = _load_point(args.point)
+        if point.n > MAX_ORDER:
+            raise UsageError(f"point has order {point.n}; the order must be at most {MAX_ORDER}")
+        n = point.n if n is None else n
+    return (3 if n is None else n), point
+
+
+def _point(n: int, point: Point | None) -> Point:
+    """The given point, checked against the order, or the order's default."""
+    from .tableau import canonical_test_point
+
+    if point is not None:
+        if point.n != n:
+            raise UsageError(f"point has order {point.n}, expected {n}")
+        return point
+    try:
+        return canonical_test_point(n)
+    except ValueError as exc:
+        raise UsageError(f"no default point for order {n}; pass --point") from exc
 
 
 def dist_vector_text(d: DistVector) -> str:
@@ -193,45 +179,38 @@ def _emit(fmt: str, render_json, render_text) -> None:
 def cmd_phi(args) -> int:
     from .gtformulas import phi_general
 
-    cfg = _config(args)
+    n, _ = _config(args)
     r, s = parse_gen_spec(args.gen)
-    try:
-        element = phi_general(cfg.n, r, s)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    _emit(cfg.fmt, element.to_json, lambda: repr(element))
+    element = phi_general(n, r, s)
+    _emit(args.format, element.to_json, lambda: repr(element))
     return 0
 
 
 def cmd_act(args) -> int:
     from .distributions import DistVector, act_lie
+    from .tableau import SingularContext
 
-    cfg = _config(args)
-    ctx = cfg.resolve_context()
+    ctx = SingularContext(_point(*_config(args)))
     r, s = parse_gen_spec(args.gen)
     kind, sigma = parse_basis_spec(args.basis)
-    try:
-        result = act_lie(ctx, (r, s), DistVector.from_terms(ctx, [(kind, sigma, 1)]))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    _emit(cfg.fmt, result.to_json, lambda: dist_vector_text(result))
+    result = act_lie(ctx, (r, s), DistVector.from_terms(ctx, [(kind, sigma, 1)]))
+    _emit(args.format, result.to_json, lambda: dist_vector_text(result))
     return 0
 
 
 def cmd_classify(args) -> int:
     from .tableau import classify_point
 
-    cfg = _config(args)
-    cls = classify_point(cfg.resolve_point())
+    cls = classify_point(_point(*_config(args)))
     payload = {"class": cls.tag}
     if cls.pair:
         payload["pair"] = list(cls.pair)
-    _emit(cfg.fmt, lambda: payload, lambda: str(cls))
+    _emit(args.format, lambda: payload, lambda: str(cls))
     return 0
 
 
 def cmd_verify(args) -> int:
-    cfg = _config(args)
+    n, point = _config(args)
     suite = args.suite
     if not suite:
         raise UsageError("pick a suite: " + ", ".join(sorted(SUITES)))
@@ -240,10 +219,12 @@ def cmd_verify(args) -> int:
     takes, name = SUITES[suite]
     if takes == "order" and args.point:
         raise UsageError(f"suite {suite} runs on --n only; it takes no --point")
+    from .tableau import SingularContext
+
     suite_fn = getattr(sys.modules[__name__], name)
-    report = suite_fn(cfg.resolve_context() if takes == "context" else cfg.n)
+    report = suite_fn(SingularContext(_point(n, point)) if takes == "context" else n)
     _emit(
-        cfg.fmt,
+        args.format,
         lambda: {k: v for k, v in report.items() if k != "checks"},
         lambda: verify_text(suite, report),
     )
@@ -290,7 +271,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

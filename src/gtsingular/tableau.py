@@ -101,24 +101,10 @@ class Point:
 
     __slots__ = ("n", "coords", "_hash")
 
-    def __init__(self, n: int, coords: Mapping[Var, Fraction]):
-        if n < 2:
-            raise ValueError("order must be at least 2")
-        full = {}
-        for v in positions(n):
-            if v not in coords:
-                raise ValueError(f"missing coordinate for position {v}")
-            full[v] = Fraction(coords[v])
-        if len(coords) != len(full):
-            extra = set(coords) - set(full)
-            raise ValueError(f"unexpected positions {sorted(extra)}")
-        self.n = n
-        self.coords = full
-        self._hash = None
-
     @classmethod
     def _raw(cls, n: int, coords: dict[Var, Fraction]) -> "Point":
-        # internal: coords holds a Fraction for every position of order n
+        # coords holds a Fraction for every position of order n: from_rows
+        # is the one way in from outside
         p = cls.__new__(cls)
         p.n, p.coords, p._hash = n, coords, None
         return p
@@ -139,13 +125,15 @@ class Point:
     def from_rows(cls, rows: Iterable[Iterable]) -> "Point":
         rows = [list(r) for r in rows]
         n = len(rows)
+        if n < 2:
+            raise ValueError("order must be at least 2")
         coords = {}
         for k, row in enumerate(rows, start=1):
             if len(row) != k:
                 raise ValueError(f"row {k} must have {k} entries, got {len(row)}")
             for i, val in enumerate(row, start=1):
                 coords[(k, i)] = Fraction(val)
-        return cls(n, coords)
+        return cls._raw(n, coords)
 
     def rows(self) -> list[list[Fraction]]:
         return [[self.coords[(k, i)] for i in range(1, k + 1)] for k in range(1, self.n + 1)]

@@ -302,6 +302,45 @@ def test_out_of_memory_keeps_the_exit_contract(capsys, monkeypatch):
     assert code == 2 and out == "" and err == "error: out of memory\n"
 
 
+@pytest.mark.parametrize(
+    "coordinate",
+    [pytest.param("9" * 4000, id="4000-nines"), pytest.param("9999e4299", id="9999e4299")],
+)
+def test_a_result_too_long_to_print_keeps_the_exit_contract(tmp_path, capsys, coordinate):
+    """A coordinate that reads within the int digit limit can make a printed
+    value pass it: printing raises ValueError, and that exits 2 with one
+    stderr line and nothing on stdout, not with a traceback."""
+    pt = tmp_path / "p.json"
+    rows = [[coordinate], ["1/3", "1/3"], ["1/7", "2/11", "3/13"]]
+    pt.write_text(json.dumps({"n": 3, "rows": rows}))
+    code, out, err = run(capsys, "act", "--point", str(pt), "--gen", "1,2", "--basis", "D1:id")
+    assert (code, out) == (2, "") and len(err.splitlines()) == 1
+    assert err.startswith("error:") and "Traceback" not in err
+    if len(coordinate) == 4000:
+        code, out, err = run(capsys, "act", "--point", str(pt), "--gen", "1,1", "--basis", "D1:id")
+        assert (code, err) == (0, "") and out == f"D1:id = {coordinate}\n"
+
+
+def test_main_is_the_one_catch_for_value_errors(capsys, monkeypatch):
+    """Any ValueError a command raises, printing included, exits 2 with its
+    text; an InvariantViolation is a fault, not an input error, and
+    propagates."""
+    from gtsingular.distributions import InvariantViolation
+
+    def fails(exc):
+        def render(d):
+            raise exc
+
+        return render
+
+    argv = ("act", "--gen", "1,2", "--basis", "D1:id")
+    monkeypatch.setattr(cli, "dist_vector_text", fails(ValueError("x")))
+    assert run(capsys, *argv) == (2, "", "error: x\n")
+    monkeypatch.setattr(cli, "dist_vector_text", fails(InvariantViolation("y")))
+    with pytest.raises(InvariantViolation, match="y"):
+        main(list(argv))
+
+
 def test_verify_context_suites_at_order_4(tmp_path, capsys):
     pt = tmp_path / "order4.json"
     rows = [["1/5"], ["1/3", "1/3"], ["1/7", "2/11", "3/13"], ["1/17", "2/19", "3/23", "4/29"]]

@@ -127,13 +127,12 @@ def test_point_validation():
 
 
 def test_point_input_guards():
-    full = canonical_test_point().coords
     with pytest.raises(ValueError, match="order must be at least 2"):
-        Point(1, {(1, 1): Fraction(1)})
-    with pytest.raises(ValueError, match=r"missing coordinate for position \(3, 3\)"):
-        Point(3, {v: c for v, c in full.items() if v != (3, 3)})
-    with pytest.raises(ValueError, match=r"unexpected positions \[\(4, 1\)\]"):
-        Point(3, {**full, (4, 1): Fraction(1)})
+        Point.from_rows([[1]])
+    with pytest.raises(ValueError, match="order must be at least 2"):
+        Point.from_json({"n": 1, "rows": [["1"]]})
+    with pytest.raises(ValueError, match="row 3 must have 3 entries, got 2"):
+        Point.from_rows([[1], [2, 3], [4, 5]])
     with pytest.raises(ValueError, match="expected 3 rows, got 2"):
         Point.from_json({"n": 3, "rows": [["1/5"], ["1/3", "1/3"]]})
 
