@@ -52,13 +52,9 @@ def __getattr__(name: str):
     return getattr(importlib.import_module(f".{home}", __package__), name)
 
 
-class UsageError(ValueError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 def parse_shift_spec(spec: str) -> Shift:
@@ -70,7 +66,7 @@ def parse_shift_spec(spec: str) -> Shift:
         return Shift.identity()
     body = spec.replace(" ", "")
     if not re.fullmatch(f"{_SHIFT_ATOM}(,{_SHIFT_ATOM})*", body):
-        raise UsageError(f"bad shift spec {spec!r}")
+        raise ValueError(f"bad shift spec {spec!r}")
     # Shift sums the components of a repeated position
     atoms = re.findall(_SHIFT_ATOM, body)
     return Shift(((int(k), int(i)), int(off)) for k, i, off in atoms)
@@ -85,11 +81,11 @@ def shift_spec(sigma: Shift) -> str:
 
 
 def parse_basis_spec(spec: str) -> tuple[str, Shift]:
+    """Grammar: KIND:SHIFTSPEC.  The kind is checked with the rest of the
+    label, by `DistVector.from_terms`."""
     if ":" not in spec:
-        raise UsageError(f"basis spec must look like KIND:SHIFTSPEC, got {spec!r}")
+        raise ValueError(f"basis spec must look like KIND:SHIFTSPEC, got {spec!r}")
     kind, _, rest = spec.partition(":")
-    if kind not in ("D1", "D2"):
-        raise UsageError(f"basis kind must be D1 or D2, got {kind!r}")
     return kind, parse_shift_spec(rest)
 
 
@@ -101,7 +97,7 @@ def parse_gen_spec(spec: str) -> tuple[int, int]:
             return int(parts[0]), int(parts[1])
         except ValueError:
             pass
-    raise UsageError(f"generator spec must be r,s, got {spec!r}")
+    raise ValueError(f"generator spec must be r,s, got {spec!r}")
 
 
 def _load_point(path: str) -> Point:
@@ -112,7 +108,7 @@ def _load_point(path: str) -> Point:
     try:
         return Point.load(path)
     except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
-        raise UsageError(f"cannot read point file {path}: {exc}") from exc
+        raise ValueError(f"cannot read point file {path}: {exc}") from exc
 
 
 def _config(args) -> tuple[int, Point | None]:
@@ -123,14 +119,14 @@ def _config(args) -> tuple[int, Point | None]:
     n = args.n
     if n is not None:
         if n < 1:
-            raise UsageError(f"order must be at least 1, got {n}")
+            raise ValueError(f"order must be at least 1, got {n}")
         if n > MAX_ORDER:
-            raise UsageError(f"order must be at most {MAX_ORDER}, got {n}")
+            raise ValueError(f"order must be at most {MAX_ORDER}, got {n}")
     point = None
     if getattr(args, "point", None):
         point = _load_point(args.point)
         if point.n > MAX_ORDER:
-            raise UsageError(f"point has order {point.n}; the order must be at most {MAX_ORDER}")
+            raise ValueError(f"point has order {point.n}; the order must be at most {MAX_ORDER}")
         n = point.n if n is None else n
     return (3 if n is None else n), point
 
@@ -141,12 +137,12 @@ def _point(n: int, point: Point | None) -> Point:
 
     if point is not None:
         if point.n != n:
-            raise UsageError(f"point has order {point.n}, expected {n}")
+            raise ValueError(f"point has order {point.n}, expected {n}")
         return point
     try:
         return canonical_test_point(n)
     except ValueError as exc:
-        raise UsageError(f"no default point for order {n}; pass --point") from exc
+        raise ValueError(f"no default point for order {n}; pass --point") from exc
 
 
 def dist_vector_text(d: DistVector) -> str:
@@ -213,12 +209,12 @@ def cmd_verify(args) -> int:
     n, point = _config(args)
     suite = args.suite
     if not suite:
-        raise UsageError("pick a suite: " + ", ".join(sorted(SUITES)))
+        raise ValueError("pick a suite: " + ", ".join(sorted(SUITES)))
     if suite not in SUITES:
-        raise UsageError(f"unknown suite {suite!r}; choose from " + ", ".join(sorted(SUITES)))
+        raise ValueError(f"unknown suite {suite!r}; choose from " + ", ".join(sorted(SUITES)))
     takes, name = SUITES[suite]
     if takes == "order" and args.point:
-        raise UsageError(f"suite {suite} runs on --n only; it takes no --point")
+        raise ValueError(f"suite {suite} runs on --n only; it takes no --point")
     from .tableau import SingularContext
 
     suite_fn = getattr(sys.modules[__name__], name)

@@ -11,7 +11,10 @@ depend on n: one image per generator is built, and every order shares it.
 The map is a ring homomorphism for the opposite of the twisted product,
 a*b = b o a = `ring_mul_circ(b, a)` (see `convention`):
 `verify_homomorphism` checks every ordered generator pair, each bracket
-one pass over its operands' term pairs (`ring_commutator`).
+one pass over its operands' term pairs (`ring_commutator`).  It, and the
+module and orbit suites of `suites`, run the identity
+[phi(x), phi(y)] = phi([x, y]) through one sweep (`commutator_checks`)
+and build their reports with one rule (`_report`).
 """
 
 from __future__ import annotations
@@ -41,21 +44,49 @@ def gl_bracket(x: GeneratorId, y: GeneratorId) -> list[tuple[int, GeneratorId]]:
     return out
 
 
-def commutator_once(held: dict, x: GeneratorId, y: GeneratorId, build, zero, label=None):
-    """The left side of a commutator identity at the ordered pair (x, y),
-    for a value antisymmetric by its formula, such as [phi(x), phi(y)] or
-    act(x, act(y, D)) - act(y, act(x, D)): `zero` when x == y; the
-    negation held for (x, y, label), popped, when the mirror pair came
-    first; else `build()`, whose negation is held for (y, x, label).  So
-    each unordered pair is built once per label, in the check that first
-    needs it, and `held` keeps only values still pending."""
-    if x == y:
-        return zero
-    value = held.pop((x, y, label), None)
-    if value is None:
-        value = build()
-        held[(y, x, label)] = -value
-    return value
+def commutator_checks(generators, labels, left, element, right, zero):
+    """Both sides of the commutator identity [phi(x), phi(y)] = phi([x, y])
+    in one realization: for each ordered pair (x, y) of `generators`, in
+    order, and each label d of `labels` at index i, yields
+    (x, y, d, lhs, right(e, d)).  The left side is antisymmetric by its
+    formula, such as [phi(x), phi(y)] or act(x, act(y, D)) - act(y, act(x, D)):
+    `zero` when x == y; the negation held for (x, y, i), popped, when the
+    mirror pair came first; else `left(x, y, d)`, whose negation is held
+    for (y, x, i).  So each unordered pair is built once per label, in the
+    check that first needs it, and nothing stays held after the last pair.
+    The pair's element e = element(tuple(gl_bracket(x, y))) is taken once
+    per ordered pair, after the left side of its first label; an empty
+    list of labels or generators runs no check."""
+    held: dict = {}
+    for x in generators:
+        for y in generators:
+            for i, d in enumerate(labels):
+                if x == y:
+                    lhs = zero
+                else:
+                    lhs = held.pop((x, y, i), None)
+                    if lhs is None:
+                        lhs = left(x, y, d)
+                        held[(y, x, i)] = -lhs
+                if i == 0:
+                    e = element(tuple(gl_bracket(x, y)))
+                yield x, y, d, lhs, right(e, d)
+
+
+def _report(suite: str, failures: list, total: int, unit: str | None = None, **extra) -> dict:
+    """A suite's report.  `passed` counts the checked units with no
+    failure.  A unit that can fail several checks is named by its
+    failures' `unit` key; otherwise each failure is one unit."""
+    failed = len({f.get(unit) for f in failures}) if unit else len(failures)
+    out = {
+        "suite": suite,
+        "total": total,
+        "passed": total - failed,
+        "ok": not failures,
+        "failures": failures,
+    }
+    out.update(extra)
+    return out
 
 
 def bracket(convention: str, a: RingElement, b: RingElement) -> RingElement:
@@ -159,39 +190,28 @@ def phi_combination(n: int, terms: list[tuple[int, GeneratorId]]) -> RingElement
 
 def verify_homomorphism(n: int) -> dict:
     """Check the commutator identity on all ordered pairs of elementary
-    matrices; returns a machine-readable report.  Each bracket is built
-    once (`commutator_once`): [x,x] is zero, and [y,x] is -[x,y], held
-    until its pair comes."""
+    matrices (`commutator_checks`); returns a machine-readable report that
+    lists every check."""
     conv = convention()
-    gens = all_generators(n)
     checks = []
     failures = []
-    held: dict = {}
-    zero = RingElement.zero()
-    for x in gens:
-        for y in gens:
-            lhs = commutator_once(
-                held, x, y, lambda: bracket(conv, phi_general(n, *x), phi_general(n, *y)), zero
-            )
-            rhs = phi_combination(n, gl_bracket(x, y))
-            ok = lhs == rhs
-            entry = {"pair": [list(x), list(y)], "equal": ok}
-            if not ok:
-                diff = lhs - rhs
-                sigma = diff.support()[0]
-                entry["counterexample"] = {
-                    "shift": sigma.to_json(),
-                    "coeff": repr(diff.coeff(sigma)),
-                }
-                failures.append(entry)
-            checks.append(entry)
-    return {
-        "suite": "homomorphism",
-        "n": n,
-        "convention": conv,
-        "total": len(checks),
-        "passed": sum(1 for c in checks if c["equal"]),
-        "ok": not failures,
-        "checks": checks,
-        "failures": failures,
-    }
+    for x, y, _, lhs, rhs in commutator_checks(
+        all_generators(n),
+        [None],
+        lambda x, y, _: bracket(conv, phi_general(n, *x), phi_general(n, *y)),
+        lambda key: phi_combination(n, key),
+        lambda e, _: e,
+        RingElement.zero(),
+    ):
+        ok = lhs == rhs
+        entry = {"pair": [list(x), list(y)], "equal": ok}
+        if not ok:
+            diff = lhs - rhs
+            sigma = diff.support()[0]
+            entry["counterexample"] = {
+                "shift": sigma.to_json(),
+                "coeff": repr(diff.coeff(sigma)),
+            }
+            failures.append(entry)
+        checks.append(entry)
+    return _report("homomorphism", failures, len(checks), n=n, convention=conv, checks=checks)

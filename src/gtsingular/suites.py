@@ -1,7 +1,10 @@
 """Named verification sweeps over the algebra, seeded and deterministic.
 
 Each suite returns a JSON-ready report dict with an "ok" flag, counts, and
-failure details; the CLI maps suite names onto these functions.  A suite
+failure details (`gtformulas._report`); the CLI maps suite names onto
+these functions.  The module and orbit suites run the commutator identity
+through `gtformulas.commutator_checks`, as `verify_homomorphism` does on
+the ring, and keep only how their sides are built and acted.  A suite
 reads its order from its inputs (an order, a singular context or a point),
 so every default generator list and sample follows that order.
 
@@ -36,10 +39,10 @@ from .distributions import (
     generic_act_element,
 )
 from .gtformulas import (
+    _report,
     adjacent_generators,
     all_generators,
-    commutator_once,
-    gl_bracket,
+    commutator_checks,
     phi_combination,
 )
 from .poly import Monomial, Polynomial, Var, _normal, _var_mono
@@ -222,22 +225,6 @@ def random_invariant_polynomial(rng: random.Random, ctx: SingularContext) -> Pol
 # --- suites -------------------------------------------------------------------
 
 
-def _report(suite: str, failures: list, total: int, unit: str | None = None, **extra) -> dict:
-    """`passed` counts the checked units with no failure.  A unit that can
-    fail several checks is named by its failures' `unit` key; otherwise
-    each failure is one unit."""
-    failed = len({f.get(unit) for f in failures}) if unit else len(failures)
-    out = {
-        "suite": suite,
-        "total": total,
-        "passed": total - failed,
-        "ok": not failures,
-        "failures": failures,
-    }
-    out.update(extra)
-    return out
-
-
 def ring_suite(n: int = 3, count: int = 200, seed: int = DEFAULT_SEED) -> dict:
     """Associativity and distributivity of the twisted product on random
     triples, plus the two-sided unit.  Each triple's a b, b c and a c are
@@ -310,12 +297,10 @@ def module_suite(
 ) -> dict:
     """Commutator identity [phi(x), phi(y)] D = phi([x, y]) D on the
     distribution module for every ordered generator pair and every sample
-    basis vector; an empty list of either runs no check.  The left side,
+    basis vector; an empty list of either runs no check.  The left side is
     act(x, act(y, D)) - act(y, act(x, D)) by the generator images
-    (`act_lie`), is antisymmetric in (x, y) by that formula, so it is zero
-    at x == y and built once per unordered pair and sample vector, in the
-    check that first needs it; its negation serves the mirror pair
-    (`commutator_once`).  The right side builds one element per distinct
+    (`act_lie`), built once per unordered pair and sample vector
+    (`commutator_checks`).  The right side builds one element per distinct
     bracket, whose memo (see `act`) serves the bracket's later checks until
     the call returns, and acts with it through `act` once per check."""
     ctx = ctx or canonical_context()
@@ -323,39 +308,31 @@ def module_suite(
         generators = adjacent_generators(ctx.n)
     if basis_sample is None:
         basis_sample = sample_basis(ctx)
-    vectors = [DistVector.from_terms(ctx, [(kind, sigma, 1)]) for kind, sigma in basis_sample]
+    labels = [
+        ((kind, sigma), DistVector.from_terms(ctx, [(kind, sigma, 1)]))
+        for kind, sigma in basis_sample
+    ]
     failures = []
     total = 0
-    brackets: dict[tuple, RingElement] = {}
-    held: dict = {}
-    zero = DistVector.zero()
-    for x in generators:
-        for y in generators:
-            key = tuple(gl_bracket(x, y))
-            rhs_elem = brackets.get(key)
-            if rhs_elem is None:
-                rhs_elem = brackets[key] = phi_combination(ctx.n, key)
-            for idx, (bv_spec, d) in enumerate(zip(basis_sample, vectors)):
-                total += 1
-                lhs = commutator_once(
-                    held,
-                    x,
-                    y,
-                    lambda: act_lie(ctx, x, act_lie(ctx, y, d))
-                    - act_lie(ctx, y, act_lie(ctx, x, d)),
-                    zero,
-                    idx,
-                )
-                rhs = act(ctx, rhs_elem, d)
-                if lhs != rhs:
-                    failures.append(
-                        {
-                            "pair": [list(x), list(y)],
-                            "basis": [bv_spec[0], bv_spec[1].to_json()],
-                            "lhs": lhs.to_json(),
-                            "rhs": rhs.to_json(),
-                        }
-                    )
+    for x, y, ((kind, sigma), _), lhs, rhs in commutator_checks(
+        generators,
+        labels,
+        lambda x, y, label: act_lie(ctx, x, act_lie(ctx, y, label[1]))
+        - act_lie(ctx, y, act_lie(ctx, x, label[1])),
+        lru_cache(maxsize=None)(lambda key: phi_combination(ctx.n, key)),
+        lambda e, label: act(ctx, e, label[1]),
+        DistVector.zero(),
+    ):
+        total += 1
+        if lhs != rhs:
+            failures.append(
+                {
+                    "pair": [list(x), list(y)],
+                    "basis": [kind, sigma.to_json()],
+                    "lhs": lhs.to_json(),
+                    "rhs": rhs.to_json(),
+                }
+            )
     return _report("module", failures, total, n=ctx.n)
 
 
@@ -434,12 +411,11 @@ def generic_suite(
     """gl_n commutator identities for the orbit action at a generic point
     (order 3 by default); the default labels are those of
     `GENERIC_LABELS_3` that move only rows below the point's order, and an
-    empty list of labels or generators runs no check.  The left side runs through the memoized `generic_act`; like
-    `module_suite`'s it is zero at xg == yg and built once per unordered
-    pair and label, its negation serving the mirror pair
-    (`commutator_once`).  The right side runs through `generic_act_element`
-    directly, an unmemoized oracle, from one `phi_combination` per ordered
-    pair."""
+    empty list of labels or generators runs no check.  The left side runs
+    through the memoized `generic_act`, built once per unordered pair and
+    label (`commutator_checks`).  The right side runs through
+    `generic_act_element` directly, an unmemoized oracle, from one
+    `phi_combination` per ordered pair."""
     x = x or GENERIC_POINT_3
     if labels is None:
         labels = [y for y in GENERIC_LABELS_3 if all(k < x.n for k, _ in y.terms)]
@@ -447,25 +423,16 @@ def generic_suite(
         generators = all_generators(x.n)
     failures = []
     total = 0
-    held: dict = {}
-    zero = OrbitVector.zero()
-    for xg in generators:
-        for yg in generators:
-            rhs_elem = phi_combination(x.n, gl_bracket(xg, yg))
-            for idx, y in enumerate(labels):
-                total += 1
-                lhs = commutator_once(
-                    held,
-                    xg,
-                    yg,
-                    lambda: generic_act(x, xg, generic_act(x, yg, y))
-                    - generic_act(x, yg, generic_act(x, xg, y)),
-                    zero,
-                    idx,
-                )
-                rhs = generic_act_element(x, rhs_elem, y)
-                if lhs != rhs:
-                    failures.append(
-                        {"pair": [list(xg), list(yg)], "label": y.to_json()}
-                    )
+    for xg, yg, y, lhs, rhs in commutator_checks(
+        generators,
+        labels,
+        lambda xg, yg, y: generic_act(x, xg, generic_act(x, yg, y))
+        - generic_act(x, yg, generic_act(x, xg, y)),
+        lambda key: phi_combination(x.n, key),
+        lambda e, y: generic_act_element(x, e, y),
+        OrbitVector.zero(),
+    ):
+        total += 1
+        if lhs != rhs:
+            failures.append({"pair": [list(xg), list(yg)], "label": y.to_json()})
     return _report("generic", failures, total, n=x.n)

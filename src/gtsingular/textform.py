@@ -16,8 +16,16 @@ from .ratfun import RationalFunction
 
 
 def frac_text(q: Fraction) -> str:
+    """p/q, or p for an integer.  ValueError, naming the environment
+    variable that raises it, past Python's int digit limit."""
     q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    try:
+        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    except ValueError as exc:
+        raise ValueError(
+            f"a result has more than {sys.get_int_max_str_digits()} digits; "
+            "set PYTHONINTMAXSTRDIGITS to a larger limit to print it"
+        ) from exc
 
 
 def mono_text(m: Monomial) -> str:

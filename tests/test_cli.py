@@ -34,8 +34,8 @@ def test_shift_spec_grammar():
     assert shift_spec(Shift.identity()) == "id"
     with pytest.raises(Exception):
         parse_shift_spec("(2,1)")
-    with pytest.raises(Exception):
-        parse_basis_spec("D5:id")
+    with pytest.raises(ValueError, match="KIND:SHIFTSPEC"):
+        parse_basis_spec("D1")
 
 
 def test_phi_text(capsys):
@@ -80,6 +80,10 @@ def test_act_usage_errors(tmp_path, capsys):
     assert code == 2 and "transposition-fixed" in err
     code, _, err = run(capsys, "act", "--gen", "9,9", "--basis", "D1:id")
     assert code == 2
+    # the kind is refused by the one label rule, not by the parser
+    assert run(capsys, "act", "--gen", "2,2", "--basis", "D3:id") == (
+        2, "", "error: unknown distribution kind 'D3'\n"
+    )
     for basis in ("D1:(0,1)+1", "D1:(2,3)+1"):
         code, _, err = run(capsys, "act", "--gen", "1,1", "--basis", basis)
         assert code == 2 and len(err.splitlines()) == 1 and "position" in err
@@ -315,7 +319,8 @@ def test_a_result_too_long_to_print_keeps_the_exit_contract(tmp_path, capsys, co
     pt.write_text(json.dumps({"n": 3, "rows": rows}))
     code, out, err = run(capsys, "act", "--point", str(pt), "--gen", "1,2", "--basis", "D1:id")
     assert (code, out) == (2, "") and len(err.splitlines()) == 1
-    assert err.startswith("error:") and "Traceback" not in err
+    assert err.startswith("error: a result has more than") and "Traceback" not in err
+    assert "PYTHONINTMAXSTRDIGITS" in err and "set_int_max_str_digits" not in err
     if len(coordinate) == 4000:
         code, out, err = run(capsys, "act", "--point", str(pt), "--gen", "1,1", "--basis", "D1:id")
         assert (code, err) == (0, "") and out == f"D1:id = {coordinate}\n"

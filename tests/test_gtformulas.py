@@ -9,7 +9,7 @@ from gtsingular import gtformulas, ratfun
 from gtsingular.gtformulas import (
     all_generators,
     bracket,
-    commutator_once,
+    commutator_checks,
     convention,
     gl_bracket,
     phi_combination,
@@ -328,24 +328,42 @@ def test_commutator_of_images_matches_two_products(n, diagonal_only, count):
         assert ring_commutator(a, b) == ring_mul_circ(a, b) - ring_mul_circ(b, a), (x, y)
 
 
-def test_commutator_once_builds_each_unordered_pair_once_per_label():
+def test_commutator_checks_builds_each_unordered_pair_once_per_label():
     """Diagonal pairs are zero unbuilt; the first of (x, y) and (y, x) at a
-    label builds, the other takes its negation; nothing stays held."""
-    gens = [(1, 2), (2, 1), (1, 1)]
-    built, values, held = [], {}, {}
-    for x in gens:
-        for y in gens:
-            for label in ("a", "b"):
-                def build():
-                    built.append((x, y, label))
-                    return len(built)
+    label builds, the other takes its negation, so nothing stays held; one
+    element per ordered pair, after the pair's first left side; an empty
+    list of labels or generators builds nothing."""
+    gens, labels = [(1, 2), (2, 1), (1, 1)], ["a", "b"]
+    events = []
 
-                values[x, y, label] = commutator_once(held, x, y, build, 0, label)
-    assert built == [(x, y, label) for i, x in enumerate(gens) for y in gens[i + 1:]
-                     for label in ("a", "b")]
-    assert all(values[x, y, lb] == -values[y, x, lb] for x, y, lb in values)
-    assert all(values[x, x, lb] == 0 for x in gens for lb in ("a", "b"))
-    assert held == {}
+    def left(x, y, d):
+        events.append((x, y, d))
+        return len(events)
+
+    def element(key):
+        events.append(key)
+        return key
+
+    checks = list(commutator_checks(gens, labels, left, element, lambda e, d: (e, d), 0))
+    assert [(x, y, d, rhs) for x, y, d, _, rhs in checks] == [
+        (x, y, d, (tuple(gl_bracket(x, y)), d)) for x in gens for y in gens for d in labels
+    ]
+    # the left side of each first-come label, the element after the first one
+    assert events == [
+        event
+        for i, x in enumerate(gens)
+        for j, y in enumerate(gens)
+        for k, d in enumerate(labels)
+        for event in [(x, y, d)] * (i < j) + [tuple(gl_bracket(x, y))] * (k == 0)
+    ]
+    lhs = {(x, y, d): value for x, y, d, value, _ in checks}
+    assert all(lhs[x, x, d] == 0 for x in gens for d in labels)
+    # every held negation was taken by its mirror, never built itself
+    assert all(lhs[x, y, d] == -lhs[y, x, d] != 0 for x, y, d in lhs if x != y)
+    events.clear()
+    assert list(commutator_checks(gens, [], left, element, lambda e, d: e, 0)) == []
+    assert list(commutator_checks([], labels, left, element, lambda e, d: e, 0)) == []
+    assert events == []
 
 
 def test_commutator_antisymmetry_of_reports():

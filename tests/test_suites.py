@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from gtsingular import distributions, suites
+from gtsingular import distributions, gtformulas, suites
 from gtsingular.distributions import (
     DistVector,
     act,
@@ -23,6 +23,7 @@ from gtsingular.gtformulas import (
     gl_bracket,
     phi_combination,
     phi_general,
+    verify_homomorphism,
 )
 from gtsingular.poly import Polynomial
 from gtsingular.ratfun import RationalFunction
@@ -373,6 +374,43 @@ def test_suites_build_each_commutator_once(monkeypatch):
     assert report["ok"] and report["total"] == 486
     # 9 generators make 36 unordered pairs, times 6 labels
     assert counts == {"act_lie": 0, "act": 0, "generic_act": 4 * 36 * 6}
+
+
+def test_suites_call_what_the_bench_probes_count(monkeypatch):
+    """The benchmark marks its op boundaries at these calls and refuses a
+    round whose count is off: one `gtformulas.phi_combination` per ordered
+    pair of `verify_homomorphism(3)`, after the pair's left side; one
+    `suites.phi_combination` per ordered pair of `generic_suite()`; and one
+    `suites.act` per check of `module_suite()`, in (x, y, sample) order."""
+    calls = []
+    real_phi, real_bracket = gtformulas.phi_combination, gtformulas.bracket
+    monkeypatch.setattr(
+        gtformulas, "phi_combination", lambda n, key: calls.append(key) or real_phi(n, key)
+    )
+    monkeypatch.setattr(
+        gtformulas, "bracket", lambda *args: calls.append("bracket") or real_bracket(*args)
+    )
+    assert verify_homomorphism(3)["ok"]
+    gens = all_generators(3)
+    # the first of (x, y) and (y, x) builds its bracket, then takes its element
+    assert calls == [
+        call
+        for i, x in enumerate(gens)
+        for j, y in enumerate(gens)
+        for call in ["bracket"] * (i < j) + [tuple(gl_bracket(x, y))]
+    ]
+    assert len(calls) == 81 + 36
+    counts = _count_calls(monkeypatch, ["phi_combination"])
+    assert generic_suite()["ok"] and counts == {"phi_combination": 81}
+    vectors = []
+    real_act = suites.act
+    monkeypatch.setattr(
+        suites, "act", lambda ctx, e, d: vectors.append(d) or real_act(ctx, e, d)
+    )
+    ctx = canonical_context()
+    assert module_suite(ctx)["total"] == 196
+    sample = [DistVector.from_terms(ctx, [(kind, sigma, 1)]) for kind, sigma in sample_basis(ctx)]
+    assert vectors == sample * 49
 
 
 def _double_one_generator(monkeypatch, name, gen):
