@@ -22,7 +22,7 @@ forms is expanded to be read: each form is one integer pair on the line,
 memoized there, and `Line.product_series` multiplies the pairs,
 truncated.  The denominator is always read from its forms (a polynomial
 term's is 1), and a numerator from the linear factors its coefficient
-stores (`_num_forms`, on image coefficients, their multiples, shifts and
+stores (`_num_forms`, on image coefficients, their multiples and
 transposes); any other from its terms by `Polynomial.line_series`.  The weights of B's
 sides are 1 or +-1/2, so a column adds each target's jets with the side's
 sign, as integers over one common denominator, and doubles that

@@ -141,8 +141,8 @@ def _image(r: int, s: int) -> RingElement:
     factors, (sign, {form: multiplicity}) in `_num_forms`, and builds no
     expanded numerator: `RationalFunction.num` expands it on first use.
     `distributions` reads the jets from the factors, and the transposition
-    and the shifts keep them, so an image's tau-invariance is decided with
-    no expansion."""
+    keeps them, so an image's tau-invariance is decided with no
+    expansion."""
     if r == s:
         p = Polynomial.constant(r - 1)
         for i in range(1, r + 1):

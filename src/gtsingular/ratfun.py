@@ -39,17 +39,13 @@ and cached.
 A `gtformulas.phi_general` image coefficient stores its numerator as its
 linear factors, `_num_forms` = (unit, {monic form: e}) with num == unit *
 prod(form**e), and no expanded `num`: the `num` property expands the
-factors on first use and keeps the result in the slot `_num`.  Scaling and
-negation keep the factors, with the unit times the scalar, beside any
-expanded numerator.  `subs_offsets` and `swap_vars` move the numerator as
-it is kept: an expanded one when there is one, at the cost it always had,
-else the factors, each form through `_shifted_form` or `_swapped_form`
-and the transposition's units folded into the unit.  Every other result
-is expanded and has no factors.  Sums, general products and printing
-expand a factored operand once; `evaluate` multiplies its forms'
-values.  Inside this module the stored `_num` is read directly and the
-property is called only where it is None, so a value that was never
-factored pays nothing for the factored form.
+factors on first use and keeps the result in the slot `_num`.  Only `num`,
+== between two factored values, `swap_vars` of a value not yet expanded
+(each form through `_swapped_form`, the transposition's units folded into
+the unit), scaling and negation (the unit times the scalar, in
+`_with_num`) and the module jets (`distributions._side_jet`) read the
+factors; every other operation, a shift included, reads `num`, and its
+result has no factors.
 
 Equality has two paths.  When both sides are factored, == compares the
 units and the factor dicts, with no expansion: a monic linear form is
@@ -69,9 +65,8 @@ shift moves only a form's constant, l(x - a) = l(x) - sum c_v a_v, so
 whole offsets; a transposition is cached on (form, a, b) with the unit it
 leaves, an int for the Gelfand-Tsetlin forms, whose -1 negates the
 numerator.  (`skewring` likewise decides once per form and point whether
-the form vanishes there.)  `evaluate` runs `_int_eval` on num, or on each
-of its factors, and on each form over one common denominator and builds
-one Fraction.
+the form vanishes there.)  `evaluate` runs `_int_eval` on num and on each
+form over one common denominator and builds one Fraction.
 
 The constructor RationalFunction(num, den) normalises a pair not already
 known to be reduced.  It takes a constant or linear den and raises
@@ -354,10 +349,7 @@ class RationalFunction:
         return not self.forms
 
     def is_constant(self) -> bool:
-        if self.forms:
-            return False
-        num = self._num
-        return (self.num if num is None else num).is_constant()
+        return not self.forms and self.num.is_constant()
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
@@ -371,10 +363,7 @@ class RationalFunction:
         if a is not None and b is not None:
             # unique factorization: the units and the dicts of monic forms
             return a == b
-        n1, n2 = self._num, other._num
-        if n1 is None or n2 is None:
-            n1, n2 = self.num, other.num
-        return n1 == n2
+        return self.num == other.num
 
     def __hash__(self) -> int:
         # forms is canonical as a dict, and equal functions have equal
@@ -415,8 +404,7 @@ class RationalFunction:
         return out
 
     def _residue_at(self, form: Polynomial) -> int | None:
-        num = self._num
-        return _memo_residue(self._memo(), self.num if num is None else num, form)
+        return _memo_residue(self._memo(), self.num, form)
 
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
         if not isinstance(other, RationalFunction):
@@ -425,9 +413,7 @@ class RationalFunction:
             return other
         if other.is_zero():
             return self
-        n1, n2 = self._num, other._num
-        if n1 is None or n2 is None:
-            n1, n2 = self.num, other.num
+        n1, n2 = self.num, other.num
         f1, f2 = self.forms, other.forms
         # Over the lcm of the two multisets, a form whose multiplicities
         # differ still divides exactly one cofactor, so only forms shared
@@ -466,14 +452,11 @@ class RationalFunction:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return RationalFunction.zero()
-        # is_constant keeps the expanded numerator of a constant
         if self.is_constant():
-            return other.scale(self._num.constant_value())
+            return other.scale(self.num.constant_value())
         if other.is_constant():
-            return self.scale(other._num.constant_value())
-        n1, n2 = self._num, other._num
-        if n1 is None or n2 is None:
-            n1, n2 = self.num, other.num
+            return self.scale(other.num.constant_value())
+        n1, n2 = self.num, other.num
         f1, f2 = self.forms, other.forms
         # each side is reduced, so n1 can only cancel against f2, n2 against f1
         n1, f2, res1 = _cancel(n1, f2, self._memo())
@@ -516,19 +499,9 @@ class RationalFunction:
         return _monic_form(lin)[1] in self.forms
 
     def evaluate(self, coords: Mapping[Var, Fraction]) -> Fraction:
-        num_forms = self._num_forms
-        if num_forms is None:
-            d = self._num.terms
-            xs, q = _int_point(coords, d, *(form.terms for form in self.forms))
-            nq, dq = _int_eval(d, xs, q), self._num.den * q ** _top_degree(d)
-        else:
-            # a factored numerator is the product of its forms' values
-            unit, nforms = num_forms
-            xs, q = _int_point(coords, *(f.terms for f in nforms), *(f.terms for f in self.forms))
-            nq, dq = unit.numerator, unit.denominator
-            for form, e in nforms.items():
-                nq *= _int_eval(form.terms, xs, q) ** e
-                dq *= (form.den * q) ** e
+        num = self.num
+        xs, q = _int_point(coords, num.terms, *(form.terms for form in self.forms))
+        nq, dq = _int_eval(num.terms, xs, q), num.den * q ** _top_degree(num.terms)
         for form, e in self.forms.items():
             f = _int_eval(form.terms, xs, q)
             if not f:
@@ -539,15 +512,9 @@ class RationalFunction:
 
     def subs_offsets(self, offsets: Mapping[Var, Fraction]) -> "RationalFunction":
         # affine substitution is a ring automorphism fixing leading terms,
-        # so reducedness, the monic forms and a factored numerator's unit
-        # survive untouched
+        # so reducedness and the monic forms survive untouched
         forms = {_shifted_form(form, offsets): e for form, e in self.forms.items()}
-        num = self._num
-        if num is not None:
-            return RationalFunction._make(num.subs_offsets(offsets), forms)
-        unit, nforms = self._num_forms
-        nforms = {_shifted_form(form, offsets): e for form, e in nforms.items()}
-        return RationalFunction._make(None, forms, None, (unit, nforms))
+        return RationalFunction._make(self.num.subs_offsets(offsets), forms)
 
     def swap_vars(self, a: Var, b: Var) -> "RationalFunction":
         # an automorphism again, but the leading term of a form may move:

@@ -1,4 +1,6 @@
+import contextlib
 import importlib
+import io
 import json
 import os
 import runpy
@@ -8,6 +10,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gtsingular
 from gtsingular import cli, suites
@@ -533,3 +536,113 @@ def test_verify_failure_lines_render_only_as_text(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--n", "2", "ring", "--format", "json")
     assert code == 1 and "checks" not in json.loads(out)
     assert json.loads(out)["failures"] == report["failures"]
+
+
+# --- the exit contract on generated input ----------------------------------
+
+def exit_contract(argv) -> int:
+    """main's exit code on argv, asserting the contract: 0, or 2 with
+    exactly one stderr line and nothing on stdout.  main never raises."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    assert code in (0, 2), (argv, code, err.getvalue())
+    if code == 2:
+        assert out.getvalue() == "" and len(err.getvalue().splitlines()) == 1, (argv, err.getvalue())
+    return code
+
+
+def spaced(text):
+    """text with spaces drawn around it."""
+    return st.tuples(st.sampled_from(["", " ", "  "]), st.sampled_from(["", " "])).map(
+        lambda pad: pad[0] + text + pad[1]
+    )
+
+
+def mostly(good, bad):
+    """A draw of good three times in four, else of bad."""
+    return st.sampled_from([good, good, good, bad]).flatmap(lambda strategy: strategy)
+
+
+# a shift atom (k,i)+m or (k,i)-m, spaced or not: at one of the three
+# positions of rows 1 and 2, which the order-3 module shifts, so a spec
+# often repeats a position, or at any position of rows up to 4
+POSITION = st.one_of(st.integers(1, 2).flatmap(lambda k: st.tuples(st.just(k), st.integers(1, k))),
+                     st.tuples(st.integers(0, 4), st.integers(0, 4)))
+ATOM = st.tuples(POSITION, st.sampled_from(["+", "-"]), st.integers(0, 3)).flatmap(
+    lambda a: spaced(f"({a[0][0]},{a[0][1]}){a[1]}{a[2]}")
+)
+SHIFT_SPEC = mostly(
+    st.one_of(
+        spaced("id"),
+        st.tuples(st.lists(ATOM, min_size=1, max_size=4), st.sampled_from(["", "", " ", ","])).map(
+            lambda t: ",".join(t[0]) + t[1]
+        ),
+    ),
+    st.text(alphabet="()+-,0123456789 id", max_size=12),
+)
+BASIS_SPEC = mostly(
+    st.tuples(st.sampled_from(["D1", "D2"]), SHIFT_SPEC).map(":".join),
+    st.one_of(st.tuples(st.sampled_from(["D3", "d1", "T", ""]), SHIFT_SPEC).map(":".join),
+              SHIFT_SPEC),
+)
+GEN_SPEC = mostly(
+    st.tuples(st.integers(1, 3), st.integers(1, 3)).map(lambda rs: f"{rs[0]},{rs[1]}"),
+    st.one_of(
+        st.tuples(st.integers(-1, 5), st.integers(-1, 5)).map(lambda rs: f"{rs[0]},{rs[1]}"),
+        st.text(alphabet="0123456789,- x", max_size=6),
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(GEN_SPEC, BASIS_SPEC)
+def test_act_keeps_the_exit_contract_on_generated_specs(gen, basis):
+    """act at the shipped order-3 point, 1-singular at (2,1,2), on
+    generated generator and basis specs: well-formed ones of every kind and
+    row, repeated, spaced and trailing atoms, and malformed ones."""
+    exit_contract(["act", "--gen", gen, "--basis", basis])
+
+
+SHIPPED_ROWS = [["1/5"], ["1/3", "1/3"], ["1/7", "2/11", "3/13"]]
+BAD_LITERAL = st.sampled_from(["x", "1/0", "", "1//2", "nan", "inf", "1e", "--1", 5, 1.5, None,
+                               [], "1/3 "])
+
+
+@st.composite
+def malformed_points(draw):
+    """The shipped point's JSON with one or two defects: a missing key, an
+    order that is not a JSON integer or disagrees with the rows, a short or
+    long row, a bad literal."""
+    data = {"n": 3, "rows": [list(row) for row in SHIPPED_ROWS]}
+    for _ in range(draw(st.integers(1, 2))):
+        defect = draw(st.sampled_from(["key", "n", "row", "literal"]))
+        rows = data.get("rows")
+        if defect == "key":
+            data.pop(draw(st.sampled_from(["n", "rows"])), None)
+        elif defect == "n":
+            data["n"] = draw(st.sampled_from([3.0, "3", True, None, [3], 0, 1, 2, 4, -3, 13]))
+        elif defect == "row" and rows:
+            k = draw(st.integers(0, len(rows) - 1))
+            if draw(st.booleans()) or not rows[k]:
+                rows[k] = rows[k] + ["1/2"]
+            else:
+                rows[k] = rows[k][:-1]
+        elif defect == "literal" and rows:
+            k = draw(st.integers(0, len(rows) - 1))
+            if rows[k]:
+                rows[k][draw(st.integers(0, len(rows[k]) - 1))] = draw(BAD_LITERAL)
+    return data
+
+
+@settings(max_examples=100, deadline=None)
+@given(malformed_points(), st.sampled_from(["classify", "act"]))
+def test_malformed_point_files_keep_the_exit_contract(tmp_path_factory, data, command):
+    """classify and act on a point file with generated defects: exit 2
+    with one stderr line, or 0 where the defects leave a valid point."""
+    point = tmp_path_factory.mktemp("point") / "p.json"
+    point.write_text(json.dumps(data))
+    argv = [command, "--point", str(point)]
+    if command == "act":
+        argv += ["--gen", "1,2", "--basis", "D1:id"]
+    exit_contract(argv)

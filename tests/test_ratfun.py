@@ -579,23 +579,26 @@ def test_memo_is_not_part_of_equality():
     assert len(set(routes)) == 1
 
 
-def test_only_scaling_and_automorphisms_keep_the_numerator_factors():
+def test_only_scaling_and_the_transposition_keep_the_numerator_factors():
     """An image coefficient's numerator factors (`_num_forms`, set by
-    `phi_general`) survive scaling and negation (test_skewring), a shift and
-    a transposition, each form moved as `_shifted_form` and `_swapped_form`
-    move it, and each copy's numerator expands to the transformed expanded
-    one.  A coefficient built from image coefficients in any other way is
-    expanded and carries none; a sum expands a factored operand first."""
+    `phi_general`) survive scaling and negation (test_skewring) and a
+    transposition, each form moved as `_swapped_form` moves it, and each
+    copy's numerator expands to the transposed expanded one.  A shift reads
+    the expanded numerator: its result carries no factors and equals the
+    shift of the expanded value.  A coefficient built from image
+    coefficients in any other way is expanded and carries none; a sum
+    expands a factored operand first."""
     h, g = phi_general(3, 3, 2).terms.values()  # linear numerators
     k = next(iter(phi_general(3, 1, 3).terms.values()))
     assert all(f._num_forms is not None for f in (h, g, k))
-    unit, forms = k._num_forms
+    forms = k._num_forms[1]
     # a copy that keeps only the factors, whatever other tests expanded
     factored = RationalFunction._make(None, k.forms, None, k._num_forms)
     offsets = {(2, 1): Fraction(1), (3, 3): Fraction(-2)}
-    moved = factored.subs_offsets(offsets)
-    assert moved._num_forms == (unit, {ratfun._shifted_form(f, offsets): e for f, e in forms.items()})
-    assert moved._num is None and moved.num == k.num.subs_offsets(offsets)
+    moved = RationalFunction._make(None, k.forms, None, k._num_forms).subs_offsets(offsets)
+    assert moved._num_forms is None
+    assert moved == RationalFunction._make(k.num, k.forms).subs_offsets(offsets)
+    assert moved.num == k.num.subs_offsets(offsets)
     for a, b in [((2, 1), (2, 2)), ((3, 1), (3, 3))]:
         swapped = factored.swap_vars(a, b)
         assert swapped._num is None and swapped._num_forms[1].keys() == {
@@ -788,33 +791,43 @@ def test_both_numerator_forms_agree_with_sympy(n):
     """Image coefficients at order n, and a factored value whose
     transpositions leave units other than +-1, each stored with only its
     factors and with only its expanded numerator, then scaled, negated,
-    shifted and transposed.  Every == between two results, factored or
-    expanded on either side, answers as sympy does on their numerators and
-    denominators, equal results hash alike, every result is sympy's
-    transform of the start, and a factored result evaluates at a point,
-    form by form, to the value of its expanded twin.  The == checks between
-    factored results run before any of them is expanded, so they take the
-    factored path.  A copy with its unit or one form's multiplicity changed
-    compares unequal."""
+    shifted and transposed, each transform on its own copy.  The shifts
+    read the expanded numerator and keep no factors; every other transform
+    of a factored copy keeps only factors.  Every == between two results,
+    factored or expanded on either side, answers as sympy does on their
+    numerators and denominators, equal results hash alike, every result is
+    sympy's transform of the start, and every result evaluates at a point to
+    the value of its expanded twin.  The == checks between factored results
+    run before any of them is expanded, so they take the factored path.  A
+    copy with its unit or one form's multiplicity changed compares
+    unequal."""
     ts = transforms(n)
     for h in image_sample(n, 3) + ([GENERAL] if n == 3 else []):
         factored, expanded = stored_both_ways(h)
         start = sympy_pair(expanded)
         sym = [t_sym(start) for _, _, t_sym in ts]
-        by_f = [t(factored) for _, t, _ in ts]
+        by_f = [t(stored_both_ways(h)[0]) for _, t, _ in ts]
         by_e = [t(expanded) for _, t, _ in ts]
-        assert all(f._num is None and f._num_forms is not None for f in by_f)
+        kept = [i for i, (name, _, _) in enumerate(ts) if not name.startswith("shift")]
+        assert all((f._num_forms is not None) is (i in kept) for i, f in enumerate(by_f))
+        assert all(by_f[i]._num is None for i in kept)
         assert all(e._num_forms is None for e in by_e)
         assert start[0].gcd(start[1]).is_ground
         want = {(i, j): sympy_equal(a, b) for i, a in enumerate(sym) for j, b in enumerate(sym)}
-        # factored on both sides first, then mixed, which expands
-        for left, right in [(by_f, by_f), (by_f, by_e), (by_e, by_f)]:
-            for (i, j), equal in want.items():
+
+        def check(left, right, pairs):
+            for i, j in pairs:
                 a, b = left[i], right[j]
-                assert (a == b) is equal, (ts[i][0], ts[j][0])
-                assert not equal or hash(a) == hash(b)
-            if left is right:
-                assert all(f._num is None for f in by_f)
+                assert (a == b) is want[i, j], (ts[i][0], ts[j][0])
+                assert not want[i, j] or hash(a) == hash(b)
+
+        # factored on both sides first, then the rest, which expands
+        both = [(i, j) for i in kept for j in kept]
+        check(by_f, by_f, both)
+        assert all(by_f[i]._num is None for i in kept)
+        check(by_f, by_f, [ij for ij in want if ij not in both])
+        check(by_f, by_e, want)
+        check(by_e, by_f, want)
         unit, forms = factored._num_forms
         form = next(iter(forms), ratfun._monic_form(poly_var(1, 1) - poly_var(2, 2))[1])
         controls = [
@@ -828,4 +841,4 @@ def test_both_numerator_forms_agree_with_sympy(n):
         point = {v: Fraction(1, p) for v, p in zip(positions(n), PRIMES)}
         for (name, _, _), f, e, want_f in zip(ts, by_f, by_e, sym):
             assert sympy_equal(sympy_pair(f), want_f), name
-            assert stored_both_ways(f)[0].evaluate(point) == e.evaluate(point), name
+            assert f.evaluate(point) == e.evaluate(point), name

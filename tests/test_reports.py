@@ -1,6 +1,9 @@
 """tools/reports.py's summary of a check's repeated runs."""
 
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "reports.py"
@@ -37,3 +40,19 @@ def test_verdicts():
     # a run with a failed check fails the summary, whatever the digests
     failed = reports.summarize([run(1.0, 1), run(1.0, 1, passed=2)])
     assert failed["passed"] == 2 and reports.verdict(name, failed) == "FAILED"
+
+
+def test_a_check_runs_without_the_test_extras():
+    """A `--child images6` run reads its point from fixtures/ and imports
+    the package and the standard library only: sympy is not loaded."""
+    code = (
+        "import runpy, sys\n"
+        "sys.argv = [sys.argv[0], '--child', 'images6']\n"
+        f"runpy.run_path({str(TOOL)!r}, run_name='__main__')\n"
+        "print('sympy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    report, loaded = proc.stdout.splitlines()
+    assert json.loads(report)["report"]["passed"] == 36
+    assert loaded == "False"

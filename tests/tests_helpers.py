@@ -4,6 +4,7 @@ the test suite."""
 import math
 from fractions import Fraction
 from functools import cache
+from pathlib import Path
 
 import sympy
 
@@ -19,35 +20,21 @@ from gtsingular.tableau import Point, apply_shift
 
 VARS3 = [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)]
 
+# The points the heavy checks of tools/reports.py run at, each read from
+# its file under fixtures/, named by its order and singular pair.
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+
 # An order-4 point, 1-singular at the row-3 pair (3,1,2); every other
 # coordinate has its own prime denominator.
-ROW3_POINT = Point.from_rows(
-    [
-        [Fraction(1, 5)],
-        [Fraction(1, 3), Fraction(1, 7)],
-        [Fraction(2, 11), Fraction(2, 11), Fraction(3, 13)],
-        [Fraction(1, 17), Fraction(2, 19), Fraction(3, 23), Fraction(4, 29)],
-    ]
-)
+ROW3_POINT = Point.load(FIXTURES / "point_n4_3_1_2.json")
 
 # An order-5 point, 1-singular at the row-2 pair (2,1,2); every other
 # coordinate has its own prime denominator.
-ORDER5_ROWS = [
-    [Fraction(1, 5)],
-    [Fraction(1, 3), Fraction(1, 3)],
-    [Fraction(1, 7), Fraction(2, 11), Fraction(3, 13)],
-    [Fraction(1, 17), Fraction(2, 19), Fraction(3, 23), Fraction(4, 29)],
-    [Fraction(1, 31), Fraction(2, 37), Fraction(3, 41), Fraction(4, 43), Fraction(5, 47)],
-]
-ORDER5_POINT = Point.from_rows(ORDER5_ROWS)
+ORDER5_POINT = Point.load(FIXTURES / "point_n5_2_1_2.json")
 
 # ORDER5_POINT with a sixth row of prime denominators: an order-6 point,
 # 1-singular at (2,1,2) again.
-ORDER6_POINT = Point.from_rows(
-    ORDER5_ROWS
-    + [[Fraction(1, 53), Fraction(2, 59), Fraction(3, 61), Fraction(4, 67), Fraction(5, 71),
-        Fraction(6, 73)]]
-)
+ORDER6_POINT = Point.load(FIXTURES / "point_n6_2_1_2.json")
 
 
 def mono_degree(m):

@@ -3,14 +3,16 @@
 Usage (from the repository root): python3 tools/reports.py [--runs N] [CHECK ...]
 
 The checks are `verify_homomorphism(4)`, the all-16 order-4 `module_suite`
-and the order-4 `appendix_suite` at (3,1,2) on `tests_helpers.ROW3_POINT`,
-the all-25 order-5 `module_suite` and the order-5 `appendix_suite` at
-(2,1,2) on `tests_helpers.ORDER5_POINT`, `images6`: the 36 order-6
-generator images built and each one's invariance under the transposition
-at (2,1,2) on `tests_helpers.ORDER6_POINT` decided (`images_report`), and
-`corner6`: the order-6 `module_suite` at (2,1,2) on `ORDER6_POINT` over
-the corner set E(1,6), E(6,1), E(5,6), E(6,5), E(2,2); with no CHECK
-named, all seven run.
+and the order-4 `appendix_suite` at (3,1,2) on the point of
+`fixtures/point_n4_3_1_2.json`, the all-25 order-5 `module_suite` and the
+order-5 `appendix_suite` at (2,1,2) on `fixtures/point_n5_2_1_2.json`,
+`images6`: the 36 order-6 generator images built and each one's
+invariance under the transposition at (2,1,2) on
+`fixtures/point_n6_2_1_2.json` decided (`images_report`), and `corner6`:
+the order-6 `module_suite` at (2,1,2) on that point over the corner set
+E(1,6), E(6,1), E(5,6), E(6,5), E(2,2); with no CHECK named, all seven
+run.  The tests read the same files (`tests_helpers.ROW3_POINT`,
+`ORDER5_POINT`, `ORDER6_POINT`).
 Each runs in its own interpreter, so no memo of one serves another.  For
 each, one line gives passed/total, the seconds the check took (imports and
 point setup aside), the process's peak RSS and the first 12 hex digits of
@@ -20,10 +22,9 @@ gives the median seconds with the [min-max] range, and the largest peak
 RSS.  Exit status: 2 for an unknown CHECK or a bad N, 1 when a check
 fails, crashes, its runs' digests disagree or its digest differs from the
 pinned one, else 0.
-Besides the package and `tests/tests_helpers.py` (which imports the test
-extras) it uses the standard library only.  All seven took 45 s in one
-run on a loaded shared 2-core machine (CPython 3.11.7), 18 s of it
-`corner6`; the six others took about 15 s in all on a quieter run.
+Besides the package it uses the standard library only.  All seven took
+45 s in one run on a loaded shared 2-core machine (CPython 3.11.7), 18 s
+of it `corner6`; the six others took about 15 s in all on a quieter run.
 """
 
 import argparse
@@ -71,15 +72,13 @@ def images_report(ctx, n: int) -> dict:
 
 def run_check(name: str) -> dict:
     """Run one check in this process: its report, seconds and peak RSS."""
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+    sys.path[:0] = [str(ROOT / "src")]
     from gtsingular.gtformulas import all_generators, verify_homomorphism
     from gtsingular.suites import appendix_suite, module_suite
-    from gtsingular.tableau import SingularContext
-    from tests_helpers import ORDER5_POINT, ORDER6_POINT, ROW3_POINT
+    from gtsingular.tableau import Point, SingularContext
 
-    ctx4 = SingularContext(ROW3_POINT)
-    ctx5 = SingularContext(ORDER5_POINT)
-    ctx6 = SingularContext(ORDER6_POINT)
+    ctx4, ctx5, ctx6 = (SingularContext(Point.load(ROOT / "fixtures" / f"point_{stem}.json"))
+                        for stem in ("n4_3_1_2", "n5_2_1_2", "n6_2_1_2"))
     check = {
         "homomorphism4": lambda: verify_homomorphism(4),
         "module4": lambda: module_suite(ctx4, generators=all_generators(4)),
