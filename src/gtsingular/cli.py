@@ -2,15 +2,16 @@
 classification, and the named verification suites.
 
 Exit codes: 0 success (all checks passed), 1 verification failure, 2 usage
-or input error, argparse's own included, or a run that exhausts memory
-(one stderr line, empty stdout, no traceback).  `main` is the one place
-where a `ValueError` becomes exit 2: the parsers, the library's input
-checks and printing (an integer past Python's digit limit) all raise one,
-and no command catches it itself.
+or input error, argparse's own included, a run that exhausts memory or a
+result that cannot be written (one stderr line, empty stdout, no
+traceback).  `main` is the one place where a `ValueError` or an `OSError`
+becomes exit 2: the parsers, the library's input checks and printing (an
+integer past Python's digit limit) raise a ValueError, a full disk or a
+closed pipe an OSError, and no command catches either itself.
 
-Each command imports the modules it uses when it runs, so a process loads,
-and without bytecode on disk compiles, only those, and renders its result
-only in the format asked for.
+Each command imports the modules it uses when it runs, a suite from the
+module `SUITES` names, so a process loads, and without bytecode on disk
+compiles, only those, and renders its result only in the format asked for.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
+import os
 import re
 import sys
 from typing import TYPE_CHECKING
@@ -28,28 +30,15 @@ if TYPE_CHECKING:
 
 _SHIFT_ATOM = r"\((\d+),(\d+)\)([+-]\d+)"
 
-# Each suite runs on the order (--n) or on the singular context of the
-# point that --point and --n select, at the point's own singular pair.  A
-# suite is named here and looked up in this module when it runs, so a
-# wrapper bound to that name (a tracer span, a test stub) sees the call;
-# until one is bound, the name resolves to the suite in its own module
-# (`__getattr__`).
+# suite -> (what it takes: the order or the point's singular context, module, function)
 SUITES = {
-    "ring": ("order", "ring_suite"),
-    "homomorphism": ("order", "verify_homomorphism"),
-    "singularity": ("context", "singularity_suite"),
-    "module": ("context", "module_suite"),
-    "appendix": ("context", "appendix_suite"),
-    "functional": ("context", "functional_suite"),
+    "ring": ("order", "suites", "ring_suite"),
+    "homomorphism": ("order", "gtformulas", "verify_homomorphism"),
+    "singularity": ("context", "suites", "singularity_suite"),
+    "module": ("context", "suites", "module_suite"),
+    "appendix": ("context", "suites", "appendix_suite"),
+    "functional": ("context", "suites", "functional_suite"),
 }
-
-
-def __getattr__(name: str):
-    """A suite's function, imported from its module on first use."""
-    if name not in {fn for _, fn in SUITES.values()}:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    home = "gtformulas" if name == "verify_homomorphism" else "suites"
-    return getattr(importlib.import_module(f".{home}", __package__), name)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -164,12 +153,12 @@ def verify_text(suite: str, report: dict) -> str:
 
 
 def _emit(fmt: str, render_json, render_text) -> None:
-    """Print the result in the chosen format; only that format's renderer
-    runs."""
+    """Print the result in the chosen format, flushed, so a result that
+    cannot be written raises here; only that format's renderer runs."""
     if fmt == "json":
-        print(json.dumps(render_json(), sort_keys=True, indent=2))
+        print(json.dumps(render_json(), sort_keys=True, indent=2), flush=True)
     else:
-        print(render_text())
+        print(render_text(), flush=True)
 
 
 def cmd_phi(args) -> int:
@@ -212,12 +201,12 @@ def cmd_verify(args) -> int:
         raise ValueError("pick a suite: " + ", ".join(sorted(SUITES)))
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from " + ", ".join(sorted(SUITES)))
-    takes, name = SUITES[suite]
+    takes, home, name = SUITES[suite]
     if takes == "order" and args.point:
         raise ValueError(f"suite {suite} runs on --n only; it takes no --point")
     from .tableau import SingularContext
 
-    suite_fn = getattr(sys.modules[__name__], name)
+    suite_fn = getattr(importlib.import_module(f".{home}", __package__), name)
     report = suite_fn(SingularContext(_point(n, point)) if takes == "context" else n)
     _emit(
         args.format,
@@ -267,7 +256,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
@@ -276,7 +265,13 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError:  # main reported the result it could not write: drop it
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -53,12 +53,12 @@ its denominator's forms (the tests check that rule against the quotient
 rule on the expanded numerator and denominator).  One label rule,
 `_label`, refuses a wrong kind, a shift outside rows 1..n-1 and D2 on a
 tau-fixed shift with ValueError:
-`DistVector.from_terms` (the one way in from outside), `act`,
-`apply_dist` and `appendix_act` read every label through it, and one parity
-rule, `SingularContext.representative`, reduces it.  The generic orbit
-action's vectors are `SparseSum`s of shifts (`OrbitVector`); `generic_act`
-extends its columns, memoized per point, generator and label, through the
-same linear helper.
+`DistVector.from_terms`, the one public constructor (`DistVector(...)`
+raises TypeError), `act`, `apply_dist` and `appendix_act` read every label
+through it, and one parity rule, `SingularContext.representative`, reduces
+it.  The generic orbit action's vectors are `SparseSum`s of shifts
+(`OrbitVector`); `generic_act` extends its columns, memoized per point,
+generator and label, through the same linear helper.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .gtformulas import GeneratorId, phi_general
 from .poly import Line, Polynomial, divexact
@@ -95,13 +95,13 @@ class InvariantViolation(RuntimeError):
 
 
 class DistVector(SparseSum):
-    """Finite rational combination of basis distributions; `from_terms` is
-    the one way in for a label from outside."""
+    """Finite rational combination of basis distributions; `from_terms`
+    is the one public constructor, and `zero()` the empty vector."""
 
     __slots__ = ()
 
-    def __init__(self, terms: Mapping[tuple[str, Shift], Fraction] | None = None):
-        super().__init__((BasisVec(*key), Fraction(c)) for key, c in (terms or {}).items())
+    def __init__(self, *args, **kwargs):
+        raise TypeError("build a DistVector with DistVector.from_terms(ctx, terms)")
 
     @classmethod
     def from_terms(
@@ -162,22 +162,22 @@ def _side_jet(
     otherwise.  The triple is canonical, q > 0 and gcd(lo, hi, q) = 1, so
     the jets memo holds the smallest integers.  h is reduced, so it is
     regular there exactly when its reduced denominator does not vanish
-    there, and has a simple pole when that denominator is zform times one
-    that does not.  One jet serves both kinds; `_read_jet` gives each kind
-    its pair.  The series are integers over one denominator each, N / nd
-    for the numerator and D / dd for the denominator, so c0 = N0 dd D0 /
-    (nd D0^2) and c1 = (N1 D0 - D1 N0) dd / (nd D0^2), divided by the gcd
-    of the three.  The denominator series is the product of its forms'
+    there, and has a simple pole when that denominator is zform, monic as
+    z1 minus an integer and so listed in `forms`, times one that does not.
+    One jet serves both kinds; `_read_jet` gives each kind its pair.  The
+    series are integers over one denominator each, N / nd for the
+    numerator and D / dd for the denominator, so c0 = N0 dd D0 / (nd D0^2)
+    and c1 = (N1 D0 - D1 N0) dd / (nd D0^2), divided by the gcd of the
+    three.  The denominator series is the product of its forms'
     (`Line.product_series`), (1, 0, 0) over 1 for a polynomial.  When h
     carries its numerator's factors, num = unit * prod(form**e)
-    (`_num_forms`), num's series is the unit times their product's,
-    read from the forms too; otherwise it is read from num's terms
-    (`Polynomial.line_series`)."""
+    (`_num_forms`), num's series is the unit times their product's, read
+    from the forms too; otherwise from num's terms (`Polynomial.line_series`)."""
     kernel, zform = line
     den, dd = kernel.product_series(h.forms)
     pole = not den[0]
     if pole:
-        if not den[1] or not h.den_divisible_by(zform):
+        if not den[1] or zform not in h.forms:
             return None
         # h = num / (zform r), zform = e on the line, so r is den shifted
         # down one order and r(base) = den[1] != 0
@@ -350,11 +350,6 @@ def _linear(column, d):
     return type(d)._raw({key: Fraction(n, q) for key, (n, _, q) in acc.items() if n})
 
 
-def _check_invariant(ctx: SingularContext, a: RingElement) -> None:
-    if not is_tau_invariant(ctx, a):
-        raise MembershipError("ring element is not invariant under the transposition")
-
-
 def act(
     ctx: SingularContext, a: RingElement, d: "BasisVec | DistVector"
 ) -> DistVector:
@@ -375,7 +370,8 @@ def act(
         memo = a._act = {}
     found = memo.get(ctx)
     if found is None:
-        _check_invariant(ctx, a)
+        if not is_tau_invariant(ctx, a):
+            raise MembershipError("ring element is not invariant under the transposition")
         found = memo[ctx] = ({}, {})
     jets, columns = found
 

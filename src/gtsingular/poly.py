@@ -397,7 +397,9 @@ def _normal(terms: IntTerms, den: int) -> Polynomial:
     if not terms:
         return Polynomial._raw({})
     g = _int_content(terms, den) if den != 1 else 1
-    return Polynomial._raw(_int_scale_div(terms, g), den // g)
+    if g != 1:
+        terms = {m: c // g for m, c in terms.items()}
+    return Polynomial._raw(terms, den // g)
 
 
 @lru_cache(maxsize=None)
@@ -519,12 +521,6 @@ def _int_content(d: IntTerms, g: int = 0) -> int:
         if g == 1:
             return 1
     return g
-
-
-def _int_scale_div(d: IntTerms, k: int) -> IntTerms:
-    if k == 1:
-        return d
-    return {m: c // k for m, c in d.items()}
 
 
 def _int_mul(a: IntTerms, b: IntTerms) -> IntTerms:

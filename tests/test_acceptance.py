@@ -144,10 +144,11 @@ def test_criterion_10_cli_determinism(tmp_path, capsys, monkeypatch):
         capsys.readouterr()
         # a failing suite exits 1
         import gtsingular.cli as cli_mod
+        import gtsingular.gtformulas as gtformulas_mod
 
-        assert cli_mod.SUITES["homomorphism"] == ("order", "verify_homomorphism")
+        assert cli_mod.SUITES["homomorphism"] == ("order", "gtformulas", "verify_homomorphism")
         monkeypatch.setattr(
-            cli_mod,
+            gtformulas_mod,
             "verify_homomorphism",
             lambda n: {
                 "suite": "homomorphism",

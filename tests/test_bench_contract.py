@@ -63,34 +63,74 @@ def test_traced_layers_resolve():
     assert absent == KNOWN_ABSENT
 
 
-def test_worker_names_exist():
-    tree = ast.parse((PERFBENCH / "worker.py").read_text(encoding="utf-8"))
-    probes = []
-    used = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Probe":
-            owner = ast.unparse(node.args[0])
-            names = ast.literal_eval(node.args[1])
-            probes += [(owner, n) for n in ([names] if isinstance(names, str) else names)]
-        elif isinstance(node, ast.Attribute) and ast.unparse(node.value) in WORKER_ALIASES:
-            used.append((ast.unparse(node.value), node.attr))
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("gtsingular."):
-            mod = node.module.split(".", 1)[1]
-            used += [(mod, alias.name) for alias in node.names]
-    assert len(probes) >= 8
-    for owner, name in probes + used:
-        mod = WORKER_ALIASES.get(owner, owner)
-        assert hasattr(module(mod), name), f"worker.py uses gtsingular.{mod}.{name}"
-
-
-def worker_calls(tree):
-    """(module, name, call) for each call worker.py makes on a package-module
-    alias or on a name it imports from the package."""
+def imported_names(tree):
+    """{local name: (module, name)} for each name the script imports from a
+    package module."""
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("gtsingular."):
             mod = node.module.split(".", 1)[1]
             imported.update({alias.asname or alias.name: (mod, alias.name) for alias in node.names})
+    return imported
+
+
+def package_names(tree):
+    """(module, dotted path) for each package name the script uses: a name
+    it imports from a package module, an attribute of a package-module
+    alias, and an attribute of an imported name, such as
+    DistVector.from_terms."""
+    imported = imported_names(tree)
+    yield from imported.values()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            owner = ast.unparse(node.value)
+            if owner in WORKER_ALIASES:
+                yield WORKER_ALIASES[owner], node.attr
+            elif owner in imported:
+                mod, name = imported[owner]
+                yield mod, f"{name}.{node.attr}"
+
+
+def resolves(mod, path) -> bool:
+    owner = module(mod)
+    for part in path.split("."):
+        if not hasattr(owner, part):
+            return False
+        owner = getattr(owner, part)
+    return True
+
+
+def test_worker_names_exist():
+    tree = ast.parse((PERFBENCH / "worker.py").read_text(encoding="utf-8"))
+    probes = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Probe":
+            owner = WORKER_ALIASES[ast.unparse(node.args[0])]
+            names = ast.literal_eval(node.args[1])
+            probes += [(owner, n) for n in ([names] if isinstance(names, str) else names)]
+    assert len(probes) >= 8
+    for mod, path in probes + list(package_names(tree)):
+        assert resolves(mod, path), f"worker.py uses gtsingular.{mod}.{path}"
+
+
+def test_record_reference_names_exist():
+    """record_reference.py, which re-records the outputs the benchmark
+    checks against, uses only names the package has: each name it imports
+    and each attribute it reads of one."""
+    tree = ast.parse((PERFBENCH / "record_reference.py").read_text(encoding="utf-8"))
+    used = set(package_names(tree))
+    assert ("distributions", "DistVector.from_terms") in used
+    assert {name for _, name in imported_names(tree).values()} >= {
+        "DistVector", "act", "gl_bracket", "phi_combination", "phi_general", "Shift",
+        "canonical_context"}
+    for mod, path in sorted(used):
+        assert resolves(mod, path), f"record_reference.py uses gtsingular.{mod}.{path}"
+
+
+def worker_calls(tree):
+    """(module, name, call) for each call worker.py makes on a package-module
+    alias or on a name it imports from the package."""
+    imported = imported_names(tree)
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
@@ -143,3 +183,26 @@ def test_phi_hit_counter_reads_the_image_builder():
     assert tracer.counts["gtformulas.phi.hit"] == 1
     phi(4, 1, 2)
     assert tracer.counts["gtformulas.phi.hit"] == 2
+
+
+def test_act_repeat_counter_hashes_what_act_receives():
+    """The tracer counts a distributions.act repeat when act meets a
+    context, element and vector it has met before.  Its key hashes the ring
+    element, and so the element's rational-function coefficients, which no
+    untraced run hashes: a first call counts no repeat, and the same image
+    on the same label again counts one."""
+    from gtsingular import distributions
+    from gtsingular.gtformulas import phi_general
+    from gtsingular.sparse import BasisVec
+    from gtsingular.tableau import Shift, canonical_context
+
+    traced = load_tracer()
+    tracer = traced.Tracer()
+    before, after = traced._act_hooks(tracer, distributions.act)
+    act = tracer.wrap("distributions.act", distributions.act, before, after)
+    ctx = canonical_context()
+    image, label = phi_general(3, 2, 3), BasisVec("D1", Shift.identity())
+    act(ctx, image, label)
+    assert tracer.counts.get("distributions.act.repeat", 0) == 0
+    act(ctx, image, label)
+    assert tracer.counts["distributions.act.repeat"] == 1

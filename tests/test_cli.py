@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gtsingular
-from gtsingular import cli, suites
+from gtsingular import cli, gtformulas, suites
 from gtsingular.cli import main, parse_basis_spec, parse_shift_spec, shift_spec
 from gtsingular.distributions import DistVector
 from gtsingular.tableau import Shift, canonical_test_point
@@ -304,9 +304,63 @@ def test_out_of_memory_keeps_the_exit_contract(capsys, monkeypatch):
     def exhausted(n):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "verify_homomorphism", exhausted)
+    monkeypatch.setattr(gtformulas, "verify_homomorphism", exhausted)
     code, out, err = run(capsys, "verify", "--n", "3", "homomorphism")
     assert code == 2 and out == "" and err == "error: out of memory\n"
+
+
+def test_a_result_that_cannot_be_written_keeps_the_exit_contract(capsys, monkeypatch):
+    """A closed pipe on stdout: the console entry exits 2 with one stderr
+    line, not 1, the code of a failed check, and drops the unwritten
+    result, so the flush at exit has nowhere to fail."""
+    read, write = os.pipe()
+    os.close(read)
+    closed = open(write, "w", encoding="utf-8")
+    monkeypatch.setattr("sys.stdout", closed)
+    monkeypatch.setattr("sys.argv", ["gtsingular", "classify"])
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+    closed.close()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("phi", "--n", "3", "--gen", "1,3"),
+        ("act", "--gen", "2,3", "--basis", "D2:(2,2)+1"),
+        ("classify",),
+        ("verify", "--n", "3", "ring", "--format", "json"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_closed_or_full_stdout_exits_2_with_one_line(argv):
+    """A gtsingular process whose stdout is a pipe with no reader, buffered
+    or not, or /dev/full where it exists, exits 2 with one `error:` line
+    and no traceback or shutdown message."""
+    src = str(Path(gtsingular.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)
+
+    def run_into(stdout, env):
+        return subprocess.run(
+            [sys.executable, "-m", "gtsingular.cli", *argv],
+            stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+
+    for unbuffered in (False, True):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = run_into(write, dict(env, PYTHONUNBUFFERED="1") if unbuffered else env)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (2, "error: [Errno 32] Broken pipe\n"), unbuffered
+    if os.path.exists("/dev/full"):
+        with open("/dev/full", "w") as full:
+            proc = run_into(full, env)
+        assert (proc.returncode, proc.stderr) == (2, "error: [Errno 28] No space left on device\n")
 
 
 @pytest.mark.parametrize(
@@ -444,15 +498,12 @@ def test_help_still_exits_zero(capsys):
 
 def test_package_names_resolve_on_first_use():
     """Each name of gtsingular.__all__ is its module's object, imported on
-    first use; an unknown name raises AttributeError, in the package and
-    in cli, whose suite names resolve to the suites themselves."""
+    first use; an unknown name raises AttributeError."""
     for name in gtsingular.__all__:
         home = importlib.import_module(f"gtsingular.{gtsingular._HOME[name]}")
         assert getattr(gtsingular, name) is getattr(home, name)
     with pytest.raises(AttributeError):
         gtsingular.no_such_name
-    assert not hasattr(cli, "no_such_suite")
-    assert cli.module_suite is suites.module_suite
 
 
 LOADED = """
@@ -528,7 +579,7 @@ def test_verify_failure_lines_render_only_as_text(capsys, monkeypatch):
     report without its checks."""
     report = {"suite": "ring", "ok": False, "passed": 1, "total": 2, "checks": [1, 2],
               "failures": [{"pair": [[1, 2], [2, 1]]}]}
-    monkeypatch.setattr(cli, "ring_suite", lambda n: report, raising=False)
+    monkeypatch.setattr(suites, "ring_suite", lambda n: report)
     code, out, _ = run(capsys, "verify", "--n", "2", "ring")
     assert code == 1
     assert out == 'suite ring: 1/2 passed\nFAIL {"pair": [[1, 2], [2, 1]]}\n'

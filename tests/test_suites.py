@@ -123,13 +123,13 @@ def test_module_suite_checks_each_element_once(monkeypatch):
     commutator checks."""
     ctx = SingularContext(canonical_test_point())  # no image has acted in it
     checks = []
-    real = distributions._check_invariant
+    real = distributions.is_tau_invariant
 
     def recorded(ctx, a):
         checks.append(a)
         return real(ctx, a)
 
-    monkeypatch.setattr(distributions, "_check_invariant", recorded)
+    monkeypatch.setattr(distributions, "is_tau_invariant", recorded)
     report = module_suite(ctx)
     assert report["ok"] and report["total"] == 196
     assert len(checks) == len({id(a) for a in checks}) == 20
@@ -324,7 +324,7 @@ def test_a_fixed_d2_sample_is_refused_as_input(monkeypatch):
     monkeypatch.setattr(suites, "act", lambda ctx, a, d: seen.append(d) or act(ctx, a, d))
     swapped = module_suite(ctx, [(2, 3), (1, 2)], [("D2", Shift({(2, 1): 1}))])
     assert swapped["ok"] and swapped["total"] == 4
-    assert set(seen) == {DistVector({("D2", Shift({(2, 2): 1})): -1})}
+    assert set(seen) == {DistVector.from_terms(ctx, [("D2", Shift({(2, 2): 1}), -1)])}
 
 
 @pytest.mark.parametrize("suite", [module_suite, appendix_suite])
