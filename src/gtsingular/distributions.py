@@ -48,9 +48,10 @@ columns per label as integers over one denominator, with one Fraction per
 nonzero entry.  `evaluate_at_v` is the action on ev_v, itself the basis
 vector D1_id.  `appendix_act`, an independent oracle, reads D1_sigma as
 the derivative-tableau symbol T(v + sigma) and D2_sigma as DT(v + sigma)
-and each coefficient's value and z1-slope at v by the quotient rule over
-its denominator's forms (the tests check that rule against the quotient
-rule on the expanded numerator and denominator).  One label rule,
+and each coefficient's value and z1-slope at v (of z1 h on a D1 label, a
+product `*` forms by lowering z1's form) by the quotient rule over its
+denominator's forms (the tests check that rule against the quotient rule
+on the expanded numerator and denominator).  One label rule,
 `_label`, refuses a wrong kind, a shift outside rows 1..n-1 and D2 on a
 tau-fixed shift with ValueError:
 `DistVector.from_terms`, the one public constructor (`DistVector(...)`
@@ -70,7 +71,7 @@ from typing import Iterable
 
 from .gtformulas import GeneratorId, phi_general
 from .poly import Line, Polynomial, divexact
-from .ratfun import RationalFunction, multiply_by_linear
+from .ratfun import RationalFunction
 from .skewring import RingElement, is_tau_invariant
 from .sparse import BasisVec, SparseSum, add_term
 from .tableau import (
@@ -144,9 +145,7 @@ def _side_line(ctx: SingularContext, side: Shift) -> tuple[Line, Polynomial]:
     the line.  Memoized per context and side; the identity's line is v's
     own.  The kernel's form pairs fill as jets are read, so every column on
     the side shares them."""
-    coords = dict(ctx.v.coords)
-    for pos, m in side.terms.items():
-        coords[pos] -= m
+    coords = apply_shift(side.inverse(), ctx.v).coords
     zform = ctx.z1_poly - Polynomial.constant(coords[ctx.pos_i] - coords[ctx.pos_j])
     return Line(coords, ctx.pos_i, ctx.pos_j), zform
 
@@ -496,7 +495,7 @@ def appendix_act(ctx: SingularContext, gen: GeneratorId, e: DistVector) -> DistV
         for rho, h in a.terms.items():
             g = shift_subst(h, sigma)
             if not odd:
-                g = multiply_by_linear(g, ctx.z1_poly)
+                g = g * ctx.z1
             value, slope = _value_and_slope(ctx, g)
             target = sigma * rho
             terms.append(("D1", target, c * slope))

@@ -27,7 +27,7 @@ the product of its forms' residues at the test point (a cofactor holding
 the form vanishes there, so only the side holding it at the top
 multiplicity contributes).  A product multiplies its factors' residues,
 and derives its memo only when a later operation first needs it.
-Negation and scaling keep no residues.
+Negation, scaling and a product by a linear polynomial keep no residues.
 Dividing out a form f divides every other entry by f's residue at that
 entry's point, and drops the entry when that residue is 0.  A missing
 entry is evaluated on the operand that lacks it, one factor or one term.
@@ -74,8 +74,9 @@ known to be reduced.  It takes a constant or linear den and raises
 ValueError on any other: no denominator is factored, so a value such as
 1/z^2 is built from linear forms, as z**-2.  The reciprocal of a numerator
 of degree 2 or more, through `/` or a negative power, raises the same
-error.  Every other operation builds its result directly on the forms, and
-a product with a constant factor only scales the other numerator.
+error.  Every other operation builds its result directly on the forms.  In
+a product a constant factor only scales the other numerator, and a linear
+polynomial cancels only its own form (it is irreducible), with no test.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ _NOT_LINEAR = "a denominator must be constant or linear; build others from linea
 
 def _is_linear(p: Polynomial) -> bool:
     """Degree exactly 1."""
-    return not p.is_constant() and _top_degree(p.terms) == 1
+    return _top_degree(p.terms) == 1
 
 
 def _expand(forms) -> Polynomial:
@@ -454,6 +455,16 @@ class RationalFunction:
             return other.scale(self.num.constant_value())
         if other.is_constant():
             return self.scale(other.num.constant_value())
+        # a linear polynomial is irreducible, so it can cancel only its own
+        # form, once: no residue test or division runs
+        for f, g in ((self, other), (other, self)):
+            if not g.forms and _is_linear(g.num):
+                lc, form = _monic_form(g.num)
+                forms = dict(f.forms)
+                e = forms.pop(form, 0)
+                if e > 1:
+                    forms[form] = e - 1
+                return RationalFunction._make(f.num.scale(lc) if e else f.num * g.num, forms)
         n1, n2 = self.num, other.num
         f1, f2 = self.forms, other.forms
         # each side is reduced, so n1 can only cancel against f2, n2 against f1
@@ -532,16 +543,3 @@ class RationalFunction:
 
         return rf_text(self)
 
-
-def multiply_by_linear(f: RationalFunction, lin: Polynomial) -> RationalFunction:
-    """f * lin for a linear polynomial lin; a listed form cancels with no test or division."""
-    if f.is_zero():
-        return f
-    lc, form = _monic_form(lin)
-    forms = dict(f.forms)
-    e = forms.pop(form, 0)
-    if not e:
-        return RationalFunction._make(f.num * lin, f.forms)
-    if e > 1:
-        forms[form] = e - 1
-    return RationalFunction._make(f.num.scale(lc), forms)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .poly import Polynomial
-from .ratfun import RationalFunction, _monic_form
+from .ratfun import RationalFunction
 from .sparse import SparseSum, add_term
 from .tableau import Point, Shift, SingularContext, shift_subst
 
@@ -129,11 +129,10 @@ def is_at_most_one_singular(ctx: SingularContext, a: RingElement) -> bool:
     holomorphic at v up to one simple z1 pole, the condition products of
     admissible elements satisfy.  z1*h is singular at v exactly when one of
     its forms vanishes there, which is decided once per (form, point).
-    Those are h's forms with one power of z1's form cancelled
-    (`multiply_by_linear`), so they are read off h; z1*h is not built."""
-    z1 = _monic_form(ctx.z1_poly)[1]
+    Those are h's forms with one power of z1 (monic, as i < j) cancelled,
+    as `*` cancels it, so they are read off h; z1*h is not built."""
     for h in a.terms.values():
         for form, e in h.forms.items():
-            if _vanishes_at(form, ctx.v) and (e > 1 or form != z1):
+            if _vanishes_at(form, ctx.v) and (e > 1 or form != ctx.z1_poly):
                 return False
     return True

@@ -45,7 +45,7 @@ from .gtformulas import (
     commutator_checks,
     phi_combination,
 )
-from .poly import Monomial, Polynomial, Var, _normal, _var_mono
+from .poly import Monomial, Polynomial, _normal, _var_mono
 from .ratfun import RationalFunction
 from .skewring import (
     RingElement,
@@ -85,12 +85,6 @@ def appendix_sample(ctx: SingularContext) -> list[tuple[str, Shift]]:
 
 
 @lru_cache(maxsize=None)
-def _positions(n: int) -> tuple[Var, ...]:
-    """The positions of order n, in `positions` order."""
-    return tuple(positions(n))
-
-
-@lru_cache(maxsize=None)
 def _variables(n: int) -> tuple[Monomial, ...]:
     """The monomials x_v over the positions of order n, in `positions`
     order; ValueError past MAX_ORDER."""
@@ -116,7 +110,7 @@ def random_shift(rng: random.Random, n: int, radius: int = 1) -> Shift:
     w = 2 * radius + 1
     k = w.bit_length()
     out = {}
-    for v in _positions(n - 1):
+    for v in positions(n - 1):
         r = getrandbits(k)
         while r >= w:
             r = getrandbits(k)

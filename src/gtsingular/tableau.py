@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, NamedTuple, TypeVar
+from typing import Iterable, Mapping, NamedTuple, TypeVar
 
 from .poly import Polynomial, Var, check_var
 from .ratfun import RationalFunction
@@ -21,10 +21,9 @@ from .sparse import SparseSum
 RF = TypeVar("RF", Polynomial, RationalFunction)
 
 
-def positions(n: int) -> Iterator[Var]:
-    for k in range(1, n + 1):
-        for i in range(1, k + 1):
-            yield (k, i)
+@lru_cache(maxsize=None)
+def positions(n: int) -> tuple[Var, ...]:
+    return tuple((k, i) for k in range(1, n + 1) for i in range(1, k + 1))
 
 
 class Shift(SparseSum):

@@ -7,7 +7,7 @@ import sympy
 from gtsingular import poly, ratfun
 from gtsingular.gtformulas import phi_general
 from gtsingular.poly import Polynomial, divexact
-from gtsingular.ratfun import PoleError, RationalFunction, multiply_by_linear
+from gtsingular.ratfun import PoleError, RationalFunction
 from gtsingular.tableau import positions
 from gtsingular.textform import rf_text
 from tests_helpers import VARS3, assert_canonical, random_poly, random_rf, rf_derivative, to_sympy
@@ -177,7 +177,7 @@ def test_forms_path_matches_sympy(seed):
     assert_matches_sympy(f / h, sf / sh)
     for lin in (random_linear(rng), next(iter(f.forms)).scale(3)):
         assert_matches_sympy(f / RationalFunction.from_poly(lin), sf / to_sympy(lin))
-        assert_matches_sympy(multiply_by_linear(f, lin), sf * to_sympy(lin))
+        assert_matches_sympy(f * RationalFunction.from_poly(lin), sf * to_sympy(lin))
     pt = {v: Fraction(rng.randint(1, 40), rng.randint(7, 13)) for v in VARS3}
     at = {sym(v): rat(c) for v, c in pt.items()}
     if sympy.fraction(sympy.cancel(sf))[1].subs(at) == 0:
@@ -355,22 +355,55 @@ def test_arithmetic_with_other_types_is_not_implemented():
         f / X11.num
 
 
-def test_multiply_by_linear_lowers_a_listed_form():
+def test_a_linear_factor_lowers_a_listed_form():
     """A listed form loses one multiplicity, and leaves the map at zero;
     the linear factor's leading coefficient moves to the numerator."""
     z1, w = X21 - X22, X11 - X21
     f = X11 / z1 / z1 / w
-    g = multiply_by_linear(f, z1.num.scale(3))
+    g = f * z1.scale(3)
     assert g.forms == {z1.num: 1, w.num: 1} and g == RationalFunction.constant(3) * X11 / z1 / w
-    h = multiply_by_linear(g, z1.num)
+    h = z1 * g
     assert h.forms == {w.num: 1} and h == RationalFunction.constant(3) * X11 / w
     assert f.forms == {z1.num: 2, w.num: 1}
 
 
+def test_a_linear_factor_cancels_only_its_own_form(monkeypatch):
+    """f * L and L * f for a linear polynomial L: L is irreducible, so its
+    monic form, listed 0, 1 or 2 times in f, loses one multiplicity, or L
+    multiplies the numerator.  No residue test or division runs (`_cancel`
+    raises), and each product is sympy's, for a monic L, for 3 z1 and for
+    a form with a fractional leading coefficient."""
+    p, c = Polynomial.variable, Polynomial.constant
+    lins = [
+        p(1, 1) - p(2, 2) + c(2),
+        (p(2, 1) - p(2, 2)).scale(3),
+        p(2, 1).scale(Fraction(3, 2)) - p(2, 2) + c(Fraction(1, 2)),
+    ]
+    units = [ratfun._monic_form(lin)[0] for lin in lins]
+    assert units[0] == 1 and units[1] == 3 and units[2].denominator != 1
+    cases = []
+    for lin in lins:
+        form = ratfun._monic_form(lin)[1]
+        f = (X11 * X11 + X22) / (X11 - X21)
+        for e in range(3):
+            assert f.forms.get(form, 0) == e
+            cases.append((f, RationalFunction.from_poly(lin), form, e))
+            f = f / RationalFunction.from_poly(form)
+
+    def no_test(*args):
+        raise AssertionError("a residue test ran")
+
+    monkeypatch.setattr(ratfun, "_cancel", no_test)
+    for f, lin, form, e in cases:
+        for product in (f * lin, lin * f):
+            assert product.forms.get(form, 0) == max(e - 1, 0)
+            assert_matches_sympy(product, sympy_rf(f) * to_sympy(lin.num))
+
+
 def test_zero_and_constant_guards():
     zero = RationalFunction.zero()
-    z1 = (X21 - X22).num
-    assert multiply_by_linear(zero, z1) is zero
+    z1 = X21 - X22
+    assert (zero * z1).is_zero() and (z1 * zero).is_zero()
     assert RationalFunction.constant(Fraction(3, 4)).constant_value() == Fraction(3, 4)
     with pytest.raises(ValueError, match="not constant"):
         (ONE / (X21 - X22)).constant_value()
@@ -609,8 +642,7 @@ def test_only_scaling_and_the_transposition_keep_the_numerator_factors():
     built = [
         h + g, h + h, h - g, k + X11, factored + X11, h * g, h * h, k * X11, h / g,
         k**1, k**2, h**-1, h.reciprocal(),
-        RationalFunction(k.num, z1), multiply_by_linear(k, z1),
-        multiply_by_linear(k, Polynomial.variable(1, 1)),
+        RationalFunction(k.num, z1), k * RationalFunction.from_poly(z1), X11 * k,
     ]
     for f in built:
         assert f._num_forms is None and f._num is not None, f

@@ -12,7 +12,7 @@ from gtsingular import ratfun
 from gtsingular.distributions import DistVector, apply_dist, materialize
 from gtsingular.gtformulas import phi_general
 from gtsingular.poly import _FIELD, Polynomial, divexact, mono_pairs
-from gtsingular.ratfun import PoleError, RationalFunction, multiply_by_linear
+from gtsingular.ratfun import PoleError, RationalFunction
 from gtsingular.skewring import ring_commutator, ring_mul_circ
 from gtsingular.sparse import BasisVec
 from gtsingular.suites import random_shift
@@ -163,7 +163,7 @@ def symbolic_act(ctx, a, bv):
     product = ring_mul_circ(materialize(ctx, bv), a)
     terms = []
     for rho, h in product.terms.items():
-        value, slope = z1_value_and_slope(ctx, multiply_by_linear(h, ctx.z1_poly))
+        value, slope = z1_value_and_slope(ctx, h * ctx.z1)
         terms.append(("D2", rho, value))
         terms.append(("D1", rho, slope))
     return DistVector.from_terms(ctx, terms)
@@ -177,7 +177,7 @@ def regular_on_orbit(ctx, a):
     not always this."""
     points = [ctx.v] + [apply_shift(sigma, ctx.v) for sigma in a.terms]
     for h in a.terms.values():
-        g = multiply_by_linear(h, ctx.z1_poly)
+        g = h * ctx.z1
         if any(form.evaluate(p.coords) == 0 for form in g.forms for p in points):
             return False
     return True
