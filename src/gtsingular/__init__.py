@@ -28,7 +28,6 @@ _EXPORTS = {
     "skewring": (
         "RingElement",
         "apply_to_function",
-        "group_act_on_ring",
         "is_at_most_one_singular",
         "is_tau_invariant",
         "ring_mul_circ",

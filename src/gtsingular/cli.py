@@ -1,13 +1,13 @@
 """Command-line surface: generator images, module actions, point
 classification, and the named verification suites.
 
-Exit codes: 0 success (all checks passed), 1 verification failure, 2 usage
-or input error, argparse's own included, a run that exhausts memory or a
-result that cannot be written (one stderr line, empty stdout, no
+Exit codes: 0 success (all checks passed, or -h), 1 verification failure, 2
+usage or input error, argparse's own included, a run that exhausts memory or
+a result or help that cannot be written (one stderr line, empty stdout, no
 traceback).  `main` is the one place where a `ValueError` or an `OSError`
 becomes exit 2: the parsers, the library's input checks and printing (an
-integer past Python's digit limit) raise a ValueError, a full disk or a
-closed pipe an OSError, and no command catches either itself.
+integer past Python's digit limit) raise a ValueError, a full disk, a closed
+pipe or a closed stdout an OSError, and no command catches either.
 
 Each command imports the modules it uses when it runs, a suite from the
 module `SUITES` names, so a process loads, and without bytecode on disk
@@ -17,6 +17,7 @@ compiles, only those, and renders its result only in the format asked for.
 from __future__ import annotations
 
 import argparse
+import errno
 import importlib
 import json
 import os
@@ -44,6 +45,10 @@ SUITES = {
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ValueError(message)
+
+    def print_help(self, file=None):
+        # -h passes no file; argparse's own would swallow a write error and exit 0
+        _write(self.format_help())
 
 
 def parse_shift_spec(spec: str) -> Shift:
@@ -152,13 +157,19 @@ def verify_text(suite: str, report: dict) -> str:
     return "\n".join(lines)
 
 
+def _write(text: str) -> None:
+    """Write to stdout, flushed: text that cannot be written raises here."""
+    if sys.stdout is None:
+        raise OSError(errno.EBADF, "standard output is closed")
+    sys.stdout.write(text)
+    sys.stdout.flush()
+
+
 def _emit(fmt: str, render_json, render_text) -> None:
-    """Print the result in the chosen format, flushed, so a result that
-    cannot be written raises here; only that format's renderer runs."""
-    if fmt == "json":
-        print(json.dumps(render_json(), sort_keys=True, indent=2), flush=True)
-    else:
-        print(render_text(), flush=True)
+    """Print the result in the chosen format through `_write`; only that
+    format's renderer runs."""
+    text = json.dumps(render_json(), sort_keys=True, indent=2) if fmt == "json" else render_text()
+    _write(text + "\n")
 
 
 def cmd_phi(args) -> int:
@@ -267,7 +278,8 @@ def main(argv=None) -> int:
 def entry() -> None:
     code = main()
     try:
-        sys.stdout.flush()
+        if sys.stdout is not None:
+            sys.stdout.flush()
     except OSError:  # main reported the result it could not write: drop it
         with open(os.devnull, "w") as devnull:
             os.dup2(devnull.fileno(), sys.stdout.fileno())

@@ -11,10 +11,11 @@ the basis: per term h sigma with g = z1 h,
 
 followed by reduction to ordered representatives (D1 is tau-even, D2
 tau-odd).  B o A is never formed.  Its coefficient on a target shift
-s rho is a signed sum, over the two sides s of B (one when tau fixes the
-label), of A's coefficient a_rho read on the z1 line through v - m(s).
-Evaluation is a ring homomorphism, so g is the same signed sum of the
-terms' jets on those lines: each line is one integer kernel (`poly.Line`,
+s rho is a signed sum, over the two sides s of B, sigma and tau sigma
+(`ctx.transpose`; one when tau fixes the label), of A's coefficient
+a_rho read on the z1 line through v - m(s).  Evaluation is a ring
+homomorphism, so g is the same signed sum of the terms' jets on those
+lines: each line is one integer kernel (`poly.Line`,
 built once per context and side), on which numerator and denominator
 restrict exactly to integers over one denominator each, and a jet is its
 two coefficients as integers over one denominator.  No product of linear
@@ -230,7 +231,7 @@ def _basis_sides(ctx: SingularContext, bv: BasisVec) -> list[tuple[Shift, Fracti
     odd, fixed = _label(ctx, bv.kind, sigma)
     if fixed:
         return [(sigma, Fraction(1))]
-    return [(sigma, _HALF), (ctx.tau_of_shift(sigma), -_HALF if odd else _HALF)]
+    return [(sigma, _HALF), (ctx.transpose(sigma), -_HALF if odd else _HALF)]
 
 
 def materialize(ctx: SingularContext, bv: BasisVec) -> RingElement:
@@ -499,6 +500,6 @@ def appendix_act(ctx: SingularContext, gen: GeneratorId, e: DistVector) -> DistV
             value, slope = _value_and_slope(ctx, g)
             target = sigma * rho
             terms.append(("D1", target, c * slope))
-            if ctx.tau_of_shift(target) != target:
+            if ctx.transpose(target) != target:
                 terms.append(("D2", target, c * value))
     return DistVector.from_terms(ctx, terms)

@@ -7,9 +7,10 @@ through the shift action on functions:
 
 extended bilinearly.  Shifts commute, so the commutator a o b - b o a is
 built in one pass over the term pairs, each pair landing on one shift; a
-shift-free side is factored out of its pair's two products.  The
-transposition of a singular pair acts as a ring automorphism.  `scale`
-scales each coefficient, which keeps its numerator's factors (`ratfun`).
+shift-free side is factored out of its pair's two products.  `swap_vars`
+exchanges two positions in shifts and coefficients, a ring automorphism
+for a same-row pair such as tau's.  `scale` scales each coefficient,
+which keeps its numerator's factors (`ratfun`).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .poly import Polynomial
+from .poly import Polynomial, Var
 from .ratfun import RationalFunction
 from .sparse import SparseSum, add_term
 from .tableau import Point, Shift, SingularContext, shift_subst
@@ -55,6 +56,10 @@ class RingElement(SparseSum):
         if c == 1:
             return self
         return RingElement._raw({s: f.scale(c) for s, f in self.terms.items()})
+
+    def swap_vars(self, a: Var, b: Var) -> "RingElement":
+        """Positions a and b exchanged in every shift and coefficient."""
+        return RingElement._raw({s.swap_vars(a, b): f.swap_vars(a, b) for s, f in self.terms.items()})
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -106,17 +111,8 @@ def apply_to_function(a: RingElement, f: RationalFunction) -> RationalFunction:
     return out
 
 
-def group_act_on_ring(ctx: SingularContext, a: RingElement) -> RingElement:
-    """Action of the singular-pair transposition: coefficients transposed,
-    shift components at the pair swapped.  An involutive ring automorphism."""
-    out: dict[Shift, RationalFunction] = {}
-    for s, f in a.terms.items():
-        add_term(out, ctx.tau_of_shift(s), ctx.transpose(f))
-    return RingElement._raw(out)
-
-
 def is_tau_invariant(ctx: SingularContext, a: RingElement) -> bool:
-    return group_act_on_ring(ctx, a) == a
+    return ctx.transpose(a) == a
 
 
 @lru_cache(maxsize=None)

@@ -50,7 +50,6 @@ from .ratfun import RationalFunction
 from .skewring import (
     RingElement,
     apply_to_function,
-    group_act_on_ring,
     is_at_most_one_singular,
     is_tau_invariant,
     ring_mul_circ,
@@ -202,7 +201,7 @@ def random_generator_form(rng: random.Random, ctx: SingularContext) -> RingEleme
         h = random_polynomial(rng, ctx.n, max_terms=2, max_deg=1, zero_ok=False)
         add_term(terms, random_shift(rng, ctx.n), RationalFunction(h, ctx.z1_poly))
     a = RingElement._raw(terms)
-    return a + group_act_on_ring(ctx, a)
+    return a + ctx.transpose(a)
 
 
 def random_invariant_polynomial(rng: random.Random, ctx: SingularContext) -> Polynomial:

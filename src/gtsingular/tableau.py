@@ -19,6 +19,7 @@ from .ratfun import RationalFunction
 from .sparse import SparseSum
 
 RF = TypeVar("RF", Polynomial, RationalFunction)
+T = TypeVar("T")  # any value with swap_vars(a, b)
 
 
 @lru_cache(maxsize=None)
@@ -58,6 +59,13 @@ class Shift(SparseSum):
     __mul__ = SparseSum.__add__
     inverse = SparseSum.__neg__
     is_identity = SparseSum.is_zero
+
+    def swap_vars(self, a: Var, b: Var) -> "Shift":
+        """The shift with its components at positions a and b exchanged."""
+        if self.component(a) == self.component(b):
+            return self
+        swap = {a: b, b: a}
+        return Shift._raw({swap.get(v, v): m for v, m in self.terms.items()})
 
     def scale(self, e) -> "Shift":
         """sigma^e for an integer e."""
@@ -222,9 +230,9 @@ class SingularContext:
     The point alone fixes the context: its one same-row integer pair
     (k, i, j), as `classify_point` reads it, is the singular pair.  Holds
     the order n, that pair, the point v with v(k,i) = v(k,j), the vanishing
-    linear form z1 = X(k,i) - X(k,j), and the transposition of the two
-    columns.  ValueError for a point that is not 1-singular, whose pair lies
-    in the bottom row, or whose pair values differ.
+    linear form z1 = X(k,i) - X(k,j), and tau, the transposition of the two
+    columns (`transpose`).  ValueError for a point that is not 1-singular,
+    whose pair lies in the bottom row, or whose pair values differ.
     """
 
     def __init__(self, v: Point):
@@ -250,22 +258,6 @@ class SingularContext:
         self.z1_poly = Polynomial.variable(k, i) - Polynomial.variable(k, j)
         self.z1 = RationalFunction.from_poly(self.z1_poly)
 
-    # -- transposition action ------------------------------------------------
-
-    def tau_of_shift(self, sigma: Shift) -> Shift:
-        mi = sigma.component(self.pos_i)
-        mj = sigma.component(self.pos_j)
-        if mi == mj:
-            return sigma
-        out = dict(sigma.terms)
-        out.pop(self.pos_i, None)
-        out.pop(self.pos_j, None)
-        if mj:
-            out[self.pos_i] = mj
-        if mi:
-            out[self.pos_j] = mi
-        return Shift._raw(out)
-
     def representative(self, sigma: Shift, odd: bool) -> tuple[Shift, int]:
         """The label's ordered representative, with component(k,i) <=
         component(k,j), and the sign its coefficient takes there: a tau-odd
@@ -277,11 +269,11 @@ class SingularContext:
             return sigma, 1
         if mi == mj:
             return sigma, 0 if odd else 1
-        return self.tau_of_shift(sigma), -1 if odd else 1
+        return self.transpose(sigma), -1 if odd else 1
 
-    def transpose(self, f: RF) -> RF:
-        """Swap the two singular columns in a polynomial or rational function."""
-        return f.swap_vars(self.pos_i, self.pos_j)
+    def transpose(self, x: T) -> T:
+        """tau on a shift, polynomial, rational function or ring element."""
+        return x.swap_vars(self.pos_i, self.pos_j)
 
     def __repr__(self) -> str:
         return f"SingularContext(n={self.n}, pair=({self.k},{self.i},{self.j}))"

@@ -323,6 +323,12 @@ def test_a_result_that_cannot_be_written_keeps_the_exit_contract(capsys, monkeyp
     assert exc.value.code == 2
     assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
     closed.close()
+    # a stdout closed at start: Python sets sys.stdout to None
+    monkeypatch.setattr("sys.stdout", None)
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "error: [Errno 9] standard output is closed\n"
 
 
 @pytest.mark.parametrize(
@@ -332,21 +338,24 @@ def test_a_result_that_cannot_be_written_keeps_the_exit_contract(capsys, monkeyp
         ("act", "--gen", "2,3", "--basis", "D2:(2,2)+1"),
         ("classify",),
         ("verify", "--n", "3", "ring", "--format", "json"),
+        pytest.param(("-h",), id="help"),
+        pytest.param(("phi", "-h"), id="phi-help"),
     ],
     ids=lambda argv: argv[0],
 )
 def test_a_closed_or_full_stdout_exits_2_with_one_line(argv):
     """A gtsingular process whose stdout is a pipe with no reader, buffered
-    or not, or /dev/full where it exists, exits 2 with one `error:` line
-    and no traceback or shutdown message."""
+    or not, /dev/full where it exists, or closed at start (POSIX), exits 2
+    with one `error:` line and no traceback or shutdown message; so does
+    its help text."""
     src = str(Path(gtsingular.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     env.pop("PYTHONUNBUFFERED", None)
 
-    def run_into(stdout, env):
+    def run_into(stdout, env, **kw):
         return subprocess.run(
             [sys.executable, "-m", "gtsingular.cli", *argv],
-            stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+            stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=60, **kw,
         )
 
     for unbuffered in (False, True):
@@ -361,6 +370,9 @@ def test_a_closed_or_full_stdout_exits_2_with_one_line(argv):
         with open("/dev/full", "w") as full:
             proc = run_into(full, env)
         assert (proc.returncode, proc.stderr) == (2, "error: [Errno 28] No space left on device\n")
+    if os.name == "posix":
+        proc = run_into(None, env, preexec_fn=lambda: os.close(1))
+        assert (proc.returncode, proc.stderr) == (2, "error: [Errno 9] standard output is closed\n")
 
 
 @pytest.mark.parametrize(

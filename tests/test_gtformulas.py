@@ -20,7 +20,6 @@ from gtsingular.poly import Polynomial
 from gtsingular.ratfun import RationalFunction
 from gtsingular.skewring import (
     RingElement,
-    group_act_on_ring,
     is_at_most_one_singular,
     is_tau_invariant,
     ring_commutator,
@@ -208,7 +207,7 @@ def test_all_images_in_universal_ring():
 
 def test_tau_invariance_of_lowering_row2():
     a = phi_general(3, 3, 2)
-    assert group_act_on_ring(CTX, a) == a
+    assert CTX.transpose(a) == a
 
 
 # --- the product and the homomorphism --------------------------------------
@@ -428,9 +427,39 @@ def test_order6_images_are_tau_invariant_with_no_expansion(monkeypatch):
         if r != s:
             assert all(c._num is None for c in image.terms.values()), (r, s)
     corner = images[1, 6]
-    moved = next(rho for rho in corner.terms if ctx.tau_of_shift(rho) != rho)
+    moved = next(rho for rho in corner.terms if ctx.transpose(rho) != rho)
     broken = RingElement._raw({rho: c for rho, c in corner.terms.items() if rho != moved})
     assert not is_tau_invariant(ctx, broken)
+
+
+def same_row_pairs(n):
+    """Every transposition (k,i) <-> (k,j), i < j, of rows 2..n."""
+    return [((k, i), (k, j)) for k in range(2, n + 1)
+            for i in range(1, k + 1) for j in range(i + 1, k + 1)]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_images_are_invariant_under_every_same_row_transposition(n):
+    """U(gl_n) is a Galois order (Futorny and Ovsienko): its image is
+    invariant under the row-permutation group S_1 x ... x S_n, so under
+    every same-row transposition, not only the singular pair's tau."""
+    pairs = same_row_pairs(n)
+    assert len(pairs) * n * n == {3: 36, 4: 160, 5: 500}[n]
+    for r, s in all_generators(n):
+        image = phi_general(n, r, s)
+        for p, q in pairs:
+            assert image.swap_vars(p, q) == image, (r, s, p, q)
+
+
+def test_a_truncated_image_fails_the_transpositions_that_move_its_term():
+    """E(1,4)'s image with one term dropped: exactly the transpositions that
+    move the dropped term's shift break the invariance."""
+    image = phi_general(4, 1, 4)
+    dropped = image.support()[0]
+    broken = RingElement._raw({rho: c for rho, c in image.terms.items() if rho != dropped})
+    failing = [pq for pq in same_row_pairs(4) if broken.swap_vars(*pq) != broken]
+    assert failing == [pq for pq in same_row_pairs(4) if dropped.swap_vars(*pq) != dropped]
+    assert len(failing) == 3
 
 
 def test_phi_invalid_indices():

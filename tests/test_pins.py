@@ -2,11 +2,14 @@
 compared byte for byte.  A change to the coefficient representation must
 leave every one of them as it is."""
 
+import ast
 import hashlib
 import json
 import random
 from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 from gtsingular.cli import main
 from gtsingular.gtformulas import phi_general
@@ -18,6 +21,7 @@ from gtsingular.textform import rf_text
 from tests_helpers import mono_degree, rf_derivative
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+WORKER = REFERENCE.parent / "worker.py"
 VARS = [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)]
 
 
@@ -85,10 +89,34 @@ def test_order4_images_match_reference():
             assert sha16(text) == images[f"{r},{s}"], (r, s)
 
 
-def test_phi_n4_json_stdout_pinned(capsys):
-    cli = json.loads(REFERENCE.read_text(encoding="utf-8"))["cli"]
-    assert main(["phi", "--n", "4", "--gen", "1,4", "--format", "json"]) == 0
-    assert sha16(capsys.readouterr().out) == cli["phi-n4-14-json"]["stdout"]
+def worker_literals(*names):
+    """The benchmark worker's module-level literals by name, read with ast
+    and not run."""
+    tree = ast.parse(WORKER.read_text(encoding="utf-8"))
+    found = {node.targets[0].id: ast.literal_eval(node.value) for node in tree.body
+             if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in names}
+    return [found[name] for name in names]
+
+
+CLI_SCRIPT, GENERIC_POINT, SHIPPED_POINT = worker_literals(
+    "CLI_SCRIPT", "GENERIC_POINT", "SHIPPED_POINT"
+)
+
+
+@pytest.mark.parametrize(
+    "name, argv", [pytest.param(name, argv, id=name) for name, argv, _ in CLI_SCRIPT]
+)
+def test_cli_script_stdout_pinned(capsys, monkeypatch, tmp_path, name, argv):
+    """Each command of the benchmark's cli script, run in-process beside the
+    two point files it names, exits and prints as the reference records:
+    the exit code and the digest of stdout."""
+    for file, point in (("generic_point.json", GENERIC_POINT),
+                        ("shipped_point.json", SHIPPED_POINT)):
+        (tmp_path / file).write_text(json.dumps(point), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    want = json.loads(REFERENCE.read_text(encoding="utf-8"))["cli"][name]
+    assert main(list(argv)) == want["exit"]
+    assert sha16(capsys.readouterr().out) == want["stdout"]
 
 
 def draws_digest(draws) -> str:

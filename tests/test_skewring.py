@@ -3,13 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from gtsingular import ratfun
+from gtsingular import ratfun, suites
 from gtsingular.gtformulas import phi_general
 from gtsingular.poly import Polynomial
 from gtsingular.ratfun import RationalFunction
 from gtsingular.skewring import (
     RingElement,
-    group_act_on_ring,
+    apply_to_function,
     is_at_most_one_singular,
     is_tau_invariant,
     ring_commutator,
@@ -162,22 +162,35 @@ def test_ring_axioms_random(seed):
 
 def test_tau_action_examples():
     a = RingElement.term(ONE, S21)
-    assert group_act_on_ring(CTX, a) == RingElement.term(ONE, S22)
+    assert CTX.transpose(a) == RingElement.term(ONE, S22)
     half = Fraction(1, 1)
     b = RingElement([(S21, (ONE / Z1).scale(half)), (S22, -(ONE / Z1).scale(half))])
-    assert group_act_on_ring(CTX, b) == b
+    assert CTX.transpose(b) == b
     rng = random.Random(13)
     c = random_ring_element(rng)
-    assert group_act_on_ring(CTX, group_act_on_ring(CTX, c)) == c
+    assert CTX.transpose(CTX.transpose(c)) == c
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_tau_is_ring_automorphism(seed):
+    """tau, and any same-row swap on order-4 elements, is a ring
+    automorphism compatible with the action on functions."""
     rng = random.Random(800 + seed)
     a, b = random_ring_element(rng, 2), random_ring_element(rng, 2)
-    lhs = group_act_on_ring(CTX, ring_mul_circ(a, b))
-    rhs = ring_mul_circ(group_act_on_ring(CTX, a), group_act_on_ring(CTX, b))
+    lhs = CTX.transpose(ring_mul_circ(a, b))
+    rhs = ring_mul_circ(CTX.transpose(a), CTX.transpose(b))
     assert lhs == rhs
+    for _ in range(6):
+        a, b = suites.random_ring_element(rng, 4), suites.random_ring_element(rng, 4)
+        f = suites.random_rational(rng, 4)
+        for p, q in [((2, 1), (2, 2)), ((3, 1), (3, 3)), ((3, 2), (3, 3)), ((4, 1), (4, 4))]:
+            assert a.swap_vars(p, q).swap_vars(p, q) == a
+            assert ring_mul_circ(a, b).swap_vars(p, q) == ring_mul_circ(
+                a.swap_vars(p, q), b.swap_vars(p, q)
+            )
+            assert apply_to_function(a, f).swap_vars(p, q) == apply_to_function(
+                a.swap_vars(p, q), f.swap_vars(p, q)
+            )
 
 
 def test_is_tau_invariant():

@@ -27,7 +27,7 @@ from gtsingular.gtformulas import (
 )
 from gtsingular.poly import Polynomial
 from gtsingular.ratfun import RationalFunction
-from gtsingular.skewring import RingElement, group_act_on_ring, ring_mul_circ
+from gtsingular.skewring import RingElement, ring_mul_circ
 from gtsingular.suites import (
     GENERIC_LABELS_3,
     GENERIC_POINT_3,
@@ -522,7 +522,7 @@ def reference_random_generator_form(rng: random.Random, ctx: SingularContext) ->
         h = fraction_random_polynomial(rng, ctx.n, 2, 1, False)
         terms.append((fraction_random_shift(rng, ctx.n), RationalFunction(h, ctx.z1_poly)))
     a = RingElement(terms)
-    return a + group_act_on_ring(ctx, a)
+    return a + ctx.transpose(a)
 
 
 def reference_random_invariant_polynomial(rng: random.Random, ctx: SingularContext) -> Polynomial:

@@ -268,22 +268,30 @@ def test_singular_context_rejects_a_generic_point():
         SingularContext(p)
 
 
-def test_tau_of_shift():
+def test_shift_swap_vars():
+    """tau on shifts is `Shift.swap_vars` at the singular pair, through
+    `ctx.transpose`; any other pair relabels its two positions alike."""
     ctx = canonical_context()
     s = Shift({(2, 1): 2})
-    t = ctx.tau_of_shift(s)
+    t = ctx.transpose(s)
     assert t == Shift({(2, 2): 2})
-    assert ctx.tau_of_shift(t) == s
+    assert ctx.transpose(t) == s
     fixed = Shift({(2, 1): 1, (2, 2): 1, (1, 1): -1})
-    assert ctx.tau_of_shift(fixed) == fixed
+    assert ctx.transpose(fixed) == fixed
     mixed = Shift({(1, 1): 3, (2, 1): 1})
-    assert ctx.tau_of_shift(mixed) == Shift({(1, 1): 3, (2, 2): 1})
+    assert ctx.transpose(mixed) == Shift({(1, 1): 3, (2, 2): 1})
     # total shift over the pair is preserved
     for s in [Shift({(2, 1): 2, (2, 2): -1}), Shift({(2, 2): 5})]:
-        t = ctx.tau_of_shift(s)
+        t = ctx.transpose(s)
         assert s.component((2, 1)) + s.component((2, 2)) == t.component((2, 1)) + t.component(
             (2, 2)
         )
+    # a pair other than the singular one, across rows too
+    s = Shift({(1, 1): 3, (2, 1): -1, (3, 2): 2})
+    assert s.swap_vars((3, 1), (3, 2)) == Shift({(1, 1): 3, (2, 1): -1, (3, 1): 2})
+    assert s.swap_vars((1, 1), (2, 1)) == Shift({(1, 1): -1, (2, 1): 3, (3, 2): 2})
+    assert s.swap_vars((3, 1), (3, 2)).swap_vars((3, 1), (3, 2)) == s
+    assert s.swap_vars((3, 1), (3, 3)) is s  # both components zero
 
 
 def test_representative():
